@@ -78,10 +78,11 @@ impl GroupAssignments {
         self.per_group.bin(group)
     }
 
-    /// Mutable access used by the group-wise sorting stage.
+    /// Mutable access to the CSR bins, used by the group-wise sorting
+    /// stage.
     #[inline]
-    pub(crate) fn group_mut(&mut self, group: usize) -> &mut [GroupEntry] {
-        self.per_group.bin_mut(group)
+    pub(crate) fn bins_mut(&mut self) -> &mut CsrAssignments<GroupEntry> {
+        &mut self.per_group
     }
 
     /// Number of groups.
@@ -156,28 +157,7 @@ impl GroupAssignments {
 /// ellipse test cleared. Under [`PrepassMode::Exact`] a group entry whose
 /// bitmask ends up empty is dropped entirely — it could never contribute a
 /// pixel, so removing its sort key is lossless.
-pub fn identify_groups(
-    projected: &[ProjectedGaussian],
-    image_width: u32,
-    image_height: u32,
-    config: &GstgConfig,
-    counts: &mut StageCounts,
-) -> GroupAssignments {
-    let mut scratch = CsrScratch::new();
-    let mut out = GroupAssignments::empty();
-    identify_groups_into(
-        projected,
-        image_width,
-        image_height,
-        config,
-        counts,
-        &mut scratch,
-        &mut out,
-    );
-    out
-}
-
-/// In-place variant of [`identify_groups`] used by the render sessions:
+///
 /// `out` is rebuilt through `scratch`, retaining both allocations across
 /// frames. Every group/bitmask test is performed (and charged) exactly
 /// once; the staged `(group, entry)` pairs are then counting-sorted into
@@ -275,7 +255,7 @@ pub fn identify_groups_into(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use splat_render::BoundaryMethod;
     use splat_types::{Mat2, Rgb, Vec2};
@@ -303,6 +283,47 @@ mod tests {
         .unwrap()
     }
 
+    /// Allocating form of [`identify_groups_into`].
+    pub(crate) fn identify_groups(
+        projected: &[ProjectedGaussian],
+        image_width: u32,
+        image_height: u32,
+        config: &GstgConfig,
+        counts: &mut StageCounts,
+    ) -> GroupAssignments {
+        let mut out = GroupAssignments::empty();
+        identify_groups_into(
+            projected,
+            image_width,
+            image_height,
+            config,
+            counts,
+            &mut CsrScratch::new(),
+            &mut out,
+        );
+        out
+    }
+
+    /// The baseline's conservative tile identification, for comparison.
+    fn identify_tiles(
+        projected: &[ProjectedGaussian],
+        grid: TileGrid,
+        boundary: BoundaryMethod,
+        counts: &mut StageCounts,
+    ) -> splat_render::TileAssignments {
+        let mut out = splat_render::TileAssignments::empty();
+        splat_render::identify_tiles_into(
+            projected,
+            grid,
+            boundary,
+            PrepassMode::Conservative,
+            counts,
+            &mut CsrScratch::new(),
+            &mut out,
+        );
+        out
+    }
+
     #[test]
     fn small_splat_lands_in_one_group_with_one_tile_bit() {
         let cfg = config(16, 64);
@@ -326,7 +347,7 @@ mod tests {
 
         let mut tile_counts = StageCounts::new();
         let tile_grid = TileGrid::new(256, 256, 16);
-        let tiles = splat_render::tiling::identify_tiles(
+        let tiles = identify_tiles(
             &splats,
             tile_grid,
             BoundaryMethod::Ellipse,
@@ -354,7 +375,7 @@ mod tests {
 
         let mut baseline_counts = StageCounts::new();
         let tile_grid = TileGrid::new(256, 256, 16);
-        let baseline = splat_render::tiling::identify_tiles(
+        let baseline = identify_tiles(
             &splats,
             tile_grid,
             BoundaryMethod::Ellipse,

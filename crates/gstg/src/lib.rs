@@ -43,10 +43,15 @@
 //! # Ok::<(), splat_types::RenderError>(())
 //! ```
 //!
-//! Both [`GstgRenderer`] and the allocation-free [`GstgSession`] implement
-//! the backend-agnostic [`splat_core::RenderBackend`] trait, so they can be
-//! served — interchangeably with the baseline pipeline — through the
-//! fallible request/response API and the batch `Engine` in `splat-engine`.
+//! Those four bullets are the whole delta: [`GstgRenderer`] implements
+//! `splat_render::Keying` (group identification, group-wise sort, the
+//! bitmask filter as per-tile list provider) and everything else — the
+//! frame loop, preprocessing, timing, the frame arena, the tile-shading
+//! driver — is the baseline's, shared through `splat_render::Session`. The
+//! allocation-free [`GstgSession`] (`Session<GstgRenderer>`) implements the
+//! backend-agnostic [`splat_core::RenderBackend`] trait, so it is served —
+//! interchangeably with the baseline session — through the fallible
+//! request/response API and the batch `Engine` in `splat-engine`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -57,18 +62,13 @@ pub mod group;
 pub mod lossless;
 pub mod pipeline;
 pub mod raster;
-pub mod session;
 pub mod sort;
 
 pub use bitmask::{GroupLayout, TileBitmask};
 pub use config::{ConfigError, ExecutionModel, GstgConfig, GstgConfigBuilder};
-pub use group::{identify_groups, identify_groups_into, GroupAssignments, GroupEntry};
+pub use group::{identify_groups_into, GroupAssignments, GroupEntry};
 pub use lossless::{verify_lossless, LosslessReport};
-pub use pipeline::{GstgRenderer, RenderOutput};
-pub use raster::{
-    filter_tile_list, filter_tile_list_into, rasterize_groups, rasterize_groups_into,
-    rasterize_groups_into_with, rasterize_groups_with,
-};
-pub use session::GstgSession;
+pub use pipeline::{GstgRenderer, GstgSession, RenderOutput};
+pub use raster::{filter_tile_list_into, rasterize_groups_into_with};
 pub use splat_core::{HasExecution, RenderBackend, RenderRequest, SimdMode};
 pub use splat_render::PrepassMode;

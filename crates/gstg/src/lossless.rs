@@ -126,6 +126,37 @@ mod tests {
     }
 
     #[test]
+    fn session_stays_lossless_against_a_baseline_session() {
+        // The central GS-TG claim holds frame after frame: a reused GS-TG
+        // session and a reused baseline session produce bit-identical
+        // images.
+        let scene = PaperScene::Train.build(SceneScale::Tiny, 3);
+        let config = GstgConfig::paper_default();
+        let mut gstg = crate::GstgSession::from_config(config);
+        let mut baseline = splat_render::RenderSession::from_config(config.equivalent_baseline());
+        let trajectory = splat_scene::CameraTrajectory::orbit(
+            CameraIntrinsics::from_fov_y(1.0, 96, 64),
+            Vec3::new(0.0, 0.0, 6.0),
+            4.0,
+            0.5,
+            3,
+        );
+        for camera in trajectory.cameras() {
+            let reference = baseline.render(&scene, &camera).stats;
+            let baseline_image = {
+                let frame = baseline.render(&scene, &camera);
+                frame.image.clone()
+            };
+            let frame = gstg.render(&scene, &camera);
+            assert_eq!(frame.image.max_abs_diff(&baseline_image), 0.0);
+            assert_eq!(
+                frame.stats.counts.alpha_computations,
+                reference.counts.alpha_computations
+            );
+        }
+    }
+
+    #[test]
     fn report_handles_trivial_scenes() {
         let scene = Scene::new("empty", 64, 64, vec![]);
         let report = verify_lossless(&scene, &small_camera(), GstgConfig::paper_default());

@@ -1,124 +1,26 @@
-//! The end-to-end GS-TG rendering pipeline.
+//! The GS-TG renderer.
 //!
-//! [`GstgRenderer`] composes the same shared stage engine the baseline
-//! renderer uses ([`splat_core::PipelineStage`] + [`run_timed`]), swapping
-//! the per-tile stages for group-wise ones: preprocessing feeds group
-//! identification with bitmask generation, sorting runs once per group,
-//! and rasterization filters each group's sorted list per tile before
-//! blending through the shared kernel.
+//! [`GstgRenderer`] is the paper's [`Keying`]: splats are identified into
+//! per-*group* lists with a per-splat tile bitmask, each group's list is
+//! depth-sorted once, and rasterization recovers every small tile's sorted
+//! list by filtering its group's list with the tile's bitmask bit
+//! ([`crate::raster`]). The frame loop that runs those stages — and
+//! preprocessing, timing, the arena and the tile-shading driver, which GS-TG
+//! does not change — is the shared [`Session`]; a one-shot
+//! [`GstgRenderer::render`] is a session with a fresh arena.
 
 use crate::config::GstgConfig;
-use crate::group::{identify_groups, GroupAssignments};
-use crate::raster::rasterize_groups_with;
-use crate::sort::sort_groups;
-use splat_core::{
-    run_timed, Framebuffer, HasExecution, PipelineStage, ProjectedGaussian, RenderBackend,
-    RenderRequest, RenderStats, StageCounts,
-};
-use splat_render::preprocess::preprocess;
+use crate::group::{identify_groups_into, GroupAssignments, GroupEntry};
+use crate::sort::sort_groups_with;
+use splat_core::{CsrScratch, KeySortScratch, ProjectedGaussian, StageCounts};
+use splat_render::{Keying, RenderConfig, Session};
 use splat_scene::Scene;
 use splat_types::{Camera, RenderError, Rgb};
 
 pub use splat_core::RenderOutput;
 
-/// Intermediate GS-TG state exposed for the accelerator simulator and for
-/// equivalence tests.
-#[derive(Debug, Clone)]
-pub struct PreparedGroups {
-    /// Splats that survived culling, in scene order.
-    pub projected: Vec<ProjectedGaussian>,
-    /// Per-group splat lists with bitmasks, sorted front-to-back.
-    pub assignments: GroupAssignments,
-    /// Counters accumulated so far (preprocessing, identification,
-    /// bitmask generation and sorting).
-    pub counts: StageCounts,
-}
-
-/// Stage 1: preprocessing, group identification and bitmask generation.
-struct PrepareStage<'a> {
-    scene: &'a Scene,
-    camera: &'a Camera,
-    config: &'a GstgConfig,
-}
-
-impl PipelineStage for PrepareStage<'_> {
-    type Output = (Vec<ProjectedGaussian>, GroupAssignments);
-
-    fn name(&self) -> &'static str {
-        "preprocess"
-    }
-
-    fn run(self, counts: &mut StageCounts) -> Self::Output {
-        // The preprocessing stage is shared verbatim with the baseline the
-        // losslessness checks compare against, so the config mapping must
-        // be the same single function.
-        let render_config = self.config.equivalent_baseline();
-        let projected = preprocess(self.scene, self.camera, &render_config, counts);
-        let assignments = identify_groups(
-            &projected,
-            self.camera.width(),
-            self.camera.height(),
-            self.config,
-            counts,
-        );
-        (projected, assignments)
-    }
-}
-
-/// Stage 2: group-wise depth sorting.
-struct SortStage<'a> {
-    projected: &'a [ProjectedGaussian],
-    assignments: GroupAssignments,
-}
-
-impl PipelineStage for SortStage<'_> {
-    type Output = GroupAssignments;
-
-    fn name(&self) -> &'static str {
-        "sort"
-    }
-
-    fn run(mut self, counts: &mut StageCounts) -> GroupAssignments {
-        sort_groups(&mut self.assignments, self.projected, counts);
-        self.assignments
-    }
-}
-
-/// Stage 3: bitmask-filtered tile-wise rasterization.
-struct RasterStage<'a> {
-    projected: &'a [ProjectedGaussian],
-    assignments: &'a GroupAssignments,
-    camera: &'a Camera,
-    background: Rgb,
-    threads: usize,
-    simd: splat_core::SimdMode,
-    span: splat_core::SpanMode,
-}
-
-impl PipelineStage for RasterStage<'_> {
-    type Output = (Framebuffer, std::time::Duration);
-
-    fn name(&self) -> &'static str {
-        "raster"
-    }
-
-    fn run(self, counts: &mut StageCounts) -> Self::Output {
-        let mut scratch = splat_core::SpanScratch::new();
-        let (image, raster_counts) = rasterize_groups_with(
-            self.projected,
-            self.assignments,
-            self.camera.width(),
-            self.camera.height(),
-            self.background,
-            self.threads,
-            self.simd,
-            self.span,
-            &mut scratch,
-        );
-        *counts += raster_counts;
-        (image, scratch.take_build_time())
-    }
-}
+/// The GS-TG session: the one frame loop keyed per tile group.
+pub type GstgSession = Session<GstgRenderer>;
 
 /// The GS-TG renderer.
 #[derive(Debug, Clone)]
@@ -153,98 +55,74 @@ impl GstgRenderer {
         self.background
     }
 
-    /// Runs preprocessing, group identification, bitmask generation and
-    /// group-wise sorting, returning the intermediate state without
-    /// rasterizing.
-    pub fn prepare(&self, scene: &Scene, camera: &Camera) -> PreparedGroups {
-        let mut counts = StageCounts::new();
-        let (projected, assignments) = PrepareStage {
-            scene,
-            camera,
-            config: &self.config,
-        }
-        .run(&mut counts);
-        let assignments = SortStage {
-            projected: &projected,
-            assignments,
-        }
-        .run(&mut counts);
-        PreparedGroups {
-            projected,
-            assignments,
-            counts,
-        }
-    }
-
-    /// Renders one view of the scene through the GS-TG pipeline.
+    /// Renders one view of the scene through the GS-TG pipeline: a
+    /// [`Session`] with a fresh arena whose framebuffer is moved out.
     pub fn render(&self, scene: &Scene, camera: &Camera) -> RenderOutput {
-        let mut counts = StageCounts::new();
-
-        let ((projected, assignments), preprocess_time) = run_timed(
-            PrepareStage {
-                scene,
-                camera,
-                config: &self.config,
-            },
-            &mut counts,
-        );
-        let (assignments, sort_time) = run_timed(
-            SortStage {
-                projected: &projected,
-                assignments,
-            },
-            &mut counts,
-        );
-        let ((image, span_build_time), raster_time) = run_timed(
-            RasterStage {
-                projected: &projected,
-                assignments: &assignments,
-                camera,
-                background: self.background,
-                threads: self.config.threads(),
-                simd: self.config.simd(),
-                span: self.config.span(),
-            },
-            &mut counts,
-        );
-
-        RenderOutput {
-            image,
-            stats: RenderStats {
-                counts,
-                preprocess_time,
-                identify_time: std::time::Duration::ZERO,
-                sort_time,
-                raster_time,
-                span_build_time,
-            },
-        }
+        Session::new(self.clone()).into_output(scene, camera)
     }
 }
 
-impl RenderBackend for GstgRenderer {
-    fn name(&self) -> &'static str {
-        "gstg"
+impl From<GstgConfig> for GstgRenderer {
+    fn from(config: GstgConfig) -> Self {
+        Self::new(config)
+    }
+}
+
+impl Keying for GstgRenderer {
+    type Entry = GroupEntry;
+    type Assignments = GroupAssignments;
+
+    const NAME: &'static str = "gstg-session";
+
+    /// The preprocessing stage is shared verbatim with the baseline the
+    /// losslessness checks compare against, so the config mapping is the
+    /// same single function.
+    fn render_config(&self) -> RenderConfig {
+        self.config.equivalent_baseline()
     }
 
-    /// Serves one request through [`GstgRenderer::render`] after validating
-    /// the request and the configuration, so malformed input returns a
-    /// typed error instead of panicking.
-    fn render(&mut self, request: &RenderRequest<'_>) -> Result<RenderOutput, RenderError> {
-        self.config.validate()?;
-        request.validate()?;
-        splat_render::TileGrid::try_new(
-            request.camera.width(),
-            request.camera.height(),
-            self.config.tile_size,
-        )?;
-        Ok(GstgRenderer::render(self, request.scene, &request.camera))
+    fn validate(&self) -> Result<(), RenderError> {
+        Ok(self.config.validate()?)
+    }
+
+    fn background(&self) -> Rgb {
+        self.background
+    }
+
+    fn empty_assignments() -> GroupAssignments {
+        GroupAssignments::empty()
+    }
+
+    fn assignments_footprint(assignments: &GroupAssignments) -> usize {
+        assignments.footprint_bytes()
+    }
+
+    fn identify(
+        &self,
+        projected: &[ProjectedGaussian],
+        width: u32,
+        height: u32,
+        counts: &mut StageCounts,
+        scratch: &mut CsrScratch<GroupEntry>,
+        out: &mut GroupAssignments,
+    ) {
+        identify_groups_into(projected, width, height, &self.config, counts, scratch, out);
+    }
+
+    fn sort(
+        assignments: &mut GroupAssignments,
+        projected: &[ProjectedGaussian],
+        counts: &mut StageCounts,
+        scratch: &mut KeySortScratch<GroupEntry>,
+    ) {
+        sort_groups_with(assignments, projected, counts, scratch);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use splat_core::{HasExecution, RenderBackend, RenderRequest};
     use splat_render::{BoundaryMethod, Renderer};
     use splat_scene::{PaperScene, SceneScale};
     use splat_types::CameraIntrinsics;
@@ -333,15 +211,21 @@ mod tests {
 
     #[test]
     fn prepare_exposes_sorted_groups() {
+        // The pre-raster state a frame leaves behind in its session.
         let scene = PaperScene::Playroom.build(SceneScale::Tiny, 0);
         let camera = small_camera(&scene);
         let config =
             GstgConfig::new(16, 64, BoundaryMethod::Ellipse, BoundaryMethod::Ellipse).unwrap();
-        let prepared = GstgRenderer::new(config).prepare(&scene, &camera);
-        for (_, entries) in prepared.assignments.iter() {
-            assert!(crate::sort::is_group_sorted(entries, &prepared.projected));
+        let mut session = GstgSession::from_config(config);
+        let counts = session.render(&scene, &camera).stats.counts;
+        for (_, entries) in session.assignments().iter() {
+            assert!(splat_core::is_sorted_by_depth(
+                entries,
+                session.projected(),
+                |entry| entry.slot
+            ));
         }
-        assert!(prepared.counts.sort_comparisons > 0 || prepared.assignments.total_entries() <= 1);
+        assert!(counts.sort_comparisons > 0 || session.assignments().total_entries() <= 1);
     }
 
     #[test]
@@ -350,8 +234,8 @@ mod tests {
         let camera = small_camera(&scene);
         let renderer = GstgRenderer::new(GstgConfig::paper_default());
         let direct = renderer.render(&scene, &camera);
-        let mut backend: Box<dyn RenderBackend> = Box::new(renderer);
-        assert_eq!(backend.name(), "gstg");
+        let mut backend: Box<dyn RenderBackend> = Box::new(GstgSession::new(renderer));
+        assert_eq!(backend.name(), "gstg-session");
         let served = backend
             .render(&RenderRequest::new(&scene, camera))
             .expect("valid request");
@@ -363,11 +247,12 @@ mod tests {
     fn backend_trait_rejects_invalid_input_without_panicking() {
         let scene = PaperScene::Playroom.build(SceneScale::Tiny, 2);
         let camera = small_camera(&scene);
-        let mut backend = GstgRenderer::new(GstgConfig::paper_default());
+        let mut backend = GstgSession::from_config(GstgConfig::paper_default());
         let empty = Scene::new("empty", 32, 32, Vec::new());
         assert!(RenderBackend::render(&mut backend, &RenderRequest::new(&empty, camera)).is_err());
         let mut bad = GstgRenderer::new(GstgConfig::paper_default());
         bad.config.group_size = 40;
+        let mut bad = GstgSession::new(bad);
         assert!(RenderBackend::render(&mut bad, &RenderRequest::new(&scene, camera)).is_err());
     }
 

@@ -4,33 +4,23 @@
 //! group-sorted splat list is filtered with the tile's bit of each entry's
 //! bitmask (the AND/OR "valid" computation of the hardware rasterization
 //! module) and the surviving splats — already in depth order — are blended
-//! by the same shared kernel the baseline uses
-//! ([`splat_core::rasterize_tile`]). The fan-out across groups goes through
-//! the shared [`TileScheduler`], so parallel results merge in group order
-//! and are bit-exact with the sequential walk.
+//! by the same shared driver the baseline uses ([`splat_core::shade_tiles`]).
+//! The filter is GS-TG's [`TileLists`] implementation: groups are the
+//! scheduling units, so the parallel fan-out merges in group order and is
+//! bit-exact with the sequential walk.
 
 use crate::bitmask::TileBitmask;
 use crate::group::{GroupAssignments, GroupEntry};
 use splat_core::{
-    rasterize_tile_into_with, rasterize_tile_spans_into_with, rasterize_tile_spans_with,
-    rasterize_tile_with, Framebuffer, ProjectedGaussian, SimdMode, SpanMode, SpanScratch,
-    StageCounts, TileScheduler,
+    shade_tiles, ExecutionConfig, Framebuffer, ProjectedGaussian, SimdMode, SpanMode, SpanScratch,
+    StageCounts, TileLists, TileRect,
 };
 use splat_types::Rgb;
-use std::time::Duration;
 
 /// Filters a group-sorted entry list down to the splats that touch the tile
 /// at bitmask position `bit`, preserving order. Each entry costs one
-/// bitmask filter operation (the hardware performs them 8 per cycle).
-pub fn filter_tile_list(entries: &[GroupEntry], bit: u32, counts: &mut StageCounts) -> Vec<u32> {
-    let mut out = Vec::new();
-    filter_tile_list_into(entries, bit, counts, &mut out);
-    out
-}
-
-/// In-place variant of [`filter_tile_list`]: `out` is cleared and refilled,
-/// retaining its allocation across tiles — the allocation-free session
-/// path.
+/// bitmask filter operation (the hardware performs them 8 per cycle). `out`
+/// is cleared and refilled, retaining its allocation across tiles.
 pub fn filter_tile_list_into(
     entries: &[GroupEntry],
     bit: u32,
@@ -48,109 +38,42 @@ pub fn filter_tile_list_into(
     );
 }
 
-/// Rasterizes every tile of every group into a framebuffer.
-///
-/// `threads` > 1 distributes groups across worker threads; each group's
-/// tiles write disjoint framebuffer regions and outputs merge in group
-/// order, so the result is bit-exact for any thread count.
-pub fn rasterize_groups(
-    projected: &[ProjectedGaussian],
-    assignments: &GroupAssignments,
-    image_width: u32,
-    image_height: u32,
-    background: Rgb,
-    threads: usize,
-) -> (Framebuffer, StageCounts) {
-    let mut scratch = SpanScratch::new();
-    rasterize_groups_with(
-        projected,
-        assignments,
-        image_width,
-        image_height,
-        background,
-        threads,
-        SimdMode::Scalar,
-        SpanMode::Full,
-        &mut scratch,
-    )
+/// GS-TG's per-tile list provider: every group is one unit, and each of its
+/// in-image tiles gets the group's sorted list filtered by the tile's bit.
+impl TileLists for GroupAssignments {
+    fn unit_count(&self) -> usize {
+        self.group_count()
+    }
+
+    fn for_each_tile<F>(
+        &self,
+        unit: usize,
+        counts: &mut StageCounts,
+        tile_list: &mut Vec<u32>,
+        mut shade: F,
+    ) where
+        F: FnMut(&TileRect, &[u32], &mut StageCounts),
+    {
+        let entries = self.group(unit);
+        let (gx, gy) = self.group_grid().tile_coords(unit);
+        for bit in 0..self.layout().tiles_per_group() {
+            let Some((tx, ty)) = self.global_tile_of_bit(gx, gy, bit) else {
+                continue;
+            };
+            filter_tile_list_into(entries, bit, counts, tile_list);
+            shade(&self.tile_grid().tile_rect(tx, ty), tile_list, counts);
+        }
+    }
 }
 
-/// [`rasterize_groups`] with an explicit [`SimdMode`] and [`SpanMode`] for
-/// the shared blending kernel. Every mode produces bit-identical pixels and
-/// counters; `scratch` carries the span walker's recycled buffers and
-/// accumulates its interval-build time.
-#[allow(clippy::too_many_arguments)]
-pub fn rasterize_groups_with(
-    projected: &[ProjectedGaussian],
-    assignments: &GroupAssignments,
-    image_width: u32,
-    image_height: u32,
-    background: Rgb,
-    threads: usize,
-    simd: SimdMode,
-    span: SpanMode,
-    scratch: &mut SpanScratch,
-) -> (Framebuffer, StageCounts) {
-    // Start from an empty framebuffer: rasterize_groups_into's reset
-    // performs the one-and-only background fill.
-    let mut image = Framebuffer::new(0, 0, background);
-    let mut tile_list = Vec::new();
-    let counts = rasterize_groups_into_with(
-        projected,
-        assignments,
-        image_width,
-        image_height,
-        background,
-        threads,
-        simd,
-        span,
-        &mut image,
-        &mut tile_list,
-        scratch,
-    );
-    (image, counts)
-}
-
-/// In-place variant of [`rasterize_groups`] used by the render sessions:
-/// the framebuffer is reset to the image dimensions and reused, and with
-/// one worker thread every tile is filtered into `tile_list` and shaded
-/// directly into `image` with no per-tile buffers. With more threads the
-/// fan-out runs through the shared [`TileScheduler`] exactly as before.
-/// Both paths perform identical per-pixel operations, so pixels and
-/// [`StageCounts`] are bit-identical.
-#[allow(clippy::too_many_arguments)]
-pub fn rasterize_groups_into(
-    projected: &[ProjectedGaussian],
-    assignments: &GroupAssignments,
-    image_width: u32,
-    image_height: u32,
-    background: Rgb,
-    threads: usize,
-    image: &mut Framebuffer,
-    tile_list: &mut Vec<u32>,
-) -> StageCounts {
-    let mut scratch = SpanScratch::new();
-    rasterize_groups_into_with(
-        projected,
-        assignments,
-        image_width,
-        image_height,
-        background,
-        threads,
-        SimdMode::Scalar,
-        SpanMode::Full,
-        image,
-        tile_list,
-        &mut scratch,
-    )
-}
-
-/// [`rasterize_groups_into`] with an explicit [`SimdMode`] and [`SpanMode`]
-/// for the shared blending kernel. Every mode produces bit-identical pixels
-/// and counters. With [`SpanMode::RowSpans`] the sequential path shades
-/// through `scratch` and the parallel path folds each worker's
-/// interval-build time back into it; drain it with
-/// [`SpanScratch::take_build_time`] after the call.
+/// Rasterizes every tile of every group into a recycled framebuffer, which
+/// is reset to the image dimensions first — the raster stage of the frame
+/// loop as a standalone call ([`shade_tiles`] over the bitmask-filtered
+/// lists). `tile_list` is the reused per-tile filter output; `scratch`
+/// carries the span walker's recycled buffers and accumulates its
+/// interval-build time (drain it with [`SpanScratch::take_build_time`]).
+/// Every thread count, [`SimdMode`] and [`SpanMode`] produces bit-identical
+/// pixels.
 #[allow(clippy::too_many_arguments)]
 pub fn rasterize_groups_into_with(
     projected: &[ProjectedGaussian],
@@ -166,126 +89,63 @@ pub fn rasterize_groups_into_with(
     scratch: &mut SpanScratch,
 ) -> StageCounts {
     image.reset(image_width, image_height, background);
-    let mut counts = StageCounts::new();
-
-    if threads <= 1 {
-        let layout = assignments.layout();
-        let tile_grid = assignments.tile_grid();
-        for group in 0..assignments.group_count() {
-            let entries = assignments.group(group);
-            let (gx, gy) = assignments.group_grid().tile_coords(group);
-            for bit in 0..layout.tiles_per_group() {
-                let Some((tx, ty)) = assignments.global_tile_of_bit(gx, gy, bit) else {
-                    continue;
-                };
-                let rect = tile_grid.tile_rect(tx, ty);
-                filter_tile_list_into(entries, bit, &mut counts, tile_list);
-                match span {
-                    SpanMode::Full => rasterize_tile_into_with(
-                        tile_list,
-                        projected,
-                        &rect,
-                        background,
-                        simd,
-                        image,
-                        &mut counts,
-                    ),
-                    SpanMode::RowSpans => rasterize_tile_spans_into_with(
-                        tile_list,
-                        projected,
-                        &rect,
-                        background,
-                        simd,
-                        image,
-                        &mut counts,
-                        scratch,
-                    ),
-                }
-            }
-        }
-        return counts;
-    }
-
-    let scheduler = TileScheduler::new(threads);
-    let groups = scheduler.run(assignments.group_count(), |group| {
-        let mut local_counts = StageCounts::new();
-        let mut regions = Vec::new();
-        let built = collect_group_regions(
-            projected,
-            assignments,
-            group,
-            background,
-            simd,
-            span,
-            &mut regions,
-            &mut local_counts,
-        );
-        (regions, local_counts, built)
-    });
-
-    for (regions, local_counts, built) in groups {
-        counts += local_counts;
-        scratch.add_build_time(built);
-        for (x0, y0, width, pixels) in regions {
-            image.write_region(x0, y0, width, &pixels);
-        }
-    }
-    counts
-}
-
-type Region = (u32, u32, u32, Vec<Rgb>);
-
-/// Shades every tile of one group into per-tile regions, returning the
-/// time the span walker spent building row intervals
-/// ([`Duration::ZERO`] under [`SpanMode::Full`]).
-#[allow(clippy::too_many_arguments)]
-fn collect_group_regions(
-    projected: &[ProjectedGaussian],
-    assignments: &GroupAssignments,
-    group: usize,
-    background: Rgb,
-    simd: SimdMode,
-    span: SpanMode,
-    regions: &mut Vec<Region>,
-    counts: &mut StageCounts,
-) -> Duration {
-    let entries = assignments.group(group);
-    let (gx, gy) = assignments.group_grid().tile_coords(group);
-    let layout = assignments.layout();
-    let tile_grid = assignments.tile_grid();
-    let mut scratch = SpanScratch::new();
-
-    for bit in 0..layout.tiles_per_group() {
-        let Some((tx, ty)) = assignments.global_tile_of_bit(gx, gy, bit) else {
-            continue;
-        };
-        let rect = tile_grid.tile_rect(tx, ty);
-        let tile_list = filter_tile_list(entries, bit, counts);
-        let out = match span {
-            SpanMode::Full => rasterize_tile_with(&tile_list, projected, &rect, background, simd),
-            SpanMode::RowSpans => rasterize_tile_spans_with(
-                &tile_list,
-                projected,
-                &rect,
-                background,
-                simd,
-                &mut scratch,
-            ),
-        };
-        *counts += out.counts;
-        regions.push((rect.x0 as u32, rect.y0 as u32, out.width, out.pixels));
-    }
-    scratch.take_build_time()
+    let exec = ExecutionConfig::builder()
+        .threads(threads)
+        .simd(simd)
+        .span(span)
+        .build();
+    shade_tiles(
+        assignments,
+        projected,
+        background,
+        &exec,
+        image,
+        tile_list,
+        scratch,
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::GstgConfig;
-    use crate::group::identify_groups;
-    use crate::sort::sort_groups;
+    use crate::group::tests::identify_groups;
+    use crate::sort::tests::sort_groups;
     use splat_render::BoundaryMethod;
     use splat_types::{Mat2, Vec2};
+
+    /// Allocating form of [`filter_tile_list_into`].
+    fn filter_tile_list(entries: &[GroupEntry], bit: u32, counts: &mut StageCounts) -> Vec<u32> {
+        let mut out = Vec::new();
+        filter_tile_list_into(entries, bit, counts, &mut out);
+        out
+    }
+
+    /// Allocating, scalar full-walk form of [`rasterize_groups_into_with`].
+    fn rasterize_groups(
+        projected: &[ProjectedGaussian],
+        assignments: &GroupAssignments,
+        image_width: u32,
+        image_height: u32,
+        background: Rgb,
+        threads: usize,
+    ) -> (Framebuffer, StageCounts) {
+        let mut image = Framebuffer::new(0, 0, background);
+        let counts = rasterize_groups_into_with(
+            projected,
+            assignments,
+            image_width,
+            image_height,
+            background,
+            threads,
+            SimdMode::Scalar,
+            SpanMode::Full,
+            &mut image,
+            &mut Vec::new(),
+            &mut SpanScratch::new(),
+        );
+        (image, counts)
+    }
 
     fn projected(mean: Vec2, sigma: f32, index: u32, depth: f32, color: Rgb) -> ProjectedGaussian {
         let cov = Mat2::from_symmetric(sigma * sigma, 0.0, sigma * sigma);

@@ -3,84 +3,76 @@
 //! Each group's splat list is sorted exactly once, front-to-back, using the
 //! same key ordering as the baseline's tile-wise sort — the shared radix
 //! key sort on `(depth_bits << 32) | scene_index`
-//! ([`splat_core::keysort`]). Because the ordering is identical, filtering
-//! a group-sorted list down to one tile yields the same order the baseline
+//! ([`splat_core::sort_bins_by_depth`], the same call the baseline makes
+//! over its per-tile bins). Because the ordering is identical, filtering a
+//! group-sorted list down to one tile yields the same order the baseline
 //! would have produced for that tile — the key to GS-TG's losslessness.
 //! `StageCounts` records the measured key-sort work (`sort_keys`,
 //! `radix_passes`) alongside the modeled comparison count the paper's
 //! redundancy figures are expressed in.
 
 use crate::group::{GroupAssignments, GroupEntry};
-use splat_core::{splat_key, KeySortRun, KeySortScratch};
+use splat_core::{sort_bins_by_depth, KeySortScratch};
 use splat_render::preprocess::ProjectedGaussian;
 use splat_render::stats::StageCounts;
 
-/// Sorts a single group's entries front-to-back, returning the modeled
-/// merge-sort comparison count for the list (the key sort itself performs
-/// none); use [`sort_group_with`] to reuse sort buffers and obtain the full
-/// [`KeySortRun`].
-pub fn sort_group(entries: &mut [GroupEntry], projected: &[ProjectedGaussian]) -> u64 {
-    let mut scratch = KeySortScratch::new();
-    sort_group_with(entries, projected, &mut scratch).modeled_comparisons
-}
-
-/// Sorts a single group's entries front-to-back through a reusable
-/// key-sort scratch. Depths are finite by the preprocessing contract, so
-/// the sign-flip key mapping reproduces the comparator order exactly.
-pub fn sort_group_with(
-    entries: &mut [GroupEntry],
-    projected: &[ProjectedGaussian],
-    scratch: &mut KeySortScratch<GroupEntry>,
-) -> KeySortRun {
-    scratch.sort_by_key(entries, |entry| {
-        let splat = &projected[entry.slot as usize];
-        splat_key(splat.depth, splat.index)
-    })
-}
-
-/// Sorts every group's list in place, accumulating the modeled comparison
-/// count and the measured key-sort counters into `counts`.
-pub fn sort_groups(
-    assignments: &mut GroupAssignments,
-    projected: &[ProjectedGaussian],
-    counts: &mut StageCounts,
-) {
-    let mut scratch = KeySortScratch::new();
-    sort_groups_with(assignments, projected, counts, &mut scratch);
-}
-
-/// In-place variant of [`sort_groups`] reusing the session's sort scratch.
+/// Sorts every group's list in place through a reusable key-sort scratch,
+/// accumulating the modeled comparison count and the measured key-sort
+/// counters into `counts`.
 pub fn sort_groups_with(
     assignments: &mut GroupAssignments,
     projected: &[ProjectedGaussian],
     counts: &mut StageCounts,
     scratch: &mut KeySortScratch<GroupEntry>,
 ) {
-    for group in 0..assignments.group_count() {
-        let entries = assignments.group_mut(group);
-        if entries.len() > 1 {
-            sort_group_with(entries, projected, scratch).accumulate(counts);
-        }
-    }
-}
-
-/// Returns `true` when a group's entries are sorted front-to-back.
-pub fn is_group_sorted(entries: &[GroupEntry], projected: &[ProjectedGaussian]) -> bool {
-    entries.windows(2).all(|w| {
-        let a = &projected[w[0].slot as usize];
-        let b = &projected[w[1].slot as usize];
-        a.depth < b.depth || (a.depth == b.depth && a.index <= b.index)
-    })
+    sort_bins_by_depth(
+        assignments.bins_mut(),
+        projected,
+        |entry| entry.slot,
+        counts,
+        scratch,
+    );
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::bitmask::TileBitmask;
     use crate::config::GstgConfig;
-    use crate::group::identify_groups;
-    use splat_render::BoundaryMethod;
+    use crate::group::tests::identify_groups;
+    use splat_core::{CsrAssignments, CsrScratch};
+    use splat_render::{BoundaryMethod, PrepassMode, TileAssignments};
     use splat_types::{Mat2, Rgb, Vec2};
+
+    /// Sorts one group's entries as a single-bin assignment.
+    fn sort_group(entries: &mut [GroupEntry], projected: &[ProjectedGaussian]) {
+        let mut staging = CsrScratch::new();
+        for &entry in entries.iter() {
+            staging.stage(0, entry);
+        }
+        let mut bins = CsrAssignments::new();
+        staging.build_into(1, &mut bins);
+        sort_bins_by_depth(
+            &mut bins,
+            projected,
+            |entry| entry.slot,
+            &mut StageCounts::new(),
+            &mut KeySortScratch::new(),
+        );
+        entries.copy_from_slice(bins.bin(0));
+    }
+
+    pub(crate) fn sort_groups(
+        assignments: &mut GroupAssignments,
+        projected: &[ProjectedGaussian],
+        counts: &mut StageCounts,
+    ) {
+        sort_groups_with(assignments, projected, counts, &mut KeySortScratch::new());
+    }
+
+    fn is_group_sorted(entries: &[GroupEntry], projected: &[ProjectedGaussian]) -> bool {
+        splat_core::is_sorted_by_depth(entries, projected, |entry| entry.slot)
+    }
 
     fn projected(index: u32, depth: f32) -> ProjectedGaussian {
         let cov = Mat2::from_symmetric(9.0, 0.0, 9.0);
@@ -153,14 +145,22 @@ mod tests {
         sort_groups(&mut groups, &splats, &mut group_counts);
 
         let mut tile_counts = StageCounts::new();
-        let grid = splat_render::tiling::TileGrid::new(256, 256, 16);
-        let mut tiles = splat_render::tiling::identify_tiles(
+        let mut tiles = TileAssignments::empty();
+        splat_render::identify_tiles_into(
             &splats,
-            grid,
+            splat_render::TileGrid::new(256, 256, 16),
             BoundaryMethod::Ellipse,
+            PrepassMode::Conservative,
             &mut tile_counts,
+            &mut CsrScratch::new(),
+            &mut tiles,
         );
-        splat_render::sort::sort_tiles(&mut tiles, &splats, &mut tile_counts);
+        splat_render::sort::sort_tiles_with(
+            &mut tiles,
+            &splats,
+            &mut tile_counts,
+            &mut KeySortScratch::new(),
+        );
 
         assert!(
             group_counts.sort_comparisons < tile_counts.sort_comparisons,

@@ -15,9 +15,10 @@ use crate::modules::{
     SortingModel, SortingWork,
 };
 use crate::report::{SimReport, StageCycles};
-use gstg::{GstgConfig, GstgRenderer};
+use gstg::{GstgConfig, GstgSession};
+use splat_core::{HasExecution, SpanMode};
 use splat_render::stats::StageCounts;
-use splat_render::{BoundaryMethod, RenderConfig, Renderer};
+use splat_render::{BoundaryMethod, RenderConfig, RenderSession};
 use splat_scene::Scene;
 use splat_types::Camera;
 
@@ -134,17 +135,13 @@ impl Simulator {
     ) -> SimReport {
         let mut render_config = RenderConfig::new(tile_size, boundary);
         render_config.precision = splat_types::Precision::Half;
-        let renderer = Renderer::new(render_config);
+        // Gather exact work counts by rendering the frame; the per-tile
+        // list sizes the session keeps feed the buffer model.
+        let mut session = RenderSession::from_config(render_config);
+        let counts = session.render(scene, camera).stats.counts;
 
-        // Gather exact work counts. The per-tile list sizes feed the buffer
-        // model, so run the identification/sort phase explicitly and then
-        // rasterize from the prepared state.
-        let frame = renderer.prepare(scene, camera);
-        let (_, raster_counts) = renderer.rasterize(&frame.projected, &frame.assignments, camera);
-        let counts = frame.counts + raster_counts;
-
-        let tile_entry_sizes: Vec<u64> = frame
-            .assignments
+        let tile_entry_sizes: Vec<u64> = session
+            .assignments()
             .iter()
             .map(|(_, list)| list.len() as u64)
             .collect();
@@ -168,21 +165,16 @@ impl Simulator {
         config: GstgConfig,
         label: String,
     ) -> SimReport {
-        let config = config.with_precision(splat_types::Precision::Half);
-        let renderer = GstgRenderer::new(config);
-        let prepared = renderer.prepare(scene, camera);
-        let (_, raster_counts) = gstg::raster::rasterize_groups(
-            &prepared.projected,
-            &prepared.assignments,
-            camera.width(),
-            camera.height(),
-            splat_types::Rgb::BLACK,
-            1,
-        );
-        let counts = prepared.counts + raster_counts;
+        // The rasterization module shades every (pixel, splat) pair, so the
+        // cycle model always consumes full-walk counts.
+        let config = config
+            .with_precision(splat_types::Precision::Half)
+            .with_span(SpanMode::Full);
+        let mut session = GstgSession::from_config(config);
+        let counts = session.render(scene, camera).stats.counts;
 
-        let group_entry_sizes: Vec<u64> = prepared
-            .assignments
+        let group_entry_sizes: Vec<u64> = session
+            .assignments()
             .iter()
             .map(|(_, entries)| entries.len() as u64)
             .collect();

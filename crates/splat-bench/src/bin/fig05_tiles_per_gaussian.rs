@@ -8,10 +8,12 @@
 //! with the ellipse boundary).
 
 use splat_bench::{HarnessOptions, TILE_SIZE_SWEEP};
+use splat_core::{CsrScratch, StageCounts};
 use splat_metrics::{mean, Table};
-use splat_render::stats::StageCounts;
-use splat_render::tiling::{identify_tiles, TileGrid};
-use splat_render::{preprocess, BoundaryMethod, RenderConfig};
+use splat_render::{
+    identify_tiles_into, preprocess_into, BoundaryMethod, PrepassMode, RenderConfig,
+    TileAssignments, TileGrid,
+};
 use splat_scene::PaperScene;
 
 fn main() {
@@ -30,13 +32,24 @@ fn main() {
             let camera = options.camera(scene_id);
             let mut counts = StageCounts::new();
             let config = RenderConfig::new(16, boundary);
-            let projected = preprocess(&scene, &camera, &config, &mut counts);
+            let mut projected = Vec::new();
+            preprocess_into(&scene, &camera, &config, &mut counts, &mut projected);
+            let mut scratch = CsrScratch::new();
+            let mut assignments = TileAssignments::empty();
 
             let mut values = Vec::new();
             for (i, &tile) in TILE_SIZE_SWEEP.iter().enumerate() {
                 let grid = TileGrid::new(camera.width(), camera.height(), tile);
                 let mut id_counts = StageCounts::new();
-                let assignments = identify_tiles(&projected, grid, boundary, &mut id_counts);
+                identify_tiles_into(
+                    &projected,
+                    grid,
+                    boundary,
+                    PrepassMode::Conservative,
+                    &mut id_counts,
+                    &mut scratch,
+                    &mut assignments,
+                );
                 let v = assignments.mean_tiles_per_gaussian();
                 per_size_means[i].push(v);
                 values.push(v);

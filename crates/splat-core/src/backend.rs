@@ -1,10 +1,10 @@
 //! The backend-agnostic rendering API: [`RenderRequest`], [`RenderOutput`]
 //! and the [`RenderBackend`] trait.
 //!
-//! Both pipelines (the baseline tile-sort renderer and the GS-TG
-//! group-sort renderer) and both of their allocation-free session variants
-//! implement [`RenderBackend`], so callers — most importantly the
-//! batch-serving `Engine` in `splat-engine` — can hold any of them as a
+//! The one frame loop (`splat_render::Session<K>`) implements
+//! [`RenderBackend`] for every keying — the baseline tile-sort session and
+//! the GS-TG group-sort session — so callers, most importantly the
+//! batch-serving `Engine` in `splat-engine`, can hold either as a
 //! `dyn RenderBackend` and swap pipelines without changing a line of
 //! serving code. The contract is:
 //!
@@ -15,8 +15,8 @@
 //!   inside a stage.
 //! * **Deterministic.** For a given request and backend configuration the
 //!   framebuffer and [`StageCounts`](crate::StageCounts) are bit-identical
-//!   regardless of thread count, of renderer-vs-session choice, and of how
-//!   many frames the backend has already served.
+//!   regardless of thread count and of how many frames the backend has
+//!   already served.
 
 use crate::image::Framebuffer;
 use crate::stats::RenderStats;
@@ -124,12 +124,11 @@ pub struct RenderOutput {
 
 /// A rendering pipeline that can serve [`RenderRequest`]s.
 ///
-/// Implemented by `splat_render::Renderer`, `splat_render::RenderSession`,
-/// `gstg::GstgRenderer` and `gstg::GstgSession`; the `splat-engine` crate
-/// builds its batch-serving `Engine` on a pool of boxed backends. `render`
-/// takes `&mut self` so that session-backed implementations can recycle
-/// their frame arenas between calls; stateless renderers simply ignore the
-/// mutability.
+/// Implemented once, by `splat_render::Session<K>` (so by
+/// `splat_render::RenderSession` and `gstg::GstgSession`); the
+/// `splat-engine` crate builds its batch-serving `Engine` on a pool of
+/// boxed backends. `render` takes `&mut self` so that sessions can recycle
+/// their frame arenas between calls.
 ///
 /// # Contract
 ///
@@ -155,8 +154,8 @@ pub trait RenderBackend: Send {
 
     /// Bytes currently reserved by the backend's recycled buffers.
     ///
-    /// Session-backed implementations report their arena footprint (stable
-    /// once warmed up); stateless renderers report the default of zero.
+    /// Sessions report their arena footprint (stable once warmed up);
+    /// stateless implementations report the default of zero.
     fn footprint_bytes(&self) -> usize {
         0
     }

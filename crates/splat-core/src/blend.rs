@@ -3,9 +3,9 @@
 //! For every pixel of a tile the sorted splat list is walked front-to-back.
 //! Each splat costs one α-computation (Eq. 1 of the paper); splats whose α
 //! falls below 1/255 are skipped, the rest are blended (Eq. 2) until the
-//! accumulated transmittance drops below 10⁻⁴. Both the baseline renderer
-//! and the GS-TG renderer rasterize through [`rasterize_tile`] — GS-TG
-//! merely filters the splat list with its bitmasks first.
+//! accumulated transmittance drops below 10⁻⁴. Both pipelines rasterize
+//! through these kernels (driven by [`crate::shade_tiles`]) — GS-TG merely
+//! filters the splat list with its bitmasks first.
 
 use crate::exec::SimdMode;
 use crate::rect::{TileRect, MAHALANOBIS_CUTOFF};
@@ -41,25 +41,18 @@ pub struct TileRaster {
     pub counts: StageCounts,
 }
 
-/// Rasterizes one tile.
+/// Rasterizes one tile into an owned [`TileRaster`] (the form the parallel
+/// fan-out merges in tile order).
 ///
 /// * `sorted` — splat slots (indices into `projected`) already sorted
 ///   front-to-back.
 /// * `rect` — the clipped pixel rectangle of the tile (integer bounds).
 /// * `background` — color of pixels with full remaining transmittance.
-pub fn rasterize_tile(
-    sorted: &[u32],
-    projected: &[ProjectedGaussian],
-    rect: &TileRect,
-    background: Rgb,
-) -> TileRaster {
-    rasterize_tile_with(sorted, projected, rect, background, SimdMode::Scalar)
-}
-
-/// [`rasterize_tile`] with an explicit [`SimdMode`]. The wide modes shade
-/// the row in fixed-width pixel chunks (scalar tail) whose per-lane
-/// arithmetic replicates [`shade_pixel`] operation for operation, so every
-/// mode produces bit-identical pixels and identical counters.
+///
+/// The wide [`SimdMode`]s shade the row in fixed-width pixel chunks (scalar
+/// tail) whose per-lane arithmetic replicates [`shade_pixel`] operation for
+/// operation, so every mode produces bit-identical pixels and identical
+/// counters.
 pub fn rasterize_tile_with(
     sorted: &[u32],
     projected: &[ProjectedGaussian],
@@ -116,34 +109,13 @@ pub fn rasterize_tile_with(
 /// Rasterizes one tile directly into a framebuffer, charging all work to
 /// `counts`. This is the allocation-free path the sequential rasterizers
 /// use inside a reused [`crate::FrameArena`]; it performs exactly the same
-/// per-pixel operations as [`rasterize_tile`], so the two paths produce
+/// per-pixel operations as [`rasterize_tile_with`] in every [`SimdMode`]
+/// (the chunked kernels shade into stack buffers), so the two paths produce
 /// bit-identical pixels and identical counters.
 ///
 /// # Panics
 ///
 /// Panics when `rect` exceeds the framebuffer bounds.
-pub fn rasterize_tile_into(
-    sorted: &[u32],
-    projected: &[ProjectedGaussian],
-    rect: &TileRect,
-    background: Rgb,
-    image: &mut crate::Framebuffer,
-    counts: &mut StageCounts,
-) {
-    rasterize_tile_into_with(
-        sorted,
-        projected,
-        rect,
-        background,
-        SimdMode::Scalar,
-        image,
-        counts,
-    );
-}
-
-/// [`rasterize_tile_into`] with an explicit [`SimdMode`]. Allocation-free
-/// in every mode (the chunked kernels shade into stack buffers), and
-/// bit-identical to the scalar path with identical counters.
 pub fn rasterize_tile_into_with(
     sorted: &[u32],
     projected: &[ProjectedGaussian],
@@ -416,6 +388,35 @@ pub fn alpha_at(splat: &ProjectedGaussian, pixel: Vec2) -> f32 {
 mod tests {
     use super::*;
     use splat_types::Mat2;
+
+    /// The scalar reference forms the tests below pin the kernels against.
+    fn rasterize_tile(
+        sorted: &[u32],
+        projected: &[ProjectedGaussian],
+        rect: &TileRect,
+        background: Rgb,
+    ) -> TileRaster {
+        rasterize_tile_with(sorted, projected, rect, background, SimdMode::Scalar)
+    }
+
+    fn rasterize_tile_into(
+        sorted: &[u32],
+        projected: &[ProjectedGaussian],
+        rect: &TileRect,
+        background: Rgb,
+        image: &mut crate::Framebuffer,
+        counts: &mut StageCounts,
+    ) {
+        rasterize_tile_into_with(
+            sorted,
+            projected,
+            rect,
+            background,
+            SimdMode::Scalar,
+            image,
+            counts,
+        );
+    }
 
     fn splat(
         mean: Vec2,

@@ -15,6 +15,8 @@
 //! `n·⌈log₂ n⌉` comparison bound the figures' cost model continues to use
 //! for `StageCounts::sort_comparisons`.
 
+use crate::csr::CsrAssignments;
+use crate::splat::ProjectedGaussian;
 use crate::stats::StageCounts;
 
 /// Maps a depth to a `u32` whose unsigned order matches the `f32` order.
@@ -168,6 +170,48 @@ impl<T: Copy> Default for KeySortScratch<T> {
     fn default() -> Self {
         Self::new()
     }
+}
+
+/// Sorts every bin of a CSR assignment front-to-back by [`splat_key`],
+/// accumulating the measured key-sort counters and the modeled comparison
+/// count into `counts`. `slot_of` maps an entry to its position in
+/// `projected` — the identity for the baseline's `u32` tile lists, the
+/// `slot` field for GS-TG's group entries — so both pipelines order by the
+/// same key and a filtered group list equals the baseline's tile list.
+/// Depths are finite by the preprocessing contract, so the sign-flip key
+/// mapping reproduces the `(depth, scene index)` comparator order exactly.
+pub fn sort_bins_by_depth<T: Copy>(
+    bins: &mut CsrAssignments<T>,
+    projected: &[ProjectedGaussian],
+    slot_of: impl Fn(&T) -> u32,
+    counts: &mut StageCounts,
+    scratch: &mut KeySortScratch<T>,
+) {
+    for bin in 0..bins.bin_count() {
+        let list = bins.bin_mut(bin);
+        if list.len() > 1 {
+            scratch
+                .sort_by_key(list, |entry| {
+                    let splat = &projected[slot_of(entry) as usize];
+                    splat_key(splat.depth, splat.index)
+                })
+                .accumulate(counts);
+        }
+    }
+}
+
+/// Returns `true` when a list of splat references is sorted front-to-back
+/// (by depth, ties by scene index). Used by tests and equivalence checks.
+pub fn is_sorted_by_depth<T>(
+    list: &[T],
+    projected: &[ProjectedGaussian],
+    slot_of: impl Fn(&T) -> u32,
+) -> bool {
+    list.windows(2).all(|w| {
+        let a = &projected[slot_of(&w[0]) as usize];
+        let b = &projected[slot_of(&w[1]) as usize];
+        a.depth < b.depth || (a.depth == b.depth && a.index <= b.index)
+    })
 }
 
 #[cfg(test)]

@@ -4,14 +4,14 @@
 //! tile-grouping pipeline (`gstg`) are compositions of the same three
 //! phases — preprocessing, depth sorting, rasterization — differing only
 //! in *how* work is keyed (per tile vs per group). This crate owns the
-//! machinery that is identical between them so that a new backend is a new
-//! stage set, not a third copy:
+//! machinery that is identical between them; the one frame loop that
+//! composes it (`splat_render::Session`) is generic over that keying:
 //!
 //! * [`backend`] — the backend-agnostic rendering API: [`RenderRequest`] /
 //!   [`RenderOutput`] with panic-free validation, and the [`RenderBackend`]
-//!   trait every renderer and session implements so callers (most
-//!   importantly the batch-serving `Engine` in `splat-engine`) can swap
-//!   pipelines behind a `dyn RenderBackend`.
+//!   trait sessions implement so callers (most importantly the
+//!   batch-serving `Engine` in `splat-engine`) can swap pipelines behind a
+//!   `dyn RenderBackend`.
 //! * [`arena`] — [`FrameArena`], the recyclable per-frame scratch (and the
 //!   [`SessionFrame`] output type) the render sessions build on to reach an
 //!   allocation-free steady state over camera trajectories.
@@ -19,18 +19,18 @@
 //!   prefix-sum offsets → stable scatter) both identification stages build
 //!   their per-tile / per-group lists into.
 //! * [`keysort`] — the order-preserving radix key sort on
-//!   `(depth_bits << 32) | scene_index` that replaced the per-list
-//!   comparison sorts, plus the modeled comparison count that keeps the
+//!   `(depth_bits << 32) | scene_index` ([`sort_bins_by_depth`] sorts every
+//!   CSR bin with it), plus the modeled comparison count that keeps the
 //!   paper's redundancy accounting.
 //! * [`exec`] — the shared execution configuration: worker thread count and
 //!   scheduling model, with the single `with_threads` knob every pipeline
 //!   configuration re-uses through [`HasExecution`].
-//! * [`stage`] — the [`PipelineStage`] trait plus the timed runner that
-//!   gives every stage uniform [`StageCounts`] instrumentation.
 //! * [`schedule`] — [`TileScheduler`], the deterministic scoped-thread
-//!   work-partition scheduler both rasterizers fan out on.
-//! * [`blend`] — the front-to-back α-blending kernel ([`rasterize_tile`])
-//!   and the reference thresholds, consumed by both rasterizers.
+//!   work-partition scheduler the rasterization fan-out runs on.
+//! * [`shade`] — [`shade_tiles`], the one tile-shading driver both
+//!   pipelines feed with `(rect, sorted slot list)` through [`TileLists`].
+//! * [`blend`], [`span`] — the front-to-back α-blending kernels (full walk
+//!   and row-span walk) and the reference thresholds.
 //! * [`splat`], [`rect`], [`image`], [`stats`] — the data types the stages
 //!   exchange: projected splats, pixel rectangles, framebuffers and
 //!   operation counters.
@@ -47,29 +47,32 @@ pub mod image;
 pub mod keysort;
 pub mod rect;
 pub mod schedule;
+pub mod shade;
 pub mod span;
 pub mod splat;
-pub mod stage;
 pub mod stats;
 
 pub use arena::{FrameArena, SessionFrame};
 pub use backend::{request_cost_hint, RenderBackend, RenderOutput, RenderRequest};
 pub use blend::{
-    alpha_at, rasterize_tile, rasterize_tile_into, rasterize_tile_into_with, rasterize_tile_with,
-    shade_pixel, TileRaster, ALPHA_CULL_THRESHOLD, ALPHA_MAX, TRANSMITTANCE_EPSILON,
+    alpha_at, rasterize_tile_into_with, rasterize_tile_with, shade_pixel, TileRaster,
+    ALPHA_CULL_THRESHOLD, ALPHA_MAX, TRANSMITTANCE_EPSILON,
 };
 pub use csr::{CsrAssignments, CsrScratch};
 pub use exec::{
     ExecutionConfig, ExecutionConfigBuilder, ExecutionModel, HasExecution, SimdMode, SpanMode,
 };
 pub use image::Framebuffer;
-pub use keysort::{depth_key, modeled_merge_comparisons, splat_key, KeySortRun, KeySortScratch};
+pub use keysort::{
+    depth_key, is_sorted_by_depth, modeled_merge_comparisons, sort_bins_by_depth, splat_key,
+    KeySortRun, KeySortScratch,
+};
 pub use rect::{TileRect, MAHALANOBIS_CUTOFF, SIGMA_EXTENT};
 pub use schedule::TileScheduler;
+pub use shade::{shade_tiles, TileLists};
 pub use span::{
     conservative_row_interval, rasterize_tile_spans_into_with, rasterize_tile_spans_with,
     SpanScratch,
 };
 pub use splat::ProjectedGaussian;
-pub use stage::{run_timed, PipelineStage};
 pub use stats::{RenderStats, StageCounts};

@@ -1,0 +1,226 @@
+//! The shared tile-shading driver.
+//!
+//! Both pipelines rasterize the same way: walk independent units of work
+//! (tiles for the baseline, tile groups for GS-TG) and blend every tile's
+//! depth-sorted slot list into the framebuffer through the shared kernels.
+//! They differ only in how a tile's sorted list is *obtained* — read
+//! straight out of the per-tile CSR bin, or filtered out of the group's
+//! sorted list with the tile's bitmask bit — which is all [`TileLists`]
+//! abstracts. The sequential/parallel × [`SpanMode`] dispatch lives here
+//! once; [`shade_tiles`] is generic, so each pipeline still compiles down to
+//! its own straight-line loop.
+
+use crate::blend::{rasterize_tile_into_with, rasterize_tile_with};
+use crate::exec::{ExecutionConfig, SpanMode};
+use crate::image::Framebuffer;
+use crate::rect::TileRect;
+use crate::schedule::TileScheduler;
+use crate::span::{rasterize_tile_spans_into_with, rasterize_tile_spans_with, SpanScratch};
+use crate::splat::ProjectedGaussian;
+use crate::stats::StageCounts;
+use splat_types::Rgb;
+
+/// A provider of per-tile sorted splat lists, partitioned into
+/// independently schedulable units whose tiles cover disjoint framebuffer
+/// regions.
+pub trait TileLists: Sync {
+    /// Number of units (tiles for the baseline, groups for GS-TG).
+    fn unit_count(&self) -> usize;
+
+    /// Calls `shade(rect, sorted, counts)` once for every tile of `unit`
+    /// that lies inside the image, with the tile's clipped pixel rectangle
+    /// and its front-to-back sorted slot list. `tile_list` is scratch the
+    /// provider may build the list in; work spent producing a list (GS-TG's
+    /// bitmask filter operations) is charged to `counts`.
+    fn for_each_tile<F>(
+        &self,
+        unit: usize,
+        counts: &mut StageCounts,
+        tile_list: &mut Vec<u32>,
+        shade: F,
+    ) where
+        F: FnMut(&TileRect, &[u32], &mut StageCounts);
+}
+
+/// Shades every tile `lists` provides into `image` (already reset to the
+/// frame's dimensions and background) and returns the work performed.
+///
+/// With one worker thread every tile is shaded directly into `image`
+/// through `tile_list` and `scratch` — no per-tile buffers, the
+/// allocation-free session path. With more threads the units fan out
+/// through the shared [`TileScheduler`]; every unit writes disjoint
+/// framebuffer regions and outputs merge in unit order. Both paths perform
+/// identical per-pixel operations, so pixels and [`StageCounts`] are
+/// bit-identical for any thread count. Under [`SpanMode::RowSpans`] the
+/// interval-build time accumulates in `scratch` (aggregate worker time on
+/// the parallel path); drain it with [`SpanScratch::take_build_time`].
+pub fn shade_tiles<L: TileLists>(
+    lists: &L,
+    projected: &[ProjectedGaussian],
+    background: Rgb,
+    exec: &ExecutionConfig,
+    image: &mut Framebuffer,
+    tile_list: &mut Vec<u32>,
+    scratch: &mut SpanScratch,
+) -> StageCounts {
+    let (simd, span) = (exec.simd, exec.span);
+    let mut counts = StageCounts::new();
+
+    if exec.threads <= 1 {
+        for unit in 0..lists.unit_count() {
+            lists.for_each_tile(
+                unit,
+                &mut counts,
+                tile_list,
+                |rect, sorted, counts| match span {
+                    SpanMode::Full => rasterize_tile_into_with(
+                        sorted, projected, rect, background, simd, image, counts,
+                    ),
+                    SpanMode::RowSpans => rasterize_tile_spans_into_with(
+                        sorted, projected, rect, background, simd, image, counts, scratch,
+                    ),
+                },
+            );
+        }
+        return counts;
+    }
+
+    let units = TileScheduler::from_exec(exec).run(lists.unit_count(), |unit| {
+        let mut unit_counts = StageCounts::new();
+        let mut unit_list = Vec::new();
+        let mut unit_scratch = SpanScratch::new();
+        let mut regions = Vec::new();
+        lists.for_each_tile(
+            unit,
+            &mut unit_counts,
+            &mut unit_list,
+            |rect, sorted, counts| {
+                let out = match span {
+                    SpanMode::Full => {
+                        rasterize_tile_with(sorted, projected, rect, background, simd)
+                    }
+                    SpanMode::RowSpans => rasterize_tile_spans_with(
+                        sorted,
+                        projected,
+                        rect,
+                        background,
+                        simd,
+                        &mut unit_scratch,
+                    ),
+                };
+                *counts += out.counts;
+                regions.push((rect.x0 as u32, rect.y0 as u32, out.width, out.pixels));
+            },
+        );
+        (regions, unit_counts, unit_scratch.take_build_time())
+    });
+
+    for (regions, unit_counts, built) in units {
+        counts += unit_counts;
+        scratch.add_build_time(built);
+        for (x0, y0, width, pixels) in regions {
+            image.write_region(x0, y0, width, &pixels);
+        }
+    }
+    counts
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::exec::SimdMode;
+    use splat_types::{Mat2, Vec2};
+
+    /// Two side-by-side 8×8 tiles, one unit each, both shading every splat
+    /// and charging one filter op per splat for producing the list.
+    struct TwoTiles(Vec<u32>);
+
+    impl TileLists for TwoTiles {
+        fn unit_count(&self) -> usize {
+            2
+        }
+
+        fn for_each_tile<F>(
+            &self,
+            unit: usize,
+            counts: &mut StageCounts,
+            tile_list: &mut Vec<u32>,
+            mut shade: F,
+        ) where
+            F: FnMut(&TileRect, &[u32], &mut StageCounts),
+        {
+            let x0 = 8.0 * unit as f32;
+            counts.bitmask_filter_ops += self.0.len() as u64;
+            tile_list.clear();
+            tile_list.extend_from_slice(&self.0);
+            shade(&TileRect::new(x0, 0.0, x0 + 8.0, 8.0), tile_list, counts);
+        }
+    }
+
+    fn splat(index: u32, x: f32, color: Rgb) -> ProjectedGaussian {
+        let cov = Mat2::from_symmetric(9.0, 0.0, 9.0);
+        ProjectedGaussian {
+            index,
+            depth: 1.0 + index as f32,
+            mean: Vec2::new(x, 4.0),
+            cov,
+            inv_cov: cov.inverse().unwrap(),
+            opacity: 0.8,
+            color,
+        }
+    }
+
+    fn shade(threads: usize, simd: SimdMode, span: SpanMode) -> (Framebuffer, StageCounts) {
+        let projected = vec![
+            splat(0, 5.0, Rgb::new(1.0, 0.2, 0.1)),
+            splat(1, 10.0, Rgb::new(0.1, 0.3, 1.0)),
+        ];
+        let exec = ExecutionConfig::builder()
+            .threads(threads)
+            .simd(simd)
+            .span(span)
+            .build();
+        let mut image = Framebuffer::new(16, 8, Rgb::BLACK);
+        let counts = shade_tiles(
+            &TwoTiles(vec![0, 1]),
+            &projected,
+            Rgb::BLACK,
+            &exec,
+            &mut image,
+            &mut Vec::new(),
+            &mut SpanScratch::new(),
+        );
+        (image, counts)
+    }
+
+    #[test]
+    fn every_dispatch_arm_shades_the_same_pixels() {
+        let (reference, reference_counts) = shade(1, SimdMode::Scalar, SpanMode::Full);
+        assert!(reference.mean_luminance() > 0.0);
+        assert_eq!(reference_counts.pixels, 16 * 8);
+        // Work the provider charged for building lists reaches the total.
+        assert_eq!(reference_counts.bitmask_filter_ops, 4);
+        for threads in [1, 4] {
+            for simd in SimdMode::ALL {
+                let (full, full_counts) = shade(threads, simd, SpanMode::Full);
+                assert_eq!(full.max_abs_diff(&reference), 0.0, "{simd:?} x{threads}");
+                assert_eq!(full_counts, reference_counts, "{simd:?} x{threads}");
+
+                let (rows, row_counts) = shade(threads, simd, SpanMode::RowSpans);
+                assert_eq!(
+                    rows.max_abs_diff(&reference),
+                    0.0,
+                    "{simd:?} x{threads} rows"
+                );
+                assert_eq!(
+                    row_counts.alpha_computations + row_counts.span_skipped_alpha,
+                    reference_counts.alpha_computations
+                );
+                assert_eq!(
+                    row_counts.blend_operations,
+                    reference_counts.blend_operations
+                );
+            }
+        }
+    }
+}

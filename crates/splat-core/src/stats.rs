@@ -237,12 +237,11 @@ pub struct RenderStats {
     /// Operation counts.
     pub counts: StageCounts,
     /// Wall-clock time of the preprocessing stage (feature computation and
-    /// culling). Session-based renderers report tile/group identification
-    /// separately in [`identify_time`](Self::identify_time); one-shot
-    /// renderers fold it into this window and leave that field zero.
+    /// culling). Tile/group identification is reported separately in
+    /// [`identify_time`](Self::identify_time) by every render, one-shot or
+    /// session.
     pub preprocess_time: Duration,
-    /// Wall-clock time of the tile/group identification prepass, when the
-    /// renderer attributes it separately (zero otherwise).
+    /// Wall-clock time of the tile/group identification stage.
     pub identify_time: Duration,
     /// Wall-clock time of the sorting stage.
     pub sort_time: Duration,

@@ -176,7 +176,7 @@ mod tests {
         // Non-runtime crate.
         assert!(run(
             NoPanicPaths,
-            "crates/criterion/src/lib.rs",
+            "crates/splat-lint/src/lib.rs",
             "fn f() { g().unwrap(); }\n"
         )
         .is_empty());

@@ -8,8 +8,8 @@ use std::path::Path;
 use crate::lexer::{tokenize, Token, TokenKind};
 
 /// The ten runtime crates whose library code is subject to the
-/// panic-freedom and determinism rules (`criterion` is a vendored bench
-/// shim and `splat-lint` is this tool; neither serves render traffic).
+/// panic-freedom and determinism rules (`splat-lint` is this tool and
+/// serves no render traffic).
 pub const RUNTIME_CRATES: [&str; 10] = [
     "gstg",
     "splat-accel",
@@ -32,7 +32,7 @@ pub enum FileKind {
     Bin,
     /// An integration test under `tests/`.
     Test,
-    /// A criterion bench under `benches/`.
+    /// A bench target under `benches/`.
     Bench,
     /// An example under `examples/`.
     Example,

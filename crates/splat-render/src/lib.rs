@@ -13,10 +13,13 @@
 //!    α-blending per pixel with the 1/255 and 10⁻⁴ early-exit thresholds of
 //!    the reference implementation.
 //!
-//! The pipeline is a composition of [`splat_core::PipelineStage`]s: the
-//! execution configuration, stage instrumentation ([`stats::StageCounts`]),
-//! tile scheduler and the blending kernel itself all live in `splat-core`
-//! and are shared with the GS-TG pipeline. An analytic [`cost::CostModel`]
+//! This crate also hosts the one frame loop both pipelines run:
+//! [`Session<K>`] composes preprocess → identify → sort → rasterize over a
+//! recycled `splat_core::FrameArena`, generic over a [`Keying`] — the
+//! baseline's per-tile keying ([`Renderer`]) here, GS-TG's per-group keying
+//! in the `gstg` crate. The execution configuration, stage instrumentation
+//! ([`stats::StageCounts`]), tile scheduler, tile-shading driver and the
+//! blending kernels live in `splat-core`. An analytic [`cost::CostModel`]
 //! converts operation counts into normalized stage times for the
 //! figure-regeneration binaries.
 //!
@@ -38,10 +41,11 @@
 //! # Ok::<(), splat_types::RenderError>(())
 //! ```
 //!
-//! Both [`Renderer`] and the allocation-free [`RenderSession`] also
-//! implement the backend-agnostic [`splat_core::RenderBackend`] trait, the
-//! fallible request/response API (`RenderRequest` → `RenderOutput` /
-//! `RenderError`) the batch-serving `Engine` in `splat-engine` builds on.
+//! A one-shot [`Renderer::render`] is a session with a fresh arena; the
+//! allocation-free [`RenderSession`] (`Session<Renderer>`) implements the
+//! backend-agnostic [`splat_core::RenderBackend`] trait, the fallible
+//! request/response API (`RenderRequest` → `RenderOutput` / `RenderError`)
+//! the batch-serving `Engine` in `splat-engine` builds on.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -68,12 +72,13 @@ pub use config::{
 };
 pub use cost::{CostModel, StageTimes};
 pub use pipeline::{RenderOutput, Renderer};
-pub use preprocess::{preprocess, preprocess_into, ProjectedGaussian};
-pub use session::RenderSession;
+pub use preprocess::{preprocess_into, ProjectedGaussian};
+pub use session::{Keying, Session};
 pub use splat_core::{
     ExecutionConfig, FrameArena, Framebuffer, HasExecution, RenderBackend, RenderRequest,
     RenderStats, SessionFrame, SimdMode, StageCounts, TileScheduler,
 };
-pub use tiling::{
-    identify_tiles, identify_tiles_into, identify_tiles_with, TileAssignments, TileGrid,
-};
+pub use tiling::{identify_tiles_into, TileAssignments, TileGrid};
+
+/// The baseline session: the one frame loop keyed per tile.
+pub type RenderSession = Session<Renderer>;

@@ -1,121 +1,22 @@
-//! The end-to-end baseline rendering pipeline.
+//! The baseline tile-based renderer.
 //!
-//! [`Renderer`] is a thin composition of three [`PipelineStage`]s over the
-//! shared `splat-core` engine: preprocessing (feature computation, culling,
-//! tile identification), tile-wise sorting and tile-wise rasterization.
-//! Every stage accumulates into one [`StageCounts`] and is timed by
-//! [`run_timed`]; rasterization fans out across tiles through the shared
-//! [`TileScheduler`] and blends through the shared
-//! [`splat_core::rasterize_tile`] kernel.
+//! [`Renderer`] is the conventional 3D-GS pipeline's [`Keying`]: splats are
+//! identified into per-tile lists, every tile's list is depth-sorted
+//! independently, and rasterization reads each tile's sorted list straight
+//! back out. The frame loop that runs those stages — and every stage the
+//! two pipelines share — is [`Session`]; a one-shot [`Renderer::render`] is
+//! a session with a fresh arena.
 
 use crate::config::RenderConfig;
-use crate::preprocess::{preprocess, ProjectedGaussian};
-use crate::sort::sort_tiles;
-use crate::tiling::{identify_tiles_with, TileAssignments, TileGrid};
-use splat_core::{
-    rasterize_tile_spans_with, rasterize_tile_with, run_timed, Framebuffer, HasExecution,
-    PipelineStage, RenderBackend, RenderRequest, RenderStats, SpanMode, SpanScratch, StageCounts,
-    TileScheduler,
-};
+use crate::preprocess::ProjectedGaussian;
+use crate::session::{Keying, Session};
+use crate::sort::sort_tiles_with;
+use crate::tiling::{identify_tiles_into, TileAssignments, TileGrid};
+use splat_core::{shade_tiles, CsrScratch, Framebuffer, KeySortScratch, SpanScratch, StageCounts};
 use splat_scene::Scene;
 use splat_types::{Camera, RenderError, Rgb};
 
 pub use splat_core::RenderOutput;
-
-/// Intermediate pipeline state exposed for pipelines (such as GS-TG) that
-/// reuse the baseline preprocessing and for equivalence tests.
-#[derive(Debug, Clone)]
-pub struct PreparedFrame {
-    /// Splats that survived culling, in scene order.
-    pub projected: Vec<ProjectedGaussian>,
-    /// Per-tile splat lists after identification (and, if requested,
-    /// sorting).
-    pub assignments: TileAssignments,
-    /// Counters accumulated so far.
-    pub counts: StageCounts,
-}
-
-/// Stage 1: preprocessing plus tile identification (Fig. 1 of the paper).
-struct PrepareStage<'a> {
-    scene: &'a Scene,
-    camera: &'a Camera,
-    config: &'a RenderConfig,
-}
-
-impl PipelineStage for PrepareStage<'_> {
-    type Output = (Vec<ProjectedGaussian>, TileAssignments);
-
-    fn name(&self) -> &'static str {
-        "preprocess"
-    }
-
-    fn run(self, counts: &mut StageCounts) -> Self::Output {
-        let projected = preprocess(self.scene, self.camera, self.config, counts);
-        let grid = TileGrid::new(
-            self.camera.width(),
-            self.camera.height(),
-            self.config.tile_size,
-        );
-        let assignments = identify_tiles_with(
-            &projected,
-            grid,
-            self.config.boundary,
-            self.config.prepass,
-            counts,
-        );
-        (projected, assignments)
-    }
-}
-
-/// Stage 2: tile-wise depth sorting.
-struct SortStage<'a> {
-    projected: &'a [ProjectedGaussian],
-    assignments: TileAssignments,
-}
-
-impl PipelineStage for SortStage<'_> {
-    type Output = TileAssignments;
-
-    fn name(&self) -> &'static str {
-        "sort"
-    }
-
-    fn run(mut self, counts: &mut StageCounts) -> TileAssignments {
-        sort_tiles(&mut self.assignments, self.projected, counts);
-        self.assignments
-    }
-}
-
-/// Stage 3: tile-wise rasterization through the shared kernel.
-struct RasterStage<'a> {
-    renderer: &'a Renderer,
-    projected: &'a [ProjectedGaussian],
-    assignments: &'a TileAssignments,
-    camera: &'a Camera,
-}
-
-impl PipelineStage for RasterStage<'_> {
-    /// The rendered framebuffer plus the span-table build time spent inside
-    /// the raster window (zero in `SpanMode::Full`).
-    type Output = (Framebuffer, std::time::Duration);
-
-    fn name(&self) -> &'static str {
-        "raster"
-    }
-
-    fn run(self, counts: &mut StageCounts) -> Self::Output {
-        let mut image = Framebuffer::new(0, 0, self.renderer.background);
-        let mut span = SpanScratch::new();
-        *counts += self.renderer.rasterize_into(
-            self.projected,
-            self.assignments,
-            self.camera,
-            &mut image,
-            &mut span,
-        );
-        (image, span.take_build_time())
-    }
-}
 
 /// The baseline tile-based renderer.
 #[derive(Debug, Clone)]
@@ -150,103 +51,20 @@ impl Renderer {
         self.background
     }
 
-    /// Runs preprocessing, tile identification and sorting, returning the
-    /// intermediate state without rasterizing. Useful for experiments that
-    /// only need counts and for the GS-TG equivalence checks.
-    pub fn prepare(&self, scene: &Scene, camera: &Camera) -> PreparedFrame {
-        let mut counts = StageCounts::new();
-        let (projected, assignments) = PrepareStage {
-            scene,
-            camera,
-            config: &self.config,
-        }
-        .run(&mut counts);
-        let assignments = SortStage {
-            projected: &projected,
-            assignments,
-        }
-        .run(&mut counts);
-        PreparedFrame {
-            projected,
-            assignments,
-            counts,
-        }
-    }
-
-    /// Renders one view of the scene.
+    /// Renders one view of the scene: a [`Session`] with a fresh arena
+    /// whose framebuffer is moved out.
     ///
     /// The framebuffer dimensions come from the camera intrinsics, so the
     /// same scene can be rendered at reduced resolution by passing a
     /// smaller camera.
     pub fn render(&self, scene: &Scene, camera: &Camera) -> RenderOutput {
-        let mut counts = StageCounts::new();
-
-        let ((projected, assignments), preprocess_time) = run_timed(
-            PrepareStage {
-                scene,
-                camera,
-                config: &self.config,
-            },
-            &mut counts,
-        );
-        let (assignments, sort_time) = run_timed(
-            SortStage {
-                projected: &projected,
-                assignments,
-            },
-            &mut counts,
-        );
-        let ((image, span_build_time), raster_time) = run_timed(
-            RasterStage {
-                renderer: self,
-                projected: &projected,
-                assignments: &assignments,
-                camera,
-            },
-            &mut counts,
-        );
-
-        RenderOutput {
-            image,
-            stats: RenderStats {
-                counts,
-                preprocess_time,
-                identify_time: std::time::Duration::ZERO,
-                sort_time,
-                raster_time,
-                span_build_time,
-            },
-        }
+        Session::new(self.clone()).into_output(scene, camera)
     }
 
-    /// Rasterizes all tiles of a prepared frame into a framebuffer.
-    ///
-    /// Tiles fan out across the configured worker threads through the
-    /// shared [`TileScheduler`]; every tile writes a disjoint framebuffer
-    /// region and outputs merge in tile order, so the result is bit-exact
-    /// for any thread count.
-    pub fn rasterize(
-        &self,
-        projected: &[ProjectedGaussian],
-        assignments: &TileAssignments,
-        camera: &Camera,
-    ) -> (Framebuffer, StageCounts) {
-        // Start from an empty framebuffer: rasterize_into's reset performs
-        // the one-and-only background fill.
-        let mut image = Framebuffer::new(0, 0, self.background);
-        let mut span = SpanScratch::new();
-        let counts = self.rasterize_into(projected, assignments, camera, &mut image, &mut span);
-        (image, counts)
-    }
-
-    /// Rasterizes all tiles of a prepared frame into a recycled
-    /// framebuffer, which is reset to the camera dimensions first.
-    ///
-    /// With one worker thread every tile is shaded directly into `image`
-    /// (no per-tile buffers — the allocation-free session path); with more
-    /// threads the fan-out runs through the shared [`TileScheduler`] as in
-    /// [`Renderer::rasterize`]. Both paths perform identical per-pixel
-    /// operations, so pixels and [`StageCounts`] are bit-identical.
+    /// Rasterizes all tiles of sorted assignments into a recycled
+    /// framebuffer, which is reset to the camera dimensions first — the
+    /// raster stage of the frame loop as a standalone call
+    /// ([`shade_tiles`] over the per-tile lists).
     pub fn rasterize_into(
         &self,
         projected: &[ProjectedGaussian],
@@ -255,96 +73,78 @@ impl Renderer {
         image: &mut Framebuffer,
         span: &mut SpanScratch,
     ) -> StageCounts {
-        let grid = *assignments.grid();
         image.reset(camera.width(), camera.height(), self.background);
-        let mut counts = StageCounts::new();
-
-        if self.config.threads() <= 1 {
-            for tile in 0..grid.tile_count() {
-                let (tx, ty) = grid.tile_coords(tile);
-                let rect = grid.tile_rect(tx, ty);
-                match self.config.span() {
-                    SpanMode::Full => splat_core::rasterize_tile_into_with(
-                        assignments.tile(tile),
-                        projected,
-                        &rect,
-                        self.background,
-                        self.config.simd(),
-                        image,
-                        &mut counts,
-                    ),
-                    SpanMode::RowSpans => splat_core::rasterize_tile_spans_into_with(
-                        assignments.tile(tile),
-                        projected,
-                        &rect,
-                        self.background,
-                        self.config.simd(),
-                        image,
-                        &mut counts,
-                        span,
-                    ),
-                }
-            }
-            return counts;
-        }
-
-        let scheduler = TileScheduler::from_exec(self.config.execution());
-        let tiles = scheduler.run(grid.tile_count(), |tile| {
-            let (tx, ty) = grid.tile_coords(tile);
-            let rect = grid.tile_rect(tx, ty);
-            match self.config.span() {
-                SpanMode::Full => (
-                    rect,
-                    rasterize_tile_with(
-                        assignments.tile(tile),
-                        projected,
-                        &rect,
-                        self.background,
-                        self.config.simd(),
-                    ),
-                    std::time::Duration::ZERO,
-                ),
-                SpanMode::RowSpans => {
-                    let mut local = SpanScratch::new();
-                    let out = rasterize_tile_spans_with(
-                        assignments.tile(tile),
-                        projected,
-                        &rect,
-                        self.background,
-                        self.config.simd(),
-                        &mut local,
-                    );
-                    (rect, out, local.take_build_time())
-                }
-            }
-        });
-
-        for (rect, out, built) in tiles {
-            counts += out.counts;
-            span.add_build_time(built);
-            image.write_region(rect.x0 as u32, rect.y0 as u32, out.width, &out.pixels);
-        }
-        counts
+        shade_tiles(
+            assignments,
+            projected,
+            self.background,
+            &self.config.exec,
+            image,
+            &mut Vec::new(),
+            span,
+        )
     }
 }
 
-impl RenderBackend for Renderer {
-    fn name(&self) -> &'static str {
-        "baseline"
+impl From<RenderConfig> for Renderer {
+    fn from(config: RenderConfig) -> Self {
+        Self::new(config)
+    }
+}
+
+impl Keying for Renderer {
+    type Entry = u32;
+    type Assignments = TileAssignments;
+
+    const NAME: &'static str = "baseline-session";
+
+    fn render_config(&self) -> RenderConfig {
+        self.config
     }
 
-    /// Serves one request through [`Renderer::render`] after validating the
-    /// request and the configuration, so malformed input returns a typed
-    /// error instead of panicking.
-    fn render(&mut self, request: &RenderRequest<'_>) -> Result<RenderOutput, RenderError> {
-        self.config.validate()?;
-        request.validate()?;
-        TileGrid::try_new(
-            request.camera.width(),
-            request.camera.height(),
-            self.config.tile_size,
-        )?;
-        Ok(Renderer::render(self, request.scene, &request.camera))
+    fn validate(&self) -> Result<(), RenderError> {
+        self.config.validate()
+    }
+
+    fn background(&self) -> Rgb {
+        self.background
+    }
+
+    fn empty_assignments() -> TileAssignments {
+        TileAssignments::empty()
+    }
+
+    fn assignments_footprint(assignments: &TileAssignments) -> usize {
+        assignments.footprint_bytes()
+    }
+
+    fn identify(
+        &self,
+        projected: &[ProjectedGaussian],
+        width: u32,
+        height: u32,
+        counts: &mut StageCounts,
+        scratch: &mut CsrScratch<u32>,
+        out: &mut TileAssignments,
+    ) {
+        identify_tiles_into(
+            projected,
+            TileGrid::new(width, height, self.config.tile_size),
+            self.config.boundary,
+            self.config.prepass,
+            counts,
+            scratch,
+            out,
+        );
+    }
+
+    fn sort(
+        assignments: &mut TileAssignments,
+        projected: &[ProjectedGaussian],
+        counts: &mut StageCounts,
+        scratch: &mut KeySortScratch<u32>,
+    ) {
+        sort_tiles_with(assignments, projected, counts, scratch);
     }
 }
 
@@ -352,6 +152,7 @@ impl RenderBackend for Renderer {
 mod tests {
     use super::*;
     use crate::config::BoundaryMethod;
+    use splat_core::{HasExecution, RenderBackend, RenderRequest};
     use splat_types::{CameraIntrinsics, Gaussian3d, Vec3};
 
     fn small_scene() -> (Scene, Camera) {
@@ -459,35 +260,40 @@ mod tests {
 
     #[test]
     fn prepare_exposes_sorted_assignments() {
+        // The pre-raster state a frame leaves behind in its session.
         let (scene, camera) = small_scene();
-        let renderer = Renderer::new(RenderConfig::new(16, BoundaryMethod::Ellipse));
-        let frame = renderer.prepare(&scene, &camera);
-        assert!(frame.counts.tile_intersections > 0);
-        for (_, list) in frame.assignments.iter() {
-            assert!(crate::sort::is_sorted_by_depth(list, &frame.projected));
+        let mut session = Session::new(Renderer::new(RenderConfig::new(
+            16,
+            BoundaryMethod::Ellipse,
+        )));
+        let counts = session.render(&scene, &camera).stats.counts;
+        assert!(counts.tile_intersections > 0);
+        for (_, list) in session.assignments().iter() {
+            assert!(splat_core::is_sorted_by_depth(
+                list,
+                session.projected(),
+                |&slot| slot
+            ));
         }
     }
 
     #[test]
     fn prepare_and_render_agree_on_counts() {
-        // The stage composition must charge identical pre-raster work
-        // whether or not rasterization follows.
+        // The state the accessors expose is the state the counters
+        // describe: one CSR entry per charged intersection, one projected
+        // splat per visible Gaussian.
         let (scene, camera) = small_scene();
-        let renderer = Renderer::new(RenderConfig::new(16, BoundaryMethod::Ellipse));
-        let frame = renderer.prepare(&scene, &camera);
-        let out = renderer.render(&scene, &camera);
+        let mut session = Session::new(Renderer::new(RenderConfig::new(
+            16,
+            BoundaryMethod::Ellipse,
+        )));
+        let counts = session.render(&scene, &camera).stats.counts;
         assert_eq!(
-            frame.counts.tile_intersections,
-            out.stats.counts.tile_intersections
+            session.assignments().total_entries(),
+            counts.tile_intersections
         );
-        assert_eq!(
-            frame.counts.sort_comparisons,
-            out.stats.counts.sort_comparisons
-        );
-        assert_eq!(
-            frame.counts.visible_gaussians,
-            out.stats.counts.visible_gaussians
-        );
+        assert_eq!(session.projected().len() as u64, counts.visible_gaussians);
+        assert!(counts.sort_comparisons > 0);
     }
 
     #[test]
@@ -495,8 +301,8 @@ mod tests {
         let (scene, camera) = small_scene();
         let renderer = Renderer::new(RenderConfig::new(16, BoundaryMethod::Ellipse));
         let direct = renderer.render(&scene, &camera);
-        let mut backend: Box<dyn RenderBackend> = Box::new(renderer);
-        assert_eq!(backend.name(), "baseline");
+        let mut backend: Box<dyn RenderBackend> = Box::new(Session::new(renderer));
+        assert_eq!(backend.name(), "baseline-session");
         let served = backend
             .render(&RenderRequest::new(&scene, camera))
             .expect("valid request");
@@ -507,12 +313,13 @@ mod tests {
     #[test]
     fn backend_trait_rejects_invalid_input_without_panicking() {
         let (scene, camera) = small_scene();
-        let mut backend = Renderer::new(RenderConfig::new(16, BoundaryMethod::Aabb));
+        let mut backend = Session::new(Renderer::new(RenderConfig::new(16, BoundaryMethod::Aabb)));
         let empty = Scene::new("empty", 32, 32, Vec::new());
         assert!(RenderBackend::render(&mut backend, &RenderRequest::new(&empty, camera)).is_err());
         // A config hand-mutated into an invalid state is caught too.
         let mut bad = Renderer::new(RenderConfig::default());
         bad.config.tile_size = 0;
+        let mut bad = Session::new(bad);
         assert!(RenderBackend::render(&mut bad, &RenderRequest::new(&scene, camera)).is_err());
     }
 

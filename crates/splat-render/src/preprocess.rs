@@ -25,25 +25,11 @@ pub use splat_core::ProjectedGaussian;
 /// clamping of `t.x/t.z` and `t.y/t.z` to 1.3× the frustum tangent.
 const JACOBIAN_TANGENT_GUARD: f32 = 1.3;
 
-/// Runs preprocessing over a scene for a camera.
-///
-/// The returned vector preserves scene order (ascending `index`), which the
-/// sorting stages rely on for deterministic tie-breaking. Counters for the
-/// stage are accumulated into `counts`.
-pub fn preprocess(
-    scene: &Scene,
-    camera: &Camera,
-    config: &RenderConfig,
-    counts: &mut StageCounts,
-) -> Vec<ProjectedGaussian> {
-    let mut projected = Vec::new();
-    preprocess_into(scene, camera, config, counts, &mut projected);
-    projected
-}
-
-/// In-place variant of [`preprocess`] used by the render sessions: `out` is
-/// cleared and refilled, retaining its allocation. The capacity is reserved
-/// for the full scene up front, so a reused buffer never grows again.
+/// Runs preprocessing over a scene for a camera, accumulating the stage's
+/// counters into `counts`. `out` is cleared and refilled in scene order
+/// (ascending `index`, which the sorting stages rely on for deterministic
+/// tie-breaking), retaining its allocation; the capacity is reserved for
+/// the full scene up front, so a reused buffer never grows again.
 ///
 /// At full precision the loop iterates the scene's [`SceneSoA`] component
 /// arrays (built once per scene, lazily) rather than the AoS records; with
@@ -298,6 +284,18 @@ mod tests {
     use super::*;
     use crate::config::BoundaryMethod;
     use splat_types::{CameraIntrinsics, Gaussian3d, Quat, Vec3};
+
+    /// Allocating form of [`preprocess_into`].
+    fn preprocess(
+        scene: &Scene,
+        camera: &Camera,
+        config: &RenderConfig,
+        counts: &mut StageCounts,
+    ) -> Vec<ProjectedGaussian> {
+        let mut projected = Vec::new();
+        preprocess_into(scene, camera, config, counts, &mut projected);
+        projected
+    }
 
     fn camera() -> Camera {
         Camera::look_at(

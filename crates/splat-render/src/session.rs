@@ -1,151 +1,247 @@
-//! Reusable render sessions: allocation-free steady-state rendering.
+//! The one frame loop: [`Session<K>`].
 //!
-//! [`RenderSession`] wraps a [`Renderer`](crate::Renderer) together with a
-//! [`splat_core::FrameArena`] and a persistent [`TileAssignments`], so that
-//! rendering frame after frame — e.g. every pose of a
-//! [`splat_scene::CameraTrajectory`] — recycles every buffer: projected
-//! splats, the CSR assignment storage, the key-sort scratch and the
-//! framebuffer. Only the first frame (or a frame that grows past every
-//! previous one) touches the allocator; each rendered frame is bit-exactly
-//! identical to what a fresh [`Renderer::render`](crate::Renderer::render)
-//! would produce, with
-//! identical [`StageCounts`].
+//! Every frame of either pipeline is the same four stages —
+//! preprocess → identify → sort → rasterize — over a recycled
+//! [`FrameArena`]. What GS-TG changes is only how work is *keyed*: the
+//! baseline identifies, sorts and rasterizes per tile, GS-TG identifies and
+//! sorts per tile *group* and recovers each tile's list at raster time with
+//! a bitmask filter. [`Keying`] captures exactly that delta and is
+//! implemented twice ([`Renderer`](crate::Renderer) here,
+//! `gstg::GstgRenderer` in the `gstg` crate); everything else —
+//! preprocessing, the stage timing windows, the arena, the tile-shading
+//! driver, request validation, the [`RenderBackend`] impl — exists once, in
+//! this file and the shared stage functions it calls.
+//!
+//! A session recycles every buffer between frames (projected splats, CSR
+//! assignment storage, key-sort scratch, framebuffer), so only the first
+//! frame — or one that grows past every previous one — touches the
+//! allocator. A one-shot `Renderer::render` is a session with a fresh arena
+//! whose framebuffer is moved out ([`Session::into_output`]), so one-shot
+//! and session frames are the same code and report the same stage windows.
 
 use crate::config::RenderConfig;
-use crate::preprocess::preprocess_into;
-use crate::sort::sort_tiles_with;
-use crate::tiling::{identify_tiles_into, TileAssignments, TileGrid};
+use crate::preprocess::{preprocess_into, ProjectedGaussian};
+use crate::tiling::TileGrid;
 use splat_core::{
-    FrameArena, RenderBackend, RenderOutput, RenderRequest, RenderStats, SessionFrame, StageCounts,
+    shade_tiles, CsrScratch, FrameArena, KeySortScratch, RenderBackend, RenderOutput,
+    RenderRequest, RenderStats, SessionFrame, StageCounts, TileLists,
 };
 use splat_scene::Scene;
-use splat_types::{Camera, RenderError};
+use splat_types::{Camera, RenderError, Rgb};
+use std::fmt::Debug;
 use std::time::Instant;
 
-/// A baseline renderer plus the recyclable state to render many frames
-/// without steady-state allocation.
-#[derive(Debug, Clone)]
-pub struct RenderSession {
-    renderer: crate::Renderer,
-    arena: FrameArena<u32>,
-    assignments: TileAssignments,
+/// How a pipeline keys its work: which bins splats are identified into,
+/// how those bins are sorted, and (through [`TileLists`]) how a tile's
+/// sorted splat list is read back out of them at raster time.
+pub trait Keying: Clone + Debug + Send {
+    /// One assignment entry: a projected-splat slot (`u32`) for per-tile
+    /// lists, slot plus tile bitmask for per-group lists.
+    type Entry: Copy + Debug + Send;
+    /// The per-bin lists identification builds and sorting orders.
+    type Assignments: TileLists + Clone + Debug + Send;
+
+    /// Backend label of a session over this keying (e.g. `"gstg-session"`).
+    const NAME: &'static str;
+
+    /// Configuration of the shared stages: preprocessing precision and
+    /// SIMD mode, the rasterization tile size and the execution settings.
+    fn render_config(&self) -> RenderConfig;
+
+    /// Checks the keying's own configuration.
+    ///
+    /// # Errors
+    ///
+    /// Returns the typed error describing the first violated constraint.
+    fn validate(&self) -> Result<(), RenderError>;
+
+    /// The background color pixels start from.
+    fn background(&self) -> Rgb;
+
+    /// An empty assignment set, rebuilt in place by [`Keying::identify`].
+    fn empty_assignments() -> Self::Assignments;
+
+    /// Bytes currently reserved by an assignment set's buffers.
+    fn assignments_footprint(assignments: &Self::Assignments) -> usize;
+
+    /// Identifies the bins every projected splat influences, rebuilding
+    /// `out` through `scratch` and charging every test to `counts`.
+    fn identify(
+        &self,
+        projected: &[ProjectedGaussian],
+        width: u32,
+        height: u32,
+        counts: &mut StageCounts,
+        scratch: &mut CsrScratch<Self::Entry>,
+        out: &mut Self::Assignments,
+    );
+
+    /// Depth-sorts every bin in place.
+    fn sort(
+        assignments: &mut Self::Assignments,
+        projected: &[ProjectedGaussian],
+        counts: &mut StageCounts,
+        scratch: &mut KeySortScratch<Self::Entry>,
+    );
 }
 
-impl RenderSession {
+/// A renderer plus the recyclable state to render many frames without
+/// steady-state allocation. [`RenderSession`](crate::RenderSession) and
+/// `gstg::GstgSession` are the two instantiations.
+#[derive(Debug, Clone)]
+pub struct Session<K: Keying> {
+    renderer: K,
+    arena: FrameArena<K::Entry>,
+    assignments: K::Assignments,
+    /// Reused per-tile splat list for keyings that build one at raster
+    /// time (GS-TG's bitmask filter); stays empty otherwise.
+    tile_list: Vec<u32>,
+}
+
+impl<K: Keying> Session<K> {
     /// Creates a session around a renderer. No buffers are allocated until
     /// the first frame.
-    pub fn new(renderer: crate::Renderer) -> Self {
+    pub fn new(renderer: K) -> Self {
         Self {
             renderer,
             arena: FrameArena::new(),
-            assignments: TileAssignments::empty(),
+            assignments: K::empty_assignments(),
+            tile_list: Vec::new(),
         }
     }
 
-    /// Convenience constructor from a configuration.
-    pub fn from_config(config: RenderConfig) -> Self {
-        Self::new(crate::Renderer::new(config))
+    /// Convenience constructor from the renderer's configuration.
+    pub fn from_config<C>(config: C) -> Self
+    where
+        K: From<C>,
+    {
+        Self::new(K::from(config))
     }
 
     /// The wrapped renderer.
-    pub fn renderer(&self) -> &crate::Renderer {
+    pub fn renderer(&self) -> &K {
         &self.renderer
+    }
+
+    /// The splats that survived culling in the last rendered frame, in
+    /// scene order.
+    pub fn projected(&self) -> &[ProjectedGaussian] {
+        &self.arena.projected
+    }
+
+    /// The sorted per-bin lists of the last rendered frame.
+    pub fn assignments(&self) -> &K::Assignments {
+        &self.assignments
     }
 
     /// Bytes currently reserved by the session's recycled buffers. After a
     /// warm-up frame this is stable across steady-state frames.
     pub fn footprint_bytes(&self) -> usize {
-        self.arena.footprint_bytes() + self.assignments.footprint_bytes()
+        self.arena.footprint_bytes()
+            + K::assignments_footprint(&self.assignments)
+            + self.tile_list.capacity() * std::mem::size_of::<u32>()
     }
 
     /// Renders one view into the session's recycled framebuffer.
     ///
     /// The returned frame borrows the framebuffer; copy it out if it must
-    /// survive the next [`RenderSession::render`] call. Pixels and
-    /// [`StageCounts`] are bit-identical to a fresh
-    /// [`Renderer::render`](crate::Renderer::render) of the same view.
+    /// survive the next [`Session::render`] call. Pixels and
+    /// [`StageCounts`] depend only on the renderer and the view, never on
+    /// how many frames the session has served.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the tile size is zero or the camera has a zero
+    /// dimension; the [`RenderBackend`] impl validates both up front.
     pub fn render(&mut self, scene: &Scene, camera: &Camera) -> SessionFrame<'_> {
         let mut counts = StageCounts::new();
-        let config = *self.renderer.config();
+        let config = self.renderer.render_config();
+        let arena = &mut self.arena;
 
         let start = Instant::now();
-        preprocess_into(
-            scene,
-            camera,
-            &config,
-            &mut counts,
-            &mut self.arena.projected,
-        );
+        preprocess_into(scene, camera, &config, &mut counts, &mut arena.projected);
         let preprocess_time = start.elapsed();
 
         let start = Instant::now();
-        let grid = TileGrid::new(camera.width(), camera.height(), config.tile_size);
-        identify_tiles_into(
-            &self.arena.projected,
-            grid,
-            config.boundary,
-            config.prepass,
+        self.renderer.identify(
+            &arena.projected,
+            camera.width(),
+            camera.height(),
             &mut counts,
-            &mut self.arena.csr,
+            &mut arena.csr,
             &mut self.assignments,
         );
         let identify_time = start.elapsed();
 
         let start = Instant::now();
-        sort_tiles_with(
+        K::sort(
             &mut self.assignments,
-            &self.arena.projected,
+            &arena.projected,
             &mut counts,
-            &mut self.arena.keys,
+            &mut arena.keys,
         );
         let sort_time = start.elapsed();
 
         let start = Instant::now();
-        counts += self.renderer.rasterize_into(
-            &self.arena.projected,
+        let background = self.renderer.background();
+        arena
+            .framebuffer
+            .reset(camera.width(), camera.height(), background);
+        counts += shade_tiles(
             &self.assignments,
-            camera,
-            &mut self.arena.framebuffer,
-            &mut self.arena.span,
+            &arena.projected,
+            background,
+            &config.exec,
+            &mut arena.framebuffer,
+            &mut self.tile_list,
+            &mut arena.span,
         );
         let raster_time = start.elapsed();
-        let span_build_time = self.arena.span.take_build_time();
 
         SessionFrame {
-            image: &self.arena.framebuffer,
+            image: &arena.framebuffer,
             stats: RenderStats {
                 counts,
                 preprocess_time,
                 identify_time,
                 sort_time,
                 raster_time,
-                span_build_time,
+                span_build_time: arena.span.take_build_time(),
             },
+        }
+    }
+
+    /// Renders one view and moves the framebuffer out, consuming the
+    /// session — the one-shot form `Renderer::render` is built on.
+    pub fn into_output(mut self, scene: &Scene, camera: &Camera) -> RenderOutput {
+        let stats = self.render(scene, camera).stats;
+        RenderOutput {
+            image: self.arena.framebuffer,
+            stats,
         }
     }
 }
 
-impl RenderBackend for RenderSession {
+impl<K: Keying> RenderBackend for Session<K> {
     fn name(&self) -> &'static str {
-        "baseline-session"
+        K::NAME
     }
 
-    /// Serves one request through the session's recycled buffers. The
+    /// Serves one request through the session's recycled buffers after
+    /// validating the configuration, the request and the tile grid, so
+    /// malformed input returns a typed error instead of panicking. The
     /// returned image is an owned copy of the arena framebuffer (the
     /// borrow-free contract of the trait); the pipeline scratch itself is
     /// still recycled across calls.
     fn render(&mut self, request: &RenderRequest<'_>) -> Result<RenderOutput, RenderError> {
-        self.renderer.config().validate()?;
+        self.renderer.validate()?;
         request.validate()?;
         TileGrid::try_new(
             request.camera.width(),
             request.camera.height(),
-            self.renderer.config().tile_size,
+            self.renderer.render_config().tile_size,
         )?;
-        let stats = {
-            let frame = RenderSession::render(self, request.scene, &request.camera);
-            frame.stats
-        };
+        let stats = Session::render(self, request.scene, &request.camera).stats;
         Ok(RenderOutput {
             image: self.arena.framebuffer.clone(),
             stats,
@@ -153,14 +249,17 @@ impl RenderBackend for RenderSession {
     }
 
     fn footprint_bytes(&self) -> usize {
-        RenderSession::footprint_bytes(self)
+        Session::footprint_bytes(self)
     }
 }
 
 #[cfg(test)]
 mod tests {
+    //! Unit tests of the loop with the one keying visible in this crate;
+    //! `tests/session_contract.rs` runs the full contract for both.
     use super::*;
     use crate::config::BoundaryMethod;
+    use crate::{RenderSession, Renderer};
     use splat_scene::{CameraTrajectory, PaperScene, SceneScale};
     use splat_types::{CameraIntrinsics, Vec3};
 
@@ -177,7 +276,7 @@ mod tests {
     #[test]
     fn session_frames_match_fresh_renders_bit_exactly() {
         let scene = PaperScene::Playroom.build(SceneScale::Tiny, 1);
-        let renderer = crate::Renderer::new(RenderConfig::new(16, BoundaryMethod::Ellipse));
+        let renderer = Renderer::new(RenderConfig::new(16, BoundaryMethod::Ellipse));
         let mut session = RenderSession::new(renderer.clone());
         for camera in trajectory(4).cameras() {
             let fresh = renderer.render(&scene, &camera);
@@ -209,7 +308,7 @@ mod tests {
     #[test]
     fn session_backend_trait_matches_fresh_renders() {
         let scene = PaperScene::Playroom.build(SceneScale::Tiny, 3);
-        let renderer = crate::Renderer::new(RenderConfig::new(16, BoundaryMethod::Ellipse));
+        let renderer = Renderer::new(RenderConfig::new(16, BoundaryMethod::Ellipse));
         let mut backend: Box<dyn RenderBackend> = Box::new(RenderSession::new(renderer.clone()));
         assert_eq!(backend.name(), "baseline-session");
         for camera in trajectory(3).cameras() {

@@ -4,9 +4,9 @@
 //! central observation is that this work is *duplicated* across tiles:
 //! a splat covering `k` tiles is sorted `k` times. Sorting itself is the
 //! shared order-preserving radix key sort on
-//! `(depth_bits << 32) | scene_index` ([`splat_core::keysort`]): the same
-//! ordering the old comparison sort produced (depth, ties by scene index),
-//! so the lossless-equivalence guarantees are unchanged, while
+//! `(depth_bits << 32) | scene_index` ([`splat_core::sort_bins_by_depth`],
+//! the same call GS-TG makes over its per-group bins): depth ascending,
+//! ties by scene index, so the lossless-equivalence guarantees hold, while
 //! `StageCounts` records both the measured key-sort work (`sort_keys`,
 //! `radix_passes`) and the modeled comparison count the paper's redundancy
 //! figures are expressed in.
@@ -14,76 +14,67 @@
 use crate::preprocess::ProjectedGaussian;
 use crate::stats::StageCounts;
 use crate::tiling::TileAssignments;
-use splat_core::{splat_key, KeySortRun, KeySortScratch};
+use splat_core::{sort_bins_by_depth, KeySortScratch};
 
-/// Sorts one splat list front-to-back by depth, breaking ties by original
-/// scene order so that results are deterministic and identical between the
-/// baseline and the GS-TG pipeline.
-///
-/// Returns the modeled merge-sort comparison count for the list (the key
-/// sort itself performs none); use [`sort_by_depth_with`] to reuse sort
-/// buffers and obtain the full [`KeySortRun`].
-pub fn sort_by_depth(list: &mut [u32], projected: &[ProjectedGaussian]) -> u64 {
-    let mut scratch = KeySortScratch::new();
-    sort_by_depth_with(list, projected, &mut scratch).modeled_comparisons
-}
-
-/// Sorts one splat list front-to-back through a reusable key-sort scratch.
-/// Depths are finite by the preprocessing contract, so the sign-flip key
-/// mapping reproduces the comparator order exactly.
-pub fn sort_by_depth_with(
-    list: &mut [u32],
-    projected: &[ProjectedGaussian],
-    scratch: &mut KeySortScratch<u32>,
-) -> KeySortRun {
-    scratch.sort_by_key(list, |&slot| {
-        let splat = &projected[slot as usize];
-        splat_key(splat.depth, splat.index)
-    })
-}
-
-/// Sorts every tile's splat list in place, accumulating the modeled
-/// comparison count and the measured key-sort counters into `counts`.
-pub fn sort_tiles(
-    assignments: &mut TileAssignments,
-    projected: &[ProjectedGaussian],
-    counts: &mut StageCounts,
-) {
-    let mut scratch = KeySortScratch::new();
-    sort_tiles_with(assignments, projected, counts, &mut scratch);
-}
-
-/// In-place variant of [`sort_tiles`] reusing the session's sort scratch.
+/// Sorts every tile's splat list in place through a reusable key-sort
+/// scratch, accumulating the modeled comparison count and the measured
+/// key-sort counters into `counts`.
 pub fn sort_tiles_with(
     assignments: &mut TileAssignments,
     projected: &[ProjectedGaussian],
     counts: &mut StageCounts,
     scratch: &mut KeySortScratch<u32>,
 ) {
-    for tile in 0..assignments.grid().tile_count() {
-        let list = assignments.tile_mut(tile);
-        if list.len() > 1 {
-            sort_by_depth_with(list, projected, scratch).accumulate(counts);
-        }
-    }
-}
-
-/// Returns `true` when a splat list is sorted front-to-back (by depth, ties
-/// by index). Used by tests and by the lossless-equivalence checker.
-pub fn is_sorted_by_depth(list: &[u32], projected: &[ProjectedGaussian]) -> bool {
-    list.windows(2).all(|w| {
-        let a = &projected[w[0] as usize];
-        let b = &projected[w[1] as usize];
-        a.depth < b.depth || (a.depth == b.depth && a.index <= b.index)
-    })
+    sort_bins_by_depth(
+        assignments.bins_mut(),
+        projected,
+        |&slot| slot,
+        counts,
+        scratch,
+    );
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::BoundaryMethod;
-    use crate::tiling::{identify_tiles, TileGrid};
+    use crate::tiling::tests::identify_tiles;
+    use crate::tiling::TileGrid;
+    use splat_core::{CsrAssignments, CsrScratch};
     use splat_types::{Mat2, Rgb, Vec2};
+
+    /// Sorts one list as a single-bin assignment, returning the modeled
+    /// comparison count.
+    fn sort_by_depth(list: &mut [u32], projected: &[ProjectedGaussian]) -> u64 {
+        let mut staging = CsrScratch::new();
+        for &slot in list.iter() {
+            staging.stage(0, slot);
+        }
+        let mut bins = CsrAssignments::new();
+        staging.build_into(1, &mut bins);
+        let mut counts = StageCounts::new();
+        sort_bins_by_depth(
+            &mut bins,
+            projected,
+            |&slot| slot,
+            &mut counts,
+            &mut KeySortScratch::new(),
+        );
+        list.copy_from_slice(bins.bin(0));
+        counts.sort_comparisons
+    }
+
+    fn sort_tiles(
+        assignments: &mut TileAssignments,
+        projected: &[ProjectedGaussian],
+        counts: &mut StageCounts,
+    ) {
+        sort_tiles_with(assignments, projected, counts, &mut KeySortScratch::new());
+    }
+
+    fn is_sorted_by_depth(list: &[u32], projected: &[ProjectedGaussian]) -> bool {
+        splat_core::is_sorted_by_depth(list, projected, |&slot| slot)
+    }
 
     fn projected_at(index: u32, depth: f32) -> ProjectedGaussian {
         let cov = Mat2::from_symmetric(4.0, 0.0, 4.0);

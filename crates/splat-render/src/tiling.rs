@@ -9,7 +9,7 @@ use crate::bounds::{GaussianFootprint, TileRect};
 use crate::config::{BoundaryMethod, PrepassMode};
 use crate::preprocess::ProjectedGaussian;
 use crate::stats::StageCounts;
-use splat_core::{CsrAssignments, CsrScratch};
+use splat_core::{CsrAssignments, CsrScratch, TileLists};
 use splat_types::{RenderError, Vec2};
 
 /// A regular grid of square tiles covering the output image.
@@ -186,10 +186,10 @@ impl TileAssignments {
         self.per_tile.bin(tile)
     }
 
-    /// Mutable access used by the sorting stage.
+    /// Mutable access to the CSR bins, used by the sorting stage.
     #[inline]
-    pub(crate) fn tile_mut(&mut self, tile: usize) -> &mut [u32] {
-        self.per_tile.bin_mut(tile)
+    pub(crate) fn bins_mut(&mut self) -> &mut CsrAssignments<u32> {
+        &mut self.per_tile
     }
 
     /// Iterates over `(tile_index, splat_list)` pairs.
@@ -242,43 +242,31 @@ impl TileAssignments {
     }
 }
 
+/// The baseline's per-tile list provider: every tile is its own unit and
+/// its sorted list is read straight out of the CSR bin.
+impl TileLists for TileAssignments {
+    fn unit_count(&self) -> usize {
+        self.grid.tile_count()
+    }
+
+    fn for_each_tile<F>(
+        &self,
+        unit: usize,
+        counts: &mut StageCounts,
+        _tile_list: &mut Vec<u32>,
+        mut shade: F,
+    ) where
+        F: FnMut(&TileRect, &[u32], &mut StageCounts),
+    {
+        let (tx, ty) = self.grid.tile_coords(unit);
+        shade(&self.grid.tile_rect(tx, ty), self.tile(unit), counts);
+    }
+}
+
 /// Runs tile identification for all projected splats against a grid using
-/// the given boundary method and the conservative prepass. Counters are
-/// accumulated into `counts`.
-pub fn identify_tiles(
-    projected: &[ProjectedGaussian],
-    grid: TileGrid,
-    boundary: BoundaryMethod,
-    counts: &mut StageCounts,
-) -> TileAssignments {
-    identify_tiles_with(projected, grid, boundary, PrepassMode::Conservative, counts)
-}
-
-/// [`identify_tiles`] with an explicit [`PrepassMode`].
-pub fn identify_tiles_with(
-    projected: &[ProjectedGaussian],
-    grid: TileGrid,
-    boundary: BoundaryMethod,
-    prepass: PrepassMode,
-    counts: &mut StageCounts,
-) -> TileAssignments {
-    let mut scratch = CsrScratch::new();
-    let mut out = TileAssignments::empty();
-    identify_tiles_into(
-        projected,
-        grid,
-        boundary,
-        prepass,
-        counts,
-        &mut scratch,
-        &mut out,
-    );
-    out
-}
-
-/// In-place variant of [`identify_tiles`] used by the render sessions:
-/// `out` is rebuilt through `scratch`, retaining both allocations across
-/// frames. Every intersection test is performed (and charged) exactly once;
+/// the given boundary method and prepass mode. `out` is rebuilt through
+/// `scratch`, retaining both allocations across frames. Every intersection
+/// test is performed (and charged to `counts`) exactly once;
 /// the staged `(tile, slot)` pairs are then counting-sorted into the CSR
 /// layout (counting prepass → prefix-sum offsets → stable scatter),
 /// preserving scene order within each tile.
@@ -340,9 +328,40 @@ pub fn identify_tiles_into(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use splat_types::{Mat2, Rgb};
+
+    /// Allocating, conservative-prepass form of [`identify_tiles_into`].
+    pub(crate) fn identify_tiles(
+        projected: &[ProjectedGaussian],
+        grid: TileGrid,
+        boundary: BoundaryMethod,
+        counts: &mut StageCounts,
+    ) -> TileAssignments {
+        identify_tiles_with(projected, grid, boundary, PrepassMode::Conservative, counts)
+    }
+
+    /// Allocating form of [`identify_tiles_into`].
+    fn identify_tiles_with(
+        projected: &[ProjectedGaussian],
+        grid: TileGrid,
+        boundary: BoundaryMethod,
+        prepass: PrepassMode,
+        counts: &mut StageCounts,
+    ) -> TileAssignments {
+        let mut out = TileAssignments::empty();
+        identify_tiles_into(
+            projected,
+            grid,
+            boundary,
+            prepass,
+            counts,
+            &mut CsrScratch::new(),
+            &mut out,
+        );
+        out
+    }
 
     fn projected(mean: Vec2, sigma: f32) -> ProjectedGaussian {
         let cov = Mat2::from_symmetric(sigma * sigma, 0.0, sigma * sigma);

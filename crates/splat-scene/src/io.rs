@@ -13,6 +13,10 @@ use std::fmt;
 const MAGIC: &[u8; 4] = b"GSTG";
 /// Current format version.
 const VERSION: u16 = 1;
+/// A stored quaternion whose norm is this close to 1 is treated as already
+/// normalized: the rounding noise a normalization leaves behind is a few
+/// ULPs, well inside this bound.
+const UNIT_NORM_TOLERANCE: f32 = 16.0 * f32::EPSILON;
 
 /// Errors raised when decoding a binary scene.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -164,6 +168,17 @@ pub fn decode_scene(buf: &[u8]) -> Result<Scene, DecodeError> {
             .sh(sh)
             .try_build()
             .map_err(|_| DecodeError::InvalidField("gaussian"))?;
+        // The builder normalizes the rotation. Re-normalizing a quaternion
+        // that is already unit-norm (every rotation `encode_scene` writes
+        // is) can flip its last mantissa bit, so keep the stored bits then:
+        // `encode(decode(bytes)) == bytes`, and an uploaded scene renders
+        // the same digest as the sender's copy. Anything else from the wire
+        // stays normalized.
+        let gaussian = if (rotation.norm() - 1.0).abs() <= UNIT_NORM_TOLERANCE {
+            gaussian.with_unit_rotation(rotation)
+        } else {
+            gaussian
+        };
         gaussians.push(gaussian);
     }
     Ok(Scene::new(name, width, height, gaussians))
@@ -241,15 +256,12 @@ mod tests {
             (decoded.width(), decoded.height()),
             (scene.width(), scene.height())
         );
+        // Bit-exact: decoding is the inverse of encoding, rotation bits
+        // included.
         for (a, b) in decoded.iter().zip(scene.iter()) {
-            // The builder re-normalizes the rotation on decode, which can
-            // perturb the last mantissa bit, so compare with a tolerance.
-            assert!((a.position() - b.position()).length() < 1e-6);
-            assert!((a.scale() - b.scale()).length() < 1e-6);
-            assert!((a.opacity() - b.opacity()).abs() < 1e-6);
-            assert!((a.rotation().w - b.rotation().w).abs() < 1e-5);
-            assert_eq!(a.sh().coefficients().len(), b.sh().coefficients().len());
+            assert_eq!(a, b);
         }
+        assert_eq!(encode_scene(&decoded), encoded);
     }
 
     #[test]
@@ -347,6 +359,27 @@ mod tests {
             decode_scene(&bytes),
             Err(DecodeError::InvalidField("rotation"))
         );
+    }
+
+    #[test]
+    fn non_unit_quaternion_is_still_normalized() {
+        // Only already-unit rotations keep their stored bits; a scaled
+        // quaternion from the wire decodes to the unit rotation it points
+        // at, exactly as before.
+        let scene = sample_scene();
+        let base = first_splat_offset(&scene);
+        let stored = scene.gaussians()[0].rotation();
+        let mut bytes = encode_scene(&scene);
+        for (component, value) in [stored.w, stored.x, stored.y, stored.z]
+            .into_iter()
+            .enumerate()
+        {
+            patch_f32(&mut bytes, base + 24 + component * 4, value * 3.0);
+        }
+        let decoded = decode_scene(&bytes).expect("scaled rotation still decodes");
+        let rotation = decoded.gaussians()[0].rotation();
+        assert!((rotation.norm() - 1.0).abs() < 1e-6);
+        assert!((rotation.w - stored.w).abs() < 1e-6);
     }
 
     #[test]

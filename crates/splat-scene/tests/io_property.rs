@@ -40,28 +40,16 @@ fn assert_round_trip(scene: &Scene) {
         (decoded.width(), decoded.height()),
         (scene.width(), scene.height())
     );
+    // Decoding is the exact inverse of encoding: every field, rotation
+    // bits included, comes back bit-identical.
     for (a, b) in decoded.iter().zip(scene.iter()) {
-        // The builder re-normalizes rotations on decode, so compare with
-        // a tolerance; the remaining parameters pass through.
-        assert!((a.position() - b.position()).length() < 1e-6);
-        assert!((a.scale() - b.scale()).length() < 1e-6);
-        assert!((a.opacity() - b.opacity()).abs() < 1e-6);
-        assert!((a.rotation().w - b.rotation().w).abs() < 1e-5);
-        assert_eq!(a.sh().coefficients().len(), b.sh().coefficients().len());
+        assert_eq!(a, b);
     }
     assert_valid(&decoded);
 
-    // Repeated round-trips must not drift: re-normalizing an
-    // already-normalized rotation can still flip the last mantissa bit,
-    // so exact idempotency is off the table, but the second pass has to
-    // stay inside the same tolerance as the first instead of
-    // accumulating error.
-    let twice = decode_scene(&encode_scene(&decoded)).expect("second decode");
-    for (a, b) in twice.iter().zip(scene.iter()) {
-        assert!((a.position() - b.position()).length() < 1e-6);
-        assert!((a.rotation().w - b.rotation().w).abs() < 1e-5);
-    }
-    assert_valid(&twice);
+    // And re-encoding reproduces the bytes, so repeated round-trips (an
+    // upload of a downloaded scene) can never drift.
+    assert_eq!(encode_scene(&decoded), encoded);
 }
 
 #[test]
@@ -77,6 +65,7 @@ fn round_trip_holds_across_seeds_and_profiles() {
 fn round_trip_holds_across_sh_degrees() {
     for sh_degree in 0..=2 {
         let scene = synth(11, 17, sh_degree);
+        assert_round_trip(&scene);
         let decoded = decode_scene(&encode_scene(&scene)).expect("decodes");
         let expected = (sh_degree + 1) * (sh_degree + 1);
         for gaussian in decoded.iter() {

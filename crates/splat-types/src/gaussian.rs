@@ -81,6 +81,15 @@ impl Gaussian3d {
         Gaussian3d { sh, ..self.clone() }
     }
 
+    /// Replaces the rotation with an already-unit quaternion *as stored* —
+    /// no re-normalization, which could perturb its last mantissa bit — and
+    /// keeps every other parameter bit-exactly. The scene codec restores
+    /// stored rotation bits with it so that decoding is the exact inverse
+    /// of encoding.
+    pub fn with_unit_rotation(self, rotation: Quat) -> Gaussian3d {
+        Gaussian3d { rotation, ..self }
+    }
+
     /// The 3×3 world-space covariance `Σ = R S Sᵀ Rᵀ` (`3D_Cov`).
     pub fn covariance(&self) -> Mat3 {
         Self::covariance_of(self.scale, self.rotation)

@@ -35,11 +35,8 @@ fn main() -> Result<(), RenderError> {
             .tile_size(tile)
             .boundary(BoundaryMethod::Ellipse)
             .build()?;
-        let renderer = Renderer::new(config);
-        let prepared = renderer.prepare(&scene, &camera);
-        let (_, raster_counts) =
-            renderer.rasterize(&prepared.projected, &prepared.assignments, &camera);
-        let counts = prepared.counts + raster_counts;
+        let mut session = RenderSession::from_config(config);
+        let counts = session.render(&scene, &camera).stats.counts;
         let times = model.baseline_times(&counts, BoundaryMethod::Ellipse);
         if tile == 16 {
             baseline_16_total = Some(times.total());
@@ -48,7 +45,7 @@ fn main() -> Result<(), RenderError> {
             format!("baseline {tile}x{tile}"),
             counts.tile_intersections.to_string(),
             format!("{:.1}", counts.gaussians_per_pixel()),
-            format!("{:.1}", prepared.assignments.shared_fraction() * 100.0),
+            format!("{:.1}", session.assignments().shared_fraction() * 100.0),
             format!("{:.3e}", times.total()),
         ]);
     }

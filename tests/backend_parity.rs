@@ -1,11 +1,13 @@
-//! Integration test: backend parity across the `RenderBackend` redesign.
+//! Integration test: backend parity behind the `RenderBackend` trait.
 //!
-//! Every way of rendering a view — fresh `Renderer` / `GstgRenderer`,
-//! recycled `RenderSession` / `GstgSession`, and the batch-serving
-//! `Engine` at several thread counts — must produce **bit-identical**
+//! Every way of serving a view — the two boxed session backends
+//! (`baseline-session`, `gstg-session`) and the batch-serving `Engine` over
+//! each of them at batch threads 1 and 4 — must produce **bit-identical**
 //! framebuffers and identical `StageCounts` for the same scene and
-//! trajectory. This pins the acceptance criterion of the API redesign: the
-//! trait and the engine are pure plumbing, never observable in the pixels.
+//! trajectory: the trait and the engine are pure plumbing, never observable
+//! in the pixels. (One-shot renders are sessions with a fresh arena, so
+//! there is no renderer-vs-session dimension; `tests/session_contract.rs`
+//! pins frame N of a reused session against a one-shot render.)
 
 use gs_tg::prelude::*;
 
@@ -41,12 +43,10 @@ fn every_backend_renders_identical_frames() {
     let gstg_config = GstgConfig::paper_default();
     let baseline_config = gstg_config.equivalent_baseline();
 
-    // The four dyn backends: both fresh renderers, both recycled sessions.
+    // The two dyn backends: one recycled session per keying.
     let mut backends: Vec<Box<dyn RenderBackend>> = vec![
-        Box::new(Renderer::new(baseline_config)),
-        Box::new(RenderSession::new(Renderer::new(baseline_config))),
-        Box::new(GstgRenderer::new(gstg_config)),
-        Box::new(GstgSession::new(GstgRenderer::new(gstg_config))),
+        Box::new(RenderSession::from_config(baseline_config)),
+        Box::new(GstgSession::from_config(gstg_config)),
     ];
     let mut outputs: Vec<(String, Vec<RenderOutput>)> = backends
         .iter_mut()
@@ -130,15 +130,15 @@ fn simd_lane_widths_are_parity_invariant_across_backends() {
     let gstg_config = GstgConfig::paper_default();
     let baseline_config = gstg_config.equivalent_baseline();
 
-    let reference = drive(&mut Renderer::new(baseline_config), &scene, &cameras);
+    let reference = drive(
+        &mut RenderSession::from_config(baseline_config),
+        &scene,
+        &cameras,
+    );
     for simd in SimdMode::ALL {
-        let gstg_wide = gstg_config.with_simd(simd);
-        let baseline_wide = baseline_config.with_simd(simd);
         let mut backends: Vec<Box<dyn RenderBackend>> = vec![
-            Box::new(Renderer::new(baseline_wide)),
-            Box::new(RenderSession::new(Renderer::new(baseline_wide))),
-            Box::new(GstgRenderer::new(gstg_wide)),
-            Box::new(GstgSession::new(GstgRenderer::new(gstg_wide))),
+            Box::new(RenderSession::from_config(baseline_config.with_simd(simd))),
+            Box::new(GstgSession::from_config(gstg_config.with_simd(simd))),
         ];
         for backend in &mut backends {
             let name = backend.name().to_owned();
@@ -219,12 +219,8 @@ fn invalid_requests_error_instead_of_panicking_everywhere() {
 
     let config = GstgConfig::paper_default();
     let mut backends: Vec<Box<dyn RenderBackend>> = vec![
-        Box::new(Renderer::new(config.equivalent_baseline())),
-        Box::new(RenderSession::new(Renderer::new(
-            config.equivalent_baseline(),
-        ))),
-        Box::new(GstgRenderer::new(config)),
-        Box::new(GstgSession::new(GstgRenderer::new(config))),
+        Box::new(RenderSession::from_config(config.equivalent_baseline())),
+        Box::new(GstgSession::from_config(config)),
     ];
     for backend in &mut backends {
         assert_eq!(

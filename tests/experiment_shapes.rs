@@ -29,17 +29,15 @@ fn tile_size_trends_match_the_motivation_figures() {
     let mut shared = Vec::new();
     let mut gaussians_per_pixel = Vec::new();
     for tile in [8u32, 16, 32, 64] {
-        let renderer = Renderer::new(
+        let mut session = RenderSession::from_config(
             RenderConfig::builder()
                 .tile_size(tile)
                 .build()
                 .expect("valid configuration"),
         );
-        let prepared = renderer.prepare(&scene, &camera);
-        let (_, raster) = renderer.rasterize(&prepared.projected, &prepared.assignments, &camera);
-        tiles_per_gaussian.push(prepared.assignments.mean_tiles_per_gaussian());
-        shared.push(prepared.assignments.shared_fraction());
-        let counts = prepared.counts + raster;
+        let counts = session.render(&scene, &camera).stats.counts;
+        tiles_per_gaussian.push(session.assignments().mean_tiles_per_gaussian());
+        shared.push(session.assignments().shared_fraction());
         gaussians_per_pixel.push(counts.gaussians_per_pixel());
     }
 

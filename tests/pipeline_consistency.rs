@@ -64,9 +64,10 @@ fn scene_serialization_preserves_rendering_results() {
     let renderer = Renderer::new(ellipse_config());
     let original = renderer.render(&scene, &cam);
     let restored = renderer.render(&decoded, &cam);
-    // Serialization is exact for all parameters except quaternion
-    // re-normalization noise, which is far below visible precision.
-    assert!(original.image.max_abs_diff(&restored.image) < 1e-4);
+    // Serialization is exact for every parameter, so the decoded scene
+    // renders the same bits.
+    assert_eq!(decoded.gaussians(), scene.gaussians());
+    assert_eq!(original.image.max_abs_diff(&restored.image), 0.0);
 }
 
 #[test]

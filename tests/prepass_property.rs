@@ -13,10 +13,44 @@
 //!    array-of-structs storage bit-exactly, and the projection output is
 //!    invariant across the scalar and wide SIMD paths that consume it.
 
+use gs_tg::core::{CsrScratch, ProjectedGaussian};
 use gs_tg::prelude::*;
-use gs_tg::render::{identify_tiles_with, preprocess, TileGrid};
+use gs_tg::render::{identify_tiles_into, preprocess_into, TileAssignments, TileGrid};
 use gs_tg::types::rng::Rng;
 use gs_tg::types::Quat;
+
+/// One-shot form of the preprocessing stage.
+fn preprocess(
+    scene: &Scene,
+    camera: &Camera,
+    config: &RenderConfig,
+    counts: &mut StageCounts,
+) -> Vec<ProjectedGaussian> {
+    let mut projected = Vec::new();
+    preprocess_into(scene, camera, config, counts, &mut projected);
+    projected
+}
+
+/// One-shot form of the tile-identification stage.
+fn identify_tiles_with(
+    projected: &[ProjectedGaussian],
+    grid: TileGrid,
+    boundary: BoundaryMethod,
+    prepass: PrepassMode,
+    counts: &mut StageCounts,
+) -> TileAssignments {
+    let mut out = TileAssignments::empty();
+    identify_tiles_into(
+        projected,
+        grid,
+        boundary,
+        prepass,
+        counts,
+        &mut CsrScratch::new(),
+        &mut out,
+    );
+    out
+}
 
 fn random_scene(rng: &mut Rng, splats: usize) -> Scene {
     let gaussians: Vec<Gaussian3d> = (0..splats)

@@ -17,12 +17,24 @@
 
 use gs_tg::core::{
     alpha_at, conservative_row_interval, rasterize_tile_spans_with, rasterize_tile_with,
-    SpanScratch, TileRect, ALPHA_CULL_THRESHOLD,
+    ProjectedGaussian, SpanScratch, TileRect, ALPHA_CULL_THRESHOLD,
 };
 use gs_tg::prelude::*;
-use gs_tg::render::preprocess;
+use gs_tg::render::preprocess_into;
 use gs_tg::types::rng::Rng;
 use gs_tg::types::{Quat, Vec2};
+
+/// One-shot form of the preprocessing stage.
+fn preprocess(
+    scene: &Scene,
+    camera: &Camera,
+    config: &RenderConfig,
+    counts: &mut StageCounts,
+) -> Vec<ProjectedGaussian> {
+    let mut projected = Vec::new();
+    preprocess_into(scene, camera, config, counts, &mut projected);
+    projected
+}
 
 fn random_scene(rng: &mut Rng, splats: usize) -> Scene {
     let gaussians: Vec<Gaussian3d> = (0..splats)
