@@ -154,18 +154,20 @@ fn main() {
                 );
                 accounting_clean = false;
             }
-            // Quality accounting: completions split exactly into full and
-            // degraded serves, and a pinned tier degrades everything (a
-            // full-quality engine, nothing).
+            // Every identity `EngineStats` declares (quality split, scene
+            // residency, job conservation) must hold on the drained engine.
             let stats = run.stats;
-            if stats.completed != stats.full_quality + stats.degraded
-                || stats.degraded != stats.degraded_t1 + stats.degraded_t2 + stats.degraded_t3
-            {
-                eprintln!(
-                    "error: {backend} w={workers}: quality counters do not reconcile: {stats}"
-                );
-                accounting_clean = false;
+            for (identity, left, right) in stats.identities() {
+                if left != right {
+                    eprintln!(
+                        "error: {backend} w={workers}: {identity} fails \
+                         ({left} != {right}): {stats}"
+                    );
+                    accounting_clean = false;
+                }
             }
+            // A pinned tier degrades everything (a full-quality engine,
+            // nothing).
             let expected_degraded = if options.quality.is_degraded() {
                 expected
             } else {
@@ -179,18 +181,9 @@ fn main() {
                 );
                 accounting_clean = false;
             }
-            // Registry accounting: every registered scene is resident or
-            // evicted, every handle-served job was a hit, and exactly the
-            // one provoked miss occurred.
+            // Registry accounting: every handle-served job was a hit, and
+            // exactly the one provoked miss occurred.
             if registry_mode {
-                let stats = run.stats;
-                if stats.registered != stats.resident_scenes as u64 + stats.evicted {
-                    eprintln!(
-                        "error: {backend} w={workers}: registered {} != resident {} + evicted {}",
-                        stats.registered, stats.resident_scenes, stats.evicted
-                    );
-                    accounting_clean = false;
-                }
                 if stats.scene_hits != expected || stats.scene_misses != 1 {
                     eprintln!(
                         "error: {backend} w={workers}: expected {expected} hits / 1 miss, \

@@ -21,8 +21,8 @@
 //! tallies), `3` usage or transport setup errors.
 //!
 //! Reconciliation (`--reconcile`) assumes this client is the server's
-//! only traffic; it checks the routing and status identities of
-//! `ServerStats`, cross-checks `render_requests` against the schedule,
+//! only traffic; it checks every identity `ServerStats` and `EngineStats`
+//! declare, cross-checks `render_requests` against the schedule,
 //! ties every observed 200/503 to the engine's completed/rejected
 //! counters, and ties the observed quality-tier headers to the engine's
 //! per-tier degradation counters.
@@ -33,10 +33,12 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use splat_core::RenderRequest;
-use splat_engine::{AdmissionPolicy, Engine, QualityPolicy, QualityTier};
+use splat_engine::{AdmissionPolicy, Engine, EngineStats, QualityPolicy, QualityTier};
 use splat_scene::io::{decode_scene, encode_scene};
 use splat_scene::{LodLadder, Scene, SceneGenerator, SynthProfile};
-use splat_server::{decode_frame, frame_digest, one_shot, parse_json, JsonValue, ServerConfig};
+use splat_server::{
+    decode_frame, frame_digest, one_shot, parse_json, JsonValue, ServerConfig, ServerStats,
+};
 use splat_types::{Camera, CameraIntrinsics, Vec3};
 
 struct Options {
@@ -485,86 +487,77 @@ fn stat(json: &JsonValue, section: &str, field: &str) -> u64 {
 /// Exact cross-layer reconciliation: the wire's own tallies, the
 /// server's counters and the engine's counters must tell one story.
 fn reconcile(options: &Options, tally: &Tally, stats: &JsonValue) -> Vec<String> {
+    // Back into the typed snapshots, so the identities each struct
+    // declares are checked here and not restated. A server that lacks a
+    // counter (`stat`'s `u64::MAX`) cannot be reconciled at all.
+    let server = ServerStats::FIELDS.map(|field| stat(stats, "server", field));
+    let engine = EngineStats::FIELDS.map(|field| stat(stats, "engine", field));
+    if server.iter().chain(&engine).any(|&value| value == u64::MAX) {
+        return vec!["/stats does not carry every ServerStats/EngineStats counter".to_string()];
+    }
+    let (server, engine) = (ServerStats::from(server), EngineStats::from(engine));
     let mut failures = Vec::new();
     let mut check = |name: &str, left: u64, right: u64| {
         if left != right {
             failures.push(format!("{name}: {left} != {right}"));
         }
     };
-    let server = |field: &str| stat(stats, "server", field);
-    let engine = |field: &str| stat(stats, "engine", field);
-
-    // ServerStats' own identities.
-    let routed = server("scenes_requests")
-        + server("render_requests")
-        + server("trajectory_requests")
-        + server("stats_requests")
-        + server("health_requests")
-        + server("shutdown_requests")
-        + server("unrouted_requests");
-    let responded = server("ok")
-        + server("bad_request")
-        + server("not_found")
-        + server("gone")
-        + server("payload_too_large")
-        + server("overloaded");
-    check("requests == routed", server("requests"), routed);
-    check("requests == responded", server("requests"), responded);
+    let declared = server.identities().into_iter().chain(engine.identities());
+    for (identity, left, right) in declared {
+        check(identity, left, right);
+    }
 
     // The schedule against the server, assuming we are the only client.
     check(
         "render_requests == schedule",
-        server("render_requests") + tally.transport_errors() as u64,
+        server.render_requests + tally.transport_errors() as u64,
         options.requests as u64,
     );
     check(
         "scenes_requests == uploads",
-        server("scenes_requests"),
+        server.scenes_requests,
         options.scenes as u64,
     );
 
     // The server against the engine.
     check(
-        "render_requests == submitted + rejected",
-        server("render_requests"),
-        engine("submitted") + engine("rejected"),
+        // A shed victim is in both `submitted` and `rejected`.
+        "render_requests == submitted + rejected - shed",
+        server.render_requests,
+        engine.submitted + engine.rejected - engine.shed,
     );
-    check(
-        "overloaded == rejected",
-        server("overloaded"),
-        engine("rejected"),
-    );
+    check("overloaded == rejected", server.overloaded, engine.rejected);
 
     // The engine against what the wire delivered to us.
     check(
         "observed 200s == completed",
         tally.count_status(200) as u64,
-        engine("completed"),
+        engine.completed,
     );
     check(
         "observed 503s == rejected + refused_connections",
         tally.count_status(503) as u64,
-        engine("rejected") + server("refused_connections"),
+        engine.rejected + server.refused_connections,
     );
     check(
         "observed full == full_quality",
         tally.count_tier(QualityTier::Full) as u64,
-        engine("full_quality"),
+        engine.full_quality,
     );
     check(
         "observed t1 == degraded_t1",
         tally.count_tier(QualityTier::Tier1) as u64,
-        engine("degraded_t1"),
+        engine.degraded_t1,
     );
     check(
         "observed t2 == degraded_t2",
         tally.count_tier(QualityTier::Tier2) as u64,
-        engine("degraded_t2"),
+        engine.degraded_t2,
     );
     check(
         "observed t3 == degraded_t3",
         tally.count_tier(QualityTier::Tier3) as u64,
-        engine("degraded_t3"),
+        engine.degraded_t3,
     );
     failures
 }

@@ -317,6 +317,15 @@ fn main() {
         // granularity and entries at group granularity, so only the
         // test-vs-hit bound applies there).
         let counts = &report.steady.counts;
+        for (identity, left, right) in counts.identities() {
+            if left != right {
+                eprintln!(
+                    "error: {}: {identity} fails ({left} != {right})",
+                    report.name
+                );
+                accounting_clean = false;
+            }
+        }
         if counts.tiles_hit > counts.tiles_tested {
             eprintln!(
                 "error: {}: tiles_hit {} exceeds tiles_tested {}",

@@ -884,10 +884,9 @@ mod tests {
         assert_eq!(registry.stats.registered, 2);
         assert_eq!(registry.stats.evicted, 1);
         assert_eq!(registry.stats.resident_scenes, 1);
-        assert_eq!(
-            registry.stats.registered,
-            registry.stats.resident_scenes as u64 + registry.stats.evicted
-        );
+        for (identity, left, right) in registry.stats.identities() {
+            assert_eq!(left, right, "{identity}");
+        }
         assert_eq!(registry.stats.scene_hits, registry.stats.submitted);
         assert_eq!(registry.stats.scene_misses, 1);
         let json = registry.to_json("engine_submit", &o, camera.width(), camera.height());
@@ -917,10 +916,9 @@ mod tests {
         assert_eq!(run.stats.full_quality, 0);
         assert_eq!(run.stats.degraded, 9);
         assert_eq!(run.stats.degraded_t1, 9);
-        assert_eq!(
-            run.stats.completed,
-            run.stats.full_quality + run.stats.degraded
-        );
+        for (identity, left, right) in run.stats.identities() {
+            assert_eq!(left, right, "{identity}");
+        }
         let json = run.to_json("engine_submit", &o, camera.width(), camera.height());
         assert!(json.contains("\"quality\":\"t1\""));
         assert!(json.contains("\"degraded\":9"));

@@ -896,15 +896,8 @@ impl Engine {
     /// registry side (registered/evicted/hit/miss counters plus the
     /// resident-scenes and resident-bytes gauges).
     pub fn stats(&self) -> EngineStats {
-        let mut stats = self.shared.queue.stats();
-        let registry = self.shared.registry.stats();
-        stats.registered = registry.registered;
-        stats.evicted = registry.evicted;
-        stats.scene_hits = registry.scene_hits;
-        stats.scene_misses = registry.scene_misses;
-        stats.resident_scenes = registry.resident_scenes;
-        stats.resident_bytes = registry.resident_bytes;
-        stats
+        let queue_side = self.shared.queue.stats();
+        self.shared.registry.stats(queue_side)
     }
 
     /// Pauses dispatch: workers finish their current render, then wait.
@@ -1531,10 +1524,9 @@ mod tests {
         let stats = engine.stats();
         assert_eq!(stats.submitted, 0, "misses never touch the queue");
         assert_eq!(stats.scene_misses, 2);
-        assert_eq!(
-            stats.registered,
-            stats.resident_scenes as u64 + stats.evicted
-        );
+        for (identity, left, right) in stats.identities() {
+            assert_eq!(left, right, "{identity}");
+        }
     }
 
     #[test]

@@ -58,21 +58,6 @@ impl Job {
     }
 }
 
-#[derive(Debug, Default)]
-struct Counters {
-    submitted: u64,
-    completed: u64,
-    full_quality: u64,
-    degraded: u64,
-    degraded_t1: u64,
-    degraded_t2: u64,
-    degraded_t3: u64,
-    rejected: u64,
-    cancelled: u64,
-    active: usize,
-    high_water: usize,
-}
-
 #[derive(Debug)]
 struct QueueInner {
     jobs: Vec<Job>,
@@ -80,7 +65,9 @@ struct QueueInner {
     paused: bool,
     draining: bool,
     aborted: bool,
-    counters: Counters,
+    /// The job-side counters, mutated under the queue lock; the `queued`
+    /// gauge is `jobs.len()`, filled at snapshot.
+    stats: EngineStats,
 }
 
 /// The bounded MPMC queue: jobs enter through [`JobQueue::push`] (subject
@@ -126,7 +113,7 @@ impl JobQueue {
                 paused,
                 draining: false,
                 aborted: false,
-                counters: Counters::default(),
+                stats: EngineStats::default(),
             }),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
@@ -184,7 +171,7 @@ impl JobQueue {
                         .unwrap_or_else(|poisoned| poisoned.into_inner());
                 }
                 AdmissionPolicy::RejectWhenFull => {
-                    inner.counters.rejected += 1;
+                    inner.stats.rejected += 1;
                     return Err(RenderError::Overloaded {
                         capacity: self.capacity,
                     });
@@ -206,13 +193,14 @@ impl JobQueue {
                     let victim = &inner.jobs[victim_index];
                     let incoming_key = (priority, Reverse(cost), Reverse(u64::MAX));
                     if incoming_key <= victim.shed_key() {
-                        inner.counters.rejected += 1;
+                        inner.stats.rejected += 1;
                         return Err(RenderError::Overloaded {
                             capacity: self.capacity,
                         });
                     }
                     let victim = inner.jobs.swap_remove(victim_index);
-                    inner.counters.rejected += 1;
+                    inner.stats.rejected += 1;
+                    inner.stats.shed += 1;
                     shed_victim = Some(victim);
                     break;
                 }
@@ -234,9 +222,9 @@ impl JobQueue {
             ladder,
             shared,
         });
-        inner.counters.submitted += 1;
+        inner.stats.submitted += 1;
         let queued = inner.jobs.len();
-        inner.counters.high_water = inner.counters.high_water.max(queued);
+        inner.stats.queue_high_water = inner.stats.queue_high_water.max(queued);
         drop(inner);
         self.not_empty.notify_one();
         if let Some(victim) = shed_victim {
@@ -275,7 +263,7 @@ impl JobQueue {
                 .unwrap_or_else(|poisoned| poisoned.into_inner());
         };
         let job = inner.jobs.swap_remove(index);
-        inner.counters.active += 1;
+        inner.stats.active += 1;
         drop(inner);
         self.not_full.notify_one();
         // More jobs may remain dispatchable; keep sibling workers awake.
@@ -285,26 +273,24 @@ impl JobQueue {
     }
 
     /// Records that a worker finished serving a popped job at `tier`,
-    /// maintaining the identity
-    /// `completed == full_quality + degraded` (and `degraded` equal to the
-    /// sum of the per-tier counters).
+    /// keeping the quality identities of [`EngineStats::identities`].
     pub(crate) fn mark_completed(&self, tier: QualityTier) {
         let mut inner = self.lock();
-        inner.counters.active -= 1;
-        inner.counters.completed += 1;
+        inner.stats.active -= 1;
+        inner.stats.completed += 1;
         match tier {
-            QualityTier::Full => inner.counters.full_quality += 1,
+            QualityTier::Full => inner.stats.full_quality += 1,
             QualityTier::Tier1 => {
-                inner.counters.degraded += 1;
-                inner.counters.degraded_t1 += 1;
+                inner.stats.degraded += 1;
+                inner.stats.degraded_t1 += 1;
             }
             QualityTier::Tier2 => {
-                inner.counters.degraded += 1;
-                inner.counters.degraded_t2 += 1;
+                inner.stats.degraded += 1;
+                inner.stats.degraded_t2 += 1;
             }
             QualityTier::Tier3 => {
-                inner.counters.degraded += 1;
-                inner.counters.degraded_t3 += 1;
+                inner.stats.degraded += 1;
+                inner.stats.degraded_t3 += 1;
             }
         }
     }
@@ -317,7 +303,7 @@ impl JobQueue {
             return false;
         };
         let job = inner.jobs.swap_remove(index);
-        inner.counters.cancelled += 1;
+        inner.stats.cancelled += 1;
         drop(inner);
         self.not_full.notify_one();
         job.shared.finish(Err(RenderError::Cancelled));
@@ -355,7 +341,7 @@ impl JobQueue {
             ShutdownMode::Abort => {
                 inner.aborted = true;
                 discarded = std::mem::take(&mut inner.jobs);
-                inner.counters.cancelled += discarded.len() as u64;
+                inner.stats.cancelled += discarded.len() as u64;
             }
         }
         drop(inner);
@@ -367,23 +353,12 @@ impl JobQueue {
     }
 
     /// A point-in-time snapshot of the job-queue serving counters (the
-    /// engine overlays the scene-registry counters on top).
+    /// registry writes the scene-side counters on top).
     pub(crate) fn stats(&self) -> EngineStats {
         let inner = self.lock();
         EngineStats {
-            submitted: inner.counters.submitted,
-            completed: inner.counters.completed,
-            full_quality: inner.counters.full_quality,
-            degraded: inner.counters.degraded,
-            degraded_t1: inner.counters.degraded_t1,
-            degraded_t2: inner.counters.degraded_t2,
-            degraded_t3: inner.counters.degraded_t3,
-            rejected: inner.counters.rejected,
-            cancelled: inner.counters.cancelled,
             queued: inner.jobs.len(),
-            active: inner.counters.active,
-            queue_high_water: inner.counters.high_water,
-            ..EngineStats::default()
+            ..inner.stats
         }
     }
 }
@@ -467,7 +442,11 @@ mod tests {
         let d = push(&queue, Priority::High, 5).unwrap();
         let ids: Vec<u64> = (0..3).map(|_| queue.pop().unwrap().id).collect();
         assert_eq!(ids, vec![d, c, a]);
-        assert_eq!(queue.stats().rejected, 1);
+        let stats = queue.stats();
+        assert_eq!((stats.rejected, stats.shed), (1, 1), "b was a shed victim");
+        for (identity, left, right) in stats.identities() {
+            assert_eq!(left, right, "{identity}");
+        }
     }
 
     #[test]
@@ -486,7 +465,9 @@ mod tests {
             push(&queue, Priority::Low, 1),
             Err(RenderError::Overloaded { capacity: 2 })
         );
-        assert_eq!(queue.stats().queued, 2);
+        let stats = queue.stats();
+        assert_eq!(stats.queued, 2);
+        assert_eq!((stats.rejected, stats.shed), (2, 0), "refused at the door");
     }
 
     #[test]
@@ -654,11 +635,9 @@ mod tests {
         assert_eq!(stats.degraded_t1, 1);
         assert_eq!(stats.degraded_t2, 0);
         assert_eq!(stats.degraded_t3, 2);
-        assert_eq!(stats.completed, stats.full_quality + stats.degraded);
-        assert_eq!(
-            stats.degraded,
-            stats.degraded_t1 + stats.degraded_t2 + stats.degraded_t3
-        );
+        for (identity, left, right) in stats.identities() {
+            assert_eq!(left, right, "{identity}");
+        }
     }
 
     #[test]

@@ -27,6 +27,7 @@
 //! jobs already holding the scene's `Arc` keep rendering unaffected, and
 //! the bytes are released when the last holder drops.
 
+use crate::stats::EngineStats;
 use splat_scene::lod::LodLadder;
 use splat_scene::Scene;
 use splat_types::{RenderError, SceneId, Vec3};
@@ -240,17 +241,6 @@ impl PreparedScene {
     pub fn cost_hint(&self, width: u32, height: u32) -> u64 {
         splat_core::request_cost_hint(self.splat_count, width, height)
     }
-}
-
-/// Point-in-time registry counters, merged into `EngineStats`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct RegistryStats {
-    pub registered: u64,
-    pub evicted: u64,
-    pub scene_hits: u64,
-    pub scene_misses: u64,
-    pub resident_scenes: usize,
-    pub resident_bytes: usize,
 }
 
 /// One resident scene plus its recency stamp: `Some(tick)` of the last
@@ -512,15 +502,18 @@ impl SceneRegistry {
             .collect()
     }
 
-    pub(crate) fn stats(&self) -> RegistryStats {
+    /// Completes a snapshot by writing the scene-side counters over the
+    /// job-side ones the queue filled in.
+    pub(crate) fn stats(&self, queue_side: EngineStats) -> EngineStats {
         let inner = self.lock();
-        RegistryStats {
+        EngineStats {
             registered: inner.registered,
             evicted: inner.evicted,
             scene_hits: inner.hits,
             scene_misses: inner.misses,
             resident_scenes: inner.scenes.len(),
             resident_bytes: inner.resident_bytes,
+            ..queue_side
         }
     }
 }
@@ -536,6 +529,11 @@ mod tests {
 
     fn registry(policy: ResidencyPolicy) -> SceneRegistry {
         SceneRegistry::new(policy, false)
+    }
+
+    /// The scene-side counters alone (no queue behind this registry).
+    fn snapshot(registry: &SceneRegistry) -> EngineStats {
+        registry.stats(EngineStats::default())
     }
 
     /// Resolve + commit, the way the engine serves a job off a handle.
@@ -562,7 +560,7 @@ mod tests {
             prepared.cost_hint(64, 48),
             prepared.splat_count() as u64 + 64 * 48
         );
-        let stats = registry.stats();
+        let stats = snapshot(&registry);
         assert_eq!(stats.registered, 2);
         assert_eq!(stats.resident_scenes, 2);
         assert_eq!(
@@ -594,7 +592,7 @@ mod tests {
             "SoA footprint must include the cached covariance arrays"
         );
         assert_eq!(
-            registry.stats().resident_bytes,
+            snapshot(&registry).resident_bytes,
             prepared.footprint_bytes(),
             "budget keeps charging the canonical storage only"
         );
@@ -605,7 +603,7 @@ mod tests {
         let registry = registry(ResidencyPolicy::unlimited());
         let empty = Arc::new(Scene::new("empty", 8, 8, Vec::new()));
         assert_eq!(registry.register(empty), Err(RenderError::EmptyScene));
-        assert_eq!(registry.stats().registered, 0);
+        assert_eq!(snapshot(&registry).registered, 0);
     }
 
     #[test]
@@ -624,7 +622,7 @@ mod tests {
             registry.evict(bogus),
             Err(RenderError::UnknownScene { id: bogus })
         );
-        let stats = registry.stats();
+        let stats = snapshot(&registry);
         assert_eq!(stats.scene_misses, 2);
         assert_eq!(stats.evicted, 1);
     }
@@ -639,14 +637,12 @@ mod tests {
         let c = registry.register(scene(2)).unwrap();
         assert_eq!(registry.resident(), vec![a, c]);
         assert_eq!(registry.resolve(b), Err(RenderError::Evicted { id: b }));
-        let stats = registry.stats();
+        let stats = snapshot(&registry);
         assert_eq!(stats.evicted, 1);
         assert_eq!(stats.registered, 3);
-        assert_eq!(
-            stats.registered,
-            stats.resident_scenes as u64 + stats.evicted,
-            "registered scenes are either resident or evicted"
-        );
+        for (identity, left, right) in stats.identities() {
+            assert_eq!(left, right, "{identity}");
+        }
     }
 
     #[test]
@@ -671,9 +667,9 @@ mod tests {
             registry(ResidencyPolicy::unlimited().with_max_resident_bytes(2 * footprint));
         let _a = registry.register(scene(0)).unwrap();
         let b = registry.register(scene(1)).unwrap();
-        assert_eq!(registry.stats().resident_bytes, 2 * footprint);
+        assert_eq!(snapshot(&registry).resident_bytes, 2 * footprint);
         let c = registry.register(scene(2)).unwrap();
-        assert!(registry.stats().resident_bytes <= 2 * footprint);
+        assert!(snapshot(&registry).resident_bytes <= 2 * footprint);
         assert_eq!(registry.resident(), vec![b, c], "oldest never-served shed");
     }
 
@@ -685,7 +681,7 @@ mod tests {
         let error = registry.register(scene(0)).expect_err("cannot ever fit");
         assert!(matches!(error, RenderError::InvalidConfiguration { .. }));
         assert!(error.to_string().contains("residency budget"));
-        let stats = registry.stats();
+        let stats = snapshot(&registry);
         assert_eq!(stats.registered, 0);
         assert_eq!(stats.resident_bytes, 0);
     }
@@ -760,7 +756,10 @@ mod tests {
             shared.footprint_bytes() + ladder.footprint_bytes(),
             "the ladder is resident memory and the budget observes it"
         );
-        assert_eq!(laddered.stats().resident_bytes, prepared.footprint_bytes());
+        assert_eq!(
+            snapshot(&laddered).resident_bytes,
+            prepared.footprint_bytes()
+        );
         // The submission path gets the same shared ladder back.
         let (resolved, resolved_ladder) = laddered.resolve_with_ladder(id).unwrap();
         assert!(Arc::ptr_eq(&resolved, &shared));
@@ -781,11 +780,11 @@ mod tests {
             let resolved = registry.resolve(a).unwrap();
             assert!(!resolved.is_empty());
         }
-        assert_eq!(registry.stats().scene_hits, 0);
+        assert_eq!(snapshot(&registry).scene_hits, 0);
         for _ in 0..3 {
             serve(&registry, a);
         }
-        let stats = registry.stats();
+        let stats = snapshot(&registry);
         assert_eq!(stats.scene_hits, 3);
         assert_eq!(stats.scene_misses, 0);
     }

@@ -1,74 +1,71 @@
 //! Observable serving counters.
 
-/// A point-in-time snapshot of the engine's serving counters, taken with
-/// [`Engine::stats`](crate::Engine::stats).
-///
-/// Counters are cumulative over the engine's lifetime; `queued`, `active`,
-/// `resident_scenes` and `resident_bytes` are instantaneous gauges. Two
-/// bookkeeping identities hold at every snapshot:
-///
-/// * **Jobs (fast timescale):**
-///   `submitted == completed + cancelled + shed + queued + active`, where
-///   `shed` is the part of `rejected` that was admitted first and deflated
-///   later (`rejected` also counts submissions turned away at the door,
-///   which were never `submitted`).
-/// * **Scenes (slow timescale):** `registered == resident_scenes +
-///   evicted` — every scene ever registered is either still resident or
-///   has been deflated/evicted (the `engine_submit --registry` bench
-///   exits non-zero if this drifts).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[non_exhaustive]
-pub struct EngineStats {
-    /// Jobs admitted into the queue.
-    pub submitted: u64,
-    /// Jobs fully served by a worker (whether the render succeeded or
-    /// returned a typed error). Splits exactly into
-    /// `full_quality + degraded`.
-    pub completed: u64,
-    /// Completed jobs served at [`QualityTier::Full`](splat_scene::lod::QualityTier).
-    pub full_quality: u64,
-    /// Completed jobs served below full quality by the `QualityPolicy`
-    /// ladder: `degraded == degraded_t1 + degraded_t2 + degraded_t3`.
-    pub degraded: u64,
-    /// Completed jobs served at tier 1 (reduced SH degree).
-    pub degraded_t1: u64,
-    /// Completed jobs served at tier 2 (tier 1 + opacity pruning).
-    pub degraded_t2: u64,
-    /// Completed jobs served at tier 3 (tier 2 + decimation, rendered at
-    /// half resolution and upsampled at delivery).
-    pub degraded_t3: u64,
-    /// Jobs rejected with `RenderError::Overloaded`: submissions refused at
-    /// the door (`RejectWhenFull`, or an incoming job that lost the
-    /// shedding comparison) plus queued jobs deflated by `ShedLowPriority`.
-    pub rejected: u64,
-    /// Jobs withdrawn before running: cancelled through their handle, or
-    /// discarded by an aborting shutdown (`RenderError::ShutDown`).
-    pub cancelled: u64,
-    /// Jobs currently waiting in the queue.
-    pub queued: usize,
-    /// Jobs currently being rendered by workers.
-    pub active: usize,
-    /// The largest queue length ever observed — how close the engine came
-    /// to its admission capacity.
-    pub queue_high_water: usize,
-    /// Scenes ever registered through `Engine::register_scene`.
-    pub registered: u64,
-    /// Scenes removed from the resident set: deflated by the
-    /// `ResidencyPolicy` or explicitly evicted via `Engine::evict_scene`.
-    pub evicted: u64,
-    /// `SceneRef::Id` resolutions that led to an admitted job or a served
-    /// render. A resolution whose job was then refused (validation or
-    /// admission control) counts neither a hit nor a recency touch, so
-    /// rejected traffic cannot distort the LRU eviction order.
-    pub scene_hits: u64,
-    /// `SceneRef::Id` resolutions that missed (`RenderError::UnknownScene`
-    /// or `RenderError::Evicted`).
-    pub scene_misses: u64,
-    /// Scenes currently resident in the registry.
-    pub resident_scenes: usize,
-    /// Total `Scene::footprint_bytes` of the resident scenes — bounded by
-    /// the `ResidencyPolicy` byte budget.
-    pub resident_bytes: usize,
+splat_types::counters! {
+    /// A point-in-time snapshot of the engine's serving counters, taken with
+    /// [`Engine::stats`](crate::Engine::stats).
+    ///
+    /// Counters are cumulative over the engine's lifetime; `queued`, `active`,
+    /// `resident_scenes` and `resident_bytes` are instantaneous gauges. The
+    /// bookkeeping identities that hold at every snapshot — jobs on the fast
+    /// timescale, scenes on the slow one — are declared once, in
+    /// [`identities`](EngineStats::identities).
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+    #[non_exhaustive]
+    pub struct EngineStats {
+        /// Jobs admitted into the queue.
+        submitted: u64,
+        /// Jobs fully served by a worker (whether the render succeeded or
+        /// returned a typed error).
+        completed: u64,
+        /// Completed jobs served at [`QualityTier::Full`](splat_scene::lod::QualityTier).
+        full_quality: u64,
+        /// Completed jobs served below full quality by the `QualityPolicy`
+        /// ladder (the sum of the three per-tier counters).
+        degraded: u64,
+        /// Completed jobs served at tier 1 (reduced SH degree).
+        degraded_t1: u64,
+        /// Completed jobs served at tier 2 (tier 1 + opacity pruning).
+        degraded_t2: u64,
+        /// Completed jobs served at tier 3 (tier 2 + decimation, rendered at
+        /// half resolution and upsampled at delivery).
+        degraded_t3: u64,
+        /// Jobs rejected with `RenderError::Overloaded`: submissions refused at
+        /// the door (`RejectWhenFull`, or an incoming job that lost the
+        /// shedding comparison) plus queued jobs deflated by `ShedLowPriority`.
+        rejected: u64,
+        /// The part of `rejected` that was admitted (`submitted`) first and
+        /// deflated from the queue later by `ShedLowPriority`; the rest of
+        /// `rejected` was turned away at the door and never `submitted`.
+        shed: u64,
+        /// Jobs withdrawn before running: cancelled through their handle, or
+        /// discarded by an aborting shutdown (`RenderError::ShutDown`).
+        cancelled: u64,
+        /// Jobs currently waiting in the queue.
+        queued: usize,
+        /// Jobs currently being rendered by workers.
+        active: usize,
+        /// The largest queue length ever observed — how close the engine came
+        /// to its admission capacity.
+        queue_high_water: usize,
+        /// Scenes ever registered through `Engine::register_scene`.
+        registered: u64,
+        /// Scenes removed from the resident set: deflated by the
+        /// `ResidencyPolicy` or explicitly evicted via `Engine::evict_scene`.
+        evicted: u64,
+        /// `SceneRef::Id` resolutions that led to an admitted job or a served
+        /// render. A resolution whose job was then refused (validation or
+        /// admission control) counts neither a hit nor a recency touch, so
+        /// rejected traffic cannot distort the LRU eviction order.
+        scene_hits: u64,
+        /// `SceneRef::Id` resolutions that missed (`RenderError::UnknownScene`
+        /// or `RenderError::Evicted`).
+        scene_misses: u64,
+        /// Scenes currently resident in the registry.
+        resident_scenes: usize,
+        /// Total `Scene::footprint_bytes` of the resident scenes — bounded by
+        /// the `ResidencyPolicy` byte budget.
+        resident_bytes: usize,
+    }
 }
 
 impl EngineStats {
@@ -77,66 +74,33 @@ impl EngineStats {
         self.queued + self.active
     }
 
-    /// One machine-readable JSON object (used by the `engine_submit`
-    /// bench and the serving example).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"submitted\":{},\"completed\":{},\"full_quality\":{},\"degraded\":{},\
-             \"degraded_t1\":{},\"degraded_t2\":{},\"degraded_t3\":{},\
-             \"rejected\":{},\"cancelled\":{},\
-             \"queued\":{},\"active\":{},\"queue_high_water\":{},\
-             \"registered\":{},\"evicted\":{},\"scene_hits\":{},\"scene_misses\":{},\
-             \"resident_scenes\":{},\"resident_bytes\":{}}}",
-            self.submitted,
-            self.completed,
-            self.full_quality,
-            self.degraded,
-            self.degraded_t1,
-            self.degraded_t2,
-            self.degraded_t3,
-            self.rejected,
-            self.cancelled,
-            self.queued,
-            self.active,
-            self.queue_high_water,
-            self.registered,
-            self.evicted,
-            self.scene_hits,
-            self.scene_misses,
-            self.resident_scenes,
-            self.resident_bytes,
-        )
-    }
-}
-
-impl std::fmt::Display for EngineStats {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "submitted {} / completed {} ({} full_quality, {} degraded: \
-             {} degraded_t1, {} degraded_t2, {} degraded_t3) / rejected {} / \
-             cancelled {} / queued {} / active {} / high water {} / \
-             scenes {} registered, {} resident ({} B, {} evicted, {} hits, \
-             {} misses)",
-            self.submitted,
-            self.completed,
-            self.full_quality,
-            self.degraded,
-            self.degraded_t1,
-            self.degraded_t2,
-            self.degraded_t3,
-            self.rejected,
-            self.cancelled,
-            self.queued,
-            self.active,
-            self.queue_high_water,
-            self.registered,
-            self.resident_scenes,
-            self.resident_bytes,
-            self.evicted,
-            self.scene_hits,
-            self.scene_misses,
-        )
+    /// The bookkeeping identities that hold at every snapshot, as
+    /// `(name, left, right)` with `left == right`: completions split by
+    /// quality tier, every registered scene is resident or evicted, and
+    /// every admitted job is finished, withdrawn, shed or still in flight.
+    pub fn identities(&self) -> [(&'static str, u64, u64); 4] {
+        [
+            (
+                "completed == full_quality + degraded",
+                self.completed,
+                self.full_quality + self.degraded,
+            ),
+            (
+                "degraded == t1 + t2 + t3",
+                self.degraded,
+                self.degraded_t1 + self.degraded_t2 + self.degraded_t3,
+            ),
+            (
+                "registered == resident_scenes + evicted",
+                self.registered,
+                self.resident_scenes as u64 + self.evicted,
+            ),
+            (
+                "submitted == completed + cancelled + shed + queued + active",
+                self.submitted,
+                self.completed + self.cancelled + self.shed + self.in_flight() as u64,
+            ),
+        ]
     }
 }
 
@@ -154,91 +118,100 @@ mod tests {
         assert_eq!(stats.in_flight(), 5);
     }
 
-    #[test]
-    fn json_and_display_cover_every_counter() {
-        let stats = EngineStats {
-            submitted: 10,
-            completed: 6,
-            full_quality: 4,
-            degraded: 2,
-            degraded_t1: 1,
-            degraded_t2: 0,
-            degraded_t3: 1,
-            rejected: 2,
-            cancelled: 1,
-            queued: 1,
-            active: 0,
-            queue_high_water: 4,
-            registered: 3,
-            evicted: 1,
-            scene_hits: 9,
-            scene_misses: 2,
-            resident_scenes: 2,
-            resident_bytes: 4096,
-        };
-        let json = stats.to_json();
-        for field in [
-            "\"submitted\":10",
-            "\"completed\":6",
-            "\"full_quality\":4",
-            "\"degraded\":2",
-            "\"degraded_t1\":1",
-            "\"degraded_t2\":0",
-            "\"degraded_t3\":1",
-            "\"rejected\":2",
-            "\"cancelled\":1",
-            "\"queued\":1",
-            "\"active\":0",
-            "\"queue_high_water\":4",
-            "\"registered\":3",
-            "\"evicted\":1",
-            "\"scene_hits\":9",
-            "\"scene_misses\":2",
-            "\"resident_scenes\":2",
-            "\"resident_bytes\":4096",
-        ] {
-            assert!(json.contains(field), "missing {field} in {json}");
-        }
-        assert!(stats.to_string().contains("high water 4"));
-        assert!(stats.to_string().contains("3 registered"));
-        assert!(stats.to_string().contains("2 resident"));
-        assert!(stats.to_string().contains("1 evicted"));
-        assert!(stats.to_string().contains("4 full_quality"));
-        assert!(stats.to_string().contains("2 degraded"));
-        assert!(stats.to_string().contains("1 degraded_t1"));
-        assert!(stats.to_string().contains("0 degraded_t2"));
-        assert!(stats.to_string().contains("1 degraded_t3"));
+    /// Field *i* holds the *i*-th prime, so every value is distinct.
+    fn sample() -> EngineStats {
+        const PRIMES: [u64; 19] = [
+            2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
+        ];
+        EngineStats::from(PRIMES)
     }
 
     #[test]
-    fn quality_identity_reconciles_in_the_documented_way() {
-        let stats = EngineStats {
-            completed: 6,
-            full_quality: 4,
-            degraded: 2,
-            degraded_t1: 1,
-            degraded_t2: 0,
-            degraded_t3: 1,
-            ..Default::default()
-        };
-        assert_eq!(stats.completed, stats.full_quality + stats.degraded);
+    fn json_and_display_cover_every_counter() {
+        let (json, text) = (sample().to_json(), sample().to_string());
+        for (name, value) in EngineStats::FIELDS.iter().zip(sample().values()) {
+            assert!(
+                json.contains(&format!("\"{name}\":{value}")),
+                "missing {name} in {json}"
+            );
+            assert!(
+                text.contains(&format!("{value} {name}")),
+                "missing {name} in {text}"
+            );
+        }
+    }
+
+    /// Key order and formatting are consumed by `GET /stats` clients and
+    /// the `engine_submit` report.
+    #[test]
+    fn json_bytes_are_pinned() {
         assert_eq!(
-            stats.degraded,
-            stats.degraded_t1 + stats.degraded_t2 + stats.degraded_t3
+            sample().to_json(),
+            "{\"submitted\":2,\"completed\":3,\"full_quality\":5,\"degraded\":7,\
+             \"degraded_t1\":11,\"degraded_t2\":13,\"degraded_t3\":17,\
+             \"rejected\":19,\"shed\":23,\"cancelled\":29,\
+             \"queued\":31,\"active\":37,\"queue_high_water\":41,\
+             \"registered\":43,\"evicted\":47,\"scene_hits\":53,\"scene_misses\":59,\
+             \"resident_scenes\":61,\"resident_bytes\":67}"
         );
     }
 
-    #[test]
-    fn registry_identity_reconciles_in_the_documented_way() {
-        let stats = EngineStats {
+    /// A balanced book, then each identity broken in turn by bumping one
+    /// of its terms: exactly the identities naming that term fail.
+    fn balanced() -> EngineStats {
+        EngineStats {
+            submitted: 12,
+            completed: 6,
+            full_quality: 4,
+            degraded: 2,
+            degraded_t1: 1,
+            degraded_t3: 1,
+            rejected: 5,
+            shed: 2,
+            cancelled: 1,
+            queued: 2,
+            active: 1,
             registered: 5,
             evicted: 3,
             resident_scenes: 2,
             ..Default::default()
-        };
-        assert_eq!(
-            stats.registered,
-            stats.resident_scenes as u64 + stats.evicted
-        );
+        }
+    }
+
+    /// Indices (into the `identities()` table) of the identities that fail.
+    fn failing(stats: &EngineStats) -> Vec<usize> {
+        let identities = stats.identities();
+        (0..identities.len())
+            .filter(|&index| identities[index].1 != identities[index].2)
+            .collect()
+    }
+
+    #[test]
+    fn quality_identity_reconciles_in_the_documented_way() {
+        assert_eq!(failing(&balanced()), []);
+        let mut stats = balanced();
+        stats.full_quality += 1;
+        assert_eq!(failing(&stats), [0], "completed no longer splits");
+        let mut stats = balanced();
+        stats.degraded_t2 += 1;
+        assert_eq!(failing(&stats), [1], "the tiers no longer sum to degraded");
+    }
+
+    #[test]
+    fn registry_identity_reconciles_in_the_documented_way() {
+        let mut stats = balanced();
+        stats.evicted += 1;
+        assert_eq!(failing(&stats), [2]);
+    }
+
+    #[test]
+    fn job_identity_counts_shed_victims_once() {
+        // A shed victim was `submitted` and is in `rejected`; only `shed`
+        // lets a snapshot tell it from a refusal at the door.
+        let mut stats = balanced();
+        stats.rejected += 1;
+        assert_eq!(failing(&stats), [], "a door refusal");
+        stats.shed += 1;
+        assert_eq!(failing(&stats), [3]);
     }
 }

@@ -11,9 +11,6 @@
 //!   the seeded helpers: golden digests must stay bit-exact.
 //! * **`lock-discipline`** — engine mutexes are leaf locks, and scene
 //!   preparation runs outside the registry guard (the PR 5 rule).
-//! * **`counter-coverage`** — every `StageCounts`/`EngineStats` field
-//!   reaches the JSON emitters, the `Display` impl and a `tests/`
-//!   reconciliation assertion.
 //! * **`error-coverage`** — every error variant is exercised by
 //!   `tests/error_paths.rs`.
 //! * **`prelude-coverage`** — every public `*Config`/`*Policy`/`*Mode`

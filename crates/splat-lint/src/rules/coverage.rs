@@ -1,113 +1,15 @@
-//! Structural cross-check rules: counters, error variants and prelude
-//! exports are parsed from their definitions and matched against the
-//! surfaces that must cover them, so adding a field or variant without
-//! covering it is a lint error — it can never silently skip the drift
-//! checks.
+//! Structural cross-check rules: error variants and prelude exports are
+//! parsed from their definitions and matched against the surfaces that
+//! must cover them, so adding a variant or config knob without covering it
+//! is a lint error. (Counters need no such rule: the `counters!`
+//! definition generates every surface from the one field list.)
 
 use crate::config::{Config, Severity};
 use crate::diag::Diagnostic;
 use crate::source::{FileKind, Workspace};
 
-use super::{
-    code_tokens, contains_ident, contains_json_key, display_impl_block, enum_variants, finding,
-    struct_fields, Rule,
-};
+use super::{code_tokens, contains_ident, enum_variants, finding, Rule};
 use crate::lexer::TokenKind;
-
-/// The counter structs whose every field must reach the JSON emitters,
-/// the `Display` impl and at least one `tests/` assertion.
-const COUNTER_STRUCTS: [(&str, &str); 3] = [
-    ("StageCounts", "crates/splat-core/src/stats.rs"),
-    ("EngineStats", "crates/splat-engine/src/stats.rs"),
-    ("ServerStats", "crates/splat-server/src/stats.rs"),
-];
-
-/// `counter-coverage`: every `StageCounts`/`EngineStats`/`ServerStats`
-/// field appears in a JSON emitter, the struct's `Display` impl, and
-/// some `tests/` file.
-pub struct CounterCoverage;
-
-impl Rule for CounterCoverage {
-    fn id(&self) -> &'static str {
-        "counter-coverage"
-    }
-
-    fn default_severity(&self) -> Severity {
-        Severity::Error
-    }
-
-    fn check(&self, workspace: &Workspace, _config: &Config, out: &mut Vec<Diagnostic>) {
-        for (name, path) in COUNTER_STRUCTS {
-            let Some(file) = workspace.file(path) else {
-                continue; // fixture workspaces without the struct
-            };
-            let fields = struct_fields(file, name);
-            if fields.is_empty() {
-                continue;
-            }
-            // Locate the Display impl once, anywhere in the workspace.
-            let display_body = workspace.files.iter().find_map(|f| {
-                let code = code_tokens(f);
-                display_impl_block(&code, f, "Display", name).map(|(open, close)| {
-                    code[open..close]
-                        .iter()
-                        .filter(|(_, t)| t.kind == TokenKind::Ident)
-                        .map(|(_, t)| t.text(&f.text).to_string())
-                        .collect::<Vec<_>>()
-                })
-            });
-            for (field, token) in &fields {
-                if !workspace.files.iter().any(|f| contains_json_key(f, field)) {
-                    out.push(finding(
-                        file,
-                        token,
-                        self,
-                        format!(
-                            "`{name}::{field}` is not emitted by any JSON emitter: add \
-                             `\"{field}\":…` to the machine-readable output so bench \
-                             drift checks can see it"
-                        ),
-                    ));
-                }
-                match &display_body {
-                    None => out.push(finding(
-                        file,
-                        token,
-                        self,
-                        format!("`{name}` has no `Display` impl covering `{field}`"),
-                    )),
-                    Some(idents) if !idents.iter().any(|i| i == field) => out.push(finding(
-                        file,
-                        token,
-                        self,
-                        format!(
-                            "`{name}::{field}` is missing from the `Display` impl: the \
-                             human-readable report must show every counter"
-                        ),
-                    )),
-                    Some(_) => {}
-                }
-                let in_tests = workspace
-                    .files
-                    .iter()
-                    .filter(|f| f.kind == FileKind::Test)
-                    .any(|f| contains_ident(f, field));
-                if !in_tests {
-                    out.push(finding(
-                        file,
-                        token,
-                        self,
-                        format!(
-                            "`{name}::{field}` is never asserted in a `tests/` \
-                             reconciliation test: a counter nobody checks can drift \
-                             silently"
-                        ),
-                    ));
-                }
-            }
-        }
-    }
-}
 
 /// The error enums whose every variant must be exercised by
 /// `tests/error_paths.rs`.
@@ -233,53 +135,6 @@ impl Rule for PreludeCoverage {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// A minimal workspace where `scratch_field` has every surface and
-    /// `lonely_field` has none: the acceptance-criteria scenario.
-    fn counter_workspace(extra_field: &str) -> Workspace {
-        let stats = format!(
-            "pub struct StageCounts {{\n    pub scratch_field: u64,\n    pub {extra_field}: u64,\n}}\nimpl fmt::Display for StageCounts {{\n    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {{\n        write!(f, \"{{}}\", self.scratch_field)\n    }}\n}}\n"
-        );
-        Workspace::from_sources(vec![
-            ("crates/splat-core/src/stats.rs", stats),
-            (
-                "crates/splat-bench/src/lib.rs",
-                "fn emit() { println!(\"{{\\\"scratch_field\\\":{}}}\", 1); }\n".to_string(),
-            ),
-            (
-                "tests/reconcile.rs",
-                "#[test]\nfn t() { assert_eq!(counts.scratch_field, 0); }\n".to_string(),
-            ),
-        ])
-    }
-
-    #[test]
-    fn a_fully_covered_counter_is_clean() {
-        let mut out = Vec::new();
-        CounterCoverage.check(
-            &counter_workspace("scratch_field_b"),
-            &Config::default(),
-            &mut out,
-        );
-        // scratch_field is covered on all three surfaces; the second
-        // field misses all three.
-        assert_eq!(out.len(), 3);
-        assert!(out.iter().all(|d| d.message.contains("scratch_field_b")));
-    }
-
-    #[test]
-    fn an_uncovered_field_fails_each_surface() {
-        let mut out = Vec::new();
-        CounterCoverage.check(
-            &counter_workspace("lonely_field"),
-            &Config::default(),
-            &mut out,
-        );
-        let messages: Vec<&str> = out.iter().map(|d| d.message.as_str()).collect();
-        assert!(messages.iter().any(|m| m.contains("JSON emitter")));
-        assert!(messages.iter().any(|m| m.contains("Display")));
-        assert!(messages.iter().any(|m| m.contains("reconciliation test")));
-    }
 
     #[test]
     fn error_variants_must_reach_the_error_path_test() {

@@ -1,6 +1,6 @@
 //! The rule engine: the [`Rule`] trait, the rule registry, and shared
-//! token-level parsing helpers (struct fields, enum variants, impl
-//! blocks) used by the structural cross-check rules.
+//! token-level parsing helpers (identifiers, enum variants) used by the
+//! structural cross-check rules.
 
 mod coverage;
 mod locks;
@@ -12,7 +12,7 @@ use crate::diag::Diagnostic;
 use crate::lexer::{Token, TokenKind};
 use crate::source::{SourceFile, Workspace};
 
-pub use coverage::{CounterCoverage, ErrorCoverage, PreludeCoverage};
+pub use coverage::{ErrorCoverage, PreludeCoverage};
 pub use locks::LockDiscipline;
 pub use nondeterminism::NoNondeterminism;
 pub use panic_paths::{NoIndexPanic, NoPanicPaths};
@@ -34,7 +34,6 @@ pub fn all_rules() -> Vec<Box<dyn Rule>> {
         Box::new(NoIndexPanic),
         Box::new(NoNondeterminism),
         Box::new(LockDiscipline),
-        Box::new(CounterCoverage),
         Box::new(ErrorCoverage),
         Box::new(PreludeCoverage),
     ]
@@ -77,67 +76,6 @@ pub fn contains_ident(file: &SourceFile, name: &str) -> bool {
     file.tokens
         .iter()
         .any(|t| t.kind == TokenKind::Ident && t.text(&file.text) == name)
-}
-
-/// Whether any string literal in `file` contains the JSON key `"name"`.
-/// Escaped quotes in the source (`\"name\"`) are normalized first, so
-/// both `format!("\"x\":{}")` and raw strings `r#""x":1"#` match.
-pub fn contains_json_key(file: &SourceFile, name: &str) -> bool {
-    let needle = format!("\"{name}\"");
-    file.tokens
-        .iter()
-        .filter(|t| t.kind == TokenKind::Literal)
-        .any(|t| t.text(&file.text).replace("\\\"", "\"").contains(&needle))
-}
-
-/// Parses the named fields of `struct name { pub field: Ty, ... }`.
-/// Returns `(field, token-of-field)` pairs in declaration order.
-pub fn struct_fields(file: &SourceFile, name: &str) -> Vec<(String, Token)> {
-    let code = code_tokens(file);
-    let mut fields = Vec::new();
-    let Some(open) = find_item_open(&code, file, "struct", name) else {
-        return fields;
-    };
-    let mut depth = 1i64;
-    let mut i = open + 1;
-    while i < code.len() && depth > 0 {
-        let t = &code[i].1;
-        match t.kind {
-            TokenKind::Punct('{') | TokenKind::Punct('(') | TokenKind::Punct('[') => depth += 1,
-            TokenKind::Punct('}') | TokenKind::Punct(')') | TokenKind::Punct(']') => depth -= 1,
-            TokenKind::Ident if depth == 1 && t.is_ident(&file.text, "pub") => {
-                let mut j = i + 1;
-                // `pub(crate)` visibility scope.
-                if j < code.len() && code[j].1.is_punct('(') {
-                    let mut d = 0i64;
-                    while j < code.len() {
-                        match code[j].1.kind {
-                            TokenKind::Punct('(') => d += 1,
-                            TokenKind::Punct(')') => {
-                                d -= 1;
-                                if d == 0 {
-                                    break;
-                                }
-                            }
-                            _ => {}
-                        }
-                        j += 1;
-                    }
-                    j += 1;
-                }
-                if j + 1 < code.len()
-                    && code[j].1.kind == TokenKind::Ident
-                    && code[j + 1].1.is_punct(':')
-                {
-                    fields.push((code[j].1.text(&file.text).to_string(), code[j].1));
-                    i = j + 1;
-                }
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    fields
 }
 
 /// Parses the variant names of `enum name { A, B(..), C{..} }`.
@@ -207,73 +145,9 @@ fn find_item_open(
     None
 }
 
-/// Finds the code-token range `(open, close)` of the block body of
-/// `impl<..> <Trait> for <name> { ... }` where `Trait`'s final path
-/// segment is `trait_name`. Returns indices into [`code_tokens`].
-pub fn display_impl_block(
-    code: &[(usize, Token)],
-    file: &SourceFile,
-    trait_name: &str,
-    name: &str,
-) -> Option<(usize, usize)> {
-    for i in 0..code.len() {
-        if !code[i].1.is_ident(&file.text, trait_name) {
-            continue;
-        }
-        // Look for `for <path-ending-in-name>` within a few tokens, then
-        // the block opener.
-        let mut j = i + 1;
-        let mut saw_for = false;
-        let mut matches_type = false;
-        while j < code.len() && j < i + 12 {
-            let t = &code[j].1;
-            if t.is_ident(&file.text, "for") {
-                saw_for = true;
-            } else if saw_for && t.is_ident(&file.text, name) {
-                matches_type = true;
-            } else if t.is_punct('{') {
-                break;
-            }
-            j += 1;
-        }
-        if !(saw_for && matches_type && j < code.len()) {
-            continue;
-        }
-        let mut depth = 0i64;
-        let mut k = j;
-        while k < code.len() {
-            match code[k].1.kind {
-                TokenKind::Punct('{') => depth += 1,
-                TokenKind::Punct('}') => {
-                    depth -= 1;
-                    if depth == 0 {
-                        return Some((j, k));
-                    }
-                }
-                _ => {}
-            }
-            k += 1;
-        }
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn struct_fields_parse_in_order() {
-        let file = SourceFile::new(
-            "crates/splat-core/src/stats.rs",
-            "/// Doc.\npub struct StageCounts {\n    /// A.\n    pub input_gaussians: u64,\n    pub tiles: u64,\n    pub(crate) internal: u64,\n    not_public: u64,\n}\n",
-        );
-        let fields: Vec<String> = struct_fields(&file, "StageCounts")
-            .into_iter()
-            .map(|(n, _)| n)
-            .collect();
-        assert_eq!(fields, ["input_gaussians", "tiles", "internal"]);
-    }
 
     #[test]
     fn enum_variants_skip_payloads_and_attributes() {
@@ -286,32 +160,5 @@ mod tests {
             .map(|(n, _)| n)
             .collect();
         assert_eq!(names, ["EmptyScene", "Overloaded", "Unknown"]);
-    }
-
-    #[test]
-    fn json_keys_match_through_escapes() {
-        let file = SourceFile::new(
-            "crates/x/src/lib.rs",
-            "fn j() { let _ = format!(\"{{\\\"alpha_computations\\\":{}}}\", 1); }\n",
-        );
-        assert!(contains_json_key(&file, "alpha_computations"));
-        assert!(!contains_json_key(&file, "alpha"));
-    }
-
-    #[test]
-    fn display_impl_block_finds_the_body() {
-        let file = SourceFile::new(
-            "crates/x/src/lib.rs",
-            "impl fmt::Display for EngineStats {\n    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {\n        write!(f, \"{}\", self.submitted)\n    }\n}\n",
-        );
-        let code = code_tokens(&file);
-        let (open, close) = display_impl_block(&code, &file, "Display", "EngineStats").unwrap();
-        assert!(open < close);
-        let body: Vec<&str> = code[open..close]
-            .iter()
-            .filter(|(_, t)| t.kind == TokenKind::Ident)
-            .map(|(_, t)| t.text(&file.text))
-            .collect();
-        assert!(body.contains(&"submitted"));
     }
 }

@@ -5,7 +5,7 @@
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-use splat_lint::{check_workspace, Severity};
+use splat_lint::check_workspace;
 
 fn fixture(name: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -49,16 +49,6 @@ fn every_rule_fires_on_the_dirty_fixture_at_the_right_location() {
     // and the heavy `prepare` call under a guard.
     expect("lock-discipline", "crates/splat-engine/src/lib.rs", 11);
     expect("lock-discipline", "crates/splat-engine/src/lib.rs", 17);
-
-    // counter-coverage: `phantom_ops` misses JSON, Display and tests/ —
-    // three findings on the field's line.
-    let phantom = found
-        .iter()
-        .filter(|(r, f, l)| {
-            r == "counter-coverage" && f == "crates/splat-core/src/stats.rs" && *l == 2
-        })
-        .count();
-    assert_eq!(phantom, 3, "JSON + Display + tests findings: {found:#?}");
 
     // error-coverage: `Overloaded` is absent from tests/error_paths.rs.
     expect("error-coverage", "crates/splat-types/src/error.rs", 3);
@@ -118,7 +108,7 @@ fn cli_exits_nonzero_on_dirty_trees_with_machine_readable_locations() {
         "\"file\":\"crates/gstg/src/lib.rs\",\"line\":2",
         "\"rule\":\"no-panic-paths\"",
         "\"rule\":\"lock-discipline\"",
-        "\"rule\":\"counter-coverage\"",
+        "\"rule\":\"error-coverage\"",
     ] {
         assert!(json.contains(fragment), "missing {fragment} in {json}");
     }
@@ -135,22 +125,43 @@ fn cli_exits_nonzero_on_dirty_trees_with_machine_readable_locations() {
     );
 }
 
-/// The acceptance-criteria scenario, end to end on a real tree: adding a
-/// `StageCounts` field without emitter/Display/test coverage makes the
-/// check fail.
+/// The scenario the deleted `counter-coverage` rule policed, on what
+/// replaced it: a counter added to a `counters!` struct cannot miss the
+/// JSON or `Display` surface (both are generated from the field list), and
+/// one that no declared identity constrains is found from `FIELDS` and
+/// `identities()` alone — the walk `tests/counter_reconciliation.rs` runs
+/// over the three live structs.
 #[test]
 fn an_uncovered_scratch_counter_field_fails_the_check() {
-    let report = check_workspace(&fixture("dirty")).expect("fixture walks cleanly");
-    let uncovered: Vec<_> = report
-        .diagnostics
-        .iter()
-        .filter(|d| d.rule == "counter-coverage")
+    splat_types::counters! {
+        /// Scratch counters.
+        #[derive(Clone, Copy)]
+        struct Scratch {
+            /// Started.
+            ops: u64,
+            /// Finished.
+            done: u64,
+            /// Added without joining an identity.
+            phantom_ops: u64,
+        }
+    }
+    impl Scratch {
+        fn identities(&self) -> [(&'static str, u64, u64); 1] {
+            [("ops == done", self.ops, self.done)]
+        }
+    }
+
+    let scratch = Scratch::from([2, 2, 7]);
+    assert!(scratch.to_json().contains("\"phantom_ops\":7"));
+    assert!(scratch.to_string().contains("7 phantom_ops"));
+    let unconstrained: Vec<&str> = (0..Scratch::FIELDS.len())
+        .filter(|&index| {
+            let mut unit = [0; 3];
+            unit[index] = 1;
+            let identities = Scratch::from(unit).identities();
+            identities.iter().all(|&(_, l, r)| (l, r) == (0, 0))
+        })
+        .map(|index| Scratch::FIELDS[index])
         .collect();
-    assert_eq!(uncovered.len(), 3);
-    assert!(uncovered.iter().all(|d| d.severity == Severity::Error));
-    assert!(uncovered.iter().any(|d| d.message.contains("JSON emitter")));
-    assert!(uncovered.iter().any(|d| d.message.contains("Display")));
-    assert!(uncovered
-        .iter()
-        .any(|d| d.message.contains("reconciliation test")));
+    assert_eq!(unconstrained, ["phantom_ops"]);
 }

@@ -699,7 +699,15 @@ fn handle_trajectory(
 
     shared.counters.record_status(200);
     let headers = [("X-Splat-Frames", frames.len().to_string())];
-    let mut written = write_chunked_head(stream, 200, &headers, "application/octet-stream")?;
+    // Counted as each write returns, so a client that disconnects
+    // mid-stream still leaves the bytes it was sent in `bytes_out`.
+    let sent = |bytes: u64| ServerCounters::add(&shared.counters.bytes_out, bytes);
+    sent(write_chunked_head(
+        stream,
+        200,
+        &headers,
+        "application/octet-stream",
+    )?);
     while let Some((tier, result)) = frames.next_frame_tiered() {
         let chunk = match (tier, result) {
             (Some(tier), Ok(output)) => {
@@ -714,14 +722,13 @@ fn handle_trajectory(
             }
             (_, Err(error)) => encode_refusal_chunk(&error.to_string()),
         };
-        written += write_chunk(stream, &chunk)?;
+        sent(write_chunk(stream, &chunk)?);
         if shared.stopping() {
             // Shutdown mid-stream: stop submitting new frames; the
             // truncated chunk stream tells the peer the transfer died.
             break;
         }
     }
-    written += finish_chunks(stream)?;
-    ServerCounters::add(&shared.counters.bytes_out, written);
+    sent(finish_chunks(stream)?);
     Ok(())
 }

@@ -9,79 +9,81 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// A point-in-time snapshot of the server's counters, taken with
-/// [`Server::stats`](crate::Server::stats).
-///
-/// Counters are cumulative over the server's lifetime;
-/// `active_connections` is an instantaneous gauge. Two bookkeeping
-/// identities hold at every snapshot where no request is mid-dispatch:
-///
-/// * **Routing:** `requests == scenes_requests + render_requests +
-///   trajectory_requests + stats_requests + health_requests +
-///   shutdown_requests + unrouted_requests` — every parsed request is
-///   routed exactly once.
-/// * **Status:** `requests == ok + bad_request + not_found + gone +
-///   payload_too_large + overloaded` — every parsed request produces
-///   exactly one response status. Connections refused at the door
-///   (`refused_connections`) never became requests and appear in
-///   neither sum.
-///
-/// Reconciliation against the engine: single-frame renders flow
-/// `render_requests → Engine submissions`, so at quiescence
-/// `ok + overloaded + not_found + gone` responses on `/render` account
-/// for every `submitted`/`rejected`/miss the engine recorded for that
-/// traffic (pinned exactly in `tests/server_e2e.rs`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[non_exhaustive]
-pub struct ServerStats {
-    /// Connections accepted into the bounded connection queue.
-    pub accepted: u64,
-    /// Connections turned away at the door with an immediate `503`
-    /// because the connection queue was full — backpressure before a
-    /// single request byte is parsed.
-    pub refused_connections: u64,
-    /// Connections currently being served by a worker.
-    pub active_connections: usize,
-    /// Requests successfully parsed from the wire (any route).
-    pub requests: u64,
-    /// Requests routed to `POST /scenes`.
-    pub scenes_requests: u64,
-    /// Requests routed to `POST /render`.
-    pub render_requests: u64,
-    /// Requests routed to `POST /trajectories`.
-    pub trajectory_requests: u64,
-    /// Requests routed to `GET /stats`.
-    pub stats_requests: u64,
-    /// Requests routed to `GET /healthz`.
-    pub health_requests: u64,
-    /// Requests routed to `POST /shutdown`.
-    pub shutdown_requests: u64,
-    /// Requests whose method/path matched no route (`404`).
-    pub unrouted_requests: u64,
-    /// Responses with a 2xx status.
-    pub ok: u64,
-    /// `400` responses: malformed HTTP framing, malformed JSON or scene
-    /// bytes, or invalid camera/trajectory parameters.
-    pub bad_request: u64,
-    /// `404` responses: unknown routes and `RenderError::UnknownScene`.
-    pub not_found: u64,
-    /// `410` responses: `RenderError::Evicted` — the scene existed but
-    /// was deflated by the residency policy.
-    pub gone: u64,
-    /// `413` responses: declared `Content-Length` above the configured
-    /// body limit (the body is never read).
-    pub payload_too_large: u64,
-    /// `503` responses: `RenderError::Overloaded` / `ShutDown` mapped
-    /// to the wire with `Retry-After`.
-    pub overloaded: u64,
-    /// Frames delivered through chunked trajectory streams (refusal
-    /// chunks not included).
-    pub frames_streamed: u64,
-    /// Request bytes read from the wire (request line, headers, body).
-    pub bytes_in: u64,
-    /// Response bytes written to the wire (status line, headers, body,
-    /// chunk framing).
-    pub bytes_out: u64,
+splat_types::counters! {
+    /// A point-in-time snapshot of the server's counters, taken with
+    /// [`Server::stats`](crate::Server::stats).
+    ///
+    /// Counters are cumulative over the server's lifetime;
+    /// `active_connections` is an instantaneous gauge. The routing and
+    /// status identities of [`identities`](ServerStats::identities) hold at
+    /// every snapshot where no request is mid-dispatch. Connections refused
+    /// at the door (`refused_connections`) never became requests and appear
+    /// in neither.
+    ///
+    /// Reconciliation against the engine: single-frame renders flow
+    /// `render_requests → Engine submissions`, so at quiescence
+    /// `ok + overloaded + not_found + gone` responses on `/render` account
+    /// for every `submitted`/`rejected`/miss the engine recorded for that
+    /// traffic (pinned exactly in `tests/server_e2e.rs`).
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+    #[non_exhaustive]
+    pub struct ServerStats {
+        /// Connections accepted into the bounded connection queue.
+        accepted: u64,
+        /// Connections turned away at the door with an immediate `503`
+        /// because the connection queue was full — backpressure before a
+        /// single request byte is parsed.
+        refused_connections: u64,
+        /// Connections currently being served by a worker.
+        active_connections: usize,
+        /// Requests successfully parsed from the wire (any route).
+        requests: u64,
+        /// Requests routed to `POST /scenes`.
+        scenes_requests: u64,
+        /// Requests routed to `POST /render`.
+        render_requests: u64,
+        /// Requests routed to `POST /trajectories`.
+        trajectory_requests: u64,
+        /// Requests routed to `GET /stats`.
+        stats_requests: u64,
+        /// Requests routed to `GET /healthz`.
+        health_requests: u64,
+        /// Requests routed to `POST /shutdown`.
+        shutdown_requests: u64,
+        /// Requests whose method/path matched no route (`404`).
+        unrouted_requests: u64,
+        /// Responses with a 2xx status.
+        ok: u64,
+        /// `400` responses: malformed HTTP framing, malformed JSON or scene
+        /// bytes, or invalid camera/trajectory parameters.
+        bad_request: u64,
+        /// `404` responses: unknown routes and `RenderError::UnknownScene`.
+        not_found: u64,
+        /// `410` responses: `RenderError::Evicted` — the scene existed but
+        /// was deflated by the residency policy.
+        gone: u64,
+        /// `413` responses: declared `Content-Length` above the configured
+        /// body limit (the body is never read).
+        payload_too_large: u64,
+        /// `503` responses: `RenderError::Overloaded` / `ShutDown` mapped
+        /// to the wire with `Retry-After`.
+        overloaded: u64,
+        /// Frames delivered through chunked trajectory streams (refusal
+        /// chunks not included).
+        frames_streamed: u64,
+        /// Request bytes read from the wire (request line, headers, body).
+        bytes_in: u64,
+        /// Response bytes written to the wire (status line, headers, body,
+        /// chunk framing).
+        bytes_out: u64,
+    }
+    /// Lock-free accumulator behind [`ServerStats`]: every worker thread
+    /// bumps these atomics as it serves; `snapshot` reads them into the
+    /// plain struct. Relaxed ordering is sufficient because the counters
+    /// are monotonic tallies, not synchronization — reconciliation tests
+    /// quiesce the server before comparing.
+    #[derive(Debug, Default)]
+    pub(crate) atomic ServerCounters;
 }
 
 impl ServerStats {
@@ -108,102 +110,16 @@ impl ServerStats {
             + self.overloaded
     }
 
-    /// One machine-readable JSON object (served by `GET /stats` and
-    /// consumed by `load_gen --json`).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"accepted\":{},\"refused_connections\":{},\"active_connections\":{},\
-             \"requests\":{},\"scenes_requests\":{},\"render_requests\":{},\
-             \"trajectory_requests\":{},\"stats_requests\":{},\"health_requests\":{},\
-             \"shutdown_requests\":{},\"unrouted_requests\":{},\
-             \"ok\":{},\"bad_request\":{},\"not_found\":{},\"gone\":{},\
-             \"payload_too_large\":{},\"overloaded\":{},\
-             \"frames_streamed\":{},\"bytes_in\":{},\"bytes_out\":{}}}",
-            self.accepted,
-            self.refused_connections,
-            self.active_connections,
-            self.requests,
-            self.scenes_requests,
-            self.render_requests,
-            self.trajectory_requests,
-            self.stats_requests,
-            self.health_requests,
-            self.shutdown_requests,
-            self.unrouted_requests,
-            self.ok,
-            self.bad_request,
-            self.not_found,
-            self.gone,
-            self.payload_too_large,
-            self.overloaded,
-            self.frames_streamed,
-            self.bytes_in,
-            self.bytes_out,
-        )
+    /// The bookkeeping identities that hold whenever no request is
+    /// mid-dispatch, as `(name, left, right)` with `left == right`: every
+    /// parsed request is routed exactly once and answered with exactly
+    /// one status.
+    pub fn identities(&self) -> [(&'static str, u64, u64); 2] {
+        [
+            ("requests == routed()", self.requests, self.routed()),
+            ("requests == responded()", self.requests, self.responded()),
+        ]
     }
-}
-
-impl std::fmt::Display for ServerStats {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "connections {} accepted, {} refused_connections, {} active_connections / \
-             requests {} ({} scenes_requests, {} render_requests, {} trajectory_requests, \
-             {} stats_requests, {} health_requests, {} shutdown_requests, \
-             {} unrouted_requests) / status {} ok, {} bad_request, {} not_found, {} gone, \
-             {} payload_too_large, {} overloaded / {} frames_streamed / \
-             {} bytes_in, {} bytes_out",
-            self.accepted,
-            self.refused_connections,
-            self.active_connections,
-            self.requests,
-            self.scenes_requests,
-            self.render_requests,
-            self.trajectory_requests,
-            self.stats_requests,
-            self.health_requests,
-            self.shutdown_requests,
-            self.unrouted_requests,
-            self.ok,
-            self.bad_request,
-            self.not_found,
-            self.gone,
-            self.payload_too_large,
-            self.overloaded,
-            self.frames_streamed,
-            self.bytes_in,
-            self.bytes_out,
-        )
-    }
-}
-
-/// Lock-free accumulator behind [`ServerStats`]: every worker thread
-/// bumps these atomics as it serves; [`snapshot`](Self::snapshot) reads
-/// them into the plain snapshot struct. Relaxed ordering is sufficient
-/// because the counters are monotonic tallies, not synchronization —
-/// reconciliation tests quiesce the server before comparing.
-#[derive(Debug, Default)]
-pub(crate) struct ServerCounters {
-    pub(crate) accepted: AtomicU64,
-    pub(crate) refused_connections: AtomicU64,
-    pub(crate) active_connections: AtomicU64,
-    pub(crate) requests: AtomicU64,
-    pub(crate) scenes_requests: AtomicU64,
-    pub(crate) render_requests: AtomicU64,
-    pub(crate) trajectory_requests: AtomicU64,
-    pub(crate) stats_requests: AtomicU64,
-    pub(crate) health_requests: AtomicU64,
-    pub(crate) shutdown_requests: AtomicU64,
-    pub(crate) unrouted_requests: AtomicU64,
-    pub(crate) ok: AtomicU64,
-    pub(crate) bad_request: AtomicU64,
-    pub(crate) not_found: AtomicU64,
-    pub(crate) gone: AtomicU64,
-    pub(crate) payload_too_large: AtomicU64,
-    pub(crate) overloaded: AtomicU64,
-    pub(crate) frames_streamed: AtomicU64,
-    pub(crate) bytes_in: AtomicU64,
-    pub(crate) bytes_out: AtomicU64,
 }
 
 impl ServerCounters {
@@ -236,31 +152,6 @@ impl ServerCounters {
             _ => Self::bump(&self.bad_request),
         }
     }
-
-    pub(crate) fn snapshot(&self) -> ServerStats {
-        ServerStats {
-            accepted: self.accepted.load(Ordering::Relaxed),
-            refused_connections: self.refused_connections.load(Ordering::Relaxed),
-            active_connections: self.active_connections.load(Ordering::Relaxed) as usize,
-            requests: self.requests.load(Ordering::Relaxed),
-            scenes_requests: self.scenes_requests.load(Ordering::Relaxed),
-            render_requests: self.render_requests.load(Ordering::Relaxed),
-            trajectory_requests: self.trajectory_requests.load(Ordering::Relaxed),
-            stats_requests: self.stats_requests.load(Ordering::Relaxed),
-            health_requests: self.health_requests.load(Ordering::Relaxed),
-            shutdown_requests: self.shutdown_requests.load(Ordering::Relaxed),
-            unrouted_requests: self.unrouted_requests.load(Ordering::Relaxed),
-            ok: self.ok.load(Ordering::Relaxed),
-            bad_request: self.bad_request.load(Ordering::Relaxed),
-            not_found: self.not_found.load(Ordering::Relaxed),
-            gone: self.gone.load(Ordering::Relaxed),
-            payload_too_large: self.payload_too_large.load(Ordering::Relaxed),
-            overloaded: self.overloaded.load(Ordering::Relaxed),
-            frames_streamed: self.frames_streamed.load(Ordering::Relaxed),
-            bytes_in: self.bytes_in.load(Ordering::Relaxed),
-            bytes_out: self.bytes_out.load(Ordering::Relaxed),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -286,8 +177,17 @@ mod tests {
             overloaded: 1,
             ..Default::default()
         };
-        assert_eq!(stats.routed(), stats.requests);
-        assert_eq!(stats.responded(), stats.requests);
+        for (identity, left, right) in stats.identities() {
+            assert_eq!(left, right, "{identity}");
+        }
+        // One more response than requests breaks exactly the status side.
+        let drifted = ServerStats { gone: 1, ..stats };
+        let failing: Vec<_> = drifted
+            .identities()
+            .into_iter()
+            .filter(|(_, l, r)| l != r)
+            .collect();
+        assert_eq!(failing, [("requests == responded()", 9, 10)]);
     }
 
     #[test]

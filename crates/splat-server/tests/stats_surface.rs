@@ -1,96 +1,70 @@
 //! Pins the `ServerStats` observability surface: every counter is
-//! carried by `to_json` and `Display`, and the documented routing and
-//! status identities reconcile.
+//! carried by `to_json` and `Display`, the JSON bytes `GET /stats`
+//! clients parse are fixed, and the declared routing and status
+//! identities reconcile.
 
 use splat_server::ServerStats;
 
+/// Field *i* holds the *i*-th prime, so every value is distinct.
 fn sample() -> ServerStats {
-    // `ServerStats` is `#[non_exhaustive]`, so build by mutation.
-    let mut stats = ServerStats::default();
-    stats.accepted = 12;
-    stats.refused_connections = 3;
-    stats.active_connections = 2;
-    stats.requests = 11;
-    stats.scenes_requests = 1;
-    stats.render_requests = 6;
-    stats.trajectory_requests = 1;
-    stats.stats_requests = 1;
-    stats.health_requests = 1;
-    stats.shutdown_requests = 0;
-    stats.unrouted_requests = 1;
-    stats.ok = 7;
-    stats.bad_request = 1;
-    stats.not_found = 1;
-    stats.gone = 0;
-    stats.payload_too_large = 1;
-    stats.overloaded = 1;
-    stats.frames_streamed = 5;
-    stats.bytes_in = 4096;
-    stats.bytes_out = 65536;
-    stats
+    const PRIMES: [u64; 20] = [
+        2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71,
+    ];
+    ServerStats::from(PRIMES)
 }
 
 #[test]
 fn json_covers_every_counter() {
-    let stats = sample();
-    let json = stats.to_json();
-    for field in [
-        "\"accepted\":12",
-        "\"refused_connections\":3",
-        "\"active_connections\":2",
-        "\"requests\":11",
-        "\"scenes_requests\":1",
-        "\"render_requests\":6",
-        "\"trajectory_requests\":1",
-        "\"stats_requests\":1",
-        "\"health_requests\":1",
-        "\"shutdown_requests\":0",
-        "\"unrouted_requests\":1",
-        "\"ok\":7",
-        "\"bad_request\":1",
-        "\"not_found\":1",
-        "\"gone\":0",
-        "\"payload_too_large\":1",
-        "\"overloaded\":1",
-        "\"frames_streamed\":5",
-        "\"bytes_in\":4096",
-        "\"bytes_out\":65536",
-    ] {
-        assert!(json.contains(field), "missing {field} in {json}");
+    let json = sample().to_json();
+    for (name, value) in ServerStats::FIELDS.iter().zip(sample().values()) {
+        assert!(
+            json.contains(&format!("\"{name}\":{value}")),
+            "missing {name} in {json}"
+        );
     }
 }
 
 #[test]
 fn display_covers_every_counter() {
     let text = sample().to_string();
-    for token in [
-        "12 accepted",
-        "3 refused_connections",
-        "2 active_connections",
-        "1 scenes_requests",
-        "6 render_requests",
-        "1 trajectory_requests",
-        "1 stats_requests",
-        "1 health_requests",
-        "0 shutdown_requests",
-        "1 unrouted_requests",
-        "7 ok",
-        "1 bad_request",
-        "1 not_found",
-        "0 gone",
-        "1 payload_too_large",
-        "1 overloaded",
-        "5 frames_streamed",
-        "4096 bytes_in",
-        "65536 bytes_out",
-    ] {
-        assert!(text.contains(token), "missing `{token}` in `{text}`");
+    for (name, value) in ServerStats::FIELDS.iter().zip(sample().values()) {
+        assert!(
+            text.contains(&format!("{value} {name}")),
+            "missing `{name}` in `{text}`"
+        );
     }
 }
 
 #[test]
+fn json_bytes_are_pinned() {
+    assert_eq!(
+        sample().to_json(),
+        "{\"accepted\":2,\"refused_connections\":3,\"active_connections\":5,\
+         \"requests\":7,\"scenes_requests\":11,\"render_requests\":13,\
+         \"trajectory_requests\":17,\"stats_requests\":19,\"health_requests\":23,\
+         \"shutdown_requests\":29,\"unrouted_requests\":31,\
+         \"ok\":37,\"bad_request\":41,\"not_found\":43,\"gone\":47,\
+         \"payload_too_large\":53,\"overloaded\":59,\
+         \"frames_streamed\":61,\"bytes_in\":67,\"bytes_out\":71}"
+    );
+}
+
+#[test]
 fn routing_and_status_identities_reconcile() {
-    let stats = sample();
-    assert_eq!(stats.routed(), stats.requests);
-    assert_eq!(stats.responded(), stats.requests);
+    // `ServerStats` is `#[non_exhaustive]`, so build by mutation: nine
+    // requests, each routed and answered exactly once.
+    let mut balanced = ServerStats::default();
+    balanced.requests = 9;
+    (balanced.scenes_requests, balanced.render_requests) = (1, 5);
+    (balanced.trajectory_requests, balanced.stats_requests) = (1, 1);
+    balanced.unrouted_requests = 1;
+    (balanced.ok, balanced.bad_request, balanced.not_found) = (6, 1, 1);
+    balanced.overloaded = 1;
+    for (identity, left, right) in balanced.identities() {
+        assert_eq!(left, right, "{identity}");
+    }
+    assert_eq!(balanced.routed(), 9);
+    assert_eq!(balanced.responded(), 9);
+    // The all-primes sample is not a balanced book, and both sides say so.
+    assert!(sample().identities().iter().all(|(_, l, r)| l != r));
 }

@@ -37,6 +37,7 @@
 
 pub mod camera;
 pub mod color;
+mod counters;
 pub mod error;
 pub mod gaussian;
 pub mod half;

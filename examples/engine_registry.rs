@@ -115,8 +115,10 @@ fn main() -> Result<(), RenderError> {
     println!("## accounting");
     for (label, stats) in [("serving", engine.stats()), ("budgeted", budgeted.stats())] {
         println!("{label} engine: {stats}");
-        if stats.registered != stats.resident_scenes as u64 + stats.evicted {
-            fail("registered scenes must be either resident or evicted");
+        for (identity, left, right) in stats.identities() {
+            if left != right {
+                fail(&format!("{identity} fails: {left} != {right}"));
+            }
         }
     }
     let stats = budgeted.stats();

@@ -19,6 +19,15 @@ fn fail(message: &str) -> ! {
     std::process::exit(1);
 }
 
+/// Every bookkeeping identity the engine declares must hold in `stats`.
+fn reconcile(stats: &EngineStats) {
+    for (identity, left, right) in stats.identities() {
+        if left != right {
+            fail(&format!("{identity} fails: {left} != {right}"));
+        }
+    }
+}
+
 fn main() -> Result<(), RenderError> {
     let scene = Arc::new(PaperScene::Train.build(SceneScale::Tiny, 0));
     let trajectory = CameraTrajectory::orbit(
@@ -63,6 +72,7 @@ fn main() -> Result<(), RenderError> {
         "served {} jobs (checksum {luminance:.4}); stats: {stats}",
         cameras.len()
     );
+    reconcile(&stats);
     if stats.completed != cameras.len() as u64 || stats.rejected != 0 {
         fail("every submitted job should have completed");
     }
@@ -112,7 +122,8 @@ fn main() -> Result<(), RenderError> {
     }
     let stats = shedding.stats();
     println!("shed {shed}/4 low-priority jobs, served 4/4 high-priority; stats: {stats}");
-    if shed != 4 || stats.completed != 4 {
+    reconcile(&stats);
+    if shed != 4 || stats.shed != shed || stats.completed != 4 {
         fail("shedding should reject exactly the low-priority jobs");
     }
 
@@ -132,6 +143,7 @@ fn main() -> Result<(), RenderError> {
         _ => fail("drain should serve the kept job and cancel the withdrawn one"),
     }
     println!("kept job served, cancelled job withdrawn; final stats: {final_stats}");
+    reconcile(&final_stats);
     if final_stats.completed != 1 || final_stats.cancelled != 1 || final_stats.in_flight() != 0 {
         fail("drain shutdown accounting is off");
     }

@@ -1,15 +1,22 @@
-//! Counter reconciliation: every `StageCounts` and `EngineStats` field is
-//! asserted against a bookkeeping identity (or an explicit bound) from a
-//! real render / serving run, so no counter can silently drift or rot.
-//!
-//! `splat-lint`'s `counter-coverage` rule requires every field of both
-//! structs to appear in at least one `tests/` file — this test is that
-//! surface, deliberately exhaustive: the field lists below are checked
-//! against the struct definitions by the lint, so adding a counter without
-//! extending this file fails `tests/lint_clean.rs`.
+//! Counter reconciliation: every `StageCounts`, `EngineStats` and
+//! `ServerStats` field is tied to a declared bookkeeping identity
+//! (`identities()`, asserted here on real render / serving runs) or to an
+//! explicit bound, so no counter can silently drift or rot.
+//! `every_counter_moves_an_identity_or_is_bound_checked` walks the three
+//! `FIELDS` tables, so adding a counter without deciding which of the two
+//! it is fails this file.
 
 use gs_tg::prelude::*;
+use gs_tg::types::rng::Rng;
 use std::sync::Arc;
+
+/// Asserts every identity of an `identities()` table, naming the one that
+/// fails.
+fn assert_identities<const N: usize>(identities: [(&'static str, u64, u64); N], context: &str) {
+    for (identity, left, right) in identities {
+        assert_eq!(left, right, "{context}: {identity}");
+    }
+}
 
 fn camera(width: u32, height: u32) -> Camera {
     Camera::look_at(
@@ -39,11 +46,11 @@ fn baseline_stage_counts_reconcile() {
 
     // Preprocess: every submitted splat is either culled or visible.
     assert_eq!(c.input_gaussians, scene.len() as u64);
-    assert_eq!(c.input_gaussians, c.culled_gaussians + c.visible_gaussians);
+    assert_identities(c.identities(), "baseline");
     assert!(c.visible_gaussians > 0);
 
-    // Identification: every accepted candidate is one sorting key, and the
-    // prepass never accepts more than it tested.
+    // Identification: with per-tile lists every accepted candidate is one
+    // sorting key, and the prepass never accepts more than it tested.
     assert_eq!(c.tiles_hit, c.tile_intersections);
     assert!(c.tile_tests > 0);
     assert!(c.tiles_tested >= c.tiles_hit);
@@ -126,7 +133,7 @@ fn gstg_bitmask_counters_reconcile() {
     let cam = camera(160, 120);
     let out = GstgRenderer::new(GstgConfig::paper_default()).render(&scene, &cam);
     let c = out.stats.counts;
-    assert_eq!(c.input_gaussians, c.culled_gaussians + c.visible_gaussians);
+    assert_identities(c.identities(), "gstg");
     assert!(
         c.bitmask_tests > 0,
         "GS-TG tests small tiles through bitmasks"
@@ -143,9 +150,8 @@ fn gstg_bitmask_counters_reconcile() {
     assert!(c.tiles_tested <= c.bitmask_tests + c.tile_tests);
 }
 
-/// Engine serving counters reconcile after a drain: the job identity
-/// `submitted == completed + cancelled + queued + active` (no rejections
-/// here), and the scene identity `registered == resident_scenes + evicted`.
+/// Engine serving counters reconcile after a drain: every declared
+/// identity (jobs, quality split, scenes) plus the exact values.
 #[test]
 fn engine_stats_reconcile_after_drain() {
     let scene = Arc::new(PaperScene::Train.build(SceneScale::Tiny, 7));
@@ -177,26 +183,19 @@ fn engine_stats_reconcile_after_drain() {
     assert_eq!(stats.cancelled, 0);
     assert_eq!(stats.queued, 0, "drained queue is empty");
     assert_eq!(stats.active, 0, "no job still rendering after wait()");
-    assert_eq!(
-        stats.submitted,
-        stats.completed + stats.cancelled + stats.queued as u64 + stats.active as u64
-    );
+    assert_eq!(stats.shed, 0);
+    assert_identities(stats.identities(), "drained");
     assert!(stats.queue_high_water >= 1, "jobs passed through the queue");
     assert_eq!(stats.scene_hits, 4, "one recency touch per admitted job");
     assert_eq!(stats.scene_misses, 0);
 
     // Quality timescale: a FullOnly engine serves everything at full
-    // quality, and the completion identity splits exactly.
+    // quality.
     assert_eq!(stats.full_quality, 4);
     assert_eq!(stats.degraded, 0);
-    assert_eq!(stats.completed, stats.full_quality + stats.degraded);
-    assert_eq!(
-        stats.degraded,
-        stats.degraded_t1 + stats.degraded_t2 + stats.degraded_t3
-    );
 
-    // Scene timescale: registered == resident + evicted, before and after
-    // an explicit eviction; resident bytes track the scene footprints.
+    // Scene timescale: the identities hold before and after an explicit
+    // eviction; resident bytes track the scene footprints.
     assert_eq!(stats.registered, 1);
     assert_eq!(stats.resident_scenes, 1);
     assert_eq!(stats.evicted, 0);
@@ -206,17 +205,14 @@ fn engine_stats_reconcile_after_drain() {
     assert_eq!(after.evicted, 1);
     assert_eq!(after.resident_scenes, 0);
     assert_eq!(after.resident_bytes, 0);
-    assert_eq!(
-        after.registered,
-        after.resident_scenes as u64 + after.evicted
-    );
+    assert_identities(after.identities(), "after eviction");
 }
 
 /// The quality ladder under pressure: a paused engine loaded to twice the
 /// shed capacity admits the nominal band at full quality and the extended
 /// band at deterministic degraded tiers, sheds the rest, and reconciles
-/// `completed == full_quality + degraded` — while rejecting strictly fewer
-/// jobs than a `FullOnly` twin fed the identical burst.
+/// every declared identity — while rejecting strictly fewer jobs than a
+/// `FullOnly` twin fed the identical burst.
 #[test]
 fn quality_ladder_counters_reconcile_under_pressure() {
     let scene = Arc::new(PaperScene::Train.build(SceneScale::Tiny, 7));
@@ -257,11 +253,11 @@ fn quality_ladder_counters_reconcile_under_pressure() {
     assert_eq!(stats.degraded_t1, 1);
     assert_eq!(stats.degraded_t2, 1);
     assert_eq!(stats.degraded_t3, 4);
-    assert_eq!(stats.completed, stats.full_quality + stats.degraded);
     assert_eq!(
-        stats.degraded,
-        stats.degraded_t1 + stats.degraded_t2 + stats.degraded_t3
+        stats.shed, 0,
+        "one priority class: the newcomer always loses"
     );
+    assert_identities(stats.identities(), "ladder burst");
 
     let (full_admitted, full_stats) = burst(QualityPolicy::FullOnly);
     assert_eq!(full_admitted, 4, "FullOnly keeps the nominal bound");
@@ -270,5 +266,179 @@ fn quality_ladder_counters_reconcile_under_pressure() {
     assert!(
         stats.rejected < full_stats.rejected,
         "degrading before shedding must reject strictly fewer jobs"
+    );
+}
+
+/// The job identity `submitted == completed + cancelled + shed + queued +
+/// active` on the `engine-burst` shape — 32 jobs with seeded mixed
+/// priorities into a paused 8-deep shedding queue with the quality ladder —
+/// at three points: staged, after a partial drain, and fully drained. A
+/// shed victim was `submitted` first and is in `rejected` too; without
+/// `shed` no snapshot could tell it from a refusal at the door.
+#[test]
+fn job_identity_holds_while_a_shedding_queue_deflates_and_drains() {
+    let scene = Arc::new(PaperScene::Train.build(SceneScale::Tiny, 7));
+    let cam = camera(64, 48);
+    let engine = Engine::builder()
+        .workers(2)
+        .admission(AdmissionPolicy::ShedLowPriority { capacity: 8 })
+        .quality(QualityPolicy::degrade_default())
+        .start_paused(true)
+        .build()
+        .expect("valid engine configuration");
+    let mut rng = Rng::seed_from_u64(15);
+    let submissions: Vec<Result<JobHandle, RenderError>> = (0..32)
+        .map(|_| {
+            let priority = Priority::ALL[rng.gen_index(Priority::ALL.len())];
+            engine.submit(SubmitRequest::new(Arc::clone(&scene), cam).with_priority(priority))
+        })
+        .collect();
+    let refused_at_the_door = submissions.iter().filter(|s| s.is_err()).count() as u64;
+
+    let staged = engine.stats();
+    assert_identities(staged.identities(), "staged");
+    assert_eq!(staged.queued, 16, "the ladder doubles the 8-deep bound");
+    assert_eq!((staged.completed, staged.active), (0, 0), "still paused");
+    assert!(
+        staged.shed > 0,
+        "a later, higher class deflates a queued job"
+    );
+    assert_eq!(staged.rejected, staged.shed + refused_at_the_door);
+    assert!(
+        refused_at_the_door > 0,
+        "a later, lower class is turned away"
+    );
+    assert_eq!(staged.submitted + refused_at_the_door, 32);
+
+    // Partial drain: let the workers start, stop dispatch again and wait
+    // for the renders in progress; the books balance at every snapshot on
+    // the way, whatever the workers are doing.
+    engine.resume();
+    while engine.stats().completed == 0 {
+        std::thread::yield_now();
+    }
+    engine.pause();
+    let partial = loop {
+        let stats = engine.stats();
+        assert_identities(stats.identities(), "draining");
+        if stats.active == 0 {
+            break stats;
+        }
+        std::thread::yield_now();
+    };
+    assert!(partial.completed > 0);
+    assert_eq!(
+        partial.shed, staged.shed,
+        "nothing arrives during the drain"
+    );
+
+    engine.resume();
+    let mut shed_seen = 0;
+    for handle in submissions.into_iter().flatten() {
+        match handle.wait() {
+            Ok(_) => {}
+            Err(RenderError::Overloaded { .. }) => shed_seen += 1,
+            Err(other) => panic!("unexpected outcome: {other}"),
+        }
+    }
+    let drained = engine.stats();
+    assert_identities(drained.identities(), "drained");
+    assert_eq!(drained.in_flight(), 0);
+    assert_eq!(
+        drained.shed, shed_seen,
+        "every victim's handle saw Overloaded"
+    );
+    assert_eq!(drained.completed, 16);
+}
+
+/// Counters that no declared identity constrains; each is pinned to an
+/// exact value or a bound by the named test instead.
+const BOUND_CHECKED: &[&str] = &[
+    // `StageCounts`: `baseline_stage_counts_reconcile`,
+    // `gstg_bitmask_counters_reconcile`, `exact_prepass_trim_counter_reconciles`,
+    // `span_walk_alpha_accounting_reconciles`.
+    "tile_tests",
+    "tile_intersections",
+    "tiles_tested",
+    "tiles_hit",
+    "prepass_overcount_trimmed",
+    "bitmask_tests",
+    "sort_comparisons",
+    "sort_keys",
+    "radix_passes",
+    "bitmask_filter_ops",
+    "alpha_computations",
+    "blend_operations",
+    "early_exits",
+    "pixels",
+    "span_rows_built",
+    "span_skipped_alpha",
+    "tile_saturation_exits",
+    // `EngineStats`: `engine_stats_reconcile_after_drain`,
+    // `job_identity_holds_while_a_shedding_queue_deflates_and_drains`.
+    "rejected",
+    "queue_high_water",
+    "scene_hits",
+    "scene_misses",
+    "resident_bytes",
+    // `ServerStats`: `tests/server_e2e.rs` pins these against the engine
+    // and the bytes the client saw.
+    "accepted",
+    "refused_connections",
+    "active_connections",
+    "frames_streamed",
+    "bytes_in",
+    "bytes_out",
+];
+
+/// The fields of one counter struct that neither move a declared identity
+/// (set alone to 1, some identity's sides leave zero) nor are listed in
+/// [`BOUND_CHECKED`], plus the listed names this struct used up.
+fn unaccounted<const N: usize, const M: usize>(
+    fields: [&'static str; N],
+    identities: impl Fn([u64; N]) -> [(&'static str, u64, u64); M],
+    listed: &mut Vec<&'static str>,
+) -> Vec<&'static str> {
+    let mut missing = Vec::new();
+    for (index, field) in fields.into_iter().enumerate() {
+        let mut unit = [0; N];
+        unit[index] = 1;
+        let moves_an_identity = identities(unit).iter().any(|&(_, l, r)| (l, r) != (0, 0));
+        match (moves_an_identity, BOUND_CHECKED.contains(&field)) {
+            (true, false) => {}
+            (false, true) => listed.push(field),
+            (true, true) => panic!("`{field}` is in an identity; drop it from BOUND_CHECKED"),
+            (false, false) => missing.push(field),
+        }
+    }
+    missing
+}
+
+/// Replaces the third leg of the deleted `counter-coverage` lint: a counter
+/// added to any of the three structs fails here until it joins a declared
+/// identity or `BOUND_CHECKED` (with a test that pins it), and the list
+/// cannot keep a name that no longer exists.
+#[test]
+fn every_counter_moves_an_identity_or_is_bound_checked() {
+    let mut listed = Vec::new();
+    let mut missing = unaccounted(
+        StageCounts::FIELDS,
+        |v| StageCounts::from(v).identities(),
+        &mut listed,
+    );
+    missing.extend(unaccounted(
+        EngineStats::FIELDS,
+        |v| EngineStats::from(v).identities(),
+        &mut listed,
+    ));
+    missing.extend(unaccounted(
+        ServerStats::FIELDS,
+        |v| ServerStats::from(v).identities(),
+        &mut listed,
+    ));
+    assert_eq!(missing, Vec::<&str>::new(), "counters nobody checks");
+    assert_eq!(
+        listed, BOUND_CHECKED,
+        "stale or reordered BOUND_CHECKED entry"
     );
 }

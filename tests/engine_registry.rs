@@ -89,15 +89,14 @@ fn handle_based_serving_is_bit_identical_to_inline_and_batch() {
             }
 
             // Registry accounting: every Id-path serve was a hit, and the
-            // registered = resident + evicted identity holds.
+            // declared identities hold.
             let stats = engine.stats();
             assert_eq!(stats.scene_hits, 2 * cameras.len() as u64);
             assert_eq!(stats.scene_misses, 0);
             assert_eq!(stats.registered, 1);
-            assert_eq!(
-                stats.registered,
-                stats.resident_scenes as u64 + stats.evicted
-            );
+            for (identity, left, right) in stats.identities() {
+                assert_eq!(left, right, "{backend} t={threads}: {identity}");
+            }
         }
     }
 }
@@ -170,10 +169,9 @@ fn eviction_order_is_deterministic_under_a_fixed_interleaving() {
     );
     assert_eq!(stats_a.evicted, 3);
     assert_eq!(stats_a.registered, 6);
-    assert_eq!(
-        stats_a.registered,
-        stats_a.resident_scenes as u64 + stats_a.evicted
-    );
+    for (identity, left, right) in stats_a.identities() {
+        assert_eq!(left, right, "{identity}");
+    }
     assert_eq!(stats_a, stats_b);
 }
 

@@ -4,10 +4,10 @@
 //! `cargo run -p splat-lint -- check`) over this workspace and pins:
 //!
 //! * **zero error-severity findings** — every `no-panic-paths`,
-//!   `no-nondeterminism`, `lock-discipline`, `counter-coverage`,
-//!   `error-coverage` and `prelude-coverage` violation is either fixed or
-//!   carries an inline `// lint:allow(rule): reason` waiver, and every
-//!   waiver suppresses something;
+//!   `no-nondeterminism`, `lock-discipline`, `error-coverage` and
+//!   `prelude-coverage` violation is either fixed or carries an inline
+//!   `// lint:allow(rule): reason` waiver, and every waiver suppresses
+//!   something;
 //! * **the audited `no-index-panic` count** — computed index expressions
 //!   in hot-loop library code are warn-severity by policy (SoA lane and
 //!   scratch-buffer indexing is the kernel idiom), but the *count* is

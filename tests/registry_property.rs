@@ -274,11 +274,9 @@ fn run_interleaving(seed: u64, mode: ServeMode) -> Vec<String> {
             "op {op}: {} scenes resident, budget {MAX_SCENES}",
             stats.resident_scenes
         );
-        assert_eq!(
-            stats.registered,
-            stats.resident_scenes as u64 + stats.evicted,
-            "op {op}: registered != resident + evicted"
-        );
+        for (identity, left, right) in stats.identities() {
+            assert_eq!(left, right, "op {op}: {identity}");
+        }
         // Exact agreement with the shadow model, including eviction order
         // (the resident id set only matches if every victim matched).
         let resident = engine.resident_scenes();
