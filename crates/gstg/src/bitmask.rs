@@ -80,9 +80,28 @@ impl TileBitmask {
         Self(1 << index)
     }
 
-    /// Iterates over the indices of set tiles in ascending order.
+    /// Iterates over the indices of set tiles in ascending order, one step
+    /// per set bit.
+    #[inline]
     pub fn iter_set(self) -> impl Iterator<Item = u32> {
-        (0..64).filter(move |&i| self.0 & (1 << i) != 0)
+        SetBits(self.0)
+    }
+}
+
+/// Lowest-set-bit iteration over a mask's raw bits.
+struct SetBits(u64);
+
+impl Iterator for SetBits {
+    type Item = u32;
+
+    #[inline]
+    fn next(&mut self) -> Option<u32> {
+        if self.0 == 0 {
+            return None;
+        }
+        let bit = self.0.trailing_zeros();
+        self.0 &= self.0 - 1;
+        Some(bit)
     }
 }
 
@@ -197,6 +216,22 @@ mod tests {
         let m = TileBitmask::from_bits(0b1010_0001);
         let set: Vec<u32> = m.iter_set().collect();
         assert_eq!(set, vec![0, 5, 7]);
+    }
+
+    #[test]
+    fn iter_set_is_the_ascending_walk_of_contained_positions() {
+        let mut rng = splat_types::rng::Rng::seed_from_u64(0x17E5_5E7B);
+        let sparse = |rng: &mut splat_types::rng::Rng| rng.next_u64() & rng.next_u64();
+        let mut masks = vec![0, 1, 1 << 63, u64::MAX];
+        masks.extend((0..64).map(|_| rng.next_u64()));
+        masks.extend((0..64).map(|_| sparse(&mut rng) & sparse(&mut rng)));
+        for bits in masks {
+            let mask = TileBitmask::from_bits(bits);
+            let walked: Vec<u32> = mask.iter_set().collect();
+            let contained: Vec<u32> = (0..64).filter(|&i| mask.contains(i)).collect();
+            assert_eq!(walked, contained, "{bits:#066b}");
+            assert_eq!(walked.len() as u32, mask.count());
+        }
     }
 
     #[test]

@@ -7,6 +7,14 @@
 //! the small tiles are fully contained in their group, a splat touching a
 //! small tile always touches the group, so the bitmasks losslessly encode
 //! the baseline's per-tile assignment.
+//!
+//! Identification costs one candidate range per splat: at the paper default
+//! (same boundary method for groups and bitmasks, power-of-two tile and
+//! group sizes) the group range is the small-tile range shifted down, so
+//! the half extent and the four floors are computed once and shared. Every
+//! bit set is also tallied per tile ([`GroupAssignments::tile_hits`]), which
+//! is what lets rasterization scatter a sorted group list into its tiles'
+//! lists in one walk ([`crate::raster`]).
 
 use crate::bitmask::{GroupLayout, TileBitmask};
 use crate::config::GstgConfig;
@@ -14,18 +22,24 @@ use splat_core::{CsrAssignments, CsrScratch};
 use splat_render::bounds::GaussianFootprint;
 use splat_render::preprocess::ProjectedGaussian;
 use splat_render::stats::StageCounts;
-use splat_render::tiling::TileGrid;
+use splat_render::tiling::{mean_of_nonzero, TileGrid};
 use splat_render::{BoundaryMethod, PrepassMode};
 
 /// One splat's membership in one group: which projected splat it is and
-/// which small tiles of the group it touches.
+/// which small tiles of the group it touches. Packed to 4-byte alignment:
+/// the `u64` mask would otherwise pad every entry (and every staged
+/// `(group, entry)` pair) by a third. The mask comes first so it keeps its
+/// natural alignment inside the key sort's `(key, entry)` pairs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[repr(C, packed(4))]
 pub struct GroupEntry {
-    /// Index into the `ProjectedGaussian` slice.
-    pub slot: u32,
     /// Small-tile membership bitmask within the group.
     pub bitmask: TileBitmask,
+    /// Index into the `ProjectedGaussian` slice.
+    pub slot: u32,
 }
+
+const _: () = assert!(std::mem::size_of::<GroupEntry>() == 12);
 
 /// The result of group identification: per-group splat lists with their
 /// tile bitmasks, stored in the flat CSR layout ([`CsrAssignments`]) shared
@@ -38,6 +52,9 @@ pub struct GroupAssignments {
     layout: GroupLayout,
     per_group: CsrAssignments<GroupEntry>,
     groups_per_gaussian: Vec<u32>,
+    /// Bits set per small tile, group-major: `tiles_per_group` counters per
+    /// group in bit order (out-of-image positions of border groups stay 0).
+    tile_hits: Vec<u32>,
 }
 
 impl GroupAssignments {
@@ -51,6 +68,7 @@ impl GroupAssignments {
             layout: GroupLayout::new(1, 1),
             per_group: CsrAssignments::with_bins(grid.tile_count()),
             groups_per_gaussian: Vec::new(),
+            tile_hits: vec![0; grid.tile_count()],
         }
     }
 
@@ -76,6 +94,18 @@ impl GroupAssignments {
     #[inline]
     pub fn group(&self, group: usize) -> &[GroupEntry] {
         self.per_group.bin(group)
+    }
+
+    /// Length of every small tile's splat list in the group with flattened
+    /// index `group`, in bit order: how many of the group's entries have
+    /// that tile's bit set (`tiles_hit` per tile). Sorting permutes entries
+    /// within a group, so the tallies identification took stay valid.
+    #[inline]
+    pub fn tile_hits(&self, group: usize) -> &[u32] {
+        let tiles = self.layout.tiles_per_group() as usize;
+        self.tile_hits
+            .get(group * tiles..(group + 1) * tiles)
+            .unwrap_or_default()
     }
 
     /// Mutable access to the CSR bins, used by the group-wise sorting
@@ -106,7 +136,8 @@ impl GroupAssignments {
     /// Bytes currently reserved by the assignment buffers.
     pub fn footprint_bytes(&self) -> usize {
         self.per_group.footprint_bytes()
-            + self.groups_per_gaussian.capacity() * std::mem::size_of::<u32>()
+            + (self.groups_per_gaussian.capacity() + self.tile_hits.capacity())
+                * std::mem::size_of::<u32>()
     }
 
     /// Number of groups each projected splat intersects.
@@ -117,16 +148,7 @@ impl GroupAssignments {
     /// Mean number of groups intersected per splat that touches at least
     /// one group.
     pub fn mean_groups_per_gaussian(&self) -> f64 {
-        let touched: Vec<u32> = self
-            .groups_per_gaussian
-            .iter()
-            .copied()
-            .filter(|&n| n >= 1)
-            .collect();
-        if touched.is_empty() {
-            return 0.0;
-        }
-        touched.iter().map(|&n| f64::from(n)).sum::<f64>() / touched.len() as f64
+        mean_of_nonzero(&self.groups_per_gaussian)
     }
 
     /// Global small-tile coordinates of bit `bit` in group `(gx, gy)`, or
@@ -162,11 +184,53 @@ impl GroupAssignments {
 /// frames. Every group/bitmask test is performed (and charged) exactly
 /// once; the staged `(group, entry)` pairs are then counting-sorted into
 /// the CSR layout, preserving scene order within each group.
+///
+/// The candidate ranges cost one half extent and one set of floors per
+/// splat whenever the two boundary methods agree and both sizes are powers
+/// of two: `⌊x / group_size⌋ = ⌊x / tile_size⌋ >> log₂(tiles per side)`
+/// exactly, because dividing by a power of two only rescales an `f32`.
+/// Other configurations compute the two ranges independently.
 pub fn identify_groups_into(
     projected: &[ProjectedGaussian],
     image_width: u32,
     image_height: u32,
     config: &GstgConfig,
+    counts: &mut StageCounts,
+    scratch: &mut CsrScratch<GroupEntry>,
+    out: &mut GroupAssignments,
+) {
+    identify_groups_with_shift(
+        projected,
+        image_width,
+        image_height,
+        config,
+        shared_range_shift(config),
+        counts,
+        scratch,
+        out,
+    );
+}
+
+/// `Some(log₂(tiles per group side))` when a splat's group range is its
+/// small-tile range shifted down, `None` when the two ranges have to be
+/// computed independently.
+fn shared_range_shift(config: &GstgConfig) -> Option<u32> {
+    (config.group_boundary == config.bitmask_boundary
+        && config.tile_size.is_power_of_two()
+        && config.group_size.is_power_of_two())
+    .then(|| config.tiles_per_group_side().trailing_zeros())
+}
+
+/// [`identify_groups_into`] with the range derivation chosen by the caller
+/// (`None` always computes two independent ranges), so the tests can hold
+/// the shared range against the fallback on one configuration.
+#[allow(clippy::too_many_arguments)]
+fn identify_groups_with_shift(
+    projected: &[ProjectedGaussian],
+    image_width: u32,
+    image_height: u32,
+    config: &GstgConfig,
+    shared_range_shift: Option<u32>,
     counts: &mut StageCounts,
     scratch: &mut CsrScratch<GroupEntry>,
     out: &mut GroupAssignments,
@@ -180,6 +244,10 @@ pub fn identify_groups_into(
     out.layout = layout;
     out.groups_per_gaussian.clear();
     out.groups_per_gaussian.resize(projected.len(), 0);
+    let tiles_per_group = layout.tiles_per_group() as usize;
+    out.tile_hits.clear();
+    out.tile_hits
+        .resize(group_grid.tile_count() * tiles_per_group, 0);
     scratch.clear();
 
     let exact = config.prepass == PrepassMode::Exact;
@@ -187,17 +255,24 @@ pub fn identify_groups_into(
     // marked; with the ellipse boundary already in use it adds nothing.
     let refine = exact && config.bitmask_boundary != BoundaryMethod::Ellipse;
 
-    for (slot, splat) in projected.iter().enumerate() {
+    let per_gaussian = out.groups_per_gaussian.iter_mut();
+    for ((slot, splat), groups_of_splat) in projected.iter().enumerate().zip(per_gaussian) {
         let Some(footprint) = GaussianFootprint::from_covariance(splat.mean, splat.cov) else {
             continue;
         };
-        let group_half_extent = footprint.candidate_half_extent(config.group_boundary);
-        let (gx0, gx1, gy0, gy1) = group_grid.tile_range(splat.mean, group_half_extent);
         // Candidate range of small tiles under the bitmask boundary: tiles
         // outside it can never be marked, so their tests are skipped (the
         // same pre-filter the baseline's tile identification applies).
         let tile_half_extent = footprint.candidate_half_extent(config.bitmask_boundary);
-        let (ctx0, ctx1, cty0, cty1) = tile_grid.tile_range(splat.mean, tile_half_extent);
+        let tile_floors = tile_grid.tile_floors(splat.mean, tile_half_extent);
+        let (ctx0, ctx1, cty0, cty1) = tile_grid.clamp_floors(tile_floors);
+        let (gx0, gx1, gy0, gy1) = match shared_range_shift {
+            Some(shift) => group_grid.clamp_floors(tile_floors.map(|tile| tile >> shift)),
+            None => group_grid.tile_range(
+                splat.mean,
+                footprint.candidate_half_extent(config.group_boundary),
+            ),
+        };
         for gy in gy0..gy1 {
             for gx in gx0..gx1 {
                 counts.tile_tests += 1;
@@ -205,6 +280,11 @@ pub fn identify_groups_into(
                 if !footprint.intersects(&group_rect, config.group_boundary) {
                     continue;
                 }
+                let group = group_grid.tile_index(gx, gy);
+                let hits_range = group * tiles_per_group..(group + 1) * tiles_per_group;
+                let Some(group_hits) = out.tile_hits.get_mut(hits_range) else {
+                    continue;
+                };
 
                 // Bitmask generation: test the splat against the candidate
                 // small tiles of this group that lie inside the image.
@@ -230,7 +310,11 @@ pub fn identify_groups_into(
                             }
                         }
                         counts.tiles_hit += 1;
-                        bitmask.set(layout.bit_index(tx - gx * side, ty - gy * side));
+                        let bit = layout.bit_index(tx - gx * side, ty - gy * side);
+                        bitmask.set(bit);
+                        if let Some(hits) = group_hits.get_mut(bit as usize) {
+                            *hits += 1;
+                        }
                     }
                 }
 
@@ -238,10 +322,10 @@ pub fn identify_groups_into(
                     continue;
                 }
                 counts.tile_intersections += 1;
-                out.groups_per_gaussian[slot] += 1;
+                *groups_of_splat += 1;
 
                 scratch.stage(
-                    group_grid.tile_index(gx, gy) as u32,
+                    group as u32,
                     GroupEntry {
                         slot: slot as u32,
                         bitmask,
@@ -257,7 +341,6 @@ pub fn identify_groups_into(
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use splat_render::BoundaryMethod;
     use splat_types::{Mat2, Rgb, Vec2};
 
     fn projected(mean: Vec2, sigma: f32, index: u32, depth: f32) -> ProjectedGaussian {
@@ -302,6 +385,40 @@ pub(crate) mod tests {
             &mut out,
         );
         out
+    }
+
+    /// Group assignments over hand-made per-group lists (one list per group
+    /// of the grid, row-major), with the per-tile hits tallied from the
+    /// masks the way identification tallies them.
+    pub(crate) fn assignments_from_lists(
+        image_width: u32,
+        image_height: u32,
+        config: &GstgConfig,
+        lists: &[Vec<GroupEntry>],
+    ) -> GroupAssignments {
+        let layout = GroupLayout::new(config.tile_size, config.tiles_per_group_side());
+        let group_grid = TileGrid::new(image_width, image_height, config.group_size);
+        assert_eq!(lists.len(), group_grid.tile_count());
+        let mut scratch = CsrScratch::new();
+        let mut tile_hits = vec![0; lists.len() * layout.tiles_per_group() as usize];
+        for (group, list) in lists.iter().enumerate() {
+            for &entry in list {
+                scratch.stage(group as u32, entry);
+                for bit in entry.bitmask.iter_set() {
+                    tile_hits[group * layout.tiles_per_group() as usize + bit as usize] += 1;
+                }
+            }
+        }
+        let mut per_group = CsrAssignments::new();
+        scratch.build_into(lists.len(), &mut per_group);
+        GroupAssignments {
+            group_grid,
+            tile_grid: TileGrid::new(image_width, image_height, config.tile_size),
+            layout,
+            per_group,
+            groups_per_gaussian: Vec::new(),
+            tile_hits,
+        }
     }
 
     /// The baseline's conservative tile identification, for comparison.
@@ -363,16 +480,13 @@ pub(crate) mod tests {
     fn bitmask_union_matches_baseline_tile_assignment() {
         // The set of (global tile, splat) pairs recovered from the bitmasks
         // must equal the baseline identification at the same tile size and
-        // boundary method.
-        let cfg = config(16, 64);
+        // boundary method — with the group range shifted out of the tile
+        // range (16+64) and with two independent ranges (16+48).
         let splats = vec![
             projected(Vec2::new(60.0, 60.0), 9.0, 0, 1.0),
             projected(Vec2::new(130.0, 70.0), 4.0, 1, 2.0),
             projected(Vec2::new(10.0, 200.0), 15.0, 2, 3.0),
         ];
-        let mut counts = StageCounts::new();
-        let groups = identify_groups(&splats, 256, 256, &cfg, &mut counts);
-
         let mut baseline_counts = StageCounts::new();
         let tile_grid = TileGrid::new(256, 256, 16);
         let baseline = identify_tiles(
@@ -381,28 +495,144 @@ pub(crate) mod tests {
             BoundaryMethod::Ellipse,
             &mut baseline_counts,
         );
-
-        // Collect (tile, slot) pairs from the bitmasks.
-        let mut from_groups: Vec<(usize, u32)> = Vec::new();
-        for (group_idx, entries) in groups.iter() {
-            let (gx, gy) = groups.group_grid().tile_coords(group_idx);
-            for entry in entries {
-                for bit in entry.bitmask.iter_set() {
-                    if let Some((tx, ty)) = groups.global_tile_of_bit(gx, gy, bit) {
-                        from_groups.push((tile_grid.tile_index(tx, ty), entry.slot));
-                    }
-                }
-            }
-        }
         let mut from_baseline: Vec<(usize, u32)> = Vec::new();
         for (tile_idx, list) in baseline.iter() {
             for &slot in list {
                 from_baseline.push((tile_idx, slot));
             }
         }
-        from_groups.sort_unstable();
         from_baseline.sort_unstable();
-        assert_eq!(from_groups, from_baseline);
+
+        for (group_size, shift) in [(64, Some(2)), (48, None)] {
+            let cfg = config(16, group_size);
+            assert_eq!(shared_range_shift(&cfg), shift, "16+{group_size}");
+            let mut counts = StageCounts::new();
+            let groups = identify_groups(&splats, 256, 256, &cfg, &mut counts);
+
+            // Collect (tile, slot) pairs from the bitmasks.
+            let mut from_groups: Vec<(usize, u32)> = Vec::new();
+            for (group_idx, entries) in groups.iter() {
+                let (gx, gy) = groups.group_grid().tile_coords(group_idx);
+                for entry in entries {
+                    for bit in entry.bitmask.iter_set() {
+                        if let Some((tx, ty)) = groups.global_tile_of_bit(gx, gy, bit) {
+                            from_groups.push((tile_grid.tile_index(tx, ty), entry.slot));
+                        }
+                    }
+                }
+            }
+            from_groups.sort_unstable();
+            assert_eq!(from_groups, from_baseline, "16+{group_size}");
+            assert_eq!(counts.tiles_hit, baseline_counts.tiles_hit);
+        }
+    }
+
+    #[test]
+    fn shared_range_matches_the_two_range_fallback_on_the_golden_scenes() {
+        use splat_scene::{PaperScene, SceneScale};
+        use splat_types::{Camera, CameraIntrinsics, Vec3};
+
+        // Mixed boundary methods have two different half extents and never
+        // share a range.
+        let mixed = GstgConfig::new(16, 64, BoundaryMethod::Aabb, BoundaryMethod::Ellipse).unwrap();
+        assert_eq!(shared_range_shift(&mixed), None);
+
+        // The `golden_frames` view, and a wider one with interior groups.
+        let cameras = [(96, 64), (256, 192)].map(|(width, height)| {
+            Camera::look_at(
+                Vec3::ZERO,
+                Vec3::new(0.0, 0.0, 1.0),
+                Vec3::Y,
+                CameraIntrinsics::from_fov_y(1.0, width, height),
+            )
+        });
+        let mut compared = 0u64;
+        for paper_scene in [
+            PaperScene::Train,
+            PaperScene::Playroom,
+            PaperScene::Drjohnson,
+        ] {
+            let scene = paper_scene.build(SceneScale::Tiny, 0);
+            for camera in &cameras {
+                for (tile, group) in [(16, 64), (8, 64), (16, 32)] {
+                    for boundary in BoundaryMethod::ALL {
+                        for prepass in PrepassMode::ALL {
+                            let cfg = GstgConfig::new(tile, group, boundary, boundary)
+                                .unwrap()
+                                .with_prepass(prepass);
+                            let shift = shared_range_shift(&cfg);
+                            assert_eq!(shift, Some((group / tile).trailing_zeros()));
+
+                            let mut projected = Vec::new();
+                            splat_render::preprocess_into(
+                                &scene,
+                                camera,
+                                &cfg.equivalent_baseline(),
+                                &mut StageCounts::new(),
+                                &mut projected,
+                            );
+                            let identify = |shift| {
+                                let mut counts = StageCounts::new();
+                                let mut out = GroupAssignments::empty();
+                                identify_groups_with_shift(
+                                    &projected,
+                                    camera.width(),
+                                    camera.height(),
+                                    &cfg,
+                                    shift,
+                                    &mut counts,
+                                    &mut CsrScratch::new(),
+                                    &mut out,
+                                );
+                                (out, counts)
+                            };
+                            let (shared, shared_counts) = identify(shift);
+                            let (fallback, fallback_counts) = identify(None);
+                            assert_eq!(shared, fallback, "{paper_scene:?} {tile}+{group}");
+                            assert_eq!(shared_counts, fallback_counts);
+                            compared += shared.total_entries();
+                        }
+                    }
+                }
+            }
+        }
+        assert!(compared > 0);
+    }
+
+    #[test]
+    fn tile_hits_count_the_set_bits_of_every_tile() {
+        let splats: Vec<ProjectedGaussian> = (0..24)
+            .map(|i| {
+                projected(
+                    Vec2::new(7.0 + 9.5 * i as f32, 11.0 + 6.5 * i as f32),
+                    2.0 + (i % 5) as f32 * 3.0,
+                    i,
+                    1.0 + i as f32,
+                )
+            })
+            .collect();
+        let aabb = GstgConfig::new(16, 64, BoundaryMethod::Aabb, BoundaryMethod::Aabb).unwrap();
+        for cfg in [
+            config(16, 64),
+            config(16, 48),
+            aabb.with_prepass(PrepassMode::Exact),
+        ] {
+            let mut counts = StageCounts::new();
+            // 200x150: the last group column and row are partly outside.
+            let groups = identify_groups(&splats, 200, 150, &cfg, &mut counts);
+            let mut total = 0u64;
+            for (group, entries) in groups.iter() {
+                let hits = groups.tile_hits(group);
+                assert_eq!(hits.len(), cfg.tiles_per_group() as usize);
+                for (bit, &hit) in (0u32..).zip(hits) {
+                    let set = entries.iter().filter(|e| e.bitmask.contains(bit)).count();
+                    assert_eq!(hit as usize, set, "group {group} bit {bit}");
+                    total += u64::from(hit);
+                }
+            }
+            assert_eq!(total, counts.tiles_hit);
+            assert!(total > 0);
+        }
     }
 
     #[test]

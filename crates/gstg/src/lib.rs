@@ -15,12 +15,14 @@
 //!   touches (16 bits for the 4×4 grouping used by the accelerator).
 //! * **Group-wise sorting** — each group's splat list is depth-sorted
 //!   *once*, as if a large tile size were in use.
-//! * **Tile-wise rasterization** — each small tile filters the group-sorted
-//!   list with its bit of the bitmask and rasterizes only the splats that
-//!   touch it, preserving the efficiency of the small tile size.
+//! * **Tile-wise rasterization** — each small tile rasterizes only the
+//!   splats of the group-sorted list whose bitmask has its bit set,
+//!   preserving the efficiency of the small tile size. (The accelerator
+//!   filters the list per tile; the software path scatters it once per
+//!   group, which yields the same lists.)
 //!
 //! Because the small tiles are perfectly aligned inside the groups, every
-//! splat that touches a tile also touches its group, so the filtered list
+//! splat that touches a tile also touches its group, so the tile's list
 //! is exactly the baseline's per-tile sorted list and the rendered image is
 //! identical — GS-TG is lossless ([`lossless`] verifies this).
 //!
@@ -45,7 +47,7 @@
 //!
 //! Those four bullets are the whole delta: [`GstgRenderer`] implements
 //! `splat_render::Keying` (group identification, group-wise sort, the
-//! bitmask filter as per-tile list provider) and everything else — the
+//! bitmask scatter as per-tile list provider) and everything else — the
 //! frame loop, preprocessing, timing, the frame arena, the tile-shading
 //! driver — is the baseline's, shared through `splat_render::Session`. The
 //! allocation-free [`GstgSession`] (`Session<GstgRenderer>`) implements the
@@ -69,6 +71,6 @@ pub use config::{ConfigError, ExecutionModel, GstgConfig, GstgConfigBuilder};
 pub use group::{identify_groups_into, GroupAssignments, GroupEntry};
 pub use lossless::{verify_lossless, LosslessReport};
 pub use pipeline::{GstgRenderer, GstgSession, RenderOutput};
-pub use raster::{filter_tile_list_into, rasterize_groups_into_with};
+pub use raster::rasterize_groups_into_with;
 pub use splat_core::{HasExecution, RenderBackend, RenderRequest, SimdMode};
 pub use splat_render::PrepassMode;

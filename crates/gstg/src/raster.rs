@@ -1,45 +1,35 @@
 //! Bitmask-filtered tile-wise rasterization.
 //!
-//! Rasterization runs at the small tile size: for every tile of a group the
-//! group-sorted splat list is filtered with the tile's bit of each entry's
-//! bitmask (the AND/OR "valid" computation of the hardware rasterization
-//! module) and the surviving splats — already in depth order — are blended
-//! by the same shared driver the baseline uses ([`splat_core::shade_tiles`]).
-//! The filter is GS-TG's [`TileLists`] implementation: groups are the
-//! scheduling units, so the parallel fan-out merges in group order and is
-//! bit-exact with the sequential walk.
+//! Rasterization runs at the small tile size: every tile of a group shades
+//! the splats of the group-sorted list whose bitmask has the tile's bit set
+//! — already in depth order — through the same shared driver the baseline
+//! uses ([`splat_core::shade_tiles`]). The hardware rasterization module
+//! recovers a tile's list by running the AND/OR "valid" filter over the
+//! whole group list once per tile, eight entries a cycle beside the blend
+//! units. A CPU has nothing beside its blend loop, so GS-TG's [`TileLists`]
+//! implementation walks the sorted group list **once** and scatters each
+//! slot to the lists of the tiles its bitmask names (count → prefix sum →
+//! fill, the counts being the per-tile hits identification tallied): the
+//! software cost is one write per set bit instead of one test per entry per
+//! tile, and the lists are the same. Groups are the scheduling units, so
+//! the parallel fan-out merges in group order and is bit-exact with the
+//! sequential walk.
 
-use crate::bitmask::TileBitmask;
-use crate::group::{GroupAssignments, GroupEntry};
+use crate::group::GroupAssignments;
 use splat_core::{
     shade_tiles, ExecutionConfig, Framebuffer, ProjectedGaussian, SimdMode, SpanMode, SpanScratch,
     StageCounts, TileLists, TileRect,
 };
 use splat_types::Rgb;
 
-/// Filters a group-sorted entry list down to the splats that touch the tile
-/// at bitmask position `bit`, preserving order. Each entry costs one
-/// bitmask filter operation (the hardware performs them 8 per cycle). `out`
-/// is cleared and refilled, retaining its allocation across tiles.
-pub fn filter_tile_list_into(
-    entries: &[GroupEntry],
-    bit: u32,
-    counts: &mut StageCounts,
-    out: &mut Vec<u32>,
-) {
-    let location = TileBitmask::one_hot(bit);
-    counts.bitmask_filter_ops += entries.len() as u64;
-    out.clear();
-    out.extend(
-        entries
-            .iter()
-            .filter(|e| e.bitmask.filter(location))
-            .map(|e| e.slot),
-    );
-}
-
-/// GS-TG's per-tile list provider: every group is one unit, and each of its
-/// in-image tiles gets the group's sorted list filtered by the tile's bit.
+/// GS-TG's per-tile list provider: every group is one unit whose sorted
+/// list is scattered into one sub-list per tile, laid out back to back in
+/// bit order.
+///
+/// `bitmask_filter_ops` is the *hardware model's* filter count — every
+/// in-image tile filters the whole group list, which is what the RM does
+/// and what `splat-accel` turns into cycles — not the software work, which
+/// is one write per set bit.
 impl TileLists for GroupAssignments {
     fn unit_count(&self) -> usize {
         self.group_count()
@@ -55,13 +45,40 @@ impl TileLists for GroupAssignments {
         F: FnMut(&TileRect, &[u32], &mut StageCounts),
     {
         let entries = self.group(unit);
+        let hits = self.tile_hits(unit);
+
+        // Prefix sum: every bit's write cursor starts where its sub-list
+        // does. Bits past the group's tile count are never set.
+        let mut cursors = [0u32; 64];
+        let mut total = 0u32;
+        for (cursor, &count) in cursors.iter_mut().zip(hits) {
+            *cursor = total;
+            total += count;
+        }
+        tile_list.clear();
+        tile_list.resize(total as usize, 0);
+        for entry in entries {
+            for bit in entry.bitmask.iter_set() {
+                let Some(cursor) = cursors.get_mut(bit as usize) else {
+                    continue;
+                };
+                if let Some(dst) = tile_list.get_mut(*cursor as usize) {
+                    *dst = entry.slot;
+                }
+                *cursor += 1;
+            }
+        }
+
         let (gx, gy) = self.group_grid().tile_coords(unit);
-        for bit in 0..self.layout().tiles_per_group() {
+        let mut sub_lists = tile_list.as_slice();
+        for (bit, &count) in (0u32..).zip(hits) {
+            let (sorted, rest) = sub_lists.split_at(count as usize);
+            sub_lists = rest;
             let Some((tx, ty)) = self.global_tile_of_bit(gx, gy, bit) else {
                 continue;
             };
-            filter_tile_list_into(entries, bit, counts, tile_list);
-            shade(&self.tile_grid().tile_rect(tx, ty), tile_list, counts);
+            counts.bitmask_filter_ops += entries.len() as u64;
+            shade(&self.tile_grid().tile_rect(tx, ty), sorted, counts);
         }
     }
 }
@@ -108,17 +125,26 @@ pub fn rasterize_groups_into_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bitmask::TileBitmask;
     use crate::config::GstgConfig;
-    use crate::group::tests::identify_groups;
+    use crate::group::tests::{assignments_from_lists, identify_groups};
+    use crate::group::GroupEntry;
     use crate::sort::tests::sort_groups;
     use splat_render::BoundaryMethod;
     use splat_types::{Mat2, Vec2};
 
-    /// Allocating form of [`filter_tile_list_into`].
+    /// The hardware filter, kept as the oracle the scatter is tested
+    /// against: the slots of a group-sorted entry list whose bitmask passes
+    /// the AND/OR filter for the tile at position `bit`, order preserved.
+    /// Each entry costs one bitmask filter operation.
     fn filter_tile_list(entries: &[GroupEntry], bit: u32, counts: &mut StageCounts) -> Vec<u32> {
-        let mut out = Vec::new();
-        filter_tile_list_into(entries, bit, counts, &mut out);
-        out
+        let location = TileBitmask::one_hot(bit);
+        counts.bitmask_filter_ops += entries.len() as u64;
+        entries
+            .iter()
+            .filter(|e| e.bitmask.filter(location))
+            .map(|e| e.slot)
+            .collect()
     }
 
     /// Allocating, scalar full-walk form of [`rasterize_groups_into_with`].
@@ -176,6 +202,72 @@ mod tests {
         assert_eq!(bit0, vec![1, 7]);
         assert_eq!(bit1, vec![3, 7]);
         assert_eq!(counts.bitmask_filter_ops, 6);
+    }
+
+    #[test]
+    fn scattered_tile_lists_equal_the_per_bit_filter() {
+        // Random sorted group lists over 2×2, 4×4 and 8×8 groups, on images
+        // whose last group column and row hang over the border: the
+        // sub-list scattered to every in-image tile must be the hardware
+        // filter of the same list with that tile's bit, in the same order,
+        // tiles must come in bit order, and the filter ops charged must be
+        // what filtering every in-image tile costs.
+        let mut rng = splat_types::rng::Rng::seed_from_u64(0x5CA7_7E12);
+        for (tile, group) in [(16u32, 32u32), (16, 64), (8, 64)] {
+            let cfg =
+                GstgConfig::new(tile, group, BoundaryMethod::Aabb, BoundaryMethod::Aabb).unwrap();
+            let tiles_per_group = cfg.tiles_per_group();
+            let full = u64::MAX >> (64 - tiles_per_group);
+            for (width, height) in [(2 * group, group), (2 * group - tile - 3, group + 5)] {
+                let group_count = (width.div_ceil(group) * height.div_ceil(group)) as usize;
+                let lists: Vec<Vec<GroupEntry>> = (0..group_count)
+                    .map(|_| {
+                        (0..rng.gen_index(40) as u32)
+                            .map(|slot| {
+                                let bits = match rng.gen_index(8) {
+                                    0 => 0,
+                                    1 => full,
+                                    // Sparse and dense masks.
+                                    2..=4 => rng.next_u64() & rng.next_u64() & full,
+                                    _ => rng.next_u64() & full,
+                                };
+                                entry(slot, bits)
+                            })
+                            .collect()
+                    })
+                    .collect();
+                let groups = assignments_from_lists(width, height, &cfg, &lists);
+
+                let mut tile_list = Vec::new();
+                let mut tiles_seen = 0usize;
+                for (unit, entries) in lists.iter().enumerate() {
+                    let (gx, gy) = groups.group_grid().tile_coords(unit);
+                    let mut expected_counts = StageCounts::new();
+                    let expected: Vec<(TileRect, Vec<u32>)> = (0..tiles_per_group)
+                        .filter_map(|bit| {
+                            let (tx, ty) = groups.global_tile_of_bit(gx, gy, bit)?;
+                            Some((
+                                groups.tile_grid().tile_rect(tx, ty),
+                                filter_tile_list(entries, bit, &mut expected_counts),
+                            ))
+                        })
+                        .collect();
+
+                    let mut counts = StageCounts::new();
+                    let mut scattered = Vec::new();
+                    groups.for_each_tile(unit, &mut counts, &mut tile_list, |rect, sorted, _| {
+                        scattered.push((*rect, sorted.to_vec()));
+                    });
+                    assert_eq!(
+                        scattered, expected,
+                        "{tile}+{group} {width}x{height} #{unit}"
+                    );
+                    assert_eq!(counts, expected_counts);
+                    tiles_seen += scattered.len();
+                }
+                assert_eq!(tiles_seen, groups.tile_grid().tile_count());
+            }
+        }
     }
 
     #[test]

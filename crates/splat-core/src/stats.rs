@@ -51,8 +51,11 @@ splat_types::counters! {
         /// Radix digit passes executed by the key sort (digit positions on
         /// which every key of a list agrees are skipped).
         radix_passes: u64,
-        /// Per-(tile,Gaussian) bitmask filter operations (GS-TG rasterization
-        /// front-end: AND/OR of the 16-bit masks).
+        /// Per-(tile,Gaussian) bitmask filter operations of the *hardware
+        /// model* (GS-TG rasterization front-end: AND/OR of the 16-bit
+        /// masks, every in-image tile filtering its whole group list) — the
+        /// count `splat-accel` turns into cycles. The software path scatters
+        /// each sorted group list once, `tiles_hit` writes, instead.
         bitmask_filter_ops: u64,
         /// α-computations performed (Eq. 1 evaluations).
         alpha_computations: u64,

@@ -93,8 +93,9 @@ pub struct Session<K: Keying> {
     renderer: K,
     arena: FrameArena<K::Entry>,
     assignments: K::Assignments,
-    /// Reused per-tile splat list for keyings that build one at raster
-    /// time (GS-TG's bitmask filter); stays empty otherwise.
+    /// Reused list buffer for keyings that build tile lists at raster time
+    /// (GS-TG scatters a group's sorted list into it); stays empty
+    /// otherwise.
     tile_list: Vec<u32>,
 }
 

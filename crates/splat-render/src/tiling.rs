@@ -135,17 +135,49 @@ impl TileGrid {
         )
     }
 
+    /// Unclamped tile coordinates `[x_lo, x_hi, y_lo, y_hi]` of the tiles
+    /// holding the corners of an axis-aligned box of `half_extent` around
+    /// `center` (both in pixels): `⌊(center ∓ half_extent) / tile_size⌋` per
+    /// axis, `-1` for a NaN bound. Floors of a power-of-two grid shift down
+    /// to the floors of every coarser power-of-two grid, which is how GS-TG
+    /// derives a splat's group range from its tile range.
+    pub fn tile_floors(&self, center: Vec2, half_extent: Vec2) -> [i64; 4] {
+        let size = self.tile_size as f32;
+        // Truncate-and-adjust floor: the default x86-64 target has no
+        // `roundss`, so `f32::floor` is a libm call. `as i32` truncates,
+        // saturates and maps NaN to 0; negative fractions then step down
+        // one, and so does NaN, to the -1 that clamps to the empty range
+        // `f32::clamp` + `as u32` gave it.
+        let floor = |v: f32| {
+            let truncated = v as i32;
+            i64::from(truncated) - i64::from(v.is_nan() || truncated as f32 > v)
+        };
+        [
+            floor((center.x - half_extent.x) / size),
+            floor((center.x + half_extent.x) / size),
+            floor((center.y - half_extent.y) / size),
+            floor((center.y + half_extent.y) / size),
+        ]
+    }
+
+    /// Clamps [`TileGrid::tile_floors`] coordinates to the half-open tile
+    /// range `(tx0..tx1, ty0..ty1)` inside the grid.
+    pub fn clamp_floors(&self, [x_lo, x_hi, y_lo, y_hi]: [i64; 4]) -> (u32, u32, u32, u32) {
+        let clamp = |v: i64, tiles: u32| v.clamp(0, i64::from(tiles)) as u32;
+        (
+            clamp(x_lo, self.tiles_x),
+            clamp(x_hi + 1, self.tiles_x),
+            clamp(y_lo, self.tiles_y),
+            clamp(y_hi + 1, self.tiles_y),
+        )
+    }
+
     /// Range of tile coordinates `(tx0..tx1, ty0..ty1)` whose tiles overlap
     /// an axis-aligned box of `half_extent` around `center` (both in
-    /// pixels). The range is clamped to the grid.
+    /// pixels). The range is clamped to the grid; a NaN bound gives an
+    /// empty range on its axis.
     pub fn tile_range(&self, center: Vec2, half_extent: Vec2) -> (u32, u32, u32, u32) {
-        let clamp_x = |v: f32| v.clamp(0.0, self.tiles_x as f32) as u32;
-        let clamp_y = |v: f32| v.clamp(0.0, self.tiles_y as f32) as u32;
-        let tx0 = clamp_x(((center.x - half_extent.x) / self.tile_size as f32).floor());
-        let ty0 = clamp_y(((center.y - half_extent.y) / self.tile_size as f32).floor());
-        let tx1 = clamp_x(((center.x + half_extent.x) / self.tile_size as f32).floor() + 1.0);
-        let ty1 = clamp_y(((center.y + half_extent.y) / self.tile_size as f32).floor() + 1.0);
-        (tx0, tx1, ty0, ty1)
+        self.clamp_floors(self.tile_floors(center, half_extent))
     }
 }
 
@@ -229,16 +261,23 @@ impl TileAssignments {
     /// Mean number of intersected tiles per splat (Fig. 5), over splats
     /// that intersect at least one tile.
     pub fn mean_tiles_per_gaussian(&self) -> f64 {
-        let intersecting: Vec<u32> = self
-            .tiles_per_gaussian
-            .iter()
-            .copied()
-            .filter(|&n| n >= 1)
-            .collect();
-        if intersecting.is_empty() {
-            return 0.0;
-        }
-        intersecting.iter().map(|&n| f64::from(n)).sum::<f64>() / intersecting.len() as f64
+        mean_of_nonzero(&self.tiles_per_gaussian)
+    }
+}
+
+/// Mean of the non-zero entries of a per-splat bin count (tiles or groups
+/// per splat), `0.0` when every entry is zero.
+pub fn mean_of_nonzero(per_gaussian: &[u32]) -> f64 {
+    let (sum, touched) = per_gaussian
+        .iter()
+        .filter(|&&n| n >= 1)
+        .fold((0.0f64, 0usize), |(sum, touched), &n| {
+            (sum + f64::from(n), touched + 1)
+        });
+    if touched == 0 {
+        0.0
+    } else {
+        sum / touched as f64
     }
 }
 
@@ -296,7 +335,8 @@ pub fn identify_tiles_into(
     // boundary test is itself not already the exact ellipse test.
     let refine = prepass == PrepassMode::Exact && boundary != BoundaryMethod::Ellipse;
 
-    for (slot, splat) in projected.iter().enumerate() {
+    let per_gaussian = out.tiles_per_gaussian.iter_mut();
+    for ((slot, splat), tiles_of_splat) in projected.iter().enumerate().zip(per_gaussian) {
         let Some(footprint) = GaussianFootprint::from_covariance(splat.mean, splat.cov) else {
             continue;
         };
@@ -318,7 +358,7 @@ pub fn identify_tiles_into(
                     counts.tile_intersections += 1;
                     counts.tiles_hit += 1;
                     scratch.stage(grid.tile_index(tx, ty) as u32, slot as u32);
-                    out.tiles_per_gaussian[slot] += 1;
+                    *tiles_of_splat += 1;
                 }
             }
         }
@@ -412,6 +452,97 @@ pub(crate) mod tests {
         let (tx0, tx1, ty0, ty1) = grid.tile_range(Vec2::new(-50.0, 300.0), Vec2::splat(10.0));
         assert!(tx0 <= tx1 && tx1 <= grid.tiles_x());
         assert!(ty0 <= ty1 && ty1 <= grid.tiles_y());
+    }
+
+    /// The formula [`TileGrid::tile_range`] replaced: `f32::floor`, clamp
+    /// in floats, convert.
+    fn floor_then_clamp(grid: &TileGrid, center: Vec2, half_extent: Vec2) -> (u32, u32, u32, u32) {
+        let clamp_x = |v: f32| v.clamp(0.0, grid.tiles_x() as f32) as u32;
+        let clamp_y = |v: f32| v.clamp(0.0, grid.tiles_y() as f32) as u32;
+        let size = grid.tile_size() as f32;
+        (
+            clamp_x(((center.x - half_extent.x) / size).floor()),
+            clamp_x(((center.x + half_extent.x) / size).floor() + 1.0),
+            clamp_y(((center.y - half_extent.y) / size).floor()),
+            clamp_y(((center.y + half_extent.y) / size).floor() + 1.0),
+        )
+    }
+
+    #[test]
+    fn floor_free_tile_range_matches_floor_then_clamp() {
+        let mut rng = splat_types::rng::Rng::seed_from_u64(0xF100_12A9);
+        let special = [
+            0.0,
+            -0.0,
+            f32::MIN_POSITIVE,
+            -f32::MIN_POSITIVE,
+            0.5,
+            -0.5,
+            1e9,
+            -1e9,
+            3e9,
+            -3e9,
+            16_777_216.0,
+            -16_777_217.0,
+            f32::MAX,
+            f32::MIN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+        ];
+        let mut checked = 0u32;
+        for (width, height, tile_size) in [(128, 96, 16), (100, 50, 8), (1920, 1080, 64), (7, 5, 3)]
+        {
+            let grid = TileGrid::new(width, height, tile_size);
+            let size = tile_size as f32;
+            let mut check = |center: Vec2, half_extent: Vec2| {
+                assert_eq!(
+                    grid.tile_range(center, half_extent),
+                    floor_then_clamp(&grid, center, half_extent),
+                    "{width}x{height}/{tile_size}: center {center:?} half extent {half_extent:?}"
+                );
+                checked += 1;
+            };
+            // Every pairing of the special values, as centres and as extents.
+            for &cx in &special {
+                for &cy in &special {
+                    for &extent in &special {
+                        check(Vec2::new(cx, cy), Vec2::splat(extent));
+                        check(Vec2::new(extent, cx), Vec2::new(cy, 1.5));
+                    }
+                }
+            }
+            // Bounds exactly on tile edges, one ulp either side of them, and
+            // extents reaching past the grid on both sides.
+            for edge in -3i32..=(width / tile_size) as i32 + 3 {
+                let x = edge as f32 * size;
+                // Stepping the bit pattern moves a float one ulp away from
+                // zero (or back towards it), on either side of zero.
+                let away = f32::from_bits(x.to_bits() + 1);
+                let towards = if x == 0.0 {
+                    -away
+                } else {
+                    f32::from_bits(x.to_bits() - 1)
+                };
+                for nudged in [x, away, towards] {
+                    check(Vec2::new(nudged, nudged * 0.5), Vec2::ZERO);
+                    check(Vec2::new(nudged, -nudged), Vec2::splat(size));
+                    check(Vec2::new(nudged, 3.0), Vec2::splat(4.0 * width as f32));
+                }
+            }
+            // Seeded sweep: centres from well left of the image to well
+            // right of it, extents from sub-pixel to several images wide.
+            for _ in 0..4000 {
+                let span = 3.0 * width.max(height) as f32;
+                let center = Vec2::new(rng.range_f32(-span, span), rng.range_f32(-span, span));
+                let half_extent = Vec2::new(
+                    rng.range_f32(0.0, 1.0) * rng.range_f32(0.0, span),
+                    rng.range_f32(0.0, 1.0) * rng.range_f32(0.0, span),
+                );
+                check(center, half_extent);
+            }
+        }
+        assert!(checked > 20_000);
     }
 
     #[test]
