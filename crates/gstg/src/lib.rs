@@ -53,7 +53,7 @@
 //! allocation-free [`GstgSession`] (`Session<GstgRenderer>`) implements the
 //! backend-agnostic [`splat_core::RenderBackend`] trait, so it is served —
 //! interchangeably with the baseline session — through the fallible
-//! request/response API and the batch `Engine` in `splat-engine`.
+//! request/response API and the serving `Engine` in `splat-engine`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -56,7 +56,8 @@ impl<T: Copy> FrameArena<T> {
 
     /// Bytes currently reserved by the arena's buffers. Stable across
     /// steady-state frames of a reused session — the property the
-    /// session-reuse tests and the `trajectory_throughput` bench check.
+    /// session-reuse tests and `splat-bench`'s `steady_state_allocations`
+    /// test check.
     pub fn footprint_bytes(&self) -> usize {
         self.projected.capacity() * std::mem::size_of::<ProjectedGaussian>()
             + self.csr.footprint_bytes()

@@ -4,7 +4,7 @@
 //! The one frame loop (`splat_render::Session<K>`) implements
 //! [`RenderBackend`] for every keying — the baseline tile-sort session and
 //! the GS-TG group-sort session — so callers, most importantly the
-//! batch-serving `Engine` in `splat-engine`, can hold either as a
+//! serving `Engine` in `splat-engine`, can hold either as a
 //! `dyn RenderBackend` and swap pipelines without changing a line of
 //! serving code. The contract is:
 //!
@@ -126,7 +126,7 @@ pub struct RenderOutput {
 ///
 /// Implemented once, by `splat_render::Session<K>` (so by
 /// `splat_render::RenderSession` and `gstg::GstgSession`); the
-/// `splat-engine` crate builds its batch-serving `Engine` on a pool of
+/// `splat-engine` crate builds its serving `Engine` on a pool of
 /// boxed backends. `render` takes `&mut self` so that sessions can recycle
 /// their frame arenas between calls.
 ///

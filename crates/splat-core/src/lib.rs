@@ -10,7 +10,7 @@
 //! * [`backend`] — the backend-agnostic rendering API: [`RenderRequest`] /
 //!   [`RenderOutput`] with panic-free validation, and the [`RenderBackend`]
 //!   trait sessions implement so callers (most importantly the
-//!   batch-serving `Engine` in `splat-engine`) can swap pipelines behind a
+//!   serving `Engine` in `splat-engine`) can swap pipelines behind a
 //!   `dyn RenderBackend`.
 //! * [`arena`] — [`FrameArena`], the recyclable per-frame scratch (and the
 //!   [`SessionFrame`] output type) the render sessions build on to reach an

@@ -18,15 +18,18 @@
 //! `Arc<Scene>`). Either way the job *owns* an `Arc` once admitted, so a
 //! scene evicted mid-queue keeps rendering for jobs already holding it.
 //!
-//! [`Engine::submit_trajectory`](crate::Engine::submit_trajectory) fans a
-//! whole camera path into per-frame jobs and returns a
-//! [`TrajectoryHandle`] that delivers the frames in path order.
+//! [`Engine::stream_trajectory`](crate::Engine::stream_trajectory) fans a
+//! whole camera path into per-frame jobs behind a bounded in-flight window
+//! and returns a [`TrajectoryStream`] that delivers the frames in path
+//! order.
 
 use crate::queue::JobQueue;
-use splat_core::{RenderOutput, RenderRequest};
-use splat_scene::lod::QualityTier;
-use splat_scene::Scene;
+use crate::Engine;
+use splat_core::RenderOutput;
+use splat_scene::lod::{LodLadder, QualityTier};
+use splat_scene::{CameraTrajectory, Scene};
 use splat_types::{Camera, Priority, RenderError, SceneId};
+use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
 
 /// How a submission names its scene: by registry handle or inline.
@@ -97,7 +100,6 @@ impl From<&Arc<Scene>> for SceneRef {
 /// )?;
 /// let request = SubmitRequest::new(scene, camera).with_priority(Priority::High);
 /// assert_eq!(request.priority, Priority::High);
-/// assert!(request.validate().is_ok());
 /// # Ok::<(), splat_types::RenderError>(())
 /// ```
 #[derive(Debug, Clone)]
@@ -127,39 +129,6 @@ impl SubmitRequest {
     pub fn with_priority(mut self, priority: Priority) -> Self {
         self.priority = priority;
         self
-    }
-
-    /// The admission-control cost estimate of this submission (see
-    /// `RenderRequest::cost_hint`). For a [`SceneRef::Id`] reference the
-    /// scene half is unknown until the registry resolves the handle, so
-    /// only the pixel half is counted here; the engine recomputes the full
-    /// hint at admission.
-    pub fn cost_hint(&self) -> u64 {
-        let splats = match &self.scene {
-            SceneRef::Inline(scene) => scene.len(),
-            SceneRef::Id(_) => 0,
-        };
-        splat_core::request_cost_hint(splats, self.camera.width(), self.camera.height())
-    }
-
-    /// Validates the submission without queueing it. For an inline scene
-    /// this performs the same checks as `RenderRequest::validate`; for a
-    /// [`SceneRef::Id`] reference only the camera can be checked here —
-    /// the registry resolves (or refuses) the handle at submission.
-    ///
-    /// # Errors
-    ///
-    /// Returns the [`RenderError`] a backend would have raised:
-    /// [`RenderError::EmptyScene`] (inline only),
-    /// [`RenderError::InvalidResolution`],
-    /// [`RenderError::InvalidIntrinsics`] or
-    /// [`RenderError::DegenerateCamera`].
-    pub fn validate(&self) -> Result<(), RenderError> {
-        match &self.scene {
-            // Delegate so the two validation paths cannot drift apart.
-            SceneRef::Inline(scene) => RenderRequest::new(scene, self.camera).validate(),
-            SceneRef::Id(_) => self.camera.validate(),
-        }
     }
 }
 
@@ -349,76 +318,141 @@ impl JobHandle {
     }
 }
 
-/// One frame slot of a [`TrajectoryHandle`]: a live job, a submission that
-/// was refused at the door (kept so the frame still reports its error in
-/// order), or already delivered.
-#[derive(Debug)]
-enum FrameSlot {
-    Pending(JobHandle),
-    Refused(RenderError),
-    Delivered,
-}
-
-/// In-order delivery of a camera path fanned into per-frame jobs by
-/// [`Engine::submit_trajectory`](crate::Engine::submit_trajectory).
+/// Windowed, in-order streaming of a camera path, created by
+/// [`Engine::stream_trajectory`].
 ///
-/// All frames are submitted up front (workers render them with whatever
-/// parallelism the engine has), but delivery is strictly path order:
-/// [`TrajectoryHandle::next_frame`] returns frame 0, then frame 1, … —
-/// the shape a video encoder or streaming client consumes. A frame whose
-/// submission was refused (e.g. shed by admission control) still occupies
-/// its slot and yields its error in order.
+/// Frames are delivered strictly in path order and refused frames yield
+/// their error in their slot, but at most `window` frames occupy queue
+/// slots (or sit rendered awaiting delivery) at any moment. Each
+/// [`TrajectoryStream::next_frame`] tops the window back up after taking a
+/// frame, so workers stay busy exactly `window` frames ahead of the
+/// consumer. Dropping the stream withdraws whatever it still has queued
+/// ([`TrajectoryStream::cancel_remaining`]) — a consumer that walks away
+/// stops costing renders; a frame already rendering finishes and is
+/// discarded, and frames never submitted are simply never admitted.
 #[derive(Debug)]
-pub struct TrajectoryHandle {
-    frames: Vec<FrameSlot>,
-    next: usize,
+pub struct TrajectoryStream<'a> {
+    engine: &'a Engine,
+    scene_ref: SceneRef,
+    scene: Arc<Scene>,
+    ladder: Option<Arc<LodLadder>>,
+    cameras: std::vec::IntoIter<Camera>,
+    priority: Priority,
+    window: usize,
+    pending: VecDeque<Result<JobHandle, RenderError>>,
+    len: usize,
+    delivered: usize,
+    committed: bool,
 }
 
-impl TrajectoryHandle {
-    pub(crate) fn new(frames: Vec<Result<JobHandle, RenderError>>) -> Self {
-        Self {
-            frames: frames
-                .into_iter()
-                .map(|frame| match frame {
-                    Ok(handle) => FrameSlot::Pending(handle),
-                    Err(error) => FrameSlot::Refused(error),
-                })
-                .collect(),
-            next: 0,
-        }
+impl<'a> TrajectoryStream<'a> {
+    /// Starts a stream over an already-resolved scene and fills its first
+    /// window.
+    pub(crate) fn new(
+        engine: &'a Engine,
+        scene_ref: SceneRef,
+        scene: Arc<Scene>,
+        ladder: Option<Arc<LodLadder>>,
+        trajectory: &CameraTrajectory,
+        priority: Priority,
+        window: usize,
+    ) -> Self {
+        let mut stream = Self {
+            engine,
+            scene_ref,
+            scene,
+            ladder,
+            cameras: trajectory.cameras().collect::<Vec<Camera>>().into_iter(),
+            priority,
+            window: window.max(1),
+            pending: VecDeque::new(),
+            len: trajectory.len(),
+            delivered: 0,
+            committed: false,
+        };
+        stream.top_up();
+        stream
     }
 
     /// Total number of frames in the trajectory.
     pub fn len(&self) -> usize {
-        self.frames.len()
+        self.len
     }
 
     /// `true` when the trajectory has no frames.
     pub fn is_empty(&self) -> bool {
-        self.frames.is_empty()
+        self.len == 0
     }
 
-    /// Frames already taken through [`TrajectoryHandle::next_frame`].
+    /// Frames already taken through [`TrajectoryStream::next_frame`].
     pub fn frames_delivered(&self) -> usize {
-        self.next
+        self.delivered
+    }
+
+    /// The configured in-flight window.
+    pub fn window(&self) -> usize {
+        self.window
+    }
+
+    /// Submits frames until the window is full or the path is exhausted.
+    /// A refused submission (admission control, or a shutdown racing the
+    /// stream) occupies its window slot like an admitted one, so delivery
+    /// order is preserved and the refusal surfaces in its frame's turn.
+    fn top_up(&mut self) {
+        while self.pending.len() < self.window {
+            let Some(camera) = self.cameras.next() else {
+                return;
+            };
+            let frame = self.engine.submit_resolved(
+                Arc::clone(&self.scene),
+                self.ladder.clone(),
+                camera,
+                self.priority,
+            );
+            // One recency/hit commit for the whole path, on the first
+            // admitted frame.
+            if frame.is_ok() && !self.committed {
+                if let SceneRef::Id(id) = self.scene_ref {
+                    self.engine.shared.registry.commit_serve(id);
+                }
+                self.committed = true;
+            }
+            self.pending.push_back(frame);
+        }
+    }
+
+    /// Blocks for the next frame **in path order**, returns it along with
+    /// the [`QualityTier`] admission assigned it (`None` for a frame that
+    /// was refused admission), and tops the in-flight window back up.
+    /// Returns `None` once every frame has been delivered.
+    pub fn next_frame_tiered(
+        &mut self,
+    ) -> Option<(Option<QualityTier>, Result<RenderOutput, RenderError>)> {
+        self.top_up();
+        let frame = self.pending.pop_front()?;
+        self.delivered += 1;
+        let delivered = match frame {
+            Ok(handle) => {
+                let tier = handle.tier();
+                (Some(tier), handle.wait())
+            }
+            Err(error) => (None, Err(error)),
+        };
+        // Re-fill before the caller consumes the frame so the window stays
+        // ahead of a slow reader.
+        self.top_up();
+        Some(delivered)
     }
 
     /// Blocks for the next frame **in path order** and returns it, or
-    /// `None` once every frame has been delivered. Later frames may
-    /// already be finished — delivery order is still frame 0, 1, 2, …
+    /// `None` once every frame has been delivered.
     pub fn next_frame(&mut self) -> Option<Result<RenderOutput, RenderError>> {
-        let slot = self.frames.get_mut(self.next)?;
-        self.next += 1;
-        match std::mem::replace(slot, FrameSlot::Delivered) {
-            FrameSlot::Pending(handle) => Some(handle.wait()),
-            FrameSlot::Refused(error) => Some(Err(error)),
-            FrameSlot::Delivered => unreachable!("the cursor only passes a slot once"),
-        }
+        self.next_frame_tiered().map(|(_, result)| result)
     }
 
     /// Waits for every remaining frame and returns them in path order.
     pub fn wait_all(mut self) -> Vec<Result<RenderOutput, RenderError>> {
-        let mut outputs = Vec::with_capacity(self.frames.len() - self.next);
+        let mut outputs = Vec::with_capacity(self.len - self.delivered);
         while let Some(frame) = self.next_frame() {
             outputs.push(frame);
         }
@@ -430,9 +464,53 @@ impl TrajectoryHandle {
     /// untouched and still deliverable; cancelled frames deliver
     /// [`RenderError::Cancelled`] in order.
     pub fn cancel_remaining(&self) -> usize {
-        self.frames[self.next..]
+        self.pending
             .iter()
-            .filter(|slot| matches!(slot, FrameSlot::Pending(handle) if handle.cancel()))
+            .filter(|frame| matches!(frame, Ok(handle) if handle.cancel()))
             .count()
+    }
+}
+
+impl Drop for TrajectoryStream<'_> {
+    /// Nobody will take the window's frames any more: free their queue
+    /// slots instead of rendering them for no one.
+    fn drop(&mut self) {
+        self.cancel_remaining();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::{Engine, ShutdownMode};
+    use splat_scene::{CameraTrajectory, PaperScene, SceneScale};
+    use splat_types::{CameraIntrinsics, Priority, Vec3};
+    use std::sync::Arc;
+
+    #[test]
+    fn dropping_a_stream_cancels_its_queued_window() {
+        let engine = Engine::builder().start_paused(true).build().unwrap();
+        let scene = Arc::new(PaperScene::Playroom.build(SceneScale::Tiny, 0));
+        let path = CameraTrajectory::orbit(
+            CameraIntrinsics::from_fov_y(1.0, 96, 64),
+            Vec3::new(0.0, 0.0, 6.0),
+            4.0,
+            0.6,
+            5,
+        );
+        let stream = engine
+            .stream_trajectory(scene, &path, Priority::Normal, 3)
+            .unwrap();
+        assert_eq!(engine.stats().queued, 3, "the window, not the path");
+        drop(stream);
+        let stats = engine.stats();
+        assert_eq!(stats.submitted, 3);
+        assert_eq!(stats.cancelled, 3);
+        assert_eq!(stats.queued, 0);
+        for (identity, left, right) in stats.identities() {
+            assert_eq!(left, right, "{identity}");
+        }
+        // Nothing is left to render once dispatch resumes.
+        engine.resume();
+        assert_eq!(engine.shutdown(ShutdownMode::Drain).completed, 0);
     }
 }

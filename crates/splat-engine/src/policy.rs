@@ -25,8 +25,7 @@ use splat_types::RenderError;
 pub enum AdmissionPolicy {
     /// Block the submitting thread until a worker frees a slot (the
     /// default). Backpressure propagates to the caller; nothing is ever
-    /// rejected. With one worker this makes `submit` + `wait` reproduce
-    /// `render_batch` bit-for-bit, in submission order.
+    /// rejected. With one worker, execution order is submission order.
     #[default]
     Block,
     /// Fail fast: return [`RenderError::Overloaded`] to the submitter

@@ -323,8 +323,8 @@ impl SceneRegistry {
     /// The O(n) preparation scans (footprint, bounds, centroid) run
     /// *before* the registry lock is taken, and evicted scenes' `Arc`s are
     /// dropped *after* it is released, so the fast-timescale serving path
-    /// ([`SceneRegistry::resolve`]) never waits on a large registration or
-    /// a large deallocation.
+    /// ([`SceneRegistry::resolve_with_ladder`]) never waits on a large
+    /// registration or a large deallocation.
     pub(crate) fn register(&self, scene: Arc<Scene>) -> Result<SceneId, RenderError> {
         self.policy.validate()?;
         let prepared = PreparedScene::prepare(scene, self.build_ladders)?;
@@ -409,20 +409,15 @@ impl SceneRegistry {
         }
     }
 
-    /// Resolves a handle to its shared scene **without** counting a hit or
-    /// stamping recency — at resolution time the job has not been admitted
-    /// yet, and a submission later refused by validation or admission
-    /// control must not perturb the LRU order or the hit counter (pair
-    /// with [`SceneRegistry::commit_serve`] once the job is in). A miss is
+    /// Resolves a handle to its shared scene, plus the scene's prebuilt
+    /// LOD ladder (when registrations build one) — the submission path
+    /// threads the ladder into the job so degraded serves reuse the shared
+    /// tier scenes. Resolution counts **no** hit and stamps no recency: at
+    /// resolution time the job has not been admitted yet, and a submission
+    /// later refused by validation or admission control must not perturb
+    /// the LRU order or the hit counter (pair with
+    /// [`SceneRegistry::commit_serve`] once the job is in). A miss is
     /// counted immediately: the job is refused at the door either way.
-    pub(crate) fn resolve(&self, id: SceneId) -> Result<Arc<Scene>, RenderError> {
-        self.resolve_with_ladder(id).map(|(scene, _)| scene)
-    }
-
-    /// [`SceneRegistry::resolve`] plus the scene's prebuilt LOD ladder
-    /// (when registrations build one) — the submission path threads the
-    /// ladder into the job so degraded serves reuse the shared tier
-    /// scenes. Same counting rules as `resolve`.
     pub(crate) fn resolve_with_ladder(
         &self,
         id: SceneId,
@@ -536,9 +531,14 @@ mod tests {
         registry.stats(EngineStats::default())
     }
 
+    /// The scene half of a resolution.
+    fn resolve(registry: &SceneRegistry, id: SceneId) -> Result<Arc<Scene>, RenderError> {
+        registry.resolve_with_ladder(id).map(|(scene, _)| scene)
+    }
+
     /// Resolve + commit, the way the engine serves a job off a handle.
     fn serve(registry: &SceneRegistry, id: SceneId) -> Arc<Scene> {
-        let scene = registry.resolve(id).expect("resident");
+        let scene = resolve(registry, id).expect("resident");
         registry.commit_serve(id);
         scene
     }
@@ -612,11 +612,11 @@ mod tests {
         let id = registry.register(scene(0)).unwrap();
         let bogus = SceneId::from_raw(99);
         assert_eq!(
-            registry.resolve(bogus),
+            resolve(&registry, bogus),
             Err(RenderError::UnknownScene { id: bogus })
         );
         registry.evict(id).unwrap();
-        assert_eq!(registry.resolve(id), Err(RenderError::Evicted { id }));
+        assert_eq!(resolve(&registry, id), Err(RenderError::Evicted { id }));
         assert_eq!(registry.evict(id), Err(RenderError::Evicted { id }));
         assert_eq!(
             registry.evict(bogus),
@@ -636,7 +636,7 @@ mod tests {
         serve(&registry, a);
         let c = registry.register(scene(2)).unwrap();
         assert_eq!(registry.resident(), vec![a, c]);
-        assert_eq!(registry.resolve(b), Err(RenderError::Evicted { id: b }));
+        assert_eq!(resolve(&registry, b), Err(RenderError::Evicted { id: b }));
         let stats = snapshot(&registry);
         assert_eq!(stats.evicted, 1);
         assert_eq!(stats.registered, 3);
@@ -726,16 +726,19 @@ mod tests {
         // issued (and could have evicted) ids with larger sequences.
         registry_b.evict(b0).unwrap();
         assert_eq!(
-            registry_b.resolve(a0),
+            resolve(&registry_b, a0),
             Err(RenderError::UnknownScene { id: a0 })
         );
         assert_eq!(
-            registry_a.resolve(b1),
+            resolve(&registry_a, b1),
             Err(RenderError::UnknownScene { id: b1 })
         );
         // The registries' own miss classification still distinguishes
         // evicted from never-issued.
-        assert_eq!(registry_b.resolve(b0), Err(RenderError::Evicted { id: b0 }));
+        assert_eq!(
+            resolve(&registry_b, b0),
+            Err(RenderError::Evicted { id: b0 })
+        );
     }
 
     #[test]
@@ -777,7 +780,7 @@ mod tests {
         // validation or admission control must not inflate the hit
         // counter or refresh the scene's recency.
         for _ in 0..3 {
-            let resolved = registry.resolve(a).unwrap();
+            let resolved = resolve(&registry, a).unwrap();
             assert!(!resolved.is_empty());
         }
         assert_eq!(snapshot(&registry).scene_hits, 0);
@@ -798,7 +801,7 @@ mod tests {
         serve(&registry, b);
         // `a` is resolved again but the job is never admitted (no commit):
         // `a` must remain the least recently *served* scene and deflate.
-        let _ = registry.resolve(a).unwrap();
+        let _ = resolve(&registry, a).unwrap();
         let c = registry.register(scene(2)).unwrap();
         assert_eq!(registry.resident(), vec![b, c]);
     }

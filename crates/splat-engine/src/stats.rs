@@ -142,7 +142,7 @@ mod tests {
     }
 
     /// Key order and formatting are consumed by `GET /stats` clients and
-    /// the `engine_submit` report.
+    /// `splat-serve`'s final stdout line.
     #[test]
     fn json_bytes_are_pinned() {
         assert_eq!(

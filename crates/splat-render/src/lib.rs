@@ -45,7 +45,7 @@
 //! allocation-free [`RenderSession`] (`Session<Renderer>`) implements the
 //! backend-agnostic [`splat_core::RenderBackend`] trait, the fallible
 //! request/response API (`RenderRequest` → `RenderOutput` / `RenderError`)
-//! the batch-serving `Engine` in `splat-engine` builds on.
+//! the serving `Engine` in `splat-engine` builds on.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

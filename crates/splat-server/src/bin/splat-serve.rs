@@ -26,7 +26,7 @@ struct Args {
     quality: QualityPolicy,
 }
 
-fn parse_args() -> Result<Args, String> {
+fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
     let mut args = Args {
         config: ServerConfig::default().with_addr("127.0.0.1:8090"),
         engine_workers: 2,
@@ -34,7 +34,6 @@ fn parse_args() -> Result<Args, String> {
         admission: AdmissionPolicy::RejectWhenFull,
         quality: QualityPolicy::degrade_default(),
     };
-    let mut argv = std::env::args().skip(1);
     while let Some(flag) = argv.next() {
         let mut value = |name: &str| {
             argv.next()
@@ -73,9 +72,8 @@ fn parse_args() -> Result<Args, String> {
                 args.admission = match value("--admission")?.as_str() {
                     "reject" => AdmissionPolicy::RejectWhenFull,
                     "block" => AdmissionPolicy::Block,
-                    "shed" => AdmissionPolicy::ShedLowPriority {
-                        capacity: args.queue_capacity,
-                    },
+                    // The capacity is filled in once every flag is read.
+                    "shed" => AdmissionPolicy::ShedLowPriority { capacity: 0 },
                     other => return Err(format!("unknown admission policy `{other}`")),
                 };
             }
@@ -101,6 +99,11 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown flag `{other}`")),
         }
     }
+    // The shedding policy carries its own capacity; it is the queue's,
+    // whichever of `--admission` and `--queue-capacity` came first.
+    if let AdmissionPolicy::ShedLowPriority { capacity } = &mut args.admission {
+        *capacity = args.queue_capacity;
+    }
     Ok(args)
 }
 
@@ -110,7 +113,7 @@ fn parse_number<T: std::str::FromStr>(text: &str, flag: &str) -> Result<T, Strin
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
+    let args = match parse_args(std::env::args().skip(1)) {
         Ok(args) => args,
         Err(message) => {
             eprintln!("{message}");
@@ -141,8 +144,9 @@ fn main() -> ExitCode {
     };
 
     println!("{{\"listening\":\"{}\"}}", server.local_addr());
-    // The parent (CI smoke, load_gen recipes) parses the line above to
-    // find the port; make sure it is not stuck in a pipe buffer.
+    // The parent (the `serve_process` test, a deployment's supervisor)
+    // parses the line above to find the port; make sure it is not stuck in
+    // a pipe buffer.
     let _ = std::io::Write::flush(&mut std::io::stdout());
 
     server.wait_until_shutdown();
@@ -153,4 +157,38 @@ fn main() -> ExitCode {
         engine_stats.to_json(),
     );
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(flags: &[&str]) -> Args {
+        match parse_args(flags.iter().map(|flag| flag.to_string())) {
+            Ok(args) => args,
+            Err(message) => panic!("{flags:?}: {message}"),
+        }
+    }
+
+    #[test]
+    fn shed_capacity_is_the_queue_capacity_in_either_flag_order() {
+        for flags in [
+            ["--admission", "shed", "--queue-capacity", "4"],
+            ["--queue-capacity", "4", "--admission", "shed"],
+        ] {
+            let args = parse(&flags);
+            assert_eq!(
+                args.admission,
+                AdmissionPolicy::ShedLowPriority { capacity: 4 },
+                "{flags:?}"
+            );
+            assert_eq!(args.queue_capacity, 4);
+        }
+        assert_eq!(
+            parse(&["--admission", "shed"]).admission,
+            AdmissionPolicy::ShedLowPriority {
+                capacity: splat_engine::DEFAULT_QUEUE_CAPACITY
+            }
+        );
+    }
 }

@@ -1,9 +1,9 @@
 //! A minimal blocking HTTP/1.1 client for the front door.
 //!
-//! Shared by the `load_gen` bench, the loopback e2e tests and the CI
-//! smoke run so they all speak the exact wire dialect the server
-//! emits — `Content-Length` responses and chunked trajectory streams.
-//! Failures surface as `io::Error` (`InvalidData` for framing
+//! Shared by the `benchmark/` package, the loopback e2e tests and the
+//! `splat-serve` process test so they all speak the exact wire dialect
+//! the server emits — `Content-Length` responses and chunked trajectory
+//! streams. Failures surface as `io::Error` (`InvalidData` for framing
 //! violations); the client never panics on hostile bytes.
 
 use std::io::{self, BufRead, BufReader, Read, Write};

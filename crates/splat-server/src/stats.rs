@@ -3,7 +3,7 @@
 //! [`ServerStats`] is the wire-facing sibling of
 //! [`EngineStats`](splat_engine::EngineStats): where the engine counts
 //! jobs, the server counts connections, requests and bytes. Both are
-//! served together by `GET /stats` so an operator (or the `load_gen`
+//! served together by `GET /stats` so an operator (or the benchmark's
 //! reconciliation pass) can check the cross-layer identities without
 //! scraping two processes.
 

@@ -11,7 +11,8 @@
 //! The pixel order is row-major, identical to
 //! [`Framebuffer::pixels`], so the FNV-1a digest of a decoded frame
 //! ([`frame_digest`]) is bit-identical to the digest of the in-process
-//! render — the property the loopback e2e test and `load_gen` pin.
+//! render — the property the loopback e2e test and the benchmark's
+//! correctness gate pin.
 //!
 //! ## Trajectory chunks (`POST /trajectories`)
 //!

@@ -1,6 +1,6 @@
 //! Scene-registry walkthrough: register scenes once into a budgeted
-//! registry, serve them by handle (synchronously, asynchronously and as a
-//! whole trajectory), watch the residency policy deflate the
+//! registry, serve them by handle (one job at a time and as a whole
+//! trajectory), watch the residency policy deflate the
 //! least-recently-served scene under memory pressure, and reconcile the
 //! registry counters — the slow-timescale control loop a multi-tenant
 //! deployment runs next to per-job admission control.
@@ -47,16 +47,15 @@ fn main() -> Result<(), RenderError> {
         camera.height(),
     );
 
-    // The handle serves through every path, bit-identically to inline.
-    let inline = engine.render_one(&RenderRequest::new(&playroom, camera))?;
-    let by_handle = engine.render_one_registered(id, camera)?;
-    let submitted = engine.submit(SubmitRequest::new(id, camera))?.wait()?;
-    if by_handle.image.max_abs_diff(&inline.image) != 0.0
-        || submitted.image.max_abs_diff(&inline.image) != 0.0
-    {
+    // The handle is invisible in the pixels: bit-identical to inline.
+    let inline = engine
+        .submit(SubmitRequest::new(&playroom, camera))?
+        .wait()?;
+    let by_handle = engine.submit(SubmitRequest::new(id, camera))?.wait()?;
+    if by_handle.image.max_abs_diff(&inline.image) != 0.0 {
         fail("handle-based serving must be bit-identical to inline serving");
     }
-    println!("render_one_registered and submit(SceneRef::Id) match inline bit-exactly");
+    println!("submit(SceneRef::Id) matches submit(SceneRef::Inline) bit-exactly");
 
     // --- 2. A trajectory through one handle --------------------------------
     println!();
@@ -68,7 +67,7 @@ fn main() -> Result<(), RenderError> {
         1.0,
         6,
     );
-    let mut frames = engine.submit_trajectory(id, &path, Priority::High)?;
+    let mut frames = engine.stream_trajectory(id, &path, Priority::High, 4)?;
     let mut delivered = 0usize;
     while let Some(frame) = frames.next_frame() {
         if let Err(error) = frame {
@@ -90,20 +89,20 @@ fn main() -> Result<(), RenderError> {
     let train = budgeted.register_scene(Arc::new(PaperScene::Train.build(SceneScale::Tiny, 1)))?;
     let truck = budgeted.register_scene(Arc::new(PaperScene::Truck.build(SceneScale::Tiny, 2)))?;
     // Serving `train` makes `truck` the least-recently-served scene…
-    budgeted.render_one_registered(train, camera)?;
+    budgeted.submit(SubmitRequest::new(train, camera))?.wait()?;
     // …so registering a third scene deflates `truck`, deterministically.
     let rubble =
         budgeted.register_scene(Arc::new(PaperScene::Rubble.build(SceneScale::Tiny, 3)))?;
     if budgeted.resident_scenes() != vec![train, rubble] {
         fail("deflation must evict the least-recently-served scene");
     }
-    match budgeted.render_one_registered(truck, camera) {
+    match budgeted.submit(SubmitRequest::new(truck, camera)) {
         Err(RenderError::Evicted { id }) if id == truck => {
             println!("{id} deflated under the budget; serving it reports `Evicted`")
         }
         other => fail(&format!("expected an Evicted miss, got {other:?}")),
     }
-    match budgeted.render_one_registered(SceneId::from_raw(99), camera) {
+    match budgeted.submit(SubmitRequest::new(SceneId::from_raw(99), camera)) {
         Err(RenderError::UnknownScene { .. }) => {
             println!("a fabricated handle reports `UnknownScene`")
         }

@@ -1,5 +1,5 @@
 //! Quickstart: render one view of a synthetic scene with the conventional
-//! 3D-GS pipeline and with GS-TG through the batch-serving [`Engine`], and
+//! 3D-GS pipeline and with GS-TG through the serving [`Engine`], and
 //! verify that tile grouping is lossless while removing redundant sorting.
 //!
 //! Run with:
@@ -12,7 +12,7 @@ use gs_tg::prelude::*;
 fn main() -> Result<(), RenderError> {
     // A small synthetic stand-in for the Deep Blending "playroom" scene,
     // rendered at a reduced resolution so the example finishes in seconds.
-    let scene = PaperScene::Playroom.build(SceneScale::Tiny, 0);
+    let scene = std::sync::Arc::new(PaperScene::Playroom.build(SceneScale::Tiny, 0));
     let camera = Camera::try_look_at(
         Vec3::ZERO,
         Vec3::new(0.0, 0.0, 1.0),
@@ -27,9 +27,9 @@ fn main() -> Result<(), RenderError> {
         camera.height()
     );
 
-    // One validated request, served by two engines that differ only in the
+    // One submission, served by two engines that differ only in the
     // backend they were built with.
-    let request = RenderRequest::new(&scene, camera);
+    let request = SubmitRequest::new(&scene, camera);
 
     // Conventional pipeline: 16x16 tiles, exact ellipse boundary.
     let baseline_engine = Engine::builder()
@@ -41,7 +41,7 @@ fn main() -> Result<(), RenderError> {
                 .build()?,
         )
         .build()?;
-    let baseline = baseline_engine.render_one(&request)?;
+    let baseline = baseline_engine.submit(request.clone())?.wait()?;
     println!(
         "baseline : {:>9} sort keys, {:>9} sort comparisons, {:>10} alpha computations, {:.1} ms wall clock",
         baseline.stats.counts.tile_intersections,
@@ -53,7 +53,7 @@ fn main() -> Result<(), RenderError> {
     // GS-TG: sorting shared across 64x64 groups, rasterization still 16x16
     // thanks to the per-Gaussian tile bitmasks.
     let gstg_engine = Engine::builder().backend(Backend::Gstg).build()?;
-    let grouped = gstg_engine.render_one(&request)?;
+    let grouped = gstg_engine.submit(request)?.wait()?;
     println!(
         "GS-TG    : {:>9} sort keys, {:>9} sort comparisons, {:>10} alpha computations, {:.1} ms wall clock",
         grouped.stats.counts.tile_intersections,
@@ -77,10 +77,10 @@ fn main() -> Result<(), RenderError> {
             / baseline.stats.counts.alpha_computations.max(1) as f64
     );
 
-    // Malformed requests are rejected with a typed error instead of a
-    // panic — the serving path stays up.
-    let empty = Scene::new("empty", 64, 48, Vec::new());
-    match gstg_engine.render_one(&RenderRequest::new(&empty, camera)) {
+    // Malformed requests are refused at the door with a typed error
+    // instead of a panic — the serving path stays up.
+    let empty = std::sync::Arc::new(Scene::new("empty", 64, 48, Vec::new()));
+    match gstg_engine.submit(SubmitRequest::new(empty, camera)) {
         Err(RenderError::EmptyScene) => println!("empty-scene request       : Err(EmptyScene)"),
         other => println!("unexpected result for the empty scene: {other:?}"),
     }

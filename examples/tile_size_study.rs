@@ -50,19 +50,17 @@ fn main() -> Result<(), RenderError> {
         ]);
     }
 
-    let gstg_out = Engine::builder()
-        .backend(Backend::Gstg)
-        .build()?
-        .render_one(&RenderRequest::new(&scene, camera))?;
+    let mut gstg_session = GstgSession::from_config(GstgConfig::paper_default());
+    let gstg_counts = gstg_session.render(&scene, &camera).stats.counts;
     let gstg_times = model.gstg_overlapped_times(
-        &gstg_out.stats.counts,
+        &gstg_counts,
         BoundaryMethod::Ellipse,
         BoundaryMethod::Ellipse,
     );
     table.add_row([
         "GS-TG 16+64 (overlapped)".to_string(),
-        gstg_out.stats.counts.tile_intersections.to_string(),
-        format!("{:.1}", gstg_out.stats.counts.gaussians_per_pixel()),
+        gstg_counts.tile_intersections.to_string(),
+        format!("{:.1}", gstg_counts.gaussians_per_pixel()),
         "-".to_string(),
         format!("{:.3e}", gstg_times.total()),
     ]);

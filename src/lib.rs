@@ -15,12 +15,12 @@
 //!   per-Gaussian tile bitmasks,
 //! * [`engine`] — the serving [`Engine`](engine::Engine): a pool of
 //!   recycled sessions behind the backend-agnostic
-//!   [`RenderBackend`](core::RenderBackend) trait, serving fallible
-//!   [`RenderRequest`](core::RenderRequest)s one at a time, as
-//!   deterministic batches, or asynchronously through a bounded
-//!   admission-controlled job queue
-//!   ([`Engine::submit`](engine::Engine::submit)); scenes can be
-//!   registered once into a budgeted, LRU-deflated registry
+//!   [`RenderBackend`](core::RenderBackend) trait, rendering only through
+//!   a bounded admission-controlled job queue
+//!   ([`Engine::submit`](engine::Engine::submit) for one view,
+//!   [`Engine::stream_trajectory`](engine::Engine::stream_trajectory) for
+//!   a camera path); scenes can be registered once into a budgeted,
+//!   LRU-deflated registry
 //!   ([`Engine::register_scene`](engine::Engine::register_scene)) and
 //!   served by [`SceneId`](types::SceneId) handle,
 //! * [`server`] — the dependency-free HTTP/1.1 network front door
@@ -36,7 +36,7 @@
 //! use gs_tg::prelude::*;
 //!
 //! // Build a small synthetic version of the paper's playroom scene.
-//! let scene = PaperScene::Playroom.build(SceneScale::Tiny, 0);
+//! let scene = std::sync::Arc::new(PaperScene::Playroom.build(SceneScale::Tiny, 0));
 //! let camera = Camera::look_at(
 //!     Vec3::ZERO,
 //!     Vec3::new(0.0, 0.0, 1.0),
@@ -45,17 +45,19 @@
 //! );
 //!
 //! // Render it through the serving engine with both pipelines: the same
-//! // request, a backend swap away.
-//! let request = RenderRequest::new(&scene, camera);
+//! // submission, a backend swap away.
+//! let request = SubmitRequest::new(&scene, camera);
 //! let baseline = Engine::builder()
 //!     .backend(Backend::Baseline)
 //!     .render_config(RenderConfig::builder().boundary(BoundaryMethod::Ellipse).build()?)
 //!     .build()?
-//!     .render_one(&request)?;
+//!     .submit(request.clone())?
+//!     .wait()?;
 //! let grouped = Engine::builder()
 //!     .backend(Backend::Gstg)
 //!     .build()?
-//!     .render_one(&request)?;
+//!     .submit(request)?
+//!     .wait()?;
 //!
 //! // GS-TG is lossless: the images match bit-exactly, but it sorted far
 //! // fewer (group, splat) keys than the baseline's (tile, splat) keys.
@@ -72,7 +74,7 @@ pub use gstg as tile_grouping;
 pub use splat_accel as accel;
 /// The shared stage engine both pipelines build on.
 pub use splat_core as core;
-/// The batch-serving engine over the `RenderBackend` trait.
+/// The serving engine over the `RenderBackend` trait.
 pub use splat_engine as engine;
 pub use splat_metrics as metrics;
 pub use splat_render as render;
@@ -92,7 +94,7 @@ pub mod prelude {
     pub use splat_engine::{
         AdmissionPolicy, Backend, Engine, EngineBuilder, EngineStats, JobHandle, JobStatus,
         LodLadder, PreparedScene, QualityPolicy, QualityTier, ResidencyPolicy, SceneRef,
-        ShutdownMode, SubmitRequest, TrajectoryHandle,
+        ShutdownMode, SubmitRequest, TrajectoryStream,
     };
     pub use splat_metrics::{geometric_mean, Table};
     pub use splat_render::{BoundaryMethod, PrepassMode, RenderConfig, RenderSession, Renderer};
@@ -116,7 +118,7 @@ mod tests {
         let _ = RenderConfig::new(16, BoundaryMethod::Aabb);
         let engine = Engine::builder()
             .backend(Backend::Gstg)
-            .threads(2)
+            .workers(2)
             .build()
             .expect("default engine configuration is valid");
         assert_eq!(engine.backend(), Backend::Gstg);

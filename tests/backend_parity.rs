@@ -1,8 +1,8 @@
 //! Integration test: backend parity behind the `RenderBackend` trait.
 //!
 //! Every way of serving a view — the two boxed session backends
-//! (`baseline-session`, `gstg-session`) and the batch-serving `Engine` over
-//! each of them at batch threads 1 and 4 — must produce **bit-identical**
+//! (`baseline-session`, `gstg-session`) and the serving `Engine` over
+//! each of them at 1 and 4 workers — must produce **bit-identical**
 //! framebuffers and identical `StageCounts` for the same scene and
 //! trajectory: the trait and the engine are pure plumbing, never observable
 //! in the pixels. (One-shot renders are sessions with a fresh arena, so
@@ -36,9 +36,26 @@ fn drive(backend: &mut dyn RenderBackend, scene: &Scene, cameras: &[Camera]) -> 
         .collect()
 }
 
+/// Submits the trajectory to an engine and waits the handles in
+/// submission order.
+fn serve(engine: &Engine, scene: &std::sync::Arc<Scene>, cameras: &[Camera]) -> Vec<RenderOutput> {
+    let handles: Vec<JobHandle> = cameras
+        .iter()
+        .map(|camera| {
+            engine
+                .submit(SubmitRequest::new(scene, *camera))
+                .expect("valid submission")
+        })
+        .collect();
+    handles
+        .into_iter()
+        .map(|handle| handle.wait().expect("valid request"))
+        .collect()
+}
+
 #[test]
 fn every_backend_renders_identical_frames() {
-    let scene = PaperScene::Playroom.build(SceneScale::Tiny, 11);
+    let scene = std::sync::Arc::new(PaperScene::Playroom.build(SceneScale::Tiny, 11));
     let cameras: Vec<Camera> = trajectory(4).cameras().collect();
     let gstg_config = GstgConfig::paper_default();
     let baseline_config = gstg_config.equivalent_baseline();
@@ -57,26 +74,20 @@ fn every_backend_renders_identical_frames() {
         })
         .collect();
 
-    // Through the Engine, both backends, batch threads 1 and 4.
+    // Through the Engine, both backends, 1 and 4 workers.
     for (backend, config_label) in [(Backend::Baseline, "baseline"), (Backend::Gstg, "gstg")] {
-        for threads in [1usize, 4] {
+        for workers in [1usize, 4] {
             let engine = Engine::builder()
                 .backend(backend)
                 .render_config(baseline_config)
                 .gstg_config(gstg_config)
-                .threads(threads)
+                .workers(workers)
                 .build()
                 .expect("valid engine configuration");
-            let requests: Vec<RenderRequest<'_>> = cameras
-                .iter()
-                .map(|camera| RenderRequest::new(&scene, *camera))
-                .collect();
-            let frames: Vec<RenderOutput> = engine
-                .render_batch(&requests)
-                .into_iter()
-                .map(|result| result.expect("valid request"))
-                .collect();
-            outputs.push((format!("engine-{config_label}-t{threads}"), frames));
+            outputs.push((
+                format!("engine-{config_label}-w{workers}"),
+                serve(&engine, &scene, &cameras),
+            ));
         }
     }
 
@@ -158,40 +169,28 @@ fn simd_lane_widths_are_parity_invariant_across_backends() {
     }
 }
 
+/// Which worker serves which job is timing; the frames must not know.
 #[test]
 fn engine_batch_is_thread_count_invariant_for_both_backends() {
-    let scene = PaperScene::Truck.build(SceneScale::Tiny, 7);
+    let scene = std::sync::Arc::new(PaperScene::Truck.build(SceneScale::Tiny, 7));
     let cameras: Vec<Camera> = trajectory(5).cameras().collect();
     for backend in [Backend::Baseline, Backend::Gstg] {
-        let requests: Vec<RenderRequest<'_>> = cameras
-            .iter()
-            .map(|camera| RenderRequest::new(&scene, *camera))
-            .collect();
-        let reference: Vec<RenderOutput> = Engine::builder()
-            .backend(backend)
-            .threads(1)
-            .build()
-            .unwrap()
-            .render_batch(&requests)
-            .into_iter()
-            .map(|r| r.expect("valid request"))
-            .collect();
-        for threads in [2usize, 4] {
-            let outputs = Engine::builder()
+        let engine = |workers| {
+            Engine::builder()
                 .backend(backend)
-                .threads(threads)
+                .workers(workers)
                 .build()
                 .unwrap()
-                .render_batch(&requests);
-            for (index, (result, expected)) in outputs.iter().zip(&reference).enumerate() {
-                let output = result.as_ref().expect("valid request");
-                assert_eq!(
-                    output.image.max_abs_diff(&expected.image),
-                    0.0,
-                    "{backend} request {index} diverged at {threads} threads"
-                );
-                assert_eq!(output.stats.counts, expected.stats.counts);
-            }
+        };
+        let reference = serve(&engine(1), &scene, &cameras);
+        let outputs = serve(&engine(4), &scene, &cameras);
+        for (index, (output, expected)) in outputs.iter().zip(&reference).enumerate() {
+            assert_eq!(
+                output.image.max_abs_diff(&expected.image),
+                0.0,
+                "{backend} request {index} diverged at 4 workers"
+            );
+            assert_eq!(output.stats.counts, expected.stats.counts);
         }
     }
 }

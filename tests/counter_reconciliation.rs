@@ -156,7 +156,6 @@ fn gstg_bitmask_counters_reconcile() {
 fn engine_stats_reconcile_after_drain() {
     let scene = Arc::new(PaperScene::Train.build(SceneScale::Tiny, 7));
     let engine = Engine::builder()
-        .threads(1)
         .admission(AdmissionPolicy::Block)
         .build()
         .expect("valid engine configuration");
@@ -219,7 +218,6 @@ fn quality_ladder_counters_reconcile_under_pressure() {
     let cam = camera(64, 48);
     let burst = |quality: QualityPolicy| {
         let engine = Engine::builder()
-            .threads(1)
             .admission(AdmissionPolicy::ShedLowPriority { capacity: 4 })
             .quality(quality)
             .start_paused(true)

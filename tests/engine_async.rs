@@ -1,6 +1,6 @@
-//! Integration tests for the asynchronous serving path: `Engine::submit`
-//! must be invisible in the pixels (identical to `render_batch`), and
-//! admission control must deflate over-capacity load deterministically.
+//! Integration tests for the serving path: `Engine::submit` must be
+//! invisible in the pixels (identical to a local session), and admission
+//! control must deflate over-capacity load deterministically.
 
 use gs_tg::prelude::*;
 use std::sync::Arc;
@@ -17,55 +17,50 @@ fn trajectory(views: usize) -> CameraTrajectory {
 
 /// Acceptance: with the `Block` policy and a single worker, waiting on the
 /// handles in submission order yields framebuffers (and `StageCounts`)
-/// bit-identical to `render_batch` over the same requests — for both
-/// pipelines.
+/// bit-identical to a local session rendering the same requests in the
+/// same order — for both pipelines.
 #[test]
-fn submit_with_block_policy_and_one_worker_matches_render_batch() {
+fn submit_with_block_policy_and_one_worker_matches_a_local_session() {
     for backend in [Backend::Baseline, Backend::Gstg] {
         let scene = Arc::new(PaperScene::Train.build(SceneScale::Tiny, 7));
         let cameras: Vec<Camera> = trajectory(6).cameras().collect();
 
-        let batch_engine = Engine::builder()
-            .backend(backend)
-            .threads(1)
-            .build()
-            .unwrap();
-        let requests: Vec<RenderRequest<'_>> = cameras
-            .iter()
-            .map(|camera| RenderRequest::new(&scene, *camera))
-            .collect();
-        let batch = batch_engine.render_batch(&requests);
+        let mut local: Box<dyn RenderBackend> = match backend {
+            Backend::Baseline => Box::new(RenderSession::from_config(RenderConfig::default())),
+            _ => Box::new(GstgSession::from_config(GstgConfig::paper_default())),
+        };
 
-        let submit_engine = Engine::builder()
+        let engine = Engine::builder()
             .backend(backend)
-            .threads(1)
             .admission(AdmissionPolicy::Block)
             .build()
             .unwrap();
-        assert_eq!(submit_engine.worker_count(), 1);
+        assert_eq!(engine.worker_count(), 1);
         let handles: Vec<JobHandle> = cameras
             .iter()
             .map(|camera| {
-                submit_engine
+                engine
                     .submit(SubmitRequest::new(Arc::clone(&scene), *camera))
                     .expect("valid submission")
             })
             .collect();
 
-        for (index, (handle, batch_result)) in handles.into_iter().zip(&batch).enumerate() {
+        for (index, (handle, camera)) in handles.into_iter().zip(&cameras).enumerate() {
             let submitted = handle.wait().expect("valid request");
-            let batched = batch_result.as_ref().expect("valid request");
+            let direct = local
+                .render(&RenderRequest::new(&scene, *camera))
+                .expect("valid request");
             assert_eq!(
-                submitted.image.max_abs_diff(&batched.image),
+                submitted.image.max_abs_diff(&direct.image),
                 0.0,
-                "{backend}: request {index} diverged between submit and render_batch"
+                "{backend}: request {index} diverged between submit and the local session"
             );
             assert_eq!(
-                submitted.stats.counts, batched.stats.counts,
+                submitted.stats.counts, direct.stats.counts,
                 "{backend}: request {index} counted differently"
             );
         }
-        let stats = submit_engine.stats();
+        let stats = engine.stats();
         assert_eq!(stats.completed, cameras.len() as u64);
         assert_eq!(stats.rejected, 0);
     }

@@ -1,6 +1,6 @@
 //! Integration tests for handle-based serving: a registered `SceneRef::Id`
 //! must be invisible in the pixels — bit-identical to `SceneRef::Inline`
-//! submissions and to `render_batch` — for both pipelines at batch thread
+//! submissions and to a local session — for both pipelines at worker
 //! counts 1 and 4, and eviction must follow the pinned deterministic order
 //! under a fixed interleaving.
 
@@ -17,73 +17,69 @@ fn trajectory(views: usize) -> CameraTrajectory {
     )
 }
 
-/// Acceptance: `submit(SceneRef::Id)`, `submit(SceneRef::Inline)`,
-/// `render_batch` and `render_batch_registered` all produce bit-identical
-/// framebuffers and `StageCounts` — both pipelines, threads 1 and 4.
+/// Acceptance: `submit(SceneRef::Id)` and `submit(SceneRef::Inline)` both
+/// produce the framebuffers and `StageCounts` of a local session — both
+/// pipelines, 1 and 4 workers.
 #[test]
 fn handle_based_serving_is_bit_identical_to_inline_and_batch() {
     for backend in [Backend::Baseline, Backend::Gstg] {
-        for threads in [1usize, 4] {
+        for workers in [1usize, 4] {
             let scene = Arc::new(PaperScene::Train.build(SceneScale::Tiny, 11));
             let cameras: Vec<Camera> = trajectory(5).cameras().collect();
 
             let engine = Engine::builder()
                 .backend(backend)
-                .threads(threads)
+                .workers(workers)
                 .build()
                 .unwrap();
             let id = engine.register_scene(Arc::clone(&scene)).unwrap();
 
-            // Reference: the synchronous inline batch.
-            let requests: Vec<RenderRequest<'_>> = cameras
-                .iter()
-                .map(|camera| RenderRequest::new(&scene, *camera))
-                .collect();
-            let batch = engine.render_batch(&requests);
-
-            // Handle-based synchronous batch.
-            let registered_requests: Vec<(SceneId, Camera)> =
-                cameras.iter().map(|camera| (id, *camera)).collect();
-            let registered_batch = engine.render_batch_registered(&registered_requests);
-
-            // Asynchronous: one burst by handle, one inline.
-            let by_id: Vec<JobHandle> = cameras
+            // Reference: a local session of the same pipeline.
+            let mut local: Box<dyn RenderBackend> = match backend {
+                Backend::Baseline => Box::new(RenderSession::from_config(RenderConfig::default())),
+                _ => Box::new(GstgSession::from_config(GstgConfig::paper_default())),
+            };
+            let reference: Vec<RenderOutput> = cameras
                 .iter()
                 .map(|camera| {
-                    engine
-                        .submit(SubmitRequest::new(id, *camera))
-                        .expect("registered handle resolves")
+                    local
+                        .render(&RenderRequest::new(&scene, *camera))
+                        .expect("valid request")
                 })
                 .collect();
-            let by_id: Vec<_> = by_id.into_iter().map(|handle| handle.wait()).collect();
-            let inline: Vec<JobHandle> = cameras
-                .iter()
-                .map(|camera| {
-                    engine
-                        .submit(SubmitRequest::new(Arc::clone(&scene), *camera))
-                        .expect("inline submission admitted")
-                })
-                .collect();
-            let inline: Vec<_> = inline.into_iter().map(|handle| handle.wait()).collect();
 
-            for index in 0..cameras.len() {
-                let reference = batch[index].as_ref().expect("valid request");
+            // One burst by handle, one inline, each waited in submission
+            // order.
+            let burst = |scene_ref: SceneRef| -> Vec<Result<RenderOutput, RenderError>> {
+                let handles: Vec<JobHandle> = cameras
+                    .iter()
+                    .map(|camera| {
+                        engine
+                            .submit(SubmitRequest::new(scene_ref.clone(), *camera))
+                            .expect("submission admitted")
+                    })
+                    .collect();
+                handles.into_iter().map(JobHandle::wait).collect()
+            };
+            let by_id = burst(id.into());
+            let inline = burst((&scene).into());
+
+            for (index, reference) in reference.iter().enumerate() {
                 for (label, candidate) in [
-                    ("render_batch_registered", &registered_batch[index]),
                     ("submit(SceneRef::Id)", &by_id[index]),
                     ("submit(SceneRef::Inline)", &inline[index]),
                 ] {
                     let output = candidate.as_ref().unwrap_or_else(|error| {
-                        panic!("{backend} t={threads} {label} frame {index}: {error}")
+                        panic!("{backend} w={workers} {label} frame {index}: {error}")
                     });
                     assert_eq!(
                         output.image.max_abs_diff(&reference.image),
                         0.0,
-                        "{backend} t={threads}: {label} frame {index} diverged from render_batch"
+                        "{backend} w={workers}: {label} frame {index} diverged from the local session"
                     );
                     assert_eq!(
                         output.stats.counts, reference.stats.counts,
-                        "{backend} t={threads}: {label} frame {index} counted differently"
+                        "{backend} w={workers}: {label} frame {index} counted differently"
                     );
                 }
             }
@@ -91,11 +87,11 @@ fn handle_based_serving_is_bit_identical_to_inline_and_batch() {
             // Registry accounting: every Id-path serve was a hit, and the
             // declared identities hold.
             let stats = engine.stats();
-            assert_eq!(stats.scene_hits, 2 * cameras.len() as u64);
+            assert_eq!(stats.scene_hits, cameras.len() as u64);
             assert_eq!(stats.scene_misses, 0);
             assert_eq!(stats.registered, 1);
             for (identity, left, right) in stats.identities() {
-                assert_eq!(left, right, "{backend} t={threads}: {identity}");
+                assert_eq!(left, right, "{backend} w={workers}: {identity}");
             }
         }
     }
@@ -141,8 +137,13 @@ fn eviction_order_is_deterministic_under_a_fixed_interleaving() {
         let b = issued[1];
         log.push(snapshot(&engine, &issued));
         // Serve b then a: c is now the only never-served resident.
-        engine.render_one_registered(b, camera).unwrap();
-        engine.render_one_registered(a, camera).unwrap();
+        for id in [b, a] {
+            engine
+                .submit(SubmitRequest::new(id, camera))
+                .unwrap()
+                .wait()
+                .unwrap();
+        }
         // d evicts c (never served).
         issued.push(engine.register_scene(Arc::clone(&scenes[3])).unwrap());
         log.push(snapshot(&engine, &issued));
@@ -175,9 +176,9 @@ fn eviction_order_is_deterministic_under_a_fixed_interleaving() {
     assert_eq!(stats_a, stats_b);
 }
 
-/// `submit_trajectory` delivers in path order even when later frames
-/// finish first (several workers racing), and the whole path costs one
-/// registry hit.
+/// A whole-path window (every frame submitted up front) still delivers in
+/// path order even when later frames finish first (several workers
+/// racing), and the whole path costs one registry hit.
 #[test]
 fn trajectory_frames_arrive_in_path_order_across_workers() {
     let scene = Arc::new(PaperScene::Drjohnson.build(SceneScale::Tiny, 4));
@@ -185,7 +186,7 @@ fn trajectory_frames_arrive_in_path_order_across_workers() {
     let id = engine.register_scene(Arc::clone(&scene)).unwrap();
     let path = trajectory(8);
     let outputs = engine
-        .submit_trajectory(id, &path, Priority::High)
+        .stream_trajectory(id, &path, Priority::High, path.len())
         .unwrap()
         .wait_all();
     assert_eq!(outputs.len(), path.len());

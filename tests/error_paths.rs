@@ -19,8 +19,8 @@ fn valid_camera() -> Camera {
     )
 }
 
-fn scene() -> Scene {
-    PaperScene::Playroom.build(SceneScale::Tiny, 0)
+fn scene() -> Arc<Scene> {
+    Arc::new(PaperScene::Playroom.build(SceneScale::Tiny, 0))
 }
 
 /// Stable name of a `RenderError` variant (the enum is `#[non_exhaustive]`,
@@ -57,7 +57,7 @@ fn all_variants_via_public_api() -> Vec<(RenderError, &'static str)> {
     );
     specimens.push((
         engine
-            .render_one(&RenderRequest::new(&scene, degenerate))
+            .submit(SubmitRequest::new(&scene, degenerate))
             .expect_err("degenerate camera must be rejected"),
         "degenerate camera",
     ));
@@ -71,7 +71,7 @@ fn all_variants_via_public_api() -> Vec<(RenderError, &'static str)> {
     );
     specimens.push((
         engine
-            .render_one(&RenderRequest::new(&scene, zero_width))
+            .submit(SubmitRequest::new(&scene, zero_width))
             .expect_err("zero-width image must be rejected"),
         "invalid resolution 0x48",
     ));
@@ -85,16 +85,16 @@ fn all_variants_via_public_api() -> Vec<(RenderError, &'static str)> {
     );
     specimens.push((
         engine
-            .render_one(&RenderRequest::new(&scene, bad_fov))
+            .submit(SubmitRequest::new(&scene, bad_fov))
             .expect_err("NaN field of view must be rejected"),
         "invalid camera intrinsics",
     ));
 
     // EmptyScene: nothing to render.
-    let empty = Scene::new("empty", 64, 48, Vec::new());
+    let empty = Arc::new(Scene::new("empty", 64, 48, Vec::new()));
     specimens.push((
         engine
-            .render_one(&RenderRequest::new(&empty, valid_camera()))
+            .submit(SubmitRequest::new(empty, valid_camera()))
             .expect_err("empty scene must be rejected"),
         "no gaussians",
     ));
@@ -124,7 +124,6 @@ fn all_variants_via_public_api() -> Vec<(RenderError, &'static str)> {
 
     // Overloaded: the second submission to a paused, capacity-1,
     // reject-when-full queue.
-    let shared_scene = Arc::new(scene.clone());
     let reject_engine = Engine::builder()
         .admission(AdmissionPolicy::RejectWhenFull)
         .queue_capacity(1)
@@ -132,17 +131,11 @@ fn all_variants_via_public_api() -> Vec<(RenderError, &'static str)> {
         .build()
         .expect("valid engine");
     let _queued = reject_engine
-        .submit(SubmitRequest::new(
-            Arc::clone(&shared_scene),
-            valid_camera(),
-        ))
+        .submit(SubmitRequest::new(Arc::clone(&scene), valid_camera()))
         .expect("first submission fits");
     specimens.push((
         reject_engine
-            .submit(SubmitRequest::new(
-                Arc::clone(&shared_scene),
-                valid_camera(),
-            ))
+            .submit(SubmitRequest::new(Arc::clone(&scene), valid_camera()))
             .expect_err("full queue must reject"),
         "engine overloaded",
     ));
@@ -153,10 +146,7 @@ fn all_variants_via_public_api() -> Vec<(RenderError, &'static str)> {
         .build()
         .expect("valid engine");
     let handle = cancel_engine
-        .submit(SubmitRequest::new(
-            Arc::clone(&shared_scene),
-            valid_camera(),
-        ))
+        .submit(SubmitRequest::new(Arc::clone(&scene), valid_camera()))
         .expect("valid submission");
     assert!(handle.cancel());
     specimens.push((
@@ -170,10 +160,7 @@ fn all_variants_via_public_api() -> Vec<(RenderError, &'static str)> {
         .build()
         .expect("valid engine");
     let orphan = abort_engine
-        .submit(SubmitRequest::new(
-            Arc::clone(&shared_scene),
-            valid_camera(),
-        ))
+        .submit(SubmitRequest::new(Arc::clone(&scene), valid_camera()))
         .expect("valid submission");
     abort_engine.shutdown(ShutdownMode::Abort);
     specimens.push((
@@ -185,7 +172,7 @@ fn all_variants_via_public_api() -> Vec<(RenderError, &'static str)> {
     let registry_engine = Engine::builder().build().expect("valid engine");
     specimens.push((
         registry_engine
-            .render_one_registered(SceneId::from_raw(42), valid_camera())
+            .submit(SubmitRequest::new(SceneId::from_raw(42), valid_camera()))
             .expect_err("fabricated handles must not resolve"),
         "unknown scene scene#42",
     ));
@@ -193,7 +180,7 @@ fn all_variants_via_public_api() -> Vec<(RenderError, &'static str)> {
     // Evicted: a registered handle served after its scene left the
     // resident set.
     let evicted_id = registry_engine
-        .register_scene(Arc::clone(&shared_scene))
+        .register_scene(Arc::clone(&scene))
         .expect("valid scene registers");
     registry_engine
         .evict_scene(evicted_id)

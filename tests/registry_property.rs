@@ -14,15 +14,14 @@
 //! engine's issued handles positionally and only asserts that issuance is
 //! monotonic and never reuses an id.
 //!
-//! The sweep runs in two serving modes: `Direct` (the synchronous
-//! full-quality `render_one_registered` path) and `Degraded` (the async
-//! submit path with the quality pinned to a ladder tier, so every serve is
-//! a degraded serve and every registration prebuilds — and is charged for
-//! — the LOD ladder). The same shadow model governs both: a degraded serve
-//! must touch the LRU exactly like a full one. Degraded interleavings also
-//! log each served frame's digest, so the replay test pins the tiers'
-//! rasterization bit-for-bit across runs while registration, degraded
-//! serving, eviction and re-registration interleave freely.
+//! The sweep runs under two quality policies of the engine under test:
+//! `FullOnly` and `Pinned` to a ladder tier (so every serve is a degraded
+//! serve and every registration prebuilds — and is charged for — the LOD
+//! ladder). The same shadow model governs both: a degraded serve must
+//! touch the LRU exactly like a full one. Every interleaving logs each
+//! served frame's digest, so the replay tests pin the rasterization
+//! bit-for-bit across runs while registration, serving, eviction and
+//! re-registration interleave freely.
 
 use gs_tg::core::Framebuffer;
 use gs_tg::prelude::*;
@@ -56,17 +55,6 @@ fn frame_digest(image: &Framebuffer) -> u64 {
         hasher.write_f32(pixel.b);
     }
     hasher.finish()
-}
-
-/// How an interleaving serves registered scenes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ServeMode {
-    /// Synchronous full-quality serving (`render_one_registered`).
-    Direct,
-    /// Asynchronous serving with the engine's quality pinned to a degraded
-    /// tier: `submit(SceneRef::Id)` + `wait`, ladders prebuilt at
-    /// registration.
-    Degraded(QualityTier),
 }
 
 /// The shadow model's view of one resident scene. `id` is the model's own
@@ -145,10 +133,11 @@ impl Model {
     }
 }
 
-/// One randomized interleaving; returns an event log so determinism across
-/// runs can be asserted by comparing whole logs (in degraded mode the log
-/// includes each served frame's digest, pinning the tier rasterization).
-fn run_interleaving(seed: u64, mode: ServeMode) -> Vec<String> {
+/// One randomized interleaving on an engine with the given quality policy;
+/// returns an event log so determinism across runs can be asserted by
+/// comparing whole logs (the log includes each served frame's digest,
+/// pinning the rasterization at the policy's tier).
+fn run_interleaving(seed: u64, quality: QualityPolicy) -> Vec<String> {
     // Two scene sizes so both budget axes bind: a run of large scenes
     // trips the byte budget below the scene cap, a run of small ones
     // trips the scene cap below the byte budget.
@@ -157,22 +146,23 @@ fn run_interleaving(seed: u64, mode: ServeMode) -> Vec<String> {
     // The residency charge per scene: the raw footprint, plus the LOD
     // ladder's tiers when the engine's quality policy can degrade (the
     // ladder is prebuilt at registration and billed to the byte budget).
-    let charged = |scene: &Scene| match mode {
-        ServeMode::Direct => scene.footprint_bytes(),
-        ServeMode::Degraded(_) => {
+    let charged = |scene: &Scene| {
+        if quality.can_degrade() {
             scene.footprint_bytes() + LodLadder::build(scene).footprint_bytes()
+        } else {
+            scene.footprint_bytes()
         }
     };
     let max_bytes = BYTE_BUDGET_SCENES * charged(&large);
-    let mut builder = Engine::builder().residency(
-        ResidencyPolicy::unlimited()
-            .with_max_resident_bytes(max_bytes)
-            .with_max_resident_scenes(MAX_SCENES),
-    );
-    if let ServeMode::Degraded(tier) = mode {
-        builder = builder.quality(QualityPolicy::Pinned(tier));
-    }
-    let engine = builder.build().expect("valid engine configuration");
+    let engine = Engine::builder()
+        .residency(
+            ResidencyPolicy::unlimited()
+                .with_max_resident_bytes(max_bytes)
+                .with_max_resident_scenes(MAX_SCENES),
+        )
+        .quality(quality)
+        .build()
+        .expect("valid engine configuration");
     let mut model = Model {
         max_bytes,
         max_scenes: MAX_SCENES,
@@ -217,31 +207,18 @@ fn run_interleaving(seed: u64, mode: ServeMode) -> Vec<String> {
                 }
                 let slot = (rng.next_u64() % issued.len() as u64) as usize;
                 let expect_hit = model.serve(slot as u64);
-                match mode {
-                    ServeMode::Direct => {
-                        let result = engine.render_one_registered(issued[slot], camera);
-                        match (expect_hit, &result) {
-                            (true, Ok(_)) => {}
-                            (false, Err(RenderError::Evicted { .. })) => {}
-                            other => panic!("op {op}: serve({slot}) mismatch: {other:?}"),
-                        }
-                        log.push(format!("serve {slot} hit={expect_hit}"));
+                let result = engine
+                    .submit(SubmitRequest::new(issued[slot], camera))
+                    .and_then(|handle| handle.wait());
+                match (expect_hit, &result) {
+                    (true, Ok(output)) => log.push(format!(
+                        "serve {slot} hit=true digest={:016x}",
+                        frame_digest(&output.image)
+                    )),
+                    (false, Err(RenderError::Evicted { .. })) => {
+                        log.push(format!("serve {slot} hit=false"));
                     }
-                    ServeMode::Degraded(_) => {
-                        let result = engine
-                            .submit(SubmitRequest::new(issued[slot], camera))
-                            .and_then(|handle| handle.wait());
-                        match (expect_hit, &result) {
-                            (true, Ok(output)) => log.push(format!(
-                                "serve {slot} hit=true digest={:016x}",
-                                frame_digest(&output.image)
-                            )),
-                            (false, Err(RenderError::Evicted { .. })) => {
-                                log.push(format!("serve {slot} hit=false"));
-                            }
-                            other => panic!("op {op}: serve({slot}) mismatch: {other:?}"),
-                        }
-                    }
+                    other => panic!("op {op}: serve({slot}) mismatch: {other:?}"),
                 }
             }
             // Explicit eviction of a random issued handle (weight 2).
@@ -298,15 +275,19 @@ fn run_interleaving(seed: u64, mode: ServeMode) -> Vec<String> {
 #[test]
 fn randomized_interleavings_respect_the_budget_and_pinned_lru_order() {
     for seed in 0..4 {
-        run_interleaving(seed, ServeMode::Direct);
+        run_interleaving(seed, QualityPolicy::FullOnly);
     }
 }
 
 #[test]
 fn interleavings_are_deterministic_across_runs() {
-    let first = run_interleaving(9, ServeMode::Direct);
-    let second = run_interleaving(9, ServeMode::Direct);
+    let first = run_interleaving(9, QualityPolicy::FullOnly);
+    let second = run_interleaving(9, QualityPolicy::FullOnly);
     assert_eq!(first, second, "same seed must replay the same event log");
+    assert!(
+        first.iter().any(|line| line.contains("digest=")),
+        "the interleaving must have served at least one frame"
+    );
 }
 
 #[test]
@@ -318,7 +299,7 @@ fn degraded_interleavings_obey_the_same_residency_model() {
     // byte budget.
     for tier in [QualityTier::Tier1, QualityTier::Tier3] {
         for seed in 0..2 {
-            run_interleaving(seed, ServeMode::Degraded(tier));
+            run_interleaving(seed, QualityPolicy::Pinned(tier));
         }
     }
 }
@@ -328,8 +309,8 @@ fn degraded_interleavings_replay_identical_tier_digests() {
     // The degraded log embeds each served frame's digest, so log equality
     // pins the tier rasterization bit-for-bit across whole replayed
     // interleavings — not just the residency bookkeeping.
-    let first = run_interleaving(11, ServeMode::Degraded(QualityTier::Tier3));
-    let second = run_interleaving(11, ServeMode::Degraded(QualityTier::Tier3));
+    let first = run_interleaving(11, QualityPolicy::Pinned(QualityTier::Tier3));
+    let second = run_interleaving(11, QualityPolicy::Pinned(QualityTier::Tier3));
     assert_eq!(first, second, "same seed must replay the same digests");
     assert!(
         first.iter().any(|line| line.contains("digest=")),
@@ -340,59 +321,35 @@ fn degraded_interleavings_replay_identical_tier_digests() {
 #[test]
 fn degraded_serves_touch_the_lru_exactly_like_full_serves() {
     // Two engines, same registration and serve order, count-bounded
-    // residency only (so ladder bytes cannot skew the comparison): the
-    // full-quality engine serves synchronously, the pinned-tier engine
-    // through the degraded submit path. Both must pick the same LRU
-    // victim when a third scene arrives.
+    // residency only (so ladder bytes cannot skew the comparison): one
+    // serves at full quality, the other pinned to a degraded tier. Both
+    // must pick the same LRU victim when a third scene arrives.
     let build = |seed| Arc::new(PaperScene::Train.build(SceneScale::Tiny, seed));
     let cam = camera();
-    let full = Engine::builder()
-        .residency(ResidencyPolicy::unlimited().with_max_resident_scenes(2))
-        .build()
-        .expect("valid engine configuration");
-    let degraded = Engine::builder()
-        .residency(ResidencyPolicy::unlimited().with_max_resident_scenes(2))
-        .quality(QualityPolicy::Pinned(QualityTier::Tier3))
-        .build()
-        .expect("valid engine configuration");
-
-    let a_full = full.register_scene(build(1)).expect("registered");
-    let b_full = full.register_scene(build(2)).expect("registered");
-    let a_degraded = degraded.register_scene(build(1)).expect("registered");
-    let b_degraded = degraded.register_scene(build(2)).expect("registered");
-
-    // Serve B then A in both engines: B becomes the LRU victim.
-    full.render_one_registered(b_full, cam).expect("resident");
-    full.render_one_registered(a_full, cam).expect("resident");
-    for id in [b_degraded, a_degraded] {
-        degraded
-            .submit(SubmitRequest::new(id, cam))
-            .expect("resident")
-            .wait()
-            .expect("render succeeds");
+    for quality in [
+        QualityPolicy::FullOnly,
+        QualityPolicy::Pinned(QualityTier::Tier3),
+    ] {
+        let engine = Engine::builder()
+            .residency(ResidencyPolicy::unlimited().with_max_resident_scenes(2))
+            .quality(quality)
+            .build()
+            .expect("valid engine configuration");
+        let serve = |id| {
+            engine
+                .submit(SubmitRequest::new(id, cam))
+                .and_then(JobHandle::wait)
+        };
+        let a = engine.register_scene(build(1)).expect("registered");
+        let b = engine.register_scene(build(2)).expect("registered");
+        // Serve B then A: B becomes the LRU victim.
+        serve(b).expect("resident");
+        serve(a).expect("resident");
+        engine.register_scene(build(3)).expect("registered");
+        assert!(
+            matches!(serve(b), Err(RenderError::Evicted { .. })),
+            "{quality:?}: B, the least recently served, is the victim"
+        );
+        assert!(serve(a).is_ok(), "{quality:?}: A survived");
     }
-
-    full.register_scene(build(3)).expect("registered");
-    degraded.register_scene(build(3)).expect("registered");
-
-    assert!(
-        matches!(
-            full.render_one_registered(b_full, cam),
-            Err(RenderError::Evicted { .. })
-        ),
-        "full-quality engine evicted B, the least recently served"
-    );
-    assert!(
-        matches!(
-            degraded.submit(SubmitRequest::new(b_degraded, cam)),
-            Err(RenderError::Evicted { .. })
-        ),
-        "degraded engine must evict the same victim as the full one"
-    );
-    assert!(full.render_one_registered(a_full, cam).is_ok());
-    assert!(degraded
-        .submit(SubmitRequest::new(a_degraded, cam))
-        .expect("A survived in the degraded engine too")
-        .wait()
-        .is_ok());
 }

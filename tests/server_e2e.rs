@@ -2,8 +2,8 @@
 //!
 //! Everything runs against an ephemeral port on 127.0.0.1: scenes are
 //! uploaded through the wire, frames are rendered through the wire, and
-//! every digest is compared bit-for-bit against the direct in-process
-//! `Engine` path — the serving stack must be invisible in the pixels.
+//! every digest is compared bit-for-bit against a local in-process
+//! session — the serving stack must be invisible in the pixels.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -76,29 +76,22 @@ fn upload(addr: &str, scene: &Scene) -> u64 {
 }
 
 /// The direct in-process reference for a tier: the ladder scene (or the
-/// full scene) rendered synchronously, with the half-resolution render +
-/// nearest-neighbor upsample for Tier3 — exactly what the engine workers
-/// do for a degraded job.
-fn direct_tier_digest(engine: &Engine, scene: &Scene, tier: QualityTier, camera: Camera) -> u64 {
+/// full scene) rendered on a local session of the engine's default
+/// pipeline, with the half-resolution render + nearest-neighbor upsample
+/// for Tier3 — exactly what the engine workers do for a degraded job.
+fn direct_tier_digest(scene: &Scene, tier: QualityTier, camera: Camera) -> u64 {
     let ladder = LodLadder::build(scene);
     let tier_scene: &Scene = match ladder.scene(tier) {
         Some(scene) => scene,
         None => scene,
     };
-    let image = if tier.half_resolution() {
-        let half = camera.half_resolution();
-        engine
-            .render_one(&RenderRequest::new(tier_scene, half))
-            .expect("direct render succeeds")
-            .image
-            .upsample_nearest(camera.width(), camera.height())
+    let mut local = GstgSession::from_config(GstgConfig::paper_default());
+    if tier.half_resolution() {
+        let half = local.render(tier_scene, &camera.half_resolution());
+        frame_digest(&half.image.upsample_nearest(camera.width(), camera.height()))
     } else {
-        engine
-            .render_one(&RenderRequest::new(tier_scene, camera))
-            .expect("direct render succeeds")
-            .image
-    };
-    frame_digest(&image)
+        frame_digest(local.render(tier_scene, &camera).image)
+    }
 }
 
 #[test]
@@ -137,25 +130,25 @@ fn wire_digests_are_bit_identical_to_the_direct_engine_path_for_all_tiers() {
             "digest header must match the decoded frame"
         );
 
-        // The engine registered the *decoded* upload; resolve it back out
-        // of the server's engine so the reference renders the same bits.
-        let engine = server.engine();
+        // The engine registered the *decoded* upload; read it back out of
+        // the server's registry (a read-only look, not a serve) so the
+        // reference renders the very scene the server holds…
         let camera = test_camera(96, 72);
-        if tier == QualityTier::Full {
-            let direct = engine
-                .render_one_registered(SceneId::from_raw(scene_id), camera)
-                .expect("direct registered render succeeds");
-            assert_eq!(
-                wire_digest,
-                frame_digest(&direct.image),
-                "wire frame must be bit-identical to render_one_registered"
-            );
-        }
+        let registered = server
+            .engine()
+            .prepared_scene(SceneId::from_raw(scene_id))
+            .expect("the upload is resident");
+        assert_eq!(
+            wire_digest,
+            direct_tier_digest(registered.scene(), tier, camera),
+            "wire frame must be bit-identical to a local render of the registered scene"
+        );
+        // …which is bit-for-bit what decoding the upload locally yields.
         let decoded_upload =
             splat_scene::io::decode_scene(&encode_scene(&scene)).expect("re-decode");
         assert_eq!(
             wire_digest,
-            direct_tier_digest(engine, &decoded_upload, tier, camera),
+            direct_tier_digest(&decoded_upload, tier, camera),
             "wire frame must be bit-identical to the direct {tier:?} path"
         );
         let (server_stats, engine_stats) = server.shutdown();
@@ -199,19 +192,16 @@ fn trajectory_streams_ordered_frames_with_direct_path_digests() {
         5,
     );
     let decoded_upload = splat_scene::io::decode_scene(&encode_scene(&scene)).expect("re-decode");
+    let mut local = GstgSession::from_config(GstgConfig::paper_default());
     let mut frames = 0usize;
     while let Some(chunk) = connection.read_chunk().expect("chunk arrives") {
         match decode_frame_chunk(&chunk).expect("chunk decodes") {
             FrameChunk::Frame { tier, image } => {
                 assert_eq!(tier, QualityTier::Full);
-                let camera = trajectory.camera(frames);
-                let direct = server
-                    .engine()
-                    .render_one(&RenderRequest::new(&decoded_upload, camera))
-                    .expect("direct render succeeds");
+                let direct = local.render(&decoded_upload, &trajectory.camera(frames));
                 assert_eq!(
                     frame_digest(&image),
-                    frame_digest(&direct.image),
+                    frame_digest(direct.image),
                     "streamed frame {frames} must match the direct path"
                 );
                 frames += 1;
@@ -231,8 +221,9 @@ fn trajectory_streams_ordered_frames_with_direct_path_digests() {
 /// A client that walks away mid-stream: the bytes it was sent stay in
 /// `bytes_out` (they used to be added only after the last chunk, so every
 /// write error dropped the whole stream's count), the request is still
-/// routed and answered exactly once, and the engine's books balance once
-/// the abandoned window's jobs have drained.
+/// routed and answered exactly once, and the engine's books balance: the
+/// abandoned window's queued jobs are cancelled with the stream, and the
+/// rest of the path is never submitted.
 #[test]
 fn a_dropped_trajectory_stream_keeps_its_bytes_and_balances_the_books() {
     let scene = synth_scene(26, 200);
@@ -288,7 +279,10 @@ fn a_dropped_trajectory_stream_keeps_its_bytes_and_balances_the_books() {
     for (identity, left, right) in engine_stats.identities() {
         assert_eq!(left, right, "{identity}");
     }
-    assert_eq!(engine_stats.submitted, engine_stats.completed);
+    assert_eq!(
+        engine_stats.submitted,
+        engine_stats.completed + engine_stats.cancelled
+    );
     server.shutdown();
 }
 
