@@ -1,10 +1,8 @@
 //! Configuration of the GS-TG pipeline.
 
-pub use splat_core::ExecutionModel;
-
 use splat_core::{ExecutionConfig, HasExecution};
 use splat_render::{BoundaryMethod, PrepassMode};
-use splat_types::{Precision, RenderError};
+use splat_types::RenderError;
 use std::fmt;
 
 /// Errors raised when building an invalid [`GstgConfig`].
@@ -84,10 +82,9 @@ impl From<ConfigError> for RenderError {
 /// Configuration of the GS-TG rendering pipeline.
 ///
 /// The struct is `#[non_exhaustive]`: construct it through
-/// [`GstgConfig::default`] / [`GstgConfig::paper_default`],
-/// [`GstgConfig::new`] or [`GstgConfig::builder`], so future knobs can be
-/// added without breaking callers. The fields stay public for reading and
-/// in-place adjustment.
+/// [`GstgConfig::default`] / [`GstgConfig::paper_default`] or
+/// [`GstgConfig::new`] and adjust it through the public fields or the
+/// `with_*` methods, so future knobs can be added without breaking callers.
 #[derive(Debug, Clone, Copy, PartialEq)]
 #[non_exhaustive]
 pub struct GstgConfig {
@@ -100,17 +97,14 @@ pub struct GstgConfig {
     pub group_boundary: BoundaryMethod,
     /// Boundary method used when generating the per-tile bitmasks.
     pub bitmask_boundary: BoundaryMethod,
-    /// Storage precision applied to splat parameters.
-    pub precision: Precision,
     /// Intersection-prepass mode applied during bitmask generation: with
     /// [`PrepassMode::Exact`], conservatively marked small tiles are
     /// re-tested with the exact ellipse test and trimmed when the splat
     /// cannot contribute — pixels are unchanged, sort keys and blend work
     /// shrink.
     pub prepass: PrepassMode,
-    /// Shared execution parameters (worker threads, scheduling model for
-    /// bitmask generation). Use [`HasExecution::with_threads`] /
-    /// [`HasExecution::with_execution`] to change them.
+    /// Shared execution parameters (worker threads, kernel modes). Use
+    /// [`HasExecution::with_threads`] to change the thread count.
     pub exec: ExecutionConfig,
 }
 
@@ -146,35 +140,11 @@ impl GstgConfig {
             group_size,
             group_boundary,
             bitmask_boundary,
-            precision: Precision::Full,
             prepass: PrepassMode::Conservative,
             exec: ExecutionConfig::sequential(),
         };
         config.validate()?;
         Ok(config)
-    }
-
-    /// Starts a builder from the paper's default configuration
-    /// (16×16 tiles in 64×64 groups, ellipse boundaries).
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use gstg::GstgConfig;
-    /// use splat_render::BoundaryMethod;
-    ///
-    /// let config = GstgConfig::builder()
-    ///     .tile_size(8)
-    ///     .group_size(32)
-    ///     .boundaries(BoundaryMethod::Obb)
-    ///     .build()?;
-    /// assert_eq!(config.tiles_per_group(), 16);
-    /// # Ok::<(), splat_types::RenderError>(())
-    /// ```
-    pub fn builder() -> GstgConfigBuilder {
-        GstgConfigBuilder {
-            config: Self::paper_default(),
-        }
     }
 
     /// Validates the configuration. Because the fields are public, the
@@ -227,12 +197,6 @@ impl GstgConfig {
         side * side
     }
 
-    /// Returns a copy with the storage precision replaced.
-    pub fn with_precision(mut self, precision: Precision) -> Self {
-        self.precision = precision;
-        self
-    }
-
     /// Returns a copy with the intersection-prepass mode replaced.
     pub fn with_prepass(mut self, prepass: PrepassMode) -> Self {
         self.prepass = prepass;
@@ -244,91 +208,9 @@ impl GstgConfig {
     /// identification, the same prepass mode).
     pub fn equivalent_baseline(&self) -> splat_render::RenderConfig {
         let mut config = splat_render::RenderConfig::new(self.tile_size, self.bitmask_boundary);
-        config.precision = self.precision;
         config.prepass = self.prepass;
         config.exec = self.exec;
         config
-    }
-}
-
-/// Builder for [`GstgConfig`] (see [`GstgConfig::builder`]).
-#[derive(Debug, Clone, Copy)]
-pub struct GstgConfigBuilder {
-    config: GstgConfig,
-}
-
-impl GstgConfigBuilder {
-    /// Sets the small tile edge length in pixels (rasterization
-    /// granularity).
-    pub fn tile_size(mut self, tile_size: u32) -> Self {
-        self.config.tile_size = tile_size;
-        self
-    }
-
-    /// Sets the group edge length in pixels (sorting granularity).
-    pub fn group_size(mut self, group_size: u32) -> Self {
-        self.config.group_size = group_size;
-        self
-    }
-
-    /// Sets the boundary method used for group identification.
-    pub fn group_boundary(mut self, boundary: BoundaryMethod) -> Self {
-        self.config.group_boundary = boundary;
-        self
-    }
-
-    /// Sets the boundary method used when generating per-tile bitmasks.
-    pub fn bitmask_boundary(mut self, boundary: BoundaryMethod) -> Self {
-        self.config.bitmask_boundary = boundary;
-        self
-    }
-
-    /// Sets both boundary methods at once.
-    pub fn boundaries(self, boundary: BoundaryMethod) -> Self {
-        self.group_boundary(boundary).bitmask_boundary(boundary)
-    }
-
-    /// Sets the storage precision applied to splat parameters.
-    pub fn precision(mut self, precision: Precision) -> Self {
-        self.config.precision = precision;
-        self
-    }
-
-    /// Sets the intersection-prepass mode applied during bitmask
-    /// generation.
-    pub fn prepass(mut self, prepass: PrepassMode) -> Self {
-        self.config.prepass = prepass;
-        self
-    }
-
-    /// Sets the worker thread count (clamped to at least one).
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.config = self.config.with_threads(threads);
-        self
-    }
-
-    /// Sets the rasterization span mode (full tile walk or conservative
-    /// per-row intervals).
-    pub fn span(mut self, span: splat_core::SpanMode) -> Self {
-        self.config = self.config.with_span(span);
-        self
-    }
-
-    /// Replaces the whole execution configuration.
-    pub fn execution(mut self, exec: ExecutionConfig) -> Self {
-        self.config.exec = exec;
-        self
-    }
-
-    /// Validates and finishes the configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns the [`RenderError`] for the first violated constraint (see
-    /// [`GstgConfig::validate`]).
-    pub fn build(self) -> Result<GstgConfig, RenderError> {
-        self.config.validate()?;
-        Ok(self.config)
     }
 }
 
@@ -430,18 +312,9 @@ mod tests {
 
     #[test]
     fn prepass_knob_propagates_to_the_equivalent_baseline() {
-        let c = GstgConfig::builder()
-            .prepass(PrepassMode::Exact)
-            .build()
-            .expect("valid configuration");
+        let c = GstgConfig::paper_default().with_prepass(PrepassMode::Exact);
         assert_eq!(c.prepass, PrepassMode::Exact);
         assert_eq!(c.equivalent_baseline().prepass, PrepassMode::Exact);
-        assert_eq!(
-            GstgConfig::paper_default()
-                .with_prepass(PrepassMode::Exact)
-                .prepass,
-            PrepassMode::Exact
-        );
         assert_eq!(
             GstgConfig::paper_default().prepass,
             PrepassMode::Conservative
@@ -451,56 +324,19 @@ mod tests {
     #[test]
     fn span_knob_propagates_to_the_equivalent_baseline() {
         use splat_core::SpanMode;
-        let c = GstgConfig::builder()
-            .span(SpanMode::RowSpans)
-            .build()
-            .expect("valid configuration");
+        let c = GstgConfig::paper_default().with_span(SpanMode::RowSpans);
         assert_eq!(c.span(), SpanMode::RowSpans);
         assert_eq!(c.equivalent_baseline().span(), SpanMode::RowSpans);
         assert_eq!(GstgConfig::paper_default().span(), SpanMode::Full);
-        assert_eq!(
-            GstgConfig::paper_default()
-                .with_span(SpanMode::RowSpans)
-                .span(),
-            SpanMode::RowSpans
-        );
     }
 
     #[test]
     fn shared_execution_knobs_apply() {
         let c = GstgConfig::paper_default()
             .with_threads(4)
-            .with_execution(ExecutionModel::AcceleratorOverlapped);
+            .with_simd(splat_core::SimdMode::Wide8);
         assert_eq!(c.exec.threads, 4);
-        assert_eq!(c.exec.model, ExecutionModel::AcceleratorOverlapped);
-    }
-
-    #[test]
-    fn builder_sets_every_knob_and_validates() {
-        let config = GstgConfig::builder()
-            .tile_size(8)
-            .group_size(64)
-            .group_boundary(BoundaryMethod::Aabb)
-            .bitmask_boundary(BoundaryMethod::Obb)
-            .threads(2)
-            .build()
-            .expect("valid configuration");
-        assert_eq!((config.tile_size, config.group_size), (8, 64));
-        assert_eq!(config.group_boundary, BoundaryMethod::Aabb);
-        assert_eq!(config.bitmask_boundary, BoundaryMethod::Obb);
-        assert_eq!(config.exec.threads, 2);
-        assert_eq!(
-            GstgConfig::builder().build().expect("paper default"),
-            GstgConfig::paper_default()
-        );
-        assert!(matches!(
-            GstgConfig::builder().tile_size(0).build(),
-            Err(splat_types::RenderError::InvalidTileSize { tile_size: 0 })
-        ));
-        assert!(matches!(
-            GstgConfig::builder().group_size(40).build(),
-            Err(splat_types::RenderError::InvalidConfiguration { .. })
-        ));
+        assert_eq!(c.exec.simd, splat_core::SimdMode::Wide8);
     }
 
     #[test]
@@ -510,6 +346,16 @@ mod tests {
         assert!(matches!(
             config.validate(),
             Err(ConfigError::GroupNotMultipleOfTile { .. })
+        ));
+        assert!(matches!(
+            config.validate().map_err(RenderError::from),
+            Err(RenderError::InvalidConfiguration { .. })
+        ));
+        let mut config = GstgConfig::paper_default();
+        config.tile_size = 0;
+        assert!(matches!(
+            config.validate().map_err(RenderError::from),
+            Err(RenderError::InvalidTileSize { tile_size: 0 })
         ));
         assert!(GstgConfig::paper_default().validate().is_ok());
     }

@@ -35,14 +35,10 @@
 //!
 //! let scene = PaperScene::Playroom.build(SceneScale::Tiny, 0);
 //! let camera = PaperScene::Playroom.default_camera();
-//! let config = GstgConfig::builder()
-//!     .tile_size(16)
-//!     .group_size(64)
-//!     .boundaries(BoundaryMethod::Ellipse)
-//!     .build()?;
+//! let config = GstgConfig::new(16, 64, BoundaryMethod::Ellipse, BoundaryMethod::Ellipse)?;
 //! let output = GstgRenderer::new(config).render(&scene, &camera);
 //! assert_eq!(output.image.width(), scene.width());
-//! # Ok::<(), splat_types::RenderError>(())
+//! # Ok::<(), gstg::ConfigError>(())
 //! ```
 //!
 //! Those four bullets are the whole delta: [`GstgRenderer`] implements
@@ -67,7 +63,7 @@ pub mod raster;
 pub mod sort;
 
 pub use bitmask::{GroupLayout, TileBitmask};
-pub use config::{ConfigError, ExecutionModel, GstgConfig, GstgConfigBuilder};
+pub use config::{ConfigError, GstgConfig};
 pub use group::{identify_groups_into, GroupAssignments, GroupEntry};
 pub use lossless::{verify_lossless, LosslessReport};
 pub use pipeline::{GstgRenderer, GstgSession, RenderOutput};

@@ -17,8 +17,8 @@
 
 use crate::group::GroupAssignments;
 use splat_core::{
-    shade_tiles, ExecutionConfig, Framebuffer, ProjectedGaussian, SimdMode, SpanMode, SpanScratch,
-    StageCounts, TileLists, TileRect,
+    shade_tiles, ExecutionConfig, Framebuffer, HasExecution, ProjectedGaussian, SimdMode, SpanMode,
+    SpanScratch, StageCounts, TileLists, TileRect,
 };
 use splat_types::Rgb;
 
@@ -106,11 +106,10 @@ pub fn rasterize_groups_into_with(
     scratch: &mut SpanScratch,
 ) -> StageCounts {
     image.reset(image_width, image_height, background);
-    let exec = ExecutionConfig::builder()
-        .threads(threads)
-        .simd(simd)
-        .span(span)
-        .build();
+    let exec = ExecutionConfig::sequential()
+        .with_threads(threads)
+        .with_simd(simd)
+        .with_span(span);
     shade_tiles(
         assignments,
         projected,

@@ -12,10 +12,9 @@ use splat_types::RenderError;
 /// double-buffered 42 KB SRAM per core and a 51.2 GB/s DRAM channel.
 ///
 /// The struct is `#[non_exhaustive]`: construct it through
-/// [`AccelConfig::default`] / [`AccelConfig::paper`] or
-/// [`AccelConfig::builder`], so future hardware knobs can be added without
-/// breaking callers. The fields stay public for reading and in-place
-/// adjustment.
+/// [`AccelConfig::default`] / [`AccelConfig::paper`] and adjust the public
+/// fields in place (then [`AccelConfig::validate`]), so future hardware
+/// knobs can be added without breaking callers.
 #[derive(Debug, Clone, Copy, PartialEq)]
 #[non_exhaustive]
 pub struct AccelConfig {
@@ -119,23 +118,6 @@ impl AccelConfig {
         self.dram_bandwidth_bytes_per_s / self.clock_hz
     }
 
-    /// Starts a builder from the paper's configuration.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use splat_accel::AccelConfig;
-    ///
-    /// let config = AccelConfig::builder().cores(8).clock_hz(1.2e9).build()?;
-    /// assert_eq!(config.total_raster_throughput(), 128.0);
-    /// # Ok::<(), splat_types::RenderError>(())
-    /// ```
-    pub fn builder() -> AccelConfigBuilder {
-        AccelConfigBuilder {
-            config: Self::paper(),
-        }
-    }
-
     /// Validates that every throughput, unit count and memory parameter is
     /// positive and finite — the invariants the cycle model divides by.
     ///
@@ -190,67 +172,6 @@ impl AccelConfig {
     }
 }
 
-/// Builder for [`AccelConfig`] (see [`AccelConfig::builder`]).
-#[derive(Debug, Clone, Copy)]
-pub struct AccelConfigBuilder {
-    config: AccelConfig,
-}
-
-impl AccelConfigBuilder {
-    /// Sets the clock frequency in Hz.
-    pub fn clock_hz(mut self, clock_hz: f64) -> Self {
-        self.config.clock_hz = clock_hz;
-        self
-    }
-
-    /// Sets the number of parallel preprocessing modules.
-    pub fn preprocessing_modules(mut self, modules: u32) -> Self {
-        self.config.preprocessing_modules = modules;
-        self
-    }
-
-    /// Sets the number of GS-TG cores (each with BGM + GSM + RM).
-    pub fn cores(mut self, cores: u32) -> Self {
-        self.config.cores = cores;
-        self
-    }
-
-    /// Sets the tile-check units per bitmask generation module.
-    pub fn bgm_tile_check_units(mut self, units: u32) -> Self {
-        self.config.bgm_tile_check_units = units;
-        self
-    }
-
-    /// Sets the rasterization units per rasterization module.
-    pub fn rm_rasterization_units(mut self, units: u32) -> Self {
-        self.config.rm_rasterization_units = units;
-        self
-    }
-
-    /// Sets the on-chip buffer capacity per core in bytes.
-    pub fn buffer_bytes_per_core(mut self, bytes: u64) -> Self {
-        self.config.buffer_bytes_per_core = bytes;
-        self
-    }
-
-    /// Sets the DRAM bandwidth in bytes per second.
-    pub fn dram_bandwidth_bytes_per_s(mut self, bandwidth: f64) -> Self {
-        self.config.dram_bandwidth_bytes_per_s = bandwidth;
-        self
-    }
-
-    /// Validates and finishes the configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RenderError::InvalidConfiguration`] when a parameter is
-    /// zero, negative or non-finite (see [`AccelConfig::validate`]).
-    pub fn build(self) -> Result<AccelConfig, RenderError> {
-        self.config.validate()?;
-        Ok(self.config)
-    }
-}
-
 impl Default for AccelConfig {
     fn default() -> Self {
         Self::paper()
@@ -280,33 +201,25 @@ mod tests {
         assert_eq!(c.total_raster_throughput(), 64.0);
         assert_eq!(c.total_sort_comparison_throughput(), 16.0);
         assert_eq!(c.total_filter_throughput(), 32.0);
-    }
 
-    #[test]
-    fn builder_scales_units_and_validates() {
-        let config = AccelConfig::builder()
-            .cores(8)
-            .preprocessing_modules(2)
-            .rm_rasterization_units(32)
-            .dram_bandwidth_bytes_per_s(100e9)
-            .build()
-            .expect("valid configuration");
-        assert_eq!(config.cores, 8);
-        assert_eq!(config.total_raster_throughput(), 256.0);
-        assert!(AccelConfig::builder().cores(0).build().is_err());
-        assert!(AccelConfig::builder().clock_hz(0.0).build().is_err());
-        assert!(AccelConfig::builder().clock_hz(f64::NAN).build().is_err());
-        assert_eq!(
-            AccelConfig::builder().build().expect("paper default"),
-            AccelConfig::paper()
-        );
+        let mut scaled = AccelConfig::paper();
+        scaled.cores = 8;
+        scaled.rm_rasterization_units = 32;
+        assert_eq!(scaled.validate(), Ok(()));
+        assert_eq!(scaled.total_raster_throughput(), 256.0);
     }
 
     #[test]
     fn validate_catches_hand_mutated_configs() {
-        let mut config = AccelConfig::paper();
-        config.buffer_bytes_per_core = 0;
-        assert!(config.validate().is_err());
+        let mutated = |mutate: fn(&mut AccelConfig)| {
+            let mut config = AccelConfig::paper();
+            mutate(&mut config);
+            config.validate()
+        };
+        assert!(mutated(|c| c.buffer_bytes_per_core = 0).is_err());
+        assert!(mutated(|c| c.cores = 0).is_err());
+        assert!(mutated(|c| c.clock_hz = 0.0).is_err());
+        assert!(mutated(|c| c.clock_hz = f64::NAN).is_err());
         assert!(AccelConfig::paper().validate().is_ok());
     }
 

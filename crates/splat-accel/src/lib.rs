@@ -55,7 +55,7 @@ pub mod modules;
 pub mod report;
 pub mod sim;
 
-pub use config::{AccelConfig, AccelConfigBuilder};
+pub use config::AccelConfig;
 pub use dram::{DramModel, DramTraffic};
 pub use energy::{EnergyBreakdown, PowerTable};
 pub use gscore::GscoreConfig;

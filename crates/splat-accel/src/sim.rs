@@ -20,7 +20,7 @@ use splat_core::{HasExecution, SpanMode};
 use splat_render::stats::StageCounts;
 use splat_render::{BoundaryMethod, RenderConfig, RenderSession};
 use splat_scene::Scene;
-use splat_types::Camera;
+use splat_types::{Camera, Precision};
 
 /// Which rendering pipeline a simulated frame runs.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -98,20 +98,17 @@ impl Simulator {
         }
     }
 
-    /// Returns a copy using a custom power table.
-    pub fn with_power(mut self, power: PowerTable) -> Self {
-        self.power = power;
-        self
-    }
-
     /// The hardware configuration.
     pub fn config(&self) -> &AccelConfig {
         &self.config
     }
 
     /// Simulates one frame of `scene` viewed from `camera` through the
-    /// given pipeline variant.
+    /// given pipeline variant. The paper converts models to fp16 before
+    /// they reach the accelerator, so the frame is rendered from the
+    /// half-precision copy of the scene.
     pub fn simulate(&self, scene: &Scene, camera: &Camera, variant: &PipelineVariant) -> SimReport {
+        let scene = &scene.to_precision(Precision::Half);
         match variant {
             PipelineVariant::Baseline {
                 tile_size,
@@ -133,11 +130,9 @@ impl Simulator {
         boundary: BoundaryMethod,
         label: String,
     ) -> SimReport {
-        let mut render_config = RenderConfig::new(tile_size, boundary);
-        render_config.precision = splat_types::Precision::Half;
         // Gather exact work counts by rendering the frame; the per-tile
         // list sizes the session keeps feed the buffer model.
-        let mut session = RenderSession::from_config(render_config);
+        let mut session = RenderSession::from_config(RenderConfig::new(tile_size, boundary));
         let counts = session.render(scene, camera).stats.counts;
 
         let tile_entry_sizes: Vec<u64> = session
@@ -167,10 +162,7 @@ impl Simulator {
     ) -> SimReport {
         // The rasterization module shades every (pixel, splat) pair, so the
         // cycle model always consumes full-walk counts.
-        let config = config
-            .with_precision(splat_types::Precision::Half)
-            .with_span(SpanMode::Full);
-        let mut session = GstgSession::from_config(config);
+        let mut session = GstgSession::from_config(config.with_span(SpanMode::Full));
         let counts = session.render(scene, camera).stats.counts;
 
         let group_entry_sizes: Vec<u64> = session

@@ -7,8 +7,8 @@
 //! against the conventional pipeline at a 64×64 tile size (equivalent to
 //! grouping without bitmasks) and against the 16×16 baseline.
 
-use gstg::{GstgConfig, HasExecution};
-use splat_bench::{run_baseline, run_gstg, HarnessOptions};
+use gstg::GstgConfig;
+use splat_bench::{run_baseline, run_gstg, ExecutionModel, HarnessOptions};
 use splat_metrics::Table;
 use splat_render::BoundaryMethod;
 use splat_scene::PaperScene;
@@ -33,7 +33,12 @@ fn main() {
         let camera = options.camera(scene_id);
         let base16 = run_baseline(&scene, &camera, 16, BoundaryMethod::Ellipse);
         let base64 = run_baseline(&scene, &camera, 64, BoundaryMethod::Ellipse);
-        let grouped = run_gstg(&scene, &camera, GstgConfig::paper_default().overlapped());
+        let grouped = run_gstg(
+            &scene,
+            &camera,
+            GstgConfig::paper_default(),
+            ExecutionModel::AcceleratorOverlapped,
+        );
         table.add_row([
             scene_id.name().to_string(),
             format!("{:.1}", base16.counts.gaussians_per_pixel()),

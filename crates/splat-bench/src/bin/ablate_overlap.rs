@@ -6,8 +6,8 @@
 //! lands in the preprocessing stage; the accelerator hides it behind the
 //! sorting phase (Sections V-A and VI-B).
 
-use gstg::{GstgConfig, HasExecution};
-use splat_bench::{run_baseline, run_gstg, HarnessOptions};
+use gstg::GstgConfig;
+use splat_bench::{run_baseline, run_gstg, ExecutionModel, HarnessOptions};
 use splat_metrics::{geometric_mean, Table};
 use splat_render::BoundaryMethod;
 use splat_scene::PaperScene;
@@ -32,8 +32,14 @@ fn main() {
         let scene = options.scene(scene_id);
         let camera = options.camera(scene_id);
         let baseline = run_baseline(&scene, &camera, 16, BoundaryMethod::Ellipse);
-        let sequential = run_gstg(&scene, &camera, GstgConfig::paper_default());
-        let overlapped = run_gstg(&scene, &camera, GstgConfig::paper_default().overlapped());
+        let config = GstgConfig::paper_default();
+        let sequential = run_gstg(&scene, &camera, config, ExecutionModel::GpuSequential);
+        let overlapped = run_gstg(
+            &scene,
+            &camera,
+            config,
+            ExecutionModel::AcceleratorOverlapped,
+        );
         let s = sequential.times.speedup_over(&baseline.times);
         let o = overlapped.times.speedup_over(&baseline.times);
         seq_all.push(s);

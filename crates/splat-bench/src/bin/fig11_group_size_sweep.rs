@@ -7,8 +7,8 @@
 //! baseline at the same tile size. The paper finds 16+64 fastest in most
 //! cases, which is why the remaining experiments use it.
 
-use gstg::{GstgConfig, HasExecution};
-use splat_bench::{run_baseline, run_gstg, HarnessOptions, GROUPING_SWEEP};
+use gstg::GstgConfig;
+use splat_bench::{run_baseline, run_gstg, ExecutionModel, HarnessOptions, GROUPING_SWEEP};
 use splat_metrics::{geometric_mean, Table};
 use splat_render::BoundaryMethod;
 use splat_scene::PaperScene;
@@ -44,7 +44,12 @@ fn main() {
                 BoundaryMethod::Ellipse,
             )
             .expect("sweep combination is valid");
-            let grouped = run_gstg(&scene, &camera, config.overlapped());
+            let grouped = run_gstg(
+                &scene,
+                &camera,
+                config,
+                ExecutionModel::AcceleratorOverlapped,
+            );
             let speedup = grouped.times.speedup_over(&baseline.times);
             per_combo[i].push(speedup);
             row.push(format!("{speedup:.3}"));

@@ -11,7 +11,7 @@
 //! (3) tile grouping composes with any boundary method.
 
 use gstg::GstgConfig;
-use splat_bench::{run_baseline, run_gstg, HarnessOptions};
+use splat_bench::{run_baseline, run_gstg, ExecutionModel, HarnessOptions};
 use splat_metrics::Table;
 use splat_render::BoundaryMethod;
 use splat_scene::PaperScene;
@@ -50,7 +50,7 @@ fn main() {
 
         let gstg = |group: BoundaryMethod, bitmask: BoundaryMethod| {
             let config = GstgConfig::new(16, 64, group, bitmask).expect("valid configuration");
-            run_gstg(&scene, &camera, config)
+            run_gstg(&scene, &camera, config, ExecutionModel::GpuSequential)
         };
         let aa = gstg(BoundaryMethod::Aabb, BoundaryMethod::Aabb);
         let ao = gstg(BoundaryMethod::Aabb, BoundaryMethod::Obb);

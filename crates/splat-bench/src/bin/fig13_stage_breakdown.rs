@@ -8,8 +8,8 @@
 //! preprocessing is *slower* than the baseline because the GPU cannot hide
 //! bitmask generation — the motivation for the dedicated accelerator.
 
-use gstg::{GstgConfig, HasExecution};
-use splat_bench::{run_baseline, run_gstg, HarnessOptions};
+use gstg::GstgConfig;
+use splat_bench::{run_baseline, run_gstg, ExecutionModel, HarnessOptions};
 use splat_metrics::Table;
 use splat_render::BoundaryMethod;
 use splat_scene::PaperScene;
@@ -29,9 +29,15 @@ fn main() {
         let run = run_baseline(&scene, &camera, tile, BoundaryMethod::Ellipse);
         rows.push((format!("baseline {tile}x{tile}"), run.times));
     }
-    let gstg_run = run_gstg(&scene, &camera, GstgConfig::paper_default());
+    let config = GstgConfig::paper_default();
+    let gstg_run = run_gstg(&scene, &camera, config, ExecutionModel::GpuSequential);
     rows.push(("GS-TG 16+64 (GPU, sequential)".to_string(), gstg_run.times));
-    let gstg_hw = run_gstg(&scene, &camera, GstgConfig::paper_default().overlapped());
+    let gstg_hw = run_gstg(
+        &scene,
+        &camera,
+        config,
+        ExecutionModel::AcceleratorOverlapped,
+    );
     rows.push((
         "GS-TG 16+64 (accelerator, overlapped)".to_string(),
         gstg_hw.times,

@@ -21,10 +21,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use gstg::{ExecutionModel, GstgConfig};
+use gstg::GstgConfig;
 use splat_render::{BoundaryMethod, CostModel, RenderConfig, Renderer, StageCounts, StageTimes};
 use splat_scene::{PaperScene, Scene, SceneScale};
 use splat_types::{Camera, CameraIntrinsics, Vec3};
+
+pub use splat_render::cost::ExecutionModel;
 
 /// Command-line options shared by every experiment binary.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -154,25 +156,23 @@ pub fn run_baseline(
 }
 
 /// Runs the GS-TG pipeline and converts its counts into normalized stage
-/// times for the execution model selected by `config.exec.model`
+/// times under the given schedule
 /// ([`ExecutionModel::AcceleratorOverlapped`] hides bitmask generation
-/// behind group-wise sorting; the default GPU model pays for it in
-/// preprocessing).
-pub fn run_gstg(scene: &Scene, camera: &Camera, config: GstgConfig) -> PipelineRun {
+/// behind group-wise sorting; [`ExecutionModel::GpuSequential`] pays for it
+/// in preprocessing).
+pub fn run_gstg(
+    scene: &Scene,
+    camera: &Camera,
+    config: GstgConfig,
+    model: ExecutionModel,
+) -> PipelineRun {
     let output = gstg::GstgRenderer::new(config).render(scene, camera);
-    let model = CostModel::new();
-    let times = match config.exec.model {
-        ExecutionModel::AcceleratorOverlapped => model.gstg_overlapped_times(
-            &output.stats.counts,
-            config.group_boundary,
-            config.bitmask_boundary,
-        ),
-        ExecutionModel::GpuSequential => model.gstg_sequential_times(
-            &output.stats.counts,
-            config.group_boundary,
-            config.bitmask_boundary,
-        ),
-    };
+    let times = CostModel::new().gstg_times(
+        &output.stats.counts,
+        config.group_boundary,
+        config.bitmask_boundary,
+        model,
+    );
     PipelineRun {
         counts: output.stats.counts,
         times,
@@ -245,7 +245,12 @@ mod tests {
         let scene = o.scene(PaperScene::Playroom);
         let camera = o.camera(PaperScene::Playroom);
         let baseline = run_baseline(&scene, &camera, 16, BoundaryMethod::Ellipse);
-        let grouped = run_gstg(&scene, &camera, GstgConfig::paper_default());
+        let grouped = run_gstg(
+            &scene,
+            &camera,
+            GstgConfig::paper_default(),
+            ExecutionModel::GpuSequential,
+        );
         assert!(baseline.times.total() > 0.0);
         assert!(grouped.times.total() > 0.0);
         assert_eq!(

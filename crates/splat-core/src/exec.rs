@@ -6,20 +6,6 @@
 //! [`HasExecution`] trait, so every pipeline configuration exposes the same
 //! single thread-count knob.
 
-/// How bitmask generation (and, more generally, hideable side work) is
-/// scheduled relative to the sorting phase.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum ExecutionModel {
-    /// GPU (SIMT) execution: stages run strictly in sequence, so side work
-    /// such as GS-TG's bitmask generation shows up in the preprocessing
-    /// stage (Fig. 13 of the paper).
-    #[default]
-    GpuSequential,
-    /// Dedicated accelerator: side work overlaps with sorting, hiding its
-    /// latency (Section V of the paper).
-    AcceleratorOverlapped,
-}
-
 /// Lane width of the chunked (SIMD-shaped) kernels used by the projection
 /// transform and the tile blending inner loop.
 ///
@@ -98,17 +84,16 @@ impl SpanMode {
 /// Execution parameters shared by every pipeline configuration.
 ///
 /// The struct is `#[non_exhaustive]`: construct it through
-/// [`ExecutionConfig::default`], [`ExecutionConfig::sequential`] /
-/// [`ExecutionConfig::parallel`] or [`ExecutionConfig::builder`], so future
-/// execution knobs can be added without breaking callers.
+/// [`ExecutionConfig::default`], [`ExecutionConfig::sequential`] or
+/// [`ExecutionConfig::parallel`] and adjust it through the public fields or
+/// the [`HasExecution`] `with_*` methods, so future execution knobs can be
+/// added without breaking callers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub struct ExecutionConfig {
     /// Number of worker threads for the rasterization fan-out
     /// (1 = sequential; operation counts are unaffected either way).
     pub threads: usize,
-    /// Scheduling model for hideable side work.
-    pub model: ExecutionModel,
     /// Lane width of the chunked projection/blending kernels. Every mode is
     /// bit-identical; see [`SimdMode`].
     pub simd: SimdMode,
@@ -124,11 +109,10 @@ impl Default for ExecutionConfig {
 }
 
 impl ExecutionConfig {
-    /// Single-threaded execution with the default (GPU-sequential) model.
+    /// Single-threaded execution with the reference kernels.
     pub fn sequential() -> Self {
         Self {
             threads: 1,
-            model: ExecutionModel::default(),
             simd: SimdMode::default(),
             span: SpanMode::default(),
         }
@@ -139,79 +123,20 @@ impl ExecutionConfig {
     pub fn parallel(threads: usize) -> Self {
         Self {
             threads: threads.max(1),
-            model: ExecutionModel::default(),
             simd: SimdMode::default(),
             span: SpanMode::default(),
         }
     }
-
-    /// Starts a builder from the sequential default configuration.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use splat_core::{ExecutionConfig, ExecutionModel};
-    ///
-    /// let exec = ExecutionConfig::builder()
-    ///     .threads(4)
-    ///     .model(ExecutionModel::AcceleratorOverlapped)
-    ///     .build();
-    /// assert_eq!(exec.threads, 4);
-    /// ```
-    pub fn builder() -> ExecutionConfigBuilder {
-        ExecutionConfigBuilder {
-            config: Self::sequential(),
-        }
-    }
-}
-
-/// Builder for [`ExecutionConfig`] (see [`ExecutionConfig::builder`]).
-#[derive(Debug, Clone, Copy)]
-pub struct ExecutionConfigBuilder {
-    config: ExecutionConfig,
-}
-
-impl ExecutionConfigBuilder {
-    /// Sets the worker thread count (clamped to at least one).
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.config.threads = threads.max(1);
-        self
-    }
-
-    /// Sets the scheduling model for hideable side work.
-    pub fn model(mut self, model: ExecutionModel) -> Self {
-        self.config.model = model;
-        self
-    }
-
-    /// Sets the SIMD lane-width mode of the chunked kernels.
-    pub fn simd(mut self, simd: SimdMode) -> Self {
-        self.config.simd = simd;
-        self
-    }
-
-    /// Sets the pixel coverage strategy of the blending loop.
-    pub fn span(mut self, span: SpanMode) -> Self {
-        self.config.span = span;
-        self
-    }
-
-    /// Finishes the builder. Infallible: every field is clamped to its
-    /// domain as it is set.
-    pub fn build(self) -> ExecutionConfig {
-        self.config
-    }
 }
 
 /// Implemented by every pipeline configuration that embeds an
-/// [`ExecutionConfig`]. The provided builders are the single
-/// implementation of the `with_threads` / `with_execution` knobs that the
-/// per-pipeline configurations used to duplicate.
+/// [`ExecutionConfig`]. The provided `with_*` methods are the one way to
+/// set an execution knob on any pipeline configuration.
 pub trait HasExecution: Sized {
     /// The embedded execution configuration.
     fn execution(&self) -> &ExecutionConfig;
 
-    /// Mutable access for the provided builders.
+    /// Mutable access for the provided `with_*` methods.
     fn execution_mut(&mut self) -> &mut ExecutionConfig;
 
     /// Returns a copy with the worker thread count replaced (clamped to at
@@ -219,17 +144,6 @@ pub trait HasExecution: Sized {
     fn with_threads(mut self, threads: usize) -> Self {
         self.execution_mut().threads = threads.max(1);
         self
-    }
-
-    /// Returns a copy with the execution model replaced.
-    fn with_execution(mut self, model: ExecutionModel) -> Self {
-        self.execution_mut().model = model;
-        self
-    }
-
-    /// Shorthand for selecting the accelerator's overlapped schedule.
-    fn overlapped(self) -> Self {
-        self.with_execution(ExecutionModel::AcceleratorOverlapped)
     }
 
     /// Returns a copy with the SIMD lane-width mode replaced.
@@ -278,7 +192,7 @@ mod tests {
     fn default_is_sequential_gpu() {
         let exec = ExecutionConfig::default();
         assert_eq!(exec.threads, 1);
-        assert_eq!(exec.model, ExecutionModel::GpuSequential);
+        assert_eq!(exec, ExecutionConfig::sequential());
     }
 
     #[test]
@@ -292,22 +206,6 @@ mod tests {
         let exec = ExecutionConfig::sequential().with_threads(4);
         assert_eq!(exec.threads, 4);
         assert_eq!(ExecutionConfig::sequential().with_threads(0).threads, 1);
-    }
-
-    #[test]
-    fn builder_clamps_and_sets_every_knob() {
-        let exec = ExecutionConfig::builder()
-            .threads(0)
-            .model(ExecutionModel::AcceleratorOverlapped)
-            .simd(SimdMode::Wide8)
-            .build();
-        assert_eq!(exec.threads, 1);
-        assert_eq!(exec.model, ExecutionModel::AcceleratorOverlapped);
-        assert_eq!(exec.simd, SimdMode::Wide8);
-        assert_eq!(
-            ExecutionConfig::builder().build(),
-            ExecutionConfig::default()
-        );
     }
 
     #[test]
@@ -331,17 +229,8 @@ mod tests {
     fn span_modes_expose_labels_and_the_builder_knob() {
         assert_eq!(SpanMode::default(), SpanMode::Full);
         assert_eq!(SpanMode::ALL.map(SpanMode::label), ["full", "rows"]);
-        let exec = ExecutionConfig::builder().span(SpanMode::RowSpans).build();
-        assert_eq!(exec.span, SpanMode::RowSpans);
         let exec = ExecutionConfig::sequential().with_span(SpanMode::RowSpans);
         assert_eq!(exec.span(), SpanMode::RowSpans);
         assert_eq!(ExecutionConfig::default().span, SpanMode::Full);
-    }
-
-    #[test]
-    fn with_execution_replaces_the_model() {
-        let exec =
-            ExecutionConfig::sequential().with_execution(ExecutionModel::AcceleratorOverlapped);
-        assert_eq!(exec.model, ExecutionModel::AcceleratorOverlapped);
     }
 }

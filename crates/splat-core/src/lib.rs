@@ -23,7 +23,7 @@
 //!   CSR bin with it), plus the modeled comparison count that keeps the
 //!   paper's redundancy accounting.
 //! * [`exec`] — the shared execution configuration: worker thread count and
-//!   scheduling model, with the single `with_threads` knob every pipeline
+//!   kernel modes, with the single `with_threads` knob every pipeline
 //!   configuration re-uses through [`HasExecution`].
 //! * [`schedule`] — [`TileScheduler`], the deterministic scoped-thread
 //!   work-partition scheduler the rasterization fan-out runs on.
@@ -59,9 +59,7 @@ pub use blend::{
     ALPHA_CULL_THRESHOLD, ALPHA_MAX, TRANSMITTANCE_EPSILON,
 };
 pub use csr::{CsrAssignments, CsrScratch};
-pub use exec::{
-    ExecutionConfig, ExecutionConfigBuilder, ExecutionModel, HasExecution, SimdMode, SpanMode,
-};
+pub use exec::{ExecutionConfig, HasExecution, SimdMode, SpanMode};
 pub use image::Framebuffer;
 pub use keysort::{
     depth_key, is_sorted_by_depth, modeled_merge_comparisons, sort_bins_by_depth, splat_key,

@@ -128,7 +128,7 @@ pub fn shade_tiles<L: TileLists>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::SimdMode;
+    use crate::exec::{HasExecution, SimdMode};
     use splat_types::{Mat2, Vec2};
 
     /// Two side-by-side 8×8 tiles, one unit each, both shading every splat
@@ -175,11 +175,9 @@ mod tests {
             splat(0, 5.0, Rgb::new(1.0, 0.2, 0.1)),
             splat(1, 10.0, Rgb::new(0.1, 0.3, 1.0)),
         ];
-        let exec = ExecutionConfig::builder()
-            .threads(threads)
-            .simd(simd)
-            .span(span)
-            .build();
+        let exec = ExecutionConfig::parallel(threads)
+            .with_simd(simd)
+            .with_span(span);
         let mut image = Framebuffer::new(16, 8, Rgb::BLACK);
         let counts = shade_tiles(
             &TwoTiles(vec![0, 1]),

@@ -24,7 +24,7 @@ pub(crate) fn worker_loop(shared: &Arc<EngineShared>, slot: usize) {
             render_job(&shared.pool[slot], &job)
         }))
         .unwrap_or_else(|_| {
-            Err(RenderError::InvalidConfiguration {
+            Err(RenderError::BackendFault {
                 reason: "backend panicked mid-render (pipeline bug); job aborted".to_owned(),
             })
         });
@@ -121,7 +121,7 @@ mod tests {
             .wait()
             .expect_err("the panic surfaces as the job's typed error");
         assert!(
-            matches!(&error, RenderError::InvalidConfiguration { reason }
+            matches!(&error, RenderError::BackendFault { reason }
                 if reason.starts_with("backend panicked")),
             "{error:?}"
         );

@@ -3,7 +3,7 @@
 pub use splat_core::{ALPHA_CULL_THRESHOLD, ALPHA_MAX, TRANSMITTANCE_EPSILON};
 
 use splat_core::{ExecutionConfig, HasExecution};
-use splat_types::{Precision, RenderError};
+use splat_types::RenderError;
 
 /// How the screen-space footprint of a splat is tested against tiles during
 /// tile/group identification (Fig. 2 of the paper).
@@ -95,10 +95,9 @@ impl PrepassMode {
 /// Full configuration of the baseline rendering pipeline.
 ///
 /// The struct is `#[non_exhaustive]`: construct it through
-/// [`RenderConfig::default`], [`RenderConfig::new`] /
-/// [`RenderConfig::try_new`] or [`RenderConfig::builder`], so future knobs
-/// can be added without breaking callers. The fields stay public for
-/// reading and in-place adjustment.
+/// [`RenderConfig::default`], [`RenderConfig::new`] or
+/// [`RenderConfig::try_new`] and adjust it through the public fields or the
+/// `with_*` methods, so future knobs can be added without breaking callers.
 #[derive(Debug, Clone, Copy, PartialEq)]
 #[non_exhaustive]
 pub struct RenderConfig {
@@ -110,9 +109,7 @@ pub struct RenderConfig {
     /// Refinement level of the tile-intersection prepass. Exact mode trims
     /// conservative overcount without changing any pixel.
     pub prepass: PrepassMode,
-    /// Storage precision applied to the splat parameters before rendering.
-    pub precision: Precision,
-    /// Shared execution parameters (worker threads, scheduling model).
+    /// Shared execution parameters (worker threads, kernel modes).
     /// Use [`HasExecution::with_threads`] to change the thread count.
     pub exec: ExecutionConfig,
 }
@@ -123,7 +120,6 @@ impl Default for RenderConfig {
             tile_size: 16,
             boundary: BoundaryMethod::Aabb,
             prepass: PrepassMode::Conservative,
-            precision: Precision::Full,
             exec: ExecutionConfig::sequential(),
         }
     }
@@ -158,27 +154,6 @@ impl RenderConfig {
         Ok(config)
     }
 
-    /// Starts a builder from the default configuration.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use splat_render::{BoundaryMethod, RenderConfig};
-    ///
-    /// let config = RenderConfig::builder()
-    ///     .tile_size(32)
-    ///     .boundary(BoundaryMethod::Ellipse)
-    ///     .threads(4)
-    ///     .build()?;
-    /// assert_eq!(config.tile_size, 32);
-    /// # Ok::<(), splat_types::RenderError>(())
-    /// ```
-    pub fn builder() -> RenderConfigBuilder {
-        RenderConfigBuilder {
-            config: Self::default(),
-        }
-    }
-
     /// Validates the configuration. Because the fields are public (and the
     /// convenience constructors panic rather than return errors), the
     /// panic-free serving path re-checks configurations through this
@@ -197,77 +172,10 @@ impl RenderConfig {
         Ok(())
     }
 
-    /// Returns a copy with the storage precision replaced.
-    pub fn with_precision(mut self, precision: Precision) -> Self {
-        self.precision = precision;
-        self
-    }
-
     /// Returns a copy with the prepass refinement mode replaced.
     pub fn with_prepass(mut self, prepass: PrepassMode) -> Self {
         self.prepass = prepass;
         self
-    }
-}
-
-/// Builder for [`RenderConfig`] (see [`RenderConfig::builder`]).
-#[derive(Debug, Clone, Copy)]
-pub struct RenderConfigBuilder {
-    config: RenderConfig,
-}
-
-impl RenderConfigBuilder {
-    /// Sets the square tile edge length in pixels.
-    pub fn tile_size(mut self, tile_size: u32) -> Self {
-        self.config.tile_size = tile_size;
-        self
-    }
-
-    /// Sets the boundary method used in tile identification.
-    pub fn boundary(mut self, boundary: BoundaryMethod) -> Self {
-        self.config.boundary = boundary;
-        self
-    }
-
-    /// Sets the storage precision applied to splat parameters.
-    pub fn precision(mut self, precision: Precision) -> Self {
-        self.config.precision = precision;
-        self
-    }
-
-    /// Sets the prepass refinement mode.
-    pub fn prepass(mut self, prepass: PrepassMode) -> Self {
-        self.config.prepass = prepass;
-        self
-    }
-
-    /// Sets the pixel coverage strategy of the blending loop.
-    pub fn span(mut self, span: splat_core::SpanMode) -> Self {
-        self.config = self.config.with_span(span);
-        self
-    }
-
-    /// Sets the worker thread count (clamped to at least one).
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.config = self.config.with_threads(threads);
-        self
-    }
-
-    /// Replaces the whole execution configuration.
-    pub fn execution(mut self, exec: ExecutionConfig) -> Self {
-        self.config.exec = exec;
-        self
-    }
-
-    /// Validates and finishes the configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RenderError::InvalidTileSize`] when the tile size is
-    /// invalid (see [`RenderConfig::validate`]).
-    pub fn build(self) -> Result<RenderConfig, RenderError> {
-        self.config.validate()?;
-        Ok(self.config)
     }
 }
 
@@ -296,11 +204,6 @@ mod tests {
 
     #[test]
     fn prepass_knob_is_settable_through_builder_and_with() {
-        let built = RenderConfig::builder()
-            .prepass(PrepassMode::Exact)
-            .build()
-            .expect("valid configuration");
-        assert_eq!(built.prepass, PrepassMode::Exact);
         assert_eq!(
             RenderConfig::default()
                 .with_prepass(PrepassMode::Exact)
@@ -316,11 +219,6 @@ mod tests {
     #[test]
     fn span_knob_is_settable_through_builder_and_with() {
         use splat_core::SpanMode;
-        let built = RenderConfig::builder()
-            .span(SpanMode::RowSpans)
-            .build()
-            .expect("valid configuration");
-        assert_eq!(built.span(), SpanMode::RowSpans);
         assert_eq!(
             RenderConfig::default().with_span(SpanMode::RowSpans).span(),
             SpanMode::RowSpans
@@ -345,29 +243,6 @@ mod tests {
     }
 
     #[test]
-    fn builder_sets_every_knob_and_validates() {
-        let config = RenderConfig::builder()
-            .tile_size(32)
-            .boundary(BoundaryMethod::Obb)
-            .precision(Precision::Half)
-            .threads(3)
-            .build()
-            .expect("valid configuration");
-        assert_eq!(config.tile_size, 32);
-        assert_eq!(config.boundary, BoundaryMethod::Obb);
-        assert_eq!(config.precision, Precision::Half);
-        assert_eq!(config.exec.threads, 3);
-        assert_eq!(
-            RenderConfig::builder().tile_size(0).build(),
-            Err(RenderError::InvalidTileSize { tile_size: 0 })
-        );
-        assert_eq!(
-            RenderConfig::builder().build().expect("default is valid"),
-            RenderConfig::default()
-        );
-    }
-
-    #[test]
     fn validate_catches_hand_mutated_configs() {
         // Public-field mutation can bypass the constructors; validate()
         // is what the serving path relies on to catch it.
@@ -377,6 +252,7 @@ mod tests {
             config.validate(),
             Err(RenderError::InvalidTileSize { tile_size: 0 })
         );
+        assert_eq!(RenderConfig::default().validate(), Ok(()));
     }
 
     #[test]

@@ -57,6 +57,20 @@ impl StageTimes {
     }
 }
 
+/// How GS-TG's bitmask generation is scheduled relative to group sorting —
+/// a property of the hardware being modeled, so it is an argument of
+/// [`CostModel::gstg_times`] rather than of any render configuration.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ExecutionModel {
+    /// GPU (SIMT) execution: stages run strictly in sequence, so bitmask
+    /// generation shows up in the preprocessing stage (Fig. 13 of the
+    /// paper).
+    GpuSequential,
+    /// Dedicated accelerator: bitmask generation overlaps with sorting,
+    /// hiding its latency (Section V of the paper).
+    AcceleratorOverlapped,
+}
+
 /// Per-operation costs of the pipeline, in arbitrary time units.
 ///
 /// The defaults are loosely calibrated against the per-stage runtime split
@@ -125,42 +139,28 @@ impl CostModel {
         }
     }
 
-    /// Converts counted work into stage times for the GS-TG pipeline
-    /// running on a GPU, where bitmask generation (small-tile tests,
-    /// performed with `bitmask_boundary`) executes *sequentially* inside
-    /// the preprocessing stage because the SIMT model cannot overlap it
-    /// with group sorting (Section V-A / Fig. 13).
-    pub fn gstg_sequential_times(
+    /// Converts counted work into stage times for the GS-TG pipeline.
+    /// Group identification uses `group_boundary`; bitmask generation
+    /// (small-tile tests with `bitmask_boundary`) is charged where `model`
+    /// schedules it: inside preprocessing on a GPU, hidden behind
+    /// whichever of it and group sorting takes longer on the accelerator.
+    pub fn gstg_times(
         &self,
         counts: &StageCounts,
         group_boundary: BoundaryMethod,
         bitmask_boundary: BoundaryMethod,
-    ) -> StageTimes {
-        let bitmask_cost =
-            counts.bitmask_tests as f64 * self.tile_test_base * bitmask_boundary.test_cost();
-        StageTimes {
-            preprocess: self.preprocess_cost(counts, group_boundary, bitmask_cost),
-            sort: self.sort_cost(counts),
-            raster: self.raster_cost(counts),
-        }
-    }
-
-    /// Converts counted work into stage times for the GS-TG pipeline on the
-    /// dedicated accelerator, where bitmask generation runs in parallel
-    /// with group-wise sorting and is therefore hidden behind whichever of
-    /// the two takes longer.
-    pub fn gstg_overlapped_times(
-        &self,
-        counts: &StageCounts,
-        group_boundary: BoundaryMethod,
-        bitmask_boundary: BoundaryMethod,
+        model: ExecutionModel,
     ) -> StageTimes {
         let bitmask_cost =
             counts.bitmask_tests as f64 * self.tile_test_base * bitmask_boundary.test_cost();
         let sort = self.sort_cost(counts);
+        let (in_preprocess, sort) = match model {
+            ExecutionModel::GpuSequential => (bitmask_cost, sort),
+            ExecutionModel::AcceleratorOverlapped => (0.0, sort.max(bitmask_cost)),
+        };
         StageTimes {
-            preprocess: self.preprocess_cost(counts, group_boundary, 0.0),
-            sort: sort.max(bitmask_cost),
+            preprocess: self.preprocess_cost(counts, group_boundary, in_preprocess),
+            sort,
             raster: self.raster_cost(counts),
         }
     }
@@ -268,10 +268,16 @@ mod tests {
     fn sequential_gstg_pays_for_bitmasks_in_preprocessing() {
         let model = CostModel::new();
         let counts = sample_counts();
-        let seq =
-            model.gstg_sequential_times(&counts, BoundaryMethod::Ellipse, BoundaryMethod::Ellipse);
-        let overlapped =
-            model.gstg_overlapped_times(&counts, BoundaryMethod::Ellipse, BoundaryMethod::Ellipse);
+        let times = |schedule| {
+            model.gstg_times(
+                &counts,
+                BoundaryMethod::Ellipse,
+                BoundaryMethod::Ellipse,
+                schedule,
+            )
+        };
+        let seq = times(ExecutionModel::GpuSequential);
+        let overlapped = times(ExecutionModel::AcceleratorOverlapped);
         assert!(seq.preprocess > overlapped.preprocess);
         // The overlapped variant is never slower overall.
         assert!(overlapped.total() <= seq.total() + 1e-9);
@@ -283,8 +289,12 @@ mod tests {
         let mut counts = sample_counts();
         // Large sorting workload: bitmask generation is fully hidden.
         counts.sort_comparisons = 10_000_000;
-        let overlapped =
-            model.gstg_overlapped_times(&counts, BoundaryMethod::Aabb, BoundaryMethod::Aabb);
+        let overlapped = model.gstg_times(
+            &counts,
+            BoundaryMethod::Aabb,
+            BoundaryMethod::Aabb,
+            ExecutionModel::AcceleratorOverlapped,
+        );
         let baseline_sort = model.baseline_times(&counts, BoundaryMethod::Aabb).sort;
         assert_eq!(overlapped.sort, baseline_sort);
     }

@@ -31,10 +31,7 @@
 //!
 //! let scene = PaperScene::Playroom.build(SceneScale::Tiny, 0);
 //! let camera = PaperScene::Playroom.default_camera();
-//! let config = RenderConfig::builder()
-//!     .tile_size(16)
-//!     .boundary(BoundaryMethod::Ellipse)
-//!     .build()?;
+//! let config = RenderConfig::try_new(16, BoundaryMethod::Ellipse)?;
 //! let renderer = Renderer::new(config);
 //! let output = renderer.render(&scene, &camera);
 //! assert_eq!(output.image.width(), scene.width());
@@ -67,8 +64,7 @@ pub use splat_core::stats;
 
 pub use bounds::{GaussianFootprint, TileRect};
 pub use config::{
-    BoundaryMethod, PrepassMode, RenderConfig, RenderConfigBuilder, ALPHA_CULL_THRESHOLD,
-    TRANSMITTANCE_EPSILON,
+    BoundaryMethod, PrepassMode, RenderConfig, ALPHA_CULL_THRESHOLD, TRANSMITTANCE_EPSILON,
 };
 pub use cost::{CostModel, StageTimes};
 pub use pipeline::{RenderOutput, Renderer};

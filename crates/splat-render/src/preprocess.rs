@@ -31,13 +31,13 @@ const JACOBIAN_TANGENT_GUARD: f32 = 1.3;
 /// tie-breaking), retaining its allocation; the capacity is reserved for
 /// the full scene up front, so a reused buffer never grows again.
 ///
-/// At full precision the loop iterates the scene's [`SceneSoA`] component
-/// arrays (built once per scene, lazily) rather than the AoS records; with
-/// a wide [`SimdMode`] the view transform additionally runs over fixed-size
-/// lane chunks. Both choices are bit-identical to the record-wise scalar
-/// loop — the SoA view holds the same values and the lane kernels perform
-/// the same scalar operations in the same order — so precision, SIMD mode
-/// and storage layout never change a projected splat or a counter.
+/// The splats are read from the scene's [`SceneSoA`] component arrays
+/// (built once per scene, lazily); with a wide [`SimdMode`] the view
+/// transform additionally runs over fixed-size lane chunks, performing the
+/// same scalar operations in the same order, so the SIMD mode never changes
+/// a projected splat or a counter. Storage precision is a property of the
+/// scene, not of the renderer: an fp16 model is
+/// [`Scene::to_precision`]`(Precision::Half)`, rendered like any other.
 pub fn preprocess_into(
     scene: &Scene,
     camera: &Camera,
@@ -47,51 +47,7 @@ pub fn preprocess_into(
 ) {
     out.clear();
     out.reserve(scene.len());
-    let precision = config.precision;
-    if precision == splat_types::Precision::Full {
-        preprocess_soa_into(scene.soa(), camera, config.exec.simd, counts, out);
-        return;
-    }
-    let projected = out;
-    for (index, gaussian_ref) in scene.iter().enumerate() {
-        counts.input_gaussians += 1;
-        // Reduced precision re-quantizes every parameter, so the splat is
-        // converted into a stack temporary first (the SoA fast path above
-        // keeps full-precision rendering allocation-free).
-        let storage = gaussian_ref.to_precision(precision);
-        let gaussian = &storage;
-
-        // Opacity culling: fully transparent splats can never contribute.
-        if gaussian.opacity() < ALPHA_CULL_THRESHOLD {
-            counts.culled_gaussians += 1;
-            continue;
-        }
-        // Frustum culling with the splat's 3σ bounding sphere.
-        if !camera.is_in_frustum(gaussian.position(), gaussian.bounding_radius()) {
-            counts.culled_gaussians += 1;
-            continue;
-        }
-
-        let view = camera.to_view(gaussian.position());
-        // No cached covariance here: re-quantized parameters differ from
-        // the full-precision splat the scene's SoA cache was built from.
-        let splat = project_visible_splat(
-            camera,
-            index as u32,
-            view,
-            gaussian.position(),
-            gaussian.scale(),
-            gaussian.rotation(),
-            None,
-            gaussian.opacity(),
-            gaussian.sh().degree(),
-            gaussian.sh().coefficients(),
-            counts,
-        );
-        if let Some(splat) = splat {
-            projected.push(splat);
-        }
-    }
+    preprocess_soa_into(scene.soa(), camera, config.exec.simd, counts, out);
 }
 
 /// Projects every splat of a SoA view, dispatching on the SIMD mode.
@@ -180,9 +136,7 @@ fn project_soa_splat(
         i as u32,
         view,
         position,
-        scale,
-        soa.rotation(i),
-        Some(soa.covariance(i)),
+        soa.covariance(i),
         opacity,
         soa.sh_degree(i),
         soa.sh_coefficients(i),
@@ -193,15 +147,9 @@ fn project_soa_splat(
     }
 }
 
-/// The shared post-cull projection tail: depth/pixel mapping, the EWA
-/// covariance projection and SH color evaluation. Every caller reaches
-/// this with the same scalar values, so the AoS and SoA paths agree
-/// bit-for-bit.
-///
-/// `cov3d_hint` carries the scene's cached view-independent 3D covariance
-/// ([`SceneSoA::covariance`]); `None` recomputes it from `scale` and
-/// `rotation`, which the cache stores bit-exactly, so the hint never
-/// changes a projected splat.
+/// The post-cull projection tail: depth/pixel mapping, the EWA covariance
+/// projection and SH color evaluation. `cov3d` is the scene's cached
+/// view-independent 3D covariance ([`SceneSoA::covariance`]).
 #[allow(clippy::too_many_arguments)]
 #[inline]
 fn project_visible_splat(
@@ -209,9 +157,7 @@ fn project_visible_splat(
     index: u32,
     view: Vec3,
     position: Vec3,
-    scale: Vec3,
-    rotation: splat_types::Quat,
-    cov3d_hint: Option<Mat3>,
+    cov3d: Mat3,
     opacity: f32,
     sh_degree: usize,
     sh_coefficients: &[splat_types::Rgb],
@@ -246,7 +192,6 @@ fn project_visible_splat(
     let jacobian = camera.projection_jacobian(clamped_view);
     let view_rot = camera.view_rotation();
     let t = jacobian * view_rot;
-    let cov3d = cov3d_hint.unwrap_or_else(|| Gaussian3d::covariance_of(scale, rotation));
     let cov2d_full = t * cov3d * t.transpose();
     // Low-pass filter: guarantee a minimum footprint of ~0.3 px so
     // sub-pixel splats still contribute (as in the reference code).
@@ -422,13 +367,13 @@ mod tests {
                 splat(Vec3::new(1.0e6, 0.0, 5.0), 0.9, 0.1),
                 splat(Vec3::new(0.0, 0.0, 5.0), 0.9, 0.1),
             ],
-        );
+        )
+        .to_precision(splat_types::Precision::Half);
         let mut counts = StageCounts::new();
         let projected = preprocess(
             &scene,
             &camera(),
-            &RenderConfig::new(16, BoundaryMethod::Aabb)
-                .with_precision(splat_types::Precision::Half),
+            &RenderConfig::new(16, BoundaryMethod::Aabb),
             &mut counts,
         );
         assert_eq!(projected.len(), 1);

@@ -44,8 +44,8 @@ pub trait Keying: Clone + Debug + Send {
     /// Backend label of a session over this keying (e.g. `"gstg-session"`).
     const NAME: &'static str;
 
-    /// Configuration of the shared stages: preprocessing precision and
-    /// SIMD mode, the rasterization tile size and the execution settings.
+    /// Configuration of the shared stages: the rasterization tile size and
+    /// the execution settings (threads, SIMD and span modes).
     fn render_config(&self) -> RenderConfig;
 
     /// Checks the keying's own configuration.

@@ -29,7 +29,8 @@
 //! 2. **The engine**: `AdmissionPolicy`/`QualityPolicy` decide
 //!    shed-vs-degrade per job; refusals surface as `503 Retry-After`
 //!    (`Overloaded`/`ShutDown`), `404` (`UnknownScene`), `410`
-//!    (`Evicted`) or `400` (validation), never as hung sockets.
+//!    (`Evicted`) or `400` (validation), never as hung sockets; a fault
+//!    inside the renderer (`BackendFault`) is a `500`.
 //! 3. **The stream**: trajectory responses submit frames lazily through
 //!    a bounded in-flight window, so a slow reader holds at most
 //!    `stream_window` queue slots.

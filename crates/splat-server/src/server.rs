@@ -8,6 +8,10 @@
 //! door, before a single request byte is read. A fixed pool of worker
 //! threads pops connections and serves them keep-alive until the peer
 //! closes, a request is malformed beyond recovery, or shutdown begins.
+//! Shutdown closes the read half of every live connection, so a worker
+//! parked on an idle keep-alive socket wakes at once (a response already
+//! being written still goes out): teardown is bounded by work in flight,
+//! not by the read timeout.
 //!
 //! ## Backpressure-to-status mapping
 //!
@@ -16,6 +20,7 @@
 //! | `Overloaded` / `ShutDown`       | `503` + `Retry-After: 1`     |
 //! | `UnknownScene`                  | `404`                        |
 //! | `Evicted`                       | `410`                        |
+//! | `BackendFault`                  | `500`                        |
 //! | malformed body / camera         | `400` (typed `Display` text) |
 //! | oversized `Content-Length`      | `413` (body never read)      |
 //!
@@ -25,7 +30,7 @@
 //! `window` queue slots instead of pinning a whole trajectory.
 
 use std::io::{self, BufReader};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -135,6 +140,9 @@ struct ServerShared {
     pending: Mutex<std::collections::VecDeque<TcpStream>>,
     pending_ready: Condvar,
     stop: AtomicBool,
+    /// One slot per worker: a clone of the connection it is serving, kept
+    /// so shutdown can close its read half and unpark the worker.
+    live: Mutex<Vec<Option<TcpStream>>>,
     max_body_bytes: usize,
     stream_window: usize,
     read_timeout: Duration,
@@ -143,6 +151,39 @@ struct ServerShared {
 impl ServerShared {
     fn stopping(&self) -> bool {
         self.stop.load(Ordering::Acquire)
+    }
+
+    /// Flips the stop flag, wakes the workers waiting for a connection and
+    /// unparks those blocked reading one. Idempotent.
+    fn begin_stop(&self) {
+        self.stop.store(true, Ordering::Release);
+        self.pending_ready.notify_all();
+        if let Ok(live) = self.live.lock() {
+            for stream in live.iter().flatten() {
+                let _ = stream.shutdown(Shutdown::Read);
+            }
+        }
+    }
+
+    /// Records (or, with `None`, forgets) the connection `worker` serves.
+    /// The stop flag is checked under the same lock [`begin_stop`] walks
+    /// the slots with, so a connection picked up while shutdown begins is
+    /// closed by one side or the other — never left to sit out its read
+    /// timeout.
+    ///
+    /// [`begin_stop`]: Self::begin_stop
+    fn set_live(&self, worker: usize, stream: Option<TcpStream>) {
+        let Ok(mut live) = self.live.lock() else {
+            return;
+        };
+        if self.stopping() {
+            if let Some(stream) = &stream {
+                let _ = stream.shutdown(Shutdown::Read);
+            }
+        }
+        if let Some(slot) = live.get_mut(worker) {
+            *slot = stream;
+        }
     }
 }
 
@@ -185,12 +226,14 @@ impl Server {
                 reason: format!("failed to read the bound address: {error}"),
             })?;
 
+        let worker_count = config.workers.max(1);
         let shared = Arc::new(ServerShared {
             engine,
             counters: ServerCounters::default(),
             pending: Mutex::new(std::collections::VecDeque::new()),
             pending_ready: Condvar::new(),
             stop: AtomicBool::new(false),
+            live: Mutex::new((0..worker_count).map(|_| None).collect()),
             max_body_bytes: config.max_body_bytes,
             stream_window: config.stream_window.max(1),
             read_timeout: Duration::from_millis(config.read_timeout_ms.max(1)),
@@ -206,11 +249,11 @@ impl Server {
             })?;
 
         let mut workers = Vec::new();
-        for index in 0..config.workers.max(1) {
+        for index in 0..worker_count {
             let worker_shared = Arc::clone(&shared);
             let handle = std::thread::Builder::new()
                 .name(format!("splat-serve-worker-{index}"))
-                .spawn(move || worker_loop(&worker_shared))
+                .spawn(move || worker_loop(&worker_shared, index))
                 .map_err(|error| RenderError::InvalidConfiguration {
                     reason: format!("failed to spawn worker {index}: {error}"),
                 })?;
@@ -242,12 +285,12 @@ impl Server {
     }
 
     /// Signals shutdown without blocking: the acceptor stops taking
-    /// new connections, workers finish the connections already
-    /// accepted, and `POST /shutdown` responses flip to refusals.
-    /// Idempotent; also triggered remotely by `POST /shutdown`.
+    /// new connections, workers finish the request they are serving,
+    /// idle keep-alive connections are closed, and `POST /shutdown`
+    /// responses flip to refusals. Idempotent; also triggered remotely
+    /// by `POST /shutdown`.
     pub fn request_shutdown(&self) {
-        self.shared.stop.store(true, Ordering::Release);
-        self.shared.pending_ready.notify_all();
+        self.shared.begin_stop();
     }
 
     /// Whether shutdown has been requested (locally or via
@@ -265,7 +308,7 @@ impl Server {
     }
 
     /// Graceful teardown: stops the acceptor, joins the workers (each
-    /// finishes its current connection), then drains the engine via
+    /// finishes its current request), then drains the engine via
     /// [`Engine::begin_shutdown`] with the configured deadline —
     /// aborting the remainder if the deadline passes. Returns the
     /// final server and engine snapshots for reconciliation.
@@ -349,7 +392,7 @@ fn refuse_connection(shared: &ServerShared, mut stream: TcpStream) {
     }
 }
 
-fn worker_loop(shared: &ServerShared) {
+fn worker_loop(shared: &ServerShared, index: usize) {
     loop {
         let stream = {
             let Ok(mut pending) = shared.pending.lock() else {
@@ -369,7 +412,11 @@ fn worker_loop(shared: &ServerShared) {
             }
         };
         ServerCounters::bump(&shared.counters.active_connections);
+        // Without a clone (descriptor exhaustion) the connection is still
+        // served; only its wake-up at shutdown falls back to the timeout.
+        shared.set_live(index, stream.try_clone().ok());
         let _ = serve_connection(shared, stream);
+        shared.set_live(index, None);
         shared.counters.release_connection();
     }
 }
@@ -423,6 +470,7 @@ fn status_for_render_error(error: &RenderError) -> u16 {
         RenderError::Overloaded { .. } | RenderError::ShutDown => 503,
         RenderError::UnknownScene { .. } => 404,
         RenderError::Evicted { .. } => 410,
+        RenderError::BackendFault { .. } => 500,
         _ => 400,
     }
 }
@@ -516,8 +564,7 @@ fn handle_request(
         }
         ("POST", "/shutdown") => {
             ServerCounters::bump(&shared.counters.shutdown_requests);
-            shared.stop.store(true, Ordering::Release);
-            shared.pending_ready.notify_all();
+            shared.begin_stop();
             respond(
                 shared,
                 stream,
@@ -731,4 +778,45 @@ fn handle_trajectory(
     }
     sent(finish_chunks(stream)?);
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use splat_types::SceneId;
+
+    #[test]
+    fn render_errors_map_to_the_documented_statuses() {
+        let id = SceneId::from_raw(1);
+        let reason = String::new;
+        let table = [
+            (RenderError::Overloaded { capacity: 1 }, 503),
+            (RenderError::ShutDown, 503),
+            (RenderError::UnknownScene { id }, 404),
+            (RenderError::Evicted { id }, 410),
+            (RenderError::BackendFault { reason: reason() }, 500),
+            (RenderError::DegenerateCamera { reason: reason() }, 400),
+            (
+                RenderError::InvalidResolution {
+                    width: 0,
+                    height: 0,
+                },
+                400,
+            ),
+            (RenderError::InvalidIntrinsics { reason: reason() }, 400),
+            (RenderError::EmptyScene, 400),
+            (RenderError::InvalidTileSize { tile_size: 0 }, 400),
+            (RenderError::InvalidConfiguration { reason: reason() }, 400),
+            (RenderError::Cancelled, 400),
+        ];
+        for (error, status) in table {
+            assert_eq!(status_for_render_error(&error), status, "{error:?}");
+            // Only the retryable refusals advertise a retry.
+            assert_eq!(
+                !retry_after_headers(status).is_empty(),
+                status == 503,
+                "{error:?}"
+            );
+        }
+    }
 }

@@ -99,14 +99,15 @@ pub enum RenderError {
     },
     /// Any other configuration violation (group sizing, accelerator
     /// parameters, worker counts, …).
-    ///
-    /// The serving engine also reports an internal backend panic (a
-    /// pipeline bug, not a caller error) through this variant, with a
-    /// reason beginning `"backend panicked"` — a client that retries on
-    /// transient faults should treat that reason as retryable rather than
-    /// as a permanent misconfiguration.
     InvalidConfiguration {
         /// Human-readable description of the violated constraint.
+        reason: String,
+    },
+    /// The rendering backend itself failed while serving an admitted,
+    /// well-formed job (it panicked — a pipeline bug, not a caller error).
+    /// Only that job is lost; the engine keeps serving.
+    BackendFault {
+        /// Human-readable description of the fault.
         reason: String,
     },
     /// Admission control deflated the submission: the serving queue was at
@@ -160,6 +161,7 @@ impl fmt::Display for RenderError {
             RenderError::InvalidConfiguration { reason } => {
                 write!(f, "invalid configuration: {reason}")
             }
+            RenderError::BackendFault { reason } => write!(f, "backend fault: {reason}"),
             RenderError::Overloaded { capacity } => {
                 write!(
                     f,

@@ -111,12 +111,6 @@ macro_rules! impl_common {
                 Self { $($comp: self.$comp.abs()),+ }
             }
 
-            /// Component-wise multiplication (Hadamard product).
-            #[inline]
-            pub fn mul_elementwise(self, rhs: Self) -> Self {
-                Self { $($comp: self.$comp * rhs.$comp),+ }
-            }
-
             /// Linear interpolation: `self * (1 - t) + rhs * t`.
             #[inline]
             pub fn lerp(self, rhs: Self, t: f32) -> Self {

@@ -10,7 +10,7 @@
 use gs_tg::prelude::*;
 
 fn main() -> Result<(), RenderError> {
-    let sim = Simulator::new(AccelConfig::builder().build()?);
+    let sim = Simulator::new(AccelConfig::paper());
     let variants = [
         PipelineVariant::baseline_paper(),
         PipelineVariant::gscore_paper(),

@@ -43,11 +43,7 @@ fn main() -> Result<(), RenderError> {
         let camera = camera_for(&scene)?;
         for &(tile, group) in &combos {
             for &boundary in &boundaries {
-                let config = GstgConfig::builder()
-                    .tile_size(tile)
-                    .group_size(group)
-                    .boundaries(boundary)
-                    .build()?;
+                let config = GstgConfig::new(tile, group, boundary, boundary)?;
                 let report = verify_lossless(&scene, &camera, config);
                 all_lossless &= report.identical;
                 table.add_row([

@@ -34,12 +34,7 @@ fn main() -> Result<(), RenderError> {
     // Conventional pipeline: 16x16 tiles, exact ellipse boundary.
     let baseline_engine = Engine::builder()
         .backend(Backend::Baseline)
-        .render_config(
-            RenderConfig::builder()
-                .tile_size(16)
-                .boundary(BoundaryMethod::Ellipse)
-                .build()?,
-        )
+        .render_config(RenderConfig::try_new(16, BoundaryMethod::Ellipse)?)
         .build()?;
     let baseline = baseline_engine.submit(request.clone())?.wait()?;
     println!(

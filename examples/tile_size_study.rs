@@ -9,7 +9,7 @@
 //! ```
 
 use gs_tg::prelude::*;
-use gs_tg::render::CostModel;
+use gs_tg::render::cost::{CostModel, ExecutionModel};
 
 fn main() -> Result<(), RenderError> {
     let scene = PaperScene::Truck.build(SceneScale::Tiny, 0);
@@ -31,10 +31,7 @@ fn main() -> Result<(), RenderError> {
 
     let mut baseline_16_total = None;
     for tile in [8u32, 16, 32, 64] {
-        let config = RenderConfig::builder()
-            .tile_size(tile)
-            .boundary(BoundaryMethod::Ellipse)
-            .build()?;
+        let config = RenderConfig::try_new(tile, BoundaryMethod::Ellipse)?;
         let mut session = RenderSession::from_config(config);
         let counts = session.render(&scene, &camera).stats.counts;
         let times = model.baseline_times(&counts, BoundaryMethod::Ellipse);
@@ -52,10 +49,11 @@ fn main() -> Result<(), RenderError> {
 
     let mut gstg_session = GstgSession::from_config(GstgConfig::paper_default());
     let gstg_counts = gstg_session.render(&scene, &camera).stats.counts;
-    let gstg_times = model.gstg_overlapped_times(
+    let gstg_times = model.gstg_times(
         &gstg_counts,
         BoundaryMethod::Ellipse,
         BoundaryMethod::Ellipse,
+        ExecutionModel::AcceleratorOverlapped,
     );
     table.add_row([
         "GS-TG 16+64 (overlapped)".to_string(),

@@ -49,7 +49,7 @@
 //! let request = SubmitRequest::new(&scene, camera);
 //! let baseline = Engine::builder()
 //!     .backend(Backend::Baseline)
-//!     .render_config(RenderConfig::builder().boundary(BoundaryMethod::Ellipse).build()?)
+//!     .render_config(RenderConfig::try_new(16, BoundaryMethod::Ellipse)?)
 //!     .build()?
 //!     .submit(request.clone())?
 //!     .wait()?;
@@ -88,8 +88,8 @@ pub mod prelude {
     pub use gstg::{verify_lossless, GstgConfig, GstgRenderer, GstgSession};
     pub use splat_accel::{AccelConfig, GscoreConfig, PipelineVariant, Simulator};
     pub use splat_core::{
-        ExecutionConfig, ExecutionModel, FrameArena, HasExecution, RenderBackend, RenderOutput,
-        RenderRequest, SessionFrame, SimdMode, SpanMode, StageCounts,
+        ExecutionConfig, FrameArena, HasExecution, RenderBackend, RenderOutput, RenderRequest,
+        SessionFrame, SimdMode, SpanMode, StageCounts,
     };
     pub use splat_engine::{
         AdmissionPolicy, Backend, Engine, EngineBuilder, EngineStats, JobHandle, JobStatus,

@@ -37,11 +37,7 @@ fn render_counts(config: RenderConfig, scene: &Scene, cam: &Camera) -> StageCoun
 fn baseline_stage_counts_reconcile() {
     let scene = PaperScene::Truck.build(SceneScale::Tiny, 3);
     let cam = camera(160, 120);
-    let config = RenderConfig::builder()
-        .tile_size(16)
-        .boundary(BoundaryMethod::Ellipse)
-        .build()
-        .expect("valid configuration");
+    let config = RenderConfig::try_new(16, BoundaryMethod::Ellipse).expect("valid configuration");
     let c = render_counts(config, &scene, &cam);
 
     // Preprocess: every submitted splat is either culled or visible.
@@ -87,11 +83,7 @@ fn baseline_stage_counts_reconcile() {
 fn exact_prepass_trim_counter_reconciles() {
     let scene = PaperScene::Playroom.build(SceneScale::Tiny, 5);
     let cam = camera(128, 96);
-    let base = RenderConfig::builder()
-        .tile_size(16)
-        .boundary(BoundaryMethod::Ellipse)
-        .build()
-        .expect("valid configuration");
+    let base = RenderConfig::try_new(16, BoundaryMethod::Ellipse).expect("valid configuration");
     let conservative = render_counts(base.with_prepass(PrepassMode::Conservative), &scene, &cam);
     let exact = render_counts(base.with_prepass(PrepassMode::Exact), &scene, &cam);
     assert_eq!(
@@ -107,11 +99,7 @@ fn exact_prepass_trim_counter_reconciles() {
 fn span_walk_alpha_accounting_reconciles() {
     let scene = PaperScene::Train.build(SceneScale::Tiny, 9);
     let cam = camera(128, 96);
-    let base = RenderConfig::builder()
-        .tile_size(16)
-        .boundary(BoundaryMethod::Ellipse)
-        .build()
-        .expect("valid configuration");
+    let base = RenderConfig::try_new(16, BoundaryMethod::Ellipse).expect("valid configuration");
     let full = render_counts(base.with_span(SpanMode::Full), &scene, &cam);
     let span = render_counts(base.with_span(SpanMode::RowSpans), &scene, &cam);
     assert_eq!(

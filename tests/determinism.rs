@@ -19,11 +19,7 @@ fn camera(width: u32, height: u32) -> Camera {
 }
 
 fn ellipse_config() -> RenderConfig {
-    RenderConfig::builder()
-        .tile_size(16)
-        .boundary(BoundaryMethod::Ellipse)
-        .build()
-        .expect("valid configuration")
+    RenderConfig::try_new(16, BoundaryMethod::Ellipse).expect("valid configuration")
 }
 
 #[test]

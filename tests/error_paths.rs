@@ -1,6 +1,9 @@
-//! Error-path coverage: every `RenderError` variant is constructed through
-//! the *public* `Engine`/backend API — never with a literal — and its
-//! `Display` output is asserted non-empty and stable.
+//! Error-path coverage: every `RenderError` variant a caller can provoke is
+//! constructed through the *public* `Engine`/backend API — never with a
+//! literal — and its `Display` output is asserted non-empty and stable.
+//! `BackendFault` is the one variant no input can provoke (it reports a
+//! panic inside the pipeline); its text is pinned from a literal here and
+//! `splat-engine`'s `worker::tests` produce it from an injected backend.
 //!
 //! This pins two things at once: that each failure mode actually reaches
 //! callers as the documented variant (not a panic, not a coarser error),
@@ -33,6 +36,7 @@ fn variant_name(error: &RenderError) -> &'static str {
         RenderError::EmptyScene => "EmptyScene",
         RenderError::InvalidTileSize { .. } => "InvalidTileSize",
         RenderError::InvalidConfiguration { .. } => "InvalidConfiguration",
+        RenderError::BackendFault { .. } => "BackendFault",
         RenderError::Overloaded { .. } => "Overloaded",
         RenderError::Cancelled => "Cancelled",
         RenderError::ShutDown => "ShutDown",
@@ -273,6 +277,18 @@ fn exact_messages_of_the_fixed_variants_are_pinned() {
     assert_eq!(
         by_name("InvalidTileSize"),
         "tile size 0 must be a power of two >= 4"
+    );
+}
+
+#[test]
+fn a_backend_fault_is_a_server_side_error_with_a_pinned_message() {
+    let fault = RenderError::BackendFault {
+        reason: "backend panicked mid-render (pipeline bug); job aborted".to_owned(),
+    };
+    assert_eq!(variant_name(&fault), "BackendFault");
+    assert_eq!(
+        fault.to_string(),
+        "backend fault: backend panicked mid-render (pipeline bug); job aborted"
     );
 }
 

@@ -5,7 +5,8 @@
 //! direction each curve moves must match.
 
 use gs_tg::prelude::*;
-use gs_tg::render::{CostModel, RenderConfig, Renderer};
+use gs_tg::render::cost::{CostModel, ExecutionModel};
+use gs_tg::render::{RenderConfig, Renderer};
 
 fn camera_for(scene: &Scene, height: u32) -> Camera {
     let aspect = scene.width() as f32 / scene.height() as f32;
@@ -30,10 +31,7 @@ fn tile_size_trends_match_the_motivation_figures() {
     let mut gaussians_per_pixel = Vec::new();
     for tile in [8u32, 16, 32, 64] {
         let mut session = RenderSession::from_config(
-            RenderConfig::builder()
-                .tile_size(tile)
-                .build()
-                .expect("valid configuration"),
+            RenderConfig::try_new(tile, BoundaryMethod::Aabb).expect("valid configuration"),
         );
         let counts = session.render(&scene, &camera).stats.counts;
         tiles_per_gaussian.push(session.assignments().mean_tiles_per_gaussian());
@@ -76,10 +74,7 @@ fn stage_cost_trade_off_matches_fig3() {
     let mut raster_costs = Vec::new();
     for tile in [8u32, 16, 32, 64] {
         let renderer = Renderer::new(
-            RenderConfig::builder()
-                .tile_size(tile)
-                .build()
-                .expect("valid configuration"),
+            RenderConfig::try_new(tile, BoundaryMethod::Aabb).expect("valid configuration"),
         );
         let output = renderer.render(&scene, &camera);
         let times = model.baseline_times(&output.stats.counts, BoundaryMethod::Aabb);
@@ -106,11 +101,7 @@ fn grouping_sweep_orders_as_in_fig11() {
     let model = CostModel::new();
 
     let baseline = Renderer::new(
-        RenderConfig::builder()
-            .tile_size(16)
-            .boundary(BoundaryMethod::Ellipse)
-            .build()
-            .expect("valid configuration"),
+        RenderConfig::try_new(16, BoundaryMethod::Ellipse).expect("valid configuration"),
     )
     .render(&scene, &camera);
     let baseline_times = model.baseline_times(&baseline.stats.counts, BoundaryMethod::Ellipse);
@@ -120,10 +111,11 @@ fn grouping_sweep_orders_as_in_fig11() {
         let config =
             GstgConfig::new(16, group, BoundaryMethod::Ellipse, BoundaryMethod::Ellipse).unwrap();
         let output = GstgRenderer::new(config).render(&scene, &camera);
-        let times = model.gstg_overlapped_times(
+        let times = model.gstg_times(
             &output.stats.counts,
             BoundaryMethod::Ellipse,
             BoundaryMethod::Ellipse,
+            ExecutionModel::AcceleratorOverlapped,
         );
         // The paper's Fig. 11 shows some combinations dipping slightly
         // below 1.0 on some scenes; require the selected 16+64 point to win

@@ -81,9 +81,11 @@ fn half_precision_models_are_also_lossless_between_pipelines() {
     // The paper converts models to fp16 for the accelerator; losslessness
     // between the two pipelines must hold at that precision too (both see
     // the same quantized inputs).
-    let scene = PaperScene::Playroom.build(SceneScale::Tiny, 5);
+    let scene = PaperScene::Playroom
+        .build(SceneScale::Tiny, 5)
+        .to_precision(gs_tg::types::Precision::Half);
     let camera = test_camera(256, 160, 1.0);
-    let config = GstgConfig::paper_default().with_precision(gs_tg::types::Precision::Half);
+    let config = GstgConfig::paper_default();
     let grouped = GstgRenderer::new(config).render(&scene, &camera);
     let baseline = Renderer::new(config.equivalent_baseline()).render(&scene, &camera);
     assert_eq!(grouped.image.max_abs_diff(&baseline.image), 0.0);

@@ -15,11 +15,7 @@ fn camera(width: u32, height: u32) -> Camera {
 }
 
 fn ellipse_config() -> RenderConfig {
-    RenderConfig::builder()
-        .tile_size(16)
-        .boundary(BoundaryMethod::Ellipse)
-        .build()
-        .expect("valid configuration")
+    RenderConfig::try_new(16, BoundaryMethod::Ellipse).expect("valid configuration")
 }
 
 #[test]
@@ -36,14 +32,8 @@ fn boundary_methods_form_a_work_hierarchy_at_pipeline_level() {
         BoundaryMethod::Obb,
         BoundaryMethod::Ellipse,
     ] {
-        let out = Renderer::new(
-            RenderConfig::builder()
-                .tile_size(16)
-                .boundary(boundary)
-                .build()
-                .expect("valid configuration"),
-        )
-        .render(&scene, &cam);
+        let out = Renderer::new(RenderConfig::try_new(16, boundary).expect("valid configuration"))
+            .render(&scene, &cam);
         assert!(
             out.stats.counts.tile_intersections <= previous_keys,
             "{boundary} produced more tile entries than a looser method"
@@ -79,8 +69,8 @@ fn simulator_counts_match_the_software_pipeline() {
     let sim = Simulator::new(AccelConfig::paper());
     let report = sim.simulate(&scene, &cam, &PipelineVariant::gstg_paper());
 
-    let config = GstgConfig::paper_default().with_precision(gs_tg::types::Precision::Half);
-    let direct = GstgRenderer::new(config).render(&scene, &cam);
+    let half = scene.to_precision(gs_tg::types::Precision::Half);
+    let direct = GstgRenderer::new(GstgConfig::paper_default()).render(&half, &cam);
     assert_eq!(
         report.counts.alpha_computations,
         direct.stats.counts.alpha_computations

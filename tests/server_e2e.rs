@@ -6,7 +6,7 @@
 //! session — the serving stack must be invisible in the pixels.
 
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use gs_tg::prelude::*;
 use splat_scene::io::encode_scene;
@@ -495,6 +495,40 @@ fn double_capacity_burst_degrades_then_sheds_with_exact_reconciliation() {
     for (identity, left, right) in engine_stats.identities() {
         assert_eq!(left, right, "{identity}");
     }
+}
+
+/// Teardown is bounded by work, not by the read timeout: a worker parked
+/// reading an idle keep-alive connection (30 s timeout here) is woken by
+/// shutdown closing the connection's read half.
+#[test]
+fn shutdown_wakes_an_idle_keep_alive_connection() {
+    let server = start_server(AdmissionPolicy::Block, QualityPolicy::FullOnly, 8, false, 2);
+    let addr = server.local_addr().to_string();
+    let mut connection = Connection::open(&addr, TIMEOUT).expect("connects");
+    let response = connection
+        .request("GET", "/healthz", b"")
+        .expect("keep-alive request round-trips");
+    assert_eq!(response.status, 200);
+
+    // The connection stays open and silent; its worker is back in
+    // `read_request` (or about to be — either way shutdown must not wait).
+    let started = Instant::now();
+    let (server_stats, engine_stats) = server.shutdown();
+    let took = started.elapsed();
+    assert!(
+        took < Duration::from_secs(1),
+        "shutdown sat out the read timeout: {took:?}"
+    );
+    assert_eq!(server_stats.health_requests, 1);
+    assert_eq!(server_stats.active_connections, 0);
+    for (identity, left, right) in server_stats.identities() {
+        assert_eq!(left, right, "{identity}");
+    }
+    for (identity, left, right) in engine_stats.identities() {
+        assert_eq!(left, right, "{identity}");
+    }
+    // The peer sees the close instead of a hung socket.
+    assert!(connection.request("GET", "/healthz", b"").is_err());
 }
 
 #[test]

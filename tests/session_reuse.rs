@@ -9,11 +9,7 @@
 use gs_tg::prelude::*;
 
 fn ellipse_config() -> RenderConfig {
-    RenderConfig::builder()
-        .tile_size(16)
-        .boundary(BoundaryMethod::Ellipse)
-        .build()
-        .expect("valid configuration")
+    RenderConfig::try_new(16, BoundaryMethod::Ellipse).expect("valid configuration")
 }
 
 fn trajectory(views: usize) -> CameraTrajectory {
