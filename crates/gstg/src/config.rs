@@ -1,7 +1,7 @@
 //! Configuration of the GS-TG pipeline.
 
 use splat_core::{ExecutionConfig, HasExecution};
-use splat_render::{BoundaryMethod, PrepassMode};
+use splat_render::BoundaryMethod;
 use splat_types::RenderError;
 use std::fmt;
 
@@ -97,12 +97,6 @@ pub struct GstgConfig {
     pub group_boundary: BoundaryMethod,
     /// Boundary method used when generating the per-tile bitmasks.
     pub bitmask_boundary: BoundaryMethod,
-    /// Intersection-prepass mode applied during bitmask generation: with
-    /// [`PrepassMode::Exact`], conservatively marked small tiles are
-    /// re-tested with the exact ellipse test and trimmed when the splat
-    /// cannot contribute — pixels are unchanged, sort keys and blend work
-    /// shrink.
-    pub prepass: PrepassMode,
     /// Shared execution parameters (worker threads, kernel modes). Use
     /// [`HasExecution::with_threads`] to change the thread count.
     pub exec: ExecutionConfig,
@@ -140,7 +134,6 @@ impl GstgConfig {
             group_size,
             group_boundary,
             bitmask_boundary,
-            prepass: PrepassMode::Conservative,
             exec: ExecutionConfig::sequential(),
         };
         config.validate()?;
@@ -197,18 +190,11 @@ impl GstgConfig {
         side * side
     }
 
-    /// Returns a copy with the intersection-prepass mode replaced.
-    pub fn with_prepass(mut self, prepass: PrepassMode) -> Self {
-        self.prepass = prepass;
-        self
-    }
-
     /// The baseline configuration this GS-TG configuration is compared
     /// against (same tile size, the bitmask boundary used for tile
-    /// identification, the same prepass mode).
+    /// identification, the same execution parameters).
     pub fn equivalent_baseline(&self) -> splat_render::RenderConfig {
         let mut config = splat_render::RenderConfig::new(self.tile_size, self.bitmask_boundary);
-        config.prepass = self.prepass;
         config.exec = self.exec;
         config
     }
@@ -307,18 +293,6 @@ mod tests {
         assert_eq!(baseline.tile_size, 16);
         assert_eq!(baseline.boundary, BoundaryMethod::Obb);
         assert_eq!(baseline.exec, c.exec);
-        assert_eq!(baseline.prepass, PrepassMode::Conservative);
-    }
-
-    #[test]
-    fn prepass_knob_propagates_to_the_equivalent_baseline() {
-        let c = GstgConfig::paper_default().with_prepass(PrepassMode::Exact);
-        assert_eq!(c.prepass, PrepassMode::Exact);
-        assert_eq!(c.equivalent_baseline().prepass, PrepassMode::Exact);
-        assert_eq!(
-            GstgConfig::paper_default().prepass,
-            PrepassMode::Conservative
-        );
     }
 
     #[test]
@@ -332,11 +306,13 @@ mod tests {
 
     #[test]
     fn shared_execution_knobs_apply() {
+        use splat_core::SimdMode;
+        assert_eq!(GstgConfig::paper_default().simd(), SimdMode::Wide8);
         let c = GstgConfig::paper_default()
             .with_threads(4)
-            .with_simd(splat_core::SimdMode::Wide8);
+            .with_simd(SimdMode::Scalar);
         assert_eq!(c.exec.threads, 4);
-        assert_eq!(c.exec.simd, splat_core::SimdMode::Wide8);
+        assert_eq!(c.exec.simd, SimdMode::Scalar);
     }
 
     #[test]

@@ -23,7 +23,6 @@ use splat_render::bounds::GaussianFootprint;
 use splat_render::preprocess::ProjectedGaussian;
 use splat_render::stats::StageCounts;
 use splat_render::tiling::{mean_of_nonzero, TileGrid};
-use splat_render::{BoundaryMethod, PrepassMode};
 
 /// One splat's membership in one group: which projected splat it is and
 /// which small tiles of the group it touches. Packed to 4-byte alignment:
@@ -171,14 +170,11 @@ impl GroupAssignments {
 /// `counts.tile_tests` / `counts.tile_intersections` are charged for the
 /// group-level tests (they play the role the tile tests play in the
 /// baseline), and `counts.bitmask_tests` for the per-small-tile tests that
-/// build the bitmasks. The prepass reconciliation counters mirror the
-/// baseline's at small-tile granularity: `tiles_tested` counts every
-/// geometric small-tile test (including exact refinements under
-/// [`PrepassMode::Exact`]), `tiles_hit` the bits finally set, and
-/// `prepass_overcount_trimmed` the conservatively marked bits the exact
-/// ellipse test cleared. Under [`PrepassMode::Exact`] a group entry whose
-/// bitmask ends up empty is dropped entirely — it could never contribute a
-/// pixel, so removing its sort key is lossless.
+/// build the bitmasks. The reconciliation counters mirror the baseline's
+/// at small-tile granularity: `tiles_tested` counts every small-tile test
+/// (always equal to `bitmask_tests`) and `tiles_hit` the bits set. A group
+/// entry whose in-image bitmask is empty is kept: it still costs a sort key
+/// and contributes no pixel.
 ///
 /// `out` is rebuilt through `scratch`, retaining both allocations across
 /// frames. Every group/bitmask test is performed (and charged) exactly
@@ -250,11 +246,6 @@ fn identify_groups_with_shift(
         .resize(group_grid.tile_count() * tiles_per_group, 0);
     scratch.clear();
 
-    let exact = config.prepass == PrepassMode::Exact;
-    // The exact ellipse test only refines bits the conservative boundary
-    // marked; with the ellipse boundary already in use it adds nothing.
-    let refine = exact && config.bitmask_boundary != BoundaryMethod::Ellipse;
-
     let per_gaussian = out.groups_per_gaussian.iter_mut();
     for ((slot, splat), groups_of_splat) in projected.iter().enumerate().zip(per_gaussian) {
         let Some(footprint) = GaussianFootprint::from_covariance(splat.mean, splat.cov) else {
@@ -302,13 +293,6 @@ fn identify_groups_with_shift(
                         if !footprint.intersects(&tile_rect, config.bitmask_boundary) {
                             continue;
                         }
-                        if refine {
-                            counts.tiles_tested += 1;
-                            if !footprint.intersects(&tile_rect, BoundaryMethod::Ellipse) {
-                                counts.prepass_overcount_trimmed += 1;
-                                continue;
-                            }
-                        }
                         counts.tiles_hit += 1;
                         let bit = layout.bit_index(tx - gx * side, ty - gy * side);
                         bitmask.set(bit);
@@ -318,9 +302,6 @@ fn identify_groups_with_shift(
                     }
                 }
 
-                if exact && bitmask.is_empty() {
-                    continue;
-                }
                 counts.tile_intersections += 1;
                 *groups_of_splat += 1;
 
@@ -341,6 +322,7 @@ fn identify_groups_with_shift(
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use splat_render::BoundaryMethod;
     use splat_types::{Mat2, Rgb, Vec2};
 
     fn projected(mean: Vec2, sigma: f32, index: u32, depth: f32) -> ProjectedGaussian {
@@ -421,7 +403,7 @@ pub(crate) mod tests {
         }
     }
 
-    /// The baseline's conservative tile identification, for comparison.
+    /// The baseline's tile identification, for comparison.
     fn identify_tiles(
         projected: &[ProjectedGaussian],
         grid: TileGrid,
@@ -433,7 +415,7 @@ pub(crate) mod tests {
             projected,
             grid,
             boundary,
-            PrepassMode::Conservative,
+            Default::default(), // the ignored prepass argument
             counts,
             &mut CsrScratch::new(),
             &mut out,
@@ -556,42 +538,38 @@ pub(crate) mod tests {
             for camera in &cameras {
                 for (tile, group) in [(16, 64), (8, 64), (16, 32)] {
                     for boundary in BoundaryMethod::ALL {
-                        for prepass in PrepassMode::ALL {
-                            let cfg = GstgConfig::new(tile, group, boundary, boundary)
-                                .unwrap()
-                                .with_prepass(prepass);
-                            let shift = shared_range_shift(&cfg);
-                            assert_eq!(shift, Some((group / tile).trailing_zeros()));
+                        let cfg = GstgConfig::new(tile, group, boundary, boundary).unwrap();
+                        let shift = shared_range_shift(&cfg);
+                        assert_eq!(shift, Some((group / tile).trailing_zeros()));
 
-                            let mut projected = Vec::new();
-                            splat_render::preprocess_into(
-                                &scene,
-                                camera,
-                                &cfg.equivalent_baseline(),
-                                &mut StageCounts::new(),
-                                &mut projected,
+                        let mut projected = Vec::new();
+                        splat_render::preprocess_into(
+                            &scene,
+                            camera,
+                            &cfg.equivalent_baseline(),
+                            &mut StageCounts::new(),
+                            &mut projected,
+                        );
+                        let identify = |shift| {
+                            let mut counts = StageCounts::new();
+                            let mut out = GroupAssignments::empty();
+                            identify_groups_with_shift(
+                                &projected,
+                                camera.width(),
+                                camera.height(),
+                                &cfg,
+                                shift,
+                                &mut counts,
+                                &mut CsrScratch::new(),
+                                &mut out,
                             );
-                            let identify = |shift| {
-                                let mut counts = StageCounts::new();
-                                let mut out = GroupAssignments::empty();
-                                identify_groups_with_shift(
-                                    &projected,
-                                    camera.width(),
-                                    camera.height(),
-                                    &cfg,
-                                    shift,
-                                    &mut counts,
-                                    &mut CsrScratch::new(),
-                                    &mut out,
-                                );
-                                (out, counts)
-                            };
-                            let (shared, shared_counts) = identify(shift);
-                            let (fallback, fallback_counts) = identify(None);
-                            assert_eq!(shared, fallback, "{paper_scene:?} {tile}+{group}");
-                            assert_eq!(shared_counts, fallback_counts);
-                            compared += shared.total_entries();
-                        }
+                            (out, counts)
+                        };
+                        let (shared, shared_counts) = identify(shift);
+                        let (fallback, fallback_counts) = identify(None);
+                        assert_eq!(shared, fallback, "{paper_scene:?} {tile}+{group}");
+                        assert_eq!(shared_counts, fallback_counts);
+                        compared += shared.total_entries();
                     }
                 }
             }
@@ -612,11 +590,7 @@ pub(crate) mod tests {
             })
             .collect();
         let aabb = GstgConfig::new(16, 64, BoundaryMethod::Aabb, BoundaryMethod::Aabb).unwrap();
-        for cfg in [
-            config(16, 64),
-            config(16, 48),
-            aabb.with_prepass(PrepassMode::Exact),
-        ] {
+        for cfg in [config(16, 64), config(16, 48), aabb] {
             let mut counts = StageCounts::new();
             // 200x150: the last group column and row are partly outside.
             let groups = identify_groups(&splats, 200, 150, &cfg, &mut counts);
@@ -720,102 +694,6 @@ pub(crate) mod tests {
             footprint,
             "steady-state rebuild must not grow the buffers"
         );
-    }
-
-    #[test]
-    fn exact_prepass_trims_aabb_bitmask_bits_to_the_ellipse_set() {
-        // Anisotropic splats: the AABB marks corner tiles the ellipse never
-        // touches; the exact prepass must clear precisely those bits.
-        let base = GstgConfig::new(16, 64, BoundaryMethod::Aabb, BoundaryMethod::Aabb).unwrap();
-        let exact = base.with_prepass(PrepassMode::Exact);
-        let ellipse = config(16, 64);
-        let splats: Vec<ProjectedGaussian> = (0..6)
-            .map(|i| {
-                let a2 = 400.0 + 40.0 * i as f32;
-                let b2 = 4.0;
-                let cov = Mat2::from_symmetric(0.5 * (a2 + b2), 0.5 * (a2 - b2), 0.5 * (a2 + b2));
-                ProjectedGaussian {
-                    index: i,
-                    depth: 1.0 + i as f32,
-                    mean: Vec2::new(60.0 + 25.0 * i as f32, 50.0 + 30.0 * i as f32),
-                    cov,
-                    inv_cov: cov.inverse().unwrap(),
-                    opacity: 0.9,
-                    color: Rgb::WHITE,
-                }
-            })
-            .collect();
-
-        let mut conservative_counts = StageCounts::new();
-        let conservative = identify_groups(&splats, 256, 256, &base, &mut conservative_counts);
-        let mut exact_counts = StageCounts::new();
-        let trimmed = identify_groups(&splats, 256, 256, &exact, &mut exact_counts);
-        let mut ellipse_counts = StageCounts::new();
-        let reference = identify_groups(&splats, 256, 256, &ellipse, &mut ellipse_counts);
-
-        let tile_set = |groups: &GroupAssignments| {
-            let mut set: Vec<(u32, u32, u32)> = Vec::new();
-            for (group_idx, entries) in groups.iter() {
-                let (gx, gy) = groups.group_grid().tile_coords(group_idx);
-                for entry in entries {
-                    for bit in entry.bitmask.iter_set() {
-                        if let Some((tx, ty)) = groups.global_tile_of_bit(gx, gy, bit) {
-                            set.push((tx, ty, entry.slot));
-                        }
-                    }
-                }
-            }
-            set.sort_unstable();
-            set
-        };
-
-        let conservative_set = tile_set(&conservative);
-        let trimmed_set = tile_set(&trimmed);
-        // Exact-trimmed bits are a subset of the conservative bits and equal
-        // the bits the ellipse boundary marks directly.
-        assert!(trimmed_set.iter().all(|t| conservative_set.contains(t)));
-        assert_eq!(trimmed_set, tile_set(&reference));
-        assert!(trimmed_set.len() < conservative_set.len());
-
-        // Counter reconciliation.
-        assert_eq!(exact_counts.tiles_hit, trimmed_set.len() as u64);
-        assert_eq!(
-            exact_counts.tiles_hit + exact_counts.prepass_overcount_trimmed,
-            conservative_counts.tiles_hit
-        );
-        assert!(exact_counts.tiles_tested > conservative_counts.tiles_tested);
-        assert_eq!(
-            conservative_counts.tiles_tested,
-            conservative_counts.bitmask_tests
-        );
-        assert_eq!(conservative_counts.prepass_overcount_trimmed, 0);
-        assert!(trimmed.total_entries() <= conservative.total_entries());
-    }
-
-    #[test]
-    fn exact_prepass_with_ellipse_boundaries_only_drops_empty_entries() {
-        let base = config(16, 64);
-        let exact = base.with_prepass(PrepassMode::Exact);
-        let splats = vec![
-            projected(Vec2::new(60.0, 60.0), 9.0, 0, 1.0),
-            projected(Vec2::new(130.0, 70.0), 4.0, 1, 2.0),
-        ];
-        let mut base_counts = StageCounts::new();
-        let conservative = identify_groups(&splats, 256, 256, &base, &mut base_counts);
-        let mut exact_counts = StageCounts::new();
-        let trimmed = identify_groups(&splats, 256, 256, &exact, &mut exact_counts);
-        // The ellipse boundary is already exact per tile, so no bits are
-        // trimmed and the same tests run; only entries with no set bit (a
-        // group hit whose tiles all miss) may disappear.
-        assert_eq!(exact_counts.prepass_overcount_trimmed, 0);
-        assert_eq!(exact_counts.tiles_tested, base_counts.tiles_tested);
-        assert_eq!(exact_counts.tiles_hit, base_counts.tiles_hit);
-        assert!(trimmed.total_entries() <= conservative.total_entries());
-        for (group_idx, entries) in trimmed.iter() {
-            for entry in entries {
-                assert!(!entry.bitmask.is_empty(), "group {group_idx}");
-            }
-        }
     }
 
     #[test]

@@ -69,4 +69,3 @@ pub use lossless::{verify_lossless, LosslessReport};
 pub use pipeline::{GstgRenderer, GstgSession, RenderOutput};
 pub use raster::rasterize_groups_into_with;
 pub use splat_core::{HasExecution, RenderBackend, RenderRequest, SimdMode};
-pub use splat_render::PrepassMode;

@@ -257,30 +257,6 @@ mod tests {
     }
 
     #[test]
-    fn exact_prepass_is_lossless_and_never_adds_sort_keys() {
-        // AABB bitmasks overcount; the exact prepass trims them without
-        // changing a single pixel relative to the conservative run.
-        let scene = PaperScene::Train.build(SceneScale::Tiny, 1);
-        let camera = small_camera(&scene);
-        let config = GstgConfig::new(16, 64, BoundaryMethod::Aabb, BoundaryMethod::Aabb).unwrap();
-        let conservative = GstgRenderer::new(config).render(&scene, &camera);
-        let exact = GstgRenderer::new(config.with_prepass(splat_render::PrepassMode::Exact))
-            .render(&scene, &camera);
-        assert_eq!(exact.image.max_abs_diff(&conservative.image), 0.0);
-        assert!(exact.stats.counts.prepass_overcount_trimmed > 0);
-        assert_eq!(
-            exact.stats.counts.tiles_hit + exact.stats.counts.prepass_overcount_trimmed,
-            conservative.stats.counts.tiles_hit
-        );
-        assert!(
-            exact.stats.counts.tile_intersections <= conservative.stats.counts.tile_intersections
-        );
-        assert!(
-            exact.stats.counts.alpha_computations <= conservative.stats.counts.alpha_computations
-        );
-    }
-
-    #[test]
     fn simd_modes_render_bit_identical_gstg_images() {
         let scene = PaperScene::Playroom.build(SceneScale::Tiny, 4);
         let camera = small_camera(&scene);

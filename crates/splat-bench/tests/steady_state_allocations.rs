@@ -16,7 +16,7 @@
 use gstg::{GstgConfig, GstgSession};
 use splat_bench::HarnessOptions;
 use splat_core::{HasExecution, SimdMode, SpanMode};
-use splat_render::{BoundaryMethod, Keying, PrepassMode, RenderConfig, RenderSession, Session};
+use splat_render::{BoundaryMethod, Keying, RenderConfig, RenderSession, Session};
 use splat_scene::{CameraTrajectory, PaperScene, Scene, SceneScale};
 use splat_types::CameraIntrinsics;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -123,30 +123,13 @@ fn steady_state_frames_allocate_nothing() {
     );
 
     let modes = [
-        (
-            "default",
-            PrepassMode::Conservative,
-            SimdMode::Scalar,
-            SpanMode::Full,
-        ),
-        (
-            "exact+wide8",
-            PrepassMode::Exact,
-            SimdMode::Wide8,
-            SpanMode::Full,
-        ),
-        (
-            "rows+exact+wide8",
-            PrepassMode::Exact,
-            SimdMode::Wide8,
-            SpanMode::RowSpans,
-        ),
+        ("default", SimdMode::default(), SpanMode::default()),
+        ("scalar", SimdMode::Scalar, SpanMode::Full),
+        ("rows+wide8", SimdMode::Wide8, SpanMode::RowSpans),
     ];
-    for (mode, prepass, simd, span) in modes {
-        // The baseline runs the original 3D-GS configuration (AABB
-        // boundary): the conservative overcount the exact prepass trims.
+    for (mode, simd, span) in modes {
+        // The baseline runs the original 3D-GS configuration (AABB boundary).
         let baseline = RenderConfig::new(16, BoundaryMethod::Aabb)
-            .with_prepass(prepass)
             .with_simd(simd)
             .with_span(span);
         assert_steady_state_is_allocation_free(
@@ -155,10 +138,7 @@ fn steady_state_frames_allocate_nothing() {
             &scene,
             &trajectory,
         );
-        let grouped = GstgConfig::paper_default()
-            .with_prepass(prepass)
-            .with_simd(simd)
-            .with_span(span);
+        let grouped = GstgConfig::paper_default().with_simd(simd).with_span(span);
         assert_steady_state_is_allocation_free(
             &format!("gstg {mode}"),
             GstgSession::from_config(grouped),

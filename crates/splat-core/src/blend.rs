@@ -146,9 +146,6 @@ pub fn rasterize_tile_into_with(
                     image.set_pixel(px, py, color);
                 }
             }
-            SimdMode::Wide4 => {
-                shade_row_into::<4>(sorted, projected, x0, x1, py, background, image, counts);
-            }
             SimdMode::Wide8 => {
                 shade_row_into::<8>(sorted, projected, x0, x1, py, background, image, counts);
             }
@@ -206,9 +203,6 @@ fn shade_row(
                 let pixel_center = Vec2::new((x0 + i as u32) as f32 + 0.5, py as f32 + 0.5);
                 *out = shade_pixel(sorted, projected, pixel_center, background, counts);
             }
-        }
-        SimdMode::Wide4 => {
-            shade_row_buffered::<4>(sorted, projected, x0, py, background, row, counts)
         }
         SimdMode::Wide8 => {
             shade_row_buffered::<8>(sorted, projected, x0, py, background, row, counts)
@@ -665,16 +659,14 @@ mod tests {
             let rect = TileRect::new(0.0, 0.0, w, h);
             let scalar =
                 rasterize_tile_with(&order, &projected, &rect, background, SimdMode::Scalar);
-            for mode in [SimdMode::Wide4, SimdMode::Wide8] {
-                let wide = rasterize_tile_with(&order, &projected, &rect, background, mode);
-                assert_eq!(wide.counts, scalar.counts, "{mode:?} counters at {w}x{h}");
-                for (i, (a, b)) in scalar.pixels.iter().zip(&wide.pixels).enumerate() {
-                    assert_eq!(
-                        [a.r.to_bits(), a.g.to_bits(), a.b.to_bits()],
-                        [b.r.to_bits(), b.g.to_bits(), b.b.to_bits()],
-                        "{mode:?} pixel {i} at {w}x{h}"
-                    );
-                }
+            let wide = rasterize_tile_with(&order, &projected, &rect, background, SimdMode::Wide8);
+            assert_eq!(wide.counts, scalar.counts, "counters at {w}x{h}");
+            for (i, (a, b)) in scalar.pixels.iter().zip(&wide.pixels).enumerate() {
+                assert_eq!(
+                    [a.r.to_bits(), a.g.to_bits(), a.b.to_bits()],
+                    [b.r.to_bits(), b.g.to_bits(), b.b.to_bits()],
+                    "pixel {i} at {w}x{h}"
+                );
             }
         }
     }
@@ -684,28 +676,27 @@ mod tests {
         let (projected, order) = mixed_splats();
         let background = Rgb::splat(0.15);
         let rect = TileRect::new(2.0, 1.0, 15.0, 12.0);
-        for mode in [SimdMode::Wide4, SimdMode::Wide8] {
-            let buffered = rasterize_tile_with(&order, &projected, &rect, background, mode);
-            let mut image = crate::Framebuffer::new(16, 16, Rgb::BLACK);
-            let mut counts = StageCounts::new();
-            rasterize_tile_into_with(
-                &order,
-                &projected,
-                &rect,
-                background,
-                mode,
-                &mut image,
-                &mut counts,
-            );
-            assert_eq!(counts, buffered.counts, "{mode:?}");
-            for y in 1..12u32 {
-                for x in 2..15u32 {
-                    assert_eq!(
-                        image.pixel(x, y),
-                        buffered.pixels[((y - 1) * 13 + (x - 2)) as usize],
-                        "{mode:?} pixel ({x},{y})"
-                    );
-                }
+        let mode = SimdMode::Wide8;
+        let buffered = rasterize_tile_with(&order, &projected, &rect, background, mode);
+        let mut image = crate::Framebuffer::new(16, 16, Rgb::BLACK);
+        let mut counts = StageCounts::new();
+        rasterize_tile_into_with(
+            &order,
+            &projected,
+            &rect,
+            background,
+            mode,
+            &mut image,
+            &mut counts,
+        );
+        assert_eq!(counts, buffered.counts);
+        for y in 1..12u32 {
+            for x in 2..15u32 {
+                assert_eq!(
+                    image.pixel(x, y),
+                    buffered.pixels[((y - 1) * 13 + (x - 2)) as usize],
+                    "pixel ({x},{y})"
+                );
             }
         }
     }
@@ -717,11 +708,9 @@ mod tests {
             .collect();
         let order: Vec<u32> = (0..50).collect();
         let scalar = rasterize_tile(&order, &projected, &tile(), Rgb::BLACK);
-        for mode in [SimdMode::Wide4, SimdMode::Wide8] {
-            let wide = rasterize_tile_with(&order, &projected, &tile(), Rgb::BLACK, mode);
-            assert_eq!(wide.counts, scalar.counts, "{mode:?}");
-            assert_eq!(wide.pixels, scalar.pixels, "{mode:?}");
-        }
+        let wide = rasterize_tile_with(&order, &projected, &tile(), Rgb::BLACK, SimdMode::Wide8);
+        assert_eq!(wide.counts, scalar.counts);
+        assert_eq!(wide.pixels, scalar.pixels);
     }
 
     #[test]

@@ -1,40 +1,35 @@
-//! Shared execution configuration for every pipeline.
-//!
-//! Before this crate existed the baseline and GS-TG configurations each
-//! carried their own `threads` field and `with_threads` builder; this
-//! module replaces both with one [`ExecutionConfig`] and the
-//! [`HasExecution`] trait, so every pipeline configuration exposes the same
-//! single thread-count knob.
+//! Shared execution configuration for every pipeline: one
+//! [`ExecutionConfig`] embedded in each pipeline configuration, set through
+//! the [`HasExecution`] `with_*` methods.
 
 /// Lane width of the chunked (SIMD-shaped) kernels used by the projection
 /// transform and the tile blending inner loop.
 ///
-/// The wide modes process fixed-size `[f32; W]` chunks whose per-lane
-/// operations are the *same scalar operations in the same order* as the
-/// scalar path (no fused multiply-add), so every mode produces bit-identical
-/// images and identical operation counts — the knob only changes how the
-/// work is laid out for the compiler's auto-vectorizer.
+/// `Wide8` processes fixed-size `[f32; 8]` chunks whose per-lane operations
+/// are the *same scalar operations in the same order* as the scalar path (no
+/// fused multiply-add), so both modes produce bit-identical images and
+/// identical operation counts — the knob only changes how the work is laid
+/// out for the compiler's auto-vectorizer. `Wide8` is the default because it
+/// is the fastest point on every benchmark input (README "Kernels and
+/// modes"); `Scalar` is the reference the tests compare it against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SimdMode {
     /// One splat / pixel at a time (the reference path).
-    #[default]
     Scalar,
-    /// 4-wide chunked kernels.
-    Wide4,
     /// 8-wide chunked kernels.
+    #[default]
     Wide8,
 }
 
 impl SimdMode {
     /// Every mode, scalar first.
-    pub const ALL: [SimdMode; 3] = [SimdMode::Scalar, SimdMode::Wide4, SimdMode::Wide8];
+    pub const ALL: [SimdMode; 2] = [SimdMode::Scalar, SimdMode::Wide8];
 
     /// Lane width of the chunked kernels (1 for the scalar path).
     #[inline]
     pub fn lanes(self) -> usize {
         match self {
             SimdMode::Scalar => 1,
-            SimdMode::Wide4 => 4,
             SimdMode::Wide8 => 8,
         }
     }
@@ -43,7 +38,6 @@ impl SimdMode {
     pub fn label(self) -> &'static str {
         match self {
             SimdMode::Scalar => "scalar",
-            SimdMode::Wide4 => "wide4",
             SimdMode::Wide8 => "wide8",
         }
     }
@@ -109,7 +103,7 @@ impl Default for ExecutionConfig {
 }
 
 impl ExecutionConfig {
-    /// Single-threaded execution with the reference kernels.
+    /// Single-threaded execution with the default kernels.
     pub fn sequential() -> Self {
         Self {
             threads: 1,
@@ -210,19 +204,23 @@ mod tests {
 
     #[test]
     fn simd_modes_expose_lane_widths_and_labels() {
-        assert_eq!(SimdMode::default(), SimdMode::Scalar);
         assert_eq!(
             SimdMode::ALL.map(SimdMode::lanes),
-            [1, 4, 8],
+            [1, 8],
             "lane widths are pinned"
         );
-        assert_eq!(
-            SimdMode::ALL.map(SimdMode::label),
-            ["scalar", "wide4", "wide8"]
-        );
-        let exec = ExecutionConfig::sequential().with_simd(SimdMode::Wide4);
-        assert_eq!(exec.simd(), SimdMode::Wide4);
-        assert_eq!(ExecutionConfig::default().simd, SimdMode::Scalar);
+        assert_eq!(SimdMode::ALL.map(SimdMode::label), ["scalar", "wide8"]);
+        // The default is the measured winner, however the config is built.
+        assert_eq!(SimdMode::default(), SimdMode::Wide8);
+        for exec in [
+            ExecutionConfig::default(),
+            ExecutionConfig::sequential(),
+            ExecutionConfig::parallel(4),
+        ] {
+            assert_eq!(exec.simd, SimdMode::Wide8);
+        }
+        let exec = ExecutionConfig::sequential().with_simd(SimdMode::Scalar);
+        assert_eq!(exec.simd(), SimdMode::Scalar);
     }
 
     #[test]

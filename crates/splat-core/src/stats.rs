@@ -24,17 +24,18 @@ splat_types::counters! {
         /// Positive tile/group intersections, i.e. entries appended to per-tile
         /// (or per-group) lists. Each of these implies one sorting key later.
         tile_intersections: u64,
-        /// Geometric tests performed by the intersection prepass (boundary
-        /// tests plus, in exact mode, the extra ellipse-vs-tile refinements).
+        /// Small-tile boundary tests performed by identification: equal to
+        /// [`tile_tests`](Self::tile_tests) in the baseline pipeline and to
+        /// [`bitmask_tests`](Self::bitmask_tests) in GS-TG.
         tiles_tested: u64,
         /// Tiles (or groups) accepted by the prepass — the length of the flat
         /// intersection list handed to the sorter. Equal to
         /// [`tile_intersections`](Self::tile_intersections) in the baseline
         /// pipeline; GS-TG counts the small tiles hit inside each hit group.
         tiles_hit: u64,
-        /// Candidates accepted by the conservative bounding-rect test but
-        /// rejected by the exact ellipse-vs-tile refinement. Zero in
-        /// conservative mode.
+        /// Always zero: nothing increments it. It stays a field so the
+        /// counter JSON keeps its bytes, and leaves with the span counters
+        /// (ROADMAP item 3, stage 2).
         prepass_overcount_trimmed: u64,
         /// Bitmask tile tests performed (GS-TG only: per-Gaussian small-tile
         /// tests inside its groups).

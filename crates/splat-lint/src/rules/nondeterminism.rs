@@ -1,7 +1,7 @@
 //! `no-nondeterminism`: bit-exact rendering is the project's core
 //! invariant (golden digests are pinned across threads, SIMD widths,
-//! span and prepass modes), so library code must not introduce sources
-//! of run-to-run variation:
+//! span modes and boundary methods), so library code must not introduce
+//! sources of run-to-run variation:
 //!
 //! * `HashMap`/`HashSet` — iteration order varies per process,
 //! * `Instant::now` / `SystemTime` — wall clocks, allowed only in the

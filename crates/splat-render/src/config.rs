@@ -57,39 +57,15 @@ impl std::fmt::Display for BoundaryMethod {
     }
 }
 
-/// How far the tile-intersection prepass refines the candidate set before
-/// handing it to sorting and rasterization.
-///
-/// Because the blending kernel defines contributions outside the 3σ
-/// Mahalanobis cutoff to be exactly zero, trimming conservatively-accepted
-/// tiles with the exact ellipse-vs-tile test never changes a pixel — it
-/// only removes sort keys and α-computations that were guaranteed to be
-/// wasted. The modes therefore render bit-identical images; only the
-/// [`StageCounts`](splat_core::StageCounts) work accounting differs.
+/// Shell kept only because `benchmark/src/layers.rs` passes
+/// `RenderConfig::prepass` into `identify_tiles_into` by value; it selects
+/// nothing (the exact per-tile test is [`BoundaryMethod::Ellipse`]) and goes
+/// in the `[benchmark]` PR of ROADMAP item 2a.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum PrepassMode {
-    /// Keep every candidate the configured boundary method accepts (the
-    /// reference behavior, and the historical work accounting).
+    /// The only value.
     #[default]
     Conservative,
-    /// After the configured boundary test accepts a candidate, re-test it
-    /// with the exact ellipse-vs-tile intersection and drop false
-    /// positives. Trimmed candidates are charged to
-    /// `prepass_overcount_trimmed`.
-    Exact,
-}
-
-impl PrepassMode {
-    /// Both modes, conservative first.
-    pub const ALL: [PrepassMode; 2] = [PrepassMode::Conservative, PrepassMode::Exact];
-
-    /// Stable human-readable label (used by benches and reports).
-    pub fn label(self) -> &'static str {
-        match self {
-            PrepassMode::Conservative => "conservative",
-            PrepassMode::Exact => "exact",
-        }
-    }
 }
 
 /// Full configuration of the baseline rendering pipeline.
@@ -106,8 +82,7 @@ pub struct RenderConfig {
     pub tile_size: u32,
     /// Boundary method used in tile identification.
     pub boundary: BoundaryMethod,
-    /// Refinement level of the tile-intersection prepass. Exact mode trims
-    /// conservative overcount without changing any pixel.
+    /// Selects nothing; see [`PrepassMode`] (goes with ROADMAP item 2a).
     pub prepass: PrepassMode,
     /// Shared execution parameters (worker threads, kernel modes).
     /// Use [`HasExecution::with_threads`] to change the thread count.
@@ -171,12 +146,6 @@ impl RenderConfig {
         }
         Ok(())
     }
-
-    /// Returns a copy with the prepass refinement mode replaced.
-    pub fn with_prepass(mut self, prepass: PrepassMode) -> Self {
-        self.prepass = prepass;
-        self
-    }
 }
 
 impl HasExecution for RenderConfig {
@@ -198,22 +167,8 @@ mod tests {
         let c = RenderConfig::default();
         assert_eq!(c.tile_size, 16);
         assert_eq!(c.boundary, BoundaryMethod::Aabb);
-        assert_eq!(c.prepass, PrepassMode::Conservative);
         assert_eq!(c.exec.threads, 1);
-    }
-
-    #[test]
-    fn prepass_knob_is_settable_through_builder_and_with() {
-        assert_eq!(
-            RenderConfig::default()
-                .with_prepass(PrepassMode::Exact)
-                .prepass,
-            PrepassMode::Exact
-        );
-        assert_eq!(
-            PrepassMode::ALL.map(PrepassMode::label),
-            ["conservative", "exact"]
-        );
+        assert_eq!(c.simd(), splat_core::SimdMode::Wide8);
     }
 
     #[test]

@@ -324,26 +324,6 @@ mod tests {
     }
 
     #[test]
-    fn exact_prepass_renders_identical_pixels_with_fewer_intersections() {
-        let (scene, camera) = small_scene();
-        let conservative =
-            Renderer::new(RenderConfig::new(16, BoundaryMethod::Aabb)).render(&scene, &camera);
-        let exact = Renderer::new(
-            RenderConfig::new(16, BoundaryMethod::Aabb)
-                .with_prepass(crate::config::PrepassMode::Exact),
-        )
-        .render(&scene, &camera);
-        assert_eq!(exact.image.max_abs_diff(&conservative.image), 0.0);
-        assert!(
-            exact.stats.counts.tile_intersections <= conservative.stats.counts.tile_intersections
-        );
-        assert_eq!(
-            exact.stats.counts.tile_intersections + exact.stats.counts.prepass_overcount_trimmed,
-            conservative.stats.counts.tile_intersections
-        );
-    }
-
-    #[test]
     fn simd_modes_render_bit_identical_images() {
         let (scene, camera) = small_scene();
         let reference =

@@ -303,25 +303,25 @@ impl TileLists for TileAssignments {
 }
 
 /// Runs tile identification for all projected splats against a grid using
-/// the given boundary method and prepass mode. `out` is rebuilt through
+/// the given boundary method. `out` is rebuilt through
 /// `scratch`, retaining both allocations across frames. Every intersection
 /// test is performed (and charged to `counts`) exactly once;
 /// the staged `(tile, slot)` pairs are then counting-sorted into the CSR
 /// layout (counting prepass → prefix-sum offsets → stable scatter),
 /// preserving scene order within each tile.
 ///
-/// Prepass accounting: `tiles_tested` counts every geometric test the
-/// prepass performs (the boundary tests, plus the exact ellipse refinements
-/// in [`PrepassMode::Exact`]); `tiles_hit` counts accepted candidates and
-/// always equals `tile_intersections` (the flat intersection-list length);
-/// `prepass_overcount_trimmed` counts conservative acceptances the exact
-/// refinement rejected.
+/// Accounting: `tiles_tested` counts every boundary test and always equals
+/// `tile_tests`; `tiles_hit` counts accepted candidates and always equals
+/// `tile_intersections` (the flat intersection-list length).
+///
+/// `_prepass` is ignored: it is still a parameter only because
+/// `benchmark/src/layers.rs` passes one, and goes with ROADMAP item 2a.
 #[allow(clippy::too_many_arguments)]
 pub fn identify_tiles_into(
     projected: &[ProjectedGaussian],
     grid: TileGrid,
     boundary: BoundaryMethod,
-    prepass: PrepassMode,
+    _prepass: PrepassMode,
     counts: &mut StageCounts,
     scratch: &mut CsrScratch<u32>,
     out: &mut TileAssignments,
@@ -330,10 +330,6 @@ pub fn identify_tiles_into(
     out.tiles_per_gaussian.clear();
     out.tiles_per_gaussian.resize(projected.len(), 0);
     scratch.clear();
-
-    // The exact refinement only adds information when the configured
-    // boundary test is itself not already the exact ellipse test.
-    let refine = prepass == PrepassMode::Exact && boundary != BoundaryMethod::Ellipse;
 
     let per_gaussian = out.tiles_per_gaussian.iter_mut();
     for ((slot, splat), tiles_of_splat) in projected.iter().enumerate().zip(per_gaussian) {
@@ -348,13 +344,6 @@ pub fn identify_tiles_into(
                 counts.tiles_tested += 1;
                 let rect = grid.tile_rect_unclipped(tx, ty);
                 if footprint.intersects(&rect, boundary) {
-                    if refine {
-                        counts.tiles_tested += 1;
-                        if !footprint.intersects(&rect, BoundaryMethod::Ellipse) {
-                            counts.prepass_overcount_trimmed += 1;
-                            continue;
-                        }
-                    }
                     counts.tile_intersections += 1;
                     counts.tiles_hit += 1;
                     scratch.stage(grid.tile_index(tx, ty) as u32, slot as u32);
@@ -372,22 +361,11 @@ pub(crate) mod tests {
     use super::*;
     use splat_types::{Mat2, Rgb};
 
-    /// Allocating, conservative-prepass form of [`identify_tiles_into`].
+    /// Allocating form of [`identify_tiles_into`].
     pub(crate) fn identify_tiles(
         projected: &[ProjectedGaussian],
         grid: TileGrid,
         boundary: BoundaryMethod,
-        counts: &mut StageCounts,
-    ) -> TileAssignments {
-        identify_tiles_with(projected, grid, boundary, PrepassMode::Conservative, counts)
-    }
-
-    /// Allocating form of [`identify_tiles_into`].
-    fn identify_tiles_with(
-        projected: &[ProjectedGaussian],
-        grid: TileGrid,
-        boundary: BoundaryMethod,
-        prepass: PrepassMode,
         counts: &mut StageCounts,
     ) -> TileAssignments {
         let mut out = TileAssignments::empty();
@@ -395,7 +373,7 @@ pub(crate) mod tests {
             projected,
             grid,
             boundary,
-            prepass,
+            PrepassMode::Conservative,
             counts,
             &mut CsrScratch::new(),
             &mut out,
@@ -671,131 +649,6 @@ pub(crate) mod tests {
             })
         );
         assert_eq!(TileGrid::try_new(64, 64, 16), Ok(TileGrid::new(64, 64, 16)));
-    }
-
-    /// An anisotropic splat population whose AABB candidate rects contain
-    /// plenty of exact-test false positives.
-    fn anisotropic_splats() -> Vec<ProjectedGaussian> {
-        (0..12)
-            .map(|i| {
-                let a2 = 120.0f32 + 5.0 * i as f32;
-                let b2 = 3.0f32;
-                let cov = Mat2::from_symmetric(0.5 * (a2 + b2), 0.5 * (a2 - b2), 0.5 * (a2 + b2));
-                ProjectedGaussian {
-                    index: i,
-                    depth: 1.0 + i as f32,
-                    mean: Vec2::new(40.0 + 15.0 * i as f32, 30.0 + 11.0 * i as f32),
-                    cov,
-                    inv_cov: cov.inverse().unwrap(),
-                    opacity: 0.9,
-                    color: Rgb::WHITE,
-                }
-            })
-            .collect()
-    }
-
-    #[test]
-    fn exact_prepass_tile_sets_are_subsets_of_conservative_ones() {
-        let grid = TileGrid::new(256, 256, 16);
-        let splats = anisotropic_splats();
-        let mut conservative_counts = StageCounts::new();
-        let conservative = identify_tiles(
-            &splats,
-            grid,
-            BoundaryMethod::Aabb,
-            &mut conservative_counts,
-        );
-        let mut exact_counts = StageCounts::new();
-        let exact = identify_tiles_with(
-            &splats,
-            grid,
-            BoundaryMethod::Aabb,
-            PrepassMode::Exact,
-            &mut exact_counts,
-        );
-
-        for (tile, exact_list) in exact.iter() {
-            let conservative_list = conservative.tile(tile);
-            for slot in exact_list {
-                assert!(
-                    conservative_list.contains(slot),
-                    "tile {tile}: exact accepted slot {slot} the conservative pass did not"
-                );
-            }
-        }
-        assert!(
-            exact_counts.tile_intersections < conservative_counts.tile_intersections,
-            "exact mode must trim overcount on anisotropic splats"
-        );
-        assert_eq!(
-            exact_counts.prepass_overcount_trimmed,
-            conservative_counts.tile_intersections - exact_counts.tile_intersections
-        );
-    }
-
-    #[test]
-    fn prepass_counters_reconcile_in_both_modes() {
-        let grid = TileGrid::new(256, 256, 16);
-        let splats = anisotropic_splats();
-        for prepass in PrepassMode::ALL {
-            let mut counts = StageCounts::new();
-            let assignments =
-                identify_tiles_with(&splats, grid, BoundaryMethod::Aabb, prepass, &mut counts);
-            assert_eq!(counts.tiles_hit, counts.tile_intersections);
-            assert_eq!(counts.tiles_hit, assignments.total_entries());
-            assert!(counts.tiles_hit <= counts.tiles_tested);
-            match prepass {
-                PrepassMode::Conservative => {
-                    assert_eq!(counts.tiles_tested, counts.tile_tests);
-                    assert_eq!(counts.prepass_overcount_trimmed, 0);
-                }
-                PrepassMode::Exact => {
-                    assert!(counts.tiles_tested > counts.tile_tests);
-                    assert!(counts.prepass_overcount_trimmed > 0);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn exact_prepass_with_ellipse_boundary_changes_nothing() {
-        // The ellipse boundary is already exact, so exact mode must not
-        // re-test (or trim) anything.
-        let grid = TileGrid::new(256, 256, 16);
-        let splats = anisotropic_splats();
-        let mut conservative_counts = StageCounts::new();
-        let conservative = identify_tiles(
-            &splats,
-            grid,
-            BoundaryMethod::Ellipse,
-            &mut conservative_counts,
-        );
-        let mut exact_counts = StageCounts::new();
-        let exact = identify_tiles_with(
-            &splats,
-            grid,
-            BoundaryMethod::Ellipse,
-            PrepassMode::Exact,
-            &mut exact_counts,
-        );
-        assert_eq!(exact, conservative);
-        assert_eq!(exact_counts, conservative_counts);
-        // And exact-trimmed AABB agrees with the ellipse boundary's sets.
-        let mut trimmed_counts = StageCounts::new();
-        let trimmed = identify_tiles_with(
-            &splats,
-            grid,
-            BoundaryMethod::Aabb,
-            PrepassMode::Exact,
-            &mut trimmed_counts,
-        );
-        assert_eq!(
-            trimmed_counts.tile_intersections,
-            conservative_counts.tile_intersections
-        );
-        for (tile, list) in trimmed.iter() {
-            assert_eq!(list, conservative.tile(tile), "tile {tile}");
-        }
     }
 
     #[test]

@@ -97,7 +97,7 @@ pub mod prelude {
         ShutdownMode, SubmitRequest, TrajectoryStream,
     };
     pub use splat_metrics::{geometric_mean, Table};
-    pub use splat_render::{BoundaryMethod, PrepassMode, RenderConfig, RenderSession, Renderer};
+    pub use splat_render::{BoundaryMethod, RenderConfig, RenderSession, Renderer};
     pub use splat_scene::{CameraTrajectory, PaperScene, Scene, SceneScale};
     pub use splat_server::{Server, ServerConfig, ServerStats};
     pub use splat_types::{

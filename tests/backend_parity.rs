@@ -142,7 +142,7 @@ fn simd_lane_widths_are_parity_invariant_across_backends() {
     let baseline_config = gstg_config.equivalent_baseline();
 
     let reference = drive(
-        &mut RenderSession::from_config(baseline_config),
+        &mut RenderSession::from_config(baseline_config.with_simd(SimdMode::Scalar)),
         &scene,
         &cameras,
     );

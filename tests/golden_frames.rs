@@ -71,35 +71,28 @@ fn golden_digests_hold_for_both_pipelines_at_one_and_four_threads() {
 
 #[test]
 fn golden_digests_hold_across_simd_modes_and_exact_prepass() {
-    // The SIMD blending kernels and the exact intersection prepass are
-    // pure performance knobs: every combination of lane width, prepass
-    // mode, thread count and pipeline must land on the same pinned digest
-    // the scalar conservative path produces.
+    // The lane width and the tile-intersection test are pure work knobs:
+    // both kernels, the conservative box (AABB) and the exact test
+    // (`BoundaryMethod::Ellipse`) in the identification prepass, every
+    // thread count and both pipelines must land on the same pinned digest.
     for (paper_scene, golden) in GOLDEN {
         let scene = paper_scene.build(SceneScale::Tiny, 0);
         let camera = camera();
         for simd in SimdMode::ALL {
-            for prepass in [PrepassMode::Conservative, PrepassMode::Exact] {
+            for boundary in [BoundaryMethod::Aabb, BoundaryMethod::Ellipse] {
                 for threads in [1usize, 4] {
-                    let baseline = Renderer::new(
-                        RenderConfig::default()
-                            .with_threads(threads)
-                            .with_simd(simd)
-                            .with_prepass(prepass),
-                    )
-                    .render(&scene, &camera);
-                    let grouped = GstgRenderer::new(
-                        GstgConfig::paper_default()
-                            .with_threads(threads)
-                            .with_simd(simd)
-                            .with_prepass(prepass),
-                    )
-                    .render(&scene, &camera);
+                    let config = GstgConfig::new(16, 64, boundary, boundary)
+                        .expect("paper tile and group sizes")
+                        .with_threads(threads)
+                        .with_simd(simd);
+                    let baseline =
+                        Renderer::new(config.equivalent_baseline()).render(&scene, &camera);
+                    let grouped = GstgRenderer::new(config).render(&scene, &camera);
                     for (pipeline, output) in [("baseline", &baseline), ("gstg", &grouped)] {
                         let digest = frame_digest(&output.image);
                         assert_eq!(
                             digest, golden,
-                            "{paper_scene:?}/{pipeline}/{simd:?}/{prepass:?}/threads={threads}: \
+                            "{paper_scene:?}/{pipeline}/{simd:?}/{boundary}/threads={threads}: \
                              raster drift! expected {golden:#018x}, actual {digest:#018x}"
                         );
                     }
@@ -170,7 +163,8 @@ fn render_tier(
 
 /// The pinned quality-ladder digests: for each canonical scene, the
 /// Tier1/Tier2/Tier3 frames. Like `GOLDEN`, these must hold for both
-/// pipelines, any thread count, SIMD lane width, prepass and span mode —
+/// pipelines, any thread count, SIMD lane width, span mode and
+/// conservative or exact intersection test in the prepass —
 /// the ladder degrades the *scene and resolution*, never the determinism.
 const GOLDEN_TIERS: [(PaperScene, [u64; 3]); 3] = [
     (
@@ -243,14 +237,14 @@ fn golden_tier_digests_hold_across_simd_span_and_prepass_modes() {
         for (tier, golden) in TIERS.into_iter().zip(goldens) {
             for simd in SimdMode::ALL {
                 for span in SpanMode::ALL {
-                    for prepass in [PrepassMode::Conservative, PrepassMode::Exact] {
+                    // Conservative box and exact test in the prepass.
+                    for boundary in [BoundaryMethod::Aabb, BoundaryMethod::Ellipse] {
                         let render = |scene: &Scene, cam: &Camera| {
                             Renderer::new(
-                                RenderConfig::default()
+                                RenderConfig::new(16, boundary)
                                     .with_threads(4)
                                     .with_simd(simd)
-                                    .with_span(span)
-                                    .with_prepass(prepass),
+                                    .with_span(span),
                             )
                             .render(scene, cam)
                             .image
@@ -262,7 +256,7 @@ fn golden_tier_digests_hold_across_simd_span_and_prepass_modes() {
                         );
                         assert_eq!(
                             digest, golden,
-                            "{paper_scene:?}/{tier:?}/{simd:?}/{span:?}/{prepass:?}: tier \
+                            "{paper_scene:?}/{tier:?}/{simd:?}/{span:?}/{boundary}: tier \
                              raster drift! expected {golden:#018x}, actual {digest:#018x}"
                         );
                     }

@@ -1,14 +1,14 @@
-//! Randomized property tests for the exact tile-intersection prepass and
-//! the SoA splat storage, driven by the repo's deterministic local PRNG.
+//! Randomized property tests for tile identification and the SoA splat
+//! storage, driven by the repo's deterministic local PRNG.
 //!
 //! Three invariants are pinned over random scenes:
 //!
-//! 1. **Exact ⊆ conservative** — for every boundary method, the tile sets
-//!    the exact prepass accepts are subsets of the conservative sets, and
-//!    the reconciliation counters balance exactly.
+//! 1. **Exact ⊆ conservative** — the tile sets the exact test
+//!    (`BoundaryMethod::Ellipse`) accepts are subsets of the sets the two
+//!    conservative boxes (OBB, AABB) accept.
 //! 2. **CSR accounting** — the flat intersection list built through the
 //!    counting prepass → prefix-sum → scatter machinery has exactly as many
-//!    entries as the counters claim, in every mode.
+//!    entries as the counters claim, for every boundary method.
 //! 3. **SoA ≡ AoS** — the structure-of-arrays view reassembles the
 //!    array-of-structs storage bit-exactly, and the projection output is
 //!    invariant across the scalar and wide SIMD paths that consume it.
@@ -32,11 +32,10 @@ fn preprocess(
 }
 
 /// One-shot form of the tile-identification stage.
-fn identify_tiles_with(
+fn identify_tiles(
     projected: &[ProjectedGaussian],
     grid: TileGrid,
     boundary: BoundaryMethod,
-    prepass: PrepassMode,
     counts: &mut StageCounts,
 ) -> TileAssignments {
     let mut out = TileAssignments::empty();
@@ -44,7 +43,7 @@ fn identify_tiles_with(
         projected,
         grid,
         boundary,
-        prepass,
+        Default::default(), // the ignored prepass argument
         counts,
         &mut CsrScratch::new(),
         &mut out,
@@ -103,49 +102,21 @@ fn exact_tile_sets_are_subsets_of_conservative_ones_on_random_scenes() {
         let projected = preprocess(&scene, &camera, &config, &mut counts);
         let grid = TileGrid::new(camera.width(), camera.height(), config.tile_size);
 
-        for boundary in [
-            BoundaryMethod::Aabb,
-            BoundaryMethod::Obb,
-            BoundaryMethod::Ellipse,
-        ] {
+        let mut exact_counts = StageCounts::new();
+        let exact = identify_tiles(&projected, grid, BoundaryMethod::Ellipse, &mut exact_counts);
+        for boundary in [BoundaryMethod::Aabb, BoundaryMethod::Obb] {
             let mut conservative_counts = StageCounts::new();
-            let conservative = identify_tiles_with(
-                &projected,
-                grid,
-                boundary,
-                PrepassMode::Conservative,
-                &mut conservative_counts,
-            );
-            let mut exact_counts = StageCounts::new();
-            let exact = identify_tiles_with(
-                &projected,
-                grid,
-                boundary,
-                PrepassMode::Exact,
-                &mut exact_counts,
-            );
-
-            let mut trimmed_pairs = 0u64;
+            let conservative = identify_tiles(&projected, grid, boundary, &mut conservative_counts);
             for tile in 0..grid.tile_count() {
                 let conservative_list = conservative.tile(tile);
                 for slot in exact.tile(tile) {
                     assert!(
                         conservative_list.contains(slot),
-                        "round {round} {boundary}: tile {tile} gained slot {slot} in exact mode"
+                        "round {round} {boundary}: tile {tile} lacks slot {slot} of the exact set"
                     );
                 }
-                trimmed_pairs += (conservative_list.len() - exact.tile(tile).len()) as u64;
             }
-            assert_eq!(
-                trimmed_pairs, exact_counts.prepass_overcount_trimmed,
-                "round {round} {boundary}: trimmed counter disagrees with the lists"
-            );
-            assert_eq!(
-                exact_counts.tiles_hit + exact_counts.prepass_overcount_trimmed,
-                conservative_counts.tiles_hit,
-                "round {round} {boundary}: hit/trim reconciliation failed"
-            );
-            assert!(exact_counts.tiles_tested >= conservative_counts.tiles_tested);
+            assert!(exact_counts.tiles_hit <= conservative_counts.tiles_hit);
         }
     }
 }
@@ -166,27 +137,26 @@ fn intersection_list_lengths_match_the_counters_in_every_mode() {
             BoundaryMethod::Obb,
             BoundaryMethod::Ellipse,
         ] {
-            for prepass in [PrepassMode::Conservative, PrepassMode::Exact] {
-                let mut counts = StageCounts::new();
-                let assignments =
-                    identify_tiles_with(&projected, grid, boundary, prepass, &mut counts);
-                // The CSR scatter, the per-tile lists and the counters must
-                // all agree on the number of (tile, splat) pairs.
-                let listed: u64 = assignments.iter().map(|(_, list)| list.len() as u64).sum();
-                assert_eq!(listed, assignments.total_entries());
-                assert_eq!(assignments.total_entries(), counts.tile_intersections);
-                assert_eq!(counts.tiles_hit, counts.tile_intersections);
-                assert!(counts.tiles_hit <= counts.tiles_tested);
-                let per_gaussian: u64 = assignments
-                    .tiles_per_gaussian()
-                    .iter()
-                    .map(|&n| u64::from(n))
-                    .sum();
-                assert_eq!(
-                    per_gaussian, listed,
-                    "{boundary}/{prepass:?}: prefix-sum totals diverged"
-                );
-            }
+            let mut counts = StageCounts::new();
+            let assignments = identify_tiles(&projected, grid, boundary, &mut counts);
+            // The CSR scatter, the per-tile lists and the counters must
+            // all agree on the number of (tile, splat) pairs.
+            let listed: u64 = assignments.iter().map(|(_, list)| list.len() as u64).sum();
+            assert_eq!(listed, assignments.total_entries());
+            assert_eq!(assignments.total_entries(), counts.tile_intersections);
+            assert_eq!(counts.tiles_hit, counts.tile_intersections);
+            assert!(counts.tiles_hit <= counts.tiles_tested);
+            assert_eq!(counts.tiles_tested, counts.tile_tests);
+            assert_eq!(counts.prepass_overcount_trimmed, 0);
+            let per_gaussian: u64 = assignments
+                .tiles_per_gaussian()
+                .iter()
+                .map(|&n| u64::from(n))
+                .sum();
+            assert_eq!(
+                per_gaussian, listed,
+                "{boundary}: prefix-sum totals diverged"
+            );
         }
     }
 }
@@ -221,15 +191,17 @@ fn soa_view_and_simd_projection_are_bit_identical_on_random_scenes() {
         // Projection: the chunked SIMD consumers of the SoA arrays match
         // the scalar walk splat for splat, bit for bit.
         let camera = camera();
-        let scalar_config = RenderConfig::new(16, BoundaryMethod::Aabb);
+        let config = |simd| RenderConfig::new(16, BoundaryMethod::Aabb).with_simd(simd);
         let mut scalar_counts = StageCounts::new();
-        let scalar = preprocess(&scene, &camera, &scalar_config, &mut scalar_counts);
-        for simd in [SimdMode::Wide4, SimdMode::Wide8] {
-            let config = scalar_config.with_simd(simd);
-            let mut counts = StageCounts::new();
-            let wide = preprocess(&scene, &camera, &config, &mut counts);
-            assert_eq!(counts, scalar_counts, "round {round} {simd:?}");
-            assert_eq!(wide, scalar, "round {round} {simd:?}");
-        }
+        let scalar = preprocess(
+            &scene,
+            &camera,
+            &config(SimdMode::Scalar),
+            &mut scalar_counts,
+        );
+        let mut counts = StageCounts::new();
+        let wide = preprocess(&scene, &camera, &config(SimdMode::Wide8), &mut counts);
+        assert_eq!(counts, scalar_counts, "round {round}");
+        assert_eq!(wide, scalar, "round {round}");
     }
 }
