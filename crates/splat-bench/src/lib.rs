@@ -50,8 +50,9 @@ impl Default for HarnessOptions {
 }
 
 impl HarnessOptions {
-    /// Parses options from process arguments; unknown arguments are
-    /// ignored so binaries can add their own flags.
+    /// Parses options from process arguments. An argument that is not one
+    /// of the three flags, or a flag with no value after it, is ignored
+    /// with a note on stderr.
     pub fn from_args() -> Self {
         Self::parse(std::env::args().skip(1))
     }
@@ -62,35 +63,47 @@ impl HarnessOptions {
         I: IntoIterator<Item = S>,
         S: AsRef<str>,
     {
+        Self::parse_noting(args, &mut |note| eprintln!("{note}"))
+    }
+
+    /// [`HarnessOptions::parse`] with the stderr notes handed to `note`.
+    fn parse_noting<I, S>(args: I, note: &mut dyn FnMut(String)) -> Self
+    where
+        I: IntoIterator<Item = S>,
+        S: AsRef<str>,
+    {
         let mut options = Self::default();
-        let args: Vec<String> = args.into_iter().map(|s| s.as_ref().to_string()).collect();
-        let mut i = 0;
-        while i < args.len() {
-            match args[i].as_str() {
-                "--scale" if i + 1 < args.len() => {
-                    options.scale = match args[i + 1].to_lowercase().as_str() {
+        let mut args = args.into_iter();
+        while let Some(flag) = args.next() {
+            let flag = flag.as_ref();
+            if !matches!(flag, "--scale" | "--resolution-divisor" | "--seed-offset") {
+                note(format!("unknown flag `{flag}` ignored"));
+                continue;
+            }
+            let Some(value) = args.next() else {
+                note(format!("flag `{flag}` has no value, ignored"));
+                break;
+            };
+            let value = value.as_ref();
+            match flag {
+                "--scale" => {
+                    options.scale = match value.to_lowercase().as_str() {
                         "tiny" => SceneScale::Tiny,
                         "small" => SceneScale::Small,
                         "medium" => SceneScale::Medium,
                         "paper" => SceneScale::Paper,
                         other => {
-                            eprintln!("unknown scale `{other}`, using small");
+                            note(format!("unknown scale `{other}`, using small"));
                             SceneScale::Small
                         }
                     };
-                    i += 1;
                 }
-                "--resolution-divisor" if i + 1 < args.len() => {
-                    options.resolution_divisor = args[i + 1].parse().unwrap_or(4).max(1);
-                    i += 1;
+                "--resolution-divisor" => {
+                    options.resolution_divisor = value.parse().unwrap_or(4).max(1);
                 }
-                "--seed-offset" if i + 1 < args.len() => {
-                    options.seed_offset = args[i + 1].parse().unwrap_or(0);
-                    i += 1;
-                }
-                _ => {}
+                // The gate above leaves only `--seed-offset`.
+                _ => options.seed_offset = value.parse().unwrap_or(0),
             }
-            i += 1;
         }
         options
     }
@@ -214,6 +227,34 @@ mod tests {
             o.describe(),
             "scale=Tiny, resolution divisor=8, seed offset=3"
         );
+    }
+
+    #[test]
+    fn unknown_and_value_less_flags_are_noted_not_swallowed() {
+        let mut notes = Vec::new();
+        let o = HarnessOptions::parse_noting(
+            [
+                "--resolution-divisior",
+                "2",
+                "--scale",
+                "bogus",
+                "--seed-offset",
+            ],
+            &mut |note| notes.push(note),
+        );
+        assert_eq!(o, HarnessOptions::default(), "nothing valid was passed");
+        assert_eq!(
+            notes,
+            [
+                "unknown flag `--resolution-divisior` ignored",
+                "unknown flag `2` ignored",
+                "unknown scale `bogus`, using small",
+                "flag `--seed-offset` has no value, ignored",
+            ]
+        );
+        let mut notes = Vec::new();
+        HarnessOptions::parse_noting(["--scale", "tiny"], &mut |note| notes.push(note));
+        assert!(notes.is_empty(), "{notes:?}");
     }
 
     #[test]

@@ -27,10 +27,9 @@ use splat_types::{Camera, RenderError};
 /// `width`×`height` output: the two inputs every pipeline stage scales
 /// with, summed with saturating arithmetic so pathological sizes rank as
 /// "maximally expensive" instead of wrapping. The single source of truth
-/// behind [`RenderRequest::cost_hint`] and the engine-side hints
-/// (`SubmitRequest::cost_hint`, `PreparedScene::cost_hint`) — they must
-/// agree, or handle-based and inline submissions of the same scene would
-/// shed differently.
+/// behind [`RenderRequest::cost_hint`] and the engine-side
+/// `PreparedScene::cost_hint` — they must agree, or a scene's prepared
+/// statistics would rank it differently from the jobs that render it.
 pub fn request_cost_hint(splats: usize, width: u32, height: u32) -> u64 {
     let pixels = u64::from(width).saturating_mul(u64::from(height));
     (splats as u64).saturating_add(pixels)

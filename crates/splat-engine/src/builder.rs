@@ -9,25 +9,20 @@ use crate::policy::{AdmissionPolicy, QualityPolicy, ShutdownMode};
 use crate::queue::JobQueue;
 use crate::registry::{ResidencyPolicy, SceneRegistry};
 use crate::worker::worker_loop;
-use crate::{Backend, Engine, EngineShared, DEFAULT_QUEUE_CAPACITY};
-use gstg::{GstgConfig, GstgRenderer, GstgSession};
+use crate::{Engine, EngineShared, DEFAULT_QUEUE_CAPACITY};
+use gstg::{GstgConfig, GstgSession};
 use splat_core::RenderBackend;
-use splat_render::{RenderConfig, RenderSession, Renderer};
-use splat_types::{RenderError, Rgb};
+use splat_types::RenderError;
 use std::sync::{Arc, Mutex};
 
 /// Builder for [`Engine`] (see [`Engine::builder`]).
 #[derive(Debug, Clone)]
 pub struct EngineBuilder {
-    backend: Backend,
-    baseline: RenderConfig,
     gstg: GstgConfig,
-    background: Rgb,
     workers: usize,
     admission: AdmissionPolicy,
     quality: QualityPolicy,
     queue_capacity: usize,
-    start_paused: bool,
     residency: ResidencyPolicy,
 }
 
@@ -35,43 +30,21 @@ impl EngineBuilder {
     /// The default configuration behind [`Engine::builder`].
     pub(crate) fn new() -> Self {
         Self {
-            backend: Backend::default(),
-            baseline: RenderConfig::default(),
             gstg: GstgConfig::paper_default(),
-            background: Rgb::BLACK,
             workers: 1,
             admission: AdmissionPolicy::default(),
             quality: QualityPolicy::default(),
             queue_capacity: DEFAULT_QUEUE_CAPACITY,
-            start_paused: false,
             residency: ResidencyPolicy::default(),
         }
     }
 
-    /// Selects the pipeline the engine serves with (default:
-    /// [`Backend::Gstg`]).
-    pub fn backend(mut self, backend: Backend) -> Self {
-        self.backend = backend;
-        self
-    }
-
-    /// Replaces the baseline pipeline configuration used when the backend
-    /// is [`Backend::Baseline`].
-    pub fn render_config(mut self, config: RenderConfig) -> Self {
-        self.baseline = config;
-        self
-    }
-
-    /// Replaces the GS-TG pipeline configuration used when the backend is
-    /// [`Backend::Gstg`].
+    /// Replaces the GS-TG pipeline configuration every pooled session
+    /// renders with (default [`GstgConfig::paper_default`]). The engine
+    /// serves the GS-TG pipeline only; the baseline it is lossless against
+    /// is a local `splat_render::RenderSession`.
     pub fn gstg_config(mut self, config: GstgConfig) -> Self {
         self.gstg = config;
-        self
-    }
-
-    /// Sets the background color frames start from (default black).
-    pub fn background(mut self, background: Rgb) -> Self {
-        self.background = background;
         self
     }
 
@@ -105,9 +78,9 @@ impl EngineBuilder {
     /// [`QualityTier`](crate::QualityTier) deterministically: the band
     /// `[capacity, 2 * capacity)` admits jobs at degraded tiers *instead
     /// of* shedding them, so degradation strictly precedes rejection.
-    /// Registered scenes get their LOD ladders prebuilt at
+    /// Scenes get their LOD ladders prebuilt at
     /// [`Engine::register_scene`] (and charged to the [`ResidencyPolicy`]
-    /// budget); inline submissions derive the tier scene on the fly.
+    /// budget), so no job ever derives a tier scene.
     pub fn quality(mut self, policy: QualityPolicy) -> Self {
         self.quality = policy;
         self
@@ -120,24 +93,6 @@ impl EngineBuilder {
     /// ignores this knob.
     pub fn queue_capacity(mut self, capacity: usize) -> Self {
         self.queue_capacity = capacity.max(1);
-        self
-    }
-
-    /// Builds the engine with dispatch paused: submissions are admitted
-    /// (and shed) normally, but no worker picks a job up until
-    /// [`Engine::resume`]. Useful for staging a burst deterministically —
-    /// admission control decides the whole burst before any job runs —
-    /// and in tests.
-    ///
-    /// Beware pairing this with the default [`AdmissionPolicy::Block`]:
-    /// while paused, nothing drains the queue, so a submitter that fills
-    /// it blocks until some *other* thread resumes the engine. To stage a
-    /// burst larger than the queue from a single thread, use
-    /// [`AdmissionPolicy::RejectWhenFull`] or
-    /// [`AdmissionPolicy::ShedLowPriority`], or keep the burst within
-    /// [`EngineBuilder::queue_capacity`].
-    pub fn start_paused(mut self, paused: bool) -> Self {
-        self.start_paused = paused;
         self
     }
 
@@ -157,44 +112,26 @@ impl EngineBuilder {
     ///
     /// # Errors
     ///
-    /// Returns the [`RenderError`] of the selected pipeline configuration
+    /// Returns the [`RenderError`] of the pipeline configuration
     /// (e.g. [`RenderError::InvalidTileSize`]) — the engine never holds a
     /// configuration that could panic mid-render — or
     /// [`RenderError::InvalidConfiguration`] when the OS refuses to spawn
     /// a worker thread.
     pub fn build(self) -> Result<Engine, RenderError> {
         self.admission.validate()?;
-        self.quality.validate()?;
         self.residency.validate()?;
-        let pool: Vec<Mutex<Box<dyn RenderBackend>>> = match self.backend {
-            Backend::Baseline => {
-                self.baseline.validate()?;
-                (0..self.workers)
-                    .map(|_| {
-                        let renderer =
-                            Renderer::new(self.baseline).with_background(self.background);
-                        Mutex::new(Box::new(RenderSession::new(renderer)) as Box<dyn RenderBackend>)
-                    })
-                    .collect()
-            }
-            Backend::Gstg => {
-                self.gstg.validate()?;
-                (0..self.workers)
-                    .map(|_| {
-                        let renderer =
-                            GstgRenderer::new(self.gstg).with_background(self.background);
-                        Mutex::new(Box::new(GstgSession::new(renderer)) as Box<dyn RenderBackend>)
-                    })
-                    .collect()
-            }
-        };
+        self.gstg.validate()?;
+        let pool = (0..self.workers)
+            .map(|_| {
+                Mutex::new(Box::new(GstgSession::from_config(self.gstg)) as Box<dyn RenderBackend>)
+            })
+            .collect();
         let shared = Arc::new(EngineShared {
             pool,
             queue: Arc::new(JobQueue::new(
                 self.admission,
                 self.quality,
                 self.queue_capacity,
-                self.start_paused,
             )),
             registry: SceneRegistry::new(self.residency, self.quality.can_degrade()),
         });
@@ -221,7 +158,6 @@ impl EngineBuilder {
             }
         }
         Ok(Engine {
-            backend: self.backend,
             admission: self.admission,
             quality: self.quality,
             shared,

@@ -1,5 +1,4 @@
-//! Submissions, scene references and job handles for the asynchronous
-//! serving path.
+//! Submissions and job handles for the asynchronous serving path.
 //!
 //! [`Engine::submit`](crate::Engine::submit) turns a [`SubmitRequest`] into
 //! a queued job and hands back a [`JobHandle`] — the caller's only view of
@@ -9,14 +8,12 @@
 //! [`JobHandle::cancel`] (withdraw a job that has not started, freeing its
 //! queue slot).
 //!
-//! A submission names its scene through a [`SceneRef`]: either a
-//! [`SceneId`] handle obtained from
-//! [`Engine::register_scene`](crate::Engine::register_scene) (the
-//! registry resolves it at the door, so many jobs share one prepared
-//! scene) or an inline [`Arc<Scene>`] (the pre-registry shape — still
-//! supported, and what `SubmitRequest::new` accepts transparently from an
-//! `Arc<Scene>`). Either way the job *owns* an `Arc` once admitted, so a
-//! scene evicted mid-queue keeps rendering for jobs already holding it.
+//! A submission names its scene by the [`SceneId`] handle
+//! [`Engine::register_scene`](crate::Engine::register_scene) returned: the
+//! registry resolves it at the door, so many jobs share one prepared scene
+//! (and its prebuilt LOD ladder) and every served job is charged to the
+//! residency budget. The job *owns* an `Arc` once admitted, so a scene
+//! evicted mid-queue keeps rendering for jobs already holding it.
 //!
 //! [`Engine::stream_trajectory`](crate::Engine::stream_trajectory) fans a
 //! whole camera path into per-frame jobs behind a bounded in-flight window
@@ -32,66 +29,20 @@ use splat_types::{Camera, Priority, RenderError, SceneId};
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
 
-/// How a submission names its scene: by registry handle or inline.
-///
-/// `From` conversions exist for both shapes, so call sites write
-/// `SubmitRequest::new(scene_id, camera)` or
-/// `SubmitRequest::new(scene_arc, camera)` and never spell the enum.
+/// One asynchronous render submission: a registered scene's handle, a
+/// posed camera and an admission priority.
 ///
 /// # Examples
 ///
 /// ```
-/// use splat_engine::SceneRef;
-/// use splat_scene::{PaperScene, SceneScale};
-/// use splat_types::SceneId;
-/// use std::sync::Arc;
-///
-/// let by_id: SceneRef = SceneId::from_raw(0).into();
-/// assert!(matches!(by_id, SceneRef::Id(_)));
-/// let inline: SceneRef = Arc::new(PaperScene::Playroom.build(SceneScale::Tiny, 0)).into();
-/// assert!(matches!(inline, SceneRef::Inline(_)));
-/// ```
-#[derive(Debug, Clone)]
-pub enum SceneRef {
-    /// A handle from `Engine::register_scene`. Resolved (and LRU-stamped)
-    /// by the registry when the job is admitted; a miss surfaces as
-    /// [`RenderError::UnknownScene`] or [`RenderError::Evicted`].
-    Id(SceneId),
-    /// A scene shipped with the job, bypassing the registry — the
-    /// pre-registry calling convention. No residency accounting applies.
-    Inline(Arc<Scene>),
-}
-
-impl From<SceneId> for SceneRef {
-    fn from(id: SceneId) -> Self {
-        SceneRef::Id(id)
-    }
-}
-
-impl From<Arc<Scene>> for SceneRef {
-    fn from(scene: Arc<Scene>) -> Self {
-        SceneRef::Inline(scene)
-    }
-}
-
-impl From<&Arc<Scene>> for SceneRef {
-    fn from(scene: &Arc<Scene>) -> Self {
-        SceneRef::Inline(Arc::clone(scene))
-    }
-}
-
-/// One asynchronous render submission: a scene reference, a posed camera
-/// and an admission priority.
-///
-/// # Examples
-///
-/// ```
-/// use splat_engine::SubmitRequest;
+/// use splat_engine::{Engine, SubmitRequest};
 /// use splat_scene::{PaperScene, SceneScale};
 /// use splat_types::{Camera, CameraIntrinsics, Priority, Vec3};
 /// use std::sync::Arc;
 ///
+/// let engine = Engine::builder().build()?;
 /// let scene = Arc::new(PaperScene::Playroom.build(SceneScale::Tiny, 0));
+/// let scene = engine.register_scene(scene)?;
 /// let camera = Camera::try_look_at(
 ///     Vec3::ZERO,
 ///     Vec3::new(0.0, 0.0, 1.0),
@@ -104,8 +55,10 @@ impl From<&Arc<Scene>> for SceneRef {
 /// ```
 #[derive(Debug, Clone)]
 pub struct SubmitRequest {
-    /// The scene to render: a registered handle or an inline `Arc`.
-    pub scene: SceneRef,
+    /// The scene to render, as registered with the engine the request is
+    /// submitted to. A handle that does not resolve there is refused with
+    /// [`RenderError::UnknownScene`] or [`RenderError::Evicted`].
+    pub scene: SceneId,
     /// The posed camera; the framebuffer takes its dimensions from the
     /// camera intrinsics.
     pub camera: Camera,
@@ -115,11 +68,11 @@ pub struct SubmitRequest {
 }
 
 impl SubmitRequest {
-    /// Creates a normal-priority submission for one view of a scene —
-    /// named by [`SceneId`], `Arc<Scene>`, or an explicit [`SceneRef`].
-    pub fn new(scene: impl Into<SceneRef>, camera: Camera) -> Self {
+    /// Creates a normal-priority submission for one view of a registered
+    /// scene.
+    pub fn new(scene: SceneId, camera: Camera) -> Self {
         Self {
-            scene: scene.into(),
+            scene,
             camera,
             priority: Priority::default(),
         }
@@ -333,7 +286,7 @@ impl JobHandle {
 #[derive(Debug)]
 pub struct TrajectoryStream<'a> {
     engine: &'a Engine,
-    scene_ref: SceneRef,
+    scene_id: SceneId,
     scene: Arc<Scene>,
     ladder: Option<Arc<LodLadder>>,
     cameras: std::vec::IntoIter<Camera>,
@@ -350,7 +303,7 @@ impl<'a> TrajectoryStream<'a> {
     /// window.
     pub(crate) fn new(
         engine: &'a Engine,
-        scene_ref: SceneRef,
+        scene_id: SceneId,
         scene: Arc<Scene>,
         ladder: Option<Arc<LodLadder>>,
         trajectory: &CameraTrajectory,
@@ -359,7 +312,7 @@ impl<'a> TrajectoryStream<'a> {
     ) -> Self {
         let mut stream = Self {
             engine,
-            scene_ref,
+            scene_id,
             scene,
             ladder,
             cameras: trajectory.cameras().collect::<Vec<Camera>>().into_iter(),
@@ -412,9 +365,7 @@ impl<'a> TrajectoryStream<'a> {
             // One recency/hit commit for the whole path, on the first
             // admitted frame.
             if frame.is_ok() && !self.committed {
-                if let SceneRef::Id(id) = self.scene_ref {
-                    self.engine.shared.registry.commit_serve(id);
-                }
+                self.engine.shared.registry.commit_serve(self.scene_id);
                 self.committed = true;
             }
             self.pending.push_back(frame);
@@ -488,8 +439,11 @@ mod tests {
 
     #[test]
     fn dropping_a_stream_cancels_its_queued_window() {
-        let engine = Engine::builder().start_paused(true).build().unwrap();
-        let scene = Arc::new(PaperScene::Playroom.build(SceneScale::Tiny, 0));
+        let engine = Engine::builder().build().unwrap();
+        engine.pause();
+        let scene = engine
+            .register_scene(Arc::new(PaperScene::Playroom.build(SceneScale::Tiny, 0)))
+            .unwrap();
         let path = CameraTrajectory::orbit(
             CameraIntrinsics::from_fov_y(1.0, 96, 64),
             Vec3::new(0.0, 0.0, 6.0),

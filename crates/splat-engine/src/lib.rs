@@ -24,10 +24,11 @@
 //! door and malformed configurations (tile size 0, impossible groupings)
 //! at [`EngineBuilder::build`], both as typed [`RenderError`]s.
 //!
-//! A caller holding a borrowed `&Scene` with no need of a queue does not
-//! need an engine at all: a `splat_render::RenderSession` or
+//! The engine serves the GS-TG pipeline. A caller holding a borrowed
+//! `&Scene` with no need of a queue does not need an engine at all: a
 //! `gstg::GstgSession` is the same recycled frame loop the workers run,
-//! behind the same [`RenderBackend`] trait.
+//! behind the same [`RenderBackend`] trait — and the baseline GS-TG is
+//! lossless against is a local `splat_render::RenderSession`.
 //!
 //! ```
 //! use splat_engine::{Engine, SubmitRequest};
@@ -36,14 +37,14 @@
 //! use std::sync::Arc;
 //!
 //! let engine = Engine::builder().workers(2).build()?;
+//! // A scene is handed to the engine once and named by its handle after.
 //! let scene = Arc::new(PaperScene::Playroom.build(SceneScale::Tiny, 0));
+//! let scene = engine.register_scene(scene)?;
 //! let intrinsics = CameraIntrinsics::try_from_fov_y(1.0, 96, 64)?;
 //! let camera = Camera::try_look_at(Vec3::ZERO, Vec3::new(0.0, 0.0, 1.0), Vec3::Y, intrinsics)?;
 //!
 //! // One job…
-//! let handle = engine.submit(
-//!     SubmitRequest::new(Arc::clone(&scene), camera).with_priority(Priority::High),
-//! )?;
+//! let handle = engine.submit(SubmitRequest::new(scene, camera).with_priority(Priority::High))?;
 //! let output = handle.wait()?;
 //! assert_eq!(output.image.width(), 96);
 //!
@@ -51,7 +52,7 @@
 //! // in flight.
 //! let path = CameraTrajectory::orbit(intrinsics, Vec3::new(0.0, 0.0, 6.0), 4.0, 0.6, 4);
 //! let frames = engine
-//!     .stream_trajectory(&scene, &path, Priority::Normal, 2)?
+//!     .stream_trajectory(scene, &path, Priority::Normal, 2)?
 //!     .wait_all();
 //! assert!(frames.iter().all(|frame| frame.is_ok()));
 //! assert_eq!(engine.stats().completed, 5);
@@ -60,12 +61,12 @@
 //!
 //! # Scene registry: handle-based serving
 //!
-//! Shipping an `Arc<Scene>` with every submission works for one tenant,
-//! but a deployment serving many users over a shared scene set wants to
-//! hand the engine each scene **once**:
+//! A deployment serving many users over a shared scene set hands the
+//! engine each scene **once**:
 //! [`Engine::register_scene`] prepares the scene (footprint, bounds and
-//! cost statistics precomputed into a [`PreparedScene`]) and returns a
-//! [`SceneId`] that every later job names through [`SceneRef::Id`] — and a
+//! cost statistics precomputed into a [`PreparedScene`], the LOD ladder
+//! prebuilt when the [`QualityPolicy`] can degrade) and returns the
+//! [`SceneId`] every later job names it by — and a
 //! [`ResidencyPolicy`] bounds how many scenes (and bytes) stay resident,
 //! deflating the least-recently-served scene deterministically when the
 //! budget is exceeded. This is the slow-timescale control loop next to
@@ -114,7 +115,7 @@ mod queue;
 mod worker;
 
 pub use builder::EngineBuilder;
-pub use job::{JobHandle, JobStatus, SceneRef, SubmitRequest, TrajectoryStream};
+pub use job::{JobHandle, JobStatus, SubmitRequest, TrajectoryStream};
 pub use policy::{AdmissionPolicy, QualityPolicy, ShutdownMode};
 pub use registry::{PreparedScene, ResidencyPolicy};
 pub use splat_scene::lod::{LodLadder, QualityTier};
@@ -132,34 +133,6 @@ use std::thread::JoinHandle;
 /// Default bound of the submission queue when the admission policy does
 /// not carry its own capacity (see [`EngineBuilder::queue_capacity`]).
 pub const DEFAULT_QUEUE_CAPACITY: usize = 256;
-
-/// Which rendering pipeline an [`Engine`] serves with.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[non_exhaustive]
-pub enum Backend {
-    /// The conventional tile-based 3D-GS pipeline (`splat-render`).
-    Baseline,
-    /// The paper's tile-grouping pipeline (`gstg`). The default: it renders
-    /// the identical image with a fraction of the sorting work.
-    #[default]
-    Gstg,
-}
-
-impl Backend {
-    /// Short stable label used in tables and JSON output.
-    pub fn label(self) -> &'static str {
-        match self {
-            Backend::Baseline => "baseline",
-            Backend::Gstg => "gstg",
-        }
-    }
-}
-
-impl std::fmt::Display for Backend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.label())
-    }
-}
 
 /// Everything a persistent worker thread needs — the session pool it
 /// renders on and the queue it drains — plus the scene registry the
@@ -185,7 +158,6 @@ struct EngineShared {
 /// [`Engine::shutdown`] with [`ShutdownMode::Drain`] first to serve the
 /// backlog instead.
 pub struct Engine {
-    backend: Backend,
     admission: AdmissionPolicy,
     quality: QualityPolicy,
     shared: Arc<EngineShared>,
@@ -196,7 +168,6 @@ pub struct Engine {
 impl std::fmt::Debug for Engine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Engine")
-            .field("backend", &self.backend)
             .field("workers", &self.shared.pool.len())
             .field("admission", &self.admission)
             .field("quality", &self.quality)
@@ -207,15 +178,10 @@ impl std::fmt::Debug for Engine {
 
 impl Engine {
     /// Starts an engine builder with the default configuration: the GS-TG
-    /// backend at the paper's 16+64 grouping, black background, one
-    /// worker, blocking admission at full quality.
+    /// pipeline at the paper's 16+64 grouping, one worker, blocking
+    /// admission at full quality.
     pub fn builder() -> EngineBuilder {
         EngineBuilder::new()
-    }
-
-    /// The pipeline this engine serves with.
-    pub fn backend(&self) -> Backend {
-        self.backend
     }
 
     /// Number of pooled recycled sessions, which is the number of
@@ -246,12 +212,12 @@ impl Engine {
     }
 
     /// Registers a scene with the engine's scene registry, returning the
-    /// [`SceneId`] handle later submissions reference through
-    /// [`SceneRef::Id`].
+    /// [`SceneId`] handle submissions name it by.
     ///
     /// Registration is the slow-timescale control point: the scene is
     /// prepared once (footprint, bounds and cost statistics precomputed
-    /// into a [`PreparedScene`]) and, when the registration pushes the
+    /// into a [`PreparedScene`], with the LOD ladder when the
+    /// [`QualityPolicy`] can degrade) and, when the registration pushes the
     /// resident set over the [`ResidencyPolicy`] budget, the registry
     /// deflates deterministically — the least-recently-served scene is
     /// evicted first (never-served before served, ties broken by the
@@ -300,22 +266,6 @@ impl Engine {
         self.shared.registry.prepared(id)
     }
 
-    /// Resolves a [`SceneRef`] to the scene a job will own, plus the
-    /// prebuilt LOD ladder when one exists: inline refs pass through
-    /// untouched (no ladder — a degraded worker derives the tier scene on
-    /// the fly), registered handles go through the registry (a miss counts
-    /// immediately; the hit and LRU recency commit only once the job is
-    /// actually admitted or served).
-    fn resolve(
-        &self,
-        scene: &SceneRef,
-    ) -> Result<(Arc<Scene>, Option<Arc<LodLadder>>), RenderError> {
-        match scene {
-            SceneRef::Inline(scene) => Ok((Arc::clone(scene), None)),
-            SceneRef::Id(id) => self.shared.registry.resolve_with_ladder(*id),
-        }
-    }
-
     /// Submits one job to the asynchronous serving queue and returns its
     /// [`JobHandle`] without waiting for the render.
     ///
@@ -332,29 +282,25 @@ impl Engine {
     /// # Errors
     ///
     /// * The request's own [`RenderError`] when it fails validation.
-    /// * [`RenderError::UnknownScene`] / [`RenderError::Evicted`] when a
-    ///   [`SceneRef::Id`] reference does not resolve — misses are refused
-    ///   at the door, never queued.
+    /// * [`RenderError::UnknownScene`] / [`RenderError::Evicted`] when the
+    ///   scene handle does not resolve — misses are refused at the door
+    ///   (and counted), never queued.
     /// * [`RenderError::Overloaded`] when admission control refuses the
     ///   submission ([`AdmissionPolicy::RejectWhenFull`], or an incoming
     ///   job that loses the [`AdmissionPolicy::ShedLowPriority`]
     ///   comparison).
     /// * [`RenderError::ShutDown`] after [`Engine::shutdown`] has begun.
     pub fn submit(&self, request: SubmitRequest) -> Result<JobHandle, RenderError> {
-        let (scene, ladder) = self.resolve(&request.scene)?;
+        let (scene, ladder) = self.shared.registry.resolve_with_ladder(request.scene)?;
         let handle = self.submit_resolved(scene, ladder, request.camera, request.priority)?;
         // Only an *admitted* job counts as serving the scene: a submission
         // refused by validation or admission control must not refresh the
         // scene's LRU recency or the hit counter.
-        if let SceneRef::Id(id) = request.scene {
-            self.shared.registry.commit_serve(id);
-        }
+        self.shared.registry.commit_serve(request.scene);
         Ok(handle)
     }
 
-    /// Admits one job whose scene reference has already been resolved.
-    /// The cost hint is computed from the resolved scene, so handle-based
-    /// and inline submissions of the same scene shed identically.
+    /// Admits one job whose scene handle has already been resolved.
     fn submit_resolved(
         &self,
         scene: Arc<Scene>,
@@ -389,7 +335,7 @@ impl Engine {
     /// reader holds at most `window` queue slots and `window` rendered
     /// framebuffers, instead of pinning the entire path's worth of worker
     /// output (pass `trajectory.len()` to fan the whole path out up
-    /// front). The scene reference is resolved once (one registry touch
+    /// front). The scene handle is resolved once (one registry touch
     /// for the whole path, committed when the first frame is admitted),
     /// then every pose is submitted as its own job at the given priority,
     /// so frames interleave with other traffic under the normal admission
@@ -403,24 +349,18 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// * [`RenderError::UnknownScene`] / [`RenderError::Evicted`] when a
-    ///   [`SceneRef::Id`] reference does not resolve.
-    /// * [`RenderError::EmptyScene`] for an inline reference to an empty
-    ///   scene.
+    /// [`RenderError::UnknownScene`] / [`RenderError::Evicted`] when the
+    /// scene handle does not resolve.
     pub fn stream_trajectory(
         &self,
-        scene: impl Into<SceneRef>,
+        scene: SceneId,
         trajectory: &CameraTrajectory,
         priority: Priority,
         window: usize,
     ) -> Result<TrajectoryStream<'_>, RenderError> {
-        let scene_ref = scene.into();
-        let (scene, ladder) = self.resolve(&scene_ref)?;
-        if scene.is_empty() {
-            return Err(RenderError::EmptyScene);
-        }
+        let (resolved, ladder) = self.shared.registry.resolve_with_ladder(scene)?;
         Ok(TrajectoryStream::new(
-            self, scene_ref, scene, ladder, trajectory, priority, window,
+            self, scene, resolved, ladder, trajectory, priority, window,
         ))
     }
 
@@ -436,16 +376,22 @@ impl Engine {
 
     /// Pauses dispatch: workers finish their current render, then wait.
     /// Submissions are still admitted (and shed) normally, so a paused
-    /// engine stages a burst deterministically. With the
-    /// [`AdmissionPolicy::Block`] policy, a submitter that fills the
-    /// paused queue blocks until another thread calls [`Engine::resume`]
-    /// (see [`EngineBuilder::start_paused`]).
+    /// engine stages a burst deterministically: `build()` then `pause()`
+    /// before the first submission, and admission control decides the
+    /// whole burst before any job runs.
+    ///
+    /// Beware pairing this with the default [`AdmissionPolicy::Block`]:
+    /// while paused, nothing drains the queue, so a submitter that fills
+    /// it blocks until some *other* thread calls [`Engine::resume`]. To
+    /// stage a burst larger than the queue from a single thread, use
+    /// [`AdmissionPolicy::RejectWhenFull`] or
+    /// [`AdmissionPolicy::ShedLowPriority`], or keep the burst within
+    /// [`EngineBuilder::queue_capacity`].
     pub fn pause(&self) {
         self.shared.queue.pause();
     }
 
-    /// Resumes dispatch after [`Engine::pause`] (or a
-    /// [`EngineBuilder::start_paused`] build).
+    /// Resumes dispatch after [`Engine::pause`].
     pub fn resume(&self) {
         self.shared.queue.resume();
     }
@@ -525,9 +471,9 @@ impl Drop for Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gstg::{GstgConfig, GstgRenderer};
+    use gstg::{GstgConfig, GstgRenderer, GstgSession};
     use splat_core::{HasExecution as _, RenderOutput};
-    use splat_render::{RenderConfig, Renderer};
+    use splat_render::Renderer;
     use splat_scene::{CameraTrajectory, PaperScene, Scene, SceneScale};
     use splat_types::{Camera, CameraIntrinsics, Vec3};
 
@@ -541,15 +487,31 @@ mod tests {
         )
     }
 
-    /// Submits every camera, then waits the handles in submission order.
+    /// Registers `scene` with `engine` and returns its handle.
+    fn registered(engine: &Engine, scene: &Arc<Scene>) -> SceneId {
+        engine
+            .register_scene(Arc::clone(scene))
+            .expect("a servable scene")
+    }
+
+    /// An engine with dispatch paused before the first submission.
+    fn paused(builder: EngineBuilder) -> Engine {
+        let engine = builder.build().unwrap();
+        engine.pause();
+        engine
+    }
+
+    /// Registers the scene, submits every camera, then waits the handles
+    /// in submission order.
     fn serve_all(
         engine: &Engine,
         scene: &Arc<Scene>,
         cameras: &[Camera],
     ) -> Vec<Result<RenderOutput, RenderError>> {
+        let id = registered(engine, scene);
         let handles: Vec<Result<JobHandle, RenderError>> = cameras
             .iter()
-            .map(|camera| engine.submit(SubmitRequest::new(scene, *camera)))
+            .map(|camera| engine.submit(SubmitRequest::new(id, *camera)))
             .collect();
         handles
             .into_iter()
@@ -560,8 +522,8 @@ mod tests {
     #[test]
     fn builder_defaults_are_gstg_sequential() {
         let engine = Engine::builder().build().expect("default engine");
-        assert_eq!(engine.backend(), Backend::Gstg);
         assert_eq!(engine.worker_count(), 1);
+        assert_eq!(engine.shared.pool[0].lock().unwrap().name(), "gstg-session");
         assert_eq!(engine.admission(), AdmissionPolicy::Block);
         assert_eq!(engine.quality(), QualityPolicy::FullOnly);
         assert_eq!(engine.queue_capacity(), DEFAULT_QUEUE_CAPACITY);
@@ -575,13 +537,18 @@ mod tests {
             Engine::builder().gstg_config(bad).build(),
             Err(RenderError::InvalidTileSize { tile_size: 0 })
         ));
-        let mut bad = RenderConfig::default();
-        bad.tile_size = 7;
-        assert!(Engine::builder()
-            .backend(Backend::Baseline)
-            .render_config(bad)
-            .build()
-            .is_err());
+        assert!(matches!(
+            Engine::builder()
+                .admission(AdmissionPolicy::ShedLowPriority { capacity: 0 })
+                .build(),
+            Err(RenderError::InvalidConfiguration { .. })
+        ));
+        assert!(matches!(
+            Engine::builder()
+                .residency(ResidencyPolicy::unlimited().with_max_resident_scenes(0))
+                .build(),
+            Err(RenderError::InvalidConfiguration { .. })
+        ));
     }
 
     #[test]
@@ -596,32 +563,24 @@ mod tests {
 
     #[test]
     fn submit_matches_a_fresh_renderer_for_both_backends() {
+        // The engine holds the GS-TG pipeline only; the baseline it is
+        // lossless against is a local renderer.
         let scene = Arc::new(PaperScene::Playroom.build(SceneScale::Tiny, 1));
         let camera = trajectory(1).camera(0);
-        let request = SubmitRequest::new(&scene, camera);
-
-        let engine = Engine::builder()
-            .backend(Backend::Baseline)
-            .build()
-            .unwrap();
-        let fresh = Renderer::new(RenderConfig::default()).render(&scene, &camera);
+        let engine = Engine::builder().build().unwrap();
         let served = engine
-            .submit(request.clone())
+            .submit(SubmitRequest::new(registered(&engine, &scene), camera))
             .expect("valid request")
             .wait()
             .expect("valid request");
+
+        let config = GstgConfig::paper_default();
+        let fresh = GstgRenderer::new(config).render(&scene, &camera);
         assert_eq!(served.image.max_abs_diff(&fresh.image), 0.0);
         assert_eq!(served.stats.counts, fresh.stats.counts);
 
-        let engine = Engine::builder().backend(Backend::Gstg).build().unwrap();
-        let fresh = GstgRenderer::new(GstgConfig::paper_default()).render(&scene, &camera);
-        let served = engine
-            .submit(request)
-            .expect("valid request")
-            .wait()
-            .expect("valid request");
-        assert_eq!(served.image.max_abs_diff(&fresh.image), 0.0);
-        assert_eq!(served.stats.counts, fresh.stats.counts);
+        let baseline = Renderer::new(config.equivalent_baseline()).render(&scene, &camera);
+        assert_eq!(served.image.max_abs_diff(&baseline.image), 0.0);
     }
 
     #[test]
@@ -663,26 +622,30 @@ mod tests {
             CameraIntrinsics::from_fov_y(1.0, 64, 48),
         );
         let engine = Engine::builder().workers(2).build().unwrap();
-        let results: Vec<Result<RenderOutput, RenderError>> = [
-            SubmitRequest::new(&scene, camera),
-            SubmitRequest::new(&empty, camera),
-            SubmitRequest::new(&scene, degenerate),
-            SubmitRequest::new(&scene, camera),
-        ]
-        .into_iter()
-        .map(|request| engine.submit(request).and_then(JobHandle::wait))
-        .collect();
+        let id = registered(&engine, &scene);
+        // An empty scene never gets a handle to submit against.
+        assert_eq!(
+            engine.register_scene(empty).unwrap_err(),
+            RenderError::EmptyScene
+        );
+        let results: Vec<Result<RenderOutput, RenderError>> = [camera, degenerate, camera]
+            .into_iter()
+            .map(|camera| {
+                engine
+                    .submit(SubmitRequest::new(id, camera))
+                    .and_then(JobHandle::wait)
+            })
+            .collect();
         assert!(results[0].is_ok());
-        assert_eq!(results[1].as_ref().unwrap_err(), &RenderError::EmptyScene);
         assert!(matches!(
-            results[2].as_ref().unwrap_err(),
+            results[1].as_ref().unwrap_err(),
             RenderError::DegenerateCamera { .. }
         ));
-        assert!(results[3].is_ok());
+        assert!(results[2].is_ok());
         let first = results[0].as_ref().unwrap();
-        let last = results[3].as_ref().unwrap();
+        let last = results[2].as_ref().unwrap();
         assert_eq!(first.image.max_abs_diff(&last.image), 0.0);
-        // The bad requests were refused at the door, never queued.
+        // The bad request was refused at the door, never queued.
         assert_eq!(engine.stats().submitted, 2);
     }
 
@@ -704,7 +667,7 @@ mod tests {
         let scene = Arc::new(PaperScene::Playroom.build(SceneScale::Tiny, 1));
         let camera = trajectory(1).camera(0);
         let served = engine
-            .submit(SubmitRequest::new(&scene, camera))
+            .submit(SubmitRequest::new(registered(&engine, &scene), camera))
             .expect("admitted")
             .wait()
             .expect("poisoned worker must serve again");
@@ -719,10 +682,11 @@ mod tests {
         // behind the one session and every caller gets identical pixels.
         let engine = Engine::builder().build().expect("default engine");
         let scene = Arc::new(PaperScene::Playroom.build(SceneScale::Tiny, 4));
+        let id = registered(&engine, &scene);
         let camera = trajectory(1).camera(0);
         let serve = || {
             engine
-                .submit(SubmitRequest::new(&scene, camera))
+                .submit(SubmitRequest::new(id, camera))
                 .expect("valid request")
                 .wait()
                 .expect("valid request")
@@ -742,10 +706,10 @@ mod tests {
     #[test]
     fn submit_serves_a_job_and_counts_it() {
         let engine = Engine::builder().build().unwrap();
-        let scene = std::sync::Arc::new(PaperScene::Playroom.build(SceneScale::Tiny, 2));
+        let scene = Arc::new(PaperScene::Playroom.build(SceneScale::Tiny, 2));
         let camera = trajectory(1).camera(0);
         let handle = engine
-            .submit(SubmitRequest::new(std::sync::Arc::clone(&scene), camera))
+            .submit(SubmitRequest::new(registered(&engine, &scene), camera))
             .expect("valid submission");
         assert_eq!(handle.priority(), splat_types::Priority::Normal);
         let output = handle.wait().expect("render succeeds");
@@ -761,23 +725,30 @@ mod tests {
     #[test]
     fn submit_rejects_invalid_requests_at_the_door() {
         let engine = Engine::builder().build().unwrap();
-        let empty = std::sync::Arc::new(Scene::new("empty", 64, 48, Vec::new()));
-        let camera = trajectory(1).camera(0);
+        let scene = Arc::new(PaperScene::Playroom.build(SceneScale::Tiny, 0));
+        let zero_area = Camera::look_at(
+            Vec3::ZERO,
+            Vec3::new(0.0, 0.0, 1.0),
+            Vec3::Y,
+            CameraIntrinsics::from_fov_y(1.0, 0, 48),
+        );
         let error = engine
-            .submit(SubmitRequest::new(empty, camera))
-            .expect_err("empty scene must be refused");
-        assert_eq!(error, RenderError::EmptyScene);
-        // Refused submissions never touch the queue.
-        assert_eq!(engine.stats().submitted, 0);
+            .submit(SubmitRequest::new(registered(&engine, &scene), zero_area))
+            .expect_err("a zero-width frame must be refused");
+        assert!(matches!(error, RenderError::InvalidResolution { .. }));
+        // Refused submissions never touch the queue, nor count as a serve.
+        let stats = engine.stats();
+        assert_eq!(stats.submitted, 0);
+        assert_eq!(stats.scene_hits, 0);
     }
 
     #[test]
     fn try_poll_transitions_none_to_some_and_keeps_the_result() {
-        let engine = Engine::builder().start_paused(true).build().unwrap();
-        let scene = std::sync::Arc::new(PaperScene::Playroom.build(SceneScale::Tiny, 0));
+        let engine = paused(Engine::builder());
+        let scene = Arc::new(PaperScene::Playroom.build(SceneScale::Tiny, 0));
         let camera = trajectory(1).camera(0);
         let handle = engine
-            .submit(SubmitRequest::new(scene, camera))
+            .submit(SubmitRequest::new(registered(&engine, &scene), camera))
             .expect("valid submission");
         assert_eq!(handle.status(), JobStatus::Queued);
         assert!(handle.try_poll().is_none(), "paused engine: still queued");
@@ -794,15 +765,12 @@ mod tests {
 
     #[test]
     fn cancel_withdraws_a_queued_job() {
-        let engine = Engine::builder().start_paused(true).build().unwrap();
-        let scene = std::sync::Arc::new(PaperScene::Playroom.build(SceneScale::Tiny, 0));
+        let engine = paused(Engine::builder());
+        let scene = Arc::new(PaperScene::Playroom.build(SceneScale::Tiny, 0));
+        let id = registered(&engine, &scene);
         let camera = trajectory(1).camera(0);
-        let victim = engine
-            .submit(SubmitRequest::new(std::sync::Arc::clone(&scene), camera))
-            .unwrap();
-        let survivor = engine
-            .submit(SubmitRequest::new(std::sync::Arc::clone(&scene), camera))
-            .unwrap();
+        let victim = engine.submit(SubmitRequest::new(id, camera)).unwrap();
+        let survivor = engine.submit(SubmitRequest::new(id, camera)).unwrap();
         assert!(victim.cancel());
         assert!(!victim.cancel(), "cancelling twice finds nothing");
         engine.resume();
@@ -815,15 +783,12 @@ mod tests {
 
     #[test]
     fn drain_shutdown_serves_the_backlog() {
-        let engine = Engine::builder().start_paused(true).build().unwrap();
-        let scene = std::sync::Arc::new(PaperScene::Playroom.build(SceneScale::Tiny, 1));
+        let engine = paused(Engine::builder());
+        let scene = Arc::new(PaperScene::Playroom.build(SceneScale::Tiny, 1));
+        let id = registered(&engine, &scene);
         let camera = trajectory(1).camera(0);
         let handles: Vec<JobHandle> = (0..3)
-            .map(|_| {
-                engine
-                    .submit(SubmitRequest::new(std::sync::Arc::clone(&scene), camera))
-                    .unwrap()
-            })
+            .map(|_| engine.submit(SubmitRequest::new(id, camera)).unwrap())
             .collect();
         // Drain resumes the paused queue, serves all three, then stops.
         let stats = engine.shutdown(ShutdownMode::Drain);
@@ -836,11 +801,11 @@ mod tests {
 
     #[test]
     fn abort_shutdown_fails_queued_jobs_with_shut_down() {
-        let engine = Engine::builder().start_paused(true).build().unwrap();
-        let scene = std::sync::Arc::new(PaperScene::Playroom.build(SceneScale::Tiny, 1));
+        let engine = paused(Engine::builder());
+        let scene = Arc::new(PaperScene::Playroom.build(SceneScale::Tiny, 1));
         let camera = trajectory(1).camera(0);
         let handle = engine
-            .submit(SubmitRequest::new(std::sync::Arc::clone(&scene), camera))
+            .submit(SubmitRequest::new(registered(&engine, &scene), camera))
             .unwrap();
         let stats = engine.shutdown(ShutdownMode::Abort);
         assert_eq!(stats.completed, 0);
@@ -850,12 +815,12 @@ mod tests {
 
     #[test]
     fn dropping_the_engine_aborts_outstanding_jobs() {
-        let scene = std::sync::Arc::new(PaperScene::Playroom.build(SceneScale::Tiny, 1));
+        let scene = Arc::new(PaperScene::Playroom.build(SceneScale::Tiny, 1));
         let camera = trajectory(1).camera(0);
         let handle = {
-            let engine = Engine::builder().start_paused(true).build().unwrap();
+            let engine = paused(Engine::builder());
             engine
-                .submit(SubmitRequest::new(std::sync::Arc::clone(&scene), camera))
+                .submit(SubmitRequest::new(registered(&engine, &scene), camera))
                 .unwrap()
             // Engine dropped here: abort + join.
         };
@@ -865,46 +830,45 @@ mod tests {
     #[test]
     fn submit_after_shutdown_is_refused() {
         let engine = Engine::builder().build().unwrap();
-        let scene = std::sync::Arc::new(PaperScene::Playroom.build(SceneScale::Tiny, 0));
+        let scene = Arc::new(PaperScene::Playroom.build(SceneScale::Tiny, 0));
         let camera = trajectory(1).camera(0);
         // Shutdown consumes the engine; re-create the submission path via a
         // second engine whose queue is already draining.
         let stats = engine.shutdown(ShutdownMode::Drain);
         assert_eq!(stats.submitted, 0);
-        let engine = Engine::builder().start_paused(true).build().unwrap();
+        let engine = paused(Engine::builder());
+        let id = registered(&engine, &scene);
         engine.shared.queue.shutdown(ShutdownMode::Drain);
         assert_eq!(
             engine
-                .submit(SubmitRequest::new(scene, camera))
+                .submit(SubmitRequest::new(id, camera))
                 .expect_err("draining queue refuses new work"),
             RenderError::ShutDown
         );
     }
 
     #[test]
-    fn registered_handle_serves_bit_identically_to_inline() {
+    fn registered_handle_serves_bit_identically_to_a_local_session() {
         let scene = Arc::new(PaperScene::Playroom.build(SceneScale::Tiny, 2));
         let camera = trajectory(1).camera(0);
         let engine = Engine::builder().build().unwrap();
         let id = engine.register_scene(Arc::clone(&scene)).unwrap();
 
-        let inline = engine
-            .submit(SubmitRequest::new(Arc::clone(&scene), camera))
-            .unwrap()
-            .wait()
-            .unwrap();
+        let mut session = GstgSession::from_config(GstgConfig::paper_default());
+        let local = RenderBackend::render(&mut session, &RenderRequest::new(&scene, camera))
+            .expect("valid request");
         let by_id = engine
             .submit(SubmitRequest::new(id, camera))
             .unwrap()
             .wait()
             .unwrap();
-        assert_eq!(by_id.image.max_abs_diff(&inline.image), 0.0);
-        assert_eq!(by_id.stats.counts, inline.stats.counts);
+        assert_eq!(by_id.image.max_abs_diff(&local.image), 0.0);
+        assert_eq!(by_id.stats.counts, local.stats.counts);
 
         let stats = engine.stats();
         assert_eq!(stats.registered, 1);
         assert_eq!(stats.resident_scenes, 1);
-        assert_eq!(stats.scene_hits, 1, "only the handle-based submit");
+        assert_eq!(stats.scene_hits, 1);
         assert_eq!(stats.scene_misses, 0);
         assert!(stats.resident_bytes > 0);
     }
@@ -939,16 +903,15 @@ mod tests {
 
     #[test]
     fn refused_submissions_count_neither_hits_nor_recency() {
-        // A full RejectWhenFull queue refuses handle-based submissions:
-        // those must not count scene hits or refresh LRU recency, so
-        // rejected traffic cannot keep a scene resident.
-        let engine = Engine::builder()
-            .admission(AdmissionPolicy::RejectWhenFull)
-            .queue_capacity(1)
-            .start_paused(true)
-            .residency(ResidencyPolicy::unlimited().with_max_resident_scenes(2))
-            .build()
-            .unwrap();
+        // A full RejectWhenFull queue refuses submissions: those must not
+        // count scene hits or refresh LRU recency, so rejected traffic
+        // cannot keep a scene resident.
+        let engine = paused(
+            Engine::builder()
+                .admission(AdmissionPolicy::RejectWhenFull)
+                .queue_capacity(1)
+                .residency(ResidencyPolicy::unlimited().with_max_resident_scenes(2)),
+        );
         let camera = trajectory(1).camera(0);
         let a = engine
             .register_scene(Arc::new(PaperScene::Playroom.build(SceneScale::Tiny, 0)))
@@ -1041,7 +1004,7 @@ mod tests {
 
     #[test]
     fn eviction_does_not_disturb_in_flight_jobs() {
-        let engine = Engine::builder().start_paused(true).build().unwrap();
+        let engine = paused(Engine::builder());
         let scene = Arc::new(PaperScene::Playroom.build(SceneScale::Tiny, 3));
         let camera = trajectory(1).camera(0);
         let id = engine.register_scene(Arc::clone(&scene)).unwrap();
@@ -1075,11 +1038,16 @@ mod tests {
 
     #[test]
     fn stream_trajectory_cancellation_delivers_cancelled_in_order() {
-        let engine = Engine::builder().start_paused(true).build().unwrap();
+        let engine = paused(Engine::builder());
         let path = trajectory(3);
         let scene = Arc::new(PaperScene::Playroom.build(SceneScale::Tiny, 0));
         let stream = engine
-            .stream_trajectory(&scene, &path, Priority::Low, path.len())
+            .stream_trajectory(
+                registered(&engine, &scene),
+                &path,
+                Priority::Low,
+                path.len(),
+            )
             .unwrap();
         assert_eq!(stream.cancel_remaining(), 3, "all frames still queued");
         assert_eq!(stream.cancel_remaining(), 0, "nothing left to withdraw");
@@ -1097,17 +1065,21 @@ mod tests {
         // Capacity-1 reject-when-full queue, paused: only the first frame
         // is admitted, the rest are refused — and still delivered as
         // in-order errors.
-        let engine = Engine::builder()
-            .admission(AdmissionPolicy::RejectWhenFull)
-            .queue_capacity(1)
-            .start_paused(true)
-            .build()
-            .unwrap();
+        let engine = paused(
+            Engine::builder()
+                .admission(AdmissionPolicy::RejectWhenFull)
+                .queue_capacity(1),
+        );
         let scene = Arc::new(PaperScene::Playroom.build(SceneScale::Tiny, 0));
         let path = trajectory(3);
         // A whole-path window: every frame is submitted up front.
         let stream = engine
-            .stream_trajectory(&scene, &path, Priority::Normal, path.len())
+            .stream_trajectory(
+                registered(&engine, &scene),
+                &path,
+                Priority::Normal,
+                path.len(),
+            )
             .unwrap();
         engine.resume();
         let outputs = stream.wait_all();
@@ -1125,21 +1097,18 @@ mod tests {
         // The server shape: the engine lives in an Arc shared across
         // connection threads, so the consuming `shutdown(self)` is
         // unreachable — `begin_shutdown(&self)` must drain in its place.
-        let engine = Arc::new(Engine::builder().start_paused(true).build().unwrap());
+        let engine = Arc::new(paused(Engine::builder()));
         let scene = Arc::new(PaperScene::Playroom.build(SceneScale::Tiny, 1));
+        let id = registered(&engine, &scene);
         let camera = trajectory(1).camera(0);
         let handles: Vec<JobHandle> = (0..3)
-            .map(|_| {
-                engine
-                    .submit(SubmitRequest::new(Arc::clone(&scene), camera))
-                    .unwrap()
-            })
+            .map(|_| engine.submit(SubmitRequest::new(id, camera)).unwrap())
             .collect();
         engine.begin_shutdown(ShutdownMode::Drain);
         // Racing submissions are refused immediately.
         assert_eq!(
             engine
-                .submit(SubmitRequest::new(Arc::clone(&scene), camera))
+                .submit(SubmitRequest::new(id, camera))
                 .expect_err("draining engine refuses new work"),
             RenderError::ShutDown
         );
@@ -1160,9 +1129,12 @@ mod tests {
             .quality(QualityPolicy::Pinned(QualityTier::Tier2))
             .build()
             .unwrap();
-        let scene = std::sync::Arc::new(PaperScene::Playroom.build(SceneScale::Tiny, 0));
+        let scene = Arc::new(PaperScene::Playroom.build(SceneScale::Tiny, 0));
         let handle = engine
-            .submit(SubmitRequest::new(scene, trajectory(1).camera(0)))
+            .submit(SubmitRequest::new(
+                registered(&engine, &scene),
+                trajectory(1).camera(0),
+            ))
             .unwrap();
         assert_eq!(handle.tier(), QualityTier::Tier2);
         assert!(handle.wait().is_ok());
@@ -1204,12 +1176,11 @@ mod tests {
 
     #[test]
     fn stream_trajectory_misses_and_refusals_keep_their_slot() {
-        let engine = Engine::builder()
-            .admission(AdmissionPolicy::RejectWhenFull)
-            .queue_capacity(1)
-            .start_paused(true)
-            .build()
-            .unwrap();
+        let engine = paused(
+            Engine::builder()
+                .admission(AdmissionPolicy::RejectWhenFull)
+                .queue_capacity(1),
+        );
         let path = trajectory(3);
         let bogus = SceneId::from_raw(1);
         assert_eq!(
@@ -1222,7 +1193,7 @@ mod tests {
         // frames 1 and 2 are refused — and still delivered in order.
         let scene = Arc::new(PaperScene::Playroom.build(SceneScale::Tiny, 0));
         let stream = engine
-            .stream_trajectory(Arc::clone(&scene), &path, Priority::Normal, 4)
+            .stream_trajectory(registered(&engine, &scene), &path, Priority::Normal, 4)
             .unwrap();
         engine.resume();
         let outputs = stream.wait_all();

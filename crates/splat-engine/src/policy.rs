@@ -117,71 +117,26 @@ pub enum QualityPolicy {
     /// Every job renders at the given tier regardless of queue state.
     /// Useful for capacity planning and for pinning golden tier digests.
     Pinned(QualityTier),
-    /// Climb down the ladder as the queue fills. Each threshold is a
-    /// percentage of the configured queue capacity; a job admitted while
-    /// `depth * 100 / capacity` is at or above a threshold gets that tier
-    /// (the deepest threshold reached wins). Thresholds must be strictly
-    /// increasing and non-zero — see [`QualityPolicy::validate`].
-    DegradeUnderPressure {
-        /// Depth percentage at or above which jobs serve at
-        /// [`QualityTier::Tier1`].
-        t1_pct: u32,
-        /// Depth percentage at or above which jobs serve at
-        /// [`QualityTier::Tier2`].
-        t2_pct: u32,
-        /// Depth percentage at or above which jobs serve at
-        /// [`QualityTier::Tier3`].
-        t3_pct: u32,
-    },
+    /// Climb down the ladder as the queue fills, in three fixed bands of
+    /// `depth * 100 / capacity`: [`QualityTier::Tier1`] from 50 %,
+    /// [`QualityTier::Tier2`] from 75 %, [`QualityTier::Tier3`] from 100 %
+    /// (the deepest band reached wins), so a job is served at full quality
+    /// below half capacity and at the deepest degradation once the nominal
+    /// capacity is reached.
+    DegradeUnderPressure,
 }
 
-impl QualityPolicy {
-    /// [`QualityPolicy::DegradeUnderPressure`] with the default thresholds:
-    /// tier 1 at 50% depth, tier 2 at 75%, tier 3 at 100% (i.e. full
-    /// quality below half capacity, deepest degradation once the nominal
-    /// capacity is reached).
-    pub fn degrade_default() -> Self {
-        QualityPolicy::DegradeUnderPressure {
-            t1_pct: 50,
-            t2_pct: 75,
-            t3_pct: 100,
-        }
-    }
+// The bands of `QualityPolicy::DegradeUnderPressure`: the queue depth, as
+// a percentage of capacity, from which each degraded tier applies.
+const TIER1_FROM_PCT: u64 = 50;
+const TIER2_FROM_PCT: u64 = 75;
+const TIER3_FROM_PCT: u64 = 100;
 
-    /// Rejects degenerate ladders at build time.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RenderError::InvalidConfiguration`] when any
-    /// [`QualityPolicy::DegradeUnderPressure`] threshold is zero (every
-    /// job would degrade, which is [`QualityPolicy::Pinned`] misspelled)
-    /// or the thresholds are not strictly increasing (a deeper tier would
-    /// be unreachable or ambiguous).
-    pub fn validate(self) -> Result<(), RenderError> {
-        if let QualityPolicy::DegradeUnderPressure {
-            t1_pct,
-            t2_pct,
-            t3_pct,
-        } = self
-        {
-            if t1_pct == 0 {
-                return Err(RenderError::InvalidConfiguration {
-                    reason: format!(
-                        "QualityPolicy thresholds must be non-zero, got t1={t1_pct}% \
-                         (an always-degraded engine should use Pinned instead)"
-                    ),
-                });
-            }
-            if !(t1_pct < t2_pct && t2_pct < t3_pct) {
-                return Err(RenderError::InvalidConfiguration {
-                    reason: format!(
-                        "QualityPolicy thresholds must be strictly increasing, \
-                         got t1={t1_pct}% t2={t2_pct}% t3={t3_pct}%"
-                    ),
-                });
-            }
-        }
-        Ok(())
+impl QualityPolicy {
+    /// [`QualityPolicy::DegradeUnderPressure`], under the name every caller
+    /// builds it by.
+    pub fn degrade_default() -> Self {
+        QualityPolicy::DegradeUnderPressure
     }
 
     /// Whether this policy can ever serve below full quality (and the
@@ -193,7 +148,7 @@ impl QualityPolicy {
     /// Whether this policy extends the queue bound beyond the admission
     /// capacity (degrade-before-shed doubles the effective bound).
     pub(crate) fn extends_queue(self) -> bool {
-        matches!(self, QualityPolicy::DegradeUnderPressure { .. })
+        self == QualityPolicy::DegradeUnderPressure
     }
 
     /// The tier a job admitted at queue `depth` (jobs queued, not yet
@@ -205,17 +160,13 @@ impl QualityPolicy {
         match self {
             QualityPolicy::FullOnly => QualityTier::Full,
             QualityPolicy::Pinned(tier) => tier,
-            QualityPolicy::DegradeUnderPressure {
-                t1_pct,
-                t2_pct,
-                t3_pct,
-            } => {
+            QualityPolicy::DegradeUnderPressure => {
                 let pct = (depth as u64).saturating_mul(100) / (capacity.max(1) as u64);
-                if pct >= u64::from(t3_pct) {
+                if pct >= TIER3_FROM_PCT {
                     QualityTier::Tier3
-                } else if pct >= u64::from(t2_pct) {
+                } else if pct >= TIER2_FROM_PCT {
                     QualityTier::Tier2
-                } else if pct >= u64::from(t1_pct) {
+                } else if pct >= TIER1_FROM_PCT {
                     QualityTier::Tier1
                 } else {
                     QualityTier::Full
@@ -232,7 +183,7 @@ impl QualityPolicy {
             QualityPolicy::Pinned(QualityTier::Tier1) => "pinned-t1",
             QualityPolicy::Pinned(QualityTier::Tier2) => "pinned-t2",
             QualityPolicy::Pinned(QualityTier::Tier3) => "pinned-t3",
-            QualityPolicy::DegradeUnderPressure { .. } => "degrade-under-pressure",
+            QualityPolicy::DegradeUnderPressure => "degrade-under-pressure",
         }
     }
 }
@@ -321,37 +272,6 @@ mod tests {
         assert!(!QualityPolicy::FullOnly.extends_queue());
         assert!(!QualityPolicy::Pinned(QualityTier::Tier3).extends_queue());
         assert!(QualityPolicy::degrade_default().extends_queue());
-    }
-
-    #[test]
-    fn degenerate_quality_ladders_are_rejected() {
-        assert!(QualityPolicy::FullOnly.validate().is_ok());
-        assert!(QualityPolicy::Pinned(QualityTier::Tier3).validate().is_ok());
-        assert!(QualityPolicy::degrade_default().validate().is_ok());
-        let zero = QualityPolicy::DegradeUnderPressure {
-            t1_pct: 0,
-            t2_pct: 50,
-            t3_pct: 100,
-        };
-        assert!(matches!(
-            zero.validate(),
-            Err(RenderError::InvalidConfiguration { .. })
-        ));
-        let non_increasing = QualityPolicy::DegradeUnderPressure {
-            t1_pct: 50,
-            t2_pct: 50,
-            t3_pct: 100,
-        };
-        assert!(matches!(
-            non_increasing.validate(),
-            Err(RenderError::InvalidConfiguration { .. })
-        ));
-        let inverted = QualityPolicy::DegradeUnderPressure {
-            t1_pct: 80,
-            t2_pct: 60,
-            t3_pct: 100,
-        };
-        assert!(inverted.validate().is_err());
     }
 
     #[test]

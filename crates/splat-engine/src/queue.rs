@@ -35,9 +35,9 @@ pub(crate) struct Job {
     /// the queue state observed under the lock. Workers serve the job at
     /// this tier; it never changes after admission.
     pub tier: QualityTier,
-    /// The prebuilt LOD ladder of a registered scene, when one exists.
-    /// Workers serving a degraded tier take the tier scene from here; an
-    /// inline (unregistered) submission derives it on the fly instead.
+    /// The scene's LOD ladder, prebuilt at registration whenever the
+    /// engine's [`QualityPolicy`] can degrade — which is whenever `tier`
+    /// can be a degraded one. Workers take the tier scene from here.
     pub ladder: Option<Arc<LodLadder>>,
     pub shared: Arc<JobShared>,
 }
@@ -94,7 +94,6 @@ impl JobQueue {
         policy: AdmissionPolicy,
         quality: QualityPolicy,
         default_capacity: usize,
-        paused: bool,
     ) -> Self {
         let capacity = policy.capacity(default_capacity);
         let bound = if quality.extends_queue() {
@@ -110,7 +109,7 @@ impl JobQueue {
             inner: Mutex::new(QueueInner {
                 jobs: Vec::new(),
                 next_id: 0,
-                paused,
+                paused: false,
                 draining: false,
                 aborted: false,
                 stats: EngineStats::default(),
@@ -388,13 +387,13 @@ mod tests {
             .map(|(id, _)| id)
     }
 
-    fn full_only(policy: AdmissionPolicy, default_capacity: usize, paused: bool) -> JobQueue {
-        JobQueue::new(policy, QualityPolicy::FullOnly, default_capacity, paused)
+    fn full_only(policy: AdmissionPolicy, default_capacity: usize) -> JobQueue {
+        JobQueue::new(policy, QualityPolicy::FullOnly, default_capacity)
     }
 
     #[test]
     fn dispatch_is_priority_then_fifo() {
-        let queue = full_only(AdmissionPolicy::Block, 16, false);
+        let queue = full_only(AdmissionPolicy::Block, 16);
         push(&queue, Priority::Normal, 1).unwrap();
         push(&queue, Priority::High, 1).unwrap();
         push(&queue, Priority::Normal, 1).unwrap();
@@ -415,7 +414,7 @@ mod tests {
 
     #[test]
     fn reject_when_full_turns_the_incoming_job_away() {
-        let queue = full_only(AdmissionPolicy::RejectWhenFull, 2, true);
+        let queue = full_only(AdmissionPolicy::RejectWhenFull, 2);
         push(&queue, Priority::Critical, 1).unwrap();
         push(&queue, Priority::Low, 1).unwrap();
         assert_eq!(
@@ -433,7 +432,7 @@ mod tests {
     fn shedding_evicts_lowest_priority_then_highest_cost_then_youngest() {
         // No worker threads here: pops are explicit, so the queue need not
         // be paused for the admissions to stage deterministically.
-        let queue = full_only(AdmissionPolicy::ShedLowPriority { capacity: 3 }, 64, false);
+        let queue = full_only(AdmissionPolicy::ShedLowPriority { capacity: 3 }, 64);
         let a = push(&queue, Priority::Low, 10).unwrap();
         let _b = push(&queue, Priority::Low, 30).unwrap(); // shed below
         let c = push(&queue, Priority::Normal, 10).unwrap();
@@ -451,7 +450,7 @@ mod tests {
 
     #[test]
     fn incoming_job_loses_shedding_ties() {
-        let queue = full_only(AdmissionPolicy::ShedLowPriority { capacity: 2 }, 64, true);
+        let queue = full_only(AdmissionPolicy::ShedLowPriority { capacity: 2 }, 64);
         push(&queue, Priority::Normal, 10).unwrap();
         push(&queue, Priority::Normal, 10).unwrap();
         // Same priority, same cost: the incoming job is the latest arrival
@@ -472,7 +471,7 @@ mod tests {
 
     #[test]
     fn cancel_frees_the_slot_and_reports_cancelled() {
-        let queue = full_only(AdmissionPolicy::Block, 4, true);
+        let queue = full_only(AdmissionPolicy::Block, 4);
         let id = push(&queue, Priority::Normal, 1).unwrap();
         assert!(queue.cancel(id));
         assert!(!queue.cancel(id), "second cancel finds nothing");
@@ -483,7 +482,8 @@ mod tests {
 
     #[test]
     fn drain_shutdown_serves_the_backlog_then_stops() {
-        let queue = full_only(AdmissionPolicy::Block, 4, true);
+        let queue = full_only(AdmissionPolicy::Block, 4);
+        queue.pause();
         push(&queue, Priority::Normal, 1).unwrap();
         push(&queue, Priority::Normal, 1).unwrap();
         queue.shutdown(ShutdownMode::Drain);
@@ -498,7 +498,7 @@ mod tests {
 
     #[test]
     fn abort_shutdown_discards_the_backlog() {
-        let queue = full_only(AdmissionPolicy::Block, 4, true);
+        let queue = full_only(AdmissionPolicy::Block, 4);
         let shared = JobShared::new();
         queue
             .push(
@@ -517,7 +517,8 @@ mod tests {
 
     #[test]
     fn pause_gates_dispatch_without_refusing_admission() {
-        let queue = Arc::new(full_only(AdmissionPolicy::Block, 4, true));
+        let queue = Arc::new(full_only(AdmissionPolicy::Block, 4));
+        queue.pause();
         push(&queue, Priority::Normal, 1).unwrap();
         assert!(queue.is_paused());
         // A popper blocks while paused; resuming releases it.
@@ -539,7 +540,6 @@ mod tests {
             AdmissionPolicy::ShedLowPriority { capacity: 4 },
             QualityPolicy::degrade_default(),
             64,
-            true,
         );
         let mut outcomes = Vec::new();
         for _ in 0..16 {
@@ -559,7 +559,7 @@ mod tests {
         assert_eq!(stats.rejected, 8);
 
         // The identical burst against a FullOnly queue sheds strictly more.
-        let full_only_queue = full_only(AdmissionPolicy::ShedLowPriority { capacity: 4 }, 64, true);
+        let full_only_queue = full_only(AdmissionPolicy::ShedLowPriority { capacity: 4 }, 64);
         for _ in 0..16 {
             let _ = push(&full_only_queue, Priority::Normal, 10);
         }
@@ -568,7 +568,6 @@ mod tests {
 
         // Tier assignment followed the depth bands deterministically
         // (dispatch is FIFO here: one priority class, ids in order).
-        queue.resume();
         let tiers: Vec<QualityTier> = (0..8).map(|_| queue.pop().unwrap().tier).collect();
         assert_eq!(
             tiers,
@@ -591,7 +590,6 @@ mod tests {
             AdmissionPolicy::RejectWhenFull,
             QualityPolicy::Pinned(QualityTier::Tier2),
             2,
-            true,
         );
         assert!(push(&pinned, Priority::Normal, 1).is_ok());
         assert!(push(&pinned, Priority::Normal, 1).is_ok());
@@ -602,7 +600,6 @@ mod tests {
             push(&pinned, Priority::Normal, 1),
             Err(RenderError::Overloaded { capacity: 2 })
         );
-        pinned.resume();
         assert_eq!(queue_tiers(&pinned, 2), vec![QualityTier::Tier2; 2]);
     }
 
@@ -616,14 +613,12 @@ mod tests {
             AdmissionPolicy::ShedLowPriority { capacity: 2 },
             QualityPolicy::degrade_default(),
             64,
-            true,
         );
         for _ in 0..4 {
             push(&queue, Priority::Normal, 1).unwrap();
         }
         // Depths 0..3 of capacity 2: 0% -> Full, 50% -> T1, 100% -> T3,
         // 150% -> T3.
-        queue.resume();
         for _ in 0..4 {
             let job = queue.pop().unwrap();
             queue.mark_completed(job.tier);
@@ -642,7 +637,7 @@ mod tests {
 
     #[test]
     fn blocked_submitter_wakes_when_a_slot_frees() {
-        let queue = Arc::new(full_only(AdmissionPolicy::Block, 1, true));
+        let queue = Arc::new(full_only(AdmissionPolicy::Block, 1));
         let first = push(&queue, Priority::Normal, 1).unwrap();
         let submitter = {
             let queue = Arc::clone(&queue);

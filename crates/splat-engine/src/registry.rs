@@ -11,8 +11,8 @@
 //! * [`Engine::register_scene`](crate::Engine::register_scene) prepares a
 //!   scene once — footprint, bounds, centroid and cost statistics are
 //!   precomputed into a [`PreparedScene`] — and returns a
-//!   [`SceneId`] handle many jobs can reuse, so a `SubmitRequest` no longer
-//!   has to ship an `Arc<Scene>` per job.
+//!   [`SceneId`] handle every job names the scene by: a `SubmitRequest`
+//!   carries eight bytes of scene, never an `Arc<Scene>`.
 //! * A [`ResidencyPolicy`] bounds the resident set (bytes and scene count).
 //!   Registration deflates over-budget residency deterministically: the
 //!   least-recently-served scene goes first, never-served scenes before

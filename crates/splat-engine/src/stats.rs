@@ -52,12 +52,12 @@ splat_types::counters! {
         /// Scenes removed from the resident set: deflated by the
         /// `ResidencyPolicy` or explicitly evicted via `Engine::evict_scene`.
         evicted: u64,
-        /// `SceneRef::Id` resolutions that led to an admitted job or a served
+        /// Scene-handle resolutions that led to an admitted job or a served
         /// render. A resolution whose job was then refused (validation or
         /// admission control) counts neither a hit nor a recency touch, so
         /// rejected traffic cannot distort the LRU eviction order.
         scene_hits: u64,
-        /// `SceneRef::Id` resolutions that missed (`RenderError::UnknownScene`
+        /// Scene-handle resolutions that missed (`RenderError::UnknownScene`
         /// or `RenderError::Evicted`).
         scene_misses: u64,
         /// Scenes currently resident in the registry.

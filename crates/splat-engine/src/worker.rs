@@ -34,29 +34,24 @@ pub(crate) fn worker_loop(shared: &Arc<EngineShared>, slot: usize) {
 }
 
 /// Serves one popped job at its admission-assigned tier: a degraded job
-/// renders the tier scene (the registered scene's prebuilt ladder, or a
-/// deterministic on-the-fly derivation for inline submissions), and the
-/// half-resolution tier renders at the outward-rounded half camera before
-/// a nearest-neighbor upsample restores the requested dimensions — every
-/// step bit-reproducible, so a degraded frame is as deterministic as a
-/// full-quality one.
+/// renders the tier scene of the ladder prebuilt at registration (no job
+/// derives a scene), and the half-resolution tier renders at the
+/// outward-rounded half camera before a nearest-neighbor upsample restores
+/// the requested dimensions — every step bit-reproducible, so a degraded
+/// frame is as deterministic as a full-quality one.
 fn render_job(
     pool_slot: &Mutex<Box<dyn RenderBackend>>,
     job: &Job,
 ) -> Result<RenderOutput, RenderError> {
-    let derived;
     let scene: &Scene = if job.tier.is_degraded() {
-        match job
-            .ladder
+        // A tier is degraded only under a `QualityPolicy` that can
+        // degrade, and under one every registration builds the ladder.
+        job.ladder
             .as_ref()
             .and_then(|ladder| ladder.scene(job.tier))
-        {
-            Some(tier_scene) => tier_scene,
-            None => {
-                derived = job.tier.apply(&job.scene);
-                &derived
-            }
-        }
+            .ok_or_else(|| RenderError::BackendFault {
+                reason: format!("job admitted at {} without a LOD ladder", job.tier),
+            })?
     } else {
         &job.scene
     };
@@ -77,12 +72,31 @@ fn render_job(
 
 #[cfg(test)]
 mod tests {
-    use crate::{Engine, SubmitRequest};
-    use gstg::{GstgConfig, GstgRenderer};
+    use crate::{Engine, QualityPolicy, QualityTier, SubmitRequest};
+    use gstg::{GstgConfig, GstgRenderer, GstgSession};
     use splat_core::{RenderBackend, RenderOutput, RenderRequest};
-    use splat_scene::{PaperScene, SceneScale};
+    use splat_scene::{PaperScene, Scene, SceneScale};
     use splat_types::{Camera, CameraIntrinsics, RenderError, Vec3};
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
+
+    fn camera() -> Camera {
+        Camera::look_at(
+            Vec3::ZERO,
+            Vec3::new(0.0, 0.0, 1.0),
+            Vec3::Y,
+            CameraIntrinsics::from_fov_y(1.0, 96, 64),
+        )
+    }
+
+    /// Puts `backend` into the engine's only pool slot, returning the old
+    /// occupant.
+    fn swap(engine: &Engine, backend: Box<dyn RenderBackend>) -> Box<dyn RenderBackend> {
+        let mut slot = engine.shared.pool[0]
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner());
+        std::mem::replace(&mut *slot, backend)
+    }
 
     /// The pipeline bug `worker_loop` guards against, on demand.
     struct PanickingBackend;
@@ -101,22 +115,12 @@ mod tests {
     fn a_panicking_backend_fails_its_job_and_the_worker_keeps_serving() {
         let engine = Engine::builder().build().expect("default engine");
         let scene = Arc::new(PaperScene::Playroom.build(SceneScale::Tiny, 1));
-        let camera = Camera::look_at(
-            Vec3::ZERO,
-            Vec3::new(0.0, 0.0, 1.0),
-            Vec3::Y,
-            CameraIntrinsics::from_fov_y(1.0, 96, 64),
-        );
-        let swap = |backend: Box<dyn RenderBackend>| {
-            let mut slot = engine.shared.pool[0]
-                .lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-            std::mem::replace(&mut *slot, backend)
-        };
+        let id = engine.register_scene(Arc::clone(&scene)).expect("valid");
+        let camera = camera();
 
-        let real = swap(Box::new(PanickingBackend));
+        let real = swap(&engine, Box::new(PanickingBackend));
         let error = engine
-            .submit(SubmitRequest::new(Arc::clone(&scene), camera))
+            .submit(SubmitRequest::new(id, camera))
             .expect("admitted")
             .wait()
             .expect_err("the panic surfaces as the job's typed error");
@@ -129,9 +133,9 @@ mod tests {
         assert!(engine.shared.pool[0].is_poisoned());
 
         // Same worker thread, real session back in its (poisoned) slot.
-        drop(swap(real));
+        drop(swap(&engine, real));
         let served = engine
-            .submit(SubmitRequest::new(Arc::clone(&scene), camera))
+            .submit(SubmitRequest::new(id, camera))
             .expect("admitted")
             .wait()
             .expect("the worker survived");
@@ -146,5 +150,54 @@ mod tests {
         for (identity, left, right) in stats.identities() {
             assert_eq!(left, right, "{identity}");
         }
+    }
+
+    /// A real session that notes which scene it was handed.
+    struct RecordingBackend {
+        inner: GstgSession,
+        rendered: Arc<AtomicUsize>,
+    }
+
+    impl RenderBackend for RecordingBackend {
+        fn name(&self) -> &'static str {
+            "recording"
+        }
+
+        fn render(&mut self, request: &RenderRequest<'_>) -> Result<RenderOutput, RenderError> {
+            let address = request.scene as *const Scene as usize;
+            self.rendered.store(address, Ordering::SeqCst);
+            RenderBackend::render(&mut self.inner, request)
+        }
+    }
+
+    #[test]
+    fn a_degraded_job_renders_the_ladder_scene_built_at_registration() {
+        let engine = Engine::builder()
+            .quality(QualityPolicy::Pinned(QualityTier::Tier2))
+            .build()
+            .expect("valid engine");
+        let scene = Arc::new(PaperScene::Playroom.build(SceneScale::Tiny, 1));
+        let id = engine.register_scene(scene).expect("valid");
+        let prepared = engine.prepared_scene(id).expect("resident");
+        let ladder = prepared
+            .ladder()
+            .expect("a degrading policy builds ladders");
+        let tier2 = ladder.scene(QualityTier::Tier2).expect("a degraded tier");
+
+        let rendered = Arc::new(AtomicUsize::new(0));
+        drop(swap(
+            &engine,
+            Box::new(RecordingBackend {
+                inner: GstgSession::from_config(GstgConfig::paper_default()),
+                rendered: Arc::clone(&rendered),
+            }),
+        ));
+        engine
+            .submit(SubmitRequest::new(id, camera()))
+            .expect("admitted")
+            .wait()
+            .expect("served");
+        // The very allocation the registry holds: no job derives a scene.
+        assert_eq!(rendered.load(Ordering::SeqCst), Arc::as_ptr(tier2) as usize);
     }
 }

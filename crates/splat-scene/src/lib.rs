@@ -30,13 +30,11 @@ pub mod io;
 pub mod lod;
 pub use splat_types::rng;
 pub mod scene;
-pub mod stats;
 pub mod synth;
 pub mod trajectory;
 
 pub use datasets::{PaperScene, SceneScale, SceneType};
 pub use lod::{LodLadder, QualityTier};
 pub use scene::{Scene, SceneSoA};
-pub use stats::SceneStats;
 pub use synth::{SceneGenerator, SynthProfile};
 pub use trajectory::CameraTrajectory;

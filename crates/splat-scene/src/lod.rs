@@ -19,9 +19,9 @@
 //! | [`QualityTier::Tier3`] | + 2:1 decimation, rendered at half resolution | everything, ~4× pixels |
 //!
 //! [`LodLadder::build`] derives all three tiers once (the serving engine
-//! does this at `register_scene` and shares them via `Arc`);
-//! [`LodLadder::tier_scene`] derives a single tier on demand for inline
-//! submissions that never registered.
+//! does this at `register_scene` and shares them via `Arc`, so no job ever
+//! derives a scene); [`QualityTier::apply`] derives a single tier on
+//! demand and is the oracle the ladder is tested against.
 
 use crate::scene::Scene;
 use splat_types::sh::coefficient_count;
@@ -172,14 +172,6 @@ impl LodLadder {
             QualityTier::Tier2 => Some(&self.tier2),
             QualityTier::Tier3 => Some(&self.tier3),
         }
-    }
-
-    /// Derives a single tier's scene on demand — the fallback for inline
-    /// submissions whose scene was never registered (and therefore has no
-    /// prebuilt ladder). Bit-identical to the corresponding
-    /// [`LodLadder::scene`] entry.
-    pub fn tier_scene(scene: &Scene, tier: QualityTier) -> Scene {
-        tier.apply(scene)
     }
 
     /// Resident-memory estimate of the three tier scenes, in the same
@@ -358,7 +350,7 @@ mod tests {
         for tier in [QualityTier::Tier1, QualityTier::Tier2, QualityTier::Tier3] {
             let from_ladder_a = ladder_a.scene(tier).expect("degraded tier");
             let from_ladder_b = ladder_b.scene(tier).expect("degraded tier");
-            let on_demand = LodLadder::tier_scene(&full, tier);
+            let on_demand = tier.apply(&full);
             assert_eq!(**from_ladder_a, on_demand, "{tier} replay drifted");
             assert_eq!(**from_ladder_a, **from_ladder_b, "{tier} rebuild drifted");
         }

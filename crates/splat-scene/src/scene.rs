@@ -1,6 +1,5 @@
 //! The [`Scene`] container holding a cloud of 3D Gaussian splats.
 
-use crate::stats::SceneStats;
 use splat_types::{Gaussian3d, Mat3, Precision, Quat, Rgb, Vec3};
 use std::sync::{Arc, OnceLock};
 
@@ -319,11 +318,6 @@ impl Scene {
             .iter()
             .fold(Vec3::ZERO, |acc, g| acc + g.position());
         sum / self.gaussians.len() as f32
-    }
-
-    /// Summary statistics of the splat population.
-    pub fn stats(&self) -> SceneStats {
-        SceneStats::from_scene(self)
     }
 
     /// Resident-memory estimate of the scene in bytes: every stored

@@ -26,7 +26,15 @@ struct Args {
     quality: QualityPolicy,
 }
 
-fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
+const USAGE: &str = "usage: splat-serve [--addr HOST:PORT] [--workers N] \
+                     [--engine-workers N] [--queue-capacity N] \
+                     [--admission reject|block|shed] \
+                     [--quality degrade|full|t1|t2|t3] \
+                     [--pending-connections N] [--stream-window N] \
+                     [--read-timeout-ms N] [--drain-deadline-ms N]";
+
+/// Parses the command line; `Ok(None)` means the usage was asked for.
+fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Option<Args>, String> {
     let mut args = Args {
         config: ServerConfig::default().with_addr("127.0.0.1:8090"),
         engine_workers: 2,
@@ -87,16 +95,8 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
                         .ok_or_else(|| format!("unknown quality policy `{other}`"))?,
                 };
             }
-            "--help" | "-h" => {
-                return Err("usage: splat-serve [--addr HOST:PORT] [--workers N] \
-                            [--engine-workers N] [--queue-capacity N] \
-                            [--admission reject|block|shed] \
-                            [--quality degrade|full|t1|t2|t3] \
-                            [--pending-connections N] [--stream-window N] \
-                            [--read-timeout-ms N] [--drain-deadline-ms N]"
-                    .to_string());
-            }
-            other => return Err(format!("unknown flag `{other}`")),
+            "--help" | "-h" => return Ok(None),
+            other => return Err(format!("unknown flag `{other}`\n{USAGE}")),
         }
     }
     // The shedding policy carries its own capacity; it is the queue's,
@@ -104,7 +104,7 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
     if let AdmissionPolicy::ShedLowPriority { capacity } = &mut args.admission {
         *capacity = args.queue_capacity;
     }
-    Ok(args)
+    Ok(Some(args))
 }
 
 fn parse_number<T: std::str::FromStr>(text: &str, flag: &str) -> Result<T, String> {
@@ -114,7 +114,11 @@ fn parse_number<T: std::str::FromStr>(text: &str, flag: &str) -> Result<T, Strin
 
 fn main() -> ExitCode {
     let args = match parse_args(std::env::args().skip(1)) {
-        Ok(args) => args,
+        Ok(Some(args)) => args,
+        Ok(None) => {
+            println!("{USAGE}");
+            return ExitCode::SUCCESS;
+        }
         Err(message) => {
             eprintln!("{message}");
             return ExitCode::FAILURE;
@@ -165,9 +169,23 @@ mod tests {
 
     fn parse(flags: &[&str]) -> Args {
         match parse_args(flags.iter().map(|flag| flag.to_string())) {
-            Ok(args) => args,
+            Ok(Some(args)) => args,
+            Ok(None) => panic!("{flags:?}: asked for the usage"),
             Err(message) => panic!("{flags:?}: {message}"),
         }
+    }
+
+    #[test]
+    fn help_is_not_an_error_and_an_unknown_flag_is_one_with_the_usage() {
+        for flag in ["--help", "-h"] {
+            let asked = parse_args(["--workers", "2", flag].map(String::from).into_iter());
+            assert!(matches!(asked, Ok(None)), "{flag}");
+        }
+        let Err(message) = parse_args(["--wokers".to_string()].into_iter()) else {
+            panic!("an unknown flag must fail");
+        };
+        assert!(message.starts_with("unknown flag `--wokers`"), "{message}");
+        assert!(message.ends_with(USAGE), "{message}");
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! The serving engine's scene registry hands out a [`SceneId`] per
 //! registered scene. The id is an opaque token: callers obtain one from
-//! `Engine::register_scene`, pass it back through `SceneRef::Id`, and never
+//! `Engine::register_scene`, pass it back in a `SubmitRequest`, and never
 //! need to look inside. The raw value is still reachable
 //! ([`SceneId::raw`]) for logs and JSON output, and
 //! [`SceneId::from_raw`] exists so registries (and tests) can mint ids —

@@ -55,13 +55,12 @@ fn main() -> Result<(), RenderError> {
         "## submit / await ({} jobs, 2 workers, Block admission)",
         cameras.len()
     );
-    let engine = Engine::builder()
-        .backend(Backend::Gstg)
-        .workers(2)
-        .build()?;
+    let engine = Engine::builder().workers(2).build()?;
+    // A scene is handed to an engine once; jobs name it by handle.
+    let id = engine.register_scene(Arc::clone(&scene))?;
     let handles: Vec<JobHandle> = cameras
         .iter()
-        .map(|camera| engine.submit(SubmitRequest::new(Arc::clone(&scene), *camera)))
+        .map(|camera| engine.submit(SubmitRequest::new(id, *camera)))
         .collect::<Result<_, _>>()?;
     let mut luminance = 0.0;
     for handle in handles {
@@ -85,21 +84,14 @@ fn main() -> Result<(), RenderError> {
     println!("## admission control (capacity 4, 4 low + 4 high submissions)");
     let shedding = Engine::builder()
         .admission(AdmissionPolicy::ShedLowPriority { capacity: 4 })
-        .start_paused(true)
         .build()?;
+    shedding.pause();
+    let id = shedding.register_scene(Arc::clone(&scene))?;
     let low: Vec<JobHandle> = (0..4)
-        .map(|i| {
-            shedding.submit(
-                SubmitRequest::new(Arc::clone(&scene), cameras[i]).with_priority(Priority::Low),
-            )
-        })
+        .map(|i| shedding.submit(SubmitRequest::new(id, cameras[i]).with_priority(Priority::Low)))
         .collect::<Result<_, _>>()?;
     let high: Vec<JobHandle> = (4..8)
-        .map(|i| {
-            shedding.submit(
-                SubmitRequest::new(Arc::clone(&scene), cameras[i]).with_priority(Priority::High),
-            )
-        })
+        .map(|i| shedding.submit(SubmitRequest::new(id, cameras[i]).with_priority(Priority::High)))
         .collect::<Result<_, _>>()?;
     shedding.resume();
     let mut shed = 0;
@@ -130,9 +122,11 @@ fn main() -> Result<(), RenderError> {
     // --- 3. Cancellation and graceful shutdown -----------------------------
     println!();
     println!("## cancellation + drain shutdown");
-    let draining = Engine::builder().start_paused(true).build()?;
-    let keep = draining.submit(SubmitRequest::new(Arc::clone(&scene), cameras[0]))?;
-    let withdraw = draining.submit(SubmitRequest::new(Arc::clone(&scene), cameras[1]))?;
+    let draining = Engine::builder().build()?;
+    draining.pause();
+    let id = draining.register_scene(scene)?;
+    let keep = draining.submit(SubmitRequest::new(id, cameras[0]))?;
+    let withdraw = draining.submit(SubmitRequest::new(id, cameras[1]))?;
     if !withdraw.cancel() {
         fail("a queued job should be cancellable");
     }

@@ -1,6 +1,7 @@
 //! Quickstart: render one view of a synthetic scene with the conventional
-//! 3D-GS pipeline and with GS-TG through the serving [`Engine`], and
-//! verify that tile grouping is lossless while removing redundant sorting.
+//! 3D-GS pipeline (a local [`Renderer`]) and with GS-TG through the serving
+//! [`Engine`], and verify that tile grouping is lossless while removing
+//! redundant sorting.
 //!
 //! Run with:
 //! ```text
@@ -27,16 +28,9 @@ fn main() -> Result<(), RenderError> {
         camera.height()
     );
 
-    // One submission, served by two engines that differ only in the
-    // backend they were built with.
-    let request = SubmitRequest::new(&scene, camera);
-
     // Conventional pipeline: 16x16 tiles, exact ellipse boundary.
-    let baseline_engine = Engine::builder()
-        .backend(Backend::Baseline)
-        .render_config(RenderConfig::try_new(16, BoundaryMethod::Ellipse)?)
-        .build()?;
-    let baseline = baseline_engine.submit(request.clone())?.wait()?;
+    let baseline =
+        Renderer::new(RenderConfig::try_new(16, BoundaryMethod::Ellipse)?).render(&scene, &camera);
     println!(
         "baseline : {:>9} sort keys, {:>9} sort comparisons, {:>10} alpha computations, {:.1} ms wall clock",
         baseline.stats.counts.tile_intersections,
@@ -46,9 +40,11 @@ fn main() -> Result<(), RenderError> {
     );
 
     // GS-TG: sorting shared across 64x64 groups, rasterization still 16x16
-    // thanks to the per-Gaussian tile bitmasks.
-    let gstg_engine = Engine::builder().backend(Backend::Gstg).build()?;
-    let grouped = gstg_engine.submit(request)?.wait()?;
+    // thanks to the per-Gaussian tile bitmasks. This is the pipeline the
+    // serving engine runs: register the scene once, submit views by handle.
+    let engine = Engine::builder().build()?;
+    let id = engine.register_scene(std::sync::Arc::clone(&scene))?;
+    let grouped = engine.submit(SubmitRequest::new(id, camera))?.wait()?;
     println!(
         "GS-TG    : {:>9} sort keys, {:>9} sort comparisons, {:>10} alpha computations, {:.1} ms wall clock",
         grouped.stats.counts.tile_intersections,
@@ -72,10 +68,10 @@ fn main() -> Result<(), RenderError> {
             / baseline.stats.counts.alpha_computations.max(1) as f64
     );
 
-    // Malformed requests are refused at the door with a typed error
-    // instead of a panic — the serving path stays up.
+    // Malformed input is refused at the door with a typed error instead
+    // of a panic — the serving path stays up.
     let empty = std::sync::Arc::new(Scene::new("empty", 64, 48, Vec::new()));
-    match gstg_engine.submit(SubmitRequest::new(empty, camera)) {
+    match engine.register_scene(empty) {
         Err(RenderError::EmptyScene) => println!("empty-scene request       : Err(EmptyScene)"),
         other => println!("unexpected result for the empty scene: {other:?}"),
     }

@@ -19,10 +19,10 @@
 //!   a bounded admission-controlled job queue
 //!   ([`Engine::submit`](engine::Engine::submit) for one view,
 //!   [`Engine::stream_trajectory`](engine::Engine::stream_trajectory) for
-//!   a camera path); scenes can be registered once into a budgeted,
+//!   a camera path); a scene is registered once into a budgeted,
 //!   LRU-deflated registry
 //!   ([`Engine::register_scene`](engine::Engine::register_scene)) and
-//!   served by [`SceneId`](types::SceneId) handle,
+//!   named by its [`SceneId`](types::SceneId) handle in every submission,
 //! * [`server`] — the dependency-free HTTP/1.1 network front door
 //!   (`splat-serve`): binary scene upload, digest-stable frame
 //!   responses, chunked trajectory streaming, and connection
@@ -44,20 +44,13 @@
 //!     CameraIntrinsics::from_fov_y(1.0, 160, 120),
 //! );
 //!
-//! // Render it through the serving engine with both pipelines: the same
-//! // submission, a backend swap away.
-//! let request = SubmitRequest::new(&scene, camera);
-//! let baseline = Engine::builder()
-//!     .backend(Backend::Baseline)
-//!     .render_config(RenderConfig::try_new(16, BoundaryMethod::Ellipse)?)
-//!     .build()?
-//!     .submit(request.clone())?
-//!     .wait()?;
-//! let grouped = Engine::builder()
-//!     .backend(Backend::Gstg)
-//!     .build()?
-//!     .submit(request)?
-//!     .wait()?;
+//! // The baseline is a local renderer; GS-TG is what the serving engine
+//! // runs: register the scene once, then submit views by its handle.
+//! let baseline = Renderer::new(RenderConfig::try_new(16, BoundaryMethod::Ellipse)?)
+//!     .render(&scene, &camera);
+//! let engine = Engine::builder().build()?;
+//! let id = engine.register_scene(scene)?;
+//! let grouped = engine.submit(SubmitRequest::new(id, camera))?.wait()?;
 //!
 //! // GS-TG is lossless: the images match bit-exactly, but it sorted far
 //! // fewer (group, splat) keys than the baseline's (tile, splat) keys.
@@ -92,9 +85,9 @@ pub mod prelude {
         SessionFrame, SimdMode, SpanMode, StageCounts,
     };
     pub use splat_engine::{
-        AdmissionPolicy, Backend, Engine, EngineBuilder, EngineStats, JobHandle, JobStatus,
-        LodLadder, PreparedScene, QualityPolicy, QualityTier, ResidencyPolicy, SceneRef,
-        ShutdownMode, SubmitRequest, TrajectoryStream,
+        AdmissionPolicy, Engine, EngineBuilder, EngineStats, JobHandle, JobStatus, LodLadder,
+        PreparedScene, QualityPolicy, QualityTier, ResidencyPolicy, ShutdownMode, SubmitRequest,
+        TrajectoryStream,
     };
     pub use splat_metrics::{geometric_mean, Table};
     pub use splat_render::{BoundaryMethod, RenderConfig, RenderSession, Renderer};
@@ -117,10 +110,9 @@ mod tests {
         assert!(!scene.is_empty());
         let _ = RenderConfig::new(16, BoundaryMethod::Aabb);
         let engine = Engine::builder()
-            .backend(Backend::Gstg)
             .workers(2)
             .build()
             .expect("default engine configuration is valid");
-        assert_eq!(engine.backend(), Backend::Gstg);
+        assert_eq!(engine.worker_count(), 2);
     }
 }

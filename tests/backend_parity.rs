@@ -1,8 +1,9 @@
 //! Integration test: backend parity behind the `RenderBackend` trait.
 //!
 //! Every way of serving a view — the two boxed session backends
-//! (`baseline-session`, `gstg-session`) and the serving `Engine` over
-//! each of them at 1 and 4 workers — must produce **bit-identical**
+//! (`baseline-session`, `gstg-session`) and the serving `Engine` (which
+//! holds the GS-TG pipeline) at 1 and 4 workers — must produce
+//! **bit-identical**
 //! framebuffers and identical `StageCounts` for the same scene and
 //! trajectory: the trait and the engine are pure plumbing, never observable
 //! in the pixels. (One-shot renders are sessions with a fresh arena, so
@@ -36,14 +37,17 @@ fn drive(backend: &mut dyn RenderBackend, scene: &Scene, cameras: &[Camera]) -> 
         .collect()
 }
 
-/// Submits the trajectory to an engine and waits the handles in
-/// submission order.
+/// Registers the scene, submits the trajectory to the engine and waits
+/// the handles in submission order.
 fn serve(engine: &Engine, scene: &std::sync::Arc<Scene>, cameras: &[Camera]) -> Vec<RenderOutput> {
+    let id = engine
+        .register_scene(std::sync::Arc::clone(scene))
+        .expect("valid scene registers");
     let handles: Vec<JobHandle> = cameras
         .iter()
         .map(|camera| {
             engine
-                .submit(SubmitRequest::new(scene, *camera))
+                .submit(SubmitRequest::new(id, *camera))
                 .expect("valid submission")
         })
         .collect();
@@ -74,21 +78,18 @@ fn every_backend_renders_identical_frames() {
         })
         .collect();
 
-    // Through the Engine, both backends, 1 and 4 workers.
-    for (backend, config_label) in [(Backend::Baseline, "baseline"), (Backend::Gstg, "gstg")] {
-        for workers in [1usize, 4] {
-            let engine = Engine::builder()
-                .backend(backend)
-                .render_config(baseline_config)
-                .gstg_config(gstg_config)
-                .workers(workers)
-                .build()
-                .expect("valid engine configuration");
-            outputs.push((
-                format!("engine-{config_label}-w{workers}"),
-                serve(&engine, &scene, &cameras),
-            ));
-        }
+    // Through the Engine, 1 and 4 workers: which worker serves which job
+    // is timing; the frames must not know.
+    for workers in [1usize, 4] {
+        let engine = Engine::builder()
+            .gstg_config(gstg_config)
+            .workers(workers)
+            .build()
+            .expect("valid engine configuration");
+        outputs.push((
+            format!("engine-gstg-w{workers}"),
+            serve(&engine, &scene, &cameras),
+        ));
     }
 
     // Pixels: every backend (including GS-TG — losslessness) matches the
@@ -165,32 +166,6 @@ fn simd_lane_widths_are_parity_invariant_across_backends() {
                     "{name}/{simd:?} frame {index} charged different raster work"
                 );
             }
-        }
-    }
-}
-
-/// Which worker serves which job is timing; the frames must not know.
-#[test]
-fn engine_batch_is_thread_count_invariant_for_both_backends() {
-    let scene = std::sync::Arc::new(PaperScene::Truck.build(SceneScale::Tiny, 7));
-    let cameras: Vec<Camera> = trajectory(5).cameras().collect();
-    for backend in [Backend::Baseline, Backend::Gstg] {
-        let engine = |workers| {
-            Engine::builder()
-                .backend(backend)
-                .workers(workers)
-                .build()
-                .unwrap()
-        };
-        let reference = serve(&engine(1), &scene, &cameras);
-        let outputs = serve(&engine(4), &scene, &cameras);
-        for (index, (output, expected)) in outputs.iter().zip(&reference).enumerate() {
-            assert_eq!(
-                output.image.max_abs_diff(&expected.image),
-                0.0,
-                "{backend} request {index} diverged at 4 workers"
-            );
-            assert_eq!(output.stats.counts, expected.stats.counts);
         }
     }
 }

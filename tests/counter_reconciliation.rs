@@ -191,17 +191,16 @@ fn quality_ladder_counters_reconcile_under_pressure() {
         let engine = Engine::builder()
             .admission(AdmissionPolicy::ShedLowPriority { capacity: 4 })
             .quality(quality)
-            .start_paused(true)
             .build()
             .expect("valid engine configuration");
+        engine.pause();
+        let id = engine
+            .register_scene(Arc::clone(&scene))
+            .expect("valid scene registers");
         // Sixteen submissions against the paused queue: depths — and
         // therefore tiers — are a pure function of the arrival index.
         let handles: Vec<JobHandle> = (0..16)
-            .filter_map(|_| {
-                engine
-                    .submit(SubmitRequest::new(Arc::clone(&scene), cam))
-                    .ok()
-            })
+            .filter_map(|_| engine.submit(SubmitRequest::new(id, cam)).ok())
             .collect();
         engine.resume();
         let admitted = handles.len();
@@ -252,14 +251,15 @@ fn job_identity_holds_while_a_shedding_queue_deflates_and_drains() {
         .workers(2)
         .admission(AdmissionPolicy::ShedLowPriority { capacity: 8 })
         .quality(QualityPolicy::degrade_default())
-        .start_paused(true)
         .build()
         .expect("valid engine configuration");
+    engine.pause();
+    let id = engine.register_scene(scene).expect("valid scene registers");
     let mut rng = Rng::seed_from_u64(15);
     let submissions: Vec<Result<JobHandle, RenderError>> = (0..32)
         .map(|_| {
             let priority = Priority::ALL[rng.gen_index(Priority::ALL.len())];
-            engine.submit(SubmitRequest::new(Arc::clone(&scene), cam).with_priority(priority))
+            engine.submit(SubmitRequest::new(id, cam).with_priority(priority))
         })
         .collect();
     let refused_at_the_door = submissions.iter().filter(|s| s.is_err()).count() as u64;

@@ -5,6 +5,13 @@
 use gs_tg::prelude::*;
 use std::sync::Arc;
 
+/// Registers `scene` with `engine` and returns its handle.
+fn registered(engine: &Engine, scene: &Arc<Scene>) -> SceneId {
+    engine
+        .register_scene(Arc::clone(scene))
+        .expect("valid scene registers")
+}
+
 fn trajectory(views: usize) -> CameraTrajectory {
     CameraTrajectory::orbit(
         CameraIntrinsics::from_fov_y(1.0, 96, 64),
@@ -17,53 +24,56 @@ fn trajectory(views: usize) -> CameraTrajectory {
 
 /// Acceptance: with the `Block` policy and a single worker, waiting on the
 /// handles in submission order yields framebuffers (and `StageCounts`)
-/// bit-identical to a local session rendering the same requests in the
-/// same order — for both pipelines.
+/// bit-identical to a local GS-TG session rendering the same requests in
+/// the same order — and the pixels of a local baseline session.
 #[test]
 fn submit_with_block_policy_and_one_worker_matches_a_local_session() {
-    for backend in [Backend::Baseline, Backend::Gstg] {
-        let scene = Arc::new(PaperScene::Train.build(SceneScale::Tiny, 7));
-        let cameras: Vec<Camera> = trajectory(6).cameras().collect();
+    let scene = Arc::new(PaperScene::Train.build(SceneScale::Tiny, 7));
+    let cameras: Vec<Camera> = trajectory(6).cameras().collect();
 
-        let mut local: Box<dyn RenderBackend> = match backend {
-            Backend::Baseline => Box::new(RenderSession::from_config(RenderConfig::default())),
-            _ => Box::new(GstgSession::from_config(GstgConfig::paper_default())),
-        };
+    let config = GstgConfig::paper_default();
+    let mut local: Box<dyn RenderBackend> = Box::new(GstgSession::from_config(config));
+    let mut baseline: Box<dyn RenderBackend> =
+        Box::new(RenderSession::from_config(config.equivalent_baseline()));
 
-        let engine = Engine::builder()
-            .backend(backend)
-            .admission(AdmissionPolicy::Block)
-            .build()
-            .unwrap();
-        assert_eq!(engine.worker_count(), 1);
-        let handles: Vec<JobHandle> = cameras
-            .iter()
-            .map(|camera| {
-                engine
-                    .submit(SubmitRequest::new(Arc::clone(&scene), *camera))
-                    .expect("valid submission")
-            })
-            .collect();
+    let engine = Engine::builder()
+        .admission(AdmissionPolicy::Block)
+        .build()
+        .unwrap();
+    assert_eq!(engine.worker_count(), 1);
+    let id = registered(&engine, &scene);
+    let handles: Vec<JobHandle> = cameras
+        .iter()
+        .map(|camera| {
+            engine
+                .submit(SubmitRequest::new(id, *camera))
+                .expect("valid submission")
+        })
+        .collect();
 
-        for (index, (handle, camera)) in handles.into_iter().zip(&cameras).enumerate() {
-            let submitted = handle.wait().expect("valid request");
-            let direct = local
-                .render(&RenderRequest::new(&scene, *camera))
-                .expect("valid request");
-            assert_eq!(
-                submitted.image.max_abs_diff(&direct.image),
-                0.0,
-                "{backend}: request {index} diverged between submit and the local session"
-            );
-            assert_eq!(
-                submitted.stats.counts, direct.stats.counts,
-                "{backend}: request {index} counted differently"
-            );
-        }
-        let stats = engine.stats();
-        assert_eq!(stats.completed, cameras.len() as u64);
-        assert_eq!(stats.rejected, 0);
+    for (index, (handle, camera)) in handles.into_iter().zip(&cameras).enumerate() {
+        let submitted = handle.wait().expect("valid request");
+        let request = RenderRequest::new(&scene, *camera);
+        let direct = local.render(&request).expect("valid request");
+        assert_eq!(
+            submitted.image.max_abs_diff(&direct.image),
+            0.0,
+            "request {index} diverged between submit and the local session"
+        );
+        assert_eq!(
+            submitted.stats.counts, direct.stats.counts,
+            "request {index} counted differently"
+        );
+        let reference = baseline.render(&request).expect("valid request");
+        assert_eq!(
+            submitted.image.max_abs_diff(&reference.image),
+            0.0,
+            "request {index} diverged from the local baseline session"
+        );
     }
+    let stats = engine.stats();
+    assert_eq!(stats.completed, cameras.len() as u64);
+    assert_eq!(stats.rejected, 0);
 }
 
 /// Acceptance: `ShedLowPriority` rejects exactly the lowest-priority jobs
@@ -77,15 +87,16 @@ fn shed_low_priority_rejects_exactly_the_lowest_priority_jobs() {
     // job runs, so the outcome depends only on the admission rule.
     let engine = Engine::builder()
         .admission(AdmissionPolicy::ShedLowPriority { capacity: 3 })
-        .start_paused(true)
         .build()
         .unwrap();
+    engine.pause();
+    let id = registered(&engine, &scene);
 
     // Three low-priority jobs fill the queue…
     let low: Vec<JobHandle> = (0..3)
         .map(|_| {
             engine
-                .submit(SubmitRequest::new(Arc::clone(&scene), camera).with_priority(Priority::Low))
+                .submit(SubmitRequest::new(id, camera).with_priority(Priority::Low))
                 .expect("queue has room")
         })
         .collect();
@@ -94,16 +105,14 @@ fn shed_low_priority_rejects_exactly_the_lowest_priority_jobs() {
     let high: Vec<JobHandle> = (0..3)
         .map(|_| {
             engine
-                .submit(
-                    SubmitRequest::new(Arc::clone(&scene), camera).with_priority(Priority::High),
-                )
+                .submit(SubmitRequest::new(id, camera).with_priority(Priority::High))
                 .expect("shedding admits the higher-priority job")
         })
         .collect();
     // A fourth low-priority submission is refused at the door: it would
     // itself be the cheapest to reject.
     let refused = engine
-        .submit(SubmitRequest::new(Arc::clone(&scene), camera).with_priority(Priority::Low))
+        .submit(SubmitRequest::new(id, camera).with_priority(Priority::Low))
         .expect_err("queue full of higher-priority work");
     assert_eq!(refused, RenderError::Overloaded { capacity: 3 });
 
@@ -139,18 +148,18 @@ fn concurrent_submitters_all_get_identical_pixels() {
     let scene = Arc::new(PaperScene::Drjohnson.build(SceneScale::Tiny, 2));
     let camera = trajectory(1).camera(0);
     let engine = Engine::builder().workers(3).build().unwrap();
+    let id = registered(&engine, &scene);
     let reference = GstgRenderer::new(GstgConfig::paper_default()).render(&scene, &camera);
 
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..4)
             .map(|_| {
                 let engine = &engine;
-                let scene = Arc::clone(&scene);
                 scope.spawn(move || {
                     (0..3)
                         .map(|_| {
                             engine
-                                .submit(SubmitRequest::new(Arc::clone(&scene), camera))
+                                .submit(SubmitRequest::new(id, camera))
                                 .expect("valid submission")
                                 .wait()
                                 .expect("render succeeds")
@@ -181,12 +190,14 @@ fn concurrent_submitters_all_get_identical_pixels() {
 fn critical_jobs_dispatch_before_earlier_low_jobs() {
     let scene = Arc::new(PaperScene::Playroom.build(SceneScale::Tiny, 0));
     let camera = trajectory(1).camera(0);
-    let engine = Engine::builder().start_paused(true).build().unwrap();
+    let engine = Engine::builder().build().unwrap();
+    engine.pause();
+    let id = registered(&engine, &scene);
     let low = engine
-        .submit(SubmitRequest::new(Arc::clone(&scene), camera).with_priority(Priority::Low))
+        .submit(SubmitRequest::new(id, camera).with_priority(Priority::Low))
         .unwrap();
     let critical = engine
-        .submit(SubmitRequest::new(Arc::clone(&scene), camera).with_priority(Priority::Critical))
+        .submit(SubmitRequest::new(id, camera).with_priority(Priority::Critical))
         .unwrap();
     engine.resume();
     // The critical job finishes first even though it was submitted second:

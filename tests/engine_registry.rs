@@ -1,6 +1,5 @@
-//! Integration tests for handle-based serving: a registered `SceneRef::Id`
-//! must be invisible in the pixels — bit-identical to `SceneRef::Inline`
-//! submissions and to a local session — for both pipelines at worker
+//! Integration tests for handle-based serving: a registered scene must be
+//! invisible in the pixels — bit-identical to a local session — at worker
 //! counts 1 and 4, and eviction must follow the pinned deterministic order
 //! under a fixed interleaving.
 
@@ -17,82 +16,63 @@ fn trajectory(views: usize) -> CameraTrajectory {
     )
 }
 
-/// Acceptance: `submit(SceneRef::Id)` and `submit(SceneRef::Inline)` both
-/// produce the framebuffers and `StageCounts` of a local session — both
-/// pipelines, 1 and 4 workers.
+/// Acceptance: a burst submitted by handle produces the framebuffers and
+/// `StageCounts` of a local session, at 1 and 4 workers.
 #[test]
-fn handle_based_serving_is_bit_identical_to_inline_and_batch() {
-    for backend in [Backend::Baseline, Backend::Gstg] {
-        for workers in [1usize, 4] {
-            let scene = Arc::new(PaperScene::Train.build(SceneScale::Tiny, 11));
-            let cameras: Vec<Camera> = trajectory(5).cameras().collect();
+fn handle_based_serving_is_bit_identical_to_a_local_session() {
+    for workers in [1usize, 4] {
+        let scene = Arc::new(PaperScene::Train.build(SceneScale::Tiny, 11));
+        let cameras: Vec<Camera> = trajectory(5).cameras().collect();
 
-            let engine = Engine::builder()
-                .backend(backend)
-                .workers(workers)
-                .build()
-                .unwrap();
-            let id = engine.register_scene(Arc::clone(&scene)).unwrap();
+        let engine = Engine::builder().workers(workers).build().unwrap();
+        let id = engine.register_scene(Arc::clone(&scene)).unwrap();
 
-            // Reference: a local session of the same pipeline.
-            let mut local: Box<dyn RenderBackend> = match backend {
-                Backend::Baseline => Box::new(RenderSession::from_config(RenderConfig::default())),
-                _ => Box::new(GstgSession::from_config(GstgConfig::paper_default())),
-            };
-            let reference: Vec<RenderOutput> = cameras
-                .iter()
-                .map(|camera| {
-                    local
-                        .render(&RenderRequest::new(&scene, *camera))
-                        .expect("valid request")
-                })
-                .collect();
+        let mut local: Box<dyn RenderBackend> =
+            Box::new(GstgSession::from_config(GstgConfig::paper_default()));
+        let reference: Vec<RenderOutput> = cameras
+            .iter()
+            .map(|camera| {
+                local
+                    .render(&RenderRequest::new(&scene, *camera))
+                    .expect("valid request")
+            })
+            .collect();
 
-            // One burst by handle, one inline, each waited in submission
-            // order.
-            let burst = |scene_ref: SceneRef| -> Vec<Result<RenderOutput, RenderError>> {
-                let handles: Vec<JobHandle> = cameras
-                    .iter()
-                    .map(|camera| {
-                        engine
-                            .submit(SubmitRequest::new(scene_ref.clone(), *camera))
-                            .expect("submission admitted")
-                    })
-                    .collect();
-                handles.into_iter().map(JobHandle::wait).collect()
-            };
-            let by_id = burst(id.into());
-            let inline = burst((&scene).into());
+        // One burst by handle, waited in submission order.
+        let handles: Vec<JobHandle> = cameras
+            .iter()
+            .map(|camera| {
+                engine
+                    .submit(SubmitRequest::new(id, *camera))
+                    .expect("submission admitted")
+            })
+            .collect();
+        let by_id: Vec<Result<RenderOutput, RenderError>> =
+            handles.into_iter().map(JobHandle::wait).collect();
 
-            for (index, reference) in reference.iter().enumerate() {
-                for (label, candidate) in [
-                    ("submit(SceneRef::Id)", &by_id[index]),
-                    ("submit(SceneRef::Inline)", &inline[index]),
-                ] {
-                    let output = candidate.as_ref().unwrap_or_else(|error| {
-                        panic!("{backend} w={workers} {label} frame {index}: {error}")
-                    });
-                    assert_eq!(
-                        output.image.max_abs_diff(&reference.image),
-                        0.0,
-                        "{backend} w={workers}: {label} frame {index} diverged from the local session"
-                    );
-                    assert_eq!(
-                        output.stats.counts, reference.stats.counts,
-                        "{backend} w={workers}: {label} frame {index} counted differently"
-                    );
-                }
-            }
+        for (index, (reference, candidate)) in reference.iter().zip(&by_id).enumerate() {
+            let output = candidate
+                .as_ref()
+                .unwrap_or_else(|error| panic!("w={workers} frame {index}: {error}"));
+            assert_eq!(
+                output.image.max_abs_diff(&reference.image),
+                0.0,
+                "w={workers}: frame {index} diverged from the local session"
+            );
+            assert_eq!(
+                output.stats.counts, reference.stats.counts,
+                "w={workers}: frame {index} counted differently"
+            );
+        }
 
-            // Registry accounting: every Id-path serve was a hit, and the
-            // declared identities hold.
-            let stats = engine.stats();
-            assert_eq!(stats.scene_hits, cameras.len() as u64);
-            assert_eq!(stats.scene_misses, 0);
-            assert_eq!(stats.registered, 1);
-            for (identity, left, right) in stats.identities() {
-                assert_eq!(left, right, "{backend} w={workers}: {identity}");
-            }
+        // Registry accounting: every serve was a hit, and the declared
+        // identities hold.
+        let stats = engine.stats();
+        assert_eq!(stats.scene_hits, cameras.len() as u64);
+        assert_eq!(stats.scene_misses, 0);
+        assert_eq!(stats.registered, 1);
+        for (identity, left, right) in stats.identities() {
+            assert_eq!(left, right, "w={workers}: {identity}");
         }
     }
 }

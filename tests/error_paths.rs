@@ -26,6 +26,13 @@ fn scene() -> Arc<Scene> {
     Arc::new(PaperScene::Playroom.build(SceneScale::Tiny, 0))
 }
 
+/// Registers `scene` with `engine` and returns its handle.
+fn registered(engine: &Engine, scene: &Arc<Scene>) -> SceneId {
+    engine
+        .register_scene(Arc::clone(scene))
+        .expect("valid scene registers")
+}
+
 /// Stable name of a `RenderError` variant (the enum is `#[non_exhaustive]`,
 /// so coverage is asserted by name set rather than by `match` alone).
 fn variant_name(error: &RenderError) -> &'static str {
@@ -50,6 +57,7 @@ fn variant_name(error: &RenderError) -> &'static str {
 fn all_variants_via_public_api() -> Vec<(RenderError, &'static str)> {
     let scene = scene();
     let engine = Engine::builder().build().expect("default engine");
+    let id = registered(&engine, &scene);
     let mut specimens = Vec::new();
 
     // DegenerateCamera: up vector parallel to the view direction.
@@ -61,7 +69,7 @@ fn all_variants_via_public_api() -> Vec<(RenderError, &'static str)> {
     );
     specimens.push((
         engine
-            .submit(SubmitRequest::new(&scene, degenerate))
+            .submit(SubmitRequest::new(id, degenerate))
             .expect_err("degenerate camera must be rejected"),
         "degenerate camera",
     ));
@@ -75,7 +83,7 @@ fn all_variants_via_public_api() -> Vec<(RenderError, &'static str)> {
     );
     specimens.push((
         engine
-            .submit(SubmitRequest::new(&scene, zero_width))
+            .submit(SubmitRequest::new(id, zero_width))
             .expect_err("zero-width image must be rejected"),
         "invalid resolution 0x48",
     ));
@@ -89,16 +97,16 @@ fn all_variants_via_public_api() -> Vec<(RenderError, &'static str)> {
     );
     specimens.push((
         engine
-            .submit(SubmitRequest::new(&scene, bad_fov))
+            .submit(SubmitRequest::new(id, bad_fov))
             .expect_err("NaN field of view must be rejected"),
         "invalid camera intrinsics",
     ));
 
-    // EmptyScene: nothing to render.
+    // EmptyScene: nothing to render, so no handle to submit against.
     let empty = Arc::new(Scene::new("empty", 64, 48, Vec::new()));
     specimens.push((
         engine
-            .submit(SubmitRequest::new(empty, valid_camera()))
+            .register_scene(empty)
             .expect_err("empty scene must be rejected"),
         "no gaussians",
     ));
@@ -131,26 +139,28 @@ fn all_variants_via_public_api() -> Vec<(RenderError, &'static str)> {
     let reject_engine = Engine::builder()
         .admission(AdmissionPolicy::RejectWhenFull)
         .queue_capacity(1)
-        .start_paused(true)
         .build()
         .expect("valid engine");
+    reject_engine.pause();
+    let id = registered(&reject_engine, &scene);
     let _queued = reject_engine
-        .submit(SubmitRequest::new(Arc::clone(&scene), valid_camera()))
+        .submit(SubmitRequest::new(id, valid_camera()))
         .expect("first submission fits");
     specimens.push((
         reject_engine
-            .submit(SubmitRequest::new(Arc::clone(&scene), valid_camera()))
+            .submit(SubmitRequest::new(id, valid_camera()))
             .expect_err("full queue must reject"),
         "engine overloaded",
     ));
 
     // Cancelled: a queued job withdrawn through its handle.
-    let cancel_engine = Engine::builder()
-        .start_paused(true)
-        .build()
-        .expect("valid engine");
+    let cancel_engine = Engine::builder().build().expect("valid engine");
+    cancel_engine.pause();
     let handle = cancel_engine
-        .submit(SubmitRequest::new(Arc::clone(&scene), valid_camera()))
+        .submit(SubmitRequest::new(
+            registered(&cancel_engine, &scene),
+            valid_camera(),
+        ))
         .expect("valid submission");
     assert!(handle.cancel());
     specimens.push((
@@ -159,12 +169,13 @@ fn all_variants_via_public_api() -> Vec<(RenderError, &'static str)> {
     ));
 
     // ShutDown: a queued job orphaned by an aborting shutdown.
-    let abort_engine = Engine::builder()
-        .start_paused(true)
-        .build()
-        .expect("valid engine");
+    let abort_engine = Engine::builder().build().expect("valid engine");
+    abort_engine.pause();
     let orphan = abort_engine
-        .submit(SubmitRequest::new(Arc::clone(&scene), valid_camera()))
+        .submit(SubmitRequest::new(
+            registered(&abort_engine, &scene),
+            valid_camera(),
+        ))
         .expect("valid submission");
     abort_engine.shutdown(ShutdownMode::Abort);
     specimens.push((
@@ -183,9 +194,7 @@ fn all_variants_via_public_api() -> Vec<(RenderError, &'static str)> {
 
     // Evicted: a registered handle served after its scene left the
     // resident set.
-    let evicted_id = registry_engine
-        .register_scene(Arc::clone(&scene))
-        .expect("valid scene registers");
+    let evicted_id = registered(&registry_engine, &scene);
     registry_engine
         .evict_scene(evicted_id)
         .expect("resident scene evicts");

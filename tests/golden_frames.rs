@@ -276,7 +276,6 @@ fn engine_pinned_tier_serves_the_golden_tier_digest() {
         let scene = Arc::new(paper_scene.build(SceneScale::Tiny, 0));
         for (tier, golden) in TIERS.into_iter().zip(goldens) {
             let engine = Engine::builder()
-                .backend(Backend::Gstg)
                 .quality(QualityPolicy::Pinned(tier))
                 .build()
                 .expect("valid engine configuration");

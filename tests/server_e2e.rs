@@ -51,9 +51,11 @@ fn start_server(
         .queue_capacity(queue_capacity)
         .admission(admission)
         .quality(quality)
-        .start_paused(paused)
         .build()
         .expect("engine config is valid");
+    if paused {
+        engine.pause();
+    }
     splat_server::Server::start(
         Arc::new(engine),
         ServerConfig::default()
