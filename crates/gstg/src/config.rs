@@ -1,83 +1,8 @@
 //! Configuration of the GS-TG pipeline.
 
 use splat_core::{ExecutionConfig, HasExecution};
-use splat_render::BoundaryMethod;
+use splat_render::{BoundaryMethod, RenderConfig};
 use splat_types::RenderError;
-use std::fmt;
-
-/// Errors raised when building an invalid [`GstgConfig`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ConfigError {
-    /// The tile size is not a power of two of at least 4 pixels.
-    InvalidTileSize {
-        /// The offending tile size.
-        tile_size: u32,
-    },
-    /// The group size is not a multiple of the tile size.
-    GroupNotMultipleOfTile {
-        /// Tile edge length.
-        tile_size: u32,
-        /// Group edge length.
-        group_size: u32,
-    },
-    /// The group would contain more small tiles than the bitmask can
-    /// represent (64 for the software pipeline, 16 for the accelerator's
-    /// 16-bit masks).
-    GroupTooLarge {
-        /// Number of tiles per group implied by the configuration.
-        tiles_per_group: u32,
-        /// Maximum supported tiles per group.
-        max: u32,
-    },
-    /// The group size equals the tile size, so grouping would be a no-op.
-    DegenerateGroup {
-        /// The common tile/group size.
-        size: u32,
-    },
-}
-
-impl fmt::Display for ConfigError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ConfigError::InvalidTileSize { tile_size } => {
-                write!(f, "tile size {tile_size} must be a power of two >= 4")
-            }
-            ConfigError::GroupNotMultipleOfTile {
-                tile_size,
-                group_size,
-            } => write!(
-                f,
-                "group size {group_size} must be a positive multiple of tile size {tile_size}"
-            ),
-            ConfigError::GroupTooLarge {
-                tiles_per_group,
-                max,
-            } => write!(
-                f,
-                "group holds {tiles_per_group} tiles which exceeds the bitmask capacity of {max}"
-            ),
-            ConfigError::DegenerateGroup { size } => write!(
-                f,
-                "group size equals tile size ({size}); grouping would not share any sorting"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for ConfigError {}
-
-impl From<ConfigError> for RenderError {
-    fn from(error: ConfigError) -> Self {
-        match error {
-            ConfigError::InvalidTileSize { tile_size } => {
-                RenderError::InvalidTileSize { tile_size }
-            }
-            other => RenderError::InvalidConfiguration {
-                reason: other.to_string(),
-            },
-        }
-    }
-}
 
 /// Configuration of the GS-TG rendering pipeline.
 ///
@@ -120,15 +45,16 @@ impl GstgConfig {
     ///
     /// # Errors
     ///
-    /// Returns a [`ConfigError`] when the tile size is invalid, the group
-    /// size is not a larger multiple of the tile size, or the group would
+    /// Returns [`RenderError::InvalidTileSize`] when the tile size is
+    /// invalid, and [`RenderError::InvalidConfiguration`] when the group
+    /// size is not a larger multiple of the tile size or the group would
     /// contain more tiles than the bitmask can encode.
     pub fn new(
         tile_size: u32,
         group_size: u32,
         group_boundary: BoundaryMethod,
         bitmask_boundary: BoundaryMethod,
-    ) -> Result<Self, ConfigError> {
+    ) -> Result<Self, RenderError> {
         let config = Self {
             tile_size,
             group_size,
@@ -146,33 +72,30 @@ impl GstgConfig {
     ///
     /// # Errors
     ///
-    /// Returns the [`ConfigError`] describing the first violated
-    /// constraint (invalid tile size, non-multiple or degenerate group
-    /// size, or a group beyond the bitmask capacity).
-    pub fn validate(&self) -> Result<(), ConfigError> {
-        if self.tile_size < 4 || !self.tile_size.is_power_of_two() {
-            return Err(ConfigError::InvalidTileSize {
-                tile_size: self.tile_size,
-            });
-        }
+    /// Returns the [`RenderError`] describing the first violated
+    /// constraint: the baseline's tile-size rule, then a non-multiple or
+    /// degenerate group size, then a group beyond the bitmask capacity.
+    pub fn validate(&self) -> Result<(), RenderError> {
+        RenderConfig::try_new(self.tile_size, self.bitmask_boundary)?;
+        let invalid = |reason: String| Err(RenderError::InvalidConfiguration { reason });
         if self.group_size == 0 || self.group_size % self.tile_size != 0 {
-            return Err(ConfigError::GroupNotMultipleOfTile {
-                tile_size: self.tile_size,
-                group_size: self.group_size,
-            });
+            return invalid(format!(
+                "group size {} must be a positive multiple of tile size {}",
+                self.group_size, self.tile_size
+            ));
         }
         if self.group_size == self.tile_size {
-            return Err(ConfigError::DegenerateGroup {
-                size: self.tile_size,
-            });
+            return invalid(format!(
+                "group size equals tile size ({}); grouping would not share any sorting",
+                self.tile_size
+            ));
         }
-        let per_side = self.group_size / self.tile_size;
-        let tiles_per_group = per_side * per_side;
+        let tiles_per_group = self.tiles_per_group();
         if tiles_per_group > Self::MAX_TILES_PER_GROUP {
-            return Err(ConfigError::GroupTooLarge {
-                tiles_per_group,
-                max: Self::MAX_TILES_PER_GROUP,
-            });
+            return invalid(format!(
+                "group holds {tiles_per_group} tiles which exceeds the bitmask capacity of {}",
+                Self::MAX_TILES_PER_GROUP
+            ));
         }
         Ok(())
     }
@@ -193,8 +116,8 @@ impl GstgConfig {
     /// The baseline configuration this GS-TG configuration is compared
     /// against (same tile size, the bitmask boundary used for tile
     /// identification, the same execution parameters).
-    pub fn equivalent_baseline(&self) -> splat_render::RenderConfig {
-        let mut config = splat_render::RenderConfig::new(self.tile_size, self.bitmask_boundary);
+    pub fn equivalent_baseline(&self) -> RenderConfig {
+        let mut config = RenderConfig::new(self.tile_size, self.bitmask_boundary);
         config.exec = self.exec;
         config
     }
@@ -230,37 +153,45 @@ mod tests {
         assert_eq!(c.tiles_per_group(), 16);
     }
 
+    fn invalid(reason: &str) -> Result<GstgConfig, RenderError> {
+        Err(RenderError::InvalidConfiguration {
+            reason: reason.to_string(),
+        })
+    }
+
     #[test]
     fn rejects_group_not_multiple_of_tile() {
-        assert!(matches!(
+        assert_eq!(
             GstgConfig::new(16, 40, BoundaryMethod::Aabb, BoundaryMethod::Aabb),
-            Err(ConfigError::GroupNotMultipleOfTile { .. })
-        ));
+            invalid("group size 40 must be a positive multiple of tile size 16")
+        );
     }
 
     #[test]
     fn rejects_degenerate_group() {
-        assert!(matches!(
+        assert_eq!(
             GstgConfig::new(16, 16, BoundaryMethod::Aabb, BoundaryMethod::Aabb),
-            Err(ConfigError::DegenerateGroup { .. })
-        ));
+            invalid("group size equals tile size (16); grouping would not share any sorting")
+        );
     }
 
     #[test]
     fn rejects_oversized_group() {
         // 8-pixel tiles in a 128-pixel group → 256 tiles, beyond 64.
-        assert!(matches!(
+        assert_eq!(
             GstgConfig::new(8, 128, BoundaryMethod::Aabb, BoundaryMethod::Aabb),
-            Err(ConfigError::GroupTooLarge { .. })
-        ));
+            invalid("group holds 256 tiles which exceeds the bitmask capacity of 64")
+        );
     }
 
     #[test]
     fn rejects_bad_tile_size() {
-        assert!(matches!(
+        // The baseline's tile-size rule is checked first, before any group
+        // rule (24 is also a multiple of 6).
+        assert_eq!(
             GstgConfig::new(6, 24, BoundaryMethod::Aabb, BoundaryMethod::Aabb),
-            Err(ConfigError::InvalidTileSize { .. })
-        ));
+            Err(RenderError::InvalidTileSize { tile_size: 6 })
+        );
     }
 
     #[test]
@@ -321,39 +252,31 @@ mod tests {
         config.group_size = 40;
         assert!(matches!(
             config.validate(),
-            Err(ConfigError::GroupNotMultipleOfTile { .. })
-        ));
-        assert!(matches!(
-            config.validate().map_err(RenderError::from),
             Err(RenderError::InvalidConfiguration { .. })
         ));
         let mut config = GstgConfig::paper_default();
         config.tile_size = 0;
-        assert!(matches!(
-            config.validate().map_err(RenderError::from),
+        assert_eq!(
+            config.validate(),
             Err(RenderError::InvalidTileSize { tile_size: 0 })
-        ));
+        );
+        let mut config = GstgConfig::paper_default();
+        config.group_size = 0;
+        assert_eq!(
+            config.validate(),
+            Err(RenderError::InvalidConfiguration {
+                reason: "group size 0 must be a positive multiple of tile size 16".to_string()
+            })
+        );
         assert!(GstgConfig::paper_default().validate().is_ok());
-    }
-
-    #[test]
-    fn config_errors_convert_to_render_errors() {
-        let err = GstgConfig::new(6, 24, BoundaryMethod::Aabb, BoundaryMethod::Aabb).unwrap_err();
-        assert!(matches!(
-            splat_types::RenderError::from(err),
-            splat_types::RenderError::InvalidTileSize { tile_size: 6 }
-        ));
-        let err = GstgConfig::new(16, 16, BoundaryMethod::Aabb, BoundaryMethod::Aabb).unwrap_err();
-        assert!(matches!(
-            splat_types::RenderError::from(err),
-            splat_types::RenderError::InvalidConfiguration { .. }
-        ));
     }
 
     #[test]
     fn error_messages_are_informative() {
         let err = GstgConfig::new(16, 40, BoundaryMethod::Aabb, BoundaryMethod::Aabb).unwrap_err();
-        assert!(err.to_string().contains("40"));
-        assert!(err.to_string().contains("16"));
+        assert_eq!(
+            err.to_string(),
+            "invalid configuration: group size 40 must be a positive multiple of tile size 16"
+        );
     }
 }

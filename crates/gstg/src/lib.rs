@@ -38,7 +38,7 @@
 //! let config = GstgConfig::new(16, 64, BoundaryMethod::Ellipse, BoundaryMethod::Ellipse)?;
 //! let output = GstgRenderer::new(config).render(&scene, &camera);
 //! assert_eq!(output.image.width(), scene.width());
-//! # Ok::<(), gstg::ConfigError>(())
+//! # Ok::<(), splat_types::RenderError>(())
 //! ```
 //!
 //! Those four bullets are the whole delta: [`GstgRenderer`] implements
@@ -47,9 +47,11 @@
 //! frame loop, preprocessing, timing, the frame arena, the tile-shading
 //! driver — is the baseline's, shared through `splat_render::Session`. The
 //! allocation-free [`GstgSession`] (`Session<GstgRenderer>`) implements the
-//! backend-agnostic [`splat_core::RenderBackend`] trait, so it is served —
-//! interchangeably with the baseline session — through the fallible
-//! request/response API and the serving `Engine` in `splat-engine`.
+//! backend-agnostic [`splat_core::RenderBackend`] trait; it is the one
+//! pipeline the serving `Engine` in `splat-engine` pools behind its queue.
+//! The baseline session is what a test or example compares it against,
+//! locally. [`GstgConfig`] validates straight into
+//! [`splat_types::RenderError`], like every other configuration.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -63,7 +65,7 @@ pub mod raster;
 pub mod sort;
 
 pub use bitmask::{GroupLayout, TileBitmask};
-pub use config::{ConfigError, GstgConfig};
+pub use config::GstgConfig;
 pub use group::{identify_groups_into, GroupAssignments, GroupEntry};
 pub use lossless::{verify_lossless, LosslessReport};
 pub use pipeline::{GstgRenderer, GstgSession, RenderOutput};

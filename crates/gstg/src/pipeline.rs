@@ -82,7 +82,7 @@ impl Keying for GstgRenderer {
     }
 
     fn validate(&self) -> Result<(), RenderError> {
-        Ok(self.config.validate()?)
+        self.config.validate()
     }
 
     fn background(&self) -> Rgb {

@@ -27,95 +27,26 @@ pub const TRANSMITTANCE_EPSILON: f32 = 1e-4;
 /// the transmittance strictly positive).
 pub const ALPHA_MAX: f32 = 0.99;
 
-/// Result of rasterizing a single tile: the pixel colors of the clipped
-/// tile region in row-major order plus the operation counts incurred.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TileRaster {
-    /// Width of the rasterized region in pixels.
-    pub width: u32,
-    /// Height of the rasterized region in pixels.
-    pub height: u32,
-    /// Pixel colors, row-major, `width * height` entries.
-    pub pixels: Vec<Rgb>,
-    /// Operation counters for this tile only.
-    pub counts: StageCounts,
-}
-
-/// Rasterizes one tile into an owned [`TileRaster`] (the form the parallel
-/// fan-out merges in tile order).
+/// Rasterizes one tile into `image`, charging all work to `counts`.
 ///
 /// * `sorted` — splat slots (indices into `projected`) already sorted
 ///   front-to-back.
-/// * `rect` — the clipped pixel rectangle of the tile (integer bounds).
+/// * `rect` — the clipped pixel rectangle of the tile (integer bounds, in
+///   image space).
 /// * `background` — color of pixels with full remaining transmittance.
+/// * `origin` — the image-space position of `image`'s pixel (0, 0):
+///   `(0, 0)` when `image` is the frame, `(rect.x0, rect.y0)` when it is a
+///   tile-sized buffer (the parallel fan-out's form).
 ///
-/// The wide [`SimdMode`]s shade the row in fixed-width pixel chunks (scalar
-/// tail) whose per-lane arithmetic replicates [`shade_pixel`] operation for
-/// operation, so every mode produces bit-identical pixels and identical
-/// counters.
-pub fn rasterize_tile_with(
-    sorted: &[u32],
-    projected: &[ProjectedGaussian],
-    rect: &TileRect,
-    background: Rgb,
-    simd: SimdMode,
-) -> TileRaster {
-    debug_assert!(
-        rect.x1 >= rect.x0 && rect.y1 >= rect.y0,
-        "inverted tile rect {rect:?}"
-    );
-    let x0 = rect.x0 as u32;
-    let y0 = rect.y0 as u32;
-    let x1 = rect.x1 as u32;
-    let y1 = rect.y1 as u32;
-    let width = x1.saturating_sub(x0);
-    let height = y1.saturating_sub(y0);
-    if width == 0 || height == 0 {
-        // Degenerate rects rasterize nothing; return explicitly instead of
-        // silently looping over a zero-pixel region.
-        return TileRaster {
-            width,
-            height,
-            pixels: Vec::new(),
-            counts: StageCounts::new(),
-        };
-    }
-    let mut pixels = vec![Rgb::BLACK; (width * height) as usize];
-    let mut counts = StageCounts::new();
-
-    for py in y0..y1 {
-        let row_start = ((py - y0) * width) as usize;
-        let row = &mut pixels[row_start..row_start + width as usize];
-        shade_row(
-            sorted,
-            projected,
-            x0,
-            py,
-            background,
-            simd,
-            row,
-            &mut counts,
-        );
-    }
-
-    TileRaster {
-        width,
-        height,
-        pixels,
-        counts,
-    }
-}
-
-/// Rasterizes one tile directly into a framebuffer, charging all work to
-/// `counts`. This is the allocation-free path the sequential rasterizers
-/// use inside a reused [`crate::FrameArena`]; it performs exactly the same
-/// per-pixel operations as [`rasterize_tile_with`] in every [`SimdMode`]
-/// (the chunked kernels shade into stack buffers), so the two paths produce
-/// bit-identical pixels and identical counters.
+/// Each row is shaded into one framebuffer slice. The wide [`SimdMode`]s
+/// shade it in fixed-width pixel chunks (scalar tail) whose per-lane
+/// arithmetic replicates [`shade_pixel`] operation for operation, so every
+/// mode produces bit-identical pixels and identical counters.
 ///
 /// # Panics
 ///
-/// Panics when `rect` exceeds the framebuffer bounds.
+/// Panics when `rect`, shifted by `origin`, exceeds the framebuffer bounds.
+#[allow(clippy::too_many_arguments)]
 pub fn rasterize_tile_into_with(
     sorted: &[u32],
     projected: &[ProjectedGaussian],
@@ -123,6 +54,7 @@ pub fn rasterize_tile_into_with(
     background: Rgb,
     simd: SimdMode,
     image: &mut crate::Framebuffer,
+    origin: (u32, u32),
     counts: &mut StageCounts,
 ) {
     debug_assert!(
@@ -137,54 +69,13 @@ pub fn rasterize_tile_into_with(
         return;
     }
     for py in y0..y1 {
-        match simd {
-            SimdMode::Scalar => {
-                for px in x0..x1 {
-                    counts.pixels += 1;
-                    let pixel_center = Vec2::new(px as f32 + 0.5, py as f32 + 0.5);
-                    let color = shade_pixel(sorted, projected, pixel_center, background, counts);
-                    image.set_pixel(px, py, color);
-                }
-            }
-            SimdMode::Wide8 => {
-                shade_row_into::<8>(sorted, projected, x0, x1, py, background, image, counts);
-            }
-        }
+        let row = image.row_mut(py - origin.1, x0 - origin.0..x1 - origin.0);
+        shade_row(sorted, projected, x0, py, background, simd, row, counts);
     }
 }
 
-/// Shades one framebuffer row in `W`-pixel chunks with a scalar tail.
-#[allow(clippy::too_many_arguments)]
-fn shade_row_into<const W: usize>(
-    sorted: &[u32],
-    projected: &[ProjectedGaussian],
-    x0: u32,
-    x1: u32,
-    py: u32,
-    background: Rgb,
-    image: &mut crate::Framebuffer,
-    counts: &mut StageCounts,
-) {
-    let mut px = x0;
-    while px + W as u32 <= x1 {
-        counts.pixels += W as u64;
-        let mut out = [Rgb::BLACK; W];
-        shade_chunk::<W>(sorted, projected, px, py, background, &mut out, counts);
-        for (lane, color) in out.iter().enumerate() {
-            image.set_pixel(px + lane as u32, py, *color);
-        }
-        px += W as u32;
-    }
-    while px < x1 {
-        counts.pixels += 1;
-        let pixel_center = Vec2::new(px as f32 + 0.5, py as f32 + 0.5);
-        let color = shade_pixel(sorted, projected, pixel_center, background, counts);
-        image.set_pixel(px, py, color);
-        px += 1;
-    }
-}
-
-/// Shades one buffered row in `W`-pixel chunks with a scalar tail.
+/// Shades one row whose first pixel sits at image column `x0`: the scalar
+/// loop, or `W`-pixel chunks with a scalar tail.
 #[allow(clippy::too_many_arguments)]
 fn shade_row(
     sorted: &[u32],
@@ -381,35 +272,55 @@ pub fn alpha_at(splat: &ProjectedGaussian, pixel: Vec2) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::SpanMode;
+    use crate::image::Framebuffer;
+    use crate::shade::shade_rect;
+    use crate::span::SpanScratch;
     use splat_types::Mat2;
 
-    /// The scalar reference forms the tests below pin the kernels against.
+    /// The full walk of one tile into a tile-sized framebuffer.
+    fn full_walk(
+        sorted: &[u32],
+        projected: &[ProjectedGaussian],
+        rect: &TileRect,
+        background: Rgb,
+        simd: SimdMode,
+    ) -> (Framebuffer, StageCounts) {
+        shade_rect(
+            sorted,
+            projected,
+            rect,
+            background,
+            simd,
+            SpanMode::Full,
+            &mut SpanScratch::new(),
+        )
+    }
+
+    /// The scalar reference form the tests below pin the kernels against.
     fn rasterize_tile(
         sorted: &[u32],
         projected: &[ProjectedGaussian],
         rect: &TileRect,
         background: Rgb,
-    ) -> TileRaster {
-        rasterize_tile_with(sorted, projected, rect, background, SimdMode::Scalar)
+    ) -> (Framebuffer, StageCounts) {
+        full_walk(sorted, projected, rect, background, SimdMode::Scalar)
     }
 
-    fn rasterize_tile_into(
-        sorted: &[u32],
-        projected: &[ProjectedGaussian],
-        rect: &TileRect,
-        background: Rgb,
-        image: &mut crate::Framebuffer,
-        counts: &mut StageCounts,
-    ) {
-        rasterize_tile_into_with(
-            sorted,
-            projected,
-            rect,
-            background,
-            SimdMode::Scalar,
-            image,
-            counts,
-        );
+    /// Asserts that `frame` holds `tile` at `rect`'s origin, bit for bit.
+    fn assert_frame_holds_tile(frame: &Framebuffer, tile: &Framebuffer, rect: &TileRect) {
+        let (x0, y0) = (rect.x0 as u32, rect.y0 as u32);
+        for y in 0..tile.height() {
+            for x in 0..tile.width() {
+                assert_eq!(
+                    frame.pixel(x0 + x, y0 + y),
+                    tile.pixel(x, y),
+                    "pixel ({},{})",
+                    x0 + x,
+                    y0 + y
+                );
+            }
+        }
     }
 
     fn splat(
@@ -438,14 +349,14 @@ mod tests {
 
     #[test]
     fn empty_tile_renders_background() {
-        let out = rasterize_tile(&[], &[], &tile(), Rgb::splat(0.25));
-        assert_eq!(out.pixels.len(), 256);
-        assert!(out
-            .pixels
+        let (image, counts) = rasterize_tile(&[], &[], &tile(), Rgb::splat(0.25));
+        assert_eq!(image.pixel_count(), 256);
+        assert!(image
+            .pixels()
             .iter()
             .all(|p| p.max_abs_diff(Rgb::splat(0.25)) < 1e-6));
-        assert_eq!(out.counts.alpha_computations, 0);
-        assert_eq!(out.counts.pixels, 256);
+        assert_eq!(counts.alpha_computations, 0);
+        assert_eq!(counts.pixels, 256);
     }
 
     #[test]
@@ -482,9 +393,9 @@ mod tests {
             1,
         );
         let projected = vec![near, far];
-        let out = rasterize_tile(&[0, 1], &projected, &tile(), Rgb::BLACK);
+        let (image, _) = rasterize_tile(&[0, 1], &projected, &tile(), Rgb::BLACK);
         // Center pixel is dominated by the near (red) splat.
-        let center = out.pixels[8 * 16 + 8];
+        let center = image.pixel(8, 8);
         assert!(center.r > 0.9);
         assert!(center.g < 0.1);
     }
@@ -508,10 +419,10 @@ mod tests {
             1,
         );
         let projected = vec![red, green];
-        let front_red = rasterize_tile(&[0, 1], &projected, &tile(), Rgb::BLACK);
-        let front_green = rasterize_tile(&[1, 0], &projected, &tile(), Rgb::BLACK);
-        let a = front_red.pixels[8 * 16 + 8];
-        let b = front_green.pixels[8 * 16 + 8];
+        let (front_red, _) = rasterize_tile(&[0, 1], &projected, &tile(), Rgb::BLACK);
+        let (front_green, _) = rasterize_tile(&[1, 0], &projected, &tile(), Rgb::BLACK);
+        let a = front_red.pixel(8, 8);
+        let b = front_green.pixel(8, 8);
         assert!(a.r > a.g);
         assert!(b.g > b.r);
     }
@@ -520,9 +431,9 @@ mod tests {
     fn low_alpha_splats_cost_computation_but_not_blending() {
         // A splat whose contribution is everywhere below 1/255.
         let faint = splat(Vec2::new(8.0, 8.0), 4.0, 0.002, Rgb::WHITE, 1.0, 0);
-        let out = rasterize_tile(&[0], &[faint], &tile(), Rgb::BLACK);
-        assert_eq!(out.counts.alpha_computations, 256);
-        assert_eq!(out.counts.blend_operations, 0);
+        let (_, counts) = rasterize_tile(&[0], &[faint], &tile(), Rgb::BLACK);
+        assert_eq!(counts.alpha_computations, 256);
+        assert_eq!(counts.blend_operations, 0);
     }
 
     #[test]
@@ -533,27 +444,31 @@ mod tests {
             .map(|i| splat(Vec2::new(8.0, 8.0), 20.0, 0.99, Rgb::WHITE, i as f32, i))
             .collect();
         let order: Vec<u32> = (0..50).collect();
-        let out = rasterize_tile(&order, &projected, &tile(), Rgb::BLACK);
-        assert!(out.counts.early_exits > 0);
+        let (_, counts) = rasterize_tile(&order, &projected, &tile(), Rgb::BLACK);
+        assert!(counts.early_exits > 0);
         // Far fewer than 50 α-computations per pixel on average.
-        assert!(out.counts.alpha_computations < 50 * 256 / 2);
+        assert!(counts.alpha_computations < 50 * 256 / 2);
     }
 
     #[test]
     fn distant_splat_contributes_nothing_outside_footprint() {
         let far_away = splat(Vec2::new(200.0, 200.0), 1.0, 0.9, Rgb::WHITE, 1.0, 0);
-        let out = rasterize_tile(&[0], &[far_away], &tile(), Rgb::BLACK);
-        assert_eq!(out.counts.blend_operations, 0);
-        assert!(out.pixels.iter().all(|p| p.max_abs_diff(Rgb::BLACK) < 1e-6));
+        let (image, counts) = rasterize_tile(&[0], &[far_away], &tile(), Rgb::BLACK);
+        assert_eq!(counts.blend_operations, 0);
+        assert!(image
+            .pixels()
+            .iter()
+            .all(|p| p.max_abs_diff(Rgb::BLACK) < 1e-6));
     }
 
     #[test]
     fn clipped_tile_dimensions_are_respected() {
         let rect = TileRect::new(0.0, 0.0, 10.0, 7.0);
-        let out = rasterize_tile(&[], &[], &rect, Rgb::BLACK);
-        assert_eq!(out.width, 10);
-        assert_eq!(out.height, 7);
-        assert_eq!(out.pixels.len(), 70);
+        let (image, counts) = rasterize_tile(&[], &[], &rect, Rgb::BLACK);
+        assert_eq!(image.width(), 10);
+        assert_eq!(image.height(), 7);
+        assert_eq!(image.pixel_count(), 70);
+        assert_eq!(counts.pixels, 70);
     }
 
     #[test]
@@ -568,13 +483,16 @@ mod tests {
             1.0,
             0,
         );
-        let out = rasterize_tile(&[0], &[s], &tile(), Rgb::WHITE);
-        let c = out.pixels[8 * 16 + 8];
+        let (image, _) = rasterize_tile(&[0], &[s], &tile(), Rgb::WHITE);
+        let c = image.pixel(8, 8);
         assert!((c.r - 1.0).abs() < 1e-3); // red from both
         assert!((c.g - 0.5).abs() < 0.02); // half the white background
         assert!(c.g > 0.0 && c.g < 1.0);
     }
 
+    /// The kernel shading straight into the frame (origin `(0, 0)`) matches
+    /// the same kernel shading into a tile-sized buffer at the tile's
+    /// origin — the parallel fan-out's form.
     #[test]
     fn in_place_rasterization_matches_the_buffered_kernel() {
         let projected: Vec<ProjectedGaussian> = (0..6)
@@ -590,31 +508,26 @@ mod tests {
             })
             .collect();
         let order: Vec<u32> = (0..6).collect();
-        let rect = TileRect::new(0.0, 0.0, 16.0, 16.0);
         let background = Rgb::splat(0.1);
 
-        let buffered = rasterize_tile(&order, &projected, &rect, background);
+        for rect in [tile(), TileRect::new(5.0, 3.0, 16.0, 14.0)] {
+            let (buffered, buffered_counts) = rasterize_tile(&order, &projected, &rect, background);
 
-        let mut image = crate::Framebuffer::new(16, 16, Rgb::BLACK);
-        let mut counts = StageCounts::new();
-        rasterize_tile_into(
-            &order,
-            &projected,
-            &rect,
-            background,
-            &mut image,
-            &mut counts,
-        );
+            let mut image = Framebuffer::new(16, 16, Rgb::BLACK);
+            let mut counts = StageCounts::new();
+            rasterize_tile_into_with(
+                &order,
+                &projected,
+                &rect,
+                background,
+                SimdMode::Scalar,
+                &mut image,
+                (0, 0),
+                &mut counts,
+            );
 
-        assert_eq!(counts, buffered.counts);
-        for y in 0..16u32 {
-            for x in 0..16u32 {
-                assert_eq!(
-                    image.pixel(x, y),
-                    buffered.pixels[(y * 16 + x) as usize],
-                    "pixel ({x},{y})"
-                );
-            }
+            assert_eq!(counts, buffered_counts);
+            assert_frame_holds_tile(&image, &buffered, &rect);
         }
     }
 
@@ -657,11 +570,12 @@ mod tests {
         // a single chunk.
         for (w, h) in [(16.0, 16.0), (10.0, 7.0), (3.0, 5.0), (17.0, 9.0)] {
             let rect = TileRect::new(0.0, 0.0, w, h);
-            let scalar =
-                rasterize_tile_with(&order, &projected, &rect, background, SimdMode::Scalar);
-            let wide = rasterize_tile_with(&order, &projected, &rect, background, SimdMode::Wide8);
-            assert_eq!(wide.counts, scalar.counts, "counters at {w}x{h}");
-            for (i, (a, b)) in scalar.pixels.iter().zip(&wide.pixels).enumerate() {
+            let (scalar, scalar_counts) =
+                full_walk(&order, &projected, &rect, background, SimdMode::Scalar);
+            let (wide, wide_counts) =
+                full_walk(&order, &projected, &rect, background, SimdMode::Wide8);
+            assert_eq!(wide_counts, scalar_counts, "counters at {w}x{h}");
+            for (i, (a, b)) in scalar.pixels().iter().zip(wide.pixels()).enumerate() {
                 assert_eq!(
                     [a.r.to_bits(), a.g.to_bits(), a.b.to_bits()],
                     [b.r.to_bits(), b.g.to_bits(), b.b.to_bits()],
@@ -671,14 +585,17 @@ mod tests {
         }
     }
 
+    /// The wide kernel shading straight into the frame matches it shading
+    /// into a tile-sized buffer at a non-zero origin, pixel for pixel and
+    /// counter for counter.
     #[test]
     fn wide_in_place_rasterization_matches_buffered_and_charges_identically() {
         let (projected, order) = mixed_splats();
         let background = Rgb::splat(0.15);
         let rect = TileRect::new(2.0, 1.0, 15.0, 12.0);
         let mode = SimdMode::Wide8;
-        let buffered = rasterize_tile_with(&order, &projected, &rect, background, mode);
-        let mut image = crate::Framebuffer::new(16, 16, Rgb::BLACK);
+        let (buffered, buffered_counts) = full_walk(&order, &projected, &rect, background, mode);
+        let mut image = Framebuffer::new(16, 16, Rgb::BLACK);
         let mut counts = StageCounts::new();
         rasterize_tile_into_with(
             &order,
@@ -687,18 +604,12 @@ mod tests {
             background,
             mode,
             &mut image,
+            (0, 0),
             &mut counts,
         );
-        assert_eq!(counts, buffered.counts);
-        for y in 1..12u32 {
-            for x in 2..15u32 {
-                assert_eq!(
-                    image.pixel(x, y),
-                    buffered.pixels[((y - 1) * 13 + (x - 2)) as usize],
-                    "pixel ({x},{y})"
-                );
-            }
-        }
+        assert_eq!(counts, buffered_counts);
+        assert_eq!((buffered.width(), buffered.height()), (13, 11));
+        assert_frame_holds_tile(&image, &buffered, &rect);
     }
 
     #[test]
@@ -708,9 +619,9 @@ mod tests {
             .collect();
         let order: Vec<u32> = (0..50).collect();
         let scalar = rasterize_tile(&order, &projected, &tile(), Rgb::BLACK);
-        let wide = rasterize_tile_with(&order, &projected, &tile(), Rgb::BLACK, SimdMode::Wide8);
-        assert_eq!(wide.counts, scalar.counts);
-        assert_eq!(wide.pixels, scalar.pixels);
+        let wide = full_walk(&order, &projected, &tile(), Rgb::BLACK, SimdMode::Wide8);
+        assert_eq!(wide.1, scalar.1);
+        assert_eq!(wide.0, scalar.0);
     }
 
     #[test]
@@ -723,19 +634,21 @@ mod tests {
             TileRect::new(3.0, 5.0, 11.0, 5.0),
             TileRect::new(7.0, 7.0, 7.0, 7.0),
         ] {
-            let out = rasterize_tile(&order, &projected, &rect, Rgb::WHITE);
-            assert_eq!(out.width * out.height, 0, "{rect:?}");
-            assert!(out.pixels.is_empty(), "{rect:?}");
-            assert_eq!(out.counts, StageCounts::new(), "{rect:?}");
+            let (out, out_counts) = rasterize_tile(&order, &projected, &rect, Rgb::WHITE);
+            assert_eq!(out.width() * out.height(), 0, "{rect:?}");
+            assert!(out.pixels().is_empty(), "{rect:?}");
+            assert_eq!(out_counts, StageCounts::new(), "{rect:?}");
 
-            let mut image = crate::Framebuffer::new(16, 16, Rgb::BLACK);
+            let mut image = Framebuffer::new(16, 16, Rgb::BLACK);
             let mut counts = StageCounts::new();
-            rasterize_tile_into(
+            rasterize_tile_into_with(
                 &order,
                 &projected,
                 &rect,
                 Rgb::WHITE,
+                SimdMode::Scalar,
                 &mut image,
+                (0, 0),
                 &mut counts,
             );
             assert_eq!(counts, StageCounts::new(), "{rect:?}");

@@ -1,6 +1,7 @@
 //! Framebuffer and image comparison utilities.
 
 use splat_types::Rgb;
+use std::ops::Range;
 
 /// A simple RGB framebuffer in row-major order.
 #[derive(Debug, Clone, PartialEq)]
@@ -76,6 +77,21 @@ impl Framebuffer {
     #[inline]
     pub fn pixels(&self) -> &[Rgb] {
         &self.pixels
+    }
+
+    /// The pixels `columns` of row `y`, for writing a shaded row in place.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the span is out of bounds.
+    #[inline]
+    pub fn row_mut(&mut self, y: u32, columns: Range<u32>) -> &mut [Rgb] {
+        assert!(
+            y < self.height && columns.start <= columns.end && columns.end <= self.width,
+            "row {y} columns {columns:?} out of bounds"
+        );
+        let start = (y as usize) * (self.width as usize);
+        &mut self.pixels[start + columns.start as usize..start + columns.end as usize]
     }
 
     /// Re-initializes the framebuffer to the given dimensions and
@@ -235,6 +251,25 @@ mod tests {
         assert_eq!(fb.pixel(2, 2), Rgb::WHITE);
         assert_eq!(fb.pixel(0, 0), Rgb::BLACK);
         assert_eq!(fb.pixel(3, 3), Rgb::BLACK);
+    }
+
+    #[test]
+    fn row_mut_addresses_one_row_span() {
+        let mut fb = Framebuffer::black(4, 3);
+        fb.row_mut(1, 1..3).fill(Rgb::WHITE);
+        assert_eq!(fb.pixel(1, 1), Rgb::WHITE);
+        assert_eq!(fb.pixel(2, 1), Rgb::WHITE);
+        assert_eq!(fb.pixel(0, 1), Rgb::BLACK);
+        assert_eq!(fb.pixel(3, 1), Rgb::BLACK);
+        assert_eq!(fb.pixel(1, 0), Rgb::BLACK);
+        assert!(fb.row_mut(2, 4..4).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn row_mut_past_the_edge_panics() {
+        let mut fb = Framebuffer::black(4, 4);
+        let _ = fb.row_mut(0, 2..5);
     }
 
     #[test]

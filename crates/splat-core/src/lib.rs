@@ -55,8 +55,8 @@ pub mod stats;
 pub use arena::{FrameArena, SessionFrame};
 pub use backend::{request_cost_hint, RenderBackend, RenderOutput, RenderRequest};
 pub use blend::{
-    alpha_at, rasterize_tile_into_with, rasterize_tile_with, shade_pixel, TileRaster,
-    ALPHA_CULL_THRESHOLD, ALPHA_MAX, TRANSMITTANCE_EPSILON,
+    alpha_at, rasterize_tile_into_with, shade_pixel, ALPHA_CULL_THRESHOLD, ALPHA_MAX,
+    TRANSMITTANCE_EPSILON,
 };
 pub use csr::{CsrAssignments, CsrScratch};
 pub use exec::{ExecutionConfig, HasExecution, SimdMode, SpanMode};
@@ -68,9 +68,6 @@ pub use keysort::{
 pub use rect::{TileRect, MAHALANOBIS_CUTOFF, SIGMA_EXTENT};
 pub use schedule::TileScheduler;
 pub use shade::{shade_tiles, TileLists};
-pub use span::{
-    conservative_row_interval, rasterize_tile_spans_into_with, rasterize_tile_spans_with,
-    SpanScratch,
-};
+pub use span::{conservative_row_interval, rasterize_tile_spans_into_with, SpanScratch};
 pub use splat::ProjectedGaussian;
 pub use stats::{RenderStats, StageCounts};

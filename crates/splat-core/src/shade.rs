@@ -10,12 +10,12 @@
 //! once; [`shade_tiles`] is generic, so each pipeline still compiles down to
 //! its own straight-line loop.
 
-use crate::blend::{rasterize_tile_into_with, rasterize_tile_with};
+use crate::blend::rasterize_tile_into_with;
 use crate::exec::{ExecutionConfig, SpanMode};
 use crate::image::Framebuffer;
 use crate::rect::TileRect;
 use crate::schedule::TileScheduler;
-use crate::span::{rasterize_tile_spans_into_with, rasterize_tile_spans_with, SpanScratch};
+use crate::span::{rasterize_tile_spans_into_with, SpanScratch};
 use crate::splat::ProjectedGaussian;
 use crate::stats::StageCounts;
 use splat_types::Rgb;
@@ -45,15 +45,17 @@ pub trait TileLists: Sync {
 /// Shades every tile `lists` provides into `image` (already reset to the
 /// frame's dimensions and background) and returns the work performed.
 ///
+/// Every tile goes through the one in-place kernel of its [`SpanMode`].
 /// With one worker thread every tile is shaded directly into `image`
 /// through `tile_list` and `scratch` — no per-tile buffers, the
 /// allocation-free session path. With more threads the units fan out
-/// through the shared [`TileScheduler`]; every unit writes disjoint
-/// framebuffer regions and outputs merge in unit order. Both paths perform
-/// identical per-pixel operations, so pixels and [`StageCounts`] are
-/// bit-identical for any thread count. Under [`SpanMode::RowSpans`] the
-/// interval-build time accumulates in `scratch` (aggregate worker time on
-/// the parallel path); drain it with [`SpanScratch::take_build_time`].
+/// through the shared [`TileScheduler`]; each tile is shaded into a
+/// tile-sized [`Framebuffer`] at its origin and the tiles are placed in
+/// unit order. Both paths perform identical per-pixel operations, so pixels
+/// and [`StageCounts`] are bit-identical for any thread count. Under
+/// [`SpanMode::RowSpans`] the interval-build time accumulates in `scratch`
+/// (aggregate worker time on the parallel path); drain it with
+/// [`SpanScratch::take_build_time`].
 pub fn shade_tiles<L: TileLists>(
     lists: &L,
     projected: &[ProjectedGaussian],
@@ -64,23 +66,27 @@ pub fn shade_tiles<L: TileLists>(
     scratch: &mut SpanScratch,
 ) -> StageCounts {
     let (simd, span) = (exec.simd, exec.span);
+    // Shades one tile into `target`, whose pixel (0, 0) sits at `origin`.
+    let shade = |rect: &TileRect,
+                 sorted: &[u32],
+                 target: &mut Framebuffer,
+                 origin: (u32, u32),
+                 counts: &mut StageCounts,
+                 scratch: &mut SpanScratch| match span {
+        SpanMode::Full => rasterize_tile_into_with(
+            sorted, projected, rect, background, simd, target, origin, counts,
+        ),
+        SpanMode::RowSpans => rasterize_tile_spans_into_with(
+            sorted, projected, rect, background, simd, target, origin, counts, scratch,
+        ),
+    };
     let mut counts = StageCounts::new();
 
     if exec.threads <= 1 {
         for unit in 0..lists.unit_count() {
-            lists.for_each_tile(
-                unit,
-                &mut counts,
-                tile_list,
-                |rect, sorted, counts| match span {
-                    SpanMode::Full => rasterize_tile_into_with(
-                        sorted, projected, rect, background, simd, image, counts,
-                    ),
-                    SpanMode::RowSpans => rasterize_tile_spans_into_with(
-                        sorted, projected, rect, background, simd, image, counts, scratch,
-                    ),
-                },
-            );
+            lists.for_each_tile(unit, &mut counts, tile_list, |rect, sorted, counts| {
+                shade(rect, sorted, image, (0, 0), counts, scratch)
+            });
         }
         return counts;
     }
@@ -89,40 +95,77 @@ pub fn shade_tiles<L: TileLists>(
         let mut unit_counts = StageCounts::new();
         let mut unit_list = Vec::new();
         let mut unit_scratch = SpanScratch::new();
-        let mut regions = Vec::new();
+        let mut tiles = Vec::new();
         lists.for_each_tile(
             unit,
             &mut unit_counts,
             &mut unit_list,
             |rect, sorted, counts| {
-                let out = match span {
-                    SpanMode::Full => {
-                        rasterize_tile_with(sorted, projected, rect, background, simd)
-                    }
-                    SpanMode::RowSpans => rasterize_tile_spans_with(
-                        sorted,
-                        projected,
-                        rect,
-                        background,
-                        simd,
-                        &mut unit_scratch,
-                    ),
-                };
-                *counts += out.counts;
-                regions.push((rect.x0 as u32, rect.y0 as u32, out.width, out.pixels));
+                let origin = (rect.x0 as u32, rect.y0 as u32);
+                let mut tile = Framebuffer::black(
+                    (rect.x1 as u32).saturating_sub(origin.0),
+                    (rect.y1 as u32).saturating_sub(origin.1),
+                );
+                shade(rect, sorted, &mut tile, origin, counts, &mut unit_scratch);
+                tiles.push((origin, tile));
             },
         );
-        (regions, unit_counts, unit_scratch.take_build_time())
+        (tiles, unit_counts, unit_scratch.take_build_time())
     });
 
-    for (regions, unit_counts, built) in units {
+    for (tiles, unit_counts, built) in units {
         counts += unit_counts;
         scratch.add_build_time(built);
-        for (x0, y0, width, pixels) in regions {
-            image.write_region(x0, y0, width, &pixels);
+        for ((x0, y0), tile) in tiles {
+            image.write_region(x0, y0, tile.width(), tile.pixels());
         }
     }
     counts
+}
+
+/// Shades `rect` into a tile-sized [`Framebuffer`] at its origin — the
+/// parallel fan-out's form of one tile — through the kernel `simd` × `span`
+/// select, returning the tile and the work it charged.
+#[cfg(test)]
+pub(crate) fn shade_rect(
+    sorted: &[u32],
+    projected: &[ProjectedGaussian],
+    rect: &TileRect,
+    background: Rgb,
+    simd: crate::SimdMode,
+    span: SpanMode,
+    scratch: &mut SpanScratch,
+) -> (Framebuffer, StageCounts) {
+    let origin = (rect.x0 as u32, rect.y0 as u32);
+    let mut tile = Framebuffer::black(
+        (rect.x1 as u32).saturating_sub(origin.0),
+        (rect.y1 as u32).saturating_sub(origin.1),
+    );
+    let mut counts = StageCounts::new();
+    match span {
+        SpanMode::Full => rasterize_tile_into_with(
+            sorted,
+            projected,
+            rect,
+            background,
+            simd,
+            &mut tile,
+            origin,
+            &mut counts,
+        ),
+        SpanMode::RowSpans => rasterize_tile_spans_into_with(
+            sorted,
+            projected,
+            rect,
+            background,
+            simd,
+            &mut tile,
+            origin,
+            &mut counts,
+            scratch,
+        ),
+    }
+    (tile, counts)
 }
 
 #[cfg(test)]

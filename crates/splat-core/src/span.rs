@@ -37,7 +37,7 @@
 //! preprocessing, which low-passes the covariance) conservatively fall
 //! back to the full row.
 
-use crate::blend::{TileRaster, ALPHA_CULL_THRESHOLD, ALPHA_MAX, TRANSMITTANCE_EPSILON};
+use crate::blend::{ALPHA_CULL_THRESHOLD, ALPHA_MAX, TRANSMITTANCE_EPSILON};
 use crate::exec::SimdMode;
 use crate::rect::{TileRect, MAHALANOBIS_CUTOFF};
 use crate::splat::ProjectedGaussian;
@@ -202,67 +202,15 @@ pub fn conservative_row_interval(
     }
 }
 
-/// Span-walk variant of [`crate::rasterize_tile_with`]: returns the
-/// rasterized tile region. Pixels are bit-identical to the full walk in
-/// every SIMD mode; `alpha_computations` only counts pixels inside their
-/// splat's row interval, the remainder is charged to `span_skipped_alpha`.
-pub fn rasterize_tile_spans_with(
-    sorted: &[u32],
-    projected: &[ProjectedGaussian],
-    rect: &TileRect,
-    background: Rgb,
-    simd: SimdMode,
-    scratch: &mut SpanScratch,
-) -> TileRaster {
-    debug_assert!(
-        rect.x1 >= rect.x0 && rect.y1 >= rect.y0,
-        "inverted tile rect {rect:?}"
-    );
-    let x0 = rect.x0 as u32;
-    let y0 = rect.y0 as u32;
-    let width = (rect.x1 as u32).saturating_sub(x0);
-    let height = (rect.y1 as u32).saturating_sub(y0);
-    let mut counts = StageCounts::new();
-    if width == 0 || height == 0 {
-        return TileRaster {
-            width,
-            height,
-            pixels: Vec::new(),
-            counts,
-        };
-    }
-    span_walk(
-        sorted,
-        projected,
-        x0,
-        y0,
-        width,
-        height,
-        simd,
-        &mut counts,
-        scratch,
-    );
-    let mut pixels = Vec::with_capacity((width * height) as usize);
-    for p in 0..(width * height) as usize {
-        pixels.push(
-            Rgb::new(scratch.acc_r[p], scratch.acc_g[p], scratch.acc_b[p])
-                + background * scratch.trans[p],
-        );
-    }
-    TileRaster {
-        width,
-        height,
-        pixels,
-        counts,
-    }
-}
-
 /// Span-walk variant of [`crate::rasterize_tile_into_with`]: rasterizes
-/// one tile directly into a framebuffer, charging all work to `counts`.
+/// one tile into `image` (whose pixel (0, 0) sits at image-space `origin`),
+/// charging all work to `counts`. Pixels are bit-identical to the full walk
+/// in every SIMD mode; `alpha_computations` only counts pixels inside their
+/// splat's row interval, the remainder is charged to `span_skipped_alpha`.
 ///
 /// # Panics
 ///
-/// Panics when `rect` exceeds the framebuffer bounds.
+/// Panics when `rect`, shifted by `origin`, exceeds the framebuffer bounds.
 #[allow(clippy::too_many_arguments)]
 pub fn rasterize_tile_spans_into_with(
     sorted: &[u32],
@@ -271,6 +219,7 @@ pub fn rasterize_tile_spans_into_with(
     background: Rgb,
     simd: SimdMode,
     image: &mut crate::Framebuffer,
+    origin: (u32, u32),
     counts: &mut StageCounts,
     scratch: &mut SpanScratch,
 ) {
@@ -288,13 +237,14 @@ pub fn rasterize_tile_spans_into_with(
     span_walk(
         sorted, projected, x0, y0, width, height, simd, counts, scratch,
     );
+    let columns = x0 - origin.0..x0 + width - origin.0;
     for row in 0..height {
         let row_off = (row * width) as usize;
-        for col in 0..width {
-            let p = row_off + col as usize;
-            let color = Rgb::new(scratch.acc_r[p], scratch.acc_g[p], scratch.acc_b[p])
+        let out = image.row_mut(y0 + row - origin.1, columns.clone());
+        for (col, pixel) in out.iter_mut().enumerate() {
+            let p = row_off + col;
+            *pixel = Rgb::new(scratch.acc_r[p], scratch.acc_g[p], scratch.acc_b[p])
                 + background * scratch.trans[p];
-            image.set_pixel(x0 + col, y0 + row, color);
         }
     }
 }
@@ -455,8 +405,31 @@ fn walk_interval<const W: usize>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::blend::{alpha_at, rasterize_tile_with};
+    use crate::blend::alpha_at;
+    use crate::exec::SpanMode;
+    use crate::image::Framebuffer;
+    use crate::shade::shade_rect;
     use splat_types::{Mat2, Vec2};
+
+    /// The span walk of one tile into a tile-sized framebuffer.
+    fn spans(
+        sorted: &[u32],
+        projected: &[ProjectedGaussian],
+        rect: &TileRect,
+        background: Rgb,
+        simd: SimdMode,
+        scratch: &mut SpanScratch,
+    ) -> (Framebuffer, StageCounts) {
+        shade_rect(
+            sorted,
+            projected,
+            rect,
+            background,
+            simd,
+            SpanMode::RowSpans,
+            scratch,
+        )
+    }
 
     fn splat(
         mean: Vec2,
@@ -541,16 +514,25 @@ mod tests {
         for (w, h) in [(16.0, 16.0), (10.0, 7.0), (3.0, 5.0), (17.0, 9.0)] {
             let rect = TileRect::new(0.0, 0.0, w, h);
             for simd in SimdMode::ALL {
-                let full = rasterize_tile_with(&order, &projected, &rect, background, simd);
-                let span = rasterize_tile_spans_with(
+                let (full, full_counts) = shade_rect(
                     &order,
                     &projected,
                     &rect,
                     background,
                     simd,
+                    SpanMode::Full,
                     &mut scratch,
                 );
-                for (i, (a, b)) in full.pixels.iter().zip(&span.pixels).enumerate() {
+                let (span, span_counts) = shade_rect(
+                    &order,
+                    &projected,
+                    &rect,
+                    background,
+                    simd,
+                    SpanMode::RowSpans,
+                    &mut scratch,
+                );
+                for (i, (a, b)) in full.pixels().iter().zip(span.pixels()).enumerate() {
                     assert_eq!(
                         [a.r.to_bits(), a.g.to_bits(), a.b.to_bits()],
                         [b.r.to_bits(), b.g.to_bits(), b.b.to_bits()],
@@ -558,16 +540,16 @@ mod tests {
                     );
                 }
                 assert_eq!(
-                    full.counts.alpha_computations,
-                    span.counts.alpha_computations + span.counts.span_skipped_alpha,
+                    full_counts.alpha_computations,
+                    span_counts.alpha_computations + span_counts.span_skipped_alpha,
                     "{simd:?} reconciliation at {w}x{h}"
                 );
-                assert_eq!(full.counts.blend_operations, span.counts.blend_operations);
-                assert_eq!(full.counts.early_exits, span.counts.early_exits);
-                assert_eq!(full.counts.pixels, span.counts.pixels);
-                assert!(span.counts.span_rows_built > 0);
+                assert_eq!(full_counts.blend_operations, span_counts.blend_operations);
+                assert_eq!(full_counts.early_exits, span_counts.early_exits);
+                assert_eq!(full_counts.pixels, span_counts.pixels);
+                assert!(span_counts.span_rows_built > 0);
                 assert!(
-                    span.counts.alpha_computations < full.counts.alpha_computations,
+                    span_counts.alpha_computations < full_counts.alpha_computations,
                     "{simd:?} span walk saves work at {w}x{h}"
                 );
             }
@@ -580,7 +562,7 @@ mod tests {
         let background = Rgb::splat(0.15);
         let rect = TileRect::new(2.0, 1.0, 15.0, 12.0);
         let mut scratch = SpanScratch::new();
-        let scalar = rasterize_tile_spans_with(
+        let scalar = spans(
             &order,
             &projected,
             &rect,
@@ -588,7 +570,7 @@ mod tests {
             SimdMode::Scalar,
             &mut scratch,
         );
-        let wide = rasterize_tile_spans_with(
+        let wide = spans(
             &order,
             &projected,
             &rect,
@@ -596,8 +578,8 @@ mod tests {
             SimdMode::Wide8,
             &mut scratch,
         );
-        assert_eq!(wide.counts, scalar.counts);
-        assert_eq!(wide.pixels, scalar.pixels);
+        assert_eq!(wide.1, scalar.1);
+        assert_eq!(wide.0, scalar.0);
     }
 
     #[test]
@@ -608,8 +590,16 @@ mod tests {
         let order: Vec<u32> = (0..50).collect();
         let rect = TileRect::new(0.0, 0.0, 16.0, 16.0);
         let mut scratch = SpanScratch::new();
-        let full = rasterize_tile_with(&order, &projected, &rect, Rgb::BLACK, SimdMode::Scalar);
-        let span = rasterize_tile_spans_with(
+        let (full, full_counts) = shade_rect(
+            &order,
+            &projected,
+            &rect,
+            Rgb::BLACK,
+            SimdMode::Scalar,
+            SpanMode::Full,
+            &mut scratch,
+        );
+        let (span, span_counts) = spans(
             &order,
             &projected,
             &rect,
@@ -617,16 +607,19 @@ mod tests {
             SimdMode::Scalar,
             &mut scratch,
         );
-        assert_eq!(span.counts.tile_saturation_exits, 1);
-        assert_eq!(span.pixels, full.pixels);
+        assert_eq!(span_counts.tile_saturation_exits, 1);
+        assert_eq!(span, full);
         assert_eq!(
-            full.counts.alpha_computations,
-            span.counts.alpha_computations + span.counts.span_skipped_alpha
+            full_counts.alpha_computations,
+            span_counts.alpha_computations + span_counts.span_skipped_alpha
         );
         // The saturated walk solved intervals for only a prefix of the list.
-        assert!(span.counts.span_rows_built < 50 * 16);
+        assert!(span_counts.span_rows_built < 50 * 16);
     }
 
+    /// The span kernel shading straight into the frame (origin `(0, 0)`)
+    /// matches it shading into a tile-sized buffer at the tile's origin —
+    /// the parallel fan-out's form.
     #[test]
     fn into_variant_matches_the_buffered_kernel() {
         let (projected, order) = mixed_splats();
@@ -634,15 +627,9 @@ mod tests {
         let rect = TileRect::new(2.0, 1.0, 15.0, 12.0);
         let mut scratch = SpanScratch::new();
         for simd in SimdMode::ALL {
-            let buffered = rasterize_tile_spans_with(
-                &order,
-                &projected,
-                &rect,
-                background,
-                simd,
-                &mut scratch,
-            );
-            let mut image = crate::Framebuffer::new(16, 16, Rgb::BLACK);
+            let (buffered, buffered_counts) =
+                spans(&order, &projected, &rect, background, simd, &mut scratch);
+            let mut image = Framebuffer::new(16, 16, Rgb::BLACK);
             let mut counts = StageCounts::new();
             rasterize_tile_spans_into_with(
                 &order,
@@ -651,15 +638,16 @@ mod tests {
                 background,
                 simd,
                 &mut image,
+                (0, 0),
                 &mut counts,
                 &mut scratch,
             );
-            assert_eq!(counts, buffered.counts, "{simd:?}");
+            assert_eq!(counts, buffered_counts, "{simd:?}");
             for y in 1..12u32 {
                 for x in 2..15u32 {
                     assert_eq!(
                         image.pixel(x, y),
-                        buffered.pixels[((y - 1) * 13 + (x - 2)) as usize],
+                        buffered.pixel(x - 2, y - 1),
                         "{simd:?} pixel ({x},{y})"
                     );
                 }
@@ -672,7 +660,7 @@ mod tests {
         let (projected, order) = mixed_splats();
         let mut scratch = SpanScratch::new();
         let rect = TileRect::new(4.0, 4.0, 4.0, 12.0);
-        let out = rasterize_tile_spans_with(
+        let (out, counts) = spans(
             &order,
             &projected,
             &rect,
@@ -680,9 +668,9 @@ mod tests {
             SimdMode::Scalar,
             &mut scratch,
         );
-        assert_eq!(out.width, 0);
-        assert!(out.pixels.is_empty());
-        assert_eq!(out.counts, StageCounts::new());
+        assert_eq!(out.width(), 0);
+        assert!(out.pixels().is_empty());
+        assert_eq!(counts, StageCounts::new());
     }
 
     #[test]
@@ -690,7 +678,7 @@ mod tests {
         let (projected, order) = mixed_splats();
         let mut scratch = SpanScratch::new();
         let rect = TileRect::new(0.0, 0.0, 16.0, 16.0);
-        let _ = rasterize_tile_spans_with(
+        let _ = spans(
             &order,
             &projected,
             &rect,

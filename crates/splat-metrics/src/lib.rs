@@ -1,9 +1,10 @@
-//! Summary statistics and report formatting for GS-TG experiments.
+//! Summary statistics, report tables and frame digests for GS-TG
+//! experiments.
 //!
-//! Every figure-regeneration binary in `splat-bench` uses this crate to
-//! normalize results against a baseline, compute geometric means (as the
-//! paper does for its speedup/energy summaries) and emit aligned markdown
-//! tables or CSV files.
+//! The figure-regeneration binaries in `splat-bench` use this crate to
+//! compute means and geometric means (as the paper does for its
+//! speedup/energy summaries) and to print aligned markdown tables; the
+//! FNV-1a [`digest`] is the workspace-wide canonical frame digest.
 //!
 //! ```
 //! use splat_metrics::{geometric_mean, Table};
@@ -25,5 +26,5 @@ pub mod summary;
 pub mod table;
 
 pub use digest::{digest_f32s, fnv1a64, Fnv1a64, FNV1A64_OFFSET, FNV1A64_PRIME};
-pub use summary::{geometric_mean, mean, normalize_to, normalize_to_first, Summary};
+pub use summary::{geometric_mean, mean};
 pub use table::Table;

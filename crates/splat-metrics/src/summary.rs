@@ -20,55 +20,6 @@ pub fn geometric_mean(values: &[f64]) -> Option<f64> {
     Some((log_sum / values.len() as f64).exp())
 }
 
-/// Normalizes every value to a reference: `values[i] / reference`.
-///
-/// Returns `None` when the reference is zero, NaN or infinite — a baseline
-/// measurement of zero (or a poisoned one) cannot anchor a normalization,
-/// and silently dividing by it would propagate NaN/∞ into every figure.
-pub fn normalize_to(values: &[f64], reference: f64) -> Option<Vec<f64>> {
-    if !reference.is_finite() || reference == 0.0 {
-        return None;
-    }
-    Some(values.iter().map(|v| v / reference).collect())
-}
-
-/// Normalizes every value to the first element of the slice. Returns
-/// `None` when the slice is empty or its first element is zero, NaN or
-/// infinite.
-pub fn normalize_to_first(values: &[f64]) -> Option<Vec<f64>> {
-    values
-        .first()
-        .and_then(|&first| normalize_to(values, first))
-}
-
-/// Five-number-style summary of a set of measurements.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Summary {
-    /// Number of samples.
-    pub count: usize,
-    /// Minimum value.
-    pub min: f64,
-    /// Maximum value.
-    pub max: f64,
-    /// Arithmetic mean.
-    pub mean: f64,
-    /// Geometric mean (`NaN` if any sample is non-positive).
-    pub geomean: f64,
-}
-
-impl Summary {
-    /// Builds a summary from samples, or `None` for an empty slice.
-    pub fn from_values(values: &[f64]) -> Option<Self> {
-        Some(Self {
-            count: values.len(),
-            min: values.iter().copied().fold(f64::INFINITY, f64::min),
-            max: values.iter().copied().fold(f64::NEG_INFINITY, f64::max),
-            mean: mean(values)?,
-            geomean: geometric_mean(values).unwrap_or(f64::NAN),
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -77,7 +28,6 @@ mod tests {
     fn mean_of_empty_is_none() {
         assert_eq!(mean(&[]), None);
         assert_eq!(geometric_mean(&[]), None);
-        assert_eq!(Summary::from_values(&[]), None);
     }
 
     #[test]
@@ -95,33 +45,6 @@ mod tests {
     fn geometric_mean_known_value() {
         // geomean(1, 4) = 2
         assert!((geometric_mean(&[1.0, 4.0]).unwrap() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn normalization_to_first_starts_at_one() {
-        let norm = normalize_to_first(&[4.0, 8.0, 2.0]).unwrap();
-        assert_eq!(norm, vec![1.0, 2.0, 0.5]);
-        assert_eq!(normalize_to_first(&[]), None);
-    }
-
-    #[test]
-    fn invalid_references_are_rejected() {
-        assert_eq!(normalize_to(&[1.0], 0.0), None);
-        assert_eq!(normalize_to(&[1.0], f64::NAN), None);
-        assert_eq!(normalize_to(&[1.0], f64::INFINITY), None);
-        assert_eq!(normalize_to(&[1.0], f64::NEG_INFINITY), None);
-        assert_eq!(normalize_to_first(&[0.0, 2.0]), None);
-        assert_eq!(normalize_to_first(&[f64::NAN, 2.0]), None);
-    }
-
-    #[test]
-    fn summary_fields_are_consistent() {
-        let s = Summary::from_values(&[1.0, 2.0, 4.0]).unwrap();
-        assert_eq!(s.count, 3);
-        assert_eq!(s.min, 1.0);
-        assert_eq!(s.max, 4.0);
-        assert!((s.mean - 7.0 / 3.0).abs() < 1e-12);
-        assert!((s.geomean - 2.0).abs() < 1e-12);
     }
 
     /// Deterministic stand-in for the previous proptest generator: a

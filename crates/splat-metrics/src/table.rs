@@ -1,4 +1,4 @@
-//! Aligned markdown / CSV table emission for experiment binaries.
+//! Aligned markdown table emission for experiment binaries.
 
 /// A simple column-oriented results table.
 ///
@@ -45,11 +45,6 @@ impl Table {
         self.rows.push(row);
     }
 
-    /// Number of data rows.
-    pub fn row_count(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Renders the table as aligned GitHub-flavoured markdown.
     pub fn to_markdown(&self) -> String {
         let mut widths: Vec<usize> = self.headers.iter().map(|h| h.len()).collect();
@@ -74,33 +69,6 @@ impl Table {
         out.push('\n');
         for row in &self.rows {
             out.push_str(&render_row(row));
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Renders the table as CSV (comma-separated, quotes around cells that
-    /// contain commas or quotes).
-    pub fn to_csv(&self) -> String {
-        let escape = |cell: &str| -> String {
-            if cell.contains(',') || cell.contains('"') || cell.contains('\n') {
-                format!("\"{}\"", cell.replace('"', "\"\""))
-            } else {
-                cell.to_owned()
-            }
-        };
-        let mut out = String::new();
-        out.push_str(
-            &self
-                .headers
-                .iter()
-                .map(|h| escape(h))
-                .collect::<Vec<_>>()
-                .join(","),
-        );
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.iter().map(|c| escape(c)).collect::<Vec<_>>().join(","));
             out.push('\n');
         }
         out
@@ -135,21 +103,6 @@ mod tests {
         let lines: Vec<&str> = md.lines().collect();
         // All lines have identical length when padded.
         assert!(lines.windows(2).all(|w| w[0].len() == w[1].len()));
-    }
-
-    #[test]
-    fn csv_escapes_commas_and_quotes() {
-        let mut t = Table::new(["a", "b"]);
-        t.add_row(["1,5".to_string(), "say \"hi\"".to_string()]);
-        let csv = t.to_csv();
-        assert!(csv.contains("\"1,5\""));
-        assert!(csv.contains("\"say \"\"hi\"\"\""));
-    }
-
-    #[test]
-    fn row_count_tracks_rows() {
-        assert_eq!(sample().row_count(), 2);
-        assert_eq!(Table::new(["x"]).row_count(), 0);
     }
 
     #[test]

@@ -34,6 +34,15 @@ use splat_types::{Camera, CameraIntrinsics, Priority, RenderError, Rgb, SceneId,
 
 use crate::json::JsonValue;
 
+/// Most pixels one requested frame may have (`width × height`, on
+/// `POST /render` and per frame of `POST /trajectories`): 2²⁵, which still
+/// admits the paper's largest view (Residence, 5472 × 3648). A larger frame
+/// is refused as an invalid `height` before anything is allocated.
+pub const MAX_FRAME_PIXELS: u64 = 1 << 25;
+
+/// Most frames one `POST /trajectories` request may ask for.
+pub const MAX_TRAJECTORY_FRAMES: usize = 4096;
+
 /// FNV-1a 64 digest of a framebuffer: dimensions then row-major
 /// `r, g, b` bit patterns — the workspace-wide canonical frame digest.
 pub fn frame_digest(image: &Framebuffer) -> u64 {
@@ -289,6 +298,21 @@ fn parse_u32(value: Option<&JsonValue>, field: &'static str) -> Result<u32, Requ
     u32::try_from(raw).map_err(|_| RequestError::Invalid(field))
 }
 
+/// Parses a frame's `width` and `height` (fields `<scope>.width` /
+/// `<scope>.height`), refusing frames beyond [`MAX_FRAME_PIXELS`].
+fn parse_resolution(
+    spec: &JsonValue,
+    width_field: &'static str,
+    height_field: &'static str,
+) -> Result<(u32, u32), RequestError> {
+    let width = parse_u32(spec.get("width"), width_field)?;
+    let height = parse_u32(spec.get("height"), height_field)?;
+    if u64::from(width) * u64::from(height) > MAX_FRAME_PIXELS {
+        return Err(RequestError::Invalid(height_field));
+    }
+    Ok((width, height))
+}
+
 fn parse_scene_id(body: &JsonValue) -> Result<SceneId, RequestError> {
     body.get("scene_id")
         .ok_or(RequestError::Missing("scene_id"))?
@@ -320,8 +344,7 @@ fn parse_camera(body: &JsonValue) -> Result<Camera, RequestError> {
         Some(_) => parse_vec3(camera.get("up"), "camera.up")?,
     };
     let fov_y = parse_f32(camera.get("fov_y"), "camera.fov_y")?;
-    let width = parse_u32(camera.get("width"), "camera.width")?;
-    let height = parse_u32(camera.get("height"), "camera.height")?;
+    let (width, height) = parse_resolution(camera, "camera.width", "camera.height")?;
     let intrinsics =
         CameraIntrinsics::try_from_fov_y(fov_y, width, height).map_err(RequestError::Render)?;
     Camera::try_look_at(eye, target, up, intrinsics).map_err(RequestError::Render)
@@ -335,7 +358,8 @@ fn parse_camera(body: &JsonValue) -> Result<Camera, RequestError> {
 ///             "fov_y": 0.8, "width": 640, "height": 480}}
 /// ```
 ///
-/// `priority` and `camera.up` are optional (`"normal"` / `+Y`).
+/// `priority` and `camera.up` are optional (`"normal"` / `+Y`); a camera
+/// beyond [`MAX_FRAME_PIXELS`] is refused.
 pub fn parse_render_request(body: &JsonValue) -> Result<RenderWireRequest, RequestError> {
     Ok(RenderWireRequest {
         scene_id: parse_scene_id(body)?,
@@ -353,8 +377,9 @@ pub fn parse_render_request(body: &JsonValue) -> Result<RenderWireRequest, Reque
 ///                 "fov_y": 0.8, "width": 640, "height": 480}}
 /// ```
 ///
-/// Only the `"orbit"` kind exists today; `frames` is clamped to at
-/// least 1 by the trajectory builder.
+/// Only the `"orbit"` kind exists today; `frames` must lie in
+/// `1..=`[`MAX_TRAJECTORY_FRAMES`] and each frame within
+/// [`MAX_FRAME_PIXELS`].
 pub fn parse_trajectory_request(body: &JsonValue) -> Result<TrajectoryWireRequest, RequestError> {
     let scene_id = parse_scene_id(body)?;
     let priority = parse_priority(body)?;
@@ -376,11 +401,10 @@ pub fn parse_trajectory_request(body: &JsonValue) -> Result<TrajectoryWireReques
         .ok_or(RequestError::Missing("trajectory.frames"))?
         .as_u64()
         .and_then(|raw| usize::try_from(raw).ok())
-        .filter(|&frames| frames >= 1)
+        .filter(|frames| (1..=MAX_TRAJECTORY_FRAMES).contains(frames))
         .ok_or(RequestError::Invalid("trajectory.frames"))?;
     let fov_y = parse_f32(spec.get("fov_y"), "trajectory.fov_y")?;
-    let width = parse_u32(spec.get("width"), "trajectory.width")?;
-    let height = parse_u32(spec.get("height"), "trajectory.height")?;
+    let (width, height) = parse_resolution(spec, "trajectory.width", "trajectory.height")?;
     let intrinsics =
         CameraIntrinsics::try_from_fov_y(fov_y, width, height).map_err(RequestError::Render)?;
     Ok(TrajectoryWireRequest {
@@ -505,5 +529,68 @@ mod tests {
             parse_trajectory_request(&zero_frames),
             Err(RequestError::Invalid("trajectory.frames"))
         ));
+    }
+
+    fn render_body(width: u32, height: u32) -> JsonValue {
+        parse_json(&format!(
+            r#"{{"scene_id": 5,
+                "camera": {{"eye": [0.0, 1.0, -4.0], "target": [0.0, 0.0, 0.0],
+                            "fov_y": 0.8, "width": {width}, "height": {height}}}}}"#
+        ))
+        .expect("valid json")
+    }
+
+    fn trajectory_body(frames: u64, width: u32, height: u32) -> JsonValue {
+        parse_json(&format!(
+            r#"{{"scene_id": 2,
+                "trajectory": {{"center": [0.0, 0.0, 0.0], "radius": 4.0,
+                                "elevation": 1.5, "frames": {frames},
+                                "fov_y": 0.8, "width": {width}, "height": {height}}}}}"#
+        ))
+        .expect("valid json")
+    }
+
+    #[test]
+    fn oversized_render_cameras_are_refused_before_allocation() {
+        assert!(matches!(
+            parse_render_request(&render_body(65_535, 65_535)),
+            Err(RequestError::Invalid("camera.height"))
+        ));
+        // One pixel past the bound is refused; the bound itself is admitted.
+        assert!(matches!(
+            parse_render_request(&render_body(1 << 13, (1 << 12) + 1)),
+            Err(RequestError::Invalid("camera.height"))
+        ));
+        assert!(parse_render_request(&render_body(1 << 13, 1 << 12)).is_ok());
+    }
+
+    #[test]
+    fn a_residence_sized_camera_is_admitted() {
+        let request = parse_render_request(&render_body(5472, 3648)).expect("paper view");
+        assert_eq!(
+            (request.camera.width(), request.camera.height()),
+            (5472, 3648)
+        );
+    }
+
+    #[test]
+    fn oversized_trajectories_are_refused_before_allocation() {
+        assert!(matches!(
+            parse_trajectory_request(&trajectory_body(4, 65_535, 65_535)),
+            Err(RequestError::Invalid("trajectory.height"))
+        ));
+        assert!(matches!(
+            parse_trajectory_request(&trajectory_body(1 << 32, 32, 24)),
+            Err(RequestError::Invalid("trajectory.frames"))
+        ));
+        let too_many = MAX_TRAJECTORY_FRAMES as u64 + 1;
+        assert!(matches!(
+            parse_trajectory_request(&trajectory_body(too_many, 32, 24)),
+            Err(RequestError::Invalid("trajectory.frames"))
+        ));
+        let request =
+            parse_trajectory_request(&trajectory_body(MAX_TRAJECTORY_FRAMES as u64, 5472, 3648))
+                .expect("the bounds themselves are admitted");
+        assert_eq!(request.trajectory.len(), MAX_TRAJECTORY_FRAMES);
     }
 }

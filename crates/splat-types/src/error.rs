@@ -27,11 +27,6 @@ pub enum Error {
         /// The requested degree.
         degree: usize,
     },
-    /// A value could not be represented in the requested reduced precision.
-    PrecisionOverflow {
-        /// The value that overflowed.
-        value: f32,
-    },
 }
 
 impl fmt::Display for Error {
@@ -45,12 +40,6 @@ impl fmt::Display for Error {
             }
             Error::UnsupportedShDegree { degree } => {
                 write!(f, "unsupported spherical harmonics degree {degree} (max 3)")
-            }
-            Error::PrecisionOverflow { value } => {
-                write!(
-                    f,
-                    "value {value} cannot be represented in reduced precision"
-                )
             }
         }
     }

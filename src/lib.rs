@@ -5,7 +5,8 @@
 //!
 //! * [`types`] — math primitives and the 3D Gaussian data model,
 //! * [`core`] — the shared stage engine (execution config, tile
-//!   scheduler, stage counters, blending kernel, CSR assignment storage,
+//!   scheduler, stage counters, one in-place blending kernel per walk
+//!   shared by the sequential and parallel paths, CSR assignment storage,
 //!   radix key sort and the frame arenas behind the allocation-free render
 //!   sessions) both pipelines build on,
 //! * [`scene`] — synthetic scenes matching the paper's evaluation set,
@@ -28,7 +29,8 @@
 //!   responses, chunked trajectory streaming, and connection
 //!   backpressure composing with the engine's admission control,
 //! * [`accel`] — the cycle-level accelerator simulator,
-//! * [`metrics`] — summary statistics and table output.
+//! * [`metrics`] — means, geometric means, markdown tables and the
+//!   canonical frame digest.
 //!
 //! # Quickstart
 //!

@@ -64,7 +64,12 @@ fn index_audit_count_is_pinned() {
     // 129 -> 122: `splat-scene/src/stats.rs` (three, in `percentile`) is
     // deleted and `HarnessOptions::parse` walks an iterator instead of
     // `args[i]` / `args[i + 1]` (four).
-    let audited = 122;
+    //
+    // 122 -> 118: the owned tile kernels are gone — the span twin's pixel
+    // composition (four, in `span.rs`) and the full walk's
+    // `pixels[row_start..]` (one, in `blend.rs`) — and the one kernel per
+    // walk writes through `Framebuffer::row_mut` (one, in `image.rs`).
+    let audited = 118;
     assert!(
         index_warnings <= audited,
         "no-index-panic count grew past the audited baseline ({index_warnings} > {audited}): \

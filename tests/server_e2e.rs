@@ -332,10 +332,24 @@ fn malformed_requests_get_typed_4xx_without_killing_the_pool() {
     let response = oversized.read_response().expect("refusal arrives");
     assert_eq!(response.status, 413);
 
-    // Bad JSON, unknown scene, evicted scene, unknown route.
+    // Bad JSON, an oversized frame, unknown scene, evicted scene, unknown
+    // route.
     let response =
         one_shot(&addr, TIMEOUT, "POST", "/render", b"not json at all").expect("bad json answers");
     assert_eq!(response.status, 400);
+
+    // 65535 x 65535 would be ~51 GB of pixels: refused at the wire, on a
+    // live scene, before a worker allocates anything.
+    let response = one_shot(
+        &addr,
+        TIMEOUT,
+        "POST",
+        "/render",
+        camera_body(scene_id, "normal", 65_535, 65_535).as_bytes(),
+    )
+    .expect("oversized frame answers");
+    assert_eq!(response.status, 400);
+    assert!(String::from_utf8_lossy(&response.body).contains("camera.height"));
 
     let response = one_shot(
         &addr,
@@ -382,7 +396,10 @@ fn malformed_requests_get_typed_4xx_without_killing_the_pool() {
     for (identity, left, right) in stats.identities() {
         assert_eq!(left, right, "{identity}");
     }
-    assert_eq!(stats.bad_request, 3, "bad magic + truncated + bad json");
+    assert_eq!(
+        stats.bad_request, 4,
+        "bad magic + truncated + bad json + oversized frame"
+    );
     assert_eq!(stats.payload_too_large, 1);
     assert_eq!(stats.not_found, 2, "unknown scene + unknown route");
     assert_eq!(stats.gone, 1);

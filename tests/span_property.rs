@@ -16,8 +16,8 @@
 //!    count, and the span-only counters stay zero in full mode.
 
 use gs_tg::core::{
-    alpha_at, conservative_row_interval, rasterize_tile_spans_with, rasterize_tile_with,
-    ProjectedGaussian, SpanScratch, TileRect, ALPHA_CULL_THRESHOLD,
+    alpha_at, conservative_row_interval, rasterize_tile_into_with, rasterize_tile_spans_into_with,
+    Framebuffer, ProjectedGaussian, SpanScratch, TileRect, ALPHA_CULL_THRESHOLD,
 };
 use gs_tg::prelude::*;
 use gs_tg::render::preprocess_into;
@@ -34,6 +34,14 @@ fn preprocess(
     let mut projected = Vec::new();
     preprocess_into(scene, camera, config, counts, &mut projected);
     projected
+}
+
+/// A tile-sized framebuffer for `rect`, with the origin the kernels take
+/// for it.
+fn tile_buffer(rect: &TileRect) -> (Framebuffer, (u32, u32)) {
+    let origin = (rect.x0 as u32, rect.y0 as u32);
+    let image = Framebuffer::black(rect.x1 as u32 - origin.0, rect.y1 as u32 - origin.1);
+    (image, origin)
 }
 
 fn random_scene(rng: &mut Rng, splats: usize) -> Scene {
@@ -205,23 +213,39 @@ fn span_counters_reconcile_against_the_brute_force_tile_walk() {
                 (ty * 16 + 16) as f32,
             );
             for simd in SimdMode::ALL {
-                let full = rasterize_tile_with(&sorted, &projected, &rect, Rgb::BLACK, simd);
-                let spans = rasterize_tile_spans_with(
+                let (mut full, origin) = tile_buffer(&rect);
+                let mut full_counts = StageCounts::new();
+                rasterize_tile_into_with(
                     &sorted,
                     &projected,
                     &rect,
                     Rgb::BLACK,
                     simd,
+                    &mut full,
+                    origin,
+                    &mut full_counts,
+                );
+                let (mut spans, origin) = tile_buffer(&rect);
+                let mut span_counts = StageCounts::new();
+                rasterize_tile_spans_into_with(
+                    &sorted,
+                    &projected,
+                    &rect,
+                    Rgb::BLACK,
+                    simd,
+                    &mut spans,
+                    origin,
+                    &mut span_counts,
                     &mut scratch,
                 );
-                assert_eq!(spans.pixels, full.pixels, "tile ({tx},{ty}) {simd:?}");
+                assert_eq!(spans, full, "tile ({tx},{ty}) {simd:?}");
                 assert_eq!(
-                    spans.counts.alpha_computations + spans.counts.span_skipped_alpha,
-                    full.counts.alpha_computations,
+                    span_counts.alpha_computations + span_counts.span_skipped_alpha,
+                    full_counts.alpha_computations,
                     "tile ({tx},{ty}) {simd:?} failed to reconcile"
                 );
-                assert_eq!(spans.counts.blend_operations, full.counts.blend_operations);
-                total_saved += spans.counts.span_skipped_alpha;
+                assert_eq!(span_counts.blend_operations, full_counts.blend_operations);
+                total_saved += span_counts.span_skipped_alpha;
             }
         }
         assert!(
