@@ -248,7 +248,9 @@ fn identify_groups_with_shift(
 
     let per_gaussian = out.groups_per_gaussian.iter_mut();
     for ((slot, splat), groups_of_splat) in projected.iter().enumerate().zip(per_gaussian) {
-        let Some(footprint) = GaussianFootprint::from_covariance(splat.mean, splat.cov) else {
+        let Some(footprint) =
+            GaussianFootprint::from_covariance(splat.mean, splat.cov, splat.inv_cov)
+        else {
             continue;
         };
         // Candidate range of small tiles under the bitmask boundary: tiles

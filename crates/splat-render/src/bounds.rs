@@ -39,12 +39,19 @@ pub struct GaussianFootprint {
 }
 
 impl GaussianFootprint {
-    /// Builds a footprint from the projected mean and 2D covariance.
+    /// Builds a footprint from the projected mean, the 2D covariance and
+    /// its inverse (preprocessing stores both on every
+    /// [`ProjectedGaussian`](splat_core::ProjectedGaussian), so the inverse
+    /// is never recomputed here).
     ///
-    /// Returns `None` when the covariance is degenerate (non-invertible),
-    /// which mirrors the reference implementation culling such splats.
-    pub fn from_covariance(mean: Vec2, cov: Mat2) -> Option<Self> {
-        let inv_cov = cov.inverse().ok()?;
+    /// Returns `None` when the covariance is degenerate (not positive
+    /// definite), which mirrors the reference implementation culling such
+    /// splats.
+    ///
+    /// `#[inline]` so GS-TG's group identification (another crate) inlines
+    /// it as the baseline's tile identification does.
+    #[inline]
+    pub fn from_covariance(mean: Vec2, cov: Mat2, inv_cov: Mat2) -> Option<Self> {
         let (l_max, l_min) = cov.symmetric_eigenvalues();
         if l_max <= 0.0 || l_min <= 0.0 {
             return None;
@@ -206,9 +213,14 @@ mod tests {
     use super::*;
     use splat_types::rng::Rng;
 
+    /// Footprint of `cov`, with its inverse computed as preprocessing does.
+    fn footprint(mean: Vec2, cov: Mat2) -> Option<GaussianFootprint> {
+        GaussianFootprint::from_covariance(mean, cov, cov.inverse().ok()?)
+    }
+
     /// Circular footprint of radius 3σ·σ = 3·σ pixels.
     fn circular(mean: Vec2, sigma: f32) -> GaussianFootprint {
-        GaussianFootprint::from_covariance(
+        footprint(
             mean,
             Mat2::from_symmetric(sigma * sigma, 0.0, sigma * sigma),
         )
@@ -226,12 +238,17 @@ mod tests {
             c * s * (a2 - b2),
             s * s * a2 + c * c * b2,
         );
-        GaussianFootprint::from_covariance(mean, cov).expect("non-degenerate")
+        footprint(mean, cov).expect("non-degenerate")
     }
 
     #[test]
     fn degenerate_covariance_is_rejected() {
-        assert!(GaussianFootprint::from_covariance(Vec2::ZERO, Mat2::ZERO).is_none());
+        // The zero covariance has no inverse, and whatever inverse a caller
+        // hands in, its zero eigenvalues reject it.
+        assert!(footprint(Vec2::ZERO, Mat2::ZERO).is_none());
+        for inv_cov in [Mat2::ZERO, Mat2::from_symmetric(1.0, 0.0, 1.0)] {
+            assert!(GaussianFootprint::from_covariance(Vec2::ZERO, Mat2::ZERO, inv_cov).is_none());
+        }
     }
 
     #[test]

@@ -11,19 +11,21 @@
 //!
 //! and removes splats that are outside the view frustum, behind the near
 //! plane, fully transparent, or project to a degenerate covariance.
+//!
+//! What depends only on the camera is computed once per frame: the
+//! [`Frustum`] (clip range and the guard-band tangent limits, which the
+//! frustum cull and the Jacobian clamp share) and the view rotation. Per
+//! splat the stage computes the view-space position once — the chunk's
+//! lane value under [`SimdMode::Wide8`], [`Camera::to_view`] otherwise —
+//! and feeds it to both the cull and the projection.
 
 use crate::config::{RenderConfig, ALPHA_CULL_THRESHOLD};
 use crate::stats::StageCounts;
 use splat_core::SimdMode;
 use splat_scene::{Scene, SceneSoA};
-use splat_types::{eval_color, Camera, Gaussian3d, Mat2, Mat3, Vec3};
+use splat_types::{eval_color, Camera, Frustum, Gaussian3d, Mat2, Mat3, Vec3};
 
 pub use splat_core::ProjectedGaussian;
-
-/// Limit applied to the view-space lateral offsets before computing the
-/// projection Jacobian, mirroring the reference CUDA implementation's
-/// clamping of `t.x/t.z` and `t.y/t.z` to 1.3× the frustum tangent.
-const JACOBIAN_TANGENT_GUARD: f32 = 1.3;
 
 /// Runs preprocessing over a scene for a camera, accumulating the stage's
 /// counters into `counts`. `out` is cleared and refilled in scene order
@@ -47,26 +49,28 @@ pub fn preprocess_into(
 ) {
     out.clear();
     out.reserve(scene.len());
-    preprocess_soa_into(scene.soa(), camera, config.exec.simd, counts, out);
-}
-
-/// Projects every splat of a SoA view, dispatching on the SIMD mode.
-fn preprocess_soa_into(
-    soa: &SceneSoA,
-    camera: &Camera,
-    simd: SimdMode,
-    counts: &mut StageCounts,
-    out: &mut Vec<ProjectedGaussian>,
-) {
-    match simd {
+    let frame = FrameCamera {
+        camera,
+        frustum: camera.frustum(),
+        view_rot: camera.view_rotation(),
+    };
+    let soa = scene.soa();
+    match config.exec.simd {
         SimdMode::Scalar => {
             for i in 0..soa.len() {
                 counts.input_gaussians += 1;
-                project_soa_splat(soa, i, None, camera, counts, out);
+                project_soa_splat(soa, i, None, &frame, counts, out);
             }
         }
-        SimdMode::Wide8 => preprocess_soa_chunked::<8>(soa, camera, counts, out),
+        SimdMode::Wide8 => preprocess_soa_chunked::<8>(soa, &frame, counts, out),
     }
+}
+
+/// The camera and what preprocessing derives from it once per frame.
+struct FrameCamera<'a> {
+    camera: &'a Camera,
+    frustum: Frustum,
+    view_rot: Mat3,
 }
 
 /// The chunked projection loop: the view transform runs `W` lanes at a
@@ -77,7 +81,7 @@ fn preprocess_soa_into(
 /// scalar path.
 fn preprocess_soa_chunked<const W: usize>(
     soa: &SceneSoA,
-    camera: &Camera,
+    frame: &FrameCamera<'_>,
     counts: &mut StageCounts,
     out: &mut Vec<ProjectedGaussian>,
 ) {
@@ -90,29 +94,30 @@ fn preprocess_soa_chunked<const W: usize>(
         xs.copy_from_slice(&soa.pos_x()[base..base + W]);
         ys.copy_from_slice(&soa.pos_y()[base..base + W]);
         zs.copy_from_slice(&soa.pos_z()[base..base + W]);
-        let (vx, vy, vz) = camera.to_view_lanes(&xs, &ys, &zs);
+        let (vx, vy, vz) = frame.camera.to_view_lanes(&xs, &ys, &zs);
         for lane in 0..W {
             counts.input_gaussians += 1;
             let view = Vec3::new(vx[lane], vy[lane], vz[lane]);
-            project_soa_splat(soa, base + lane, Some(view), camera, counts, out);
+            project_soa_splat(soa, base + lane, Some(view), frame, counts, out);
         }
         base += W;
     }
     for i in base..n {
         counts.input_gaussians += 1;
-        project_soa_splat(soa, i, None, camera, counts, out);
+        project_soa_splat(soa, i, None, frame, counts, out);
     }
 }
 
 /// Culls and projects one splat read out of the SoA arrays. `view_hint`
 /// carries a chunk-precomputed view-space position (bit-identical to
-/// computing it here).
+/// computing it here); either way it is computed once and serves both the
+/// frustum cull and the projection.
 #[inline]
 fn project_soa_splat(
     soa: &SceneSoA,
     i: usize,
     view_hint: Option<Vec3>,
-    camera: &Camera,
+    frame: &FrameCamera<'_>,
     counts: &mut StageCounts,
     out: &mut Vec<ProjectedGaussian>,
 ) {
@@ -123,15 +128,15 @@ fn project_soa_splat(
         return;
     }
     let position = soa.position(i);
-    let scale = soa.scale(i);
+    let view = view_hint.unwrap_or_else(|| frame.camera.to_view(position));
     // Frustum culling with the splat's 3σ bounding sphere.
-    if !camera.is_in_frustum(position, Gaussian3d::bounding_radius_of(scale)) {
+    let radius = Gaussian3d::bounding_radius_of(soa.scale(i));
+    if !frame.frustum.contains_view(view, radius) {
         counts.culled_gaussians += 1;
         return;
     }
-    let view = view_hint.unwrap_or_else(|| camera.to_view(position));
     let splat = project_visible_splat(
-        camera,
+        frame,
         i as u32,
         view,
         position,
@@ -152,7 +157,7 @@ fn project_soa_splat(
 #[allow(clippy::too_many_arguments)]
 #[inline]
 fn project_visible_splat(
-    camera: &Camera,
+    frame: &FrameCamera<'_>,
     index: u32,
     view: Vec3,
     position: Vec3,
@@ -162,13 +167,18 @@ fn project_visible_splat(
     sh_coefficients: &[splat_types::Rgb],
     counts: &mut StageCounts,
 ) -> Option<ProjectedGaussian> {
+    let FrameCamera {
+        camera,
+        frustum,
+        view_rot,
+    } = frame;
     let depth = -view.z;
     // Non-finite depths (NaN/∞ positions that slip past the frustum
     // test, whose rejecting comparisons are all false for NaN) are
     // culled here: every depth reaching the sort stage is finite, which
     // is what lets the key sort order splats without a NaN branch and
     // keeps `is_sorted_by_depth` consistent with the sort.
-    if !depth.is_finite() || depth <= camera.near() {
+    if !depth.is_finite() || depth <= frustum.near {
         counts.culled_gaussians += 1;
         return None;
     }
@@ -179,18 +189,16 @@ fn project_visible_splat(
     };
 
     // EWA covariance projection with the reference implementation's
-    // tangent clamp on the Jacobian evaluation point.
-    let intr = camera.intrinsics();
-    let limit_x = JACOBIAN_TANGENT_GUARD * (0.5 * intr.fov_x()).tan();
-    let limit_y = JACOBIAN_TANGENT_GUARD * (0.5 * intr.fov_y()).tan();
+    // tangent clamp on the Jacobian evaluation point: the frustum's
+    // guard-band limits.
+    let (limit_x, limit_y) = (frustum.limit_x, frustum.limit_y);
     let clamped_view = Vec3::new(
         (view.x / depth).clamp(-limit_x, limit_x) * depth,
         (view.y / depth).clamp(-limit_y, limit_y) * depth,
         view.z,
     );
     let jacobian = camera.projection_jacobian(clamped_view);
-    let view_rot = camera.view_rotation();
-    let t = jacobian * view_rot;
+    let t = jacobian * *view_rot;
     let cov2d_full = t * cov3d * t.transpose();
     // Low-pass filter: guarantee a minimum footprint of ~0.3 px so
     // sub-pixel splats still contribute (as in the reference code).
@@ -473,6 +481,126 @@ mod tests {
         let wide = preprocess(&scene, &camera(), &config(SimdMode::Wide8), &mut counts);
         assert_eq!(counts, scalar_counts);
         assert_eq!(wide, scalar);
+    }
+
+    /// Reference preprocessing of splat `i` that shares nothing across
+    /// splats: the frustum, both guard-band tangents and the view rotation
+    /// are recomputed for this one splat.
+    fn per_splat_reference(soa: &SceneSoA, i: usize, camera: &Camera) -> Option<ProjectedGaussian> {
+        let opacity = soa.opacity()[i];
+        let position = soa.position(i);
+        let radius = Gaussian3d::bounding_radius_of(soa.scale(i));
+        if opacity < ALPHA_CULL_THRESHOLD || !camera.is_in_frustum(position, radius) {
+            return None;
+        }
+        let view = camera.to_view(position);
+        let depth = -view.z;
+        if !depth.is_finite() || depth <= camera.near() {
+            return None;
+        }
+        let mean = camera.view_to_pixel(view)?;
+        let intr = camera.intrinsics();
+        let limit_x = 1.3 * (0.5 * intr.fov_x()).tan();
+        let limit_y = 1.3 * (0.5 * intr.fov_y()).tan();
+        let clamped_view = Vec3::new(
+            (view.x / depth).clamp(-limit_x, limit_x) * depth,
+            (view.y / depth).clamp(-limit_y, limit_y) * depth,
+            view.z,
+        );
+        let t = camera.projection_jacobian(clamped_view) * camera.view_rotation();
+        let cov = (t * soa.covariance(i) * t.transpose()).upper_left_2x2()
+            + Mat2::from_symmetric(0.3, 0.0, 0.3);
+        let inv_cov = cov.inverse().ok()?;
+        if cov.determinant() <= 0.0 {
+            return None;
+        }
+        let direction = (position - camera.position()).normalized();
+        Some(ProjectedGaussian {
+            index: i as u32,
+            depth,
+            mean,
+            cov,
+            inv_cov,
+            opacity,
+            color: eval_color(soa.sh_degree(i), soa.sh_coefficients(i), direction),
+        })
+    }
+
+    #[test]
+    fn guard_band_projection_matches_the_per_splat_reference() {
+        // An off-axis, non-square camera (fov_x ≠ fov_y) and a cloud whose
+        // bounding spheres straddle the lateral guard band: some splats are
+        // culled, and the kept ones past the band project with a clamped
+        // Jacobian. 203 splats: 25 full 8-lane chunks and a 3-splat tail.
+        let camera = Camera::look_at(
+            Vec3::new(1.0, -0.5, -2.0),
+            Vec3::new(0.8, 0.6, 6.0),
+            Vec3::Y,
+            CameraIntrinsics::from_fov_y(0.8, 320, 120),
+        );
+        let frustum = camera.frustum();
+        let rotation_t = camera.view_rotation().transpose();
+        let m = camera.view_matrix();
+        let translation = Vec3::new(m.at(0, 3), m.at(1, 3), m.at(2, 3));
+        let mut rng = splat_types::rng::Rng::seed_from_u64(0x0FF_A515);
+        let gaussians: Vec<Gaussian3d> = (0..203)
+            .map(|i| {
+                let scale = rng.range_f32(0.05, 0.4);
+                let radius = Gaussian3d::bounding_radius_of(Vec3::splat(scale));
+                let depth = rng.range_f32(1.0, 20.0);
+                // Out to ±1.5 bounding radii beyond the band, on one axis.
+                let past_band = |limit: f32, rng: &mut splat_types::rng::Rng| {
+                    rng.range_f32(-1.0, 1.0).signum()
+                        * (limit * depth + rng.range_f32(-1.5, 1.5) * radius)
+                };
+                let (x, y) = if i % 2 == 0 {
+                    let x = past_band(frustum.limit_x, &mut rng);
+                    (x, rng.range_f32(-1.0, 1.0) * frustum.limit_y * depth)
+                } else {
+                    let y = past_band(frustum.limit_y, &mut rng);
+                    (rng.range_f32(-1.0, 1.0) * frustum.limit_x * depth, y)
+                };
+                let world = rotation_t.mul_vec(Vec3::new(x, y, -depth) - translation);
+                Gaussian3d::builder()
+                    .position(world)
+                    .scale(Vec3::new(scale, 0.6 * scale, 0.8 * scale))
+                    .rotation(Quat::from_axis_angle(Vec3::Y, i as f32 * 0.3))
+                    .opacity(0.8)
+                    .base_color([0.4, 0.5, 0.6])
+                    .build()
+            })
+            .collect();
+        let scene = Scene::new("guard-band", 320, 120, gaussians);
+
+        let soa = scene.soa();
+        let reference: Vec<ProjectedGaussian> = (0..soa.len())
+            .filter_map(|i| per_splat_reference(soa, i, &camera))
+            .collect();
+        let culled = (soa.len() - reference.len()) as u64;
+        let clamped = reference
+            .iter()
+            .filter(|p| {
+                let view = camera.to_view(soa.position(p.index as usize));
+                let depth = -view.z;
+                (view.x / depth).abs() > frustum.limit_x || (view.y / depth).abs() > frustum.limit_y
+            })
+            .count();
+        assert!(culled > 20, "only {culled} splats culled at the band");
+        assert!(clamped > 20, "only {clamped} kept splats past the band");
+
+        for simd in [SimdMode::Scalar, SimdMode::Wide8] {
+            let config = RenderConfig::new(16, BoundaryMethod::Aabb).with_simd(simd);
+            let mut counts = StageCounts::new();
+            let projected = preprocess(&scene, &camera, &config, &mut counts);
+            // `==` on floats is not bit equality; `Debug` prints each float
+            // as the shortest string that round-trips it, so equal strings
+            // mean equal bits (and tell -0.0 from 0.0).
+            let bits = |p: &[ProjectedGaussian]| format!("{p:?}");
+            assert_eq!(bits(&projected), bits(&reference), "{simd:?}");
+            assert_eq!(counts.input_gaussians, soa.len() as u64);
+            assert_eq!(counts.visible_gaussians, reference.len() as u64);
+            assert_eq!(counts.culled_gaussians, culled);
+        }
     }
 
     #[test]

@@ -333,7 +333,9 @@ pub fn identify_tiles_into(
 
     let per_gaussian = out.tiles_per_gaussian.iter_mut();
     for ((slot, splat), tiles_of_splat) in projected.iter().enumerate().zip(per_gaussian) {
-        let Some(footprint) = GaussianFootprint::from_covariance(splat.mean, splat.cov) else {
+        let Some(footprint) =
+            GaussianFootprint::from_covariance(splat.mean, splat.cov, splat.inv_cov)
+        else {
             continue;
         };
         let half_extent = footprint.candidate_half_extent(boundary);

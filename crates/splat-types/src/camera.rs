@@ -113,6 +113,43 @@ impl CameraIntrinsics {
     }
 }
 
+/// Lateral guard band of the frustum: the cull keeps, and the projection
+/// Jacobian is evaluated no further out than, 1.3× the half-field-of-view
+/// tangent, as in the reference 3D-GS implementation.
+pub const FRUSTUM_GUARD_BAND: f32 = 1.3;
+
+/// The per-frame culling limits of a [`Camera`] ([`Camera::frustum`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Frustum {
+    /// Near clipping distance.
+    pub near: f32,
+    /// Far clipping distance.
+    pub far: f32,
+    /// Largest kept `|x| / depth`: [`FRUSTUM_GUARD_BAND`] × `tan(fov_x / 2)`.
+    pub limit_x: f32,
+    /// Largest kept `|y| / depth`: [`FRUSTUM_GUARD_BAND`] × `tan(fov_y / 2)`.
+    pub limit_y: f32,
+}
+
+impl Frustum {
+    /// Conservative frustum test for a sphere of `radius` around a point
+    /// already in view space.
+    ///
+    /// Matches the culling performed in 3D-GS preprocessing: points behind
+    /// the near plane, beyond the far plane or outside the lateral frustum
+    /// widened by the guard band are culled.
+    #[inline]
+    pub fn contains_view(&self, view: Vec3, radius: f32) -> bool {
+        let depth = -view.z;
+        if depth + radius < self.near || depth - radius > self.far {
+            return false;
+        }
+        let safe_depth = depth.max(self.near);
+        view.x.abs() - radius <= self.limit_x * safe_depth
+            && view.y.abs() - radius <= self.limit_y * safe_depth
+    }
+}
+
 /// A posed pinhole camera.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Camera {
@@ -384,23 +421,22 @@ impl Camera {
         self.view_to_pixel(self.to_view(world))
     }
 
-    /// Conservative frustum test for a sphere of `radius` around `world`.
-    ///
-    /// Matches the culling performed in 3D-GS preprocessing: points behind
-    /// the near plane or far outside the lateral frustum (with a 30% guard
-    /// band, mirroring the reference implementation's 1.3× tangent bound)
-    /// are culled.
-    pub fn is_in_frustum(&self, world: Vec3, radius: f32) -> bool {
-        let view = self.to_view(world);
-        let depth = -view.z;
-        if depth + radius < self.near || depth - radius > self.far {
-            return false;
+    /// The camera-constant culling quantities: the clip range and the
+    /// guard-band tangent limits. They depend only on the camera, so a
+    /// renderer computes them once per frame, not once per splat.
+    pub fn frustum(&self) -> Frustum {
+        Frustum {
+            near: self.near,
+            far: self.far,
+            limit_x: FRUSTUM_GUARD_BAND * (0.5 * self.intrinsics.fov_x()).tan(),
+            limit_y: FRUSTUM_GUARD_BAND * (0.5 * self.intrinsics.fov_y()).tan(),
         }
-        let limit_x = 1.3 * (0.5 * self.intrinsics.fov_x()).tan();
-        let limit_y = 1.3 * (0.5 * self.intrinsics.fov_y()).tan();
-        let safe_depth = depth.max(self.near);
-        view.x.abs() - radius <= limit_x * safe_depth
-            && view.y.abs() - radius <= limit_y * safe_depth
+    }
+
+    /// Conservative frustum test for a sphere of `radius` around `world`:
+    /// [`Frustum::contains_view`] on the point's view-space position.
+    pub fn is_in_frustum(&self, world: Vec3, radius: f32) -> bool {
+        self.frustum().contains_view(self.to_view(world), radius)
     }
 
     /// The Jacobian of the projection at a view-space point, used by EWA
@@ -484,6 +520,112 @@ mod tests {
         // keeps points slightly outside.
         assert!(cam.is_in_frustum(Vec3::new(0.0, 11.0, 10.0), 0.0));
         assert!(!cam.is_in_frustum(Vec3::new(0.0, 20.0, 10.0), 0.0));
+    }
+
+    /// Reference frustum test for [`Frustum::contains_view`]: one
+    /// self-contained call that transforms the point and recomputes the
+    /// guard-band tangents itself.
+    fn per_call_is_in_frustum(camera: &Camera, world: Vec3, radius: f32) -> bool {
+        let view = camera.to_view(world);
+        let depth = -view.z;
+        if depth + radius < camera.near || depth - radius > camera.far {
+            return false;
+        }
+        let limit_x = 1.3 * (0.5 * camera.intrinsics.fov_x()).tan();
+        let limit_y = 1.3 * (0.5 * camera.intrinsics.fov_y()).tan();
+        let safe_depth = depth.max(camera.near);
+        view.x.abs() - radius <= limit_x * safe_depth
+            && view.y.abs() - radius <= limit_y * safe_depth
+    }
+
+    #[test]
+    fn frustum_decides_like_the_per_call_test() {
+        let off_axis = |intrinsics| {
+            Camera::look_at(
+                Vec3::new(2.0, -1.5, 3.0),
+                Vec3::new(-0.5, 0.75, 9.0),
+                Vec3::Y,
+                intrinsics,
+            )
+            .with_clip_range(0.5, 40.0)
+        };
+        let cameras = [
+            test_camera(),
+            // Non-square: fov_x ≠ fov_y.
+            off_axis(CameraIntrinsics::from_fov_y(0.7, 640, 200)),
+            // Odd size at half resolution: rounding the size outward shifts
+            // the field of view.
+            off_axis(CameraIntrinsics::from_fov_y(1.1, 97, 63)).half_resolution(),
+            Camera::look_at(
+                Vec3::new(f32::NAN, 0.0, 0.0),
+                Vec3::new(0.0, 0.0, 1.0),
+                Vec3::Y,
+                CameraIntrinsics::from_fov_y(1.0, 640, 480),
+            ),
+        ];
+        let mut rng = crate::rng::Rng::seed_from_u64(0x5EED_F00D_0000_0027);
+        for (c, camera) in cameras.iter().enumerate() {
+            let frustum = camera.frustum();
+            // Map a view-space point back to the world: `R^T (v - t)`.
+            let rotation_t = camera.view_rotation().transpose();
+            let m = camera.view_matrix();
+            let translation = Vec3::new(m.at(0, 3), m.at(1, 3), m.at(2, 3));
+            let (mut kept, mut culled) = (0, 0);
+            for case in 0..4000 {
+                let radius = match case % 4 {
+                    0 => 0.0,
+                    _ => rng.range_f32(0.0, 0.5),
+                };
+                // Crowd the depths at the near and far planes (±radius, the
+                // cull's edges) or spread them through the range.
+                let jitter = rng.range_f32(-1e-3, 1e-3);
+                let depth = match case % 3 {
+                    0 => camera.near + radius * rng.range_f32(-1.0, 1.0).signum() + jitter,
+                    1 => camera.far - radius * rng.range_f32(-1.0, 1.0).signum() + jitter,
+                    _ => rng.range_f32(camera.near, camera.far),
+                };
+                // Crowd the lateral offsets at the guard band on one axis.
+                let side_x = rng.range_f32(-1.0, 1.0).signum();
+                let side_y = rng.range_f32(-1.0, 1.0).signum();
+                let band = rng.range_f32(0.999, 1.001);
+                let safe_depth = depth.max(camera.near);
+                let (x, y) = if case % 2 == 0 {
+                    (
+                        side_x * (frustum.limit_x * safe_depth * band + radius),
+                        rng.range_f32(-1.0, 1.0) * frustum.limit_y * safe_depth,
+                    )
+                } else {
+                    (
+                        rng.range_f32(-1.0, 1.0) * frustum.limit_x * safe_depth,
+                        side_y * (frustum.limit_y * safe_depth * band + radius),
+                    )
+                };
+                let view = Vec3::new(x, y, -depth);
+                let world = rotation_t.mul_vec(view - translation);
+                let expected = per_call_is_in_frustum(camera, world, radius);
+                assert_eq!(
+                    frustum.contains_view(camera.to_view(world), radius),
+                    expected,
+                    "camera {c}, case {case}: {world:?} r={radius}"
+                );
+                assert_eq!(camera.is_in_frustum(world, radius), expected);
+                if expected {
+                    kept += 1;
+                } else {
+                    culled += 1;
+                }
+            }
+            // The cloud straddles the boundary: both decisions occur, except
+            // for the NaN pose, which culls everything.
+            if c == cameras.len() - 1 {
+                assert_eq!(kept, 0, "a NaN pose keeps nothing");
+            } else {
+                assert!(
+                    kept > 500 && culled > 500,
+                    "camera {c}: {kept} kept, {culled} culled"
+                );
+            }
+        }
     }
 
     #[test]
