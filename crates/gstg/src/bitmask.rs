@@ -15,7 +15,7 @@ pub struct TileBitmask(u64);
 
 impl TileBitmask {
     /// The empty mask (splat touches no tile of the group).
-    pub const EMPTY: Self = Self(0);
+    pub(crate) const EMPTY: Self = Self(0);
 
     /// Creates a mask from its raw bits.
     #[inline]
@@ -83,7 +83,7 @@ impl TileBitmask {
     /// Iterates over the indices of set tiles in ascending order, one step
     /// per set bit.
     #[inline]
-    pub fn iter_set(self) -> impl Iterator<Item = u32> {
+    pub(crate) fn iter_set(self) -> impl Iterator<Item = u32> {
         SetBits(self.0)
     }
 }
@@ -151,13 +151,13 @@ impl GroupLayout {
 
     /// Number of small tiles along one group edge.
     #[inline]
-    pub fn tiles_per_side(&self) -> u32 {
+    pub(crate) fn tiles_per_side(&self) -> u32 {
         self.tiles_per_side
     }
 
     /// Number of small tiles in the group.
     #[inline]
-    pub fn tiles_per_group(&self) -> u32 {
+    pub(crate) fn tiles_per_group(&self) -> u32 {
         self.tiles_per_side * self.tiles_per_side
     }
 
@@ -173,7 +173,7 @@ impl GroupLayout {
     ///
     /// Panics when the coordinates exceed the group.
     #[inline]
-    pub fn bit_index(&self, tx_in_group: u32, ty_in_group: u32) -> u32 {
+    pub(crate) fn bit_index(&self, tx_in_group: u32, ty_in_group: u32) -> u32 {
         assert!(
             tx_in_group < self.tiles_per_side && ty_in_group < self.tiles_per_side,
             "tile ({tx_in_group},{ty_in_group}) outside group"
@@ -183,7 +183,7 @@ impl GroupLayout {
 
     /// Inverse of [`GroupLayout::bit_index`].
     #[inline]
-    pub fn tile_of_bit(&self, bit: u32) -> (u32, u32) {
+    pub(crate) fn tile_of_bit(&self, bit: u32) -> (u32, u32) {
         (bit % self.tiles_per_side, bit / self.tiles_per_side)
     }
 }

@@ -30,7 +30,7 @@ pub struct GstgConfig {
 impl GstgConfig {
     /// Maximum number of small tiles per group supported by the software
     /// pipeline's 64-bit bitmask (an 8×8 tile grouping, e.g. "8+64").
-    pub const MAX_TILES_PER_GROUP: u32 = 64;
+    pub(crate) const MAX_TILES_PER_GROUP: u32 = 64;
 
     /// The configuration the paper selects after the Fig. 11 sweep:
     /// 16×16 tiles grouped into 64×64 groups with the ellipse boundary for
@@ -102,13 +102,13 @@ impl GstgConfig {
 
     /// Number of small tiles along one edge of a group.
     #[inline]
-    pub fn tiles_per_group_side(&self) -> u32 {
+    pub(crate) fn tiles_per_group_side(&self) -> u32 {
         self.group_size / self.tile_size
     }
 
     /// Number of small tiles in a group.
     #[inline]
-    pub fn tiles_per_group(&self) -> u32 {
+    pub(crate) fn tiles_per_group(&self) -> u32 {
         let side = self.tiles_per_group_side();
         side * side
     }

@@ -12,7 +12,7 @@
 //! (same boundary method for groups and bitmasks, power-of-two tile and
 //! group sizes) the group range is the small-tile range shifted down, so
 //! the half extent and the four floors are computed once and shared. Every
-//! bit set is also tallied per tile ([`GroupAssignments::tile_hits`]), which
+//! bit set is also tallied per tile (`GroupAssignments::tile_hits`), which
 //! is what lets rasterization scatter a sorted group list into its tiles'
 //! lists in one walk ([`crate::raster`]).
 
@@ -22,7 +22,7 @@ use splat_core::{CsrAssignments, CsrScratch};
 use splat_render::bounds::GaussianFootprint;
 use splat_render::preprocess::ProjectedGaussian;
 use splat_render::stats::StageCounts;
-use splat_render::tiling::{mean_of_nonzero, TileGrid};
+use splat_render::tiling::TileGrid;
 
 /// One splat's membership in one group: which projected splat it is and
 /// which small tiles of the group it touches. Packed to 4-byte alignment:
@@ -73,13 +73,13 @@ impl GroupAssignments {
 
     /// Grid of groups (one cell per group).
     #[inline]
-    pub fn group_grid(&self) -> &TileGrid {
+    pub(crate) fn group_grid(&self) -> &TileGrid {
         &self.group_grid
     }
 
     /// Grid of small tiles.
     #[inline]
-    pub fn tile_grid(&self) -> &TileGrid {
+    pub(crate) fn tile_grid(&self) -> &TileGrid {
         &self.tile_grid
     }
 
@@ -100,7 +100,7 @@ impl GroupAssignments {
     /// that tile's bit set (`tiles_hit` per tile). Sorting permutes entries
     /// within a group, so the tallies identification took stay valid.
     #[inline]
-    pub fn tile_hits(&self, group: usize) -> &[u32] {
+    pub(crate) fn tile_hits(&self, group: usize) -> &[u32] {
         let tiles = self.layout.tiles_per_group() as usize;
         self.tile_hits
             .get(group * tiles..(group + 1) * tiles)
@@ -116,7 +116,7 @@ impl GroupAssignments {
 
     /// Number of groups.
     #[inline]
-    pub fn group_count(&self) -> usize {
+    pub(crate) fn group_count(&self) -> usize {
         self.per_group.bin_count()
     }
 
@@ -144,16 +144,10 @@ impl GroupAssignments {
         &self.groups_per_gaussian
     }
 
-    /// Mean number of groups intersected per splat that touches at least
-    /// one group.
-    pub fn mean_groups_per_gaussian(&self) -> f64 {
-        mean_of_nonzero(&self.groups_per_gaussian)
-    }
-
     /// Global small-tile coordinates of bit `bit` in group `(gx, gy)`, or
     /// `None` when the tile would fall outside the image (border groups are
     /// partially empty).
-    pub fn global_tile_of_bit(&self, gx: u32, gy: u32, bit: u32) -> Option<(u32, u32)> {
+    pub(crate) fn global_tile_of_bit(&self, gx: u32, gy: u32, bit: u32) -> Option<(u32, u32)> {
         let (tx_in, ty_in) = self.layout.tile_of_bit(bit);
         let tx = gx * self.layout.tiles_per_side() + tx_in;
         let ty = gy * self.layout.tiles_per_side() + ty_in;
@@ -706,6 +700,5 @@ pub(crate) mod tests {
         let mut counts = StageCounts::new();
         let groups = identify_groups(&splats, 256, 256, &cfg, &mut counts);
         assert_eq!(groups.groups_per_gaussian()[0], 4);
-        assert!((groups.mean_groups_per_gaussian() - 4.0).abs() < 1e-9);
     }
 }

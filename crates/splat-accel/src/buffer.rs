@@ -11,7 +11,7 @@ use crate::dram::GAUSSIAN_FEATURE_BYTES;
 
 /// Bytes of on-chip state per group entry: the preprocessed features plus
 /// the 16-bit tile bitmask and the sorted index.
-pub const GROUP_ENTRY_BYTES: u64 = GAUSSIAN_FEATURE_BYTES + 2 + 4;
+pub(crate) const GROUP_ENTRY_BYTES: u64 = GAUSSIAN_FEATURE_BYTES + 2 + 4;
 
 /// Occupancy analysis of the per-core group buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -31,7 +31,10 @@ impl BufferReport {
     /// `capacity_bytes`. A group that does not fit must stream its overflow
     /// entries from DRAM once more per tile row it renders, which the model
     /// approximates as one extra fetch of the overflowing entries.
-    pub fn analyze(group_entry_counts: impl IntoIterator<Item = u64>, capacity_bytes: u64) -> Self {
+    pub(crate) fn analyze(
+        group_entry_counts: impl IntoIterator<Item = u64>,
+        capacity_bytes: u64,
+    ) -> Self {
         let mut report = BufferReport {
             capacity_bytes,
             ..BufferReport::default()
@@ -51,15 +54,6 @@ impl BufferReport {
     pub fn fits(&self) -> bool {
         self.spilled_groups == 0
     }
-
-    /// Fraction of the buffer used by the largest group (can exceed 1 when
-    /// spilling occurs).
-    pub fn peak_utilization(&self) -> f64 {
-        if self.capacity_bytes == 0 {
-            return 0.0;
-        }
-        self.peak_group_bytes as f64 / self.capacity_bytes as f64
-    }
 }
 
 #[cfg(test)]
@@ -72,7 +66,6 @@ mod tests {
         assert!(report.fits());
         assert_eq!(report.spill_bytes, 0);
         assert_eq!(report.peak_group_bytes, 500 * GROUP_ENTRY_BYTES);
-        assert!(report.peak_utilization() < 1.0);
     }
 
     #[test]
@@ -82,7 +75,6 @@ mod tests {
         assert!(!report.fits());
         assert_eq!(report.spilled_groups, 1);
         assert!(report.spill_bytes > 0);
-        assert!(report.peak_utilization() > 1.0);
     }
 
     #[test]
@@ -95,7 +87,6 @@ mod tests {
     #[test]
     fn zero_capacity_reports_zero_utilization() {
         let report = BufferReport::analyze([10], 0);
-        assert_eq!(report.peak_utilization(), 0.0);
         assert!(!report.fits());
     }
 }

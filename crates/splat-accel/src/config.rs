@@ -78,43 +78,43 @@ impl AccelConfig {
 
     /// Total boundary-test throughput of the preprocessing modules
     /// (tests per cycle).
-    pub fn total_tile_test_throughput(&self) -> f64 {
+    pub(crate) fn total_tile_test_throughput(&self) -> f64 {
         f64::from(self.preprocessing_modules) * self.pm_tile_tests_per_cycle
     }
 
     /// Total splat feature-computation throughput (splats per cycle).
-    pub fn total_feature_throughput(&self) -> f64 {
+    pub(crate) fn total_feature_throughput(&self) -> f64 {
         f64::from(self.preprocessing_modules) * self.pm_gaussians_per_cycle
     }
 
     /// Total bitmask tile-check throughput across cores (tests per cycle).
-    pub fn total_bitmask_throughput(&self) -> f64 {
+    pub(crate) fn total_bitmask_throughput(&self) -> f64 {
         f64::from(self.cores) * f64::from(self.bgm_tile_check_units)
     }
 
     /// Total sort comparison throughput across cores (comparisons/cycle).
-    pub fn total_sort_comparison_throughput(&self) -> f64 {
+    pub(crate) fn total_sort_comparison_throughput(&self) -> f64 {
         f64::from(self.cores) * self.gsm_comparisons_per_cycle
     }
 
     /// Total sort key ingest throughput across cores (keys/cycle).
-    pub fn total_sort_key_throughput(&self) -> f64 {
+    pub(crate) fn total_sort_key_throughput(&self) -> f64 {
         f64::from(self.cores) * self.gsm_keys_per_cycle
     }
 
     /// Total bitmask filter throughput across cores (filter ops/cycle).
-    pub fn total_filter_throughput(&self) -> f64 {
+    pub(crate) fn total_filter_throughput(&self) -> f64 {
         f64::from(self.cores) * self.rm_filter_ops_per_cycle
     }
 
     /// Total rasterization throughput across cores
     /// (α-computations per cycle).
-    pub fn total_raster_throughput(&self) -> f64 {
+    pub(crate) fn total_raster_throughput(&self) -> f64 {
         f64::from(self.cores) * f64::from(self.rm_rasterization_units)
     }
 
     /// DRAM bytes transferable per clock cycle.
-    pub fn dram_bytes_per_cycle(&self) -> f64 {
+    pub(crate) fn dram_bytes_per_cycle(&self) -> f64 {
         self.dram_bandwidth_bytes_per_s / self.clock_hz
     }
 

@@ -16,23 +16,23 @@ use crate::config::AccelConfig;
 /// Bytes of one Gaussian's full parameter set (position, scale, rotation,
 /// opacity and degree-1 SH color) stored in fp16 as the paper converts the
 /// models to 16-bit floats: (3 + 3 + 4 + 1 + 12) scalars × 2 bytes.
-pub const GAUSSIAN_PARAMETER_BYTES: u64 = 46;
+pub(crate) const GAUSSIAN_PARAMETER_BYTES: u64 = 46;
 
 /// Bytes of the preprocessed per-splat features consumed by rasterization
 /// (depth, 2D mean, 2D covariance, color, opacity — 10 scalars in fp16)
 /// plus a 4-byte index.
-pub const GAUSSIAN_FEATURE_BYTES: u64 = 24;
+pub(crate) const GAUSSIAN_FEATURE_BYTES: u64 = 24;
 
 /// Bytes of one duplicated sort record: the depth key plus the splat index.
-pub const SORT_KEY_BYTES: u64 = 12;
+pub(crate) const SORT_KEY_BYTES: u64 = 12;
 
 /// Number of times each duplicated sort record crosses the DRAM interface:
 /// written out by identification, read back by the sorting stage, and the
 /// sorted index list written again for rasterization to consume.
-pub const SORT_KEY_PASSES: u64 = 3;
+pub(crate) const SORT_KEY_PASSES: u64 = 3;
 
 /// Bytes per output pixel (RGB, 8 bits per channel plus padding).
-pub const PIXEL_BYTES: u64 = 4;
+pub(crate) const PIXEL_BYTES: u64 = 4;
 
 /// Per-stage DRAM traffic of one frame, in bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -54,7 +54,7 @@ impl DramTraffic {
     /// Traffic of the conventional per-tile pipeline:
     ///
     /// * every input splat's parameters are read once;
-    /// * every per-tile sort record makes [`SORT_KEY_PASSES`] trips across
+    /// * every per-tile sort record makes three trips across
     ///   the DRAM interface (identification write, sorter read, sorted
     ///   write-back);
     /// * every per-tile list entry causes one feature fetch during
@@ -84,7 +84,7 @@ impl DramTraffic {
 /// Converts traffic into time and energy for a given hardware
 /// configuration.
 #[derive(Debug, Clone, Copy)]
-pub struct DramModel {
+pub(crate) struct DramModel {
     config: AccelConfig,
 }
 
@@ -95,7 +95,7 @@ impl DramModel {
     }
 
     /// Cycles needed to move `bytes` at the configured bandwidth.
-    pub fn transfer_cycles(&self, bytes: u64) -> u64 {
+    pub(crate) fn transfer_cycles(&self, bytes: u64) -> u64 {
         if bytes == 0 {
             return 0;
         }
@@ -103,7 +103,7 @@ impl DramModel {
     }
 
     /// DRAM energy in joules for `bytes` of traffic.
-    pub fn energy_joules(&self, bytes: u64) -> f64 {
+    pub(crate) fn energy_joules(&self, bytes: u64) -> f64 {
         bytes as f64 * self.config.dram_pj_per_byte * 1e-12
     }
 }

@@ -112,7 +112,7 @@ impl EnergyBreakdown {
     /// frame cycles (buffers are powered for the whole frame), the DRAM
     /// traffic and the hardware configuration.
     #[allow(clippy::too_many_arguments)]
-    pub fn from_activity(
+    pub(crate) fn from_activity(
         table: &PowerTable,
         config: &AccelConfig,
         pm_cycles: u64,

@@ -56,7 +56,7 @@ pub mod report;
 pub mod sim;
 
 pub use config::AccelConfig;
-pub use dram::{DramModel, DramTraffic};
+pub use dram::DramTraffic;
 pub use energy::{EnergyBreakdown, PowerTable};
 pub use gscore::GscoreConfig;
 pub use report::{ComparisonReport, SimReport, StageCycles};

@@ -20,7 +20,7 @@ fn cycles(work: f64, per_cycle: f64) -> u64 {
 
 /// Work submitted to the preprocessing modules for one frame.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct PreprocessingWork {
+pub(crate) struct PreprocessingWork {
     /// Splats read and culled.
     pub input_gaussians: u64,
     /// Splats whose features (projection, covariance, SH color) are
@@ -37,7 +37,7 @@ pub struct PreprocessingWork {
 /// The preprocessing module array (PM): feature computation, culling and
 /// tile/group identification.
 #[derive(Debug, Clone, Copy)]
-pub struct PreprocessingModel {
+pub(crate) struct PreprocessingModel {
     config: AccelConfig,
 }
 
@@ -48,7 +48,7 @@ impl PreprocessingModel {
     }
 
     /// Occupancy of the PM array for the given work.
-    pub fn occupancy_cycles(&self, work: &PreprocessingWork) -> u64 {
+    pub(crate) fn occupancy_cycles(&self, work: &PreprocessingWork) -> u64 {
         let cull = cycles(
             work.input_gaussians as f64,
             self.config.total_feature_throughput() * 4.0,
@@ -67,7 +67,7 @@ impl PreprocessingModel {
 
 /// Work submitted to the bitmask generation modules for one frame.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct BitmaskWork {
+pub(crate) struct BitmaskWork {
     /// Small-tile boundary tests performed to build the bitmasks (16 per
     /// (group, splat) pair for the 4×4 grouping); each pipelined tile-check
     /// unit retires one test per cycle.
@@ -77,7 +77,7 @@ pub struct BitmaskWork {
 /// The bitmask generation module array (BGM): four tile-check units per
 /// core generating the 16-bit per-Gaussian tile bitmasks.
 #[derive(Debug, Clone, Copy)]
-pub struct BitmaskModel {
+pub(crate) struct BitmaskModel {
     config: AccelConfig,
 }
 
@@ -88,7 +88,7 @@ impl BitmaskModel {
     }
 
     /// Occupancy of the BGM array for the given work.
-    pub fn occupancy_cycles(&self, work: &BitmaskWork) -> u64 {
+    pub(crate) fn occupancy_cycles(&self, work: &BitmaskWork) -> u64 {
         cycles(
             work.bitmask_tests as f64,
             self.config.total_bitmask_throughput(),
@@ -98,7 +98,7 @@ impl BitmaskModel {
 
 /// Work submitted to the sorting modules for one frame.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct SortingWork {
+pub(crate) struct SortingWork {
     /// Number of (tile, splat) or (group, splat) keys to sort. Every key
     /// must be ingested, permuted and written back.
     pub keys: u64,
@@ -109,7 +109,7 @@ pub struct SortingWork {
 /// The group-wise sorting module array (GSM): a quick-sort unit with 16
 /// comparators per core plus the key-movement datapath.
 #[derive(Debug, Clone, Copy)]
-pub struct SortingModel {
+pub(crate) struct SortingModel {
     config: AccelConfig,
 }
 
@@ -122,7 +122,7 @@ impl SortingModel {
     /// Occupancy of the GSM array for the given work. Key movement and the
     /// comparison network operate concurrently, so the slower of the two
     /// determines the occupancy.
-    pub fn occupancy_cycles(&self, work: &SortingWork) -> u64 {
+    pub(crate) fn occupancy_cycles(&self, work: &SortingWork) -> u64 {
         let key_cycles = cycles(work.keys as f64, self.config.total_sort_key_throughput());
         let cmp_cycles = cycles(
             work.comparisons as f64,
@@ -134,7 +134,7 @@ impl SortingModel {
 
 /// Work submitted to the rasterization modules for one frame.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct RasterWork {
+pub(crate) struct RasterWork {
     /// Bitmask AND/OR filter operations (GS-TG only; zero for the
     /// baseline).
     pub filter_ops: u64,
@@ -149,7 +149,7 @@ pub struct RasterWork {
 /// The rasterization module array (RM): an 8-wide bitmask filter feeding a
 /// FIFO and 16 rasterization units per core.
 #[derive(Debug, Clone, Copy)]
-pub struct RasterModel {
+pub(crate) struct RasterModel {
     config: AccelConfig,
 }
 
@@ -163,7 +163,7 @@ impl RasterModel {
     /// and the rasterization units are decoupled by the FIFO, so occupancy
     /// is the maximum of the two; blending is fused into the RU pipeline
     /// (one α-computation and its blend retire together).
-    pub fn occupancy_cycles(&self, work: &RasterWork) -> u64 {
+    pub(crate) fn occupancy_cycles(&self, work: &RasterWork) -> u64 {
         let filter = cycles(
             work.filter_ops as f64,
             self.config.total_filter_throughput(),

@@ -40,8 +40,9 @@ pub const ALPHA_MAX: f32 = 0.99;
 ///
 /// Each row is shaded into one framebuffer slice. The wide [`SimdMode`]s
 /// shade it in fixed-width pixel chunks (scalar tail) whose per-lane
-/// arithmetic replicates [`shade_pixel`] operation for operation, so every
-/// mode produces bit-identical pixels and identical counters.
+/// arithmetic replicates the scalar `shade_pixel` operation for
+/// operation, so every mode produces bit-identical pixels and identical
+/// counters.
 ///
 /// # Panics
 ///
@@ -222,7 +223,7 @@ fn shade_chunk<const W: usize>(
 /// α-computations, blends and early exits to `counts`. The caller charges
 /// `counts.pixels`.
 #[inline]
-pub fn shade_pixel(
+pub(crate) fn shade_pixel(
     sorted: &[u32],
     projected: &[ProjectedGaussian],
     pixel_center: Vec2,

@@ -59,7 +59,7 @@ impl<T> CsrAssignments<T> {
     ///
     /// Panics when `bin` is out of bounds.
     #[inline]
-    pub fn bin_mut(&mut self, bin: usize) -> &mut [T] {
+    pub(crate) fn bin_mut(&mut self, bin: usize) -> &mut [T] {
         let start = self.offsets[bin] as usize;
         let end = self.offsets[bin + 1] as usize;
         &mut self.entries[start..end]
@@ -114,12 +114,6 @@ impl<T: Copy> CsrScratch<T> {
     #[inline]
     pub fn stage(&mut self, bin: u32, entry: T) {
         self.staged.push((bin, entry));
-    }
-
-    /// Number of pairs staged since the last [`CsrScratch::clear`].
-    #[inline]
-    pub fn staged_len(&self) -> usize {
-        self.staged.len()
     }
 
     /// Counting prepass → prefix-sum offsets → stable scatter: rebuilds
@@ -225,7 +219,6 @@ mod tests {
         let out_bytes = out.footprint_bytes();
 
         scratch.clear();
-        assert_eq!(scratch.staged_len(), 0);
         for &(bin, entry) in &[(1u32, 4u32), (1, 5)] {
             scratch.stage(bin, entry);
         }

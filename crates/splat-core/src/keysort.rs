@@ -11,7 +11,7 @@
 //!
 //! The radix sort performs no comparisons, so the paper's redundancy
 //! accounting is kept two ways: [`KeySortRun`] reports the *actual* key
-//! counts and radix passes, and [`modeled_merge_comparisons`] charges the
+//! counts and radix passes, and `modeled_merge_comparisons` charges the
 //! `n·⌈log₂ n⌉` comparison bound the figures' cost model continues to use
 //! for `StageCounts::sort_comparisons`.
 
@@ -28,7 +28,7 @@ use crate::stats::StageCounts;
 /// normalized to `+0.0` first so the two zeros compare equal, exactly as
 /// the `partial_cmp` comparator this key replaced treated them.
 #[inline]
-pub fn depth_key(depth: f32) -> u32 {
+pub(crate) fn depth_key(depth: f32) -> u32 {
     // IEEE 754: -0.0 + 0.0 == +0.0, so both zeros share one key.
     let bits = (depth + 0.0).to_bits();
     if bits & 0x8000_0000 != 0 {
@@ -49,7 +49,7 @@ pub fn splat_key(depth: f32, index: u32) -> u64 {
 /// list of `len` keys. This is the modeled comparison count charged to
 /// [`StageCounts::sort_comparisons`] now that the key sort performs none.
 #[inline]
-pub fn modeled_merge_comparisons(len: usize) -> u64 {
+pub(crate) fn modeled_merge_comparisons(len: usize) -> u64 {
     if len <= 1 {
         return 0;
     }
@@ -65,8 +65,7 @@ pub struct KeySortRun {
     /// Radix digit passes actually executed (constant digit bytes are
     /// skipped).
     pub passes: u64,
-    /// Modeled merge-sort comparisons for the same list
-    /// ([`modeled_merge_comparisons`]).
+    /// Modeled merge-sort comparisons for the same list (`n·⌈log₂ n⌉`).
     pub modeled_comparisons: u64,
 }
 

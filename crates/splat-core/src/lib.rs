@@ -55,16 +55,12 @@ pub mod stats;
 pub use arena::{FrameArena, SessionFrame};
 pub use backend::{request_cost_hint, RenderBackend, RenderOutput, RenderRequest};
 pub use blend::{
-    alpha_at, rasterize_tile_into_with, shade_pixel, ALPHA_CULL_THRESHOLD, ALPHA_MAX,
-    TRANSMITTANCE_EPSILON,
+    alpha_at, rasterize_tile_into_with, ALPHA_CULL_THRESHOLD, ALPHA_MAX, TRANSMITTANCE_EPSILON,
 };
 pub use csr::{CsrAssignments, CsrScratch};
 pub use exec::{ExecutionConfig, HasExecution, SimdMode, SpanMode};
 pub use image::Framebuffer;
-pub use keysort::{
-    depth_key, is_sorted_by_depth, modeled_merge_comparisons, sort_bins_by_depth, splat_key,
-    KeySortRun, KeySortScratch,
-};
+pub use keysort::{is_sorted_by_depth, sort_bins_by_depth, splat_key, KeySortRun, KeySortScratch};
 pub use rect::{TileRect, MAHALANOBIS_CUTOFF, SIGMA_EXTENT};
 pub use schedule::TileScheduler;
 pub use shade::{shade_tiles, TileLists};

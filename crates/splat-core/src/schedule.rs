@@ -26,7 +26,7 @@ impl TileScheduler {
     }
 
     /// Creates a scheduler from a shared execution configuration.
-    pub fn from_exec(exec: &ExecutionConfig) -> Self {
+    pub(crate) fn from_exec(exec: &ExecutionConfig) -> Self {
         Self::new(exec.threads)
     }
 

@@ -104,7 +104,7 @@ impl SpanScratch {
     /// Folds build time drained from another scratch into this one (used by
     /// the parallel rasterizers, whose per-tile scratches are thread-local;
     /// the sum is aggregate worker time, not wall-clock).
-    pub fn add_build_time(&mut self, time: Duration) {
+    pub(crate) fn add_build_time(&mut self, time: Duration) {
         self.build_time += time;
     }
 

@@ -110,16 +110,6 @@ impl StageCounts {
         }
     }
 
-    /// Fraction of α-computations that were wasted, i.e. did not lead to a
-    /// blend (either α < 1/255 or the splat did not cover the pixel).
-    pub fn wasted_alpha_fraction(&self) -> f64 {
-        if self.alpha_computations == 0 {
-            0.0
-        } else {
-            1.0 - self.blend_operations as f64 / self.alpha_computations as f64
-        }
-    }
-
     /// The bookkeeping identities every frame's counters satisfy, as
     /// `(name, left, right)` with `left == right`: preprocessing culls or
     /// keeps each submitted splat. `tiles_hit == tile_intersections` is not
@@ -177,7 +167,6 @@ mod tests {
         let c = StageCounts::new();
         assert_eq!(c.tiles_per_gaussian(), 0.0);
         assert_eq!(c.gaussians_per_pixel(), 0.0);
-        assert_eq!(c.wasted_alpha_fraction(), 0.0);
     }
 
     #[test]
@@ -198,16 +187,6 @@ mod tests {
             ..StageCounts::default()
         };
         assert!((c.gaussians_per_pixel() - 25.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn wasted_fraction_counts_non_blended_alphas() {
-        let c = StageCounts {
-            alpha_computations: 100,
-            blend_operations: 60,
-            ..StageCounts::default()
-        };
-        assert!((c.wasted_alpha_fraction() - 0.4).abs() < 1e-9);
     }
 
     /// Field *i* holds the *i*-th prime, so every value is distinct.

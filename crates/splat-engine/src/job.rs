@@ -279,8 +279,8 @@ impl JobHandle {
 /// slots (or sit rendered awaiting delivery) at any moment. Each
 /// [`TrajectoryStream::next_frame`] tops the window back up after taking a
 /// frame, so workers stay busy exactly `window` frames ahead of the
-/// consumer. Dropping the stream withdraws whatever it still has queued
-/// ([`TrajectoryStream::cancel_remaining`]) — a consumer that walks away
+/// consumer. Dropping the stream withdraws whatever it still has queued —
+/// a consumer that walks away
 /// stops costing renders; a frame already rendering finishes and is
 /// discarded, and frames never submitted are simply never admitted.
 #[derive(Debug)]
@@ -414,7 +414,7 @@ impl<'a> TrajectoryStream<'a> {
     /// many were withdrawn. Frames already rendering (or finished) are
     /// untouched and still deliverable; cancelled frames deliver
     /// [`RenderError::Cancelled`] in order.
-    pub fn cancel_remaining(&self) -> usize {
+    pub(crate) fn cancel_remaining(&self) -> usize {
         self.pending
             .iter()
             .filter(|frame| matches!(frame, Ok(handle) if handle.cancel()))

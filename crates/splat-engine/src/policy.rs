@@ -156,7 +156,7 @@ impl QualityPolicy {
     ///
     /// Pure integer arithmetic on the queue state — no clocks, no
     /// randomness — so the mapping is deterministic and replayable.
-    pub fn tier_for(self, depth: usize, capacity: usize) -> QualityTier {
+    pub(crate) fn tier_for(self, depth: usize, capacity: usize) -> QualityTier {
         match self {
             QualityPolicy::FullOnly => QualityTier::Full,
             QualityPolicy::Pinned(tier) => tier,

@@ -45,10 +45,6 @@ pub struct Config {
     /// Identifiers that must not be called while the registry guard is
     /// held (allocation-heavy scene preparation).
     pub heavy_calls: Vec<String>,
-    /// File whose prelude must re-export every public config knob.
-    pub prelude_file: String,
-    /// Config-knob type names exempt from `prelude-coverage`.
-    pub prelude_exclude: Vec<String>,
 }
 
 impl Default for Config {
@@ -59,8 +55,6 @@ impl Default for Config {
             timing_allow: Vec::new(),
             rng_allow: Vec::new(),
             heavy_calls: vec!["prepare".to_string(), "PreparedScene".to_string()],
-            prelude_file: "src/lib.rs".to_string(),
-            prelude_exclude: Vec::new(),
         }
     }
 }
@@ -151,8 +145,6 @@ impl Config {
             ("no-nondeterminism", "timing-allow") => self.timing_allow = parse_array(value, line)?,
             ("no-nondeterminism", "rng-allow") => self.rng_allow = parse_array(value, line)?,
             ("lock-discipline", "heavy-calls") => self.heavy_calls = parse_array(value, line)?,
-            ("prelude-coverage", "prelude-file") => self.prelude_file = parse_string(value, line)?,
-            ("prelude-coverage", "exclude") => self.prelude_exclude = parse_array(value, line)?,
             _ => return err(&format!("unknown key `{key}` in section `[{section}]`")),
         }
         Ok(())

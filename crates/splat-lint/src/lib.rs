@@ -11,10 +11,6 @@
 //!   the seeded helpers: golden digests must stay bit-exact.
 //! * **`lock-discipline`** — engine mutexes are leaf locks, and scene
 //!   preparation runs outside the registry guard (the PR 5 rule).
-//! * **`error-coverage`** — every error variant is exercised by
-//!   `tests/error_paths.rs`.
-//! * **`prelude-coverage`** — every public `*Config`/`*Policy`/`*Mode`
-//!   knob is re-exported from the prelude.
 //!
 //! Findings are suppressed inline with
 //! `// lint:allow(rule-id): reason` — the reason is mandatory, the

@@ -88,8 +88,6 @@ fn short_description(id: &str) -> &'static str {
         "no-index-panic" => "audit xs[i] index expressions in library code",
         "no-nondeterminism" => "no hash iteration, wall clocks or RNG outside designated modules",
         "lock-discipline" => "engine mutexes are leaf locks; no prepare under the registry guard",
-        "error-coverage" => "every error variant is exercised by tests/error_paths.rs",
-        "prelude-coverage" => "every public *Config/*Policy/*Mode knob is in the prelude",
         _ => "",
     }
 }

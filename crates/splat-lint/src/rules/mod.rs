@@ -1,8 +1,6 @@
-//! The rule engine: the [`Rule`] trait, the rule registry, and shared
-//! token-level parsing helpers (identifiers, enum variants) used by the
-//! structural cross-check rules.
+//! The rule engine: the [`Rule`] trait, the rule registry, and the shared
+//! helpers every rule builds its findings with.
 
-mod coverage;
 mod locks;
 mod nondeterminism;
 mod panic_paths;
@@ -12,7 +10,6 @@ use crate::diag::Diagnostic;
 use crate::lexer::{Token, TokenKind};
 use crate::source::{SourceFile, Workspace};
 
-pub use coverage::{ErrorCoverage, PreludeCoverage};
 pub use locks::LockDiscipline;
 pub use nondeterminism::NoNondeterminism;
 pub use panic_paths::{NoIndexPanic, NoPanicPaths};
@@ -34,8 +31,6 @@ pub fn all_rules() -> Vec<Box<dyn Rule>> {
         Box::new(NoIndexPanic),
         Box::new(NoNondeterminism),
         Box::new(LockDiscipline),
-        Box::new(ErrorCoverage),
-        Box::new(PreludeCoverage),
     ]
 }
 
@@ -69,96 +64,4 @@ pub fn code_tokens(file: &SourceFile) -> Vec<(usize, Token)> {
         .filter(|(_, t)| t.kind != TokenKind::Comment)
         .map(|(i, t)| (i, *t))
         .collect()
-}
-
-/// Whether the identifier `name` occurs as a code token in `file`.
-pub fn contains_ident(file: &SourceFile, name: &str) -> bool {
-    file.tokens
-        .iter()
-        .any(|t| t.kind == TokenKind::Ident && t.text(&file.text) == name)
-}
-
-/// Parses the variant names of `enum name { A, B(..), C{..} }`.
-pub fn enum_variants(file: &SourceFile, name: &str) -> Vec<(String, Token)> {
-    let code = code_tokens(file);
-    let mut variants = Vec::new();
-    let Some(open) = find_item_open(&code, file, "enum", name) else {
-        return variants;
-    };
-    let mut depth = 1i64;
-    let mut expecting = true;
-    let mut i = open + 1;
-    while i < code.len() && depth > 0 {
-        let t = &code[i].1;
-        match t.kind {
-            // Skip `#[...]` attributes between variants.
-            TokenKind::Punct('#') if depth == 1 => {
-                let mut d = 0i64;
-                i += 1;
-                while i < code.len() {
-                    match code[i].1.kind {
-                        TokenKind::Punct('[') => d += 1,
-                        TokenKind::Punct(']') => {
-                            d -= 1;
-                            if d == 0 {
-                                break;
-                            }
-                        }
-                        _ => {}
-                    }
-                    i += 1;
-                }
-            }
-            TokenKind::Punct('{') | TokenKind::Punct('(') | TokenKind::Punct('[') => depth += 1,
-            TokenKind::Punct('}') | TokenKind::Punct(')') | TokenKind::Punct(']') => depth -= 1,
-            TokenKind::Punct(',') if depth == 1 => expecting = true,
-            TokenKind::Ident if depth == 1 && expecting => {
-                variants.push((t.text(&file.text).to_string(), *t));
-                expecting = false;
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    variants
-}
-
-/// Finds the code-token index of the `{` opening `kind name ... {`.
-fn find_item_open(
-    code: &[(usize, Token)],
-    file: &SourceFile,
-    kind: &str,
-    name: &str,
-) -> Option<usize> {
-    for i in 0..code.len().saturating_sub(1) {
-        if code[i].1.is_ident(&file.text, kind) && code[i + 1].1.is_ident(&file.text, name) {
-            let mut j = i + 2;
-            while j < code.len() {
-                match code[j].1.kind {
-                    TokenKind::Punct('{') => return Some(j),
-                    TokenKind::Punct(';') => return None, // tuple/unit struct
-                    _ => j += 1,
-                }
-            }
-        }
-    }
-    None
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn enum_variants_skip_payloads_and_attributes() {
-        let file = SourceFile::new(
-            "crates/splat-types/src/error.rs",
-            "pub enum RenderError {\n    EmptyScene,\n    #[non_exhaustive]\n    Overloaded { capacity: usize },\n    Unknown(u64, String),\n}\n",
-        );
-        let names: Vec<String> = enum_variants(&file, "RenderError")
-            .into_iter()
-            .map(|(n, _)| n)
-            .collect();
-        assert_eq!(names, ["EmptyScene", "Overloaded", "Unknown"]);
-    }
 }

@@ -6,7 +6,3 @@ pub fn skew(i: usize) -> u64 {
     let t = Instant::now();
     t.elapsed().as_nanos() as u64 + m.get(&i).copied().unwrap_or(0)
 }
-
-pub struct SkewConfig {
-    pub window: usize,
-}

@@ -21,10 +21,10 @@
 //! ```
 
 /// The FNV-1a 64-bit offset basis.
-pub const FNV1A64_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+pub(crate) const FNV1A64_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// The FNV-1a 64-bit prime.
-pub const FNV1A64_PRIME: u64 = 0x0000_0100_0000_01b3;
+pub(crate) const FNV1A64_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// Streaming FNV-1a 64-bit hasher.
 ///

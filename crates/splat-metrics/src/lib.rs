@@ -25,6 +25,6 @@ pub mod digest;
 pub mod summary;
 pub mod table;
 
-pub use digest::{digest_f32s, fnv1a64, Fnv1a64, FNV1A64_OFFSET, FNV1A64_PRIME};
+pub use digest::{digest_f32s, fnv1a64, Fnv1a64};
 pub use summary::{geometric_mean, mean};
 pub use table::Table;

@@ -70,13 +70,13 @@ impl GaussianFootprint {
     /// Half-extent of the conservative square AABB used by the original
     /// 3D-GS (3σ of the largest eigenvalue in both axes).
     #[inline]
-    pub fn aabb_half_extent(&self) -> f32 {
+    pub(crate) fn aabb_half_extent(&self) -> f32 {
         self.radius_major
     }
 
     /// Tight axis-aligned half extents of the 3σ ellipse, used to bound the
     /// candidate tile range for the OBB and ellipse tests.
-    pub fn tight_half_extent(&self) -> Vec2 {
+    pub(crate) fn tight_half_extent(&self) -> Vec2 {
         // Extent of an ellipse along a coordinate axis e is
         // sqrt(Σ r_i² (a_i · e)²) over the principal axes a_i.
         let ex = ((self.radius_major * self.axis_major.x).powi(2)

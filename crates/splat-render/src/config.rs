@@ -42,7 +42,7 @@ impl BoundaryMethod {
     /// arbitrary "operation" units used by the cost model. AABB needs only
     /// range comparisons, OBB runs a separating-axis test, the ellipse test
     /// evaluates the quadratic form against the rectangle.
-    pub fn test_cost(self) -> f64 {
+    pub(crate) fn test_cost(self) -> f64 {
         match self {
             BoundaryMethod::Aabb => 1.0,
             BoundaryMethod::Obb => 2.5,

@@ -85,7 +85,7 @@ pub struct CostModel {
     /// Cost of culling one input splat (frustum + opacity test).
     pub cull_per_input: f64,
     /// Base cost of one tile/group boundary test; multiplied by the
-    /// boundary method's [`BoundaryMethod::test_cost`].
+    /// boundary method's relative test cost (AABB 1, OBB 2.5, ellipse 4).
     pub tile_test_base: f64,
     /// Cost of appending one (tile, splat) pair to an identification list.
     pub intersection_append: f64,

@@ -267,7 +267,7 @@ impl TileAssignments {
 
 /// Mean of the non-zero entries of a per-splat bin count (tiles or groups
 /// per splat), `0.0` when every entry is zero.
-pub fn mean_of_nonzero(per_gaussian: &[u32]) -> f64 {
+fn mean_of_nonzero(per_gaussian: &[u32]) -> f64 {
     let (sum, touched) = per_gaussian
         .iter()
         .filter(|&&n| n >= 1)

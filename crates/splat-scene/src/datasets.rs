@@ -64,7 +64,7 @@ pub enum SceneScale {
 
 impl SceneScale {
     /// Multiplier applied to the per-scene base splat count.
-    pub fn count_factor(self) -> f32 {
+    pub(crate) fn count_factor(self) -> f32 {
         match self {
             SceneScale::Tiny => 0.025,
             SceneScale::Small => 0.25,

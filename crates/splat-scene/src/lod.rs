@@ -37,7 +37,7 @@ pub const OPACITY_PRUNE_THRESHOLD: f32 = 0.2;
 
 /// Decimation stride of [`QualityTier::Tier3`]: every `DECIMATION_STRIDE`-th
 /// splat (starting at index 0) is kept.
-pub const DECIMATION_STRIDE: usize = 2;
+pub(crate) const DECIMATION_STRIDE: usize = 2;
 
 /// SH degree cap applied from [`QualityTier::Tier1`] down.
 ///
@@ -186,7 +186,7 @@ impl Scene {
     /// Returns a copy with every splat's SH coefficients truncated to
     /// `max_degree` (view-dependent bands above it are dropped; splats at
     /// or below the cap are cloned unchanged). Stable index order.
-    pub fn with_max_sh_degree(&self, max_degree: usize) -> Scene {
+    pub(crate) fn with_max_sh_degree(&self, max_degree: usize) -> Scene {
         Scene::new(
             self.name().to_owned(),
             self.width(),
@@ -199,7 +199,7 @@ impl Scene {
     /// `threshold`, in stable index order. A pruning that would empty the
     /// scene falls back to the unpruned splat set — a degraded tier must
     /// never turn a servable scene into an `EmptyScene` error.
-    pub fn opacity_pruned(&self, threshold: f32) -> Scene {
+    pub(crate) fn opacity_pruned(&self, threshold: f32) -> Scene {
         let kept: Vec<Gaussian3d> = self
             .iter()
             .filter(|g| g.opacity() >= threshold)

@@ -106,17 +106,6 @@ impl CameraTrajectory {
     pub fn cameras(&self) -> impl Iterator<Item = Camera> + '_ {
         (0..self.len()).map(|i| self.camera(i))
     }
-
-    /// Selects every `stride`-th pose, mirroring the paper's
-    /// train/test-split convention (every 8th image for T&T and DB, every
-    /// 64th for Mill-19, every 128th for UrbanScene3D).
-    pub fn test_split(&self, stride: usize) -> Vec<Camera> {
-        let stride = stride.max(1);
-        (0..self.len())
-            .step_by(stride)
-            .map(|i| self.camera(i))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -152,15 +141,6 @@ mod tests {
             let lateral = (cam.position() - center - Vec3::new(0.0, 2.0, 0.0)).length();
             assert!((lateral - 4.0).abs() < 1e-4);
         }
-    }
-
-    #[test]
-    fn test_split_strides_through_views() {
-        let traj = CameraTrajectory::lateral_sweep(intr(), 5.0, 10.0, 16);
-        assert_eq!(traj.test_split(8).len(), 2);
-        assert_eq!(traj.test_split(1).len(), 16);
-        // Stride zero is clamped to one rather than panicking.
-        assert_eq!(traj.test_split(0).len(), 16);
     }
 
     #[test]

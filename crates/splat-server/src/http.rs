@@ -70,7 +70,7 @@ impl std::error::Error for HttpError {}
 
 /// HTTP status code for an [`HttpError`] (413 for over-limit bodies,
 /// 400 for everything else).
-pub fn status_for_http_error(error: &HttpError) -> u16 {
+pub(crate) fn status_for_http_error(error: &HttpError) -> u16 {
     match error {
         HttpError::BodyTooLarge { .. } => 413,
         _ => 400,
@@ -103,7 +103,7 @@ impl Request {
 
 /// Outcome of reading one request off a keep-alive connection.
 #[derive(Debug)]
-pub enum ReadOutcome {
+pub(crate) enum ReadOutcome {
     /// A complete request plus the number of head bytes consumed
     /// (request line and headers; add `request.body.len()` for the
     /// full wire size).
@@ -161,7 +161,7 @@ fn read_line(
 /// mid-request map to [`ReadOutcome::Malformed`] /
 /// [`ReadOutcome::Closed`] so a slow or rude client degrades to a 400,
 /// not a worker failure.
-pub fn read_request(reader: &mut impl BufRead, max_body: usize) -> io::Result<ReadOutcome> {
+pub(crate) fn read_request(reader: &mut impl BufRead, max_body: usize) -> io::Result<ReadOutcome> {
     let mut budget = MAX_HEAD_BYTES;
 
     let request_line = match read_line(reader, &mut budget) {
@@ -263,7 +263,7 @@ fn is_peer_error(error: &io::Error) -> bool {
 }
 
 /// Reason phrase for the status codes the server emits.
-pub fn reason_phrase(status: u16) -> &'static str {
+pub(crate) fn reason_phrase(status: u16) -> &'static str {
     match status {
         200 => "OK",
         201 => "Created",
@@ -278,7 +278,7 @@ pub fn reason_phrase(status: u16) -> &'static str {
 
 /// Writes a complete `Content-Length`-framed response; returns the
 /// bytes put on the wire.
-pub fn write_response(
+pub(crate) fn write_response(
     stream: &mut impl Write,
     status: u16,
     extra_headers: &[(&str, String)],
@@ -305,7 +305,7 @@ pub fn write_response(
 
 /// Writes the head of a chunked response; the caller then emits
 /// [`write_chunk`]s and a final [`finish_chunks`].
-pub fn write_chunked_head(
+pub(crate) fn write_chunked_head(
     stream: &mut impl Write,
     status: u16,
     extra_headers: &[(&str, String)],
@@ -330,7 +330,7 @@ pub fn write_chunked_head(
 /// Writes one non-empty chunk; returns the bytes put on the wire
 /// (framing included). Empty payloads are skipped (an empty chunk
 /// would terminate the stream).
-pub fn write_chunk(stream: &mut impl Write, data: &[u8]) -> io::Result<u64> {
+pub(crate) fn write_chunk(stream: &mut impl Write, data: &[u8]) -> io::Result<u64> {
     if data.is_empty() {
         return Ok(0);
     }
@@ -343,7 +343,7 @@ pub fn write_chunk(stream: &mut impl Write, data: &[u8]) -> io::Result<u64> {
 }
 
 /// Terminates a chunked response; returns the bytes put on the wire.
-pub fn finish_chunks(stream: &mut impl Write) -> io::Result<u64> {
+pub(crate) fn finish_chunks(stream: &mut impl Write) -> io::Result<u64> {
     stream.write_all(b"0\r\n\r\n")?;
     stream.flush()?;
     Ok(5)

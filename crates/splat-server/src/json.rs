@@ -12,7 +12,7 @@
 
 /// Maximum nesting depth accepted by [`parse_json`]. Request bodies are
 /// flat (camera/trajectory parameters), so anything deeper is hostile.
-pub const MAX_JSON_DEPTH: usize = 32;
+pub(crate) const MAX_JSON_DEPTH: usize = 32;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -45,7 +45,7 @@ impl JsonValue {
     }
 
     /// The numeric value, if this is a number.
-    pub fn as_f64(&self) -> Option<f64> {
+    pub(crate) fn as_f64(&self) -> Option<f64> {
         match self {
             JsonValue::Number(value) => Some(*value),
             _ => None,

@@ -103,33 +103,15 @@ impl ServerConfig {
         self
     }
 
-    /// Sets the connection-queue bound.
-    pub fn with_pending_connections(mut self, pending: usize) -> Self {
-        self.pending_connections = pending;
-        self
-    }
-
     /// Sets the request-body limit in bytes.
     pub fn with_max_body_bytes(mut self, bytes: usize) -> Self {
         self.max_body_bytes = bytes;
         self
     }
 
-    /// Sets the trajectory-stream in-flight window.
-    pub fn with_stream_window(mut self, window: usize) -> Self {
-        self.stream_window = window;
-        self
-    }
-
     /// Sets the socket read timeout in milliseconds.
     pub fn with_read_timeout_ms(mut self, millis: u64) -> Self {
         self.read_timeout_ms = millis;
-        self
-    }
-
-    /// Sets the shutdown drain deadline in milliseconds.
-    pub fn with_drain_deadline_ms(mut self, millis: u64) -> Self {
-        self.drain_deadline_ms = millis;
         self
     }
 }
@@ -289,7 +271,7 @@ impl Server {
     /// idle keep-alive connections are closed, and `POST /shutdown`
     /// responses flip to refusals. Idempotent; also triggered remotely
     /// by `POST /shutdown`.
-    pub fn request_shutdown(&self) {
+    pub(crate) fn request_shutdown(&self) {
         self.shared.begin_stop();
     }
 
@@ -464,14 +446,21 @@ fn serve_connection(shared: &ServerShared, stream: TcpStream) -> io::Result<()> 
     }
 }
 
-/// Maps an engine refusal to its wire status.
+/// Maps an engine refusal to its wire status. There is no wildcard arm: a
+/// new `RenderError` variant does not compile until it is given a status.
 fn status_for_render_error(error: &RenderError) -> u16 {
     match error {
         RenderError::Overloaded { .. } | RenderError::ShutDown => 503,
         RenderError::UnknownScene { .. } => 404,
         RenderError::Evicted { .. } => 410,
         RenderError::BackendFault { .. } => 500,
-        _ => 400,
+        RenderError::DegenerateCamera { .. }
+        | RenderError::InvalidResolution { .. }
+        | RenderError::InvalidIntrinsics { .. }
+        | RenderError::EmptyScene
+        | RenderError::InvalidTileSize { .. }
+        | RenderError::InvalidConfiguration { .. }
+        | RenderError::Cancelled => 400,
     }
 }
 

@@ -41,7 +41,7 @@ use crate::json::JsonValue;
 pub const MAX_FRAME_PIXELS: u64 = 1 << 25;
 
 /// Most frames one `POST /trajectories` request may ask for.
-pub const MAX_TRAJECTORY_FRAMES: usize = 4096;
+pub(crate) const MAX_TRAJECTORY_FRAMES: usize = 4096;
 
 /// FNV-1a 64 digest of a framebuffer: dimensions then row-major
 /// `r, g, b` bit patterns — the workspace-wide canonical frame digest.
@@ -172,7 +172,7 @@ pub enum FrameChunk {
 }
 
 /// Encodes a served frame as a trajectory chunk payload.
-pub fn encode_frame_chunk(tier: QualityTier, image: &Framebuffer) -> Vec<u8> {
+pub(crate) fn encode_frame_chunk(tier: QualityTier, image: &Framebuffer) -> Vec<u8> {
     let body = encode_frame(image);
     let mut out = Vec::with_capacity(2 + body.len());
     out.push(1u8);
@@ -182,7 +182,7 @@ pub fn encode_frame_chunk(tier: QualityTier, image: &Framebuffer) -> Vec<u8> {
 }
 
 /// Encodes a per-frame refusal as a trajectory chunk payload.
-pub fn encode_refusal_chunk(message: &str) -> Vec<u8> {
+pub(crate) fn encode_refusal_chunk(message: &str) -> Vec<u8> {
     let bytes = message.as_bytes();
     let mut out = Vec::with_capacity(5 + bytes.len());
     out.push(0u8);
@@ -250,14 +250,14 @@ pub struct RenderWireRequest {
 
 impl RenderWireRequest {
     /// Converts into an engine submission.
-    pub fn into_submit(self) -> SubmitRequest {
+    pub(crate) fn into_submit(self) -> SubmitRequest {
         SubmitRequest::new(self.scene_id, self.camera).with_priority(self.priority)
     }
 }
 
 /// A decoded `POST /trajectories` body.
 #[derive(Debug, Clone)]
-pub struct TrajectoryWireRequest {
+pub(crate) struct TrajectoryWireRequest {
     /// The registered scene to render.
     pub scene_id: SceneId,
     /// The orbit trajectory described by the body.
@@ -380,7 +380,9 @@ pub fn parse_render_request(body: &JsonValue) -> Result<RenderWireRequest, Reque
 /// Only the `"orbit"` kind exists today; `frames` must lie in
 /// `1..=`[`MAX_TRAJECTORY_FRAMES`] and each frame within
 /// [`MAX_FRAME_PIXELS`].
-pub fn parse_trajectory_request(body: &JsonValue) -> Result<TrajectoryWireRequest, RequestError> {
+pub(crate) fn parse_trajectory_request(
+    body: &JsonValue,
+) -> Result<TrajectoryWireRequest, RequestError> {
     let scene_id = parse_scene_id(body)?;
     let priority = parse_priority(body)?;
     let spec = body

@@ -116,7 +116,7 @@ impl CameraIntrinsics {
 /// Lateral guard band of the frustum: the cull keeps, and the projection
 /// Jacobian is evaluated no further out than, 1.3× the half-field-of-view
 /// tangent, as in the reference 3D-GS implementation.
-pub const FRUSTUM_GUARD_BAND: f32 = 1.3;
+pub(crate) const FRUSTUM_GUARD_BAND: f32 = 1.3;
 
 /// The per-frame culling limits of a [`Camera`] ([`Camera::frustum`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -125,9 +125,9 @@ pub struct Frustum {
     pub near: f32,
     /// Far clipping distance.
     pub far: f32,
-    /// Largest kept `|x| / depth`: [`FRUSTUM_GUARD_BAND`] × `tan(fov_x / 2)`.
+    /// Largest kept `|x| / depth`: the 1.3× guard band × `tan(fov_x / 2)`.
     pub limit_x: f32,
-    /// Largest kept `|y| / depth`: [`FRUSTUM_GUARD_BAND`] × `tan(fov_y / 2)`.
+    /// Largest kept `|y| / depth`: the 1.3× guard band × `tan(fov_y / 2)`.
     pub limit_y: f32,
 }
 
@@ -165,9 +165,9 @@ pub struct Camera {
 impl Camera {
     /// Default near plane used when not otherwise specified (matches the
     /// 3D-GS reference renderer's 0.2 near clip).
-    pub const DEFAULT_NEAR: f32 = 0.2;
+    pub(crate) const DEFAULT_NEAR: f32 = 0.2;
     /// Default far plane.
-    pub const DEFAULT_FAR: f32 = 1000.0;
+    pub(crate) const DEFAULT_FAR: f32 = 1000.0;
 
     /// Creates a camera looking from `eye` toward `target` with the given
     /// `up` vector and intrinsics.
@@ -749,7 +749,7 @@ mod tests {
             Err(RenderError::DegenerateCamera { .. })
         ));
         // Eye coincides with the target.
-        let zero_dir = Camera::try_look_at(Vec3::ONE, Vec3::ONE, Vec3::Y, intr);
+        let zero_dir = Camera::try_look_at(Vec3::splat(1.0), Vec3::splat(1.0), Vec3::Y, intr);
         assert!(matches!(
             zero_dir,
             Err(RenderError::DegenerateCamera { .. })

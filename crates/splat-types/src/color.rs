@@ -46,18 +46,6 @@ impl Rgb {
         )
     }
 
-    /// Converts to an 8-bit sRGB-less triplet (plain linear quantization,
-    /// sufficient for image diffing in tests).
-    #[inline]
-    pub fn to_u8(self) -> [u8; 3] {
-        let c = self.clamped();
-        [
-            (c.r * 255.0 + 0.5) as u8,
-            (c.g * 255.0 + 0.5) as u8,
-            (c.b * 255.0 + 0.5) as u8,
-        ]
-    }
-
     /// Maximum absolute per-channel difference to another color.
     #[inline]
     pub fn max_abs_diff(self, other: Self) -> f32 {
@@ -134,11 +122,6 @@ mod tests {
     fn clamp_bounds_channels() {
         let c = Rgb::new(-0.5, 0.5, 1.5).clamped();
         assert_eq!(c, Rgb::new(0.0, 0.5, 1.0));
-    }
-
-    #[test]
-    fn u8_conversion_rounds() {
-        assert_eq!(Rgb::new(1.0, 0.0, 0.5).to_u8(), [255, 0, 128]);
     }
 
     #[test]

@@ -57,7 +57,6 @@ impl std::error::Error for Error {}
 ///
 /// [`RenderRequest::validate`]: https://docs.rs/splat-core
 #[derive(Debug, Clone, PartialEq)]
-#[non_exhaustive]
 pub enum RenderError {
     /// The camera pose cannot be used for rendering: the view matrix is
     /// non-finite (e.g. a `look_at` with an up vector parallel to the view

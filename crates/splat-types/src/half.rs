@@ -45,7 +45,7 @@ impl F16 {
 
     /// Converts an `f32` to the nearest representable half
     /// (round-to-nearest-even, the IEEE default used by hardware FP units).
-    pub fn from_f32(value: f32) -> Self {
+    pub(crate) fn from_f32(value: f32) -> Self {
         let bits = value.to_bits();
         let sign = ((bits >> 16) & 0x8000) as u16;
         let exp = ((bits >> 23) & 0xFF) as i32;
@@ -94,7 +94,7 @@ impl F16 {
     }
 
     /// Converts the half back to `f32` exactly.
-    pub fn to_f32(self) -> f32 {
+    pub(crate) fn to_f32(self) -> f32 {
         let sign = u32::from(self.0 & 0x8000) << 16;
         let exp = u32::from(self.0 >> 10) & 0x1F;
         let mantissa = u32::from(self.0) & 0x03FF;

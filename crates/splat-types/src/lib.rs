@@ -49,7 +49,7 @@ pub mod rng;
 pub mod sh;
 pub mod vec;
 
-pub use camera::{Camera, CameraIntrinsics, Frustum, FRUSTUM_GUARD_BAND};
+pub use camera::{Camera, CameraIntrinsics, Frustum};
 pub use color::Rgb;
 pub use error::{Error, RenderError, Result};
 pub use gaussian::{Gaussian3d, Gaussian3dBuilder, Precision};

@@ -61,7 +61,7 @@ impl Mat2 {
 
     /// Builds a matrix from two columns.
     #[inline]
-    pub const fn from_cols(c0: Vec2, c1: Vec2) -> Self {
+    pub(crate) const fn from_cols(c0: Vec2, c1: Vec2) -> Self {
         Self { cols: [c0, c1] }
     }
 
@@ -212,7 +212,7 @@ impl Mat3 {
 
     /// Builds a matrix from three columns.
     #[inline]
-    pub const fn from_cols(c0: Vec3, c1: Vec3, c2: Vec3) -> Self {
+    pub(crate) const fn from_cols(c0: Vec3, c1: Vec3, c2: Vec3) -> Self {
         Self { cols: [c0, c1, c2] }
     }
 
@@ -239,7 +239,7 @@ impl Mat3 {
 
     /// Builds a diagonal matrix.
     #[inline]
-    pub const fn from_diagonal(d: Vec3) -> Self {
+    pub(crate) const fn from_diagonal(d: Vec3) -> Self {
         Self::from_rows(d.x, 0.0, 0.0, 0.0, d.y, 0.0, 0.0, 0.0, d.z)
     }
 
@@ -362,7 +362,7 @@ impl Mat4 {
 
     /// Builds a matrix from four columns.
     #[inline]
-    pub const fn from_cols(c0: Vec4, c1: Vec4, c2: Vec4, c3: Vec4) -> Self {
+    pub(crate) const fn from_cols(c0: Vec4, c1: Vec4, c2: Vec4, c3: Vec4) -> Self {
         Self {
             cols: [c0, c1, c2, c3],
         }
@@ -382,14 +382,8 @@ impl Mat4 {
 
     /// Transforms a 3D point (implicit `w = 1`).
     #[inline]
-    pub fn transform_point(&self, p: Vec3) -> Vec4 {
+    pub(crate) fn transform_point(&self, p: Vec3) -> Vec4 {
         self.mul_vec(p.extend(1.0))
-    }
-
-    /// Transforms a 3D direction (implicit `w = 0`).
-    #[inline]
-    pub fn transform_dir(&self, d: Vec3) -> Vec3 {
-        self.mul_vec(d.extend(0.0)).truncate()
     }
 
     /// Transpose.
@@ -403,7 +397,7 @@ impl Mat4 {
     }
 
     /// Extracts the upper-left 3×3 rotation/scale block.
-    pub fn upper_left_3x3(&self) -> Mat3 {
+    pub(crate) fn upper_left_3x3(&self) -> Mat3 {
         Mat3::from_cols(
             self.cols[0].truncate(),
             self.cols[1].truncate(),
@@ -411,20 +405,10 @@ impl Mat4 {
         )
     }
 
-    /// Builds a rigid transform from a rotation matrix and translation.
-    pub fn from_rotation_translation(rot: Mat3, t: Vec3) -> Self {
-        Self::from_cols(
-            rot.cols[0].extend(0.0),
-            rot.cols[1].extend(0.0),
-            rot.cols[2].extend(0.0),
-            t.extend(1.0),
-        )
-    }
-
     /// Right-handed look-at view matrix (camera looks along -Z in view
     /// space, matching the OpenGL convention used by the 3D-GS reference
     /// renderer).
-    pub fn look_at_rh(eye: Vec3, target: Vec3, up: Vec3) -> Self {
+    pub(crate) fn look_at_rh(eye: Vec3, target: Vec3, up: Vec3) -> Self {
         let f = (target - eye).normalized();
         let s = f.cross(up).normalized();
         let u = s.cross(f);
@@ -433,19 +417,6 @@ impl Mat4 {
             Vec4::new(s.y, u.y, -f.y, 0.0),
             Vec4::new(s.z, u.z, -f.z, 0.0),
             Vec4::new(-s.dot(eye), -u.dot(eye), f.dot(eye), 1.0),
-        )
-    }
-
-    /// Right-handed perspective projection with a `[0, 1]`-style depth range
-    /// mapped to normalized device coordinates `[-1, 1]`.
-    pub fn perspective_rh(fov_y: f32, aspect: f32, z_near: f32, z_far: f32) -> Self {
-        let f = 1.0 / (0.5 * fov_y).tan();
-        let range = z_far - z_near;
-        Self::from_cols(
-            Vec4::new(f / aspect, 0.0, 0.0, 0.0),
-            Vec4::new(0.0, f, 0.0, 0.0),
-            Vec4::new(0.0, 0.0, -(z_far + z_near) / range, -1.0),
-            Vec4::new(0.0, 0.0, -2.0 * z_far * z_near / range, 0.0),
         )
     }
 }
@@ -560,27 +531,6 @@ mod tests {
             .project()
             .expect("finite w");
         assert!(p.z < 0.0);
-    }
-
-    #[test]
-    fn mat4_perspective_maps_near_and_far() {
-        let proj = Mat4::perspective_rh(std::f32::consts::FRAC_PI_2, 1.0, 0.1, 100.0);
-        let near = proj
-            .transform_point(Vec3::new(0.0, 0.0, -0.1))
-            .project()
-            .expect("finite");
-        let far = proj
-            .transform_point(Vec3::new(0.0, 0.0, -100.0))
-            .project()
-            .expect("finite");
-        assert!(approx(near.z, -1.0));
-        assert!(approx(far.z, 1.0));
-    }
-
-    #[test]
-    fn mat4_transform_dir_ignores_translation() {
-        let m = Mat4::from_rotation_translation(Mat3::IDENTITY, Vec3::new(5.0, 6.0, 7.0));
-        assert_eq!(m.transform_dir(Vec3::X), Vec3::X);
     }
 
     #[test]

@@ -73,7 +73,7 @@ impl Quat {
 
     /// Squared norm of the coefficients.
     #[inline]
-    pub fn norm_squared(self) -> f32 {
+    pub(crate) fn norm_squared(self) -> f32 {
         self.w * self.w + self.x * self.x + self.y * self.y + self.z * self.z
     }
 
@@ -101,7 +101,7 @@ impl Quat {
     }
 
     /// Converts the (assumed unit) quaternion to a 3×3 rotation matrix.
-    pub fn to_rotation_matrix(self) -> Mat3 {
+    pub(crate) fn to_rotation_matrix(self) -> Mat3 {
         let q = self.normalized();
         let (w, x, y, z) = (q.w, q.x, q.y, q.z);
         Mat3::from_rows(

@@ -44,28 +44,15 @@ const SH_C3: [f32; 7] = [
 ];
 
 /// Evaluates the real SH basis functions of `degree` in direction `dir`
-/// (which must be normalized), writing `coefficient_count(degree)` values.
+/// (which must be normalized) into a stack buffer and returns how many
+/// values were written (`coefficient_count(degree)`). The per-frame color
+/// evaluation goes through here, so preprocessing never touches the heap.
 ///
 /// # Errors
 ///
 /// Returns [`Error::UnsupportedShDegree`] for degrees above
 /// [`SH_DEGREE_MAX`].
-pub fn eval_basis(degree: usize, dir: Vec3) -> Result<Vec<f32>> {
-    let mut basis = [0.0f32; coefficient_count(SH_DEGREE_MAX)];
-    let count = eval_basis_into(degree, dir, &mut basis)?;
-    Ok(basis[..count].to_vec())
-}
-
-/// Allocation-free variant of [`eval_basis`]: writes the basis values into
-/// a stack buffer and returns how many were written
-/// (`coefficient_count(degree)`). This is the path the per-frame color
-/// evaluation uses so that preprocessing never touches the heap.
-///
-/// # Errors
-///
-/// Returns [`Error::UnsupportedShDegree`] for degrees above
-/// [`SH_DEGREE_MAX`].
-pub fn eval_basis_into(
+pub(crate) fn eval_basis_into(
     degree: usize,
     dir: Vec3,
     basis: &mut [f32; coefficient_count(SH_DEGREE_MAX)],
@@ -197,7 +184,7 @@ impl ShCoefficients {
     /// Number of floating-point values stored (3 per basis function), used
     /// by the DRAM traffic model.
     #[inline]
-    pub fn value_count(&self) -> usize {
+    pub(crate) fn value_count(&self) -> usize {
         self.coeffs.len() * 3
     }
 }
@@ -223,14 +210,17 @@ mod tests {
 
     #[test]
     fn basis_rejects_unsupported_degree() {
-        assert!(eval_basis(4, Vec3::Z).is_err());
+        let mut basis = [0.0f32; coefficient_count(SH_DEGREE_MAX)];
+        assert!(eval_basis_into(4, Vec3::Z, &mut basis).is_err());
     }
 
     #[test]
     fn basis_lengths_match_degree() {
+        let mut basis = [0.0f32; coefficient_count(SH_DEGREE_MAX)];
         for degree in 0..=SH_DEGREE_MAX {
-            let b = eval_basis(degree, Vec3::new(0.3, 0.5, 0.8).normalized()).unwrap();
-            assert_eq!(b.len(), coefficient_count(degree));
+            let dir = Vec3::new(0.3, 0.5, 0.8).normalized();
+            let count = eval_basis_into(degree, dir, &mut basis).unwrap();
+            assert_eq!(count, coefficient_count(degree));
         }
     }
 

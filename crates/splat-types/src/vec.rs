@@ -48,8 +48,6 @@ macro_rules! impl_common {
         impl $ty {
             /// The zero vector.
             pub const ZERO: Self = Self { $($comp: 0.0),+ };
-            /// The vector with every component equal to one.
-            pub const ONE: Self = Self { $($comp: 1.0),+ };
 
             /// Creates a vector from its components.
             #[inline]
@@ -71,7 +69,7 @@ macro_rules! impl_common {
 
             /// Squared Euclidean norm.
             #[inline]
-            pub fn length_squared(self) -> f32 {
+            pub(crate) fn length_squared(self) -> f32 {
                 self.dot(self)
             }
 
@@ -217,15 +215,8 @@ impl_common!(Vec4, x, y, z, w);
 impl Vec2 {
     /// Converts to an array `[x, y]`.
     #[inline]
-    pub fn to_array(self) -> [f32; 2] {
+    pub(crate) fn to_array(self) -> [f32; 2] {
         [self.x, self.y]
-    }
-
-    /// The 2D cross product (z-component of the 3D cross product), useful
-    /// for orientation tests against oriented bounding boxes.
-    #[inline]
-    pub fn perp_dot(self, rhs: Self) -> f32 {
-        self.x * rhs.y - self.y * rhs.x
     }
 
     /// Rotates the vector by `angle` radians counter-clockwise.
@@ -246,7 +237,7 @@ impl Vec3 {
 
     /// Converts to an array `[x, y, z]`.
     #[inline]
-    pub fn to_array(self) -> [f32; 3] {
+    pub(crate) fn to_array(self) -> [f32; 3] {
         [self.x, self.y, self.z]
     }
 
@@ -265,24 +256,18 @@ impl Vec3 {
     pub fn extend(self, w: f32) -> Vec4 {
         Vec4::new(self.x, self.y, self.z, w)
     }
-
-    /// Truncates to the XY screen-space components.
-    #[inline]
-    pub fn truncate(self) -> Vec2 {
-        Vec2::new(self.x, self.y)
-    }
 }
 
 impl Vec4 {
     /// Converts to an array `[x, y, z, w]`.
     #[inline]
-    pub fn to_array(self) -> [f32; 4] {
+    pub(crate) fn to_array(self) -> [f32; 4] {
         [self.x, self.y, self.z, self.w]
     }
 
     /// Drops the homogeneous coordinate (without dividing by it).
     #[inline]
-    pub fn truncate(self) -> Vec3 {
+    pub(crate) fn truncate(self) -> Vec3 {
         Vec3::new(self.x, self.y, self.z)
     }
 
@@ -421,13 +406,6 @@ mod tests {
     fn vec4_project_rejects_zero_w() {
         let v = Vec4::new(1.0, 1.0, 1.0, 0.0);
         assert_eq!(v.project(), None);
-    }
-
-    #[test]
-    fn perp_dot_sign_matches_orientation() {
-        // Counter-clockwise quarter turn has a positive perp-dot.
-        assert!(Vec2::new(1.0, 0.0).perp_dot(Vec2::new(0.0, 1.0)) > 0.0);
-        assert!(Vec2::new(0.0, 1.0).perp_dot(Vec2::new(1.0, 0.0)) < 0.0);
     }
 
     #[test]

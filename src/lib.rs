@@ -81,7 +81,7 @@ pub use splat_types as types;
 /// Convenient glob import for examples and tests.
 pub mod prelude {
     pub use gstg::{verify_lossless, GstgConfig, GstgRenderer, GstgSession};
-    pub use splat_accel::{AccelConfig, GscoreConfig, PipelineVariant, Simulator};
+    pub use splat_accel::{AccelConfig, PipelineVariant, Simulator};
     pub use splat_core::{
         ExecutionConfig, FrameArena, HasExecution, RenderBackend, RenderOutput, RenderRequest,
         SessionFrame, SimdMode, SpanMode, StageCounts,

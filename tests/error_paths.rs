@@ -33,8 +33,9 @@ fn registered(engine: &Engine, scene: &Arc<Scene>) -> SceneId {
         .expect("valid scene registers")
 }
 
-/// Stable name of a `RenderError` variant (the enum is `#[non_exhaustive]`,
-/// so coverage is asserted by name set rather than by `match` alone).
+/// Stable name of a `RenderError` variant. The `match` has no wildcard
+/// arm, so a new variant does not compile until it is named here (and in
+/// `splat-server`'s `status_for_render_error`).
 fn variant_name(error: &RenderError) -> &'static str {
     match error {
         RenderError::DegenerateCamera { .. } => "DegenerateCamera",
@@ -49,7 +50,6 @@ fn variant_name(error: &RenderError) -> &'static str {
         RenderError::ShutDown => "ShutDown",
         RenderError::UnknownScene { .. } => "UnknownScene",
         RenderError::Evicted { .. } => "Evicted",
-        other => panic!("new RenderError variant {other:?}: extend tests/error_paths.rs"),
     }
 }
 
@@ -367,14 +367,31 @@ fn every_decode_error_variant_is_reachable_from_a_corrupted_buffer() {
         DecodeError::UnexpectedEof.to_string(),
         "scene buffer ended unexpectedly"
     );
-    for error in [
-        DecodeError::BadMagic,
-        DecodeError::UnsupportedVersion(99),
-        DecodeError::UnexpectedEof,
-        DecodeError::InvalidField("name"),
-        DecodeError::NonFinite("position"),
-    ] {
+    // One specimen of every variant, each decoded from a corrupted buffer
+    // above. The `match` has no wildcard arm, so a new variant does not
+    // compile until it is named here.
+    let mut names = Vec::new();
+    let corrupted: [&[u8]; 5] = [&bad_magic, &bad_version, truncated, &bad_name, &non_finite];
+    for buffer in corrupted {
+        let error = decode_scene(buffer).expect_err("corrupted buffer is refused");
         let dynamic: &dyn std::error::Error = &error;
         assert!(!dynamic.to_string().is_empty());
+        names.push(match error {
+            DecodeError::BadMagic => "BadMagic",
+            DecodeError::UnsupportedVersion(_) => "UnsupportedVersion",
+            DecodeError::UnexpectedEof => "UnexpectedEof",
+            DecodeError::InvalidField(_) => "InvalidField",
+            DecodeError::NonFinite(_) => "NonFinite",
+        });
     }
+    assert_eq!(
+        names,
+        [
+            "BadMagic",
+            "UnsupportedVersion",
+            "UnexpectedEof",
+            "InvalidField",
+            "NonFinite"
+        ]
+    );
 }

@@ -4,10 +4,9 @@
 //! `cargo run -p splat-lint -- check`) over this workspace and pins:
 //!
 //! * **zero error-severity findings** — every `no-panic-paths`,
-//!   `no-nondeterminism`, `lock-discipline`, `error-coverage` and
-//!   `prelude-coverage` violation is either fixed or carries an inline
-//!   `// lint:allow(rule): reason` waiver, and every waiver suppresses
-//!   something;
+//!   `no-nondeterminism` and `lock-discipline` violation is either fixed
+//!   or carries an inline `// lint:allow(rule): reason` waiver, and every
+//!   waiver suppresses something;
 //! * **the audited `no-index-panic` count** — computed index expressions
 //!   in hot-loop library code are warn-severity by policy (SoA lane and
 //!   scratch-buffer indexing is the kernel idiom), but the *count* is
@@ -69,7 +68,10 @@ fn index_audit_count_is_pinned() {
     // composition (four, in `span.rs`) and the full walk's
     // `pixels[row_start..]` (one, in `blend.rs`) — and the one kernel per
     // walk writes through `Framebuffer::row_mut` (one, in `image.rs`).
-    let audited = 118;
+    //
+    // 118 -> 117: the allocating `sh::eval_basis` (`basis[..count]`) is
+    // gone; callers go through `eval_color`.
+    let audited = 117;
     assert!(
         index_warnings <= audited,
         "no-index-panic count grew past the audited baseline ({index_warnings} > {audited}): \
