@@ -3,8 +3,10 @@
 //!
 //! The figure-regeneration binaries in `splat-bench` use this crate to
 //! compute means and geometric means (as the paper does for its
-//! speedup/energy summaries) and to print aligned markdown tables; the
-//! FNV-1a [`digest`] is the workspace-wide canonical frame digest.
+//! speedup/energy summaries) and to print aligned markdown tables. The
+//! [`digest`] module holds canonical FNV-1a ([`Fnv1a64`], the golden-image
+//! frame digest) and its eight-lane word variant ([`Fnv1a64Lanes`], the
+//! digest the server sends as `X-Splat-Digest`).
 //!
 //! ```
 //! use splat_metrics::{geometric_mean, Table};
@@ -25,6 +27,6 @@ pub mod digest;
 pub mod summary;
 pub mod table;
 
-pub use digest::{digest_f32s, fnv1a64, Fnv1a64};
+pub use digest::{digest_f32s, fnv1a64, fnv1a64_lanes, Fnv1a64, Fnv1a64Lanes};
 pub use summary::{geometric_mean, mean};
 pub use table::Table;

@@ -37,6 +37,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use splat_engine::{Engine, EngineStats, ShutdownMode};
+use splat_metrics::fnv1a64_lanes;
 use splat_scene::io::decode_scene;
 use splat_types::RenderError;
 
@@ -47,7 +48,7 @@ use crate::http::{
 use crate::json::parse_json;
 use crate::stats::{ServerCounters, ServerStats};
 use crate::wire::{
-    encode_frame, encode_frame_chunk, encode_refusal_chunk, frame_digest, parse_render_request,
+    encode_frame, encode_frame_chunk, encode_refusal_chunk, parse_render_request,
     parse_trajectory_request, RequestError,
 };
 
@@ -671,10 +672,7 @@ fn handle_render(
         Ok(output) => {
             let body = encode_frame(&output.image);
             let headers = [
-                (
-                    "X-Splat-Digest",
-                    format!("{:016x}", frame_digest(&output.image)),
-                ),
+                ("X-Splat-Digest", format!("{:016x}", fnv1a64_lanes(&body))),
                 ("X-Splat-Quality", tier.label().to_string()),
             ];
             respond(

@@ -9,10 +9,19 @@
 //! ```
 //!
 //! The pixel order is row-major, identical to
-//! [`Framebuffer::pixels`], so the FNV-1a digest of a decoded frame
-//! ([`frame_digest`]) is bit-identical to the digest of the in-process
-//! render — the property the loopback e2e test and the benchmark's
-//! correctness gate pin.
+//! [`Framebuffer::pixels`], so a decoded frame is bit-identical to the
+//! in-process render and so is its digest — the property the loopback e2e
+//! test and the benchmark's correctness gate pin.
+//!
+//! ## Frame digest (`X-Splat-Digest`)
+//!
+//! [`splat_metrics::fnv1a64_lanes`] of the frame body: the body is read
+//! as little-endian `u32` words, word `i` goes to FNV-1a lane `i mod 8`
+//! (`lane = (lane ^ word) * prime`, each lane starting at the offset
+//! basis), and the digest is canonical byte-wise FNV-1a over the eight
+//! lane states, little-endian, lane 0 first. [`frame_digest`] computes the
+//! same value from a [`Framebuffer`]. It is the wire's digest, not the
+//! canonical `Fnv1a64` frame digest the golden-image tests pin.
 //!
 //! ## Trajectory chunks (`POST /trajectories`)
 //!
@@ -28,7 +37,7 @@
 
 use splat_core::Framebuffer;
 use splat_engine::{QualityTier, SubmitRequest};
-use splat_metrics::Fnv1a64;
+use splat_metrics::Fnv1a64Lanes;
 use splat_scene::CameraTrajectory;
 use splat_types::{Camera, CameraIntrinsics, Priority, RenderError, Rgb, SceneId, Vec3};
 
@@ -43,31 +52,89 @@ pub const MAX_FRAME_PIXELS: u64 = 1 << 25;
 /// Most frames one `POST /trajectories` request may ask for.
 pub(crate) const MAX_TRAJECTORY_FRAMES: usize = 4096;
 
-/// FNV-1a 64 digest of a framebuffer: dimensions then row-major
-/// `r, g, b` bit patterns — the workspace-wide canonical frame digest.
+/// Bytes of a frame body's `u32 width · u32 height` header.
+const HEADER: usize = 8;
+
+/// Bytes of one pixel's `f32 r · f32 g · f32 b` record.
+const RECORD: usize = 12;
+
+fn header(image: &Framebuffer) -> [u8; HEADER] {
+    let [w0, w1, w2, w3] = image.width().to_le_bytes();
+    let [h0, h1, h2, h3] = image.height().to_le_bytes();
+    [w0, w1, w2, w3, h0, h1, h2, h3]
+}
+
+fn record(pixel: &Rgb) -> [u8; RECORD] {
+    let [r0, r1, r2, r3] = pixel.r.to_le_bytes();
+    let [g0, g1, g2, g3] = pixel.g.to_le_bytes();
+    let [b0, b1, b2, b3] = pixel.b.to_le_bytes();
+    [r0, r1, r2, r3, g0, g1, g2, g3, b0, b1, b2, b3]
+}
+
+fn read_record(bytes: &[u8]) -> Rgb {
+    let [r0, r1, r2, r3, g0, g1, g2, g3, b0, b1, b2, b3]: [u8; RECORD] =
+        bytes.try_into().unwrap_or_default();
+    Rgb::new(
+        f32::from_le_bytes([r0, r1, r2, r3]),
+        f32::from_le_bytes([g0, g1, g2, g3]),
+        f32::from_le_bytes([b0, b1, b2, b3]),
+    )
+}
+
+/// The wire digest of a frame: [`splat_metrics::fnv1a64_lanes`] of its
+/// [`encode_frame`] body, computed from the pixels without allocating.
+///
+/// This is the value `X-Splat-Digest` carries. It is not the canonical
+/// byte-wise FNV-1a digest the golden-image tests pin: the two are
+/// different functions and are never compared with each other.
 pub fn frame_digest(image: &Framebuffer) -> u64 {
-    let mut hasher = Fnv1a64::new();
-    hasher.write_u64(u64::from(image.width()));
-    hasher.write_u64(u64::from(image.height()));
-    for pixel in image.pixels() {
-        hasher.write_f32(pixel.r);
-        hasher.write_f32(pixel.g);
-        hasher.write_f32(pixel.b);
+    let words = |pixel: &Rgb| [pixel.r.to_bits(), pixel.g.to_bits(), pixel.b.to_bits()];
+    let mut hasher = Fnv1a64Lanes::new();
+    hasher.write(&header(image));
+    // The header is two words, so after two pixels the stream sits on a
+    // round boundary, and eight pixels (24 words) are three whole rounds.
+    let (head, rest) = image.pixels().split_at(image.pixel_count().min(2));
+    for pixel in head {
+        hasher.write_u32s(words(pixel));
+    }
+    let mut octets = rest.chunks_exact(8);
+    for octet in &mut octets {
+        if let Ok([p0, p1, p2, p3, p4, p5, p6, p7]) = <&[Rgb; 8]>::try_from(octet) {
+            hasher.write_u32s(
+                [
+                    p0.r, p0.g, p0.b, p1.r, p1.g, p1.b, p2.r, p2.g, p2.b, p3.r, p3.g, p3.b, //
+                    p4.r, p4.g, p4.b, p5.r, p5.g, p5.b, p6.r, p6.g, p6.b, p7.r, p7.g, p7.b,
+                ]
+                .map(f32::to_bits),
+            );
+        }
+    }
+    for pixel in octets.remainder() {
+        hasher.write_u32s(words(pixel));
     }
     hasher.finish()
 }
 
-/// Encodes a frame body (see the module docs for the layout).
-pub fn encode_frame(image: &Framebuffer) -> Vec<u8> {
-    let mut out = Vec::with_capacity(8 + image.pixels().len() * 12);
-    out.extend_from_slice(&image.width().to_le_bytes());
-    out.extend_from_slice(&image.height().to_le_bytes());
-    for pixel in image.pixels() {
-        out.extend_from_slice(&pixel.r.to_le_bytes());
-        out.extend_from_slice(&pixel.g.to_le_bytes());
-        out.extend_from_slice(&pixel.b.to_le_bytes());
+/// `prefix` followed by the frame body, in one buffer allocated at its
+/// full size.
+fn encode_after(prefix: &[u8], image: &Framebuffer) -> Vec<u8> {
+    let head = prefix.len() + HEADER;
+    let mut out = vec![0u8; head + RECORD * image.pixel_count()];
+    let (head, records) = out.split_at_mut(head);
+    for (slot, byte) in head.iter_mut().zip(prefix.iter().chain(&header(image))) {
+        *slot = *byte;
+    }
+    for (slot, pixel) in records.chunks_exact_mut(RECORD).zip(image.pixels()) {
+        if let Ok(slot) = <&mut [u8; RECORD]>::try_from(slot) {
+            *slot = record(pixel);
+        }
     }
     out
+}
+
+/// Encodes a frame body (see the module docs for the layout).
+pub fn encode_frame(image: &Framebuffer) -> Vec<u8> {
+    encode_after(&[], image)
 }
 
 /// A malformed frame or trajectory chunk (client-side decode).
@@ -106,34 +173,32 @@ fn le_u32(buf: &[u8], at: usize) -> Result<u32, WireError> {
     Ok(u32::from_le_bytes(bytes))
 }
 
-fn le_f32(bytes: &[u8]) -> f32 {
-    let array: [u8; 4] = bytes.try_into().unwrap_or_default();
-    f32::from_le_bytes(array)
-}
-
 /// Decodes a frame body produced by [`encode_frame`].
 pub fn decode_frame(buf: &[u8]) -> Result<Framebuffer, WireError> {
     let width = le_u32(buf, 0)?;
     let height = le_u32(buf, 4)?;
-    let payload = buf.get(8..).ok_or(WireError::Truncated)?;
-    let expected = (width as usize)
+    let payload = buf.get(HEADER..).ok_or(WireError::Truncated)?;
+    let row_bytes = (width as usize)
+        .checked_mul(RECORD)
+        .ok_or(WireError::DimensionMismatch)?;
+    let expected = row_bytes
         .checked_mul(height as usize)
-        .and_then(|pixels| pixels.checked_mul(12))
         .ok_or(WireError::DimensionMismatch)?;
     if payload.len() != expected {
         return Err(WireError::DimensionMismatch);
     }
-    let pixels: Vec<Rgb> = payload
-        .chunks_exact(12)
-        .map(|chunk| {
-            let (r, rest) = chunk.split_at(4);
-            let (g, b) = rest.split_at(4);
-            Rgb::new(le_f32(r), le_f32(g), le_f32(b))
-        })
-        .collect();
     let mut image = Framebuffer::black(width, height);
-    if !pixels.is_empty() {
-        image.write_region(0, 0, width, &pixels);
+    // An empty frame has no rows to fill, and `chunks_exact(0)` panics.
+    if expected > 0 {
+        for (y, row) in (0..height).zip(payload.chunks_exact(row_bytes)) {
+            for (pixel, bytes) in image
+                .row_mut(y, 0..width)
+                .iter_mut()
+                .zip(row.chunks_exact(RECORD))
+            {
+                *pixel = read_record(bytes);
+            }
+        }
     }
     Ok(image)
 }
@@ -173,12 +238,7 @@ pub enum FrameChunk {
 
 /// Encodes a served frame as a trajectory chunk payload.
 pub(crate) fn encode_frame_chunk(tier: QualityTier, image: &Framebuffer) -> Vec<u8> {
-    let body = encode_frame(image);
-    let mut out = Vec::with_capacity(2 + body.len());
-    out.push(1u8);
-    out.push(tier_byte(tier));
-    out.extend_from_slice(&body);
-    out
+    encode_after(&[1u8, tier_byte(tier)], image)
 }
 
 /// Encodes a per-frame refusal as a trajectory chunk payload.
@@ -434,6 +494,27 @@ mod tests {
         let decoded = decode_frame(&encode_frame(&image)).expect("round trip");
         assert_eq!(decoded, image);
         assert_eq!(frame_digest(&decoded), frame_digest(&image));
+
+        // Non-square, odd on both axes, every pixel distinct.
+        let mut odd = Framebuffer::black(7, 5);
+        for y in 0..5 {
+            for x in 0..7 {
+                let i = (y * 7 + x) as f32;
+                odd.set_pixel(x, y, Rgb::new(i, -i * 0.5, 1.0 / (i + 1.0)));
+            }
+        }
+        let wire = encode_frame(&odd);
+        assert_eq!(wire.len(), 8 + 12 * 35);
+        assert_eq!(decode_frame(&wire).expect("odd frame"), odd);
+        assert_eq!(
+            decode_frame(&wire[..wire.len() - 12]),
+            Err(WireError::DimensionMismatch)
+        );
+
+        for (width, height) in [(0, 0), (0, 3), (4, 0)] {
+            let empty = Framebuffer::black(width, height);
+            assert_eq!(decode_frame(&encode_frame(&empty)), Ok(empty));
+        }
     }
 
     #[test]
@@ -454,6 +535,8 @@ mod tests {
     fn trajectory_chunks_round_trip_frames_and_refusals() {
         let image = checker_frame();
         let chunk = encode_frame_chunk(QualityTier::Tier2, &image);
+        assert_eq!(chunk[..2], [1, 2]);
+        assert_eq!(chunk[2..], encode_frame(&image)[..]);
         assert_eq!(
             decode_frame_chunk(&chunk).expect("frame chunk"),
             FrameChunk::Frame {

@@ -13,7 +13,8 @@
 
 use gs_tg::core::Framebuffer;
 use gs_tg::prelude::*;
-use splat_metrics::Fnv1a64;
+use splat_metrics::{fnv1a64_lanes, Fnv1a64};
+use splat_server::encode_frame;
 
 /// FNV-1a digest of a framebuffer: dimensions, then every pixel's
 /// channels in row-major order as little-endian `f32` bit patterns.
@@ -46,6 +47,105 @@ const GOLDEN: [(PaperScene, u64); 3] = [
     (PaperScene::Playroom, 0x6c3b_961f_6b42_86a2),
     (PaperScene::Drjohnson, 0x63cd_e21c_382b_0f6a),
 ];
+
+/// The wire digest (`X-Splat-Digest`, eight-lane FNV-1a over the encoded
+/// body's `u32` words) of each `GOLDEN` frame. It is a different function
+/// from `frame_digest` above, so its values are pinned separately and never
+/// compared with the canonical ones.
+const GOLDEN_WIRE: [(PaperScene, u64); 3] = [
+    (PaperScene::Train, 0x62f0_4be8_2a5b_bb1e),
+    (PaperScene::Playroom, 0xbafd_bf31_f110_5ee5),
+    (PaperScene::Drjohnson, 0x1075_1e51_5063_bd28),
+];
+
+#[test]
+fn wire_digests_of_the_golden_frames_are_pinned() {
+    for ((paper_scene, golden), (wire_scene, wire)) in GOLDEN.into_iter().zip(GOLDEN_WIRE) {
+        assert_eq!(paper_scene, wire_scene, "tables must line up");
+        let scene = paper_scene.build(SceneScale::Tiny, 0);
+        let image = GstgRenderer::new(GstgConfig::paper_default())
+            .render(&scene, &camera())
+            .image;
+        let canonical = frame_digest(&image);
+        assert_eq!(
+            canonical, golden,
+            "{paper_scene:?}: raster drift! expected {golden:#018x}, actual {canonical:#018x}"
+        );
+        let digest = splat_server::frame_digest(&image);
+        assert_eq!(
+            digest, wire,
+            "{paper_scene:?}: wire digest drift! expected {wire:#018x}, actual {digest:#018x}"
+        );
+        assert_eq!(digest, fnv1a64_lanes(&encode_frame(&image)));
+    }
+}
+
+/// A `width × height` frame whose every channel differs, including a
+/// negative zero.
+fn patterned_frame(width: u32, height: u32) -> Framebuffer {
+    let mut image = Framebuffer::black(width, height);
+    for y in 0..height {
+        for x in 0..width {
+            let i = (y * width + x) as f32;
+            image.set_pixel(x, y, Rgb::new(i * 0.25, -i - 0.5, 1.0 / (i + 3.0)));
+        }
+    }
+    image.set_pixel(0, 0, Rgb::new(-0.0, 0.0, f32::MAX));
+    image
+}
+
+#[test]
+fn wire_digest_is_the_lane_hash_of_the_encoded_body() {
+    // 2×1 is exactly eight words (one per lane); 7×1 and 3×5 end mid-round;
+    // 96×64 crosses many digest batches.
+    for (width, height) in [(1, 1), (2, 1), (3, 5), (7, 1), (96, 64)] {
+        let image = patterned_frame(width, height);
+        assert_eq!(
+            splat_server::frame_digest(&image),
+            fnv1a64_lanes(&encode_frame(&image)),
+            "{width}x{height}"
+        );
+    }
+}
+
+#[test]
+fn wire_digest_changes_with_any_bit_flip_pixel_swap_or_reshape() {
+    let image = patterned_frame(3, 5);
+    let body = encode_frame(&image);
+    let digest = splat_server::frame_digest(&image);
+    assert_eq!(body.len() % 4, 0);
+    for word in 0..body.len() / 4 {
+        for bit in [0, 13, 31] {
+            let mut flipped = body.clone();
+            flipped[word * 4 + bit / 8] ^= 1 << (bit % 8);
+            assert_ne!(fnv1a64_lanes(&flipped), digest, "word {word} bit {bit}");
+        }
+    }
+
+    // Neighbours, and pixels 0 and 8, whose words share lanes (8 pixels are
+    // 24 words, three whole rounds).
+    for (a, b) in [((0, 0), (1, 0)), ((0, 0), (2, 2))] {
+        let mut swapped = image.clone();
+        swapped.set_pixel(a.0, a.1, image.pixel(b.0, b.1));
+        swapped.set_pixel(b.0, b.1, image.pixel(a.0, a.1));
+        assert_ne!(
+            splat_server::frame_digest(&swapped),
+            digest,
+            "{a:?} <-> {b:?}"
+        );
+    }
+
+    let wide = patterned_frame(6, 4);
+    let mut tall = Framebuffer::black(4, 6);
+    for (index, pixel) in wide.pixels().iter().enumerate() {
+        tall.set_pixel(index as u32 % 4, index as u32 / 4, *pixel);
+    }
+    assert_eq!(wide.pixels(), tall.pixels());
+    assert_ne!(
+        splat_server::frame_digest(&wide),
+        splat_server::frame_digest(&tall)
+    );
+}
 
 #[test]
 fn golden_digests_hold_for_both_pipelines_at_one_and_four_threads() {
