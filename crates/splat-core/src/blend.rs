@@ -3,9 +3,15 @@
 //! For every pixel of a tile the sorted splat list is walked front-to-back.
 //! Each splat costs one α-computation (Eq. 1 of the paper); splats whose α
 //! falls below 1/255 are skipped, the rest are blended (Eq. 2) until the
-//! accumulated transmittance drops below 10⁻⁴. Both pipelines rasterize
-//! through these kernels (driven by [`crate::shade_tiles`]) — GS-TG merely
-//! filters the splat list with its bitmasks first.
+//! accumulated transmittance drops below 10⁻⁴. The default kernel walks the
+//! list once per block of up to 16×16 pixels, all of the block's live
+//! pixels stepping through it together (the reference 3D-GS rasterizer's
+//! one-block-per-tile shape); the scalar reference walks it once per pixel.
+//! Both pipelines rasterize through these kernels (driven by
+//! [`crate::shade_tiles`]) — GS-TG merely filters the splat list with its
+//! bitmasks first.
+
+use std::ops::Range;
 
 use crate::exec::SimdMode;
 use crate::rect::{TileRect, MAHALANOBIS_CUTOFF};
@@ -27,6 +33,10 @@ pub const TRANSMITTANCE_EPSILON: f32 = 1e-4;
 /// the transmittance strictly positive).
 pub const ALPHA_MAX: f32 = 0.99;
 
+/// Side of the square pixel block the wide kernel shades per walk of a
+/// tile's sorted list: one block covers one paper-default 16-px tile.
+const BLOCK: usize = 16;
+
 /// Rasterizes one tile into `image`, charging all work to `counts`.
 ///
 /// * `sorted` — splat slots (indices into `projected`) already sorted
@@ -38,11 +48,15 @@ pub const ALPHA_MAX: f32 = 0.99;
 ///   `(0, 0)` when `image` is the frame, `(rect.x0, rect.y0)` when it is a
 ///   tile-sized buffer (the parallel fan-out's form).
 ///
-/// Each row is shaded into one framebuffer slice. The wide [`SimdMode`]s
-/// shade it in fixed-width pixel chunks (scalar tail) whose per-lane
-/// arithmetic replicates the scalar `shade_pixel` operation for
-/// operation, so every mode produces bit-identical pixels and identical
-/// counters.
+/// [`SimdMode::Scalar`] walks `sorted` once per pixel. [`SimdMode::Wide8`]
+/// splits the rect into blocks of at most 16×16 pixels and walks `sorted`
+/// once per block: every row with a live pixel evaluates the 16-lane
+/// Mahalanobis form, and only the live lanes inside the 3σ cutoff go on to
+/// α and blending, with the scalar path's operations in its order. Both
+/// modes therefore produce bit-identical pixels and identical counters.
+/// Each row of the rect is written once through [`Framebuffer::row_mut`].
+///
+/// [`Framebuffer::row_mut`]: crate::Framebuffer::row_mut
 ///
 /// # Panics
 ///
@@ -69,152 +83,158 @@ pub fn rasterize_tile_into_with(
     if x1 <= x0 || y1 <= y0 {
         return;
     }
-    for py in y0..y1 {
-        let row = image.row_mut(py - origin.1, x0 - origin.0..x1 - origin.0);
-        shade_row(sorted, projected, x0, py, background, simd, row, counts);
-    }
-}
-
-/// Shades one row whose first pixel sits at image column `x0`: the scalar
-/// loop, or `W`-pixel chunks with a scalar tail.
-#[allow(clippy::too_many_arguments)]
-fn shade_row(
-    sorted: &[u32],
-    projected: &[ProjectedGaussian],
-    x0: u32,
-    py: u32,
-    background: Rgb,
-    simd: SimdMode,
-    row: &mut [Rgb],
-    counts: &mut StageCounts,
-) {
     match simd {
         SimdMode::Scalar => {
-            for (i, out) in row.iter_mut().enumerate() {
-                counts.pixels += 1;
-                let pixel_center = Vec2::new((x0 + i as u32) as f32 + 0.5, py as f32 + 0.5);
-                *out = shade_pixel(sorted, projected, pixel_center, background, counts);
+            for py in y0..y1 {
+                let row = image.row_mut(py - origin.1, x0 - origin.0..x1 - origin.0);
+                for (px, out) in (x0..).zip(row.iter_mut()) {
+                    counts.pixels += 1;
+                    let pixel_center = Vec2::new(px as f32 + 0.5, py as f32 + 0.5);
+                    *out = shade_pixel(sorted, projected, pixel_center, background, counts);
+                }
             }
         }
         SimdMode::Wide8 => {
-            shade_row_buffered::<8>(sorted, projected, x0, py, background, row, counts)
+            let step = BLOCK as u32;
+            for by in (y0..y1).step_by(BLOCK) {
+                for bx in (x0..x1).step_by(BLOCK) {
+                    shade_block(
+                        sorted,
+                        projected,
+                        bx..(bx + step).min(x1),
+                        by..(by + step).min(y1),
+                        background,
+                        image,
+                        origin,
+                        counts,
+                    );
+                }
+            }
         }
     }
 }
 
-fn shade_row_buffered<const W: usize>(
-    sorted: &[u32],
-    projected: &[ProjectedGaussian],
-    x0: u32,
-    py: u32,
-    background: Rgb,
-    row: &mut [Rgb],
-    counts: &mut StageCounts,
-) {
-    let width = row.len();
-    let mut i = 0usize;
-    while i + W <= width {
-        counts.pixels += W as u64;
-        let mut out = [Rgb::BLACK; W];
-        shade_chunk::<W>(
-            sorted,
-            projected,
-            x0 + i as u32,
-            py,
-            background,
-            &mut out,
-            counts,
-        );
-        row[i..i + W].copy_from_slice(&out);
-        i += W;
-    }
-    while i < width {
-        counts.pixels += 1;
-        let pixel_center = Vec2::new((x0 + i as u32) as f32 + 0.5, py as f32 + 0.5);
-        row[i] = shade_pixel(sorted, projected, pixel_center, background, counts);
-        i += 1;
-    }
+/// One row of a block, one lane per pixel column: the remaining
+/// transmittance, the color accumulated so far, and the mask of lanes
+/// still blending (bit `i` is lane `i`).
+#[derive(Clone, Copy)]
+struct BlockRow {
+    transmittance: [f32; BLOCK],
+    r: [f32; BLOCK],
+    g: [f32; BLOCK],
+    b: [f32; BLOCK],
+    live: u32,
 }
 
-/// Walks the sorted splat list front-to-back for `W` adjacent pixels of one
-/// row at once — the splat-outer dual of [`shade_pixel`]'s pixel-outer
-/// loop.
+/// Walks the sorted splat list front-to-back once for every pixel of the
+/// block of image-space `columns` × `rows` (each at most [`BLOCK`] long)
+/// together — the splat-outer dual of [`shade_pixel`]'s pixel-outer loop.
 ///
-/// The Mahalanobis form is evaluated branch-free across the whole chunk
-/// (the loop the auto-vectorizer targets); α-evaluation and blending then
-/// run per *active* lane with exactly the scalar path's operations and
-/// operand order (no fused multiply-add), so pixels are bit-identical and
-/// `alpha_computations` / `blend_operations` / `early_exits` charge
-/// identically: a lane stops being charged once its transmittance
-/// early-exit fires, just as the scalar loop breaks.
-fn shade_chunk<const W: usize>(
+/// For each splat, every row that still has a live pixel evaluates the
+/// Mahalanobis form branch-free across all [`BLOCK`] lanes (the loop the
+/// auto-vectorizer targets) and keeps, as a bit mask, the live lanes with
+/// `0 ≤ m ≤ 9`. α-evaluation and blending then run for those bits in
+/// ascending lane order with exactly the scalar path's operations and
+/// operand order (no fused multiply-add), so pixels are bit-identical.
+/// Each splat charges one α-computation per live pixel of the block, and a
+/// lane stops being charged once its transmittance early-exit fires, just
+/// as the scalar loop breaks; the walk ends when no pixel is live.
+#[allow(clippy::too_many_arguments)]
+fn shade_block(
     sorted: &[u32],
     projected: &[ProjectedGaussian],
-    px0: u32,
-    py: u32,
+    columns: Range<u32>,
+    rows: Range<u32>,
     background: Rgb,
-    out: &mut [Rgb; W],
+    image: &mut crate::Framebuffer,
+    origin: (u32, u32),
     counts: &mut StageCounts,
 ) {
-    let y = py as f32 + 0.5;
-    let mut xs = [0.0f32; W];
-    for (lane, x) in xs.iter_mut().enumerate() {
-        *x = (px0 + lane as u32) as f32 + 0.5;
+    let width = columns.len();
+    let height = rows.len();
+    let mut xs = [0.0f32; BLOCK];
+    for (x, px) in xs.iter_mut().zip(columns.start..) {
+        *x = px as f32 + 0.5;
     }
-    let mut trans = [1.0f32; W];
-    let mut acc_r = [0.0f32; W];
-    let mut acc_g = [0.0f32; W];
-    let mut acc_b = [0.0f32; W];
-    let mut active = [true; W];
-    let mut live = W;
-    let mut m = [0.0f32; W];
+    let fresh = BlockRow {
+        transmittance: [1.0; BLOCK],
+        r: [0.0; BLOCK],
+        g: [0.0; BLOCK],
+        b: [0.0; BLOCK],
+        live: u32::MAX >> (32 - width),
+    };
+    let mut state = [fresh; BLOCK];
+    let state = &mut state[..height];
+    let mut live_pixels = (width * height) as u64;
+    counts.pixels += live_pixels;
+    let mut blends = 0u64;
+    let mut exits = 0u64;
 
     for &slot in sorted {
+        if live_pixels == 0 {
+            break;
+        }
+        counts.alpha_computations += live_pixels;
         let splat = &projected[slot as usize];
         let m00 = splat.inv_cov.at(0, 0);
         let m01 = splat.inv_cov.at(0, 1);
         let m10 = splat.inv_cov.at(1, 0);
         let m11 = splat.inv_cov.at(1, 1);
-        let mean_x = splat.mean.x;
-        let dy = y - splat.mean.y;
-        for lane in 0..W {
-            let dx = xs[lane] - mean_x;
-            let vx = m00 * dx + m01 * dy;
-            let vy = m10 * dx + m11 * dy;
-            m[lane] = dx * vx + dy * vy;
-        }
-        counts.alpha_computations += live as u64;
-        for lane in 0..W {
-            if !active[lane] {
+        let Vec2 {
+            x: mean_x,
+            y: mean_y,
+        } = splat.mean;
+        let Rgb { r, g, b } = splat.color;
+        for (row, py) in state.iter_mut().zip(rows.clone()) {
+            if row.live == 0 {
                 continue;
             }
-            let alpha = if (0.0..=MAHALANOBIS_CUTOFF).contains(&m[lane]) {
-                (splat.opacity * (-0.5 * m[lane]).exp()).min(ALPHA_MAX)
-            } else {
-                0.0
-            };
-            if alpha < ALPHA_CULL_THRESHOLD {
-                continue;
+            let dy = (py as f32 + 0.5) - mean_y;
+            let mut m = [0.0f32; BLOCK];
+            for (m, &x) in m.iter_mut().zip(&xs) {
+                let dx = x - mean_x;
+                let vx = m00 * dx + m01 * dy;
+                let vy = m10 * dx + m11 * dy;
+                *m = dx * vx + dy * vy;
             }
-            let weight = alpha * trans[lane];
-            acc_r[lane] += splat.color.r * weight;
-            acc_g[lane] += splat.color.g * weight;
-            acc_b[lane] += splat.color.b * weight;
-            trans[lane] *= 1.0 - alpha;
-            counts.blend_operations += 1;
-            if trans[lane] < TRANSMITTANCE_EPSILON {
-                counts.early_exits += 1;
-                active[lane] = false;
-                live -= 1;
+            let mut hits = 0u32;
+            for (bit, &m) in m.iter().enumerate() {
+                hits |= u32::from((0.0..=MAHALANOBIS_CUTOFF).contains(&m)) << bit;
             }
-        }
-        if live == 0 {
-            break;
+            hits &= row.live;
+            while hits != 0 {
+                let lane = hits.trailing_zeros() as usize;
+                hits &= hits - 1;
+                let alpha = (splat.opacity * (-0.5 * m[lane]).exp()).min(ALPHA_MAX);
+                if alpha < ALPHA_CULL_THRESHOLD {
+                    continue;
+                }
+                let transmittance = row.transmittance[lane];
+                let weight = alpha * transmittance;
+                row.r[lane] += r * weight;
+                row.g[lane] += g * weight;
+                row.b[lane] += b * weight;
+                let transmittance = transmittance * (1.0 - alpha);
+                row.transmittance[lane] = transmittance;
+                blends += 1;
+                if transmittance < TRANSMITTANCE_EPSILON {
+                    exits += 1;
+                    row.live &= !(1 << lane);
+                    live_pixels -= 1;
+                }
+            }
         }
     }
+    counts.blend_operations += blends;
+    counts.early_exits += exits;
 
-    for lane in 0..W {
-        out[lane] = Rgb::new(acc_r[lane], acc_g[lane], acc_b[lane]) + background * trans[lane];
+    let columns = columns.start - origin.0..columns.end - origin.0;
+    for (row, py) in state.iter().zip(rows) {
+        let out = image.row_mut(py - origin.1, columns.clone());
+        let lanes = row.r.iter().zip(&row.g).zip(&row.b).zip(&row.transmittance);
+        for (pixel, (((&r, &g), &b), &transmittance)) in out.iter_mut().zip(lanes) {
+            *pixel = Rgb::new(r, g, b) + background * transmittance;
+        }
     }
 }
 
@@ -563,26 +583,90 @@ mod tests {
         (projected, order)
     }
 
+    /// Asserts that the block walk and the scalar reference shade `rect`
+    /// to the same pixel bits and the same counters, and returns the
+    /// reference counters.
+    fn assert_block_walk_matches_scalar(
+        order: &[u32],
+        projected: &[ProjectedGaussian],
+        rect: &TileRect,
+        background: Rgb,
+    ) -> StageCounts {
+        let (scalar, scalar_counts) =
+            full_walk(order, projected, rect, background, SimdMode::Scalar);
+        let (wide, wide_counts) = full_walk(order, projected, rect, background, SimdMode::Wide8);
+        assert_eq!(wide_counts, scalar_counts, "counters at {rect:?}");
+        assert_eq!(scalar.pixel_count(), wide.pixel_count(), "{rect:?}");
+        for (i, (a, b)) in scalar.pixels().iter().zip(wide.pixels()).enumerate() {
+            assert_eq!(
+                [a.r.to_bits(), a.g.to_bits(), a.b.to_bits()],
+                [b.r.to_bits(), b.g.to_bits(), b.b.to_bits()],
+                "pixel {i} at {rect:?}"
+            );
+        }
+        scalar_counts
+    }
+
+    /// The block walk on clipped rects of every shape a 16-px tile grid
+    /// produces, over a list where pixels die at different splats, the
+    /// bottom-right corner never dies, and two splats have conics that are
+    /// not positive definite (m < 0 and m = NaN).
+    #[test]
+    fn block_walk_matches_scalar_on_clipped_rects() {
+        // An opaque stack centred on the top-left corner, widening with
+        // depth: the centre dies after a few splats, the rim after many,
+        // and nothing reaches (15, 15).
+        let mut projected: Vec<ProjectedGaussian> = (0..14u32)
+            .map(|i| {
+                splat(
+                    Vec2::new(2.0, 3.0),
+                    1.0 + 0.35 * i as f32,
+                    0.9,
+                    Rgb::new(0.05 * i as f32, 0.4, 0.9),
+                    i as f32,
+                    i,
+                )
+            })
+            .collect();
+        // Indefinite conic: m = (dx² − dy²) / 8 is negative above and below
+        // the mean and in range beside it.
+        let mut saddle = splat(Vec2::new(9.0, 8.0), 2.0, 0.7, Rgb::WHITE, 14.0, 14);
+        saddle.inv_cov = Mat2::from_symmetric(0.125, 0.0, -0.125);
+        // NaN conic: m is NaN everywhere, so it never blends.
+        let mut broken = splat(Vec2::new(8.0, 8.0), 2.0, 0.9, Rgb::WHITE, 15.0, 15);
+        broken.inv_cov = Mat2::from_symmetric(f32::NAN, 0.0, 1.0);
+        assert_eq!(alpha_at(&saddle, Vec2::new(9.5, 12.5)), 0.0);
+        assert!(alpha_at(&saddle, Vec2::new(12.5, 8.5)) > ALPHA_CULL_THRESHOLD);
+        projected.extend([saddle, broken]);
+        let order: Vec<u32> = (0..projected.len() as u32).collect();
+        let background = Rgb::new(0.3, 0.2, 0.1);
+
+        for rect in [
+            TileRect::new(15.0, 15.0, 16.0, 16.0),
+            TileRect::new(7.0, 2.0, 12.0, 5.0),
+            TileRect::new(3.0, 0.0, 16.0, 16.0),
+            TileRect::new(0.0, 9.0, 16.0, 16.0),
+            TileRect::new(0.0, 0.0, 16.0, 16.0),
+        ] {
+            assert_block_walk_matches_scalar(&order, &projected, &rect, background);
+            let empty = assert_block_walk_matches_scalar(&[], &projected, &rect, background);
+            assert_eq!(empty.alpha_computations, 0, "{rect:?}");
+        }
+
+        // The full tile really has pixels that die and pixels that never do.
+        let full = assert_block_walk_matches_scalar(&order, &projected, &tile(), background);
+        assert!(full.early_exits > 0 && full.early_exits < full.pixels);
+    }
+
     #[test]
     fn wide_modes_are_bit_identical_to_scalar_with_identical_counters() {
         let (projected, order) = mixed_splats();
         let background = Rgb::new(0.2, 0.3, 0.4);
-        // Widths exercise full chunks, scalar tails and rows narrower than
-        // a single chunk.
+        // Widths exercise one whole block, partial blocks and a rect that
+        // spans two blocks.
         for (w, h) in [(16.0, 16.0), (10.0, 7.0), (3.0, 5.0), (17.0, 9.0)] {
             let rect = TileRect::new(0.0, 0.0, w, h);
-            let (scalar, scalar_counts) =
-                full_walk(&order, &projected, &rect, background, SimdMode::Scalar);
-            let (wide, wide_counts) =
-                full_walk(&order, &projected, &rect, background, SimdMode::Wide8);
-            assert_eq!(wide_counts, scalar_counts, "counters at {w}x{h}");
-            for (i, (a, b)) in scalar.pixels().iter().zip(wide.pixels()).enumerate() {
-                assert_eq!(
-                    [a.r.to_bits(), a.g.to_bits(), a.b.to_bits()],
-                    [b.r.to_bits(), b.g.to_bits(), b.b.to_bits()],
-                    "pixel {i} at {w}x{h}"
-                );
-            }
+            assert_block_walk_matches_scalar(&order, &projected, &rect, background);
         }
     }
 

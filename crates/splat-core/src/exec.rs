@@ -2,21 +2,26 @@
 //! [`ExecutionConfig`] embedded in each pipeline configuration, set through
 //! the [`HasExecution`] `with_*` methods.
 
-/// Lane width of the chunked (SIMD-shaped) kernels used by the projection
-/// transform and the tile blending inner loop.
+/// Shape of the SIMD-friendly kernels used by the projection transform and
+/// the tile blending inner loop.
 ///
-/// `Wide8` processes fixed-size `[f32; 8]` chunks whose per-lane operations
-/// are the *same scalar operations in the same order* as the scalar path (no
-/// fused multiply-add), so both modes produce bit-identical images and
-/// identical operation counts — the knob only changes how the work is laid
-/// out for the compiler's auto-vectorizer. `Wide8` is the default because it
-/// is the fastest point on every benchmark input (README "Kernels and
-/// modes"); `Scalar` is the reference the tests compare it against.
+/// `Wide8` projects splats in fixed-size `[f32; 8]` chunks and, under
+/// [`SpanMode::Full`], blends each tile as blocks of up to 16×16 pixels
+/// that walk the tile's sorted list once, evaluating the Mahalanobis form
+/// 16 lanes at a time (the [`SpanMode::RowSpans`] walk evaluates its row
+/// intervals in 8-pixel chunks). Every lane
+/// performs the *same scalar operations in the same order* as the scalar
+/// path (no fused multiply-add), so both modes produce bit-identical images
+/// and identical operation counts — the knob only changes how the work is
+/// laid out for the compiler's auto-vectorizer. `Wide8` is the default
+/// because it is the fastest point on every benchmark input (README
+/// "Kernels and modes"); `Scalar` is the reference the tests compare it
+/// against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SimdMode {
     /// One splat / pixel at a time (the reference path).
     Scalar,
-    /// 8-wide chunked kernels.
+    /// 8-wide projection chunks and 16×16 block blending.
     #[default]
     Wide8,
 }
@@ -24,15 +29,6 @@ pub enum SimdMode {
 impl SimdMode {
     /// Every mode, scalar first.
     pub const ALL: [SimdMode; 2] = [SimdMode::Scalar, SimdMode::Wide8];
-
-    /// Lane width of the chunked kernels (1 for the scalar path).
-    #[inline]
-    pub fn lanes(self) -> usize {
-        match self {
-            SimdMode::Scalar => 1,
-            SimdMode::Wide8 => 8,
-        }
-    }
 
     /// Stable human-readable label (used by benches and reports).
     pub fn label(self) -> &'static str {
@@ -203,12 +199,7 @@ mod tests {
     }
 
     #[test]
-    fn simd_modes_expose_lane_widths_and_labels() {
-        assert_eq!(
-            SimdMode::ALL.map(SimdMode::lanes),
-            [1, 8],
-            "lane widths are pinned"
-        );
+    fn simd_modes_expose_labels_and_the_default() {
         assert_eq!(SimdMode::ALL.map(SimdMode::label), ["scalar", "wide8"]);
         // The default is the measured winner, however the config is built.
         assert_eq!(SimdMode::default(), SimdMode::Wide8);

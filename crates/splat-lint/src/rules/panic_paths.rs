@@ -35,14 +35,19 @@ impl Rule for NoPanicPaths {
                     continue;
                 }
                 let text = token.text(&file.text);
-                let next_is = |ch: char| code.get(w + 1).is_some_and(|(_, t)| t.is_punct(ch));
+                let ahead_is =
+                    |n: usize, ch: char| code.get(w + n).is_some_and(|(_, t)| t.is_punct(ch));
+                let next_is = |ch: char| ahead_is(1, ch);
                 let prev_is = |ch: char| w > 0 && code[w - 1].1.is_punct(ch);
+                // `todo != 0` compares a binding named `todo`: a `!`
+                // followed by `=` is the `!=` operator, not a macro bang.
+                let macro_bang = next_is('!') && !ahead_is(2, '=');
                 let message = match text {
                     "unwrap" | "expect" if next_is('(') && prev_is('.') => format!(
                         "`.{text}(` in library code: return a typed `RenderError`/`Option` \
                          instead of panicking (or waive with a reason)"
                     ),
-                    "panic" | "todo" | "unimplemented" if next_is('!') => format!(
+                    "panic" | "todo" | "unimplemented" if macro_bang => format!(
                         "`{text}!` in library code: the serving path must stay panic-free; \
                          return a typed error (or waive with a reason)"
                     ),
@@ -198,6 +203,16 @@ mod tests {
         let out = run(NoPanicPaths, "crates/splat-render/src/x.rs", src);
         assert_eq!(out.len(), 3);
         assert_eq!(out.iter().map(|d| d.line).collect::<Vec<_>>(), [2, 3, 4]);
+    }
+
+    #[test]
+    fn not_equal_after_a_macro_name_is_not_a_macro_bang() {
+        let src = "pub fn f() -> bool {\n    let todo = 1;\n    let panic = 2;\n    if panic!= todo { todo!() }\n    todo != 0\n}\n";
+        let out = run(NoPanicPaths, "crates/splat-core/src/x.rs", src);
+        // Only the `todo!()` on line 4 is a macro; both `!=` are comparisons.
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].line, 4);
+        assert!(out[0].message.contains("`todo!`"));
     }
 
     #[test]

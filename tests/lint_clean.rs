@@ -71,7 +71,14 @@ fn index_audit_count_is_pinned() {
     //
     // 118 -> 117: the allocating `sh::eval_basis` (`basis[..count]`) is
     // gone; callers go through `eval_color`.
-    let audited = 117;
+    //
+    // 117 -> 105: the wide tile kernel shades 16×16 blocks. The deleted
+    // 8-pixel chunk walk and its scalar tail held 20 sites (per-lane
+    // `xs` / `m` / `active` / `trans` / `acc_*` / `out`, the splat load and
+    // `row[..]`); the block walk holds 8 (`state[..height]`, the splat
+    // load, `m[lane]` and five per-lane state reads and writes) and writes
+    // each row out through an iterator.
+    let audited = 105;
     assert!(
         index_warnings <= audited,
         "no-index-panic count grew past the audited baseline ({index_warnings} > {audited}): \

@@ -1,6 +1,7 @@
 //! Integration test: cross-crate consistency invariants between the
 //! rendering pipelines, the scene substrate and the accelerator simulator.
 
+use gs_tg::core::Framebuffer;
 use gs_tg::prelude::*;
 use gs_tg::scene::io::{decode_scene, encode_scene};
 
@@ -113,4 +114,59 @@ fn renderer_is_deterministic_across_runs() {
     let d = gstg_renderer.render(&scene, &cam);
     assert_eq!(c.image.max_abs_diff(&d.image), 0.0);
     assert_eq!(c.stats.counts, d.stats.counts);
+}
+
+/// Pixel bits, so `-0.0` and `0.0` (or two NaNs) never compare equal by
+/// accident.
+fn pixel_bits(image: &Framebuffer) -> Vec<[u32; 3]> {
+    image
+        .pixels()
+        .iter()
+        .map(|p| [p.r.to_bits(), p.g.to_bits(), p.b.to_bits()])
+        .collect()
+}
+
+#[test]
+fn wide_kernel_matches_scalar_at_every_tile_size() {
+    // The golden digests render 16-px tiles only, one 16×16 block each.
+    // 8-px tiles shade 8-wide blocks; 32- and 64-px tiles split into 4
+    // and 16 blocks that each walk the tile's list, and 200×136 clips the
+    // border tiles of every size but 8.
+    let cam = camera(200, 136);
+    for paper_scene in [PaperScene::Playroom, PaperScene::Truck] {
+        let scene = paper_scene.build(SceneScale::Tiny, 3);
+        for (tile_size, group_size) in [(8, 64), (32, 64), (64, 128)] {
+            let config = GstgConfig::new(
+                tile_size,
+                group_size,
+                BoundaryMethod::Ellipse,
+                BoundaryMethod::Ellipse,
+            )
+            .expect("valid configuration");
+            for threads in [1usize, 4] {
+                let render = |simd| {
+                    let gstg = GstgRenderer::new(config.with_threads(threads).with_simd(simd));
+                    let baseline = Renderer::new(
+                        config
+                            .equivalent_baseline()
+                            .with_threads(threads)
+                            .with_simd(simd),
+                    );
+                    [gstg.render(&scene, &cam), baseline.render(&scene, &cam)]
+                };
+                let scalar = render(SimdMode::Scalar);
+                let wide = render(SimdMode::Wide8);
+                for ((s, w), pipeline) in scalar.iter().zip(&wide).zip(["gstg", "baseline"]) {
+                    let at =
+                        format!("{paper_scene:?}/{pipeline}/tile {tile_size}/threads {threads}");
+                    assert!(
+                        s.stats.counts.alpha_computations > 0,
+                        "{at}: nothing shaded"
+                    );
+                    assert_eq!(w.stats.counts, s.stats.counts, "{at}: counters");
+                    assert!(pixel_bits(&w.image) == pixel_bits(&s.image), "{at}: pixels");
+                }
+            }
+        }
+    }
 }
