@@ -35,9 +35,12 @@ impl GstgConfig {
     /// The configuration the paper selects after the Fig. 11 sweep:
     /// 16×16 tiles grouped into 64×64 groups with the ellipse boundary for
     /// both group identification and bitmask generation.
+    #[expect(
+        clippy::expect_used,
+        reason = "constant literal configuration, pinned by construction tests"
+    )]
     pub fn paper_default() -> Self {
         Self::new(16, 64, BoundaryMethod::Ellipse, BoundaryMethod::Ellipse)
-            // lint:allow(no-panic-paths): constant literal configuration, pinned by construction tests
             .expect("paper configuration is valid")
     }
 

@@ -45,6 +45,10 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Library code returns typed errors and stays deterministic (`clippy.toml`).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_types))]
 
 pub mod buffer;
 pub mod config;

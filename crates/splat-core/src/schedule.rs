@@ -49,6 +49,10 @@ impl TileScheduler {
     /// # Panics
     ///
     /// Propagates a panic from any worker.
+    #[expect(
+        clippy::expect_used,
+        reason = "re-raising a worker panic is the only sound option"
+    )]
     pub fn run<T, F>(&self, job_count: usize, work: F) -> Vec<T>
     where
         T: Send,
@@ -71,7 +75,6 @@ impl TileScheduler {
                 .collect();
             let mut results = Vec::with_capacity(job_count);
             for handle in handles {
-                // lint:allow(no-panic-paths): re-raising a worker panic is the only sound option
                 results.extend(handle.join().expect("scheduler worker panicked"));
             }
             results

@@ -37,6 +37,11 @@
 //! preprocessing, which low-passes the covariance) conservatively fall
 //! back to the full row.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the span walker times its interval build; the reading feeds no pixel or counter"
+)]
+
 use crate::blend::{ALPHA_CULL_THRESHOLD, ALPHA_MAX, TRANSMITTANCE_EPSILON};
 use crate::exec::SimdMode;
 use crate::rect::{TileRect, MAHALANOBIS_CUTOFF};

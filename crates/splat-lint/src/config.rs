@@ -1,5 +1,6 @@
-//! Linter configuration: rule severities and scope allowlists, loaded
-//! from `splat-lint.toml` at the workspace root.
+//! Linter configuration: excluded paths, rule severities and the
+//! lock rule's heavy calls, loaded from `splat-lint.toml` at the
+//! workspace root.
 //!
 //! The parser is a deliberately tiny TOML subset — `[section]` headers,
 //! `key = "string"` and `key = ["a", "b", ...]` (arrays may span lines) —
@@ -37,11 +38,6 @@ pub struct Config {
     pub exclude: Vec<String>,
     /// Per-rule severity overrides (rules carry their own defaults).
     pub severities: BTreeMap<String, Severity>,
-    /// Files allowed to read wall clocks (`Instant::now`, `SystemTime`):
-    /// the designated timing modules and the bench harness.
-    pub timing_allow: Vec<String>,
-    /// Files allowed to construct the local deterministic RNG.
-    pub rng_allow: Vec<String>,
     /// Identifiers that must not be called while the registry guard is
     /// held (allocation-heavy scene preparation).
     pub heavy_calls: Vec<String>,
@@ -52,8 +48,6 @@ impl Default for Config {
         Self {
             exclude: Vec::new(),
             severities: BTreeMap::new(),
-            timing_allow: Vec::new(),
-            rng_allow: Vec::new(),
             heavy_calls: vec!["prepare".to_string(), "PreparedScene".to_string()],
         }
     }
@@ -142,8 +136,6 @@ impl Config {
                 };
                 self.severities.insert(rule.to_string(), severity);
             }
-            ("no-nondeterminism", "timing-allow") => self.timing_allow = parse_array(value, line)?,
-            ("no-nondeterminism", "rng-allow") => self.rng_allow = parse_array(value, line)?,
             ("lock-discipline", "heavy-calls") => self.heavy_calls = parse_array(value, line)?,
             _ => return err(&format!("unknown key `{key}` in section `[{section}]`")),
         }
@@ -247,7 +239,7 @@ mod tests {
     #[test]
     fn parses_sections_strings_and_arrays() {
         let config = Config::parse(
-            "# top comment\n[files]\nexclude = [\"a/\", \"b/\"] # trailing\n\n[severity]\nno-index-panic = \"warn\"\n\n[no-nondeterminism]\ntiming-allow = [\n    \"crates/x.rs\",\n    \"crates/y.rs\",\n]\n",
+            "# top comment\n[files]\nexclude = [\"a/\", \"b/\"] # trailing\n\n[severity]\nno-index-panic = \"warn\"\n\n[lock-discipline]\nheavy-calls = [\n    \"prepare\",\n    \"rebuild\",\n]\n",
         )
         .unwrap();
         assert_eq!(config.exclude, ["a/", "b/"]);
@@ -255,7 +247,7 @@ mod tests {
             config.severity("no-index-panic", Severity::Error),
             Severity::Warn
         );
-        assert_eq!(config.timing_allow, ["crates/x.rs", "crates/y.rs"]);
+        assert_eq!(config.heavy_calls, ["prepare", "rebuild"]);
     }
 
     #[test]
@@ -269,7 +261,7 @@ mod tests {
     fn default_severity_applies_when_unset() {
         let config = Config::default();
         assert_eq!(
-            config.severity("no-panic-paths", Severity::Error),
+            config.severity("lock-discipline", Severity::Error),
             Severity::Error
         );
     }

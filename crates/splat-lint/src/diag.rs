@@ -14,7 +14,7 @@ pub struct Diagnostic {
     pub line: u32,
     /// 1-based column.
     pub col: u32,
-    /// The rule that fired (`no-panic-paths`, …).
+    /// The rule that fired (`lock-discipline`, …).
     pub rule: String,
     /// Effective severity after config overrides.
     pub severity: Severity,
@@ -135,10 +135,10 @@ mod tests {
             file: "crates/x/src/lib.rs".into(),
             line: 3,
             col: 7,
-            rule: "no-panic-paths".into(),
+            rule: "lock-discipline".into(),
             severity,
-            message: "`.unwrap()` in library code".into(),
-            snippet: "let v = x.unwrap();".into(),
+            message: "`.lock()` on `self.queue` while another guard is live".into(),
+            snippet: "let queue = self.queue.lock();".into(),
         }
     }
 

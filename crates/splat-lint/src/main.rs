@@ -84,9 +84,7 @@ fn usage(message: &str) -> ExitCode {
 
 fn short_description(id: &str) -> &'static str {
     match id {
-        "no-panic-paths" => "no unwrap/expect/panic!/todo!/unimplemented! in library code",
         "no-index-panic" => "audit xs[i] index expressions in library code",
-        "no-nondeterminism" => "no hash iteration, wall clocks or RNG outside designated modules",
         "lock-discipline" => "engine mutexes are leaf locks; no prepare under the registry guard",
         _ => "",
     }

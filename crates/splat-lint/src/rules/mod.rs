@@ -2,7 +2,6 @@
 //! helpers every rule builds its findings with.
 
 mod locks;
-mod nondeterminism;
 mod panic_paths;
 
 use crate::config::{Config, Severity};
@@ -11,8 +10,7 @@ use crate::lexer::{Token, TokenKind};
 use crate::source::{SourceFile, Workspace};
 
 pub use locks::LockDiscipline;
-pub use nondeterminism::NoNondeterminism;
-pub use panic_paths::{NoIndexPanic, NoPanicPaths};
+pub use panic_paths::NoIndexPanic;
 
 /// A single named check over the lexed workspace.
 pub trait Rule {
@@ -26,12 +24,7 @@ pub trait Rule {
 
 /// All project rules, in reporting order.
 pub fn all_rules() -> Vec<Box<dyn Rule>> {
-    vec![
-        Box::new(NoPanicPaths),
-        Box::new(NoIndexPanic),
-        Box::new(NoNondeterminism),
-        Box::new(LockDiscipline),
-    ]
+    vec![Box::new(NoIndexPanic), Box::new(LockDiscipline)]
 }
 
 /// Every known rule id (waivers naming anything else are malformed).

@@ -7,9 +7,8 @@ use std::path::Path;
 
 use crate::lexer::{tokenize, Token, TokenKind};
 
-/// The ten runtime crates whose library code is subject to the
-/// panic-freedom and determinism rules (`splat-lint` is this tool and
-/// serves no render traffic).
+/// The ten runtime crates whose library code the index audit covers
+/// (`splat-lint` is this tool and serves no render traffic).
 pub const RUNTIME_CRATES: [&str; 10] = [
     "gstg",
     "splat-accel",
@@ -416,23 +415,23 @@ mod tests {
     fn waiver_parsing_extracts_rules_and_reason() {
         let file = SourceFile::new(
             "crates/gstg/src/x.rs",
-            "x(); // lint:allow(no-panic-paths, lock-discipline): worker panic must propagate\n",
+            "x(); // lint:allow(no-index-panic, lock-discipline): the slot is released above\n",
         );
         assert_eq!(file.waivers.len(), 1);
         let w = &file.waivers[0];
         assert!(!w.malformed);
-        assert_eq!(w.rules, ["no-panic-paths", "lock-discipline"]);
-        assert_eq!(w.reason, "worker panic must propagate");
+        assert_eq!(w.rules, ["no-index-panic", "lock-discipline"]);
+        assert_eq!(w.reason, "the slot is released above");
         assert_eq!(w.line, 1);
     }
 
     #[test]
     fn waiver_without_reason_is_malformed() {
-        let file = SourceFile::new("crates/gstg/src/x.rs", "// lint:allow(no-panic-paths)\n");
+        let file = SourceFile::new("crates/gstg/src/x.rs", "// lint:allow(lock-discipline)\n");
         assert!(file.waivers[0].malformed);
         let file = SourceFile::new(
             "crates/gstg/src/x.rs",
-            "// lint:allow(no-panic-paths):   \n",
+            "// lint:allow(lock-discipline):   \n",
         );
         assert!(file.waivers[0].malformed);
     }

@@ -35,16 +35,6 @@ fn every_rule_fires_on_the_dirty_fixture_at_the_right_location() {
         );
     };
 
-    // no-panic-paths: the unwrap and the todo!.
-    expect("no-panic-paths", "crates/gstg/src/lib.rs", 2);
-    expect("no-panic-paths", "crates/gstg/src/lib.rs", 6);
-
-    // no-nondeterminism: HashMap (use + type + constructor) and
-    // Instant::now.
-    expect("no-nondeterminism", "crates/splat-render/src/lib.rs", 1);
-    expect("no-nondeterminism", "crates/splat-render/src/lib.rs", 5);
-    expect("no-nondeterminism", "crates/splat-render/src/lib.rs", 6);
-
     // lock-discipline: the nested queue lock under the registry guard,
     // and the heavy `prepare` call under a guard.
     expect("lock-discipline", "crates/splat-engine/src/lib.rs", 11);
@@ -98,8 +88,7 @@ fn cli_exits_nonzero_on_dirty_trees_with_machine_readable_locations() {
     assert!(!dirty.status.success(), "dirty fixture must fail the check");
     let json = String::from_utf8(dirty.stdout).expect("UTF-8 JSON");
     for fragment in [
-        "\"file\":\"crates/gstg/src/lib.rs\",\"line\":2",
-        "\"rule\":\"no-panic-paths\"",
+        "\"file\":\"crates/splat-engine/src/lib.rs\",\"line\":11",
         "\"rule\":\"lock-discipline\"",
     ] {
         assert!(json.contains(fragment), "missing {fragment} in {json}");

@@ -108,8 +108,11 @@ impl RenderConfig {
     ///
     /// Panics if `tile_size` is not a power of two or is below 4; use
     /// [`RenderConfig::try_new`] for a fallible variant.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panicking constructor; try_new is the typed path"
+    )]
     pub fn new(tile_size: u32, boundary: BoundaryMethod) -> Self {
-        // lint:allow(no-panic-paths): documented panicking constructor; try_new is the typed path
         Self::try_new(tile_size, boundary).expect("invalid tile size")
     }
 

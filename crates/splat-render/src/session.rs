@@ -19,6 +19,11 @@
 //! whose framebuffer is moved out ([`Session::into_output`]), so one-shot
 //! and session frames are the same code and report the same stage windows.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the frame loop's four per-stage timing windows are wall-clock by design; no reading feeds a pixel or a counter"
+)]
+
 use crate::config::RenderConfig;
 use crate::preprocess::{preprocess_into, ProjectedGaussian};
 use crate::tiling::TileGrid;

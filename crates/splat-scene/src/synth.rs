@@ -8,6 +8,11 @@
 //! sharing between adjacent tiles, Gaussians per pixel) falls in the same
 //! ranges as the real scenes.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the deterministic scene synthesizer seeds its xoshiro RNG from the scene seed"
+)]
+
 use crate::rng::Rng;
 use crate::scene::Scene;
 use splat_types::{Gaussian3d, Quat, Rgb, ShCoefficients, Vec3};
@@ -194,6 +199,10 @@ fn normal(rng: &mut Rng) -> f32 {
 
 /// Generates random SH coefficients of the requested degree with a plausible
 /// energy fall-off per band.
+#[expect(
+    clippy::expect_used,
+    reason = "the loop above pushes exactly coefficient_count(degree) entries"
+)]
 fn random_sh(rng: &mut Rng, degree: usize) -> ShCoefficients {
     let count = splat_types::sh::coefficient_count(degree.min(splat_types::SH_DEGREE_MAX));
     let mut coeffs = Vec::with_capacity(count);
@@ -212,7 +221,6 @@ fn random_sh(rng: &mut Rng, degree: usize) -> ShCoefficients {
             (rng.gen_f32() - 0.5) * falloff,
         ));
     }
-    // lint:allow(no-panic-paths): the loop above pushes exactly coefficient_count(degree) entries
     ShCoefficients::from_coefficients(coeffs).expect("complete coefficient count")
 }
 

@@ -29,6 +29,11 @@
 //! lazily as chunks drain to the peer, so a slow reader holds at most
 //! `window` queue slots instead of pinning a whole trajectory.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the front door's drain deadline and socket timeouts are wall-clock by nature; rendering stays deterministic"
+)]
+
 use std::io::{self, BufReader};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -130,6 +130,10 @@ impl Gaussian3d {
 
     /// Returns a copy with every parameter rounded through the requested
     /// precision. [`Precision::Full`] returns the splat unchanged.
+    #[expect(
+        clippy::expect_used,
+        reason = "quantization preserves the validated count"
+    )]
     pub fn to_precision(&self, precision: Precision) -> Self {
         match precision {
             Precision::Full => self.clone(),
@@ -154,7 +158,6 @@ impl Gaussian3d {
                     .normalized(),
                     opacity: q(self.opacity),
                     sh: ShCoefficients::from_coefficients(coeffs)
-                        // lint:allow(no-panic-paths): quantization preserves the validated count
                         .expect("coefficient count preserved"),
                 }
             }
@@ -236,8 +239,11 @@ impl Gaussian3dBuilder {
     ///
     /// Panics if a set parameter is invalid; use [`Self::try_build`] for a
     /// fallible variant.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panicking builder; try_build is the typed path"
+    )]
     pub fn build(self) -> Gaussian3d {
-        // lint:allow(no-panic-paths): documented panicking builder; try_build is the typed path
         self.try_build().expect("invalid Gaussian3d parameters")
     }
 

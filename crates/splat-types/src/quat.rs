@@ -116,11 +116,6 @@ impl Quat {
             1.0 - 2.0 * (x * x + y * y),
         )
     }
-
-    /// Rotates a vector by the quaternion.
-    pub fn rotate(self, v: Vec3) -> Vec3 {
-        self.to_rotation_matrix().mul_vec(v)
-    }
 }
 
 impl Mul for Quat {
@@ -153,13 +148,13 @@ mod tests {
     #[test]
     fn identity_rotation_is_noop() {
         let v = Vec3::new(1.0, -2.0, 3.0);
-        assert_eq!(Quat::IDENTITY.rotate(v), v);
+        assert_eq!(Quat::IDENTITY.to_rotation_matrix().mul_vec(v), v);
     }
 
     #[test]
     fn quarter_turn_about_z() {
         let q = Quat::from_axis_angle(Vec3::Z, std::f32::consts::FRAC_PI_2);
-        assert!(vec_approx(q.rotate(Vec3::X), Vec3::Y));
+        assert!(vec_approx(q.to_rotation_matrix().mul_vec(Vec3::X), Vec3::Y));
     }
 
     #[test]
@@ -180,7 +175,12 @@ mod tests {
     fn conjugate_inverts_unit_rotation() {
         let q = Quat::from_euler(0.5, 0.2, -0.9);
         let v = Vec3::new(0.3, 0.8, -1.2);
-        assert!(vec_approx(q.conjugate().rotate(q.rotate(v)), v));
+        assert!(vec_approx(
+            q.conjugate()
+                .to_rotation_matrix()
+                .mul_vec(q.to_rotation_matrix().mul_vec(v)),
+            v
+        ));
     }
 
     #[test]
@@ -208,7 +208,8 @@ mod tests {
                 rng.range_f32(-10.0, 10.0),
             );
             assert!(
-                (q.rotate(v).length() - v.length()).abs() < 1e-3 * (1.0 + v.length()),
+                (q.to_rotation_matrix().mul_vec(v).length() - v.length()).abs()
+                    < 1e-3 * (1.0 + v.length()),
                 "case {case}"
             );
         }
@@ -233,7 +234,7 @@ mod tests {
                 rng.range_f32(-5.0, 5.0),
                 rng.range_f32(-5.0, 5.0),
             );
-            let via_quat = (q1 * q2).rotate(v);
+            let via_quat = (q1 * q2).to_rotation_matrix().mul_vec(v);
             let via_mat = q1
                 .to_rotation_matrix()
                 .mul_vec(q2.to_rotation_matrix().mul_vec(v));

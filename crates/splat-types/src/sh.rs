@@ -101,9 +101,12 @@ pub(crate) fn eval_basis_into(
 /// `degree` must be at most [`SH_DEGREE_MAX`] and `coeffs` must hold
 /// `coefficient_count(degree)` entries; extra entries are ignored.
 #[inline]
+#[expect(
+    clippy::expect_used,
+    reason = "degree <= SH_DEGREE_MAX is enforced at ShCoefficients construction"
+)]
 pub fn eval_color(degree: usize, coeffs: &[Rgb], dir: Vec3) -> Rgb {
     let mut basis = [0.0f32; coefficient_count(SH_DEGREE_MAX)];
-    // lint:allow(no-panic-paths): degree <= SH_DEGREE_MAX is enforced at ShCoefficients construction
     let count = eval_basis_into(degree, dir, &mut basis).expect("degree validated at construction");
     let mut color = Rgb::new(0.5, 0.5, 0.5);
     for (w, c) in basis[..count].iter().zip(coeffs) {

@@ -327,6 +327,18 @@ impl From<Vec4> for [f32; 4] {
     }
 }
 
+/// The out-of-bounds arm of the vector `Index` impls. It lives outside
+/// `impl_index!` because `clippy::panic` does not see a `panic!` written
+/// inside a local macro body.
+#[cold]
+#[expect(
+    clippy::panic,
+    reason = "std's Index contract is to panic out of bounds"
+)]
+fn index_out_of_bounds(ty: &'static str, index: usize) -> ! {
+    panic!("index {index} out of bounds for {ty}")
+}
+
 macro_rules! impl_index {
     ($ty:ident, $n:expr, $($idx:expr => $comp:ident),+) => {
         impl Index<usize> for $ty {
@@ -335,8 +347,7 @@ macro_rules! impl_index {
             fn index(&self, index: usize) -> &f32 {
                 match index {
                     $($idx => &self.$comp,)+
-                    // lint:allow(no-panic-paths): std's Index contract is to panic out of bounds
-                    _ => panic!("index {index} out of bounds for {}", stringify!($ty)),
+                    _ => index_out_of_bounds(stringify!($ty), index),
                 }
             }
         }
@@ -345,8 +356,7 @@ macro_rules! impl_index {
             fn index_mut(&mut self, index: usize) -> &mut f32 {
                 match index {
                     $($idx => &mut self.$comp,)+
-                    // lint:allow(no-panic-paths): std's Index contract is to panic out of bounds
-                    _ => panic!("index {index} out of bounds for {}", stringify!($ty)),
+                    _ => index_out_of_bounds(stringify!($ty), index),
                 }
             }
         }
