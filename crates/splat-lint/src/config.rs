@@ -1,43 +1,18 @@
-//! Linter configuration: excluded paths, rule severities and the
-//! lock rule's heavy calls, loaded from `splat-lint.toml` at the
-//! workspace root.
+//! Linter configuration: excluded paths and the lock rule's heavy calls,
+//! loaded from `splat-lint.toml` at the workspace root.
 //!
 //! The parser is a deliberately tiny TOML subset — `[section]` headers,
 //! `key = "string"` and `key = ["a", "b", ...]` (arrays may span lines) —
 //! because the workspace is offline and dependency-free by policy.
 
-use std::collections::BTreeMap;
 use std::fmt;
 use std::path::Path;
-
-/// How a rule's findings are treated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Severity {
-    /// The rule is disabled.
-    Off,
-    /// Findings are reported but do not fail the run.
-    Warn,
-    /// Findings fail the run (non-zero exit).
-    Error,
-}
-
-impl fmt::Display for Severity {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            Severity::Off => "off",
-            Severity::Warn => "warn",
-            Severity::Error => "error",
-        })
-    }
-}
 
 /// Parsed configuration with workspace-specific scopes.
 #[derive(Debug, Clone)]
 pub struct Config {
     /// Path prefixes (workspace-relative) excluded from the walk.
     pub exclude: Vec<String>,
-    /// Per-rule severity overrides (rules carry their own defaults).
-    pub severities: BTreeMap<String, Severity>,
     /// Identifiers that must not be called while the registry guard is
     /// held (allocation-heavy scene preparation).
     pub heavy_calls: Vec<String>,
@@ -47,7 +22,6 @@ impl Default for Config {
     fn default() -> Self {
         Self {
             exclude: Vec::new(),
-            severities: BTreeMap::new(),
             heavy_calls: vec!["prepare".to_string(), "PreparedScene".to_string()],
         }
     }
@@ -120,31 +94,16 @@ impl Config {
         value: &str,
         line: usize,
     ) -> Result<(), ConfigError> {
-        let err = |msg: &str| Err(ConfigError(format!("line {line}: {msg}")));
         match (section, key) {
             ("files", "exclude") => self.exclude = parse_array(value, line)?,
-            ("severity", rule) => {
-                let severity = match parse_string(value, line)?.as_str() {
-                    "off" => Severity::Off,
-                    "warn" => Severity::Warn,
-                    "error" => Severity::Error,
-                    other => {
-                        return Err(ConfigError(format!(
-                            "line {line}: unknown severity `{other}` (off|warn|error)"
-                        )))
-                    }
-                };
-                self.severities.insert(rule.to_string(), severity);
-            }
             ("lock-discipline", "heavy-calls") => self.heavy_calls = parse_array(value, line)?,
-            _ => return err(&format!("unknown key `{key}` in section `[{section}]`")),
+            _ => {
+                return Err(ConfigError(format!(
+                    "line {line}: unknown key `{key}` in section `[{section}]`"
+                )))
+            }
         }
         Ok(())
-    }
-
-    /// The effective severity for `rule`, given its built-in default.
-    pub fn severity(&self, rule: &str, default: Severity) -> Severity {
-        self.severities.get(rule).copied().unwrap_or(default)
     }
 }
 
@@ -239,30 +198,18 @@ mod tests {
     #[test]
     fn parses_sections_strings_and_arrays() {
         let config = Config::parse(
-            "# top comment\n[files]\nexclude = [\"a/\", \"b/\"] # trailing\n\n[severity]\nno-index-panic = \"warn\"\n\n[lock-discipline]\nheavy-calls = [\n    \"prepare\",\n    \"rebuild\",\n]\n",
+            "# top comment\n[files]\nexclude = [\"a/\", \"b/\"] # trailing\n\n[lock-discipline]\nheavy-calls = [\n    \"prepare\",\n    \"rebuild\",\n]\n",
         )
         .unwrap();
         assert_eq!(config.exclude, ["a/", "b/"]);
-        assert_eq!(
-            config.severity("no-index-panic", Severity::Error),
-            Severity::Warn
-        );
         assert_eq!(config.heavy_calls, ["prepare", "rebuild"]);
     }
 
     #[test]
     fn unknown_keys_and_bad_severities_error() {
         assert!(Config::parse("[files]\nnope = \"x\"\n").is_err());
-        assert!(Config::parse("[severity]\nr = \"loud\"\n").is_err());
+        // Every finding is an error: a severity override is an unknown key.
+        assert!(Config::parse("[severity]\nlock-discipline = \"warn\"\n").is_err());
         assert!(Config::parse("[files]\nexclude = [\"unterminated\"\n").is_err());
-    }
-
-    #[test]
-    fn default_severity_applies_when_unset() {
-        let config = Config::default();
-        assert_eq!(
-            config.severity("lock-discipline", Severity::Error),
-            Severity::Error
-        );
     }
 }

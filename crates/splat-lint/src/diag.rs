@@ -3,9 +3,7 @@
 
 use std::fmt;
 
-use crate::config::Severity;
-
-/// One finding, anchored to a source position.
+/// One finding, anchored to a source position. Every finding is an error.
 #[derive(Debug, Clone)]
 pub struct Diagnostic {
     /// Workspace-relative file path.
@@ -16,8 +14,6 @@ pub struct Diagnostic {
     pub col: u32,
     /// The rule that fired (`lock-discipline`, …).
     pub rule: String,
-    /// Effective severity after config overrides.
-    pub severity: Severity,
     /// What is wrong and why it matters.
     pub message: String,
     /// The offending source line, trimmed.
@@ -28,8 +24,8 @@ impl fmt::Display for Diagnostic {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "{}[{}]: {}:{}:{}: {}",
-            self.severity, self.rule, self.file, self.line, self.col, self.message
+            "error[{}]: {}:{}:{}: {}",
+            self.rule, self.file, self.line, self.col, self.message
         )?;
         if !self.snippet.is_empty() {
             writeln!(f, "    | {}", self.snippet.trim())?;
@@ -38,26 +34,18 @@ impl fmt::Display for Diagnostic {
     }
 }
 
-/// The outcome of a lint run: findings after waivers and severity
-/// filtering, sorted by position.
+/// The outcome of a lint run: the findings that survive waivers, sorted
+/// by position.
 #[derive(Debug, Default)]
 pub struct Report {
-    /// All surviving findings (warnings and errors).
+    /// All surviving findings.
     pub diagnostics: Vec<Diagnostic>,
 }
 
 impl Report {
-    /// Number of error-severity findings.
-    pub fn error_count(&self) -> usize {
-        self.diagnostics
-            .iter()
-            .filter(|d| d.severity == Severity::Error)
-            .count()
-    }
-
     /// Whether the run should exit non-zero.
     pub fn has_errors(&self) -> bool {
-        self.error_count() > 0
+        !self.diagnostics.is_empty()
     }
 
     /// Human-readable rendering, one block per finding plus a summary.
@@ -66,20 +54,17 @@ impl Report {
         for diagnostic in &self.diagnostics {
             out.push_str(&diagnostic.to_string());
         }
-        let errors = self.error_count();
-        let warnings = self.diagnostics.len() - errors;
+        let errors = self.diagnostics.len();
         out.push_str(&format!(
-            "splat-lint: {} error{}, {} warning{}\n",
+            "splat-lint: {} error{}\n",
             errors,
             if errors == 1 { "" } else { "s" },
-            warnings,
-            if warnings == 1 { "" } else { "s" },
         ));
         out
     }
 
     /// Machine-readable rendering: one JSON document with a `findings`
-    /// array of `{file, line, col, rule, severity, message, snippet}`.
+    /// array of `{file, line, col, rule, message, snippet}`.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\"tool\":\"splat-lint\",\"findings\":[");
         for (i, d) in self.diagnostics.iter().enumerate() {
@@ -87,22 +72,16 @@ impl Report {
                 out.push(',');
             }
             out.push_str(&format!(
-                "{{\"file\":{},\"line\":{},\"col\":{},\"rule\":{},\"severity\":{},\"message\":{},\"snippet\":{}}}",
+                "{{\"file\":{},\"line\":{},\"col\":{},\"rule\":{},\"message\":{},\"snippet\":{}}}",
                 json_string(&d.file),
                 d.line,
                 d.col,
                 json_string(&d.rule),
-                json_string(&d.severity.to_string()),
                 json_string(&d.message),
                 json_string(&d.snippet),
             ));
         }
-        let errors = self.error_count();
-        out.push_str(&format!(
-            "],\"errors\":{},\"warnings\":{}}}",
-            errors,
-            self.diagnostics.len() - errors
-        ));
+        out.push_str(&format!("],\"errors\":{}}}", self.diagnostics.len()));
         out
     }
 }
@@ -130,36 +109,20 @@ fn json_string(s: &str) -> String {
 mod tests {
     use super::*;
 
-    fn sample(severity: Severity) -> Diagnostic {
-        Diagnostic {
-            file: "crates/x/src/lib.rs".into(),
-            line: 3,
-            col: 7,
-            rule: "lock-discipline".into(),
-            severity,
-            message: "`.lock()` on `self.queue` while another guard is live".into(),
-            snippet: "let queue = self.queue.lock();".into(),
-        }
-    }
-
     #[test]
     fn json_escapes_quotes_and_newlines() {
-        let mut d = sample(Severity::Error);
-        d.message = "say \"no\"\nplease".into();
         let report = Report {
-            diagnostics: vec![d],
+            diagnostics: vec![Diagnostic {
+                file: "crates/x/src/lib.rs".into(),
+                line: 3,
+                col: 7,
+                rule: "lock-discipline".into(),
+                message: "say \"no\"\nplease".into(),
+                snippet: "let queue = self.queue.lock();".into(),
+            }],
         };
         let json = report.to_json();
         assert!(json.contains("say \\\"no\\\"\\nplease"));
         assert!(json.contains("\"errors\":1"));
-    }
-
-    #[test]
-    fn warnings_do_not_fail_the_run() {
-        let report = Report {
-            diagnostics: vec![sample(Severity::Warn)],
-        };
-        assert!(!report.has_errors());
-        assert!(report.render_human().contains("0 errors, 1 warning"));
     }
 }

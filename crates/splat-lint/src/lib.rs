@@ -1,18 +1,15 @@
 //! `splat-lint` — a dependency-free static-analysis pass enforcing the
-//! two workspace invariants clippy has no stock lint for:
+//! one workspace invariant clippy has no stock lint for:
+//! **`lock-discipline`** — engine mutexes are leaf locks, and scene
+//! preparation runs outside the registry guard.
 //!
-//! * **`no-index-panic`** (warn) — audits `xs[i]` index expressions in
-//!   the library code of the ten runtime crates; `tests/lint_clean.rs`
-//!   pins their count.
-//! * **`lock-discipline`** — engine mutexes are leaf locks, and scene
-//!   preparation runs outside the registry guard (the PR 5 rule).
-//!
-//! The other panic paths (`.unwrap()`, `.expect(`, `panic!`, `todo!`,
+//! The panic paths (`.unwrap()`, `.expect(`, `panic!`, `todo!`,
 //! `unimplemented!`) and the determinism rules (hash collections, wall
 //! clocks, RNG construction) are clippy lints, denied at each runtime
-//! crate root with the lists in `clippy.toml`.
+//! crate root with the lists in `clippy.toml`; `tests/lint_clean.rs` pins
+//! the count of `clippy::indexing_slicing` sites in runtime library code.
 //!
-//! Findings are suppressed inline with
+//! Every finding is an error. Findings are suppressed inline with
 //! `// lint:allow(rule-id): reason` — the reason is mandatory, the
 //! waiver applies to its own line and the next, and a waiver that never
 //! fires is itself an error (`unused-waiver`), so stale exemptions
@@ -33,25 +30,16 @@ pub mod source;
 
 use std::path::Path;
 
-pub use config::{Config, ConfigError, Severity};
+pub use config::{Config, ConfigError};
 pub use diag::{Diagnostic, Report};
 pub use source::{SourceFile, Workspace};
 
-/// Runs every rule over a lexed workspace, applies waivers and severity
-/// overrides, and reports meta-findings (malformed/unused waivers).
+/// Runs every rule over a lexed workspace, applies waivers, and reports
+/// meta-findings (malformed/unused waivers).
 pub fn run_rules(workspace: &Workspace, config: &Config) -> Report {
     let mut raw: Vec<Diagnostic> = Vec::new();
     for rule in rules::all_rules() {
-        if config.severity(rule.id(), rule.default_severity()) == Severity::Off {
-            continue;
-        }
-        let mut found = Vec::new();
-        rule.check(workspace, config, &mut found);
-        let severity = config.severity(rule.id(), rule.default_severity());
-        for mut diagnostic in found {
-            diagnostic.severity = severity;
-            raw.push(diagnostic);
-        }
+        rule.check(workspace, config, &mut raw);
     }
 
     // Waivers: `// lint:allow(rule): reason` suppresses findings of that
@@ -89,7 +77,6 @@ pub fn run_rules(workspace: &Workspace, config: &Config) -> Report {
                     line: waiver.line,
                     col: 1,
                     rule: "waiver-syntax".to_string(),
-                    severity: config.severity("waiver-syntax", Severity::Error),
                     message: "malformed waiver: use `// lint:allow(rule-id): reason` \
                               (the reason is mandatory)"
                         .to_string(),
@@ -103,7 +90,6 @@ pub fn run_rules(workspace: &Workspace, config: &Config) -> Report {
                     line: waiver.line,
                     col: 1,
                     rule: "waiver-syntax".to_string(),
-                    severity: config.severity("waiver-syntax", Severity::Error),
                     message: format!("waiver names unknown rule `{unknown}`"),
                     snippet,
                 });
@@ -115,7 +101,6 @@ pub fn run_rules(workspace: &Workspace, config: &Config) -> Report {
                     line: waiver.line,
                     col: 1,
                     rule: "unused-waiver".to_string(),
-                    severity: config.severity("unused-waiver", Severity::Error),
                     message: format!(
                         "waiver for `{}` suppresses nothing: remove it (stale exemptions \
                          hide real regressions)",
@@ -171,38 +156,5 @@ mod tests {
         let report = run_rules(&workspace, &Config::default());
         let rules: Vec<&str> = report.diagnostics.iter().map(|d| d.rule.as_str()).collect();
         assert_eq!(rules, ["waiver-syntax", "waiver-syntax"]);
-    }
-
-    #[test]
-    fn severity_overrides_can_silence_or_raise_rules() {
-        let workspace = Workspace::from_sources(vec![(
-            "crates/gstg/src/x.rs",
-            "pub fn f(xs: &[u32], i: usize) -> u32 { xs[i] }\n",
-        )]);
-        // Default: index panics are warnings.
-        let report = run_rules(&workspace, &Config::default());
-        assert!(!report.has_errors());
-        assert_eq!(report.diagnostics.len(), 1);
-        // Raised to error via config.
-        let mut config = Config::default();
-        config
-            .severities
-            .insert("no-index-panic".to_string(), Severity::Error);
-        assert!(run_rules(&workspace, &config).has_errors());
-        // Silenced entirely.
-        config
-            .severities
-            .insert("no-index-panic".to_string(), Severity::Off);
-        assert!(run_rules(&workspace, &config).diagnostics.is_empty());
-    }
-
-    #[test]
-    fn a_waived_warning_still_counts_as_waiver_use() {
-        let workspace = Workspace::from_sources(vec![(
-            "crates/gstg/src/x.rs",
-            "pub fn f(xs: &[u32], i: usize) -> u32 {\n    xs[i] // lint:allow(no-index-panic): length pinned above\n}\n",
-        )]);
-        let report = run_rules(&workspace, &Config::default());
-        assert!(report.diagnostics.is_empty(), "{report:?}");
     }
 }

@@ -15,7 +15,7 @@
 //! (`self`, `self.shared.pool[_]`, …) with index expressions normalized,
 //! so two pool slots look alike but the pool and the queue do not.
 
-use crate::config::{Config, Severity};
+use crate::config::Config;
 use crate::diag::Diagnostic;
 use crate::lexer::{Token, TokenKind};
 use crate::source::{SourceFile, Workspace};
@@ -41,10 +41,6 @@ struct Guard {
 impl Rule for LockDiscipline {
     fn id(&self) -> &'static str {
         "lock-discipline"
-    }
-
-    fn default_severity(&self) -> Severity {
-        Severity::Error
     }
 
     fn check(&self, workspace: &Workspace, config: &Config, out: &mut Vec<Diagnostic>) {

@@ -2,29 +2,25 @@
 //! helpers every rule builds its findings with.
 
 mod locks;
-mod panic_paths;
 
-use crate::config::{Config, Severity};
+use crate::config::Config;
 use crate::diag::Diagnostic;
 use crate::lexer::{Token, TokenKind};
 use crate::source::{SourceFile, Workspace};
 
 pub use locks::LockDiscipline;
-pub use panic_paths::NoIndexPanic;
 
 /// A single named check over the lexed workspace.
 pub trait Rule {
     /// Stable rule identifier (used in waivers, config and JSON output).
     fn id(&self) -> &'static str;
-    /// Severity applied when `splat-lint.toml` does not override it.
-    fn default_severity(&self) -> Severity;
     /// Scans the workspace and pushes findings.
     fn check(&self, workspace: &Workspace, config: &Config, out: &mut Vec<Diagnostic>);
 }
 
 /// All project rules, in reporting order.
 pub fn all_rules() -> Vec<Box<dyn Rule>> {
-    vec![Box::new(NoIndexPanic), Box::new(LockDiscipline)]
+    vec![Box::new(LockDiscipline)]
 }
 
 /// Every known rule id (waivers naming anything else are malformed).
@@ -35,14 +31,13 @@ pub fn known_rule_ids() -> Vec<&'static str> {
 }
 
 /// Builds a diagnostic anchored at `token`, with the source line as the
-/// snippet. The severity is provisional; the engine applies overrides.
+/// snippet.
 pub fn finding(file: &SourceFile, token: &Token, rule: &dyn Rule, message: String) -> Diagnostic {
     Diagnostic {
         file: file.path.clone(),
         line: token.line,
         col: token.col,
         rule: rule.id().to_string(),
-        severity: rule.default_severity(),
         message,
         snippet: file.line_text(token.line).to_string(),
     }

@@ -1,41 +1,11 @@
-//! Source-file model: workspace walking, file classification, waiver
-//! parsing and `#[cfg(test)]` item detection over the token stream.
+//! Source-file model: workspace walking, waiver parsing and
+//! `#[cfg(test)]` item detection over the token stream.
 
 use std::cell::Cell;
 use std::fs;
 use std::path::Path;
 
 use crate::lexer::{tokenize, Token, TokenKind};
-
-/// The ten runtime crates whose library code the index audit covers
-/// (`splat-lint` is this tool and serves no render traffic).
-pub const RUNTIME_CRATES: [&str; 10] = [
-    "gstg",
-    "splat-accel",
-    "splat-bench",
-    "splat-core",
-    "splat-engine",
-    "splat-metrics",
-    "splat-render",
-    "splat-scene",
-    "splat-server",
-    "splat-types",
-];
-
-/// Which compilation role a file plays, derived from its path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FileKind {
-    /// Library code under `src/` — the code the panic rules guard.
-    Lib,
-    /// A binary under `src/bin/` (bench harness entry points).
-    Bin,
-    /// An integration test under `tests/`.
-    Test,
-    /// A bench target under `benches/`.
-    Bench,
-    /// An example under `examples/`.
-    Example,
-}
 
 /// One inline waiver: `// lint:allow(rule-a, rule-b): reason`.
 #[derive(Debug, Clone)]
@@ -63,13 +33,8 @@ pub struct SourceFile {
     pub text: String,
     /// Token stream (comments included).
     pub tokens: Vec<Token>,
-    /// The owning workspace crate (`gstg`, `splat-core`, …), or `gs-tg`
-    /// for the umbrella crate at the root.
-    pub krate: String,
-    /// The file's compilation role.
-    pub kind: FileKind,
     /// Token-index ranges `[start, end)` covering `#[cfg(test)]` /
-    /// `#[test]` items — exempt from the library-code rules.
+    /// `#[test]` items — exempt from `lock-discipline`.
     pub test_ranges: Vec<(usize, usize)>,
     /// Parsed inline waivers.
     pub waivers: Vec<Waiver>,
@@ -82,24 +47,15 @@ impl SourceFile {
         let path = path.into();
         let text = text.into();
         let tokens = tokenize(&text);
-        let krate = classify_crate(&path);
-        let kind = classify_kind(&path);
         let test_ranges = find_test_ranges(&text, &tokens);
         let waivers = parse_waivers(&text, &tokens);
         Self {
             path,
             text,
             tokens,
-            krate,
-            kind,
             test_ranges,
             waivers,
         }
-    }
-
-    /// Whether this file belongs to one of the ten runtime crates.
-    pub fn is_runtime_crate(&self) -> bool {
-        RUNTIME_CRATES.contains(&self.krate.as_str())
     }
 
     /// Whether the token at `index` sits inside a `#[cfg(test)]` item.
@@ -195,30 +151,6 @@ fn excluded(rel: &str, exclude: &[String]) -> bool {
     exclude
         .iter()
         .any(|prefix| rel.starts_with(prefix.as_str()))
-}
-
-fn classify_crate(path: &str) -> String {
-    if let Some(rest) = path.strip_prefix("crates/") {
-        if let Some((krate, _)) = rest.split_once('/') {
-            return krate.to_string();
-        }
-    }
-    "gs-tg".to_string()
-}
-
-fn classify_kind(path: &str) -> FileKind {
-    let has = |part: &str| path.starts_with(&part[1..]) || path.contains(part);
-    if has("/tests/") {
-        FileKind::Test
-    } else if has("/benches/") {
-        FileKind::Bench
-    } else if has("/examples/") {
-        FileKind::Example
-    } else if path.contains("/src/bin/") {
-        FileKind::Bin
-    } else {
-        FileKind::Lib
-    }
 }
 
 /// Finds token ranges of items annotated `#[cfg(test)]` or `#[test]`
@@ -415,12 +347,12 @@ mod tests {
     fn waiver_parsing_extracts_rules_and_reason() {
         let file = SourceFile::new(
             "crates/gstg/src/x.rs",
-            "x(); // lint:allow(no-index-panic, lock-discipline): the slot is released above\n",
+            "x(); // lint:allow(lock-discipline, unused-waiver): the slot is released above\n",
         );
         assert_eq!(file.waivers.len(), 1);
         let w = &file.waivers[0];
         assert!(!w.malformed);
-        assert_eq!(w.rules, ["no-index-panic", "lock-discipline"]);
+        assert_eq!(w.rules, ["lock-discipline", "unused-waiver"]);
         assert_eq!(w.reason, "the slot is released above");
         assert_eq!(w.line, 1);
     }
@@ -434,31 +366,5 @@ mod tests {
             "// lint:allow(lock-discipline):   \n",
         );
         assert!(file.waivers[0].malformed);
-    }
-
-    #[test]
-    fn kinds_and_crates_classify_by_path() {
-        let cases = [
-            ("crates/gstg/src/sort.rs", "gstg", FileKind::Lib),
-            (
-                "crates/splat-bench/src/bin/x.rs",
-                "splat-bench",
-                FileKind::Bin,
-            ),
-            ("crates/splat-core/tests/t.rs", "splat-core", FileKind::Test),
-            (
-                "crates/splat-bench/benches/b.rs",
-                "splat-bench",
-                FileKind::Bench,
-            ),
-            ("tests/golden_frames.rs", "gs-tg", FileKind::Test),
-            ("examples/quickstart.rs", "gs-tg", FileKind::Example),
-            ("src/lib.rs", "gs-tg", FileKind::Lib),
-        ];
-        for (path, krate, kind) in cases {
-            let f = SourceFile::new(path, "");
-            assert_eq!(f.krate, krate, "{path}");
-            assert_eq!(f.kind, kind, "{path}");
-        }
     }
 }
