@@ -49,15 +49,15 @@ impl Table {
     pub fn to_markdown(&self) -> String {
         let mut widths: Vec<usize> = self.headers.iter().map(|h| h.len()).collect();
         for row in &self.rows {
-            for (i, cell) in row.iter().enumerate() {
-                widths[i] = widths[i].max(cell.len());
+            for (width, cell) in widths.iter_mut().zip(row) {
+                *width = (*width).max(cell.len());
             }
         }
         let render_row = |cells: &[String]| -> String {
             let padded: Vec<String> = cells
                 .iter()
-                .enumerate()
-                .map(|(i, c)| format!("{:width$}", c, width = widths[i]))
+                .zip(&widths)
+                .map(|(c, &width)| format!("{c:width$}"))
                 .collect();
             format!("| {} |", padded.join(" | "))
         };

@@ -199,18 +199,25 @@ impl<'a> Reader<'a> {
         Ok(head)
     }
 
+    fn take_array<const N: usize>(&mut self) -> Result<[u8; N], DecodeError> {
+        let (head, tail) = self
+            .buf
+            .split_first_chunk()
+            .ok_or(DecodeError::UnexpectedEof)?;
+        self.buf = tail;
+        Ok(*head)
+    }
+
     fn get_u8(&mut self) -> Result<u8, DecodeError> {
-        Ok(self.take(1)?[0])
+        Ok(u8::from_le_bytes(self.take_array()?))
     }
 
     fn get_u16_le(&mut self) -> Result<u16, DecodeError> {
-        let b = self.take(2)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
+        Ok(u16::from_le_bytes(self.take_array()?))
     }
 
     fn get_u32_le(&mut self) -> Result<u32, DecodeError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+        Ok(u32::from_le_bytes(self.take_array()?))
     }
 
     fn get_f32_le(&mut self) -> Result<f32, DecodeError> {

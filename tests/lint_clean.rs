@@ -91,7 +91,7 @@ fn index_audit_count_is_pinned() {
         .filter(|line| line.contains(r#""code":{"code":"clippy::indexing_slicing""#))
         .count();
     // `clippy::indexing_slicing` over the ten runtime crates' lib targets.
-    let audited = 113;
+    let audited = 103;
     assert!(
         sites <= audited,
         "indexing_slicing count grew past the audited baseline ({sites} > {audited}): \
