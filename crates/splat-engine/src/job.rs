@@ -337,11 +337,6 @@ impl<'a> TrajectoryStream<'a> {
         self.len == 0
     }
 
-    /// Frames already taken through [`TrajectoryStream::next_frame`].
-    pub fn frames_delivered(&self) -> usize {
-        self.delivered
-    }
-
     /// The configured in-flight window.
     pub fn window(&self) -> usize {
         self.window

@@ -400,11 +400,6 @@ impl Engine {
         self.shared.queue.resume();
     }
 
-    /// Whether submit-queue dispatch is currently paused.
-    pub fn is_paused(&self) -> bool {
-        self.shared.queue.is_paused()
-    }
-
     /// Shuts the serving queue down and joins the worker threads,
     /// returning the final counters.
     ///
@@ -1156,7 +1151,6 @@ mod tests {
             .unwrap();
         assert_eq!(stream.len(), 5);
         assert_eq!(stream.window(), 2);
-        assert_eq!(stream.frames_delivered(), 0);
         for index in 0..path.len() {
             // The in-flight window bounds queue occupancy: never more than
             // `window` frames queued or rendering at once.
@@ -1173,7 +1167,6 @@ mod tests {
             );
         }
         assert!(stream.next_frame().is_none());
-        assert_eq!(stream.frames_delivered(), 5);
         // One registry touch for the whole path.
         assert_eq!(engine.stats().scene_hits, 1);
     }

@@ -320,11 +320,6 @@ impl JobQueue {
         self.not_empty.notify_all();
     }
 
-    /// Whether dispatch is currently paused.
-    pub(crate) fn is_paused(&self) -> bool {
-        self.lock().paused
-    }
-
     /// Enters shutdown: `Drain` lets workers empty the queue (resuming a
     /// paused engine), `Abort` discards queued jobs (their handles complete
     /// with `RenderError::ShutDown`). Blocked submitters wake and receive
@@ -520,7 +515,6 @@ mod tests {
         let queue = Arc::new(full_only(AdmissionPolicy::Block, 4));
         queue.pause();
         push(&queue, Priority::Normal, 1).unwrap();
-        assert!(queue.is_paused());
         // A popper blocks while paused; resuming releases it.
         let popper = {
             let queue = Arc::clone(&queue);
