@@ -240,13 +240,8 @@ mod tests {
 
     #[test]
     fn shared_execution_knobs_apply() {
-        use splat_core::SimdMode;
-        assert_eq!(GstgConfig::paper_default().simd(), SimdMode::Wide8);
-        let c = GstgConfig::paper_default()
-            .with_threads(4)
-            .with_simd(SimdMode::Scalar);
+        let c = GstgConfig::paper_default().with_threads(4);
         assert_eq!(c.exec.threads, 4);
-        assert_eq!(c.exec.simd, SimdMode::Scalar);
     }
 
     #[test]

@@ -89,8 +89,11 @@ impl TileLists for GroupAssignments {
 /// lists). `tile_list` is the reused per-tile filter output; `scratch`
 /// carries the span walker's recycled buffers and accumulates its
 /// interval-build time (drain it with [`SpanScratch::take_build_time`]).
-/// Every thread count, [`SimdMode`] and [`SpanMode`] produces bit-identical
-/// pixels.
+/// Every thread count and [`SpanMode`] produces bit-identical pixels.
+///
+/// `_simd` is ignored: there is one tile kernel. It is still a parameter
+/// only because `benchmark/src/layers.rs` passes one, and goes with the
+/// [`SimdMode`] shell in ROADMAP item 2a.
 #[allow(clippy::too_many_arguments)]
 pub fn rasterize_groups_into_with(
     projected: &[ProjectedGaussian],
@@ -99,7 +102,7 @@ pub fn rasterize_groups_into_with(
     image_height: u32,
     background: Rgb,
     threads: usize,
-    simd: SimdMode,
+    _simd: SimdMode,
     span: SpanMode,
     image: &mut Framebuffer,
     tile_list: &mut Vec<u32>,
@@ -108,7 +111,6 @@ pub fn rasterize_groups_into_with(
     image.reset(image_width, image_height, background);
     let exec = ExecutionConfig::sequential()
         .with_threads(threads)
-        .with_simd(simd)
         .with_span(span);
     shade_tiles(
         assignments,
@@ -146,7 +148,7 @@ mod tests {
             .collect()
     }
 
-    /// Allocating, scalar full-walk form of [`rasterize_groups_into_with`].
+    /// Allocating, full-walk form of [`rasterize_groups_into_with`].
     fn rasterize_groups(
         projected: &[ProjectedGaussian],
         assignments: &GroupAssignments,
@@ -163,7 +165,7 @@ mod tests {
             image_height,
             background,
             threads,
-            SimdMode::Scalar,
+            SimdMode::Wide8,
             SpanMode::Full,
             &mut image,
             &mut Vec::new(),

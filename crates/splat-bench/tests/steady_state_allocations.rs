@@ -15,7 +15,7 @@
 
 use gstg::{GstgConfig, GstgSession};
 use splat_bench::HarnessOptions;
-use splat_core::{HasExecution, SimdMode, SpanMode};
+use splat_core::{HasExecution, SpanMode};
 use splat_render::{BoundaryMethod, Keying, RenderConfig, RenderSession, Session};
 use splat_scene::{CameraTrajectory, PaperScene, Scene, SceneScale};
 use splat_types::CameraIntrinsics;
@@ -122,23 +122,17 @@ fn steady_state_frames_allocate_nothing() {
         4,
     );
 
-    let modes = [
-        ("default", SimdMode::default(), SpanMode::default()),
-        ("scalar", SimdMode::Scalar, SpanMode::Full),
-        ("rows+wide8", SimdMode::Wide8, SpanMode::RowSpans),
-    ];
-    for (mode, simd, span) in modes {
+    for span in SpanMode::ALL {
+        let mode = span.label();
         // The baseline runs the original 3D-GS configuration (AABB boundary).
-        let baseline = RenderConfig::new(16, BoundaryMethod::Aabb)
-            .with_simd(simd)
-            .with_span(span);
+        let baseline = RenderConfig::new(16, BoundaryMethod::Aabb).with_span(span);
         assert_steady_state_is_allocation_free(
             &format!("baseline {mode}"),
             RenderSession::from_config(baseline),
             &scene,
             &trajectory,
         );
-        let grouped = GstgConfig::paper_default().with_simd(simd).with_span(span);
+        let grouped = GstgConfig::paper_default().with_span(span);
         assert_steady_state_is_allocation_free(
             &format!("gstg {mode}"),
             GstgSession::from_config(grouped),

@@ -3,17 +3,16 @@
 //! For every pixel of a tile the sorted splat list is walked front-to-back.
 //! Each splat costs one α-computation (Eq. 1 of the paper); splats whose α
 //! falls below 1/255 are skipped, the rest are blended (Eq. 2) until the
-//! accumulated transmittance drops below 10⁻⁴. The default kernel walks the
-//! list once per block of up to 16×16 pixels, all of the block's live
-//! pixels stepping through it together (the reference 3D-GS rasterizer's
-//! one-block-per-tile shape); the scalar reference walks it once per pixel.
-//! Both pipelines rasterize through these kernels (driven by
-//! [`crate::shade_tiles`]) — GS-TG merely filters the splat list with its
-//! bitmasks first.
+//! accumulated transmittance drops below 10⁻⁴. The kernel walks the list
+//! once per block of up to 16×16 pixels, all of the block's live pixels
+//! stepping through it together (the reference 3D-GS rasterizer's
+//! one-block-per-tile shape). Both pipelines rasterize through it (driven
+//! by [`crate::shade_tiles`]) — GS-TG merely filters the splat list with
+//! its bitmasks first. The per-pixel definition it is checked against is
+//! [`crate::reference`].
 
 use std::ops::Range;
 
-use crate::exec::SimdMode;
 use crate::rect::{TileRect, MAHALANOBIS_CUTOFF};
 use crate::splat::ProjectedGaussian;
 use crate::stats::StageCounts;
@@ -48,26 +47,24 @@ const BLOCK: usize = 16;
 ///   `(0, 0)` when `image` is the frame, `(rect.x0, rect.y0)` when it is a
 ///   tile-sized buffer (the parallel fan-out's form).
 ///
-/// [`SimdMode::Scalar`] walks `sorted` once per pixel. [`SimdMode::Wide8`]
-/// splits the rect into blocks of at most 16×16 pixels and walks `sorted`
-/// once per block: every row with a live pixel evaluates the 16-lane
-/// Mahalanobis form, and only the live lanes inside the 3σ cutoff go on to
-/// α and blending, with the scalar path's operations in its order. Both
-/// modes therefore produce bit-identical pixels and identical counters.
-/// Each row of the rect is written once through [`Framebuffer::row_mut`].
+/// The rect is split into blocks of at most 16×16 pixels and `sorted` is
+/// walked once per block: every row with a live pixel evaluates the
+/// 16-lane Mahalanobis form, and only the live lanes inside the 3σ cutoff
+/// go on to α and blending, with [`crate::reference::shade_pixel`]'s
+/// operations in its order. Pixels and counters are therefore bit-identical
+/// to that per-pixel walk. Each row of the rect is written once through
+/// [`Framebuffer::row_mut`].
 ///
 /// [`Framebuffer::row_mut`]: crate::Framebuffer::row_mut
 ///
 /// # Panics
 ///
 /// Panics when `rect`, shifted by `origin`, exceeds the framebuffer bounds.
-#[allow(clippy::too_many_arguments)]
 pub fn rasterize_tile_into_with(
     sorted: &[u32],
     projected: &[ProjectedGaussian],
     rect: &TileRect,
     background: Rgb,
-    simd: SimdMode,
     image: &mut crate::Framebuffer,
     origin: (u32, u32),
     counts: &mut StageCounts,
@@ -83,33 +80,19 @@ pub fn rasterize_tile_into_with(
     if x1 <= x0 || y1 <= y0 {
         return;
     }
-    match simd {
-        SimdMode::Scalar => {
-            for py in y0..y1 {
-                let row = image.row_mut(py - origin.1, x0 - origin.0..x1 - origin.0);
-                for (px, out) in (x0..).zip(row.iter_mut()) {
-                    counts.pixels += 1;
-                    let pixel_center = Vec2::new(px as f32 + 0.5, py as f32 + 0.5);
-                    *out = shade_pixel(sorted, projected, pixel_center, background, counts);
-                }
-            }
-        }
-        SimdMode::Wide8 => {
-            let step = BLOCK as u32;
-            for by in (y0..y1).step_by(BLOCK) {
-                for bx in (x0..x1).step_by(BLOCK) {
-                    shade_block(
-                        sorted,
-                        projected,
-                        bx..(bx + step).min(x1),
-                        by..(by + step).min(y1),
-                        background,
-                        image,
-                        origin,
-                        counts,
-                    );
-                }
-            }
+    let step = BLOCK as u32;
+    for by in (y0..y1).step_by(BLOCK) {
+        for bx in (x0..x1).step_by(BLOCK) {
+            shade_block(
+                sorted,
+                projected,
+                bx..(bx + step).min(x1),
+                by..(by + step).min(y1),
+                background,
+                image,
+                origin,
+                counts,
+            );
         }
     }
 }
@@ -128,17 +111,18 @@ struct BlockRow {
 
 /// Walks the sorted splat list front-to-back once for every pixel of the
 /// block of image-space `columns` × `rows` (each at most [`BLOCK`] long)
-/// together — the splat-outer dual of [`shade_pixel`]'s pixel-outer loop.
+/// together — the splat-outer dual of [`crate::reference::shade_pixel`]'s
+/// pixel-outer loop.
 ///
 /// For each splat, every row that still has a live pixel evaluates the
 /// Mahalanobis form branch-free across all [`BLOCK`] lanes (the loop the
 /// auto-vectorizer targets) and keeps, as a bit mask, the live lanes with
 /// `0 ≤ m ≤ 9`. α-evaluation and blending then run for those bits in
-/// ascending lane order with exactly the scalar path's operations and
+/// ascending lane order with exactly the per-pixel walk's operations and
 /// operand order (no fused multiply-add), so pixels are bit-identical.
 /// Each splat charges one α-computation per live pixel of the block, and a
 /// lane stops being charged once its transmittance early-exit fires, just
-/// as the scalar loop breaks; the walk ends when no pixel is live.
+/// as the per-pixel walk breaks; the walk ends when no pixel is live.
 #[allow(clippy::too_many_arguments)]
 fn shade_block(
     sorted: &[u32],
@@ -238,38 +222,6 @@ fn shade_block(
     }
 }
 
-/// Walks a sorted splat list front-to-back for one pixel (Eqs. 1–2 with
-/// the 1/255 α-cull and 10⁻⁴ transmittance early-exit), charging
-/// α-computations, blends and early exits to `counts`. The caller charges
-/// `counts.pixels`.
-#[inline]
-pub(crate) fn shade_pixel(
-    sorted: &[u32],
-    projected: &[ProjectedGaussian],
-    pixel_center: Vec2,
-    background: Rgb,
-    counts: &mut StageCounts,
-) -> Rgb {
-    let mut transmittance = 1.0f32;
-    let mut color = Rgb::BLACK;
-    for &slot in sorted {
-        let splat = &projected[slot as usize];
-        counts.alpha_computations += 1;
-        let alpha = alpha_at(splat, pixel_center);
-        if alpha < ALPHA_CULL_THRESHOLD {
-            continue;
-        }
-        color += splat.color * (alpha * transmittance);
-        transmittance *= 1.0 - alpha;
-        counts.blend_operations += 1;
-        if transmittance < TRANSMITTANCE_EPSILON {
-            counts.early_exits += 1;
-            break;
-        }
-    }
-    color + background * transmittance
-}
-
 /// Evaluates Eq. 1: the contribution of a splat at a pixel center,
 /// `α = min(α_max, σ · exp(-½ (p-μ)ᵀ Σ⁻¹ (p-μ)))`.
 ///
@@ -295,37 +247,48 @@ mod tests {
     use super::*;
     use crate::exec::SpanMode;
     use crate::image::Framebuffer;
+    use crate::reference::shade_pixel;
     use crate::shade::shade_rect;
     use crate::span::SpanScratch;
     use splat_types::Mat2;
 
-    /// The full walk of one tile into a tile-sized framebuffer.
-    fn full_walk(
-        sorted: &[u32],
-        projected: &[ProjectedGaussian],
-        rect: &TileRect,
-        background: Rgb,
-        simd: SimdMode,
-    ) -> (Framebuffer, StageCounts) {
-        shade_rect(
-            sorted,
-            projected,
-            rect,
-            background,
-            simd,
-            SpanMode::Full,
-            &mut SpanScratch::new(),
-        )
-    }
-
-    /// The scalar reference form the tests below pin the kernels against.
+    /// The kernel shading one tile into a tile-sized framebuffer.
     fn rasterize_tile(
         sorted: &[u32],
         projected: &[ProjectedGaussian],
         rect: &TileRect,
         background: Rgb,
     ) -> (Framebuffer, StageCounts) {
-        full_walk(sorted, projected, rect, background, SimdMode::Scalar)
+        shade_rect(
+            sorted,
+            projected,
+            rect,
+            background,
+            SpanMode::Full,
+            &mut SpanScratch::new(),
+        )
+    }
+
+    /// [`shade_pixel`] at every pixel of `rect` over the same list, into a
+    /// tile-sized framebuffer: the definition the kernel is pinned to.
+    fn reference_tile(
+        sorted: &[u32],
+        projected: &[ProjectedGaussian],
+        rect: &TileRect,
+        background: Rgb,
+    ) -> (Framebuffer, StageCounts) {
+        let (x0, y0) = (rect.x0 as u32, rect.y0 as u32);
+        let mut tile = Framebuffer::black(rect.x1 as u32 - x0, rect.y1 as u32 - y0);
+        let mut counts = StageCounts::new();
+        for y in 0..tile.height() {
+            for x in 0..tile.width() {
+                counts.pixels += 1;
+                let center = Vec2::new((x0 + x) as f32 + 0.5, (y0 + y) as f32 + 0.5);
+                let color = shade_pixel(sorted, projected, center, background, &mut counts);
+                tile.set_pixel(x, y, color);
+            }
+        }
+        (tile, counts)
     }
 
     /// Asserts that `frame` holds `tile` at `rect`'s origin, bit for bit.
@@ -541,7 +504,6 @@ mod tests {
                 &projected,
                 &rect,
                 background,
-                SimdMode::Scalar,
                 &mut image,
                 (0, 0),
                 &mut counts,
@@ -583,28 +545,27 @@ mod tests {
         (projected, order)
     }
 
-    /// Asserts that the block walk and the scalar reference shade `rect`
-    /// to the same pixel bits and the same counters, and returns the
+    /// Asserts that the block walk and the per-pixel reference shade
+    /// `rect` to the same pixel bits and the same counters, and returns the
     /// reference counters.
-    fn assert_block_walk_matches_scalar(
+    fn assert_block_walk_matches_reference(
         order: &[u32],
         projected: &[ProjectedGaussian],
         rect: &TileRect,
         background: Rgb,
     ) -> StageCounts {
-        let (scalar, scalar_counts) =
-            full_walk(order, projected, rect, background, SimdMode::Scalar);
-        let (wide, wide_counts) = full_walk(order, projected, rect, background, SimdMode::Wide8);
-        assert_eq!(wide_counts, scalar_counts, "counters at {rect:?}");
-        assert_eq!(scalar.pixel_count(), wide.pixel_count(), "{rect:?}");
-        for (i, (a, b)) in scalar.pixels().iter().zip(wide.pixels()).enumerate() {
+        let (reference, reference_counts) = reference_tile(order, projected, rect, background);
+        let (wide, wide_counts) = rasterize_tile(order, projected, rect, background);
+        assert_eq!(wide_counts, reference_counts, "counters at {rect:?}");
+        assert_eq!(reference.pixel_count(), wide.pixel_count(), "{rect:?}");
+        for (i, (a, b)) in reference.pixels().iter().zip(wide.pixels()).enumerate() {
             assert_eq!(
                 [a.r.to_bits(), a.g.to_bits(), a.b.to_bits()],
                 [b.r.to_bits(), b.g.to_bits(), b.b.to_bits()],
                 "pixel {i} at {rect:?}"
             );
         }
-        scalar_counts
+        reference_counts
     }
 
     /// The block walk on clipped rects of every shape a 16-px tile grid
@@ -648,13 +609,13 @@ mod tests {
             TileRect::new(0.0, 9.0, 16.0, 16.0),
             TileRect::new(0.0, 0.0, 16.0, 16.0),
         ] {
-            assert_block_walk_matches_scalar(&order, &projected, &rect, background);
-            let empty = assert_block_walk_matches_scalar(&[], &projected, &rect, background);
+            assert_block_walk_matches_reference(&order, &projected, &rect, background);
+            let empty = assert_block_walk_matches_reference(&[], &projected, &rect, background);
             assert_eq!(empty.alpha_computations, 0, "{rect:?}");
         }
 
         // The full tile really has pixels that die and pixels that never do.
-        let full = assert_block_walk_matches_scalar(&order, &projected, &tile(), background);
+        let full = assert_block_walk_matches_reference(&order, &projected, &tile(), background);
         assert!(full.early_exits > 0 && full.early_exits < full.pixels);
     }
 
@@ -666,7 +627,7 @@ mod tests {
         // spans two blocks.
         for (w, h) in [(16.0, 16.0), (10.0, 7.0), (3.0, 5.0), (17.0, 9.0)] {
             let rect = TileRect::new(0.0, 0.0, w, h);
-            assert_block_walk_matches_scalar(&order, &projected, &rect, background);
+            assert_block_walk_matches_reference(&order, &projected, &rect, background);
         }
     }
 
@@ -678,8 +639,7 @@ mod tests {
         let (projected, order) = mixed_splats();
         let background = Rgb::splat(0.15);
         let rect = TileRect::new(2.0, 1.0, 15.0, 12.0);
-        let mode = SimdMode::Wide8;
-        let (buffered, buffered_counts) = full_walk(&order, &projected, &rect, background, mode);
+        let (buffered, buffered_counts) = rasterize_tile(&order, &projected, &rect, background);
         let mut image = Framebuffer::new(16, 16, Rgb::BLACK);
         let mut counts = StageCounts::new();
         rasterize_tile_into_with(
@@ -687,7 +647,6 @@ mod tests {
             &projected,
             &rect,
             background,
-            mode,
             &mut image,
             (0, 0),
             &mut counts,
@@ -703,10 +662,8 @@ mod tests {
             .map(|i| splat(Vec2::new(8.0, 8.0), 20.0, 0.99, Rgb::WHITE, i as f32, i))
             .collect();
         let order: Vec<u32> = (0..50).collect();
-        let scalar = rasterize_tile(&order, &projected, &tile(), Rgb::BLACK);
-        let wide = full_walk(&order, &projected, &tile(), Rgb::BLACK, SimdMode::Wide8);
-        assert_eq!(wide.1, scalar.1);
-        assert_eq!(wide.0, scalar.0);
+        let counts = assert_block_walk_matches_reference(&order, &projected, &tile(), Rgb::BLACK);
+        assert_eq!(counts.early_exits, counts.pixels);
     }
 
     #[test]
@@ -731,7 +688,6 @@ mod tests {
                 &projected,
                 &rect,
                 Rgb::WHITE,
-                SimdMode::Scalar,
                 &mut image,
                 (0, 0),
                 &mut counts,

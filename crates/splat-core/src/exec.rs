@@ -2,41 +2,18 @@
 //! [`ExecutionConfig`] embedded in each pipeline configuration, set through
 //! the [`HasExecution`] `with_*` methods.
 
-/// Shape of the SIMD-friendly kernels used by the projection transform and
-/// the tile blending inner loop.
+/// Shell kept only because `benchmark/src/layers.rs` passes
+/// [`HasExecution::simd`] into `gstg::rasterize_groups_into_with` by value;
+/// it selects nothing and goes in the `[benchmark]` PR of ROADMAP item 2a.
 ///
-/// `Wide8` projects splats in fixed-size `[f32; 8]` chunks and, under
-/// [`SpanMode::Full`], blends each tile as blocks of up to 16×16 pixels
-/// that walk the tile's sorted list once, evaluating the Mahalanobis form
-/// 16 lanes at a time (the [`SpanMode::RowSpans`] walk evaluates its row
-/// intervals in 8-pixel chunks). Every lane
-/// performs the *same scalar operations in the same order* as the scalar
-/// path (no fused multiply-add), so both modes produce bit-identical images
-/// and identical operation counts — the knob only changes how the work is
-/// laid out for the compiler's auto-vectorizer. `Wide8` is the default
-/// because it is the fastest point on every benchmark input (README
-/// "Kernels and modes"); `Scalar` is the reference the tests compare it
-/// against.
+/// There is one projection loop (8-wide chunks) and one full-walk tile
+/// kernel (16×16 blocks); the kernel is checked against
+/// [`crate::reference`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SimdMode {
-    /// One splat / pixel at a time (the reference path).
-    Scalar,
-    /// 8-wide projection chunks and 16×16 block blending.
+    /// The only value.
     #[default]
     Wide8,
-}
-
-impl SimdMode {
-    /// Every mode, scalar first.
-    pub const ALL: [SimdMode; 2] = [SimdMode::Scalar, SimdMode::Wide8];
-
-    /// Stable human-readable label (used by benches and reports).
-    pub fn label(self) -> &'static str {
-        match self {
-            SimdMode::Scalar => "scalar",
-            SimdMode::Wide8 => "wide8",
-        }
-    }
 }
 
 /// Pixel coverage strategy of the tile blending inner loop.
@@ -84,9 +61,6 @@ pub struct ExecutionConfig {
     /// Number of worker threads for the rasterization fan-out
     /// (1 = sequential; operation counts are unaffected either way).
     pub threads: usize,
-    /// Lane width of the chunked projection/blending kernels. Every mode is
-    /// bit-identical; see [`SimdMode`].
-    pub simd: SimdMode,
     /// Pixel coverage strategy of the blending loop. Every mode is
     /// bit-identical; see [`SpanMode`].
     pub span: SpanMode,
@@ -99,11 +73,10 @@ impl Default for ExecutionConfig {
 }
 
 impl ExecutionConfig {
-    /// Single-threaded execution with the default kernels.
+    /// Single-threaded execution with the default span mode.
     pub fn sequential() -> Self {
         Self {
             threads: 1,
-            simd: SimdMode::default(),
             span: SpanMode::default(),
         }
     }
@@ -113,7 +86,6 @@ impl ExecutionConfig {
     pub fn parallel(threads: usize) -> Self {
         Self {
             threads: threads.max(1),
-            simd: SimdMode::default(),
             span: SpanMode::default(),
         }
     }
@@ -136,12 +108,6 @@ pub trait HasExecution: Sized {
         self
     }
 
-    /// Returns a copy with the SIMD lane-width mode replaced.
-    fn with_simd(mut self, simd: SimdMode) -> Self {
-        self.execution_mut().simd = simd;
-        self
-    }
-
     /// Returns a copy with the pixel coverage strategy replaced.
     fn with_span(mut self, span: SpanMode) -> Self {
         self.execution_mut().span = span;
@@ -153,9 +119,9 @@ pub trait HasExecution: Sized {
         self.execution().threads
     }
 
-    /// Shorthand for the configured SIMD mode.
+    /// Always [`SimdMode::Wide8`]; see [`SimdMode`].
     fn simd(&self) -> SimdMode {
-        self.execution().simd
+        SimdMode::Wide8
     }
 
     /// Shorthand for the configured span mode.
@@ -196,22 +162,6 @@ mod tests {
         let exec = ExecutionConfig::sequential().with_threads(4);
         assert_eq!(exec.threads, 4);
         assert_eq!(ExecutionConfig::sequential().with_threads(0).threads, 1);
-    }
-
-    #[test]
-    fn simd_modes_expose_labels_and_the_default() {
-        assert_eq!(SimdMode::ALL.map(SimdMode::label), ["scalar", "wide8"]);
-        // The default is the measured winner, however the config is built.
-        assert_eq!(SimdMode::default(), SimdMode::Wide8);
-        for exec in [
-            ExecutionConfig::default(),
-            ExecutionConfig::sequential(),
-            ExecutionConfig::parallel(4),
-        ] {
-            assert_eq!(exec.simd, SimdMode::Wide8);
-        }
-        let exec = ExecutionConfig::sequential().with_simd(SimdMode::Scalar);
-        assert_eq!(exec.simd(), SimdMode::Scalar);
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //!   CSR bin with it), plus the modeled comparison count that keeps the
 //!   paper's redundancy accounting.
 //! * [`exec`] — the shared execution configuration: worker thread count and
-//!   kernel modes, with the single `with_threads` knob every pipeline
+//!   span mode, with the single `with_threads` knob every pipeline
 //!   configuration re-uses through [`HasExecution`].
 //! * [`schedule`] — [`TileScheduler`], the deterministic scoped-thread
 //!   work-partition scheduler the rasterization fan-out runs on.
@@ -31,6 +31,8 @@
 //!   pipelines feed with `(rect, sorted slot list)` through [`TileLists`].
 //! * [`blend`], [`span`] — the front-to-back α-blending kernels (full walk
 //!   and row-span walk) and the reference thresholds.
+//! * [`reference`](mod@reference) — the brute-force, tile-free image both
+//!   pipelines are checked against; no render path calls it.
 //! * [`splat`], [`rect`], [`image`], [`stats`] — the data types the stages
 //!   exchange: projected splats, pixel rectangles, framebuffers and
 //!   operation counters.
@@ -50,6 +52,7 @@ pub mod exec;
 pub mod image;
 pub mod keysort;
 pub mod rect;
+pub mod reference;
 pub mod schedule;
 pub mod shade;
 pub mod span;

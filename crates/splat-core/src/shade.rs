@@ -65,19 +65,18 @@ pub fn shade_tiles<L: TileLists>(
     tile_list: &mut Vec<u32>,
     scratch: &mut SpanScratch,
 ) -> StageCounts {
-    let (simd, span) = (exec.simd, exec.span);
     // Shades one tile into `target`, whose pixel (0, 0) sits at `origin`.
     let shade = |rect: &TileRect,
                  sorted: &[u32],
                  target: &mut Framebuffer,
                  origin: (u32, u32),
                  counts: &mut StageCounts,
-                 scratch: &mut SpanScratch| match span {
-        SpanMode::Full => rasterize_tile_into_with(
-            sorted, projected, rect, background, simd, target, origin, counts,
-        ),
+                 scratch: &mut SpanScratch| match exec.span {
+        SpanMode::Full => {
+            rasterize_tile_into_with(sorted, projected, rect, background, target, origin, counts)
+        }
         SpanMode::RowSpans => rasterize_tile_spans_into_with(
-            sorted, projected, rect, background, simd, target, origin, counts, scratch,
+            sorted, projected, rect, background, target, origin, counts, scratch,
         ),
     };
     let mut counts = StageCounts::new();
@@ -124,15 +123,14 @@ pub fn shade_tiles<L: TileLists>(
 }
 
 /// Shades `rect` into a tile-sized [`Framebuffer`] at its origin — the
-/// parallel fan-out's form of one tile — through the kernel `simd` × `span`
-/// select, returning the tile and the work it charged.
+/// parallel fan-out's form of one tile — through the kernel `span`
+/// selects, returning the tile and the work it charged.
 #[cfg(test)]
 pub(crate) fn shade_rect(
     sorted: &[u32],
     projected: &[ProjectedGaussian],
     rect: &TileRect,
     background: Rgb,
-    simd: crate::SimdMode,
     span: SpanMode,
     scratch: &mut SpanScratch,
 ) -> (Framebuffer, StageCounts) {
@@ -148,7 +146,6 @@ pub(crate) fn shade_rect(
             projected,
             rect,
             background,
-            simd,
             &mut tile,
             origin,
             &mut counts,
@@ -158,7 +155,6 @@ pub(crate) fn shade_rect(
             projected,
             rect,
             background,
-            simd,
             &mut tile,
             origin,
             &mut counts,
@@ -171,7 +167,8 @@ pub(crate) fn shade_rect(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::{HasExecution, SimdMode};
+    use crate::exec::HasExecution;
+    use crate::reference::render_reference;
     use splat_types::{Mat2, Vec2};
 
     /// Two side-by-side 8×8 tiles, one unit each, both shading every splat
@@ -213,18 +210,19 @@ mod tests {
         }
     }
 
-    fn shade(threads: usize, simd: SimdMode, span: SpanMode) -> (Framebuffer, StageCounts) {
-        let projected = vec![
+    fn projected() -> Vec<ProjectedGaussian> {
+        vec![
             splat(0, 5.0, Rgb::new(1.0, 0.2, 0.1)),
             splat(1, 10.0, Rgb::new(0.1, 0.3, 1.0)),
-        ];
-        let exec = ExecutionConfig::parallel(threads)
-            .with_simd(simd)
-            .with_span(span);
+        ]
+    }
+
+    fn shade(threads: usize, span: SpanMode) -> (Framebuffer, StageCounts) {
+        let exec = ExecutionConfig::parallel(threads).with_span(span);
         let mut image = Framebuffer::new(16, 8, Rgb::BLACK);
         let counts = shade_tiles(
             &TwoTiles(vec![0, 1]),
-            &projected,
+            &projected(),
             Rgb::BLACK,
             &exec,
             &mut image,
@@ -236,32 +234,34 @@ mod tests {
 
     #[test]
     fn every_dispatch_arm_shades_the_same_pixels() {
-        let (reference, reference_counts) = shade(1, SimdMode::Scalar, SpanMode::Full);
+        let (reference, reference_counts) = shade(1, SpanMode::Full);
         assert!(reference.mean_luminance() > 0.0);
         assert_eq!(reference_counts.pixels, 16 * 8);
+        // Every tile lists every splat, so the tiles blend what the
+        // untiled reference blends.
+        let (untiled, untiled_counts) = render_reference(&projected(), 16, 8, Rgb::BLACK);
+        assert_eq!(reference, untiled);
+        assert_eq!(
+            reference_counts.blend_operations,
+            untiled_counts.blend_operations
+        );
         // Work the provider charged for building lists reaches the total.
         assert_eq!(reference_counts.bitmask_filter_ops, 4);
         for threads in [1, 4] {
-            for simd in SimdMode::ALL {
-                let (full, full_counts) = shade(threads, simd, SpanMode::Full);
-                assert_eq!(full.max_abs_diff(&reference), 0.0, "{simd:?} x{threads}");
-                assert_eq!(full_counts, reference_counts, "{simd:?} x{threads}");
+            let (full, full_counts) = shade(threads, SpanMode::Full);
+            assert_eq!(full.max_abs_diff(&reference), 0.0, "x{threads}");
+            assert_eq!(full_counts, reference_counts, "x{threads}");
 
-                let (rows, row_counts) = shade(threads, simd, SpanMode::RowSpans);
-                assert_eq!(
-                    rows.max_abs_diff(&reference),
-                    0.0,
-                    "{simd:?} x{threads} rows"
-                );
-                assert_eq!(
-                    row_counts.alpha_computations + row_counts.span_skipped_alpha,
-                    reference_counts.alpha_computations
-                );
-                assert_eq!(
-                    row_counts.blend_operations,
-                    reference_counts.blend_operations
-                );
-            }
+            let (rows, row_counts) = shade(threads, SpanMode::RowSpans);
+            assert_eq!(rows.max_abs_diff(&reference), 0.0, "x{threads} rows");
+            assert_eq!(
+                row_counts.alpha_computations + row_counts.span_skipped_alpha,
+                reference_counts.alpha_computations
+            );
+            assert_eq!(
+                row_counts.blend_operations,
+                reference_counts.blend_operations
+            );
         }
     }
 }

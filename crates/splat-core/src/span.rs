@@ -11,9 +11,8 @@
 //! list once every pixel of the tile has fired its 10⁻⁴ transmittance exit.
 //!
 //! Because skipped pixels are ones the α-cull would have discarded anyway,
-//! `SpanMode::RowSpans` produces pixels bit-identical to `SpanMode::Full`
-//! in every SIMD mode; only the work accounting differs, and it reconciles
-//! exactly:
+//! `SpanMode::RowSpans` produces pixels bit-identical to `SpanMode::Full`;
+//! only the work accounting differs, and it reconciles exactly:
 //!
 //! ```text
 //! full.alpha_computations == span.alpha_computations + span.span_skipped_alpha
@@ -43,7 +42,6 @@
 )]
 
 use crate::blend::{ALPHA_CULL_THRESHOLD, ALPHA_MAX, TRANSMITTANCE_EPSILON};
-use crate::exec::SimdMode;
 use crate::rect::{TileRect, MAHALANOBIS_CUTOFF};
 use crate::splat::ProjectedGaussian;
 use crate::stats::StageCounts;
@@ -209,8 +207,8 @@ pub fn conservative_row_interval(
 
 /// Span-walk variant of [`crate::rasterize_tile_into_with`]: rasterizes
 /// one tile into `image` (whose pixel (0, 0) sits at image-space `origin`),
-/// charging all work to `counts`. Pixels are bit-identical to the full walk
-/// in every SIMD mode; `alpha_computations` only counts pixels inside their
+/// charging all work to `counts`. Pixels are bit-identical to the full
+/// walk; `alpha_computations` only counts pixels inside their
 /// splat's row interval, the remainder is charged to `span_skipped_alpha`.
 ///
 /// # Panics
@@ -222,7 +220,6 @@ pub fn rasterize_tile_spans_into_with(
     projected: &[ProjectedGaussian],
     rect: &TileRect,
     background: Rgb,
-    simd: SimdMode,
     image: &mut crate::Framebuffer,
     origin: (u32, u32),
     counts: &mut StageCounts,
@@ -239,9 +236,7 @@ pub fn rasterize_tile_spans_into_with(
     if width == 0 || height == 0 {
         return;
     }
-    span_walk(
-        sorted, projected, x0, y0, width, height, simd, counts, scratch,
-    );
+    span_walk(sorted, projected, x0, y0, width, height, counts, scratch);
     let columns = x0 - origin.0..x0 + width - origin.0;
     for row in 0..height {
         let row_off = (row * width) as usize;
@@ -266,7 +261,6 @@ fn span_walk(
     y0: u32,
     width: u32,
     height: u32,
-    simd: SimdMode,
     counts: &mut StageCounts,
     scratch: &mut SpanScratch,
 ) {
@@ -313,14 +307,8 @@ fn span_walk(
                     counts.span_skipped_alpha += u64::from(live_in_row);
                     continue;
                 }
-                let walked_active = match simd {
-                    SimdMode::Scalar => {
-                        walk_interval::<1>(splat, x0, y0, width, row, lo, hi, counts, scratch)
-                    }
-                    SimdMode::Wide8 => {
-                        walk_interval::<8>(splat, x0, y0, width, row, lo, hi, counts, scratch)
-                    }
-                };
+                let walked_active =
+                    walk_interval::<8>(splat, x0, y0, width, row, lo, hi, counts, scratch);
                 live -= live_in_row - scratch.row_live[row];
                 counts.alpha_computations += walked_active;
                 counts.span_skipped_alpha += u64::from(live_in_row) - walked_active;
@@ -339,8 +327,8 @@ fn span_walk(
 }
 
 /// Walks the pixels of one row interval in `W`-wide chunks, blending the
-/// still-active ones with exactly the scalar full walk's operations and
-/// operand order. Returns the number of active pixels walked (each is one
+/// still-active ones with exactly the per-pixel walk's operations and
+/// operand order ([`crate::reference::shade_pixel`]). Returns the number of active pixels walked (each is one
 /// α-computation; the caller charges the skipped remainder of the row).
 #[allow(clippy::too_many_arguments)]
 fn walk_interval<const W: usize>(
@@ -422,7 +410,6 @@ mod tests {
         projected: &[ProjectedGaussian],
         rect: &TileRect,
         background: Rgb,
-        simd: SimdMode,
         scratch: &mut SpanScratch,
     ) -> (Framebuffer, StageCounts) {
         shade_rect(
@@ -430,7 +417,6 @@ mod tests {
             projected,
             rect,
             background,
-            simd,
             SpanMode::RowSpans,
             scratch,
         )
@@ -518,73 +504,36 @@ mod tests {
         let mut scratch = SpanScratch::new();
         for (w, h) in [(16.0, 16.0), (10.0, 7.0), (3.0, 5.0), (17.0, 9.0)] {
             let rect = TileRect::new(0.0, 0.0, w, h);
-            for simd in SimdMode::ALL {
-                let (full, full_counts) = shade_rect(
-                    &order,
-                    &projected,
-                    &rect,
-                    background,
-                    simd,
-                    SpanMode::Full,
-                    &mut scratch,
-                );
-                let (span, span_counts) = shade_rect(
-                    &order,
-                    &projected,
-                    &rect,
-                    background,
-                    simd,
-                    SpanMode::RowSpans,
-                    &mut scratch,
-                );
-                for (i, (a, b)) in full.pixels().iter().zip(span.pixels()).enumerate() {
-                    assert_eq!(
-                        [a.r.to_bits(), a.g.to_bits(), a.b.to_bits()],
-                        [b.r.to_bits(), b.g.to_bits(), b.b.to_bits()],
-                        "{simd:?} pixel {i} at {w}x{h}"
-                    );
-                }
+            let (full, full_counts) = shade_rect(
+                &order,
+                &projected,
+                &rect,
+                background,
+                SpanMode::Full,
+                &mut scratch,
+            );
+            let (span, span_counts) = spans(&order, &projected, &rect, background, &mut scratch);
+            for (i, (a, b)) in full.pixels().iter().zip(span.pixels()).enumerate() {
                 assert_eq!(
-                    full_counts.alpha_computations,
-                    span_counts.alpha_computations + span_counts.span_skipped_alpha,
-                    "{simd:?} reconciliation at {w}x{h}"
-                );
-                assert_eq!(full_counts.blend_operations, span_counts.blend_operations);
-                assert_eq!(full_counts.early_exits, span_counts.early_exits);
-                assert_eq!(full_counts.pixels, span_counts.pixels);
-                assert!(span_counts.span_rows_built > 0);
-                assert!(
-                    span_counts.alpha_computations < full_counts.alpha_computations,
-                    "{simd:?} span walk saves work at {w}x{h}"
+                    [a.r.to_bits(), a.g.to_bits(), a.b.to_bits()],
+                    [b.r.to_bits(), b.g.to_bits(), b.b.to_bits()],
+                    "pixel {i} at {w}x{h}"
                 );
             }
+            assert_eq!(
+                full_counts.alpha_computations,
+                span_counts.alpha_computations + span_counts.span_skipped_alpha,
+                "reconciliation at {w}x{h}"
+            );
+            assert_eq!(full_counts.blend_operations, span_counts.blend_operations);
+            assert_eq!(full_counts.early_exits, span_counts.early_exits);
+            assert_eq!(full_counts.pixels, span_counts.pixels);
+            assert!(span_counts.span_rows_built > 0);
+            assert!(
+                span_counts.alpha_computations < full_counts.alpha_computations,
+                "span walk saves work at {w}x{h}"
+            );
         }
-    }
-
-    #[test]
-    fn span_counters_are_identical_across_simd_modes() {
-        let (projected, order) = mixed_splats();
-        let background = Rgb::splat(0.15);
-        let rect = TileRect::new(2.0, 1.0, 15.0, 12.0);
-        let mut scratch = SpanScratch::new();
-        let scalar = spans(
-            &order,
-            &projected,
-            &rect,
-            background,
-            SimdMode::Scalar,
-            &mut scratch,
-        );
-        let wide = spans(
-            &order,
-            &projected,
-            &rect,
-            background,
-            SimdMode::Wide8,
-            &mut scratch,
-        );
-        assert_eq!(wide.1, scalar.1);
-        assert_eq!(wide.0, scalar.0);
     }
 
     #[test]
@@ -600,18 +549,10 @@ mod tests {
             &projected,
             &rect,
             Rgb::BLACK,
-            SimdMode::Scalar,
             SpanMode::Full,
             &mut scratch,
         );
-        let (span, span_counts) = spans(
-            &order,
-            &projected,
-            &rect,
-            Rgb::BLACK,
-            SimdMode::Scalar,
-            &mut scratch,
-        );
+        let (span, span_counts) = spans(&order, &projected, &rect, Rgb::BLACK, &mut scratch);
         assert_eq!(span_counts.tile_saturation_exits, 1);
         assert_eq!(span, full);
         assert_eq!(
@@ -631,31 +572,28 @@ mod tests {
         let background = Rgb::splat(0.1);
         let rect = TileRect::new(2.0, 1.0, 15.0, 12.0);
         let mut scratch = SpanScratch::new();
-        for simd in SimdMode::ALL {
-            let (buffered, buffered_counts) =
-                spans(&order, &projected, &rect, background, simd, &mut scratch);
-            let mut image = Framebuffer::new(16, 16, Rgb::BLACK);
-            let mut counts = StageCounts::new();
-            rasterize_tile_spans_into_with(
-                &order,
-                &projected,
-                &rect,
-                background,
-                simd,
-                &mut image,
-                (0, 0),
-                &mut counts,
-                &mut scratch,
-            );
-            assert_eq!(counts, buffered_counts, "{simd:?}");
-            for y in 1..12u32 {
-                for x in 2..15u32 {
-                    assert_eq!(
-                        image.pixel(x, y),
-                        buffered.pixel(x - 2, y - 1),
-                        "{simd:?} pixel ({x},{y})"
-                    );
-                }
+        let (buffered, buffered_counts) =
+            spans(&order, &projected, &rect, background, &mut scratch);
+        let mut image = Framebuffer::new(16, 16, Rgb::BLACK);
+        let mut counts = StageCounts::new();
+        rasterize_tile_spans_into_with(
+            &order,
+            &projected,
+            &rect,
+            background,
+            &mut image,
+            (0, 0),
+            &mut counts,
+            &mut scratch,
+        );
+        assert_eq!(counts, buffered_counts);
+        for y in 1..12u32 {
+            for x in 2..15u32 {
+                assert_eq!(
+                    image.pixel(x, y),
+                    buffered.pixel(x - 2, y - 1),
+                    "pixel ({x},{y})"
+                );
             }
         }
     }
@@ -665,14 +603,7 @@ mod tests {
         let (projected, order) = mixed_splats();
         let mut scratch = SpanScratch::new();
         let rect = TileRect::new(4.0, 4.0, 4.0, 12.0);
-        let (out, counts) = spans(
-            &order,
-            &projected,
-            &rect,
-            Rgb::BLACK,
-            SimdMode::Scalar,
-            &mut scratch,
-        );
+        let (out, counts) = spans(&order, &projected, &rect, Rgb::BLACK, &mut scratch);
         assert_eq!(out.width(), 0);
         assert!(out.pixels().is_empty());
         assert_eq!(counts, StageCounts::new());
@@ -683,14 +614,7 @@ mod tests {
         let (projected, order) = mixed_splats();
         let mut scratch = SpanScratch::new();
         let rect = TileRect::new(0.0, 0.0, 16.0, 16.0);
-        let _ = spans(
-            &order,
-            &projected,
-            &rect,
-            Rgb::BLACK,
-            SimdMode::Scalar,
-            &mut scratch,
-        );
+        let _ = spans(&order, &projected, &rect, Rgb::BLACK, &mut scratch);
         let drained = scratch.take_build_time();
         let _ = drained;
         assert_eq!(scratch.take_build_time(), Duration::ZERO);

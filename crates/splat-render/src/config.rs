@@ -171,7 +171,6 @@ mod tests {
         assert_eq!(c.tile_size, 16);
         assert_eq!(c.boundary, BoundaryMethod::Aabb);
         assert_eq!(c.exec.threads, 1);
-        assert_eq!(c.simd(), splat_core::SimdMode::Wide8);
     }
 
     #[test]

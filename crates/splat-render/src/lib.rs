@@ -76,7 +76,7 @@ pub use preprocess::{preprocess_into, ProjectedGaussian};
 pub use session::{Keying, Session};
 pub use splat_core::{
     ExecutionConfig, FrameArena, Framebuffer, HasExecution, RenderBackend, RenderRequest,
-    RenderStats, SessionFrame, SimdMode, StageCounts, TileScheduler,
+    RenderStats, SessionFrame, StageCounts, TileScheduler,
 };
 pub use tiling::{identify_tiles_into, TileAssignments, TileGrid};
 

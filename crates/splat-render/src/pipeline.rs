@@ -324,29 +324,6 @@ mod tests {
     }
 
     #[test]
-    fn simd_modes_render_bit_identical_images() {
-        let (scene, camera) = small_scene();
-        let reference =
-            Renderer::new(RenderConfig::new(16, BoundaryMethod::Aabb)).render(&scene, &camera);
-        for simd in splat_core::SimdMode::ALL {
-            for threads in [1, 4] {
-                let out = Renderer::new(
-                    RenderConfig::new(16, BoundaryMethod::Aabb)
-                        .with_threads(threads)
-                        .with_simd(simd),
-                )
-                .render(&scene, &camera);
-                assert_eq!(
-                    out.image.max_abs_diff(&reference.image),
-                    0.0,
-                    "{simd:?} x{threads} diverged"
-                );
-                assert_eq!(out.stats.counts, reference.stats.counts);
-            }
-        }
-    }
-
-    #[test]
     fn larger_tiles_do_more_raster_work_and_less_sort_work() {
         let (scene, camera) = small_scene();
         let small =

@@ -15,13 +15,12 @@
 //! What depends only on the camera is computed once per frame: the
 //! [`Frustum`] (clip range and the guard-band tangent limits, which the
 //! frustum cull and the Jacobian clamp share) and the view rotation. Per
-//! splat the stage computes the view-space position once — the chunk's
-//! lane value under [`SimdMode::Wide8`], [`Camera::to_view`] otherwise —
-//! and feeds it to both the cull and the projection.
+//! splat the stage computes the view-space position once — the 8-wide
+//! chunk's lane value, or [`Camera::to_view`] for the tail — and feeds it
+//! to both the cull and the projection.
 
 use crate::config::{RenderConfig, ALPHA_CULL_THRESHOLD};
 use crate::stats::StageCounts;
-use splat_core::SimdMode;
 use splat_scene::{Scene, SceneSoA};
 use splat_types::{eval_color, Camera, Frustum, Gaussian3d, Mat2, Mat3, Vec3};
 
@@ -34,16 +33,19 @@ pub use splat_core::ProjectedGaussian;
 /// the full scene up front, so a reused buffer never grows again.
 ///
 /// The splats are read from the scene's [`SceneSoA`] component arrays
-/// (built once per scene, lazily); with a wide [`SimdMode`] the view
-/// transform additionally runs over fixed-size lane chunks, performing the
-/// same scalar operations in the same order, so the SIMD mode never changes
-/// a projected splat or a counter. Storage precision is a property of the
+/// (built once per scene, lazily); the view transform runs over 8-wide
+/// lane chunks, performing the same scalar operations in the same order as
+/// [`Camera::to_view`]. Storage precision is a property of the
 /// scene, not of the renderer: an fp16 model is
 /// [`Scene::to_precision`]`(Precision::Half)`, rendered like any other.
+///
+/// `_config` is ignored: no configuration knob reaches the projection. It
+/// is still a parameter only because `benchmark/src/layers.rs` passes one,
+/// and goes with ROADMAP item 2a.
 pub fn preprocess_into(
     scene: &Scene,
     camera: &Camera,
-    config: &RenderConfig,
+    _config: &RenderConfig,
     counts: &mut StageCounts,
     out: &mut Vec<ProjectedGaussian>,
 ) {
@@ -54,16 +56,7 @@ pub fn preprocess_into(
         frustum: camera.frustum(),
         view_rot: camera.view_rotation(),
     };
-    let soa = scene.soa();
-    match config.exec.simd {
-        SimdMode::Scalar => {
-            for i in 0..soa.len() {
-                counts.input_gaussians += 1;
-                project_soa_splat(soa, i, None, &frame, counts, out);
-            }
-        }
-        SimdMode::Wide8 => preprocess_soa_chunked::<8>(soa, &frame, counts, out),
-    }
+    preprocess_soa_chunked::<8>(scene.soa(), &frame, counts, out);
 }
 
 /// The camera and what preprocessing derives from it once per frame.
@@ -235,7 +228,6 @@ fn project_visible_splat(
 mod tests {
     use super::*;
     use crate::config::BoundaryMethod;
-    use splat_core::HasExecution;
     use splat_types::{CameraIntrinsics, Gaussian3d, Quat, Vec3};
 
     /// Allocating form of [`preprocess_into`].
@@ -438,49 +430,72 @@ mod tests {
         assert!(reused.capacity() >= scene.len());
     }
 
+    /// Bit equality of projected splats: `==` on floats is not bit
+    /// equality, but `Debug` prints each float as the shortest string that
+    /// round-trips it, so equal strings mean equal bits (and tell -0.0 from
+    /// 0.0).
+    fn bits(p: &[ProjectedGaussian]) -> String {
+        format!("{p:?}")
+    }
+
     #[test]
     fn simd_projection_is_bit_identical_to_scalar_projection() {
-        // 21 splats: two full 8-lane chunks + a 5-splat tail. Includes
-        // culled splats so lane bookkeeping around rejected candidates is
-        // exercised.
-        let mut gaussians = Vec::new();
-        for i in 0..21 {
-            let angle = i as f32 * 0.37;
-            let pos = match i % 5 {
-                4 => Vec3::new(0.0, 0.0, -4.0), // behind the camera
-                _ => Vec3::new(angle.sin() * 1.5, angle.cos(), 3.0 + 0.4 * i as f32),
-            };
-            gaussians.push(
-                Gaussian3d::builder()
-                    .position(pos)
-                    .scale(Vec3::new(0.1 + 0.01 * i as f32, 0.2, 0.15))
-                    .rotation(Quat::from_axis_angle(Vec3::Y, angle))
-                    .opacity(if i == 7 {
-                        0.0001
-                    } else {
-                        0.5 + 0.02 * i as f32
-                    })
-                    .base_color([0.4, 0.5, 0.6])
-                    .build(),
-            );
+        // The 8-lane chunked loop against the per-splat reference on random
+        // scenes of 8k + r splats, one for every tail length r = 0..=7,
+        // with splats behind the camera and below the opacity cull among
+        // the kept ones.
+        let camera = camera();
+        let mut rng = splat_types::rng::Rng::seed_from_u64(0x7A11_5EED);
+        let mut culled_total = 0;
+        for tail in 0..8 {
+            let len = 8 * (1 + rng.gen_index(4)) + tail;
+            let gaussians: Vec<Gaussian3d> = (0..len)
+                .map(|_| {
+                    let axis = Vec3::new(
+                        rng.range_f32(-1.0, 1.0),
+                        rng.range_f32(-1.0, 1.0),
+                        rng.range_f32(0.1, 1.0),
+                    );
+                    Gaussian3d::builder()
+                        .position(Vec3::new(
+                            rng.range_f32(-3.0, 3.0),
+                            rng.range_f32(-2.0, 2.0),
+                            rng.range_f32(-3.0, 14.0),
+                        ))
+                        .scale(Vec3::new(
+                            rng.range_f32(0.02, 0.5),
+                            rng.range_f32(0.02, 0.5),
+                            rng.range_f32(0.02, 0.5),
+                        ))
+                        .rotation(Quat::from_axis_angle(
+                            axis.normalized(),
+                            rng.range_f32(0.0, 6.0),
+                        ))
+                        .opacity(if rng.gen_index(6) == 0 {
+                            0.001
+                        } else {
+                            rng.range_f32(0.05, 1.0)
+                        })
+                        .base_color([rng.gen_f32(), rng.gen_f32(), rng.gen_f32()])
+                        .build()
+                })
+                .collect();
+            let scene = Scene::new("tails", 640, 480, gaussians);
+            let soa = scene.soa();
+            let reference: Vec<ProjectedGaussian> = (0..soa.len())
+                .filter_map(|i| per_splat_reference(soa, i, &camera))
+                .collect();
+
+            let mut counts = StageCounts::new();
+            let projected = preprocess(&scene, &camera, &RenderConfig::default(), &mut counts);
+            assert_eq!(bits(&projected), bits(&reference), "{len} splats");
+            let culled = (len - reference.len()) as u64;
+            assert_eq!(counts.input_gaussians, len as u64);
+            assert_eq!(counts.visible_gaussians, reference.len() as u64);
+            assert_eq!(counts.culled_gaussians, culled);
+            culled_total += culled;
         }
-        let scene = Scene::new("simd", 640, 480, gaussians);
-        let config = |simd| RenderConfig::new(16, BoundaryMethod::Aabb).with_simd(simd);
-
-        let mut scalar_counts = StageCounts::new();
-        let scalar = preprocess(
-            &scene,
-            &camera(),
-            &config(SimdMode::Scalar),
-            &mut scalar_counts,
-        );
-        assert!(!scalar.is_empty());
-        assert!(scalar_counts.culled_gaussians > 0);
-
-        let mut counts = StageCounts::new();
-        let wide = preprocess(&scene, &camera(), &config(SimdMode::Wide8), &mut counts);
-        assert_eq!(counts, scalar_counts);
-        assert_eq!(wide, scalar);
+        assert!(culled_total > 0);
     }
 
     /// Reference preprocessing of splat `i` that shares nothing across
@@ -588,19 +603,13 @@ mod tests {
         assert!(culled > 20, "only {culled} splats culled at the band");
         assert!(clamped > 20, "only {clamped} kept splats past the band");
 
-        for simd in [SimdMode::Scalar, SimdMode::Wide8] {
-            let config = RenderConfig::new(16, BoundaryMethod::Aabb).with_simd(simd);
-            let mut counts = StageCounts::new();
-            let projected = preprocess(&scene, &camera, &config, &mut counts);
-            // `==` on floats is not bit equality; `Debug` prints each float
-            // as the shortest string that round-trips it, so equal strings
-            // mean equal bits (and tell -0.0 from 0.0).
-            let bits = |p: &[ProjectedGaussian]| format!("{p:?}");
-            assert_eq!(bits(&projected), bits(&reference), "{simd:?}");
-            assert_eq!(counts.input_gaussians, soa.len() as u64);
-            assert_eq!(counts.visible_gaussians, reference.len() as u64);
-            assert_eq!(counts.culled_gaussians, culled);
-        }
+        let config = RenderConfig::new(16, BoundaryMethod::Aabb);
+        let mut counts = StageCounts::new();
+        let projected = preprocess(&scene, &camera, &config, &mut counts);
+        assert_eq!(bits(&projected), bits(&reference));
+        assert_eq!(counts.input_gaussians, soa.len() as u64);
+        assert_eq!(counts.visible_gaussians, reference.len() as u64);
+        assert_eq!(counts.culled_gaussians, culled);
     }
 
     #[test]

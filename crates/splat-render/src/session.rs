@@ -50,7 +50,7 @@ pub trait Keying: Clone + Debug + Send {
     const NAME: &'static str;
 
     /// Configuration of the shared stages: the rasterization tile size and
-    /// the execution settings (threads, SIMD and span modes).
+    /// the execution settings (threads and span mode).
     fn render_config(&self) -> RenderConfig;
 
     /// Checks the keying's own configuration.

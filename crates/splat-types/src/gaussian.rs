@@ -122,12 +122,6 @@ impl Gaussian3d {
         3.0 * scale.max_component()
     }
 
-    /// Evaluates the view-dependent color for a camera at `camera_position`.
-    pub fn color_toward(&self, camera_position: Vec3) -> Rgb {
-        let dir = (self.position - camera_position).normalized();
-        self.sh.eval(dir)
-    }
-
     /// Returns a copy with every parameter rounded through the requested
     /// precision. [`Precision::Full`] returns the splat unchanged.
     #[expect(
@@ -390,14 +384,6 @@ mod tests {
     fn parameter_count_accounts_for_sh() {
         let g = sample(); // degree-0 SH: 3 values
         assert_eq!(g.parameter_count(), 3 + 3 + 4 + 1 + 3);
-    }
-
-    #[test]
-    fn color_toward_is_view_independent_for_constant_sh() {
-        let g = sample();
-        let a = g.color_toward(Vec3::ZERO);
-        let b = g.color_toward(Vec3::new(10.0, -5.0, 3.0));
-        assert!(a.max_abs_diff(b) < 1e-5);
     }
 
     #[test]

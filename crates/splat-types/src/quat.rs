@@ -94,12 +94,6 @@ impl Quat {
         }
     }
 
-    /// The conjugate (inverse for unit quaternions).
-    #[inline]
-    pub fn conjugate(self) -> Self {
-        Self::new(self.w, -self.x, -self.y, -self.z)
-    }
-
     /// Converts the (assumed unit) quaternion to a 3×3 rotation matrix.
     pub(crate) fn to_rotation_matrix(self) -> Mat3 {
         let q = self.normalized();
@@ -169,18 +163,6 @@ mod tests {
             }
         }
         assert!(approx(r.determinant(), 1.0));
-    }
-
-    #[test]
-    fn conjugate_inverts_unit_rotation() {
-        let q = Quat::from_euler(0.5, 0.2, -0.9);
-        let v = Vec3::new(0.3, 0.8, -1.2);
-        assert!(vec_approx(
-            q.conjugate()
-                .to_rotation_matrix()
-                .mul_vec(q.to_rotation_matrix().mul_vec(v)),
-            v
-        ));
     }
 
     #[test]

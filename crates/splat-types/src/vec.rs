@@ -109,12 +109,6 @@ macro_rules! impl_common {
                 Self { $($comp: self.$comp.abs()),+ }
             }
 
-            /// Linear interpolation: `self * (1 - t) + rhs * t`.
-            #[inline]
-            pub fn lerp(self, rhs: Self, t: f32) -> Self {
-                self * (1.0 - t) + rhs * t
-            }
-
             /// Largest component value.
             #[inline]
             pub fn max_component(self) -> f32 {
@@ -438,14 +432,6 @@ mod tests {
     fn indexing_out_of_bounds_panics() {
         let v = Vec2::new(1.0, 2.0);
         let _ = v[2];
-    }
-
-    #[test]
-    fn lerp_endpoints() {
-        let a = Vec3::new(1.0, 2.0, 3.0);
-        let b = Vec3::new(-1.0, 0.0, 5.0);
-        assert_eq!(a.lerp(b, 0.0), a);
-        assert_eq!(a.lerp(b, 1.0), b);
     }
 
     #[test]

@@ -133,44 +133,6 @@ fn every_backend_renders_identical_frames() {
 }
 
 #[test]
-fn simd_lane_widths_are_parity_invariant_across_backends() {
-    // The SIMD knob must be pure plumbing too: every backend at every lane
-    // width matches the scalar baseline reference bit-exactly with
-    // identical counters.
-    let scene = PaperScene::Playroom.build(SceneScale::Tiny, 5);
-    let cameras: Vec<Camera> = trajectory(3).cameras().collect();
-    let gstg_config = GstgConfig::paper_default();
-    let baseline_config = gstg_config.equivalent_baseline();
-
-    let reference = drive(
-        &mut RenderSession::from_config(baseline_config.with_simd(SimdMode::Scalar)),
-        &scene,
-        &cameras,
-    );
-    for simd in SimdMode::ALL {
-        let mut backends: Vec<Box<dyn RenderBackend>> = vec![
-            Box::new(RenderSession::from_config(baseline_config.with_simd(simd))),
-            Box::new(GstgSession::from_config(gstg_config.with_simd(simd))),
-        ];
-        for backend in &mut backends {
-            let name = backend.name().to_owned();
-            let frames = drive(backend.as_mut(), &scene, &cameras);
-            for (index, (frame, expected)) in frames.iter().zip(&reference).enumerate() {
-                assert_eq!(
-                    frame.image.max_abs_diff(&expected.image),
-                    0.0,
-                    "{name}/{simd:?} frame {index} diverged from scalar baseline"
-                );
-                assert_eq!(
-                    frame.stats.counts.alpha_computations, expected.stats.counts.alpha_computations,
-                    "{name}/{simd:?} frame {index} charged different raster work"
-                );
-            }
-        }
-    }
-}
-
-#[test]
 fn invalid_requests_error_instead_of_panicking_everywhere() {
     let scene = PaperScene::Playroom.build(SceneScale::Tiny, 0);
     let empty = Scene::new("empty", 64, 48, Vec::new());

@@ -8,9 +8,8 @@
 //!    lies inside the analytic row interval; columns the span walk skips
 //!    can never contribute.
 //! 2. **Bit-equality** — [`SpanMode::RowSpans`] renders bit-identical
-//!    images to [`SpanMode::Full`] through both pipelines, every SIMD
-//!    width and one or four threads, with identical blend/early-exit/pixel
-//!    counters.
+//!    images to [`SpanMode::Full`] through both pipelines at one or four
+//!    threads, with identical blend/early-exit/pixel counters.
 //! 3. **Counter reconciliation** — the α-computations the span walk
 //!    performs plus the ones it skips equal the full walk's brute-force
 //!    count, and the span-only counters stay zero in full mode.
@@ -134,48 +133,43 @@ fn span_mode_renders_bit_identical_images_through_both_pipelines() {
         let full_baseline = Renderer::new(RenderConfig::default()).render(&scene, &camera);
         let full_gstg = GstgRenderer::new(GstgConfig::paper_default()).render(&scene, &camera);
         assert!(full_baseline.stats.counts.alpha_computations > 0);
-        for simd in SimdMode::ALL {
-            for threads in [1usize, 4] {
-                let spans_baseline = Renderer::new(
-                    RenderConfig::default()
-                        .with_threads(threads)
-                        .with_simd(simd)
-                        .with_span(SpanMode::RowSpans),
-                )
-                .render(&scene, &camera);
+        for threads in [1usize, 4] {
+            let spans_baseline = Renderer::new(
+                RenderConfig::default()
+                    .with_threads(threads)
+                    .with_span(SpanMode::RowSpans),
+            )
+            .render(&scene, &camera);
+            assert_eq!(
+                spans_baseline.image.max_abs_diff(&full_baseline.image),
+                0.0,
+                "baseline x{threads} diverged"
+            );
+            let spans_gstg = GstgRenderer::new(
+                GstgConfig::paper_default()
+                    .with_threads(threads)
+                    .with_span(SpanMode::RowSpans),
+            )
+            .render(&scene, &camera);
+            assert_eq!(
+                spans_gstg.image.max_abs_diff(&full_gstg.image),
+                0.0,
+                "gstg x{threads} diverged"
+            );
+            for (full, spans) in [(&full_baseline, &spans_baseline), (&full_gstg, &spans_gstg)] {
+                let f = &full.stats.counts;
+                let s = &spans.stats.counts;
+                assert_eq!(s.blend_operations, f.blend_operations);
+                assert_eq!(s.early_exits, f.early_exits);
+                assert_eq!(s.pixels, f.pixels);
                 assert_eq!(
-                    spans_baseline.image.max_abs_diff(&full_baseline.image),
-                    0.0,
-                    "baseline {simd:?} x{threads} diverged"
+                    s.alpha_computations + s.span_skipped_alpha,
+                    f.alpha_computations,
+                    "span accounting drifted (x{threads})"
                 );
-                let spans_gstg = GstgRenderer::new(
-                    GstgConfig::paper_default()
-                        .with_threads(threads)
-                        .with_simd(simd)
-                        .with_span(SpanMode::RowSpans),
-                )
-                .render(&scene, &camera);
-                assert_eq!(
-                    spans_gstg.image.max_abs_diff(&full_gstg.image),
-                    0.0,
-                    "gstg {simd:?} x{threads} diverged"
-                );
-                for (full, spans) in [(&full_baseline, &spans_baseline), (&full_gstg, &spans_gstg)]
-                {
-                    let f = &full.stats.counts;
-                    let s = &spans.stats.counts;
-                    assert_eq!(s.blend_operations, f.blend_operations);
-                    assert_eq!(s.early_exits, f.early_exits);
-                    assert_eq!(s.pixels, f.pixels);
-                    assert_eq!(
-                        s.alpha_computations + s.span_skipped_alpha,
-                        f.alpha_computations,
-                        "span accounting drifted ({simd:?} x{threads})"
-                    );
-                    assert_eq!(f.span_rows_built, 0);
-                    assert_eq!(f.span_skipped_alpha, 0);
-                    assert_eq!(f.tile_saturation_exits, 0);
-                }
+                assert_eq!(f.span_rows_built, 0);
+                assert_eq!(f.span_skipped_alpha, 0);
+                assert_eq!(f.tile_saturation_exits, 0);
             }
         }
     }
@@ -212,41 +206,37 @@ fn span_counters_reconcile_against_the_brute_force_tile_walk() {
                 (tx * 16 + 16) as f32,
                 (ty * 16 + 16) as f32,
             );
-            for simd in SimdMode::ALL {
-                let (mut full, origin) = tile_buffer(&rect);
-                let mut full_counts = StageCounts::new();
-                rasterize_tile_into_with(
-                    &sorted,
-                    &projected,
-                    &rect,
-                    Rgb::BLACK,
-                    simd,
-                    &mut full,
-                    origin,
-                    &mut full_counts,
-                );
-                let (mut spans, origin) = tile_buffer(&rect);
-                let mut span_counts = StageCounts::new();
-                rasterize_tile_spans_into_with(
-                    &sorted,
-                    &projected,
-                    &rect,
-                    Rgb::BLACK,
-                    simd,
-                    &mut spans,
-                    origin,
-                    &mut span_counts,
-                    &mut scratch,
-                );
-                assert_eq!(spans, full, "tile ({tx},{ty}) {simd:?}");
-                assert_eq!(
-                    span_counts.alpha_computations + span_counts.span_skipped_alpha,
-                    full_counts.alpha_computations,
-                    "tile ({tx},{ty}) {simd:?} failed to reconcile"
-                );
-                assert_eq!(span_counts.blend_operations, full_counts.blend_operations);
-                total_saved += span_counts.span_skipped_alpha;
-            }
+            let (mut full, origin) = tile_buffer(&rect);
+            let mut full_counts = StageCounts::new();
+            rasterize_tile_into_with(
+                &sorted,
+                &projected,
+                &rect,
+                Rgb::BLACK,
+                &mut full,
+                origin,
+                &mut full_counts,
+            );
+            let (mut spans, origin) = tile_buffer(&rect);
+            let mut span_counts = StageCounts::new();
+            rasterize_tile_spans_into_with(
+                &sorted,
+                &projected,
+                &rect,
+                Rgb::BLACK,
+                &mut spans,
+                origin,
+                &mut span_counts,
+                &mut scratch,
+            );
+            assert_eq!(spans, full, "tile ({tx},{ty})");
+            assert_eq!(
+                span_counts.alpha_computations + span_counts.span_skipped_alpha,
+                full_counts.alpha_computations,
+                "tile ({tx},{ty}) failed to reconcile"
+            );
+            assert_eq!(span_counts.blend_operations, full_counts.blend_operations);
+            total_saved += span_counts.span_skipped_alpha;
         }
         assert!(
             total_saved > 0,
