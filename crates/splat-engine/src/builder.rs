@@ -8,12 +8,13 @@
 use crate::policy::{AdmissionPolicy, QualityPolicy, ShutdownMode};
 use crate::queue::JobQueue;
 use crate::registry::{ResidencyPolicy, SceneRegistry};
+use crate::sync::LeafMutex;
 use crate::worker::worker_loop;
 use crate::{Engine, EngineShared, DEFAULT_QUEUE_CAPACITY};
 use gstg::{GstgConfig, GstgSession};
 use splat_core::RenderBackend;
 use splat_types::RenderError;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Builder for [`Engine`] (see [`Engine::builder`]).
 #[derive(Debug, Clone)]
@@ -123,7 +124,10 @@ impl EngineBuilder {
         self.gstg.validate()?;
         let pool = (0..self.workers)
             .map(|_| {
-                Mutex::new(Box::new(GstgSession::from_config(self.gstg)) as Box<dyn RenderBackend>)
+                LeafMutex::new(
+                    "pool slot",
+                    Box::new(GstgSession::from_config(self.gstg)) as Box<dyn RenderBackend>,
+                )
             })
             .collect();
         let shared = Arc::new(EngineShared {

@@ -21,13 +21,14 @@
 //! order.
 
 use crate::queue::JobQueue;
+use crate::sync::LeafMutex;
 use crate::Engine;
 use splat_core::RenderOutput;
 use splat_scene::lod::{LodLadder, QualityTier};
 use splat_scene::{CameraTrajectory, Scene};
 use splat_types::{Camera, Priority, RenderError, SceneId};
 use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar};
 
 /// One asynchronous render submission: a registered scene's handle, a
 /// posed camera and an admission priority.
@@ -100,7 +101,7 @@ pub enum JobStatus {
 /// eventually serves (or rejects) the job.
 #[derive(Debug)]
 pub(crate) struct JobShared {
-    phase: Mutex<JobPhase>,
+    phase: LeafMutex<JobPhase>,
     ready: Condvar,
 }
 
@@ -117,22 +118,14 @@ enum JobPhase {
 impl JobShared {
     pub(crate) fn new() -> Arc<Self> {
         Arc::new(Self {
-            phase: Mutex::new(JobPhase::Queued),
+            phase: LeafMutex::new("job phase", JobPhase::Queued),
             ready: Condvar::new(),
         })
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, JobPhase> {
-        // A poisoned phase lock means a waiter panicked while holding it;
-        // the phase value itself is always valid, so recover it.
-        self.phase
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
-
     /// Marks the job as picked up by a worker.
     pub(crate) fn set_active(&self) {
-        let mut phase = self.lock();
+        let mut phase = self.phase.lock();
         if matches!(*phase, JobPhase::Queued) {
             *phase = JobPhase::Active;
         }
@@ -142,14 +135,12 @@ impl JobShared {
     /// per job — by the serving worker, or by the queue when the job is
     /// shed, cancelled or aborted.
     pub(crate) fn finish(&self, result: Result<RenderOutput, RenderError>) {
-        let mut phase = self.lock();
-        *phase = JobPhase::Finished(Box::new(Some(result)));
-        drop(phase);
+        *self.phase.lock() = JobPhase::Finished(Box::new(Some(result)));
         self.ready.notify_all();
     }
 
     fn status(&self) -> JobStatus {
-        match *self.lock() {
+        match *self.phase.lock() {
             JobPhase::Queued => JobStatus::Queued,
             JobPhase::Active => JobStatus::Active,
             JobPhase::Finished(_) => JobStatus::Finished,
@@ -157,14 +148,14 @@ impl JobShared {
     }
 
     fn try_clone_result(&self) -> Option<Result<RenderOutput, RenderError>> {
-        match &*self.lock() {
+        match &*self.phase.lock() {
             JobPhase::Finished(result) => (**result).clone(),
             _ => None,
         }
     }
 
     fn wait_take(&self) -> Result<RenderOutput, RenderError> {
-        let mut phase = self.lock();
+        let mut phase = self.phase.lock();
         loop {
             if let JobPhase::Finished(result) = &mut *phase {
                 // `wait` consumes the handle and is the only taker, so the
@@ -172,10 +163,7 @@ impl JobShared {
                 // fallback that no current path can reach.
                 return result.take().unwrap_or(Err(RenderError::Cancelled));
             }
-            phase = self
-                .ready
-                .wait(phase)
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
+            phase = phase.wait(&self.ready);
         }
     }
 }

@@ -116,6 +116,7 @@ pub mod stats;
 
 mod builder;
 mod queue;
+mod sync;
 mod worker;
 
 pub use builder::EngineBuilder;
@@ -131,8 +132,9 @@ use registry::SceneRegistry;
 use splat_core::{RenderBackend, RenderRequest};
 use splat_scene::{CameraTrajectory, Scene};
 use splat_types::{Camera, RenderError};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
+use sync::LeafMutex;
 
 /// Default bound of the submission queue when the admission policy does
 /// not carry its own capacity (see [`EngineBuilder::queue_capacity`]).
@@ -144,7 +146,7 @@ pub const DEFAULT_QUEUE_CAPACITY: usize = 256;
 struct EngineShared {
     /// One recycled session per worker thread. A slot is locked only by
     /// the worker that owns it (and by [`Engine::footprint_bytes`]).
-    pool: Vec<Mutex<Box<dyn RenderBackend>>>,
+    pool: Vec<LeafMutex<Box<dyn RenderBackend>>>,
     queue: Arc<JobQueue>,
     registry: SceneRegistry,
 }
@@ -446,11 +448,7 @@ impl Engine {
         self.shared
             .pool
             .iter()
-            .map(|slot| {
-                slot.lock()
-                    .unwrap_or_else(|poisoned| poisoned.into_inner())
-                    .footprint_bytes()
-            })
+            .map(|slot| slot.lock().footprint_bytes())
             .sum()
     }
 }
@@ -522,7 +520,7 @@ mod tests {
     fn builder_defaults_are_gstg_sequential() {
         let engine = Engine::builder().build().expect("default engine");
         assert_eq!(engine.worker_count(), 1);
-        assert_eq!(engine.shared.pool[0].lock().unwrap().name(), "gstg-session");
+        assert_eq!(engine.shared.pool[0].lock().name(), "gstg-session");
         assert_eq!(engine.admission(), AdmissionPolicy::Block);
         assert_eq!(engine.quality(), QualityPolicy::FullOnly);
         assert_eq!(engine.queue_capacity(), DEFAULT_QUEUE_CAPACITY);
@@ -655,7 +653,7 @@ mod tests {
         // Poison the only pool slot by panicking while holding its lock —
         // the stand-in for a panic inside a pipeline stage.
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _guard = engine.shared.pool[0].lock().unwrap();
+            let _guard = engine.shared.pool[0].lock();
             panic!("mid-render panic");
         }));
         assert!(result.is_err());

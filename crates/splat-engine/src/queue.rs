@@ -1,7 +1,7 @@
 //! The bounded MPMC job queue behind
 //! [`Engine::submit`](crate::Engine::submit).
 //!
-//! Plain `std` synchronization only: one [`Mutex`] around the queue state
+//! Plain `std` synchronization only: one `LeafMutex` around the queue state
 //! and two [`Condvar`]s (`not_empty` wakes workers, `not_full` wakes
 //! blocked submitters). Dispatch pops the highest-priority job, FIFO within
 //! a class; admission applies the configured [`AdmissionPolicy`] at the
@@ -17,11 +17,12 @@
 use crate::job::JobShared;
 use crate::policy::{AdmissionPolicy, QualityPolicy, ShutdownMode};
 use crate::stats::EngineStats;
+use crate::sync::LeafMutex;
 use splat_scene::lod::{LodLadder, QualityTier};
 use splat_scene::Scene;
 use splat_types::{Camera, Priority, RenderError};
 use std::cmp::Reverse;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar};
 
 /// One admitted job, owned by the queue until a worker pops it.
 #[derive(Debug)]
@@ -58,7 +59,7 @@ impl Job {
     }
 }
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct QueueInner {
     jobs: Vec<Job>,
     next_id: u64,
@@ -84,7 +85,7 @@ pub(crate) struct JobQueue {
     bound: usize,
     policy: AdmissionPolicy,
     quality: QualityPolicy,
-    inner: Mutex<QueueInner>,
+    inner: LeafMutex<QueueInner>,
     not_empty: Condvar,
     not_full: Condvar,
 }
@@ -106,14 +107,7 @@ impl JobQueue {
             bound,
             policy,
             quality,
-            inner: Mutex::new(QueueInner {
-                jobs: Vec::new(),
-                next_id: 0,
-                paused: false,
-                draining: false,
-                aborted: false,
-                stats: EngineStats::default(),
-            }),
+            inner: LeafMutex::new("queue", QueueInner::default()),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
         }
@@ -123,16 +117,6 @@ impl JobQueue {
     /// ladder — and after it, the admission policy — reacts).
     pub(crate) fn capacity(&self) -> usize {
         self.capacity
-    }
-
-    fn lock(&self) -> MutexGuard<'_, QueueInner> {
-        // Queue state stays consistent across a panicking waiter (every
-        // mutation is completed before the guard drops), so a poisoned
-        // lock is recovered rather than propagated — the serving engine
-        // must never wedge on a lock nobody will unpoison.
-        self.inner
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
     /// Admits one submission under the configured policy, returning its
@@ -154,7 +138,7 @@ impl JobQueue {
         shared: Arc<JobShared>,
     ) -> Result<(u64, QualityTier), RenderError> {
         let mut shed_victim: Option<Job> = None;
-        let mut inner = self.lock();
+        let mut inner = self.inner.lock();
         loop {
             if inner.draining || inner.aborted {
                 return Err(RenderError::ShutDown);
@@ -164,10 +148,7 @@ impl JobQueue {
             }
             match self.policy {
                 AdmissionPolicy::Block => {
-                    inner = self
-                        .not_full
-                        .wait(inner)
-                        .unwrap_or_else(|poisoned| poisoned.into_inner());
+                    inner = inner.wait(&self.not_full);
                 }
                 AdmissionPolicy::RejectWhenFull => {
                     inner.stats.rejected += 1;
@@ -237,7 +218,7 @@ impl JobQueue {
     /// Blocks until a job is dispatchable and claims it, or returns `None`
     /// when the queue shut down (drained empty, or aborted).
     pub(crate) fn pop(&self) -> Option<Job> {
-        let mut inner = self.lock();
+        let mut inner = self.inner.lock();
         let index = loop {
             if inner.aborted {
                 return None;
@@ -256,10 +237,7 @@ impl JobQueue {
             if inner.draining && inner.jobs.is_empty() {
                 return None;
             }
-            inner = self
-                .not_empty
-                .wait(inner)
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
+            inner = inner.wait(&self.not_empty);
         };
         let job = inner.jobs.swap_remove(index);
         inner.stats.active += 1;
@@ -274,7 +252,7 @@ impl JobQueue {
     /// Records that a worker finished serving a popped job at `tier`,
     /// keeping the quality identities of [`EngineStats::identities`].
     pub(crate) fn mark_completed(&self, tier: QualityTier) {
-        let mut inner = self.lock();
+        let mut inner = self.inner.lock();
         inner.stats.active -= 1;
         inner.stats.completed += 1;
         match tier {
@@ -297,7 +275,7 @@ impl JobQueue {
     /// Withdraws a still-queued job; `true` when it was found (its handle
     /// completes with `RenderError::Cancelled`).
     pub(crate) fn cancel(&self, id: u64) -> bool {
-        let mut inner = self.lock();
+        let mut inner = self.inner.lock();
         let Some(index) = inner.jobs.iter().position(|job| job.id == id) else {
             return false;
         };
@@ -311,12 +289,12 @@ impl JobQueue {
 
     /// Stops dispatch: workers finish their current render and then wait.
     pub(crate) fn pause(&self) {
-        self.lock().paused = true;
+        self.inner.lock().paused = true;
     }
 
     /// Resumes dispatch after [`JobQueue::pause`].
     pub(crate) fn resume(&self) {
-        self.lock().paused = false;
+        self.inner.lock().paused = false;
         self.not_empty.notify_all();
     }
 
@@ -326,7 +304,7 @@ impl JobQueue {
     /// `RenderError::ShutDown`; idempotent.
     pub(crate) fn shutdown(&self, mode: ShutdownMode) {
         let mut discarded = Vec::new();
-        let mut inner = self.lock();
+        let mut inner = self.inner.lock();
         match mode {
             ShutdownMode::Drain => {
                 inner.draining = true;
@@ -349,7 +327,7 @@ impl JobQueue {
     /// A point-in-time snapshot of the job-queue serving counters (the
     /// registry writes the scene-side counters on top).
     pub(crate) fn stats(&self) -> EngineStats {
-        let inner = self.lock();
+        let inner = self.inner.lock();
         EngineStats {
             queued: inner.jobs.len(),
             ..inner.stats

@@ -28,11 +28,12 @@
 //! the bytes are released when the last holder drops.
 
 use crate::stats::EngineStats;
+use crate::sync::{self, LeafMutex};
 use splat_scene::lod::LodLadder;
 use splat_scene::Scene;
 use splat_types::{RenderError, SceneId, Vec3};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 
 /// Process-wide source of registry epochs. Every [`SceneRegistry`] takes
 /// one epoch at construction and salts it into the upper bits of each
@@ -152,7 +153,8 @@ impl PreparedScene {
     /// degrade), the deterministic LOD ladder is derived here too — once
     /// per registration, shared by every degraded job via `Arc` — and its
     /// footprint joins the residency charge.
-    fn prepare(scene: Arc<Scene>, build_ladder: bool) -> Result<Self, RenderError> {
+    pub(crate) fn prepare(scene: Arc<Scene>, build_ladder: bool) -> Result<Self, RenderError> {
+        sync::assert_unlocked();
         // An empty scene can never render (`RenderError::EmptyScene` at
         // every serve) and has no bounds; refuse it at registration so a
         // handle always points at servable work.
@@ -291,7 +293,7 @@ pub(crate) struct SceneRegistry {
     /// Whether registrations prebuild the deterministic LOD ladder (set
     /// when the engine's `QualityPolicy` can degrade).
     build_ladders: bool,
-    inner: Mutex<RegistryInner>,
+    inner: LeafMutex<RegistryInner>,
 }
 
 impl SceneRegistry {
@@ -300,20 +302,12 @@ impl SceneRegistry {
             policy,
             epoch: REGISTRY_EPOCH.fetch_add(1, Ordering::Relaxed),
             build_ladders,
-            inner: Mutex::new(RegistryInner::default()),
+            inner: LeafMutex::new("registry", RegistryInner::default()),
         }
     }
 
     pub(crate) fn policy(&self) -> ResidencyPolicy {
         self.policy
-    }
-
-    fn lock(&self) -> MutexGuard<'_, RegistryInner> {
-        // Registry state is always consistent at guard drop; recover a
-        // poisoned lock rather than wedging the serving engine.
-        self.inner
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
     /// Registers a scene, deflating the resident set to stay within the
@@ -338,7 +332,7 @@ impl SceneRegistry {
                 ),
             });
         }
-        let mut inner = self.lock();
+        let mut inner = self.inner.lock();
         let id = SceneId::from_raw((self.epoch << SCENE_ID_SEQ_BITS) | inner.next_id);
         inner.next_id += 1;
         inner.registered += 1;
@@ -389,7 +383,7 @@ impl SceneRegistry {
 
     /// Removes a scene from the resident set.
     pub(crate) fn evict(&self, id: SceneId) -> Result<(), RenderError> {
-        let mut inner = self.lock();
+        let mut inner = self.inner.lock();
         match inner
             .scenes
             .iter()
@@ -422,7 +416,7 @@ impl SceneRegistry {
         &self,
         id: SceneId,
     ) -> Result<(Arc<Scene>, Option<Arc<LodLadder>>), RenderError> {
-        let mut inner = self.lock();
+        let mut inner = self.inner.lock();
         match inner
             .scenes
             .iter()
@@ -445,7 +439,7 @@ impl SceneRegistry {
     /// still counts (the job serves off its pinned `Arc`) but there is no
     /// recency to stamp.
     pub(crate) fn commit_serve(&self, id: SceneId) {
-        let mut inner = self.lock();
+        let mut inner = self.inner.lock();
         inner.hits += 1;
         let tick = inner.serve_tick;
         if let Some(resident) = inner
@@ -480,7 +474,8 @@ impl SceneRegistry {
     /// Does **not** touch recency or the hit/miss counters, so tests and
     /// dashboards can inspect residency without perturbing eviction order.
     pub(crate) fn prepared(&self, id: SceneId) -> Option<PreparedScene> {
-        self.lock()
+        self.inner
+            .lock()
             .scenes
             .iter()
             .find(|resident| resident.prepared.id() == id)
@@ -490,7 +485,8 @@ impl SceneRegistry {
     /// Ids of the currently resident scenes, in registration order.
     /// Read-only: no recency or counter side effects.
     pub(crate) fn resident(&self) -> Vec<SceneId> {
-        self.lock()
+        self.inner
+            .lock()
             .scenes
             .iter()
             .map(|resident| resident.prepared.id())
@@ -500,7 +496,7 @@ impl SceneRegistry {
     /// Completes a snapshot by writing the scene-side counters over the
     /// job-side ones the queue filled in.
     pub(crate) fn stats(&self, queue_side: EngineStats) -> EngineStats {
-        let inner = self.lock();
+        let inner = self.inner.lock();
         EngineStats {
             registered: inner.registered,
             evicted: inner.evicted,

@@ -2,11 +2,12 @@
 //! each drains the job queue onto the one pooled session it owns.
 
 use crate::queue::Job;
+use crate::sync::LeafMutex;
 use crate::EngineShared;
 use splat_core::{RenderBackend, RenderOutput, RenderRequest};
 use splat_scene::Scene;
 use splat_types::RenderError;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// The drain loop of one persistent worker thread: pop a job, render it on
 /// the thread's dedicated pool slot at its assigned
@@ -40,7 +41,7 @@ pub(crate) fn worker_loop(shared: &Arc<EngineShared>, slot: usize) {
 /// the requested dimensions — every step bit-reproducible, so a degraded
 /// frame is as deterministic as a full-quality one.
 fn render_job(
-    pool_slot: &Mutex<Box<dyn RenderBackend>>,
+    pool_slot: &LeafMutex<Box<dyn RenderBackend>>,
     job: &Job,
 ) -> Result<RenderOutput, RenderError> {
     let scene: &Scene = if job.tier.is_degraded() {
@@ -55,9 +56,7 @@ fn render_job(
     } else {
         &job.scene
     };
-    let mut backend = pool_slot
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner());
+    let mut backend = pool_slot.lock();
     if job.tier.half_resolution() {
         let half = job.camera.half_resolution();
         let mut output = backend.render(&RenderRequest::new(scene, half))?;
@@ -92,10 +91,7 @@ mod tests {
     /// Puts `backend` into the engine's only pool slot, returning the old
     /// occupant.
     fn swap(engine: &Engine, backend: Box<dyn RenderBackend>) -> Box<dyn RenderBackend> {
-        let mut slot = engine.shared.pool[0]
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        std::mem::replace(&mut *slot, backend)
+        std::mem::replace(&mut *engine.shared.pool[0].lock(), backend)
     }
 
     /// The pipeline bug `worker_loop` guards against, on demand.

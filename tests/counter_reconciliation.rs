@@ -410,3 +410,44 @@ fn every_counter_moves_an_identity_or_is_bound_checked() {
         "stale or reordered BOUND_CHECKED entry"
     );
 }
+
+/// The scenario the deleted `counter-coverage` rule policed, on what
+/// replaced it: a counter added to a `counters!` struct cannot miss the
+/// JSON or `Display` surface (both are generated from the field list), and
+/// one that no declared identity constrains is found from `FIELDS` and
+/// `identities()` alone — the walk `every_counter_moves_an_identity_or_is_bound_checked`
+/// runs over the three live structs.
+#[test]
+fn an_uncovered_scratch_counter_field_fails_the_check() {
+    splat_types::counters! {
+        /// Scratch counters.
+        #[derive(Clone, Copy)]
+        struct Scratch {
+            /// Started.
+            ops: u64,
+            /// Finished.
+            done: u64,
+            /// Added without joining an identity.
+            phantom_ops: u64,
+        }
+    }
+    impl Scratch {
+        fn identities(&self) -> [(&'static str, u64, u64); 1] {
+            [("ops == done", self.ops, self.done)]
+        }
+    }
+
+    let scratch = Scratch::from([2, 2, 7]);
+    assert!(scratch.to_json().contains("\"phantom_ops\":7"));
+    assert!(scratch.to_string().contains("7 phantom_ops"));
+    let unconstrained: Vec<&str> = (0..Scratch::FIELDS.len())
+        .filter(|&index| {
+            let mut unit = [0; 3];
+            unit[index] = 1;
+            let identities = Scratch::from(unit).identities();
+            identities.iter().all(|&(_, l, r)| (l, r) == (0, 0))
+        })
+        .map(|index| Scratch::FIELDS[index])
+        .collect();
+    assert_eq!(unconstrained, ["phantom_ops"]);
+}
