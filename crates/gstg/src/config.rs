@@ -230,15 +230,6 @@ mod tests {
     }
 
     #[test]
-    fn span_knob_propagates_to_the_equivalent_baseline() {
-        use splat_core::SpanMode;
-        let c = GstgConfig::paper_default().with_span(SpanMode::RowSpans);
-        assert_eq!(c.span(), SpanMode::RowSpans);
-        assert_eq!(c.equivalent_baseline().span(), SpanMode::RowSpans);
-        assert_eq!(GstgConfig::paper_default().span(), SpanMode::Full);
-    }
-
-    #[test]
     fn shared_execution_knobs_apply() {
         let c = GstgConfig::paper_default().with_threads(4);
         assert_eq!(c.exec.threads, 4);

@@ -17,8 +17,8 @@
 
 use crate::group::GroupAssignments;
 use splat_core::{
-    shade_tiles, ExecutionConfig, Framebuffer, HasExecution, ProjectedGaussian, SimdMode, SpanMode,
-    SpanScratch, StageCounts, TileLists, TileRect,
+    shade_tiles, ExecutionConfig, Framebuffer, ProjectedGaussian, SimdMode, SpanMode, SpanScratch,
+    StageCounts, TileLists, TileRect,
 };
 use splat_types::Rgb;
 
@@ -86,14 +86,13 @@ impl TileLists for GroupAssignments {
 /// Rasterizes every tile of every group into a recycled framebuffer, which
 /// is reset to the image dimensions first — the raster stage of the frame
 /// loop as a standalone call ([`shade_tiles`] over the bitmask-filtered
-/// lists). `tile_list` is the reused per-tile filter output; `scratch`
-/// carries the span walker's recycled buffers and accumulates its
-/// interval-build time (drain it with [`SpanScratch::take_build_time`]).
-/// Every thread count and [`SpanMode`] produces bit-identical pixels.
+/// lists). `tile_list` is the reused per-tile filter output. Every thread
+/// count produces bit-identical pixels.
 ///
-/// `_simd` is ignored: there is one tile kernel. It is still a parameter
-/// only because `benchmark/src/layers.rs` passes one, and goes with the
-/// [`SimdMode`] shell in ROADMAP item 2a.
+/// `_simd`, `_span` and `_scratch` are ignored: there is one tile kernel.
+/// They are still parameters only because `benchmark/src/layers.rs` passes
+/// them, and go with the [`SimdMode`] and [`SpanMode`] shells in ROADMAP
+/// item 2a.
 #[allow(clippy::too_many_arguments)]
 pub fn rasterize_groups_into_with(
     projected: &[ProjectedGaussian],
@@ -103,24 +102,14 @@ pub fn rasterize_groups_into_with(
     background: Rgb,
     threads: usize,
     _simd: SimdMode,
-    span: SpanMode,
+    _span: SpanMode,
     image: &mut Framebuffer,
     tile_list: &mut Vec<u32>,
-    scratch: &mut SpanScratch,
+    _scratch: &mut SpanScratch,
 ) -> StageCounts {
     image.reset(image_width, image_height, background);
-    let exec = ExecutionConfig::sequential()
-        .with_threads(threads)
-        .with_span(span);
-    shade_tiles(
-        assignments,
-        projected,
-        background,
-        &exec,
-        image,
-        tile_list,
-        scratch,
-    )
+    let exec = ExecutionConfig::parallel(threads);
+    shade_tiles(assignments, projected, background, &exec, image, tile_list)
 }
 
 #[cfg(test)]

@@ -16,7 +16,6 @@ use crate::modules::{
 };
 use crate::report::{SimReport, StageCycles};
 use gstg::{GstgConfig, GstgSession};
-use splat_core::{HasExecution, SpanMode};
 use splat_render::stats::StageCounts;
 use splat_render::{BoundaryMethod, RenderConfig, RenderSession};
 use splat_scene::Scene;
@@ -160,9 +159,7 @@ impl Simulator {
         config: GstgConfig,
         label: String,
     ) -> SimReport {
-        // The rasterization module shades every (pixel, splat) pair, so the
-        // cycle model always consumes full-walk counts.
-        let mut session = GstgSession::from_config(config.with_span(SpanMode::Full));
+        let mut session = GstgSession::from_config(config);
         let counts = session.render(scene, camera).stats.counts;
 
         let group_entry_sizes: Vec<u64> = session

@@ -31,13 +31,13 @@ fn simulated_cycles_and_counts_are_pinned() {
     #[rustfmt::skip]
     let golden: [(PaperScene, PipelineVariant, u64, [u64; StageCounts::FIELDS.len()]); 4] = [
         (PaperScene::Playroom, PipelineVariant::baseline_paper(), 36_217,
-         [1200, 0, 1200, 8842, 7558, 8842, 7558, 0, 0, 45643, 7546, 1213, 0, 1817168, 762260, 4099, 65728, 0, 0, 0]),
+         [1200, 0, 1200, 8842, 7558, 8842, 7558, 0, 45643, 7546, 1213, 0, 1817168, 762260, 4099, 65728]),
         (PaperScene::Playroom, PipelineVariant::gstg_paper(), 32_077,
-         [1200, 0, 1200, 2208, 2124, 8652, 7558, 0, 8652, 16939, 2124, 99, 33528, 1817168, 762260, 4099, 65728, 0, 0, 0]),
+         [1200, 0, 1200, 2208, 2124, 8652, 7558, 8652, 16939, 2124, 99, 33528, 1817168, 762260, 4099, 65728]),
         (PaperScene::Truck, PipelineVariant::baseline_paper(), 104_440,
-         [2100, 1, 2099, 38774, 31076, 38774, 31076, 0, 0, 211854, 31076, 2508, 0, 4800374, 3344459, 48730, 133008, 0, 0, 0]),
+         [2100, 1, 2099, 38774, 31076, 38774, 31076, 0, 211854, 31076, 2508, 0, 4800374, 3344459, 48730, 133008]),
         (PaperScene::Truck, PipelineVariant::gstg_paper(), 83_152,
-         [2100, 1, 2099, 6085, 5632, 36724, 31076, 0, 36724, 47363, 5632, 194, 86901, 4800374, 3344459, 48730, 133008, 0, 0, 0]),
+         [2100, 1, 2099, 6085, 5632, 36724, 31076, 36724, 47363, 5632, 194, 86901, 4800374, 3344459, 48730, 133008]),
     ];
     let simulator = Simulator::new(AccelConfig::paper());
     for (scene_id, variant, cycles, counts) in golden {

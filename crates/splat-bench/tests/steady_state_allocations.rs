@@ -7,7 +7,7 @@
 //! is the warm-up: the session's arena grows to the trajectory's
 //! high-water mark. The second pass is the measured steady state, where
 //! every buffer is recycled — each frame must allocate **zero bytes in
-//! zero calls**, at every mode point the kernels have.
+//! zero calls**.
 //!
 //! This file holds exactly one `#[test]`: the allocator counts the whole
 //! process, so a sibling test running on another harness thread would
@@ -15,7 +15,6 @@
 
 use gstg::{GstgConfig, GstgSession};
 use splat_bench::HarnessOptions;
-use splat_core::{HasExecution, SpanMode};
 use splat_render::{BoundaryMethod, Keying, RenderConfig, RenderSession, Session};
 use splat_scene::{CameraTrajectory, PaperScene, Scene, SceneScale};
 use splat_types::CameraIntrinsics;
@@ -122,22 +121,17 @@ fn steady_state_frames_allocate_nothing() {
         4,
     );
 
-    for span in SpanMode::ALL {
-        let mode = span.label();
-        // The baseline runs the original 3D-GS configuration (AABB boundary).
-        let baseline = RenderConfig::new(16, BoundaryMethod::Aabb).with_span(span);
-        assert_steady_state_is_allocation_free(
-            &format!("baseline {mode}"),
-            RenderSession::from_config(baseline),
-            &scene,
-            &trajectory,
-        );
-        let grouped = GstgConfig::paper_default().with_span(span);
-        assert_steady_state_is_allocation_free(
-            &format!("gstg {mode}"),
-            GstgSession::from_config(grouped),
-            &scene,
-            &trajectory,
-        );
-    }
+    // The baseline runs the original 3D-GS configuration (AABB boundary).
+    assert_steady_state_is_allocation_free(
+        "baseline",
+        RenderSession::from_config(RenderConfig::new(16, BoundaryMethod::Aabb)),
+        &scene,
+        &trajectory,
+    );
+    assert_steady_state_is_allocation_free(
+        "gstg",
+        GstgSession::from_config(GstgConfig::paper_default()),
+        &scene,
+        &trajectory,
+    );
 }

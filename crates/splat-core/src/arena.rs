@@ -16,10 +16,10 @@
 use crate::csr::CsrScratch;
 use crate::image::Framebuffer;
 use crate::keysort::KeySortScratch;
-use crate::span::SpanScratch;
 use crate::splat::ProjectedGaussian;
 use crate::stats::RenderStats;
 use splat_types::Rgb;
+use std::time::Duration;
 
 /// Recyclable scratch for one render session.
 ///
@@ -36,8 +36,7 @@ pub struct FrameArena<T> {
     pub keys: KeySortScratch<T>,
     /// The recycled framebuffer frames are rasterized into.
     pub framebuffer: Framebuffer,
-    /// Scratch for the span-walk rasterizer (per-pixel blending state and
-    /// row-interval tables; empty while `SpanMode::Full` is in use).
+    /// Shell kept only because `benchmark/src/layers.rs` names it; it goes in ROADMAP item 2a.
     pub span: SpanScratch,
 }
 
@@ -63,13 +62,28 @@ impl<T: Copy> FrameArena<T> {
             + self.csr.footprint_bytes()
             + self.keys.footprint_bytes()
             + self.framebuffer.footprint_bytes()
-            + self.span.footprint_bytes()
     }
 }
 
 impl<T: Copy> Default for FrameArena<T> {
     fn default() -> Self {
         Self::new()
+    }
+}
+
+/// Shell kept only because `benchmark/src/layers.rs` names it; it goes in ROADMAP item 2a.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct SpanScratch;
+
+impl SpanScratch {
+    /// The only value.
+    pub fn new() -> Self {
+        Self
+    }
+
+    /// Always [`Duration::ZERO`].
+    pub fn take_build_time(&mut self) -> Duration {
+        Duration::ZERO
     }
 }
 

@@ -245,28 +245,34 @@ pub fn alpha_at(splat: &ProjectedGaussian, pixel: Vec2) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::SpanMode;
     use crate::image::Framebuffer;
     use crate::reference::shade_pixel;
-    use crate::shade::shade_rect;
-    use crate::span::SpanScratch;
     use splat_types::Mat2;
 
-    /// The kernel shading one tile into a tile-sized framebuffer.
+    /// The kernel shading one tile into a tile-sized framebuffer at its
+    /// origin — the parallel fan-out's form of one tile.
     fn rasterize_tile(
         sorted: &[u32],
         projected: &[ProjectedGaussian],
         rect: &TileRect,
         background: Rgb,
     ) -> (Framebuffer, StageCounts) {
-        shade_rect(
+        let origin = (rect.x0 as u32, rect.y0 as u32);
+        let mut tile = Framebuffer::black(
+            (rect.x1 as u32).saturating_sub(origin.0),
+            (rect.y1 as u32).saturating_sub(origin.1),
+        );
+        let mut counts = StageCounts::new();
+        rasterize_tile_into_with(
             sorted,
             projected,
             rect,
             background,
-            SpanMode::Full,
-            &mut SpanScratch::new(),
-        )
+            &mut tile,
+            origin,
+            &mut counts,
+        );
+        (tile, counts)
     }
 
     /// [`shade_pixel`] at every pixel of `rect` over the same list, into a

@@ -16,36 +16,12 @@ pub enum SimdMode {
     Wide8,
 }
 
-/// Pixel coverage strategy of the tile blending inner loop.
-///
-/// `RowSpans` walks, for every splat, only the per-row x-interval where the
-/// splat's α can reach the 1/255 cull threshold (solved analytically from
-/// the conic), and stops consuming a tile's sorted list once every pixel
-/// has fired its transmittance early-exit. Skipped work is exactly work the
-/// α-cull would have discarded, so both modes produce bit-identical pixels;
-/// only `StageCounts::alpha_computations` (and the span counters) differ.
+/// Shell kept only because `benchmark/src/layers.rs` names it; it goes in ROADMAP item 2a.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SpanMode {
-    /// Every (pixel, splat) pair of the tile is evaluated (the reference
-    /// path).
+    /// The only value.
     #[default]
     Full,
-    /// Per-splat conservative row intervals plus the tile-saturation
-    /// early-out.
-    RowSpans,
-}
-
-impl SpanMode {
-    /// Every mode, full walk first.
-    pub const ALL: [SpanMode; 2] = [SpanMode::Full, SpanMode::RowSpans];
-
-    /// Stable human-readable label (used by benches and reports).
-    pub fn label(self) -> &'static str {
-        match self {
-            SpanMode::Full => "full",
-            SpanMode::RowSpans => "rows",
-        }
-    }
 }
 
 /// Execution parameters shared by every pipeline configuration.
@@ -61,9 +37,6 @@ pub struct ExecutionConfig {
     /// Number of worker threads for the rasterization fan-out
     /// (1 = sequential; operation counts are unaffected either way).
     pub threads: usize,
-    /// Pixel coverage strategy of the blending loop. Every mode is
-    /// bit-identical; see [`SpanMode`].
-    pub span: SpanMode,
 }
 
 impl Default for ExecutionConfig {
@@ -73,12 +46,9 @@ impl Default for ExecutionConfig {
 }
 
 impl ExecutionConfig {
-    /// Single-threaded execution with the default span mode.
+    /// Single-threaded execution.
     pub fn sequential() -> Self {
-        Self {
-            threads: 1,
-            span: SpanMode::default(),
-        }
+        Self { threads: 1 }
     }
 
     /// Parallel execution over the given number of worker threads
@@ -86,7 +56,6 @@ impl ExecutionConfig {
     pub fn parallel(threads: usize) -> Self {
         Self {
             threads: threads.max(1),
-            span: SpanMode::default(),
         }
     }
 }
@@ -108,12 +77,6 @@ pub trait HasExecution: Sized {
         self
     }
 
-    /// Returns a copy with the pixel coverage strategy replaced.
-    fn with_span(mut self, span: SpanMode) -> Self {
-        self.execution_mut().span = span;
-        self
-    }
-
     /// Shorthand for the configured worker thread count.
     fn threads(&self) -> usize {
         self.execution().threads
@@ -124,9 +87,9 @@ pub trait HasExecution: Sized {
         SimdMode::Wide8
     }
 
-    /// Shorthand for the configured span mode.
+    /// Always [`SpanMode::Full`]; see [`SpanMode`].
     fn span(&self) -> SpanMode {
-        self.execution().span
+        SpanMode::Full
     }
 }
 
@@ -162,14 +125,5 @@ mod tests {
         let exec = ExecutionConfig::sequential().with_threads(4);
         assert_eq!(exec.threads, 4);
         assert_eq!(ExecutionConfig::sequential().with_threads(0).threads, 1);
-    }
-
-    #[test]
-    fn span_modes_expose_labels_and_the_builder_knob() {
-        assert_eq!(SpanMode::default(), SpanMode::Full);
-        assert_eq!(SpanMode::ALL.map(SpanMode::label), ["full", "rows"]);
-        let exec = ExecutionConfig::sequential().with_span(SpanMode::RowSpans);
-        assert_eq!(exec.span(), SpanMode::RowSpans);
-        assert_eq!(ExecutionConfig::default().span, SpanMode::Full);
     }
 }

@@ -22,15 +22,15 @@
 //!   `(depth_bits << 32) | scene_index` ([`sort_bins_by_depth`] sorts every
 //!   CSR bin with it), plus the modeled comparison count that keeps the
 //!   paper's redundancy accounting.
-//! * [`exec`] — the shared execution configuration: worker thread count and
-//!   span mode, with the single `with_threads` knob every pipeline
+//! * [`exec`] — the shared execution configuration: the worker thread
+//!   count, with the single `with_threads` knob every pipeline
 //!   configuration re-uses through [`HasExecution`].
 //! * [`schedule`] — [`TileScheduler`], the deterministic scoped-thread
 //!   work-partition scheduler the rasterization fan-out runs on.
 //! * [`shade`] — [`shade_tiles`], the one tile-shading driver both
 //!   pipelines feed with `(rect, sorted slot list)` through [`TileLists`].
-//! * [`blend`], [`span`] — the front-to-back α-blending kernels (full walk
-//!   and row-span walk) and the reference thresholds.
+//! * [`blend`] — the front-to-back α-blending tile kernel and the
+//!   reference thresholds.
 //! * [`reference`](mod@reference) — the brute-force, tile-free image both
 //!   pipelines are checked against; no render path calls it.
 //! * [`splat`], [`rect`], [`image`], [`stats`] — the data types the stages
@@ -55,11 +55,10 @@ pub mod rect;
 pub mod reference;
 pub mod schedule;
 pub mod shade;
-pub mod span;
 pub mod splat;
 pub mod stats;
 
-pub use arena::{FrameArena, SessionFrame};
+pub use arena::{FrameArena, SessionFrame, SpanScratch};
 pub use backend::{request_cost_hint, RenderBackend, RenderOutput, RenderRequest};
 pub use blend::{
     alpha_at, rasterize_tile_into_with, ALPHA_CULL_THRESHOLD, ALPHA_MAX, TRANSMITTANCE_EPSILON,
@@ -71,6 +70,5 @@ pub use keysort::{is_sorted_by_depth, sort_bins_by_depth, splat_key, KeySortRun,
 pub use rect::{TileRect, MAHALANOBIS_CUTOFF, SIGMA_EXTENT};
 pub use schedule::TileScheduler;
 pub use shade::{shade_tiles, TileLists};
-pub use span::{conservative_row_interval, rasterize_tile_spans_into_with, SpanScratch};
 pub use splat::ProjectedGaussian;
 pub use stats::{RenderStats, StageCounts};

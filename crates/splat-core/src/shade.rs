@@ -6,16 +6,15 @@
 //! They differ only in how a tile's sorted list is *obtained* — read
 //! straight out of the per-tile CSR bin, or filtered out of the group's
 //! sorted list with the tile's bitmask bit — which is all [`TileLists`]
-//! abstracts. The sequential/parallel × [`SpanMode`] dispatch lives here
-//! once; [`shade_tiles`] is generic, so each pipeline still compiles down to
-//! its own straight-line loop.
+//! abstracts. The sequential/parallel dispatch lives here once;
+//! [`shade_tiles`] is generic, so each pipeline still compiles down to its
+//! own straight-line loop.
 
 use crate::blend::rasterize_tile_into_with;
-use crate::exec::{ExecutionConfig, SpanMode};
+use crate::exec::ExecutionConfig;
 use crate::image::Framebuffer;
 use crate::rect::TileRect;
 use crate::schedule::TileScheduler;
-use crate::span::{rasterize_tile_spans_into_with, SpanScratch};
 use crate::splat::ProjectedGaussian;
 use crate::stats::StageCounts;
 use splat_types::Rgb;
@@ -45,17 +44,14 @@ pub trait TileLists: Sync {
 /// Shades every tile `lists` provides into `image` (already reset to the
 /// frame's dimensions and background) and returns the work performed.
 ///
-/// Every tile goes through the one in-place kernel of its [`SpanMode`].
-/// With one worker thread every tile is shaded directly into `image`
-/// through `tile_list` and `scratch` — no per-tile buffers, the
-/// allocation-free session path. With more threads the units fan out
+/// Every tile goes through the one in-place kernel,
+/// [`rasterize_tile_into_with`]. With one worker thread every tile is
+/// shaded directly into `image` through `tile_list` — no per-tile buffers,
+/// the allocation-free session path. With more threads the units fan out
 /// through the shared [`TileScheduler`]; each tile is shaded into a
 /// tile-sized [`Framebuffer`] at its origin and the tiles are placed in
 /// unit order. Both paths perform identical per-pixel operations, so pixels
-/// and [`StageCounts`] are bit-identical for any thread count. Under
-/// [`SpanMode::RowSpans`] the interval-build time accumulates in `scratch`
-/// (aggregate worker time on the parallel path); drain it with
-/// [`SpanScratch::take_build_time`].
+/// and [`StageCounts`] are bit-identical for any thread count.
 pub fn shade_tiles<L: TileLists>(
     lists: &L,
     projected: &[ProjectedGaussian],
@@ -63,28 +59,21 @@ pub fn shade_tiles<L: TileLists>(
     exec: &ExecutionConfig,
     image: &mut Framebuffer,
     tile_list: &mut Vec<u32>,
-    scratch: &mut SpanScratch,
 ) -> StageCounts {
     // Shades one tile into `target`, whose pixel (0, 0) sits at `origin`.
     let shade = |rect: &TileRect,
                  sorted: &[u32],
                  target: &mut Framebuffer,
                  origin: (u32, u32),
-                 counts: &mut StageCounts,
-                 scratch: &mut SpanScratch| match exec.span {
-        SpanMode::Full => {
-            rasterize_tile_into_with(sorted, projected, rect, background, target, origin, counts)
-        }
-        SpanMode::RowSpans => rasterize_tile_spans_into_with(
-            sorted, projected, rect, background, target, origin, counts, scratch,
-        ),
+                 counts: &mut StageCounts| {
+        rasterize_tile_into_with(sorted, projected, rect, background, target, origin, counts)
     };
     let mut counts = StageCounts::new();
 
     if exec.threads <= 1 {
         for unit in 0..lists.unit_count() {
             lists.for_each_tile(unit, &mut counts, tile_list, |rect, sorted, counts| {
-                shade(rect, sorted, image, (0, 0), counts, scratch)
+                shade(rect, sorted, image, (0, 0), counts)
             });
         }
         return counts;
@@ -93,7 +82,6 @@ pub fn shade_tiles<L: TileLists>(
     let units = TileScheduler::from_exec(exec).run(lists.unit_count(), |unit| {
         let mut unit_counts = StageCounts::new();
         let mut unit_list = Vec::new();
-        let mut unit_scratch = SpanScratch::new();
         let mut tiles = Vec::new();
         lists.for_each_tile(
             unit,
@@ -105,16 +93,15 @@ pub fn shade_tiles<L: TileLists>(
                     (rect.x1 as u32).saturating_sub(origin.0),
                     (rect.y1 as u32).saturating_sub(origin.1),
                 );
-                shade(rect, sorted, &mut tile, origin, counts, &mut unit_scratch);
+                shade(rect, sorted, &mut tile, origin, counts);
                 tiles.push((origin, tile));
             },
         );
-        (tiles, unit_counts, unit_scratch.take_build_time())
+        (tiles, unit_counts)
     });
 
-    for (tiles, unit_counts, built) in units {
+    for (tiles, unit_counts) in units {
         counts += unit_counts;
-        scratch.add_build_time(built);
         for ((x0, y0), tile) in tiles {
             image.write_region(x0, y0, tile.width(), tile.pixels());
         }
@@ -122,52 +109,9 @@ pub fn shade_tiles<L: TileLists>(
     counts
 }
 
-/// Shades `rect` into a tile-sized [`Framebuffer`] at its origin — the
-/// parallel fan-out's form of one tile — through the kernel `span`
-/// selects, returning the tile and the work it charged.
-#[cfg(test)]
-pub(crate) fn shade_rect(
-    sorted: &[u32],
-    projected: &[ProjectedGaussian],
-    rect: &TileRect,
-    background: Rgb,
-    span: SpanMode,
-    scratch: &mut SpanScratch,
-) -> (Framebuffer, StageCounts) {
-    let origin = (rect.x0 as u32, rect.y0 as u32);
-    let mut tile = Framebuffer::black(
-        (rect.x1 as u32).saturating_sub(origin.0),
-        (rect.y1 as u32).saturating_sub(origin.1),
-    );
-    let mut counts = StageCounts::new();
-    match span {
-        SpanMode::Full => rasterize_tile_into_with(
-            sorted,
-            projected,
-            rect,
-            background,
-            &mut tile,
-            origin,
-            &mut counts,
-        ),
-        SpanMode::RowSpans => rasterize_tile_spans_into_with(
-            sorted,
-            projected,
-            rect,
-            background,
-            &mut tile,
-            origin,
-            &mut counts,
-            scratch,
-        ),
-    }
-    (tile, counts)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::HasExecution;
     use crate::reference::render_reference;
     use splat_types::{Mat2, Vec2};
 
@@ -217,8 +161,8 @@ mod tests {
         ]
     }
 
-    fn shade(threads: usize, span: SpanMode) -> (Framebuffer, StageCounts) {
-        let exec = ExecutionConfig::parallel(threads).with_span(span);
+    fn shade(threads: usize) -> (Framebuffer, StageCounts) {
+        let exec = ExecutionConfig::parallel(threads);
         let mut image = Framebuffer::new(16, 8, Rgb::BLACK);
         let counts = shade_tiles(
             &TwoTiles(vec![0, 1]),
@@ -227,14 +171,13 @@ mod tests {
             &exec,
             &mut image,
             &mut Vec::new(),
-            &mut SpanScratch::new(),
         );
         (image, counts)
     }
 
     #[test]
     fn every_dispatch_arm_shades_the_same_pixels() {
-        let (reference, reference_counts) = shade(1, SpanMode::Full);
+        let (reference, reference_counts) = shade(1);
         assert!(reference.mean_luminance() > 0.0);
         assert_eq!(reference_counts.pixels, 16 * 8);
         // Every tile lists every splat, so the tiles blend what the
@@ -248,20 +191,9 @@ mod tests {
         // Work the provider charged for building lists reaches the total.
         assert_eq!(reference_counts.bitmask_filter_ops, 4);
         for threads in [1, 4] {
-            let (full, full_counts) = shade(threads, SpanMode::Full);
+            let (full, full_counts) = shade(threads);
             assert_eq!(full.max_abs_diff(&reference), 0.0, "x{threads}");
             assert_eq!(full_counts, reference_counts, "x{threads}");
-
-            let (rows, row_counts) = shade(threads, SpanMode::RowSpans);
-            assert_eq!(rows.max_abs_diff(&reference), 0.0, "x{threads} rows");
-            assert_eq!(
-                row_counts.alpha_computations + row_counts.span_skipped_alpha,
-                reference_counts.alpha_computations
-            );
-            assert_eq!(
-                row_counts.blend_operations,
-                reference_counts.blend_operations
-            );
         }
     }
 }

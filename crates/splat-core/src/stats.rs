@@ -33,10 +33,6 @@ splat_types::counters! {
         /// [`tile_intersections`](Self::tile_intersections) in the baseline
         /// pipeline; GS-TG counts the small tiles hit inside each hit group.
         tiles_hit: u64,
-        /// Always zero: nothing increments it. It stays a field so the
-        /// counter JSON keeps its bytes, and leaves with the span counters
-        /// (ROADMAP item 3, stage 2).
-        prepass_overcount_trimmed: u64,
         /// Bitmask tile tests performed (GS-TG only: per-Gaussian small-tile
         /// tests inside its groups).
         bitmask_tests: u64,
@@ -68,18 +64,6 @@ splat_types::counters! {
         early_exits: u64,
         /// Number of pixels rasterized.
         pixels: u64,
-        /// Conservative row intervals solved by the span-walk rasterizer
-        /// (one per (splat, still-live tile row) in `SpanMode::RowSpans`;
-        /// zero in `SpanMode::Full`).
-        span_rows_built: u64,
-        /// α-computations the span walk skipped because the pixel lay outside
-        /// its splat's conservative row interval. The reconciliation invariant
-        /// is `full.alpha_computations ==
-        /// span.alpha_computations + span.span_skipped_alpha`.
-        span_skipped_alpha: u64,
-        /// Tiles whose sorted list was abandoned early because every pixel had
-        /// already fired its transmittance exit (span mode only).
-        tile_saturation_exits: u64,
     }
     impl Add;
 }
@@ -142,17 +126,10 @@ pub struct RenderStats {
     pub sort_time: Duration,
     /// Wall-clock time of the rasterization stage.
     pub raster_time: Duration,
-    /// Wall-clock time spent building conservative row-interval tables
-    /// inside the rasterization stage (zero in `SpanMode::Full`). This is a
-    /// *portion* of [`raster_time`](Self::raster_time), not an additional
-    /// stage, so [`total_time`](Self::total_time) does not add it again.
-    pub span_build_time: Duration,
 }
 
 impl RenderStats {
-    /// Total measured wall-clock time. Excludes
-    /// [`span_build_time`](Self::span_build_time), which is already
-    /// contained in the rasterization window.
+    /// Total measured wall-clock time.
     pub fn total_time(&self) -> Duration {
         self.preprocess_time + self.identify_time + self.sort_time + self.raster_time
     }
@@ -189,11 +166,9 @@ mod tests {
         assert!((c.gaussians_per_pixel() - 25.0).abs() < 1e-9);
     }
 
-    /// Field *i* holds the *i*-th prime, so every value is distinct.
+    /// Every field holds a distinct prime.
     fn sample() -> StageCounts {
-        const PRIMES: [u64; 20] = [
-            2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71,
-        ];
+        const PRIMES: [u64; 16] = [2, 3, 5, 7, 11, 13, 17, 23, 29, 31, 37, 41, 43, 47, 53, 59];
         StageCounts::from(PRIMES)
     }
 
@@ -228,11 +203,10 @@ mod tests {
             sample().to_json(),
             "{\"input_gaussians\":2,\"culled_gaussians\":3,\"visible_gaussians\":5,\
              \"tile_tests\":7,\"tile_intersections\":11,\"tiles_tested\":13,\
-             \"tiles_hit\":17,\"prepass_overcount_trimmed\":19,\"bitmask_tests\":23,\
+             \"tiles_hit\":17,\"bitmask_tests\":23,\
              \"sort_comparisons\":29,\"sort_keys\":31,\"radix_passes\":37,\
              \"bitmask_filter_ops\":41,\"alpha_computations\":43,\"blend_operations\":47,\
-             \"early_exits\":53,\"pixels\":59,\"span_rows_built\":61,\
-             \"span_skipped_alpha\":67,\"tile_saturation_exits\":71}"
+             \"early_exits\":53,\"pixels\":59}"
         );
     }
 

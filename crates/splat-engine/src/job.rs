@@ -223,11 +223,6 @@ impl JobHandle {
         self.shared.status()
     }
 
-    /// `true` once [`JobHandle::wait`] would return without blocking.
-    pub fn is_finished(&self) -> bool {
-        self.status() == JobStatus::Finished
-    }
-
     /// Non-blocking poll: `None` while the job is queued or rendering,
     /// `Some` clone of the result once it finished. The result stays with
     /// the handle, so a later [`JobHandle::wait`] still succeeds.

@@ -753,7 +753,7 @@ mod tests {
         while handle.try_poll().is_none() {
             std::thread::yield_now();
         }
-        assert!(handle.is_finished());
+        assert_eq!(handle.status(), JobStatus::Finished);
         // Polling clones; the handle still owns the result for wait().
         let polled = handle.try_poll().unwrap().expect("render succeeds");
         let waited = handle.wait().expect("render succeeds");

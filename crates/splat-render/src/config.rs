@@ -174,16 +174,6 @@ mod tests {
     }
 
     #[test]
-    fn span_knob_is_settable_through_builder_and_with() {
-        use splat_core::SpanMode;
-        assert_eq!(
-            RenderConfig::default().with_span(SpanMode::RowSpans).span(),
-            SpanMode::RowSpans
-        );
-        assert_eq!(RenderConfig::default().span(), SpanMode::Full);
-    }
-
-    #[test]
     fn thresholds_match_reference_implementation() {
         assert!((ALPHA_CULL_THRESHOLD - 1.0 / 255.0).abs() < 1e-9);
         assert!((TRANSMITTANCE_EPSILON - 1e-4).abs() < 1e-9);

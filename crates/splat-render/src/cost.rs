@@ -197,7 +197,6 @@ mod tests {
             tile_tests: 6000,
             tiles_tested: 6000,
             tiles_hit: 3000,
-            prepass_overcount_trimmed: 0,
             tile_intersections: 3000,
             bitmask_tests: 2000,
             sort_comparisons: 20_000,
@@ -208,9 +207,6 @@ mod tests {
             blend_operations: 200_000,
             early_exits: 100,
             pixels: 65_536,
-            span_rows_built: 0,
-            span_skipped_alpha: 0,
-            tile_saturation_exits: 0,
         }
     }
 

@@ -65,13 +65,16 @@ impl Renderer {
     /// framebuffer, which is reset to the camera dimensions first — the
     /// raster stage of the frame loop as a standalone call
     /// ([`shade_tiles`] over the per-tile lists).
+    ///
+    /// `_span` is ignored. It is a parameter only because
+    /// `benchmark/src/layers.rs` passes one, and goes in ROADMAP item 2a.
     pub fn rasterize_into(
         &self,
         projected: &[ProjectedGaussian],
         assignments: &TileAssignments,
         camera: &Camera,
         image: &mut Framebuffer,
-        span: &mut SpanScratch,
+        _span: &mut SpanScratch,
     ) -> StageCounts {
         image.reset(camera.width(), camera.height(), self.background);
         shade_tiles(
@@ -81,7 +84,6 @@ impl Renderer {
             &self.config.exec,
             image,
             &mut Vec::new(),
-            span,
         )
     }
 }

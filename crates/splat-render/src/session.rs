@@ -50,7 +50,7 @@ pub trait Keying: Clone + Debug + Send {
     const NAME: &'static str;
 
     /// Configuration of the shared stages: the rasterization tile size and
-    /// the execution settings (threads and span mode).
+    /// the execution settings (the thread count).
     fn render_config(&self) -> RenderConfig;
 
     /// Checks the keying's own configuration.
@@ -200,7 +200,6 @@ impl<K: Keying> Session<K> {
             &config.exec,
             &mut arena.framebuffer,
             &mut self.tile_list,
-            &mut arena.span,
         );
         let raster_time = start.elapsed();
 
@@ -212,7 +211,6 @@ impl<K: Keying> Session<K> {
                 identify_time,
                 sort_time,
                 raster_time,
-                span_build_time: arena.span.take_build_time(),
             },
         }
     }

@@ -6,7 +6,7 @@
 //! fixed sequence of [`QualityTier`]s, each derived **deterministically**
 //! from the full scene (stable index order, no randomness, no
 //! configuration), so a degraded frame is bit-reproducible across
-//! threads, span modes and pipelines exactly like a full-quality one.
+//! threads and pipelines exactly like a full-quality one.
 //!
 //! The ladder is cumulative — every step keeps the previous step's
 //! reductions and adds one more:

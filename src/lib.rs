@@ -84,7 +84,7 @@ pub mod prelude {
     pub use splat_accel::{AccelConfig, PipelineVariant, Simulator};
     pub use splat_core::{
         ExecutionConfig, FrameArena, HasExecution, RenderBackend, RenderOutput, RenderRequest,
-        SessionFrame, SpanMode, StageCounts,
+        SessionFrame, StageCounts,
     };
     pub use splat_engine::{
         AdmissionPolicy, Engine, EngineBuilder, EngineStats, JobHandle, JobStatus, LodLadder,

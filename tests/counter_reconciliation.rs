@@ -52,7 +52,6 @@ fn baseline_stage_counts_reconcile() {
     assert!(c.tile_tests > 0);
     assert_eq!(c.tiles_tested, c.tile_tests);
     assert!(c.tiles_tested >= c.tiles_hit);
-    assert_eq!(c.prepass_overcount_trimmed, 0, "nothing increments it");
     assert_eq!(c.bitmask_tests, 0, "baseline pipeline has no bitmasks");
     assert_eq!(c.bitmask_filter_ops, 0, "baseline pipeline has no bitmasks");
 
@@ -69,31 +68,6 @@ fn baseline_stage_counts_reconcile() {
     assert!(c.alpha_computations >= c.blend_operations);
     assert!(c.blend_operations > 0);
     assert!(c.early_exits <= c.pixels);
-
-    // Span-walk counters are exactly zero in `SpanMode::Full`.
-    assert_eq!(c.span_rows_built, 0);
-    assert_eq!(c.span_skipped_alpha, 0);
-    assert_eq!(c.tile_saturation_exits, 0);
-}
-
-/// Span-walk rasterization skips α-computations but must account for every
-/// one of them: full = span + skipped, with identical blends and pixels.
-#[test]
-fn span_walk_alpha_accounting_reconciles() {
-    let scene = PaperScene::Train.build(SceneScale::Tiny, 9);
-    let cam = camera(128, 96);
-    let base = RenderConfig::try_new(16, BoundaryMethod::Ellipse).expect("valid configuration");
-    let full = render_counts(base.with_span(SpanMode::Full), &scene, &cam);
-    let span = render_counts(base.with_span(SpanMode::RowSpans), &scene, &cam);
-    assert_eq!(
-        full.alpha_computations,
-        span.alpha_computations + span.span_skipped_alpha
-    );
-    assert_eq!(full.blend_operations, span.blend_operations);
-    assert_eq!(full.early_exits, span.early_exits);
-    assert_eq!(full.pixels, span.pixels);
-    assert!(span.span_rows_built > 0);
-    assert!(span.tile_saturation_exits <= span.tiles_hit);
 }
 
 /// The GS-TG pipeline exercises the bitmask counters the baseline leaves
@@ -324,12 +298,11 @@ fn job_identity_holds_while_a_shedding_queue_deflates_and_drains() {
 /// exact value or a bound by the named test instead.
 const BOUND_CHECKED: &[&str] = &[
     // `StageCounts`: `baseline_stage_counts_reconcile`,
-    // `gstg_bitmask_counters_reconcile`, `span_walk_alpha_accounting_reconciles`.
+    // `gstg_bitmask_counters_reconcile`.
     "tile_tests",
     "tile_intersections",
     "tiles_tested",
     "tiles_hit",
-    "prepass_overcount_trimmed",
     "bitmask_tests",
     "sort_comparisons",
     "sort_keys",
@@ -339,9 +312,6 @@ const BOUND_CHECKED: &[&str] = &[
     "blend_operations",
     "early_exits",
     "pixels",
-    "span_rows_built",
-    "span_skipped_alpha",
-    "tile_saturation_exits",
     // `EngineStats`: `engine_stats_reconcile_after_drain`,
     // `job_identity_holds_while_a_shedding_queue_deflates_and_drains`.
     "rejected",

@@ -198,42 +198,6 @@ fn golden_digests_hold_across_simd_modes_and_exact_prepass() {
     }
 }
 
-#[test]
-fn golden_digests_hold_across_span_modes() {
-    // The span walk is a raster work-elimination knob: conservative
-    // per-row intervals plus the tile-saturation early-out must not move a
-    // single bit relative to the pinned full-walk digests, for either
-    // pipeline or thread count.
-    for (paper_scene, golden) in GOLDEN {
-        let scene = paper_scene.build(SceneScale::Tiny, 0);
-        let camera = camera();
-        for span in SpanMode::ALL {
-            for threads in [1usize, 4] {
-                let baseline = Renderer::new(
-                    RenderConfig::default()
-                        .with_threads(threads)
-                        .with_span(span),
-                )
-                .render(&scene, &camera);
-                let grouped = GstgRenderer::new(
-                    GstgConfig::paper_default()
-                        .with_threads(threads)
-                        .with_span(span),
-                )
-                .render(&scene, &camera);
-                for (pipeline, output) in [("baseline", &baseline), ("gstg", &grouped)] {
-                    let digest = frame_digest(&output.image);
-                    assert_eq!(
-                        digest, golden,
-                        "{paper_scene:?}/{pipeline}/{span:?}/threads={threads}: \
-                         raster drift! expected {golden:#018x}, actual {digest:#018x}"
-                    );
-                }
-            }
-        }
-    }
-}
-
 /// Renders `scene` at `tier` the way the serving engine does: the tier's
 /// derived scene (reduced SH, pruned, decimated), at half resolution for
 /// tiers that call for it, upsampled back to the delivery dimensions with
@@ -255,7 +219,7 @@ fn render_tier(
 
 /// The pinned quality-ladder digests: for each canonical scene, the
 /// Tier1/Tier2/Tier3 frames. Like `GOLDEN`, these must hold for both
-/// pipelines, any thread count, span mode and
+/// pipelines, any thread count and
 /// conservative or exact intersection test in the prepass —
 /// the ladder degrades the *scene and resolution*, never the determinism.
 const GOLDEN_TIERS: [(PaperScene, [u64; 3]); 3] = [
@@ -327,29 +291,23 @@ fn golden_tier_digests_hold_across_simd_span_and_prepass_modes() {
     for (paper_scene, goldens) in GOLDEN_TIERS {
         let scene = paper_scene.build(SceneScale::Tiny, 0);
         for (tier, golden) in TIERS.into_iter().zip(goldens) {
-            for span in SpanMode::ALL {
-                // Conservative box and exact test in the prepass.
-                for boundary in [BoundaryMethod::Aabb, BoundaryMethod::Ellipse] {
-                    let render = |scene: &Scene, cam: &Camera| {
-                        Renderer::new(
-                            RenderConfig::new(16, boundary)
-                                .with_threads(4)
-                                .with_span(span),
-                        )
+            // Conservative box and exact test in the prepass.
+            for boundary in [BoundaryMethod::Aabb, BoundaryMethod::Ellipse] {
+                let render = |scene: &Scene, cam: &Camera| {
+                    Renderer::new(RenderConfig::new(16, boundary).with_threads(4))
                         .render(scene, cam)
                         .image
-                    };
-                    let digest = render_tier(
-                        &scene,
-                        tier,
-                        &render as &dyn Fn(&Scene, &Camera) -> Framebuffer,
-                    );
-                    assert_eq!(
-                        digest, golden,
-                        "{paper_scene:?}/{tier:?}/{span:?}/{boundary}: tier \
-                         raster drift! expected {golden:#018x}, actual {digest:#018x}"
-                    );
-                }
+                };
+                let digest = render_tier(
+                    &scene,
+                    tier,
+                    &render as &dyn Fn(&Scene, &Camera) -> Framebuffer,
+                );
+                assert_eq!(
+                    digest, golden,
+                    "{paper_scene:?}/{tier:?}/{boundary}: tier \
+                     raster drift! expected {golden:#018x}, actual {digest:#018x}"
+                );
             }
         }
     }

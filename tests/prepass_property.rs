@@ -146,7 +146,6 @@ fn intersection_list_lengths_match_the_counters_in_every_mode() {
             assert_eq!(counts.tiles_hit, counts.tile_intersections);
             assert!(counts.tiles_hit <= counts.tiles_tested);
             assert_eq!(counts.tiles_tested, counts.tile_tests);
-            assert_eq!(counts.prepass_overcount_trimmed, 0);
             let per_gaussian: u64 = assignments
                 .tiles_per_gaussian()
                 .iter()

@@ -12,12 +12,11 @@
 //! * pixels bit for bit;
 //! * `blend_operations` and `early_exits` exactly;
 //! * `alpha_computations` at most the reference's (a tile list is a subset
-//!   of the whole list; the span walk skips more).
+//!   of the whole list).
 //!
 //! The sweep covers both pipelines; tiles 8, 16, 32 and 64 px with group
 //! multiples 2, 3, 4 and 8; every baseline boundary method and all nine
-//! group × bitmask boundary pairs; one and four threads; both span modes;
-//! 1×1, 17×1, 37×23 and 64×48 frames; splats 0.05–1 from the camera and
+//! group × bitmask boundary pairs; one and four threads; 1×1, 17×1, 37×23 and 64×48 frames; splats 0.05–1 from the camera and
 //! 10⁻⁴-thin ones; and one half-precision scene.
 //!
 //! Every mismatch is reported with its scene seed and configuration. Re-run
@@ -53,13 +52,8 @@ const BOUNDARIES: [BoundaryMethod; 3] = [
     BoundaryMethod::Ellipse,
 ];
 
-/// The (threads, span) points; renders cycle through them.
-const MODES: [(usize, SpanMode); 4] = [
-    (1, SpanMode::Full),
-    (4, SpanMode::RowSpans),
-    (4, SpanMode::Full),
-    (1, SpanMode::RowSpans),
-];
+/// The thread counts; renders cycle through them.
+const MODES: [usize; 2] = [1, 4];
 
 /// 150–350 random splats in front of the camera. One in eight sits 0.05–1
 /// from it (some inside the near plane, the rest covering the frame), and
@@ -185,11 +179,9 @@ fn sweep(seed: u64, precision: Precision) -> (usize, Vec<String>) {
 
         for (tile_index, tile) in TILES.into_iter().enumerate() {
             for boundary in BOUNDARIES {
-                let &(threads, span) = mode.next().expect("cycle");
-                let config = RenderConfig::new(tile, boundary)
-                    .with_threads(threads)
-                    .with_span(span);
-                let at = format!("{scene_at} baseline {tile}px {boundary} x{threads} {span:?}");
+                let &threads = mode.next().expect("cycle");
+                let config = RenderConfig::new(tile, boundary).with_threads(threads);
+                let at = format!("{scene_at} baseline {tile}px {boundary} x{threads}");
                 oracle.check(&at, &Renderer::new(config).render(&scene, &cam));
                 renders += 1;
             }
@@ -197,14 +189,13 @@ fn sweep(seed: u64, precision: Precision) -> (usize, Vec<String>) {
                 .into_iter()
                 .flat_map(|group| BOUNDARIES.map(|bitmask| (group, bitmask)));
             for (pair_index, (group, bitmask)) in pairs.enumerate() {
-                let &(threads, span) = mode.next().expect("cycle");
+                let &threads = mode.next().expect("cycle");
                 let multiple = GROUP_MULTIPLES[(pair_index + tile_index) % GROUP_MULTIPLES.len()];
                 let config = GstgConfig::new(tile, tile * multiple, group, bitmask)
                     .expect("valid grouping")
-                    .with_threads(threads)
-                    .with_span(span);
+                    .with_threads(threads);
                 let at = format!(
-                    "{scene_at} gstg {tile}+{}px {group}+{bitmask} x{threads} {span:?}",
+                    "{scene_at} gstg {tile}+{}px {group}+{bitmask} x{threads}",
                     tile * multiple
                 );
                 oracle.check(&at, &GstgRenderer::new(config).render(&scene, &cam));
