@@ -13,6 +13,7 @@
 
 use std::ops::Range;
 
+use crate::exp::exp_neg;
 use crate::rect::{TileRect, MAHALANOBIS_CUTOFF};
 use crate::splat::ProjectedGaussian;
 use crate::stats::StageCounts;
@@ -49,10 +50,11 @@ const BLOCK: usize = 16;
 ///
 /// The rect is split into blocks of at most 16×16 pixels and `sorted` is
 /// walked once per block: every row with a live pixel evaluates the
-/// 16-lane Mahalanobis form, and only the live lanes inside the 3σ cutoff
-/// go on to α and blending, with [`crate::reference::shade_pixel`]'s
-/// operations in its order. Pixels and counters are therefore bit-identical
-/// to that per-pixel walk. Each row of the rect is written once through
+/// 16-lane Mahalanobis form, a row with a live lane inside the 3σ cutoff
+/// evaluates the 16-lane α, and only those lanes go on to the α-cull and
+/// blending, with [`crate::reference::shade_pixel`]'s operations in its
+/// order. Pixels and counters are therefore bit-identical to that
+/// per-pixel walk. Each row of the rect is written once through
 /// [`Framebuffer::row_mut`].
 ///
 /// [`Framebuffer::row_mut`]: crate::Framebuffer::row_mut
@@ -115,14 +117,18 @@ struct BlockRow {
 /// pixel-outer loop.
 ///
 /// For each splat, every row that still has a live pixel evaluates the
-/// Mahalanobis form branch-free across all [`BLOCK`] lanes (the loop the
-/// auto-vectorizer targets) and keeps, as a bit mask, the live lanes with
-/// `0 ≤ m ≤ 9`. α-evaluation and blending then run for those bits in
-/// ascending lane order with exactly the per-pixel walk's operations and
-/// operand order (no fused multiply-add), so pixels are bit-identical.
-/// Each splat charges one α-computation per live pixel of the block, and a
-/// lane stops being charged once its transmittance early-exit fires, just
-/// as the per-pixel walk breaks; the walk ends when no pixel is live.
+/// Mahalanobis form branch-free across all [`BLOCK`] lanes and keeps, as a
+/// bit mask, the live lanes with `0 ≤ m ≤ 9`. A row with any such lane
+/// then evaluates α for all [`BLOCK`] lanes in one more branch-free loop,
+/// through the inlined [`exp_neg`] (both loops are the ones the
+/// auto-vectorizer targets), with `m` clamped into `[0, 9]`: the identity
+/// on every kept lane, so each kept lane's α is [`alpha_at`]'s bit for
+/// bit. The α-cull and blending then run for the kept bits in ascending
+/// lane order with exactly the per-pixel walk's operations and operand
+/// order (no fused multiply-add), so pixels are bit-identical. Each splat
+/// charges one α-computation per live pixel of the block, and a lane stops
+/// being charged once its transmittance early-exit fires, just as the
+/// per-pixel walk breaks; the walk ends when no pixel is live.
 #[allow(clippy::too_many_arguments)]
 fn shade_block(
     sorted: &[u32],
@@ -169,6 +175,7 @@ fn shade_block(
             y: mean_y,
         } = splat.mean;
         let Rgb { r, g, b } = splat.color;
+        let opacity = splat.opacity;
         for (row, py) in state.iter_mut().zip(rows.clone()) {
             if row.live == 0 {
                 continue;
@@ -186,10 +193,21 @@ fn shade_block(
                 hits |= u32::from((0.0..=MAHALANOBIS_CUTOFF).contains(&m)) << bit;
             }
             hits &= row.live;
+            if hits == 0 {
+                continue;
+            }
+            // α for all lanes at once. The clamp is the identity on every
+            // hit lane and keeps the others inside `exp_neg`'s domain (a
+            // NaN lane stays NaN, and is never read).
+            let mut alpha = [0.0f32; BLOCK];
+            for (alpha, &m) in alpha.iter_mut().zip(&m) {
+                let m = m.clamp(0.0, MAHALANOBIS_CUTOFF);
+                *alpha = (opacity * exp_neg(-0.5 * m)).min(ALPHA_MAX);
+            }
             while hits != 0 {
                 let lane = hits.trailing_zeros() as usize;
                 hits &= hits - 1;
-                let alpha = (splat.opacity * (-0.5 * m[lane]).exp()).min(ALPHA_MAX);
+                let alpha = alpha[lane];
                 if alpha < ALPHA_CULL_THRESHOLD {
                     continue;
                 }
@@ -223,7 +241,10 @@ fn shade_block(
 }
 
 /// Evaluates Eq. 1: the contribution of a splat at a pixel center,
-/// `α = min(α_max, σ · exp(-½ (p-μ)ᵀ Σ⁻¹ (p-μ)))`.
+/// `α = min(α_max, σ · exp(-½ (p-μ)ᵀ Σ⁻¹ (p-μ)))`, with the exponential
+/// computed by [`exp_neg`] — the function the tile kernel's α pass
+/// inlines, so [`crate::reference::shade_pixel`] and the kernel agree bit
+/// for bit.
 ///
 /// Contributions outside the 3σ footprint are defined to be exactly zero.
 /// The paper (and the original 3D-GS) use the 3-sigma rule to bound a
@@ -239,7 +260,7 @@ pub fn alpha_at(splat: &ProjectedGaussian, pixel: Vec2) -> f32 {
     if !(0.0..=MAHALANOBIS_CUTOFF).contains(&mahalanobis_sq) {
         return 0.0;
     }
-    (splat.opacity * (-0.5 * mahalanobis_sq).exp()).min(ALPHA_MAX)
+    (splat.opacity * exp_neg(-0.5 * mahalanobis_sq)).min(ALPHA_MAX)
 }
 
 #[cfg(test)]
@@ -521,8 +542,11 @@ mod tests {
     }
 
     /// A varied splat population: an opaque stack (drives the early-exit),
-    /// faint splats (α-cull), an off-tile splat (cutoff) and ordinary
-    /// semi-transparent ones.
+    /// faint splats (α-cull), an off-tile splat (cutoff), ordinary
+    /// semi-transparent ones, and a unit-conic splat centred on pixel
+    /// (12, 12), so that lane's `m` is exactly 0 and the lanes 3 px away
+    /// in each axis sit exactly on the cutoff, `m = 9`: the two edges of
+    /// the α pass's clamp.
     fn mixed_splats() -> (Vec<ProjectedGaussian>, Vec<u32>) {
         let mut projected = Vec::new();
         for i in 0..4u32 {
@@ -547,6 +571,7 @@ mod tests {
                 i,
             ));
         }
+        projected.push(splat(Vec2::new(12.5, 12.5), 1.0, 0.9, Rgb::WHITE, 11.0, 11));
         let order: Vec<u32> = (0..projected.len() as u32).collect();
         (projected, order)
     }
@@ -629,6 +654,13 @@ mod tests {
     fn wide_modes_are_bit_identical_to_scalar_with_identical_counters() {
         let (projected, order) = mixed_splats();
         let background = Rgb::new(0.2, 0.3, 0.4);
+        // The unit-conic splat's rim lane is exactly on the cutoff, and
+        // blends.
+        let edge = projected.last().unwrap();
+        let rim = alpha_at(edge, Vec2::new(15.5, 12.5));
+        assert_eq!(rim, 0.9 * exp_neg(-4.5));
+        assert!(rim > ALPHA_CULL_THRESHOLD);
+        assert_eq!(alpha_at(edge, Vec2::new(12.5, 12.5)), 0.9);
         // Widths exercise one whole block, partial blocks and a rect that
         // spans two blocks.
         for (w, h) in [(16.0, 16.0), (10.0, 7.0), (3.0, 5.0), (17.0, 9.0)] {

@@ -31,6 +31,8 @@
 //!   pipelines feed with `(rect, sorted slot list)` through [`TileLists`].
 //! * [`blend`] — the front-to-back α-blending tile kernel and the
 //!   reference thresholds.
+//! * [`exp`] — [`exp_neg`], the owned exponential every α evaluation
+//!   calls.
 //! * [`reference`](mod@reference) — the brute-force, tile-free image both
 //!   pipelines are checked against; no render path calls it.
 //! * [`splat`], [`rect`], [`image`], [`stats`] — the data types the stages
@@ -49,6 +51,7 @@ pub mod backend;
 pub mod blend;
 pub mod csr;
 pub mod exec;
+pub mod exp;
 pub mod image;
 pub mod keysort;
 pub mod rect;
@@ -65,6 +68,7 @@ pub use blend::{
 };
 pub use csr::{CsrAssignments, CsrScratch};
 pub use exec::{ExecutionConfig, HasExecution, SimdMode, SpanMode};
+pub use exp::exp_neg;
 pub use image::Framebuffer;
 pub use keysort::{is_sorted_by_depth, sort_bins_by_depth, splat_key, KeySortRun, KeySortScratch};
 pub use rect::{TileRect, MAHALANOBIS_CUTOFF, SIGMA_EXTENT};
