@@ -27,8 +27,7 @@ use splat_render::tiling::TileGrid;
 /// One splat's membership in one group: which projected splat it is and
 /// which small tiles of the group it touches. Packed to 4-byte alignment:
 /// the `u64` mask would otherwise pad every entry (and every staged
-/// `(group, entry)` pair) by a third. The mask comes first so it keeps its
-/// natural alignment inside the key sort's `(key, entry)` pairs.
+/// `(group, entry)` pair) by a third.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 #[repr(C, packed(4))]
 pub struct GroupEntry {

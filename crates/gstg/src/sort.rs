@@ -1,12 +1,14 @@
 //! Group-wise depth sorting.
 //!
 //! Each group's splat list is sorted exactly once, front-to-back, using the
-//! same key ordering as the baseline's tile-wise sort — the shared radix
-//! key sort on `(depth_bits << 32) | scene_index`
-//! ([`splat_core::sort_bins_by_depth`], the same call the baseline makes
-//! over its per-tile bins). Because the ordering is identical, filtering a
-//! group-sorted list down to one tile yields the same order the baseline
-//! would have produced for that tile — the key to GS-TG's losslessness.
+//! same ordering as the baseline's tile-wise sort — the shared stable radix
+//! sort on the 32-bit depth key ([`splat_core::sort_bins_by_depth`], the
+//! same call the baseline makes over its per-tile bins). Group
+//! identification stages every group's entries in ascending scene index
+//! (the sort's precondition), so depth ties break by scene index. Because
+//! the ordering is identical, filtering a group-sorted list down to one
+//! tile yields the same order the baseline would have produced for that
+//! tile — the key to GS-TG's losslessness.
 //! `StageCounts` records the measured key-sort work (`sort_keys`,
 //! `radix_passes`) alongside the modeled comparison count the paper's
 //! redundancy figures are expressed in.
@@ -96,10 +98,12 @@ pub(crate) mod tests {
 
     #[test]
     fn sorts_by_depth_then_index() {
-        let projected = vec![projected(9, 3.0), projected(1, 1.0), projected(4, 1.0)];
+        // Slots in scene order, as preprocessing emits them, staged in
+        // slot order, as group identification stages them.
+        let projected = vec![projected(1, 3.0), projected(4, 1.0), projected(9, 1.0)];
         let mut entries = vec![entry(0), entry(1), entry(2)];
         sort_group(&mut entries, &projected);
-        // depth 1.0 (index 1), depth 1.0 (index 4), depth 3.0 (index 9)
+        // depth 1.0 (index 4), depth 1.0 (index 9), depth 3.0 (index 1)
         assert_eq!(
             entries.iter().map(|e| e.slot).collect::<Vec<_>>(),
             vec![1, 2, 0]

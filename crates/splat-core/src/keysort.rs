@@ -1,13 +1,22 @@
-//! Order-preserving radix key sort for depth ordering.
+//! Stable radix sort of splat lists by depth.
 //!
 //! Both pipelines order splat lists front-to-back by `(depth, scene index)`.
-//! Instead of a comparison merge sort, the lists are sorted by a single
-//! 64-bit key: the depth's bits mapped monotonically to `u32` (sign-flip
-//! trick) in the high half, the unique scene index in the low half. Sorting
-//! the keys with an LSD radix sort therefore produces *bit-exactly* the
-//! ordering the old comparator (`depth.partial_cmp(..).then(index.cmp(..))`)
-//! produced for the finite depths preprocessing guarantees — the
-//! lossless-equivalence and determinism tests pin that down.
+//! Every bin arrives in ascending scene index: preprocessing emits slots in
+//! scene order, both identify loops stage entries in slot order and the CSR
+//! build scatters stably. A *stable* sort on the depth alone therefore
+//! reproduces `(depth, scene index)` order exactly, so the bins are sorted
+//! on the 32-bit `depth_key` (the depth's bits mapped monotonically to
+//! `u32`, the sign-flip trick) with an LSD radix argsort:
+//!
+//! * each entry becomes one `u64`, `depth_key << 32 | position in bin`;
+//! * one read pass builds all four digit histograms, and a digit every key
+//!   shares is skipped;
+//! * the passes scatter only those 8-byte keys;
+//! * one gather through each key's low half puts the entries in order.
+//!
+//! The ascending-index precondition is a `debug_assert!`. [`splat_key`],
+//! the 64-bit `(depth, index)` key, is what the brute-force reference
+//! (`crate::reference`) sorts by, so it stays the independent check.
 //!
 //! The radix sort performs no comparisons, so the paper's redundancy
 //! accounting is kept two ways: [`KeySortRun`] reports the *actual* key
@@ -62,7 +71,7 @@ pub(crate) fn modeled_merge_comparisons(len: usize) -> u64 {
 pub struct KeySortRun {
     /// Keys submitted to the sorter.
     pub keys: u64,
-    /// Radix digit passes actually executed (constant digit bytes are
+    /// Radix digit passes actually executed (digits every key shares are
     /// skipped).
     pub passes: u64,
     /// Modeled merge-sort comparisons for the same list (`n·⌈log₂ n⌉`).
@@ -80,88 +89,90 @@ impl KeySortRun {
 
 /// Reusable buffers for the radix sort. Owning one per session makes
 /// repeated sorting allocation-free once the buffers have grown to the
-/// largest list encountered.
+/// largest bin encountered.
 #[derive(Debug, Clone)]
 pub struct KeySortScratch<T> {
-    pairs: Vec<(u64, T)>,
-    scatter: Vec<(u64, T)>,
+    /// `depth_key << 32 | position in bin`, one per entry of the bin.
+    keys: Vec<u64>,
+    /// The scatter target of each radix pass.
+    swap: Vec<u64>,
+    /// A copy of the bin, gathered back in sorted order.
+    items: Vec<T>,
 }
 
 impl<T: Copy> KeySortScratch<T> {
     /// Creates an empty scratch (buffers grow on first use).
     pub fn new() -> Self {
         Self {
-            pairs: Vec::new(),
-            scatter: Vec::new(),
+            keys: Vec::new(),
+            swap: Vec::new(),
+            items: Vec::new(),
         }
     }
 
-    /// Sorts `items` ascending by `key_of` with a stable LSD radix sort.
-    ///
-    /// Keys must be unique for the order to be independent of the input
-    /// permutation (splat keys are: the scene index occupies the low bits).
-    /// Digit positions on which every key agrees are skipped, so the common
-    /// case — small positive depths, small indices — runs far fewer than
-    /// eight passes.
-    pub fn sort_by_key<F>(&mut self, items: &mut [T], key_of: F) -> KeySortRun
-    where
-        F: Fn(&T) -> u64,
-    {
-        let n = items.len();
-        let run_of = |passes: u64| KeySortRun {
-            keys: n as u64,
-            passes,
-            modeled_comparisons: modeled_merge_comparisons(n),
-        };
-        if n <= 1 {
-            return run_of(0);
+    /// Sorts `list` stably by `depth_key_of` and returns the radix passes
+    /// it took.
+    fn sort_bin(&mut self, list: &mut [T], depth_key_of: impl Fn(&T) -> u32) -> u64 {
+        self.keys.clear();
+        self.keys.extend(
+            (0u32..).zip(list.iter()).map(|(position, entry)| {
+                (u64::from(depth_key_of(entry)) << 32) | u64::from(position)
+            }),
+        );
+        let mut histograms = [[0u32; 256]; 4];
+        for &key in &self.keys {
+            let digits = ((key >> 32) as u32).to_le_bytes();
+            for (histogram, digit) in histograms.iter_mut().zip(digits) {
+                if let Some(count) = histogram.get_mut(usize::from(digit)) {
+                    *count += 1;
+                }
+            }
         }
+        let first = self.keys.first().map_or(0, |&key| (key >> 32) as u32);
+        // Every pass overwrites all of it, so stale contents may stay.
+        self.swap.resize(self.keys.len(), 0);
 
-        self.pairs.clear();
-        self.pairs
-            .extend(items.iter().map(|item| (key_of(item), *item)));
-        let first = self.pairs[0].0;
-        let mut differing = 0u64;
-        for &(key, _) in &self.pairs {
-            differing |= key ^ first;
-        }
-        self.scatter.clear();
-        self.scatter.resize(n, self.pairs[0]);
-
-        let mut passes = 0u64;
-        for byte in 0..8 {
-            let shift = byte * 8;
-            if (differing >> shift) & 0xFF == 0 {
+        let mut passes = 0;
+        for (shift, (histogram, first_digit)) in (32..)
+            .step_by(8)
+            .zip(histograms.iter_mut().zip(first.to_le_bytes()))
+        {
+            // A digit every key shares would leave the order as it is.
+            if histogram.get(usize::from(first_digit)).copied() == Some(self.keys.len() as u32) {
                 continue;
             }
             passes += 1;
-            let mut histogram = [0u32; 256];
-            for &(key, _) in &self.pairs {
-                histogram[((key >> shift) & 0xFF) as usize] += 1;
-            }
-            let mut running = 0u32;
-            for slot in histogram.iter_mut() {
-                let count = *slot;
-                *slot = running;
+            let mut running = 0;
+            for cursor in histogram.iter_mut() {
+                let count = *cursor;
+                *cursor = running;
                 running += count;
             }
-            for &pair in &self.pairs {
-                let bucket = ((pair.0 >> shift) & 0xFF) as usize;
-                self.scatter[histogram[bucket] as usize] = pair;
-                histogram[bucket] += 1;
+            for &key in &self.keys {
+                if let Some(cursor) = histogram.get_mut(usize::from((key >> shift) as u8)) {
+                    if let Some(slot) = self.swap.get_mut(*cursor as usize) {
+                        *slot = key;
+                    }
+                    *cursor += 1;
+                }
             }
-            std::mem::swap(&mut self.pairs, &mut self.scatter);
+            std::mem::swap(&mut self.keys, &mut self.swap);
         }
 
-        for (dst, &(_, item)) in items.iter_mut().zip(&self.pairs) {
-            *dst = item;
+        self.items.clear();
+        self.items.extend_from_slice(list);
+        for (entry, &key) in list.iter_mut().zip(&self.keys) {
+            if let Some(&item) = self.items.get(key as u32 as usize) {
+                *entry = item;
+            }
         }
-        run_of(passes)
+        passes
     }
 
     /// Bytes currently reserved by the scratch buffers.
     pub fn footprint_bytes(&self) -> usize {
-        (self.pairs.capacity() + self.scatter.capacity()) * std::mem::size_of::<(u64, T)>()
+        (self.keys.capacity() + self.swap.capacity()) * std::mem::size_of::<u64>()
+            + self.items.capacity() * std::mem::size_of::<T>()
     }
 }
 
@@ -171,14 +182,18 @@ impl<T: Copy> Default for KeySortScratch<T> {
     }
 }
 
-/// Sorts every bin of a CSR assignment front-to-back by [`splat_key`],
-/// accumulating the measured key-sort counters and the modeled comparison
-/// count into `counts`. `slot_of` maps an entry to its position in
-/// `projected` — the identity for the baseline's `u32` tile lists, the
+/// Sorts every bin of a CSR assignment front-to-back by `(depth, scene
+/// index)`, accumulating the measured key-sort counters and the modeled
+/// comparison count into `counts`. `slot_of` maps an entry to its position
+/// in `projected` — the identity for the baseline's `u32` tile lists, the
 /// `slot` field for GS-TG's group entries — so both pipelines order by the
 /// same key and a filtered group list equals the baseline's tile list.
-/// Depths are finite by the preprocessing contract, so the sign-flip key
-/// mapping reproduces the `(depth, scene index)` comparator order exactly.
+///
+/// Every bin must list its splats in strictly ascending scene index, as
+/// preprocessing and the identify stages stage them (checked by a
+/// `debug_assert!`): the sort is stable on the depth alone, so that order
+/// breaks the ties. Depths are finite by the preprocessing contract, so
+/// the sign-flip key mapping reproduces the comparator order exactly.
 pub fn sort_bins_by_depth<T: Copy>(
     bins: &mut CsrAssignments<T>,
     projected: &[ProjectedGaussian],
@@ -186,16 +201,27 @@ pub fn sort_bins_by_depth<T: Copy>(
     counts: &mut StageCounts,
     scratch: &mut KeySortScratch<T>,
 ) {
+    let splat_of = |entry: &T| &projected[slot_of(entry) as usize];
     for bin in 0..bins.bin_count() {
         let list = bins.bin_mut(bin);
-        if list.len() > 1 {
-            scratch
-                .sort_by_key(list, |entry| {
-                    let splat = &projected[slot_of(entry) as usize];
-                    splat_key(splat.depth, splat.index)
-                })
-                .accumulate(counts);
+        if list.len() <= 1 {
+            continue;
         }
+        debug_assert!(
+            list.windows(2).all(|pair| match pair {
+                [a, b] => splat_of(a).index < splat_of(b).index,
+                _ => true,
+            }),
+            "bin {bin} is not in ascending scene index, so a stable depth sort \
+             cannot break its ties"
+        );
+        let passes = scratch.sort_bin(list, |entry| depth_key(splat_of(entry).depth));
+        KeySortRun {
+            keys: list.len() as u64,
+            passes,
+            modeled_comparisons: modeled_merge_comparisons(list.len()),
+        }
+        .accumulate(counts);
     }
 }
 
@@ -206,16 +232,56 @@ pub fn is_sorted_by_depth<T>(
     projected: &[ProjectedGaussian],
     slot_of: impl Fn(&T) -> u32,
 ) -> bool {
-    list.windows(2).all(|w| {
-        let a = &projected[slot_of(&w[0]) as usize];
-        let b = &projected[slot_of(&w[1]) as usize];
-        a.depth < b.depth || (a.depth == b.depth && a.index <= b.index)
+    let key_of = |entry: &T| {
+        projected
+            .get(slot_of(entry) as usize)
+            .map(|splat| splat_key(splat.depth, splat.index))
+    };
+    list.windows(2).all(|pair| match pair {
+        [a, b] => matches!((key_of(a), key_of(b)), (Some(a), Some(b)) if a <= b),
+        _ => true,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::csr::CsrScratch;
+    use splat_types::{Mat2, Rgb, Vec2};
+
+    /// Splats in preprocessing's order: slot `i` has scene index `i`.
+    fn splats(depths: &[f32]) -> Vec<ProjectedGaussian> {
+        let cov = Mat2::from_symmetric(4.0, 0.0, 4.0);
+        (0u32..)
+            .zip(depths)
+            .map(|(index, &depth)| ProjectedGaussian {
+                index,
+                depth,
+                mean: Vec2::new(0.0, 0.0),
+                cov,
+                inv_cov: cov.inverse().unwrap(),
+                opacity: 0.9,
+                color: Rgb::WHITE,
+            })
+            .collect()
+    }
+
+    /// Sorts every slot of `projected`, staged in slot order, as one bin;
+    /// returns the sorted slots and the counters the sort charged.
+    fn sort_one_bin(
+        projected: &[ProjectedGaussian],
+        scratch: &mut KeySortScratch<u32>,
+    ) -> (Vec<u32>, StageCounts) {
+        let mut staging = CsrScratch::new();
+        for slot in 0..projected.len() as u32 {
+            staging.stage(0, slot);
+        }
+        let mut bins = CsrAssignments::new();
+        staging.build_into(1, &mut bins);
+        let mut counts = StageCounts::new();
+        sort_bins_by_depth(&mut bins, projected, |&slot| slot, &mut counts, scratch);
+        (bins.bin(0).to_vec(), counts)
+    }
 
     #[test]
     fn depth_key_is_monotone_over_finite_floats() {
@@ -276,39 +342,69 @@ mod tests {
         let mut scratch = KeySortScratch::new();
         for case in 0..50 {
             let len = (case % 17) + 2;
-            let mut items: Vec<u64> = (0..len)
-                .map(|i| (rng.range_f64(0.0, 1000.0).to_bits() & 0xFFFF_FF00) | i as u64)
+            // Coarse depths, so some tie and fall back to the scene index.
+            let depths: Vec<f32> = (0..len)
+                .map(|_| (rng.range_f64(0.0, 1000.0) as f32 * 0.25).round())
                 .collect();
-            let mut expected = items.clone();
-            expected.sort_unstable();
-            let run = scratch.sort_by_key(&mut items, |&k| k);
-            assert_eq!(items, expected);
-            assert_eq!(run.keys, len as u64);
-            assert!(run.passes <= 8);
+            let projected = splats(&depths);
+            let mut expected: Vec<u32> = (0..len as u32).collect();
+            expected.sort_by_key(|&slot| {
+                let splat = &projected[slot as usize];
+                splat_key(splat.depth, splat.index)
+            });
+            let (order, counts) = sort_one_bin(&projected, &mut scratch);
+            assert_eq!(order, expected, "case {case}");
+            assert_eq!(counts.sort_keys, len as u64);
+            assert!(counts.radix_passes <= 4);
         }
     }
 
     #[test]
     fn constant_digit_bytes_are_skipped() {
-        let mut scratch = KeySortScratch::new();
-        // Keys differ only in the lowest byte: exactly one pass.
-        let mut items = vec![5u64, 3, 9, 1];
-        let run = scratch.sort_by_key(&mut items, |&k| k);
-        assert_eq!(items, vec![1, 3, 5, 9]);
-        assert_eq!(run.passes, 1);
+        // Depth keys differ only in their lowest byte: exactly one pass.
+        let depths: Vec<f32> = [5, 3, 9, 1]
+            .iter()
+            .map(|&ulps| f32::from_bits(1.0f32.to_bits() + ulps))
+            .collect();
+        let (order, counts) = sort_one_bin(&splats(&depths), &mut KeySortScratch::new());
+        assert_eq!(order, vec![3, 1, 0, 2]);
+        assert_eq!(counts.radix_passes, 1);
     }
 
     #[test]
     fn single_and_empty_lists_cost_nothing() {
-        let mut scratch: KeySortScratch<u32> = KeySortScratch::new();
-        let mut empty: Vec<u32> = vec![];
-        let run = scratch.sort_by_key(&mut empty, |&k| u64::from(k));
-        assert_eq!(run.passes, 0);
-        assert_eq!(run.modeled_comparisons, 0);
-        let mut single = vec![7u32];
-        let run = scratch.sort_by_key(&mut single, |&k| u64::from(k));
-        assert_eq!(run.passes, 0);
-        assert_eq!(single, vec![7]);
+        let mut scratch = KeySortScratch::new();
+        for depths in [&[][..], &[7.0][..]] {
+            let (order, counts) = sort_one_bin(&splats(depths), &mut scratch);
+            assert_eq!(order.len(), depths.len());
+            assert_eq!(counts, StageCounts::new());
+        }
+        // Equal depths in scene order need no pass at all.
+        let (order, counts) = sort_one_bin(&splats(&[2.0; 5]), &mut scratch);
+        assert_eq!(order, vec![0, 1, 2, 3, 4]);
+        assert_eq!(counts.radix_passes, 0);
+        assert_eq!(counts.sort_keys, 5);
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "not in ascending scene index")]
+    fn a_bin_out_of_scene_order_trips_the_precondition() {
+        // Slot 1 precedes slot 0 in the bin, but has the larger index:
+        // preprocessing and the identify stages never stage that.
+        let projected = splats(&[1.0, 2.0]);
+        let mut staging = CsrScratch::new();
+        staging.stage(0, 1u32);
+        staging.stage(0, 0u32);
+        let mut bins = CsrAssignments::new();
+        staging.build_into(1, &mut bins);
+        sort_bins_by_depth(
+            &mut bins,
+            &projected,
+            |&slot| slot,
+            &mut StageCounts::new(),
+            &mut KeySortScratch::new(),
+        );
     }
 
     #[test]
@@ -329,12 +425,11 @@ mod tests {
     #[test]
     fn scratch_footprint_is_stable_after_warmup() {
         let mut scratch = KeySortScratch::new();
-        let mut items: Vec<u64> = (0..64).rev().collect();
-        scratch.sort_by_key(&mut items, |&k| k);
+        let depths: Vec<f32> = (0..64).rev().map(|d| d as f32).collect();
+        sort_one_bin(&splats(&depths), &mut scratch);
         let warmed = scratch.footprint_bytes();
         assert!(warmed > 0);
-        let mut again: Vec<u64> = (0..64).rev().collect();
-        scratch.sort_by_key(&mut again, |&k| k);
+        sort_one_bin(&splats(&depths), &mut scratch);
         assert_eq!(scratch.footprint_bytes(), warmed);
     }
 }

@@ -18,10 +18,11 @@
 //! * [`csr`] — the flat CSR-style assignment layout (counting prepass →
 //!   prefix-sum offsets → stable scatter) both identification stages build
 //!   their per-tile / per-group lists into.
-//! * [`keysort`] — the order-preserving radix key sort on
-//!   `(depth_bits << 32) | scene_index` ([`sort_bins_by_depth`] sorts every
-//!   CSR bin with it), plus the modeled comparison count that keeps the
-//!   paper's redundancy accounting.
+//! * [`keysort`] — [`sort_bins_by_depth`], the stable radix argsort of
+//!   every CSR bin on the 32-bit depth key; bins arrive in ascending scene
+//!   index, so it yields `(depth, scene index)` order. Plus
+//!   [`splat_key`], the 64-bit key the reference sorts by, and the modeled
+//!   comparison count that keeps the paper's redundancy accounting.
 //! * [`exec`] — the shared execution configuration: the worker thread
 //!   count, with the single `with_threads` knob every pipeline
 //!   configuration re-uses through [`HasExecution`].

@@ -1,15 +1,17 @@
 //! The brute-force image every pipeline is checked against.
 //!
 //! Both pipelines render by tiles: they test which splats may touch a tile
-//! (or a group), sort each list with the radix key sort and blend every
+//! (or a group), sort each list with the stable radix sort and blend every
 //! tile with the block kernel of [`crate::blend`]. Losslessness means that
 //! all of that machinery changes how much work is done, never the image.
 //! This module states the image without any of it: [`render_reference`]
 //! sorts every projected splat once, in the global `(depth, index)` order
 //! of [`splat_key`], and shades each pixel by walking that whole list with
-//! [`shade_pixel`]. It shares only [`alpha_at`], the thresholds and the key
-//! with the pipelines: no tile grid, boundary test, radix sort or tile
-//! kernel. No render path calls it.
+//! [`shade_pixel`]. It shares only [`alpha_at`], the thresholds and the
+//! depth-to-`u32` mapping with the pipelines: no tile grid, boundary test,
+//! radix sort or tile kernel, and it breaks depth ties by the index in the
+//! key rather than by the order a bin was staged in. No render path calls
+//! it.
 //!
 //! A pipeline matches it bit for bit for two reasons: α is exactly zero
 //! outside a splat's 3σ ellipse ([`alpha_at`]), and every tile list is a

@@ -7,10 +7,14 @@
 //! `(depth, index)` comparison sort for the key sort — across deterministic
 //! random sweeps *and* the adversarial edges: empty input, single element,
 //! all-equal depth keys, maximum `scene_index`, and already-/reverse-sorted
-//! inputs.
+//! inputs. The key sort is driven as the pipelines drive it: a CSR bin of
+//! splats staged in ascending scene index, sorted by `sort_bins_by_depth`.
 
-use splat_core::{splat_key, CsrAssignments, CsrScratch, KeySortScratch};
+use splat_core::{
+    sort_bins_by_depth, CsrAssignments, CsrScratch, KeySortScratch, ProjectedGaussian, StageCounts,
+};
 use splat_types::rng::Rng;
+use splat_types::{Mat2, Rgb, Vec2};
 
 // ---------------------------------------------------------------------------
 // CSR assignments
@@ -117,20 +121,65 @@ fn naive_sort(items: &mut [(f32, u32)]) {
     });
 }
 
+/// Splats in preprocessing's order (ascending scene index, one slot
+/// each), staged in slot order into one CSR bin and sorted by
+/// `sort_bins_by_depth`; returns the sorted `(depth, index)` list and the
+/// counters the sort charged.
+fn sort_as_one_bin(
+    items: &[(f32, u32)],
+    scratch: &mut KeySortScratch<u32>,
+) -> (Vec<(f32, u32)>, StageCounts) {
+    let mut in_scene_order = items.to_vec();
+    in_scene_order.sort_by_key(|&(_, index)| index);
+    let cov = Mat2::from_symmetric(4.0, 0.0, 4.0);
+    let projected: Vec<ProjectedGaussian> = in_scene_order
+        .iter()
+        .map(|&(depth, index)| ProjectedGaussian {
+            index,
+            depth,
+            mean: Vec2::new(0.0, 0.0),
+            cov,
+            inv_cov: cov.inverse().expect("invertible"),
+            opacity: 0.9,
+            color: Rgb::WHITE,
+        })
+        .collect();
+    let mut staging = CsrScratch::new();
+    for slot in 0..projected.len() as u32 {
+        staging.stage(0, slot);
+    }
+    let mut bins = CsrAssignments::new();
+    staging.build_into(1, &mut bins);
+    let mut counts = StageCounts::new();
+    sort_bins_by_depth(&mut bins, &projected, |&slot| slot, &mut counts, scratch);
+    let sorted = bins
+        .bin(0)
+        .iter()
+        .map(|&slot| {
+            let splat = &projected[slot as usize];
+            (splat.depth, splat.index)
+        })
+        .collect();
+    (sorted, counts)
+}
+
 fn assert_keysort_matches_comparator(items: &[(f32, u32)]) {
     let mut expected = items.to_vec();
     naive_sort(&mut expected);
-    let mut actual = items.to_vec();
-    let mut scratch = KeySortScratch::new();
-    let run = scratch.sort_by_key(&mut actual, |&(depth, index)| splat_key(depth, index));
+    let (actual, counts) = sort_as_one_bin(items, &mut KeySortScratch::new());
     assert_eq!(
         actual,
         expected,
         "key sort diverged from the comparator on {} items",
         items.len()
     );
-    assert_eq!(run.keys, items.len() as u64);
-    assert!(run.passes <= 8);
+    let keys = if items.len() > 1 {
+        items.len() as u64
+    } else {
+        0
+    };
+    assert_eq!(counts.sort_keys, keys);
+    assert!(counts.radix_passes <= 4);
 }
 
 #[test]
@@ -146,21 +195,28 @@ fn keysort_all_equal_depths_fall_back_to_scene_order() {
     // (the stability property the rasterizers' tie-breaking relies on).
     let items: Vec<(f32, u32)> = (0..97).rev().map(|i| (2.5, i)).collect();
     assert_keysort_matches_comparator(&items);
-    // Signed zeros count as equal depths too.
-    let zeros = [(0.0_f32, 3), (-0.0, 1), (0.0, 2), (-0.0, 0)];
+    // Ties that the sort has to move past nearer splats keep scene order.
+    let mixed: Vec<(f32, u32)> = (0..97)
+        .map(|i| (if i % 3 == 0 { 2.5 } else { 1.5 }, i))
+        .collect();
+    assert_keysort_matches_comparator(&mixed);
+    // Signed zeros count as equal depths too: a `-0.0` keyed below `+0.0`
+    // would move indices 1 and 3 to the front.
+    let zeros = [(0.0_f32, 0), (-0.0, 1), (0.0, 2), (-0.0, 3)];
     assert_keysort_matches_comparator(&zeros);
 }
 
 #[test]
 fn keysort_max_scene_index_does_not_collide_with_depth_bits() {
-    // u32::MAX in the low half must not perturb the depth ordering in the
-    // high half.
+    // Scene indices up to u32::MAX must not perturb the depth ordering;
+    // equal depths still tie-break by index (indices stay unique, as
+    // preprocessing guarantees).
     let items = [
         (2.0_f32, u32::MAX),
         (1.0, u32::MAX - 1),
         (2.0, 0),
-        (1.0, u32::MAX),
-        (3.0, u32::MAX),
+        (1.0, u32::MAX - 2),
+        (3.0, u32::MAX - 3),
     ];
     assert_keysort_matches_comparator(&items);
 }
@@ -169,7 +225,8 @@ fn keysort_max_scene_index_does_not_collide_with_depth_bits() {
 fn keysort_already_sorted_and_reverse_sorted_inputs() {
     let sorted: Vec<(f32, u32)> = (0..64).map(|i| (i as f32 * 0.5 - 10.0, i)).collect();
     assert_keysort_matches_comparator(&sorted);
-    let reversed: Vec<(f32, u32)> = sorted.iter().rev().copied().collect();
+    // Depths descending while scene indices ascend.
+    let reversed: Vec<(f32, u32)> = (0..64).map(|i| ((63 - i) as f32 * 0.5 - 10.0, i)).collect();
     assert_keysort_matches_comparator(&reversed);
 }
 
@@ -194,8 +251,7 @@ fn keysort_random_sweeps_match_the_comparator() {
             .collect();
         let mut expected = items.clone();
         naive_sort(&mut expected);
-        let mut actual = items;
-        scratch.sort_by_key(&mut actual, |&(depth, index)| splat_key(depth, index));
+        let (actual, _) = sort_as_one_bin(&items, &mut scratch);
         assert_eq!(actual, expected, "case {case} diverged");
     }
 }
@@ -207,14 +263,14 @@ fn keysort_scratch_footprint_is_stable_across_the_sweep() {
     // sessions rely on.
     let mut rng = Rng::seed_from_u64(0xF007);
     let mut scratch = KeySortScratch::new();
-    let mut big: Vec<(f32, u32)> = (0..256).map(|i| (rng.range_f32(-10.0, 10.0), i)).collect();
-    scratch.sort_by_key(&mut big, |&(depth, index)| splat_key(depth, index));
+    let big: Vec<(f32, u32)> = (0..256).map(|i| (rng.range_f32(-10.0, 10.0), i)).collect();
+    sort_as_one_bin(&big, &mut scratch);
     let warmed = scratch.footprint_bytes();
     for len in [0usize, 1, 17, 255, 256] {
-        let mut items: Vec<(f32, u32)> = (0..len as u32)
+        let items: Vec<(f32, u32)> = (0..len as u32)
             .map(|i| (rng.range_f32(-10.0, 10.0), i))
             .collect();
-        scratch.sort_by_key(&mut items, |&(depth, index)| splat_key(depth, index));
+        sort_as_one_bin(&items, &mut scratch);
         assert_eq!(scratch.footprint_bytes(), warmed, "len {len} reallocated");
     }
 }

@@ -3,13 +3,14 @@
 //! Every tile's splat list is sorted front-to-back by depth. The paper's
 //! central observation is that this work is *duplicated* across tiles:
 //! a splat covering `k` tiles is sorted `k` times. Sorting itself is the
-//! shared order-preserving radix key sort on
-//! `(depth_bits << 32) | scene_index` ([`splat_core::sort_bins_by_depth`],
-//! the same call GS-TG makes over its per-group bins): depth ascending,
-//! ties by scene index, so the lossless-equivalence guarantees hold, while
-//! `StageCounts` records both the measured key-sort work (`sort_keys`,
-//! `radix_passes`) and the modeled comparison count the paper's redundancy
-//! figures are expressed in.
+//! shared stable radix sort on the 32-bit depth key
+//! ([`splat_core::sort_bins_by_depth`], the same call GS-TG makes over its
+//! per-group bins). Tile identification stages every tile's list in
+//! ascending scene index (the sort's precondition), so the order is depth
+//! ascending, ties by scene index, and the lossless-equivalence guarantees
+//! hold. `StageCounts` records both the measured key-sort work
+//! (`sort_keys`, `radix_passes`) and the modeled comparison count the
+//! paper's redundancy figures are expressed in.
 
 use crate::preprocess::ProjectedGaussian;
 use crate::stats::StageCounts;
@@ -105,16 +106,20 @@ mod tests {
 
     #[test]
     fn equal_depths_break_ties_by_index() {
+        // Slots in scene order, as preprocessing emits them, staged in
+        // slot order, as tile identification stages them. The deeper
+        // splat in slot 0 moves behind the three equal depths.
         let projected = vec![
-            projected_at(7, 2.0),
+            projected_at(1, 4.0),
             projected_at(3, 2.0),
             projected_at(5, 2.0),
+            projected_at(7, 2.0),
         ];
-        let mut list = vec![0u32, 1, 2];
+        let mut list = vec![0u32, 1, 2, 3];
         sort_by_depth(&mut list, &projected);
-        // Slots reordered so that original indices ascend: 3 (slot 1),
-        // 5 (slot 2), 7 (slot 0).
-        assert_eq!(list, vec![1, 2, 0]);
+        // The equal depths keep ascending indices: 3 (slot 1), 5 (slot 2),
+        // 7 (slot 3), then the deeper index 1 (slot 0).
+        assert_eq!(list, vec![1, 2, 3, 0]);
     }
 
     #[test]
@@ -152,7 +157,8 @@ mod tests {
             let projected: Vec<ProjectedGaussian> = (0..len)
                 .map(|i| projected_at(i as u32 * 3 + 1, rng.range_f64(0.1, 8.0) as f32))
                 .collect();
-            let mut by_key: Vec<u32> = (0..len as u32).rev().collect();
+            // Staged in slot order, so scene indices ascend along the bin.
+            let mut by_key: Vec<u32> = (0..len as u32).collect();
             let mut by_comparator = by_key.clone();
             sort_by_depth(&mut by_key, &projected);
             by_comparator.sort_by(|&a, &b| {

@@ -14,7 +14,7 @@
 //! | Tier | Derivation | Saves |
 //! |---|---|---|
 //! | [`QualityTier::Full`] | the scene itself | — |
-//! | [`QualityTier::Tier1`] | SH degree capped at 1 | SH evaluation + bandwidth |
+//! | [`QualityTier::Tier1`] | SH degree capped at [`REDUCED_SH_DEGREE`] (0, the base color) | SH evaluation + bandwidth |
 //! | [`QualityTier::Tier2`] | + opacity-pruned splats | preprocessing + sorting |
 //! | [`QualityTier::Tier3`] | + 2:1 decimation, rendered at half resolution | everything, ~4× pixels |
 //!
