@@ -18,7 +18,7 @@
 
 use crate::bitmask::{GroupLayout, TileBitmask};
 use crate::config::GstgConfig;
-use splat_core::{CsrAssignments, CsrScratch};
+use splat_core::{CsrAssignments, CsrScratch, SortEntry};
 use splat_render::bounds::GaussianFootprint;
 use splat_render::preprocess::ProjectedGaussian;
 use splat_render::stats::StageCounts;
@@ -39,6 +39,24 @@ pub struct GroupEntry {
 
 const _: () = assert!(std::mem::size_of::<GroupEntry>() == 12);
 
+/// The depth sort parks the slot in the first word and the mask in the
+/// second.
+impl SortEntry for GroupEntry {
+    #[inline]
+    fn park(self, first: &mut u64, second: &mut u64) {
+        *first = u64::from(self.slot);
+        *second = self.bitmask.to_bits();
+    }
+
+    #[inline]
+    fn unpark(first: u64, second: u64) -> Self {
+        Self {
+            bitmask: TileBitmask::from_bits(second),
+            slot: first as u32,
+        }
+    }
+}
+
 /// The result of group identification: per-group splat lists with their
 /// tile bitmasks, stored in the flat CSR layout ([`CsrAssignments`]) shared
 /// with the baseline's tile assignments so a session can rebuild them in
@@ -49,7 +67,6 @@ pub struct GroupAssignments {
     tile_grid: TileGrid,
     layout: GroupLayout,
     per_group: CsrAssignments<GroupEntry>,
-    groups_per_gaussian: Vec<u32>,
     /// Bits set per small tile, group-major: `tiles_per_group` counters per
     /// group in bit order (out-of-image positions of border groups stay 0).
     tile_hits: Vec<u32>,
@@ -65,7 +82,6 @@ impl GroupAssignments {
             tile_grid: grid,
             layout: GroupLayout::new(1, 1),
             per_group: CsrAssignments::with_bins(grid.tile_count()),
-            groups_per_gaussian: Vec::new(),
             tile_hits: vec![0; grid.tile_count()],
         }
     }
@@ -133,14 +149,7 @@ impl GroupAssignments {
 
     /// Bytes currently reserved by the assignment buffers.
     pub fn footprint_bytes(&self) -> usize {
-        self.per_group.footprint_bytes()
-            + (self.groups_per_gaussian.capacity() + self.tile_hits.capacity())
-                * std::mem::size_of::<u32>()
-    }
-
-    /// Number of groups each projected splat intersects.
-    pub fn groups_per_gaussian(&self) -> &[u32] {
-        &self.groups_per_gaussian
+        self.per_group.footprint_bytes() + self.tile_hits.capacity() * std::mem::size_of::<u32>()
     }
 
     /// Global small-tile coordinates of bit `bit` in group `(gx, gy)`, or
@@ -231,16 +240,13 @@ fn identify_groups_with_shift(
     out.group_grid = group_grid;
     out.tile_grid = tile_grid;
     out.layout = layout;
-    out.groups_per_gaussian.clear();
-    out.groups_per_gaussian.resize(projected.len(), 0);
     let tiles_per_group = layout.tiles_per_group() as usize;
     out.tile_hits.clear();
     out.tile_hits
         .resize(group_grid.tile_count() * tiles_per_group, 0);
     scratch.clear();
 
-    let per_gaussian = out.groups_per_gaussian.iter_mut();
-    for ((slot, splat), groups_of_splat) in projected.iter().enumerate().zip(per_gaussian) {
+    for (slot, splat) in projected.iter().enumerate() {
         let Some(footprint) =
             GaussianFootprint::from_covariance(splat.mean, splat.cov, splat.inv_cov)
         else {
@@ -298,7 +304,6 @@ fn identify_groups_with_shift(
                 }
 
                 counts.tile_intersections += 1;
-                *groups_of_splat += 1;
 
                 scratch.stage(
                     group as u32,
@@ -393,7 +398,6 @@ pub(crate) mod tests {
             tile_grid: TileGrid::new(image_width, image_height, config.tile_size),
             layout,
             per_group,
-            groups_per_gaussian: Vec::new(),
             tile_hits,
         }
     }
@@ -698,6 +702,10 @@ pub(crate) mod tests {
         let splats = vec![projected(Vec2::new(64.0, 64.0), 10.0, 0, 1.0)];
         let mut counts = StageCounts::new();
         let groups = identify_groups(&splats, 256, 256, &cfg, &mut counts);
-        assert_eq!(groups.groups_per_gaussian()[0], 4);
+        let groups_holding_it = groups
+            .iter()
+            .filter(|(_, list)| list.iter().any(|entry| entry.slot == 0))
+            .count();
+        assert_eq!(groups_holding_it, 4);
     }
 }

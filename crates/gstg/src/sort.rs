@@ -112,6 +112,60 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn every_mask_travels_with_its_slot() {
+        // Three bins through one scratch: depth ties interleaved with
+        // distinct depths, depths falling against ascending indices, and
+        // equal depths, which take no radix pass.
+        let depths: [&[f32]; 3] = [
+            &[2.0, 1.0, 2.0, 1.0, 3.0, 1.0],
+            &[6.0, 5.0, 4.0, 3.0, 2.0, 1.0],
+            &[4.0; 5],
+        ];
+        let mut projected_splats = Vec::new();
+        let mut staging = CsrScratch::new();
+        let mut input = Vec::new();
+        for (bin, bin_depths) in depths.iter().enumerate() {
+            for &depth in bin_depths.iter() {
+                let slot = projected_splats.len() as u32;
+                projected_splats.push(projected(slot, depth));
+                // Distinct in both halves, so a dropped or swapped word,
+                // or a truncated mask, changes the entry.
+                let entry = GroupEntry {
+                    slot,
+                    bitmask: TileBitmask::from_bits(
+                        0x9E37_79B9_7F4A_7C15u64.wrapping_mul(u64::from(slot) + 1),
+                    ),
+                };
+                staging.stage(bin as u32, entry);
+                input.push(entry);
+            }
+        }
+        let mut bins = CsrAssignments::new();
+        staging.build_into(depths.len(), &mut bins);
+        let mut counts = StageCounts::new();
+        sort_bins_by_depth(
+            &mut bins,
+            &projected_splats,
+            |entry| entry.slot,
+            &mut counts,
+            &mut KeySortScratch::new(),
+        );
+
+        for (bin, list) in bins.iter() {
+            assert_eq!(list.len(), depths[bin].len(), "bin {bin}");
+            assert!(is_group_sorted(list, &projected_splats), "bin {bin}");
+            for entry in list {
+                assert_eq!(*entry, input[entry.slot as usize], "bin {bin}");
+            }
+        }
+        let order = |bin: usize| bins.bin(bin).iter().map(|e| e.slot).collect::<Vec<_>>();
+        assert_eq!(order(0), vec![1, 3, 5, 0, 2, 4]);
+        assert_eq!(order(1), vec![11, 10, 9, 8, 7, 6]);
+        assert_eq!(bins.bin(2), &input[12..]);
+        assert_eq!(counts.sort_keys, 17);
+    }
+
+    #[test]
     fn sorting_counts_comparisons_only_for_multi_entry_groups() {
         let splats = vec![projected(0, 2.0), projected(1, 1.0)];
         let cfg = GstgConfig::new(16, 64, BoundaryMethod::Aabb, BoundaryMethod::Aabb).unwrap();

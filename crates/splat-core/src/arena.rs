@@ -11,7 +11,8 @@
 //!
 //! The arena is generic over the assignment entry type: `u32` splat slots
 //! for the baseline's per-tile lists, `gstg`'s `GroupEntry` for per-group
-//! lists with bitmasks.
+//! lists with bitmasks. It holds only what a stage reads: the projected
+//! splats, the CSR staging, the sort's key buffers and the framebuffer.
 
 use crate::csr::CsrScratch;
 use crate::image::Framebuffer;
@@ -32,7 +33,9 @@ pub struct FrameArena<T> {
     pub projected: Vec<ProjectedGaussian>,
     /// Staging buffers for the CSR assignment build.
     pub csr: CsrScratch<T>,
-    /// Buffers for the radix key sort.
+    /// The radix sort's two key buffers, 16 bytes per entry of the
+    /// largest bin. The sort parks entries in them to gather a bin back in
+    /// order, so the arena keeps no copy of any bin.
     pub keys: KeySortScratch<T>,
     /// The recycled framebuffer frames are rasterized into.
     pub framebuffer: Framebuffer,

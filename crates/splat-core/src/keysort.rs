@@ -12,7 +12,14 @@
 //! * one read pass builds all four digit histograms, and a digit every key
 //!   shares is skipped;
 //! * the passes scatter only those 8-byte keys;
-//! * one gather through each key's low half puts the entries in order.
+//! * one walk over the sorted keys parks the entry each key names in that
+//!   key's two words (its own and the scatter buffer's at the same
+//!   position, [`SortEntry`]), and one sequential pass writes the bin back
+//!   from them. A bin no pass touched is already in order and is left as
+//!   it is.
+//!
+//! The scratch is the two key buffers and nothing else: 16 bytes per
+//! entry of the largest bin, with no copy of the bin beside them.
 //!
 //! The ascending-index precondition is a `debug_assert!`. [`splat_key`],
 //! the 64-bit `(depth, index)` key, is what the brute-force reference
@@ -27,6 +34,7 @@
 use crate::csr::CsrAssignments;
 use crate::splat::ProjectedGaussian;
 use crate::stats::StageCounts;
+use std::marker::PhantomData;
 
 /// Maps a depth to a `u32` whose unsigned order matches the `f32` order.
 ///
@@ -87,29 +95,62 @@ impl KeySortRun {
     }
 }
 
-/// Reusable buffers for the radix sort. Owning one per session makes
-/// repeated sorting allocation-free once the buffers have grown to the
-/// largest bin encountered.
+/// An assignment entry the depth sort can park in two `u64` words while it
+/// writes a bin back in sorted order.
+pub trait SortEntry: Copy {
+    /// Writes the entry into `first` and, when one word cannot hold it,
+    /// `second`.
+    fn park(self, first: &mut u64, second: &mut u64);
+
+    /// Rebuilds the entry from the words [`SortEntry::park`] wrote.
+    fn unpark(first: u64, second: u64) -> Self;
+}
+
+/// A baseline tile-list entry, a projected-splat slot: one word.
+impl SortEntry for u32 {
+    #[inline]
+    fn park(self, first: &mut u64, _second: &mut u64) {
+        *first = u64::from(self);
+    }
+
+    #[inline]
+    fn unpark(first: u64, _second: u64) -> Self {
+        first as u32
+    }
+}
+
+/// Reusable buffers for the radix sort: the keys and the scatter target of
+/// each pass, 16 bytes per entry of the largest bin. The gather parks the
+/// entries in these same two buffers, so the bin is never copied. Owning
+/// one per session makes repeated sorting allocation-free once the buffers
+/// have grown to the largest bin encountered.
 #[derive(Debug, Clone)]
 pub struct KeySortScratch<T> {
     /// `depth_key << 32 | position in bin`, one per entry of the bin.
     keys: Vec<u64>,
     /// The scatter target of each radix pass.
     swap: Vec<u64>,
-    /// A copy of the bin, gathered back in sorted order.
-    items: Vec<T>,
+    /// The entry type the buffers park; it owns no storage.
+    entry: PhantomData<T>,
 }
 
-impl<T: Copy> KeySortScratch<T> {
+impl<T> KeySortScratch<T> {
     /// Creates an empty scratch (buffers grow on first use).
     pub fn new() -> Self {
         Self {
             keys: Vec::new(),
             swap: Vec::new(),
-            items: Vec::new(),
+            entry: PhantomData,
         }
     }
 
+    /// Bytes currently reserved by the scratch buffers.
+    pub fn footprint_bytes(&self) -> usize {
+        (self.keys.capacity() + self.swap.capacity()) * std::mem::size_of::<u64>()
+    }
+}
+
+impl<T: SortEntry> KeySortScratch<T> {
     /// Sorts `list` stably by `depth_key_of` and returns the radix passes
     /// it took.
     fn sort_bin(&mut self, list: &mut [T], depth_key_of: impl Fn(&T) -> u32) -> u64 {
@@ -129,7 +170,8 @@ impl<T: Copy> KeySortScratch<T> {
             }
         }
         let first = self.keys.first().map_or(0, |&key| (key >> 32) as u32);
-        // Every pass overwrites all of it, so stale contents may stay.
+        // Every pass overwrites all of it, and the gather parks entries in
+        // it, so stale contents may stay.
         self.swap.resize(self.keys.len(), 0);
 
         let mut passes = 0;
@@ -158,25 +200,27 @@ impl<T: Copy> KeySortScratch<T> {
             }
             std::mem::swap(&mut self.keys, &mut self.swap);
         }
+        if passes == 0 {
+            // The keys are still in position order: so is the bin.
+            return 0;
+        }
 
-        self.items.clear();
-        self.items.extend_from_slice(list);
-        for (entry, &key) in list.iter_mut().zip(&self.keys) {
-            if let Some(&item) = self.items.get(key as u32 as usize) {
-                *entry = item;
+        // Park each key's entry in the key's own two words, then write the
+        // bin back from them in order. Each key is read before its words
+        // are overwritten, and the bin is read in full before it is written.
+        for (key, spare) in self.keys.iter_mut().zip(self.swap.iter_mut()) {
+            if let Some(&entry) = list.get(*key as u32 as usize) {
+                entry.park(key, spare);
             }
+        }
+        for (entry, (&first, &second)) in list.iter_mut().zip(self.keys.iter().zip(&self.swap)) {
+            *entry = T::unpark(first, second);
         }
         passes
     }
-
-    /// Bytes currently reserved by the scratch buffers.
-    pub fn footprint_bytes(&self) -> usize {
-        (self.keys.capacity() + self.swap.capacity()) * std::mem::size_of::<u64>()
-            + self.items.capacity() * std::mem::size_of::<T>()
-    }
 }
 
-impl<T: Copy> Default for KeySortScratch<T> {
+impl<T> Default for KeySortScratch<T> {
     fn default() -> Self {
         Self::new()
     }
@@ -194,7 +238,7 @@ impl<T: Copy> Default for KeySortScratch<T> {
 /// `debug_assert!`): the sort is stable on the depth alone, so that order
 /// breaks the ties. Depths are finite by the preprocessing contract, so
 /// the sign-flip key mapping reproduces the comparator order exactly.
-pub fn sort_bins_by_depth<T: Copy>(
+pub fn sort_bins_by_depth<T: SortEntry>(
     bins: &mut CsrAssignments<T>,
     projected: &[ProjectedGaussian],
     slot_of: impl Fn(&T) -> u32,

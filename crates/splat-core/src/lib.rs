@@ -20,7 +20,9 @@
 //!   their per-tile / per-group lists into.
 //! * [`keysort`] — [`sort_bins_by_depth`], the stable radix argsort of
 //!   every CSR bin on the 32-bit depth key; bins arrive in ascending scene
-//!   index, so it yields `(depth, scene index)` order. Plus
+//!   index, so it yields `(depth, scene index)` order. An entry type
+//!   implements [`SortEntry`] so the sort can park it in its two key
+//!   buffers instead of copying the bin. Plus
 //!   [`splat_key`], the 64-bit key the reference sorts by, and the modeled
 //!   comparison count that keeps the paper's redundancy accounting.
 //! * [`exec`] — the shared execution configuration: the worker thread
@@ -71,7 +73,9 @@ pub use csr::{CsrAssignments, CsrScratch};
 pub use exec::{ExecutionConfig, HasExecution, SimdMode, SpanMode};
 pub use exp::exp_neg;
 pub use image::Framebuffer;
-pub use keysort::{is_sorted_by_depth, sort_bins_by_depth, splat_key, KeySortRun, KeySortScratch};
+pub use keysort::{
+    is_sorted_by_depth, sort_bins_by_depth, splat_key, KeySortRun, KeySortScratch, SortEntry,
+};
 pub use rect::{TileRect, MAHALANOBIS_CUTOFF, SIGMA_EXTENT};
 pub use schedule::TileScheduler;
 pub use shade::{shade_tiles, TileLists};

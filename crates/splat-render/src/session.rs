@@ -29,7 +29,7 @@ use crate::preprocess::{preprocess_into, ProjectedGaussian};
 use crate::tiling::TileGrid;
 use splat_core::{
     shade_tiles, CsrScratch, FrameArena, KeySortScratch, RenderBackend, RenderOutput,
-    RenderRequest, RenderStats, SessionFrame, StageCounts, TileLists,
+    RenderRequest, RenderStats, SessionFrame, SortEntry, StageCounts, TileLists,
 };
 use splat_scene::Scene;
 use splat_types::{Camera, RenderError, Rgb};
@@ -41,8 +41,9 @@ use std::time::Instant;
 /// sorted splat list is read back out of them at raster time.
 pub trait Keying: Clone + Debug + Send {
     /// One assignment entry: a projected-splat slot (`u32`) for per-tile
-    /// lists, slot plus tile bitmask for per-group lists.
-    type Entry: Copy + Debug + Send;
+    /// lists, slot plus tile bitmask for per-group lists. The depth sort
+    /// parks it in one or two `u64` words ([`SortEntry`]).
+    type Entry: SortEntry + Debug + Send;
     /// The per-bin lists identification builds and sorting orders.
     type Assignments: TileLists + Clone + Debug + Send;
 
