@@ -11,7 +11,7 @@ use std::fmt;
 
 /// A per-(group, splat) bitmask over the small tiles of a group.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub struct TileBitmask(u64);
+pub(crate) struct TileBitmask(u64);
 
 impl TileBitmask {
     /// The empty mask (splat touches no tile of the group).
@@ -19,13 +19,13 @@ impl TileBitmask {
 
     /// Creates a mask from its raw bits.
     #[inline]
-    pub const fn from_bits(bits: u64) -> Self {
+    pub(crate) const fn from_bits(bits: u64) -> Self {
         Self(bits)
     }
 
     /// Raw bit representation.
     #[inline]
-    pub const fn to_bits(self) -> u64 {
+    pub(crate) const fn to_bits(self) -> u64 {
         self.0
     }
 
@@ -35,7 +35,7 @@ impl TileBitmask {
     ///
     /// Panics when `index >= 64`.
     #[inline]
-    pub fn set(&mut self, index: u32) {
+    pub(crate) fn set(&mut self, index: u32) {
         assert!(index < 64, "tile index {index} exceeds bitmask capacity");
         self.0 |= 1 << index;
     }
@@ -45,21 +45,24 @@ impl TileBitmask {
     /// # Panics
     ///
     /// Panics when `index >= 64`.
+    #[cfg(test)]
     #[inline]
-    pub fn contains(self, index: u32) -> bool {
+    pub(crate) fn contains(self, index: u32) -> bool {
         assert!(index < 64, "tile index {index} exceeds bitmask capacity");
         self.0 & (1 << index) != 0
     }
 
     /// Number of tiles marked in the mask.
+    #[cfg(test)]
     #[inline]
-    pub fn count(self) -> u32 {
+    pub(crate) fn count(self) -> u32 {
         self.0.count_ones()
     }
 
     /// Returns `true` when no tile is marked.
+    #[cfg(test)]
     #[inline]
-    pub fn is_empty(self) -> bool {
+    pub(crate) fn is_empty(self) -> bool {
         self.0 == 0
     }
 
@@ -67,15 +70,17 @@ impl TileBitmask {
     /// mask with a one-hot tile-location mask and OR-reduce to a valid
     /// flag. Equivalent to [`TileBitmask::contains`], expressed the way the
     /// RM datapath computes it.
+    #[cfg(test)]
     #[inline]
-    pub fn filter(self, tile_location: TileBitmask) -> bool {
+    pub(crate) fn filter(self, tile_location: TileBitmask) -> bool {
         (self.0 & tile_location.0) != 0
     }
 
     /// A one-hot mask selecting tile `index`, the `Tile_Location` operand of
     /// the RM's AND/OR filter.
+    #[cfg(test)]
     #[inline]
-    pub fn one_hot(index: u32) -> Self {
+    pub(crate) fn one_hot(index: u32) -> Self {
         assert!(index < 64, "tile index {index} exceeds bitmask capacity");
         Self(1 << index)
     }
@@ -120,7 +125,7 @@ impl fmt::Binary for TileBitmask {
 /// Geometry of a tile group: how many small tiles it spans and how tile
 /// coordinates map to bitmask bit indices.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GroupLayout {
+pub(crate) struct GroupLayout {
     tile_size: u32,
     tiles_per_side: u32,
 }
@@ -132,7 +137,7 @@ impl GroupLayout {
     /// # Panics
     ///
     /// Panics when the group would exceed the 64-bit mask capacity.
-    pub fn new(tile_size: u32, tiles_per_side: u32) -> Self {
+    pub(crate) fn new(tile_size: u32, tiles_per_side: u32) -> Self {
         assert!(
             tiles_per_side >= 1 && tiles_per_side * tiles_per_side <= 64,
             "group of {tiles_per_side}x{tiles_per_side} tiles exceeds bitmask capacity"
@@ -141,12 +146,6 @@ impl GroupLayout {
             tile_size,
             tiles_per_side,
         }
-    }
-
-    /// Edge length of a small tile in pixels.
-    #[inline]
-    pub fn tile_size(&self) -> u32 {
-        self.tile_size
     }
 
     /// Number of small tiles along one group edge.
@@ -159,12 +158,6 @@ impl GroupLayout {
     #[inline]
     pub(crate) fn tiles_per_group(&self) -> u32 {
         self.tiles_per_side * self.tiles_per_side
-    }
-
-    /// Edge length of a group in pixels.
-    #[inline]
-    pub fn group_size(&self) -> u32 {
-        self.tile_size * self.tiles_per_side
     }
 
     /// Bitmask bit index of the tile at `(tx_in_group, ty_in_group)`.
@@ -259,7 +252,7 @@ mod tests {
     #[test]
     fn layout_bit_indexing_round_trips() {
         let layout = GroupLayout::new(16, 4);
-        assert_eq!(layout.group_size(), 64);
+        assert_eq!(layout.tile_size * layout.tiles_per_side, 64);
         assert_eq!(layout.tiles_per_group(), 16);
         for ty in 0..4 {
             for tx in 0..4 {

@@ -24,7 +24,7 @@ pub struct GstgConfig {
     pub bitmask_boundary: BoundaryMethod,
     /// Shared execution parameters (worker threads, kernel modes). Use
     /// [`HasExecution::with_threads`] to change the thread count.
-    pub exec: ExecutionConfig,
+    pub(crate) exec: ExecutionConfig,
 }
 
 impl GstgConfig {

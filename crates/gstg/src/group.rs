@@ -18,11 +18,8 @@
 
 use crate::bitmask::{GroupLayout, TileBitmask};
 use crate::config::GstgConfig;
-use splat_core::{CsrAssignments, CsrScratch, SortEntry};
-use splat_render::bounds::GaussianFootprint;
-use splat_render::preprocess::ProjectedGaussian;
-use splat_render::stats::StageCounts;
-use splat_render::tiling::TileGrid;
+use splat_core::{CsrAssignments, CsrScratch, ProjectedGaussian, SortEntry, StageCounts};
+use splat_render::{GaussianFootprint, TileGrid};
 
 /// One splat's membership in one group: which projected splat it is and
 /// which small tiles of the group it touches. Packed to 4-byte alignment:
@@ -32,9 +29,9 @@ use splat_render::tiling::TileGrid;
 #[repr(C, packed(4))]
 pub struct GroupEntry {
     /// Small-tile membership bitmask within the group.
-    pub bitmask: TileBitmask,
+    pub(crate) bitmask: TileBitmask,
     /// Index into the `ProjectedGaussian` slice.
-    pub slot: u32,
+    pub(crate) slot: u32,
 }
 
 const _: () = assert!(std::mem::size_of::<GroupEntry>() == 12);
@@ -42,6 +39,11 @@ const _: () = assert!(std::mem::size_of::<GroupEntry>() == 12);
 /// The depth sort parks the slot in the first word and the mask in the
 /// second.
 impl SortEntry for GroupEntry {
+    #[inline]
+    fn slot(&self) -> u32 {
+        self.slot
+    }
+
     #[inline]
     fn park(self, first: &mut u64, second: &mut u64) {
         *first = u64::from(self.slot);
@@ -98,15 +100,9 @@ impl GroupAssignments {
         &self.tile_grid
     }
 
-    /// Group layout (tiles per side, bit indexing).
-    #[inline]
-    pub fn layout(&self) -> &GroupLayout {
-        &self.layout
-    }
-
     /// Entries of the group with flattened index `group`.
     #[inline]
-    pub fn group(&self, group: usize) -> &[GroupEntry] {
+    pub(crate) fn group(&self, group: usize) -> &[GroupEntry] {
         self.per_group.bin(group)
     }
 
@@ -143,12 +139,13 @@ impl GroupAssignments {
     /// Total number of (group, splat) pairs — the number of sort keys the
     /// group-wise sorting stage handles. Compare with the baseline's
     /// per-tile total to quantify the sorting reduction.
-    pub fn total_entries(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn total_entries(&self) -> u64 {
         self.per_group.total_entries()
     }
 
     /// Bytes currently reserved by the assignment buffers.
-    pub fn footprint_bytes(&self) -> usize {
+    pub(crate) fn footprint_bytes(&self) -> usize {
         self.per_group.footprint_bytes() + self.tile_hits.capacity() * std::mem::size_of::<u32>()
     }
 

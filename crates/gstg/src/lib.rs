@@ -24,7 +24,7 @@
 //! Because the small tiles are perfectly aligned inside the groups, every
 //! splat that touches a tile also touches its group, so the tile's list
 //! is exactly the baseline's per-tile sorted list and the rendered image is
-//! identical — GS-TG is lossless ([`lossless`] verifies this).
+//! identical — GS-TG is lossless ([`verify_lossless`] checks this).
 //!
 //! # Quick example
 //!
@@ -60,18 +60,16 @@
 #![cfg_attr(not(test), deny(clippy::panic, clippy::todo, clippy::unimplemented))]
 #![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_types))]
 
-pub mod bitmask;
-pub mod config;
-pub mod group;
-pub mod lossless;
-pub mod pipeline;
-pub mod raster;
+mod bitmask;
+mod config;
+mod group;
+mod lossless;
+mod pipeline;
+mod raster;
 pub mod sort;
 
-pub use bitmask::{GroupLayout, TileBitmask};
 pub use config::GstgConfig;
 pub use group::{identify_groups_into, GroupAssignments, GroupEntry};
-pub use lossless::{verify_lossless, LosslessReport};
-pub use pipeline::{GstgRenderer, GstgSession, RenderOutput};
+pub use lossless::verify_lossless;
+pub use pipeline::{GstgRenderer, GstgSession};
 pub use raster::rasterize_groups_into_with;
-pub use splat_core::{HasExecution, RenderBackend, RenderRequest, SimdMode};

@@ -19,7 +19,7 @@ pub struct LosslessReport {
     pub max_abs_diff: f32,
     /// PSNR of the GS-TG image against the baseline (infinite when
     /// identical).
-    pub psnr_db: f64,
+    pub(crate) psnr_db: f64,
     /// `true` when every pixel matches bit-exactly.
     pub identical: bool,
     /// α-computations performed by the baseline.
@@ -28,9 +28,9 @@ pub struct LosslessReport {
     /// bitmask reproduces the same per-tile lists).
     pub gstg_alpha_computations: u64,
     /// Depth-sort comparisons performed by the baseline (per-tile sorting).
-    pub baseline_sort_comparisons: u64,
+    pub(crate) baseline_sort_comparisons: u64,
     /// Depth-sort comparisons performed by GS-TG (per-group sorting).
-    pub gstg_sort_comparisons: u64,
+    pub(crate) gstg_sort_comparisons: u64,
 }
 
 impl LosslessReport {

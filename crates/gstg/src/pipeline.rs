@@ -12,12 +12,10 @@
 use crate::config::GstgConfig;
 use crate::group::{identify_groups_into, GroupAssignments, GroupEntry};
 use crate::sort::sort_groups_with;
-use splat_core::{CsrScratch, KeySortScratch, ProjectedGaussian, StageCounts};
-use splat_render::{Keying, RenderConfig, Session};
+use splat_core::{CsrScratch, KeySortScratch, ProjectedGaussian, RenderOutput, StageCounts};
+use splat_render::{Keying, RenderConfig, Session, BACKGROUND};
 use splat_scene::Scene;
 use splat_types::{Camera, RenderError, Rgb};
-
-pub use splat_core::RenderOutput;
 
 /// The GS-TG session: the one frame loop keyed per tile group.
 pub type GstgSession = Session<GstgRenderer>;
@@ -26,33 +24,19 @@ pub type GstgSession = Session<GstgRenderer>;
 #[derive(Debug, Clone)]
 pub struct GstgRenderer {
     config: GstgConfig,
-    background: Rgb,
 }
 
 impl GstgRenderer {
-    /// Creates a renderer with the given configuration and a black
-    /// background.
+    /// Creates a renderer with the given configuration.
     pub fn new(config: GstgConfig) -> Self {
-        Self {
-            config,
-            background: Rgb::BLACK,
-        }
+        Self { config }
     }
 
-    /// Returns a copy using the given background color.
-    pub fn with_background(mut self, background: Rgb) -> Self {
-        self.background = background;
-        self
-    }
-
-    /// The renderer's configuration.
-    pub fn config(&self) -> &GstgConfig {
-        &self.config
-    }
-
-    /// The background color pixels start from.
+    /// The background color pixels start from: [`BACKGROUND`], as for
+    /// every renderer. `benchmark/src/layers.rs` passes it to the raster
+    /// stage function.
     pub fn background(&self) -> Rgb {
-        self.background
+        BACKGROUND
     }
 
     /// Renders one view of the scene through the GS-TG pipeline: a
@@ -83,10 +67,6 @@ impl Keying for GstgRenderer {
 
     fn validate(&self) -> Result<(), RenderError> {
         self.config.validate()
-    }
-
-    fn background(&self) -> Rgb {
-        self.background
     }
 
     fn empty_assignments() -> GroupAssignments {
@@ -219,11 +199,7 @@ mod tests {
         let mut session = GstgSession::from_config(config);
         let counts = session.render(&scene, &camera).stats.counts;
         for (_, entries) in session.assignments().iter() {
-            assert!(splat_core::is_sorted_by_depth(
-                entries,
-                session.projected(),
-                |entry| entry.slot
-            ));
+            assert!(splat_core::is_sorted_by_depth(entries, session.projected()));
         }
         assert!(counts.sort_comparisons > 0 || session.assignments().total_entries() <= 1);
     }

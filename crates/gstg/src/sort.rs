@@ -14,9 +14,7 @@
 //! redundancy figures are expressed in.
 
 use crate::group::{GroupAssignments, GroupEntry};
-use splat_core::{sort_bins_by_depth, KeySortScratch};
-use splat_render::preprocess::ProjectedGaussian;
-use splat_render::stats::StageCounts;
+use splat_core::{sort_bins_by_depth, KeySortScratch, ProjectedGaussian, StageCounts};
 
 /// Sorts every group's list in place through a reusable key-sort scratch,
 /// accumulating the modeled comparison count and the measured key-sort
@@ -27,13 +25,7 @@ pub fn sort_groups_with(
     counts: &mut StageCounts,
     scratch: &mut KeySortScratch<GroupEntry>,
 ) {
-    sort_bins_by_depth(
-        assignments.bins_mut(),
-        projected,
-        |entry| entry.slot,
-        counts,
-        scratch,
-    );
+    sort_bins_by_depth(assignments.bins_mut(), projected, counts, scratch);
 }
 
 #[cfg(test)]
@@ -57,7 +49,6 @@ pub(crate) mod tests {
         sort_bins_by_depth(
             &mut bins,
             projected,
-            |entry| entry.slot,
             &mut StageCounts::new(),
             &mut KeySortScratch::new(),
         );
@@ -73,7 +64,7 @@ pub(crate) mod tests {
     }
 
     fn is_group_sorted(entries: &[GroupEntry], projected: &[ProjectedGaussian]) -> bool {
-        splat_core::is_sorted_by_depth(entries, projected, |entry| entry.slot)
+        splat_core::is_sorted_by_depth(entries, projected)
     }
 
     fn projected(index: u32, depth: f32) -> ProjectedGaussian {
@@ -146,7 +137,6 @@ pub(crate) mod tests {
         sort_bins_by_depth(
             &mut bins,
             &projected_splats,
-            |entry| entry.slot,
             &mut counts,
             &mut KeySortScratch::new(),
         );

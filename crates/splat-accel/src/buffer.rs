@@ -15,15 +15,15 @@ pub(crate) const GROUP_ENTRY_BYTES: u64 = GAUSSIAN_FEATURE_BYTES + 2 + 4;
 
 /// Occupancy analysis of the per-core group buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct BufferReport {
+pub(crate) struct BufferReport {
     /// Capacity of one buffer in bytes.
-    pub capacity_bytes: u64,
+    pub(crate) capacity_bytes: u64,
     /// Size of the largest group working set in bytes.
-    pub peak_group_bytes: u64,
+    pub(crate) peak_group_bytes: u64,
     /// Number of groups whose working set exceeded the buffer.
-    pub spilled_groups: u64,
+    pub(crate) spilled_groups: u64,
     /// Additional DRAM traffic caused by refetching spilled entries.
-    pub spill_bytes: u64,
+    pub(crate) spill_bytes: u64,
 }
 
 impl BufferReport {
@@ -49,11 +49,6 @@ impl BufferReport {
         }
         report
     }
-
-    /// Returns `true` when every group fits in the buffer.
-    pub fn fits(&self) -> bool {
-        self.spilled_groups == 0
-    }
 }
 
 #[cfg(test)]
@@ -63,7 +58,7 @@ mod tests {
     #[test]
     fn groups_within_capacity_do_not_spill() {
         let report = BufferReport::analyze([10, 100, 500], 42 * 1024);
-        assert!(report.fits());
+        assert_eq!(report.spilled_groups, 0);
         assert_eq!(report.spill_bytes, 0);
         assert_eq!(report.peak_group_bytes, 500 * GROUP_ENTRY_BYTES);
     }
@@ -72,7 +67,6 @@ mod tests {
     fn oversized_groups_spill() {
         // 42 KB / 30 B per entry ≈ 1434 entries fit.
         let report = BufferReport::analyze([2000], 42 * 1024);
-        assert!(!report.fits());
         assert_eq!(report.spilled_groups, 1);
         assert!(report.spill_bytes > 0);
     }
@@ -80,13 +74,13 @@ mod tests {
     #[test]
     fn empty_input_is_trivially_fitting() {
         let report = BufferReport::analyze(std::iter::empty(), 42 * 1024);
-        assert!(report.fits());
+        assert_eq!(report.spilled_groups, 0);
         assert_eq!(report.peak_group_bytes, 0);
     }
 
     #[test]
     fn zero_capacity_reports_zero_utilization() {
         let report = BufferReport::analyze([10], 0);
-        assert!(!report.fits());
+        assert!(report.spilled_groups > 0);
     }
 }

@@ -1,7 +1,5 @@
 //! Accelerator hardware configuration (unit counts, clock, memory system).
 
-use splat_types::RenderError;
-
 /// Hardware parameters of the simulated accelerator.
 ///
 /// The defaults ([`AccelConfig::paper`]) follow Section V and Table III of
@@ -13,7 +11,7 @@ use splat_types::RenderError;
 ///
 /// The struct is `#[non_exhaustive]`: construct it through
 /// [`AccelConfig::default`] / [`AccelConfig::paper`] and adjust the public
-/// fields in place (then [`AccelConfig::validate`]), so future hardware
+/// fields in place, so future hardware
 /// knobs can be added without breaking callers.
 #[derive(Debug, Clone, Copy, PartialEq)]
 #[non_exhaustive]
@@ -24,9 +22,9 @@ pub struct AccelConfig {
     pub preprocessing_modules: u32,
     /// Splats processed per cycle by one preprocessing module
     /// (feature computation and culling are fully pipelined).
-    pub pm_gaussians_per_cycle: f64,
+    pub(crate) pm_gaussians_per_cycle: f64,
     /// Tile/group boundary tests per cycle per preprocessing module.
-    pub pm_tile_tests_per_cycle: f64,
+    pub(crate) pm_tile_tests_per_cycle: f64,
     /// Number of GS-TG cores (each with BGM + GSM + RM).
     pub cores: u32,
     /// Tile-check units per bitmask generation module.
@@ -36,12 +34,12 @@ pub struct AccelConfig {
     /// partitioning steps keep the sustained utilization at roughly a
     /// quarter of the peak, so the default charges 4 comparisons per cycle
     /// per module.
-    pub gsm_comparisons_per_cycle: f64,
+    pub(crate) gsm_comparisons_per_cycle: f64,
     /// Sort keys ingested/emitted per cycle per group-sorting module
     /// (list construction and write-back).
-    pub gsm_keys_per_cycle: f64,
+    pub(crate) gsm_keys_per_cycle: f64,
     /// Bitmask AND/OR filter operations per cycle per rasterization module.
-    pub rm_filter_ops_per_cycle: f64,
+    pub(crate) rm_filter_ops_per_cycle: f64,
     /// Rasterization units (α-computation + α-blend lanes) per
     /// rasterization module.
     pub rm_rasterization_units: u32,
@@ -117,59 +115,6 @@ impl AccelConfig {
     pub(crate) fn dram_bytes_per_cycle(&self) -> f64 {
         self.dram_bandwidth_bytes_per_s / self.clock_hz
     }
-
-    /// Validates that every throughput, unit count and memory parameter is
-    /// positive and finite — the invariants the cycle model divides by.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RenderError::InvalidConfiguration`] naming the first
-    /// offending parameter.
-    pub fn validate(&self) -> Result<(), RenderError> {
-        let positive_finite = [
-            ("clock_hz", self.clock_hz),
-            ("pm_gaussians_per_cycle", self.pm_gaussians_per_cycle),
-            ("pm_tile_tests_per_cycle", self.pm_tile_tests_per_cycle),
-            ("gsm_comparisons_per_cycle", self.gsm_comparisons_per_cycle),
-            ("gsm_keys_per_cycle", self.gsm_keys_per_cycle),
-            ("rm_filter_ops_per_cycle", self.rm_filter_ops_per_cycle),
-            (
-                "dram_bandwidth_bytes_per_s",
-                self.dram_bandwidth_bytes_per_s,
-            ),
-            ("dram_pj_per_byte", self.dram_pj_per_byte),
-        ];
-        for (name, value) in positive_finite {
-            if !(value.is_finite() && value > 0.0) {
-                return Err(RenderError::InvalidConfiguration {
-                    reason: format!(
-                        "accelerator parameter `{name}` must be positive and finite, got {value}"
-                    ),
-                });
-            }
-        }
-        let positive_counts = [
-            (
-                "preprocessing_modules",
-                u64::from(self.preprocessing_modules),
-            ),
-            ("cores", u64::from(self.cores)),
-            ("bgm_tile_check_units", u64::from(self.bgm_tile_check_units)),
-            (
-                "rm_rasterization_units",
-                u64::from(self.rm_rasterization_units),
-            ),
-            ("buffer_bytes_per_core", self.buffer_bytes_per_core),
-        ];
-        for (name, value) in positive_counts {
-            if value == 0 {
-                return Err(RenderError::InvalidConfiguration {
-                    reason: format!("accelerator parameter `{name}` must be non-zero"),
-                });
-            }
-        }
-        Ok(())
-    }
 }
 
 impl Default for AccelConfig {
@@ -205,22 +150,7 @@ mod tests {
         let mut scaled = AccelConfig::paper();
         scaled.cores = 8;
         scaled.rm_rasterization_units = 32;
-        assert_eq!(scaled.validate(), Ok(()));
         assert_eq!(scaled.total_raster_throughput(), 256.0);
-    }
-
-    #[test]
-    fn validate_catches_hand_mutated_configs() {
-        let mutated = |mutate: fn(&mut AccelConfig)| {
-            let mut config = AccelConfig::paper();
-            mutate(&mut config);
-            config.validate()
-        };
-        assert!(mutated(|c| c.buffer_bytes_per_core = 0).is_err());
-        assert!(mutated(|c| c.cores = 0).is_err());
-        assert!(mutated(|c| c.clock_hz = 0.0).is_err());
-        assert!(mutated(|c| c.clock_hz = f64::NAN).is_err());
-        assert!(AccelConfig::paper().validate().is_ok());
     }
 
     #[test]

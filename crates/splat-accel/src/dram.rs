@@ -38,11 +38,11 @@ pub(crate) const PIXEL_BYTES: u64 = 4;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DramTraffic {
     /// Gaussian parameters streamed in during preprocessing.
-    pub preprocess_bytes: u64,
+    pub(crate) preprocess_bytes: u64,
     /// Sort keys written and re-read by the sorting stage.
-    pub sort_bytes: u64,
+    pub(crate) sort_bytes: u64,
     /// Feature fetches plus framebuffer write-back during rasterization.
-    pub raster_bytes: u64,
+    pub(crate) raster_bytes: u64,
 }
 
 impl DramTraffic {
@@ -59,7 +59,7 @@ impl DramTraffic {
     ///   write-back);
     /// * every per-tile list entry causes one feature fetch during
     ///   rasterization, and the framebuffer is written once.
-    pub fn baseline(input_gaussians: u64, tile_entries: u64, pixels: u64) -> Self {
+    pub(crate) fn baseline(input_gaussians: u64, tile_entries: u64, pixels: u64) -> Self {
         Self {
             preprocess_bytes: input_gaussians * GAUSSIAN_PARAMETER_BYTES,
             sort_bytes: tile_entries * SORT_KEY_BYTES * SORT_KEY_PASSES,
@@ -71,7 +71,7 @@ impl DramTraffic {
     /// *group* entry; the 16 tiles of a group share the fetched features
     /// through the core's shared memory. The 16-bit bitmask per group entry
     /// is the only additional data.
-    pub fn gstg(input_gaussians: u64, group_entries: u64, pixels: u64) -> Self {
+    pub(crate) fn gstg(input_gaussians: u64, group_entries: u64, pixels: u64) -> Self {
         let bitmask_bytes = group_entries * 2;
         Self {
             preprocess_bytes: input_gaussians * GAUSSIAN_PARAMETER_BYTES + bitmask_bytes,
@@ -90,7 +90,7 @@ pub(crate) struct DramModel {
 
 impl DramModel {
     /// Creates the model for a hardware configuration.
-    pub fn new(config: AccelConfig) -> Self {
+    pub(crate) fn new(config: AccelConfig) -> Self {
         Self { config }
     }
 

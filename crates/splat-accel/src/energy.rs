@@ -89,15 +89,15 @@ impl Default for PowerTable {
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct EnergyBreakdown {
     /// Preprocessing-module energy in joules.
-    pub pm_j: f64,
+    pub(crate) pm_j: f64,
     /// Bitmask-generation energy in joules.
-    pub bgm_j: f64,
+    pub(crate) bgm_j: f64,
     /// Sorting energy in joules.
-    pub gsm_j: f64,
+    pub(crate) gsm_j: f64,
     /// Rasterization energy in joules.
-    pub rm_j: f64,
+    pub(crate) rm_j: f64,
     /// On-chip buffer energy in joules (charged over the whole frame).
-    pub buffer_j: f64,
+    pub(crate) buffer_j: f64,
     /// DRAM access energy in joules.
     pub dram_j: f64,
 }

@@ -21,14 +21,14 @@ use splat_render::BoundaryMethod;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GscoreConfig {
     /// Rendering tile size in pixels (GSCore uses 16×16 tiles).
-    pub tile_size: u32,
+    pub(crate) tile_size: u32,
     /// Boundary method used for tile identification (OBB).
-    pub boundary: BoundaryMethod,
+    pub(crate) boundary: BoundaryMethod,
 }
 
 impl GscoreConfig {
     /// The configuration used for the paper's comparison.
-    pub fn paper() -> Self {
+    pub(crate) fn paper() -> Self {
         Self {
             tile_size: 16,
             boundary: BoundaryMethod::Obb,

@@ -50,18 +50,16 @@
 #![cfg_attr(not(test), deny(clippy::panic, clippy::todo, clippy::unimplemented))]
 #![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_types))]
 
-pub mod buffer;
-pub mod config;
-pub mod dram;
-pub mod energy;
-pub mod gscore;
-pub mod modules;
-pub mod report;
-pub mod sim;
+mod buffer;
+mod config;
+mod dram;
+mod energy;
+mod gscore;
+mod modules;
+mod report;
+mod sim;
 
 pub use config::AccelConfig;
-pub use dram::DramTraffic;
-pub use energy::{EnergyBreakdown, PowerTable};
-pub use gscore::GscoreConfig;
-pub use report::{ComparisonReport, SimReport, StageCycles};
+pub use energy::PowerTable;
+pub use report::ComparisonReport;
 pub use sim::{PipelineVariant, Simulator};

@@ -22,16 +22,16 @@ fn cycles(work: f64, per_cycle: f64) -> u64 {
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub(crate) struct PreprocessingWork {
     /// Splats read and culled.
-    pub input_gaussians: u64,
+    pub(crate) input_gaussians: u64,
     /// Splats whose features (projection, covariance, SH color) are
     /// computed.
-    pub visible_gaussians: u64,
+    pub(crate) visible_gaussians: u64,
     /// Tile- or group-boundary tests performed during identification.
     /// The dedicated test units are pipelined, so each test costs one slot
     /// regardless of the boundary method; the method still matters because
     /// it changes how many intersections (and how much downstream work)
     /// survive.
-    pub tile_tests: u64,
+    pub(crate) tile_tests: u64,
 }
 
 /// The preprocessing module array (PM): feature computation, culling and
@@ -43,7 +43,7 @@ pub(crate) struct PreprocessingModel {
 
 impl PreprocessingModel {
     /// Creates the model for a hardware configuration.
-    pub fn new(config: AccelConfig) -> Self {
+    pub(crate) fn new(config: AccelConfig) -> Self {
         Self { config }
     }
 
@@ -71,7 +71,7 @@ pub(crate) struct BitmaskWork {
     /// Small-tile boundary tests performed to build the bitmasks (16 per
     /// (group, splat) pair for the 4×4 grouping); each pipelined tile-check
     /// unit retires one test per cycle.
-    pub bitmask_tests: u64,
+    pub(crate) bitmask_tests: u64,
 }
 
 /// The bitmask generation module array (BGM): four tile-check units per
@@ -83,7 +83,7 @@ pub(crate) struct BitmaskModel {
 
 impl BitmaskModel {
     /// Creates the model for a hardware configuration.
-    pub fn new(config: AccelConfig) -> Self {
+    pub(crate) fn new(config: AccelConfig) -> Self {
         Self { config }
     }
 
@@ -101,9 +101,9 @@ impl BitmaskModel {
 pub(crate) struct SortingWork {
     /// Number of (tile, splat) or (group, splat) keys to sort. Every key
     /// must be ingested, permuted and written back.
-    pub keys: u64,
+    pub(crate) keys: u64,
     /// Pairwise comparisons performed by the sorting network.
-    pub comparisons: u64,
+    pub(crate) comparisons: u64,
 }
 
 /// The group-wise sorting module array (GSM): a quick-sort unit with 16
@@ -115,7 +115,7 @@ pub(crate) struct SortingModel {
 
 impl SortingModel {
     /// Creates the model for a hardware configuration.
-    pub fn new(config: AccelConfig) -> Self {
+    pub(crate) fn new(config: AccelConfig) -> Self {
         Self { config }
     }
 
@@ -137,13 +137,13 @@ impl SortingModel {
 pub(crate) struct RasterWork {
     /// Bitmask AND/OR filter operations (GS-TG only; zero for the
     /// baseline).
-    pub filter_ops: u64,
+    pub(crate) filter_ops: u64,
     /// α-computations performed.
-    pub alpha_computations: u64,
+    pub(crate) alpha_computations: u64,
     /// α-blend accumulations performed.
-    pub blend_operations: u64,
+    pub(crate) blend_operations: u64,
     /// Pixels written out.
-    pub pixels: u64,
+    pub(crate) pixels: u64,
 }
 
 /// The rasterization module array (RM): an 8-wide bitmask filter feeding a
@@ -155,7 +155,7 @@ pub(crate) struct RasterModel {
 
 impl RasterModel {
     /// Creates the model for a hardware configuration.
-    pub fn new(config: AccelConfig) -> Self {
+    pub(crate) fn new(config: AccelConfig) -> Self {
         Self { config }
     }
 

@@ -3,8 +3,8 @@
 use crate::buffer::BufferReport;
 use crate::dram::DramTraffic;
 use crate::energy::EnergyBreakdown;
+use splat_core::StageCounts;
 use splat_metrics::{geometric_mean, Table};
-use splat_render::stats::StageCounts;
 
 /// Pipeline-stage occupancy of one simulated frame, in clock cycles.
 ///
@@ -12,18 +12,18 @@ use splat_render::stats::StageCounts;
 /// bitmask generation with group-wise sorting (the stage occupies the
 /// slower of the two modules).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct StageCycles {
+pub(crate) struct StageCycles {
     /// Preprocessing (PM array plus parameter streaming).
-    pub preprocess: u64,
+    pub(crate) preprocess: u64,
     /// Sorting phase (GSM, and BGM when overlapped, plus key traffic).
-    pub sort: u64,
+    pub(crate) sort: u64,
     /// Rasterization (RM array plus feature/framebuffer traffic).
-    pub raster: u64,
+    pub(crate) raster: u64,
 }
 
 impl StageCycles {
     /// Total frame cycles.
-    pub fn total(&self) -> u64 {
+    pub(crate) fn total(&self) -> u64 {
         self.preprocess + self.sort + self.raster
     }
 }
@@ -34,15 +34,15 @@ pub struct SimReport {
     /// Human-readable variant label (e.g. `"GS-TG (16+64, Ellipse+Ellipse)"`).
     pub label: String,
     /// Scene name the frame came from.
-    pub scene: String,
+    pub(crate) scene: String,
     /// Software-pipeline operation counts the cycle model consumed.
     pub counts: StageCounts,
     /// Per-stage occupancy in cycles.
-    pub stages: StageCycles,
+    pub(crate) stages: StageCycles,
     /// Total frame cycles.
     pub total_cycles: u64,
     /// Frame time in seconds at the configured clock.
-    pub frame_time_s: f64,
+    pub(crate) frame_time_s: f64,
     /// Frames per second achievable at the configured clock.
     pub fps: f64,
     /// DRAM traffic of the frame.
@@ -50,7 +50,7 @@ pub struct SimReport {
     /// Per-consumer energy of the frame.
     pub energy: EnergyBreakdown,
     /// On-chip buffer occupancy analysis.
-    pub buffer: BufferReport,
+    pub(crate) buffer: BufferReport,
 }
 
 impl SimReport {
@@ -126,13 +126,6 @@ impl ComparisonReport {
                 })
                 .collect(),
         )
-    }
-
-    /// Value for a given scene and variant label, if present.
-    pub fn value(&self, scene: &str, variant: &str) -> Option<f64> {
-        let col = self.variant_labels.iter().position(|l| l == variant)?;
-        let row = self.rows.iter().find(|(s, _)| s == scene)?;
-        row.1.get(col).copied()
     }
 
     /// Renders the comparison as a markdown table with a geomean row.
@@ -213,8 +206,7 @@ mod tests {
     fn comparison_lookup_and_table() {
         let mut cmp = ComparisonReport::new(["baseline", "gstg"]);
         cmp.add_scene("train", vec![1.0, 1.33]);
-        assert_eq!(cmp.value("train", "gstg"), Some(1.33));
-        assert_eq!(cmp.value("train", "missing"), None);
+        assert_eq!(cmp.rows, [("train".to_string(), vec![1.0, 1.33])]);
         let md = cmp.to_table("speedup").to_markdown();
         assert!(md.contains("train"));
         assert!(md.contains("geomean"));

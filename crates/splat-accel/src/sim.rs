@@ -16,7 +16,7 @@ use crate::modules::{
 };
 use crate::report::{SimReport, StageCycles};
 use gstg::{GstgConfig, GstgSession};
-use splat_render::stats::StageCounts;
+use splat_core::StageCounts;
 use splat_render::{BoundaryMethod, RenderConfig, RenderSession};
 use splat_scene::Scene;
 use splat_types::{Camera, Precision};
@@ -95,11 +95,6 @@ impl Simulator {
             config,
             power: PowerTable::paper(),
         }
-    }
-
-    /// The hardware configuration.
-    pub fn config(&self) -> &AccelConfig {
-        &self.config
     }
 
     /// Simulates one frame of `scene` viewed from `camera` through the

@@ -8,9 +8,9 @@
 //! grouping without bitmasks) and against the 16×16 baseline.
 
 use gstg::GstgConfig;
-use splat_bench::{run_baseline, run_gstg, ExecutionModel, HarnessOptions};
+use splat_bench::{run_baseline, run_gstg, HarnessOptions};
 use splat_metrics::Table;
-use splat_render::BoundaryMethod;
+use splat_render::{BoundaryMethod, ExecutionModel};
 use splat_scene::PaperScene;
 
 fn main() {

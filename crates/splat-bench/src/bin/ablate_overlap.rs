@@ -7,9 +7,9 @@
 //! sorting phase (Sections V-A and VI-B).
 
 use gstg::GstgConfig;
-use splat_bench::{run_baseline, run_gstg, ExecutionModel, HarnessOptions};
+use splat_bench::{run_baseline, run_gstg, HarnessOptions};
 use splat_metrics::{geometric_mean, Table};
-use splat_render::BoundaryMethod;
+use splat_render::{BoundaryMethod, ExecutionModel};
 use splat_scene::PaperScene;
 
 fn main() {

@@ -8,9 +8,9 @@
 //! cases, which is why the remaining experiments use it.
 
 use gstg::GstgConfig;
-use splat_bench::{run_baseline, run_gstg, ExecutionModel, HarnessOptions, GROUPING_SWEEP};
+use splat_bench::{run_baseline, run_gstg, HarnessOptions, GROUPING_SWEEP};
 use splat_metrics::{geometric_mean, Table};
-use splat_render::BoundaryMethod;
+use splat_render::{BoundaryMethod, ExecutionModel};
 use splat_scene::PaperScene;
 
 fn main() {

@@ -11,9 +11,9 @@
 //! (3) tile grouping composes with any boundary method.
 
 use gstg::GstgConfig;
-use splat_bench::{run_baseline, run_gstg, ExecutionModel, HarnessOptions};
+use splat_bench::{run_baseline, run_gstg, HarnessOptions};
 use splat_metrics::Table;
-use splat_render::BoundaryMethod;
+use splat_render::{BoundaryMethod, ExecutionModel};
 use splat_scene::PaperScene;
 
 fn main() {

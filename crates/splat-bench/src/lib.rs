@@ -26,11 +26,10 @@
 #![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_types))]
 
 use gstg::GstgConfig;
-use splat_render::{BoundaryMethod, CostModel, RenderConfig, Renderer, StageCounts, StageTimes};
+use splat_core::StageCounts;
+use splat_render::{BoundaryMethod, CostModel, ExecutionModel, RenderConfig, Renderer, StageTimes};
 use splat_scene::{PaperScene, Scene, SceneScale};
 use splat_types::{Camera, CameraIntrinsics, Vec3};
-
-pub use splat_render::cost::ExecutionModel;
 
 /// Command-line options shared by every experiment binary.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -62,7 +61,7 @@ impl HarnessOptions {
     }
 
     /// Parses options from an explicit argument list (used by tests).
-    pub fn parse<I, S>(args: I) -> Self
+    pub(crate) fn parse<I, S>(args: I) -> Self
     where
         I: IntoIterator<Item = S>,
         S: AsRef<str>,

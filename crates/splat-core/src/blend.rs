@@ -31,7 +31,7 @@ pub const TRANSMITTANCE_EPSILON: f32 = 1e-4;
 
 /// Upper bound on α (the reference implementation clamps at 0.99 to keep
 /// the transmittance strictly positive).
-pub const ALPHA_MAX: f32 = 0.99;
+pub(crate) const ALPHA_MAX: f32 = 0.99;
 
 /// Side of the square pixel block the wide kernel shades per walk of a
 /// tile's sorted list: one block covers one paper-default 16-px tile.
@@ -62,7 +62,7 @@ const BLOCK: usize = 16;
 /// # Panics
 ///
 /// Panics when `rect`, shifted by `origin`, exceeds the framebuffer bounds.
-pub fn rasterize_tile_into_with(
+pub(crate) fn rasterize_tile_into_with(
     sorted: &[u32],
     projected: &[ProjectedGaussian],
     rect: &TileRect,
@@ -254,7 +254,7 @@ fn shade_block(
 /// boundary methods and the GS-TG grouping pipeline — which is the
 /// losslessness property the experiments verify.
 #[inline]
-pub fn alpha_at(splat: &ProjectedGaussian, pixel: Vec2) -> f32 {
+pub(crate) fn alpha_at(splat: &ProjectedGaussian, pixel: Vec2) -> f32 {
     let d = pixel - splat.mean;
     let mahalanobis_sq = d.dot(splat.inv_cov.mul_vec(d));
     if !(0.0..=MAHALANOBIS_CUTOFF).contains(&mahalanobis_sq) {

@@ -42,7 +42,7 @@ const LN2_LO: f32 = -2.121_944_4e-4;
 /// `exp_neg(0.0)` are exactly `1.0`. Outside the domain the value is
 /// unspecified, but the function never panics.
 #[inline]
-pub fn exp_neg(x: f32) -> f32 {
+pub(crate) fn exp_neg(x: f32) -> f32 {
     let shifted = x * std::f32::consts::LOG2_E + ROUND_MAGIC;
     let k = shifted - ROUND_MAGIC;
     let r = (x - k * LN2_HI) - k * LN2_LO;

@@ -107,13 +107,13 @@ impl Framebuffer {
     }
 
     /// Bytes currently reserved by the pixel buffer.
-    pub fn footprint_bytes(&self) -> usize {
+    pub(crate) fn footprint_bytes(&self) -> usize {
         self.pixels.capacity() * std::mem::size_of::<Rgb>()
     }
 
     /// Copies a full row of pixels into the framebuffer. Used by the
     /// tile-parallel rasterizer to write back without aliasing.
-    pub fn write_region(&mut self, x0: u32, y0: u32, width: u32, rows: &[Rgb]) {
+    pub(crate) fn write_region(&mut self, x0: u32, y0: u32, width: u32, rows: &[Rgb]) {
         let width = width as usize;
         assert_eq!(
             rows.len() % width,

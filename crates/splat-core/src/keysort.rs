@@ -58,7 +58,7 @@ pub(crate) fn depth_key(depth: f32) -> u32 {
 /// The 64-bit sort key of a splat: depth bits in the high half, the unique
 /// scene index in the low half, so equal depths tie-break by scene order.
 #[inline]
-pub fn splat_key(depth: f32, index: u32) -> u64 {
+pub(crate) fn splat_key(depth: f32, index: u32) -> u64 {
     (u64::from(depth_key(depth)) << 32) | u64::from(index)
 }
 
@@ -76,28 +76,31 @@ pub(crate) fn modeled_merge_comparisons(len: usize) -> u64 {
 
 /// Counters of one key-sort invocation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct KeySortRun {
+pub(crate) struct KeySortRun {
     /// Keys submitted to the sorter.
-    pub keys: u64,
+    pub(crate) keys: u64,
     /// Radix digit passes actually executed (digits every key shares are
     /// skipped).
-    pub passes: u64,
+    pub(crate) passes: u64,
     /// Modeled merge-sort comparisons for the same list (`n·⌈log₂ n⌉`).
-    pub modeled_comparisons: u64,
+    pub(crate) modeled_comparisons: u64,
 }
 
 impl KeySortRun {
     /// Accumulates this run into a stage counter set.
-    pub fn accumulate(&self, counts: &mut StageCounts) {
+    pub(crate) fn accumulate(&self, counts: &mut StageCounts) {
         counts.sort_keys += self.keys;
         counts.radix_passes += self.passes;
         counts.sort_comparisons += self.modeled_comparisons;
     }
 }
 
-/// An assignment entry the depth sort can park in two `u64` words while it
-/// writes a bin back in sorted order.
+/// An assignment entry the depth sort orders by its splat's depth and can
+/// park in two `u64` words while it writes a bin back in sorted order.
 pub trait SortEntry: Copy {
+    /// The entry's position in the projected-splat list.
+    fn slot(&self) -> u32;
+
     /// Writes the entry into `first` and, when one word cannot hold it,
     /// `second`.
     fn park(self, first: &mut u64, second: &mut u64);
@@ -108,6 +111,11 @@ pub trait SortEntry: Copy {
 
 /// A baseline tile-list entry, a projected-splat slot: one word.
 impl SortEntry for u32 {
+    #[inline]
+    fn slot(&self) -> u32 {
+        *self
+    }
+
     #[inline]
     fn park(self, first: &mut u64, _second: &mut u64) {
         *first = u64::from(self);
@@ -228,10 +236,11 @@ impl<T> Default for KeySortScratch<T> {
 
 /// Sorts every bin of a CSR assignment front-to-back by `(depth, scene
 /// index)`, accumulating the measured key-sort counters and the modeled
-/// comparison count into `counts`. `slot_of` maps an entry to its position
-/// in `projected` — the identity for the baseline's `u32` tile lists, the
-/// `slot` field for GS-TG's group entries — so both pipelines order by the
-/// same key and a filtered group list equals the baseline's tile list.
+/// comparison count into `counts`. [`SortEntry::slot`] maps an entry to its
+/// position in `projected` — the identity for the baseline's `u32` tile
+/// lists, the `slot` field for GS-TG's group entries — so both pipelines
+/// order by the same key and a filtered group list equals the baseline's
+/// tile list.
 ///
 /// Every bin must list its splats in strictly ascending scene index, as
 /// preprocessing and the identify stages stage them (checked by a
@@ -241,11 +250,10 @@ impl<T> Default for KeySortScratch<T> {
 pub fn sort_bins_by_depth<T: SortEntry>(
     bins: &mut CsrAssignments<T>,
     projected: &[ProjectedGaussian],
-    slot_of: impl Fn(&T) -> u32,
     counts: &mut StageCounts,
     scratch: &mut KeySortScratch<T>,
 ) {
-    let splat_of = |entry: &T| &projected[slot_of(entry) as usize];
+    let splat_of = |entry: &T| &projected[entry.slot() as usize];
     for bin in 0..bins.bin_count() {
         let list = bins.bin_mut(bin);
         if list.len() <= 1 {
@@ -271,14 +279,10 @@ pub fn sort_bins_by_depth<T: SortEntry>(
 
 /// Returns `true` when a list of splat references is sorted front-to-back
 /// (by depth, ties by scene index). Used by tests and equivalence checks.
-pub fn is_sorted_by_depth<T>(
-    list: &[T],
-    projected: &[ProjectedGaussian],
-    slot_of: impl Fn(&T) -> u32,
-) -> bool {
+pub fn is_sorted_by_depth<T: SortEntry>(list: &[T], projected: &[ProjectedGaussian]) -> bool {
     let key_of = |entry: &T| {
         projected
-            .get(slot_of(entry) as usize)
+            .get(entry.slot() as usize)
             .map(|splat| splat_key(splat.depth, splat.index))
     };
     list.windows(2).all(|pair| match pair {
@@ -323,7 +327,7 @@ mod tests {
         let mut bins = CsrAssignments::new();
         staging.build_into(1, &mut bins);
         let mut counts = StageCounts::new();
-        sort_bins_by_depth(&mut bins, projected, |&slot| slot, &mut counts, scratch);
+        sort_bins_by_depth(&mut bins, projected, &mut counts, scratch);
         (bins.bin(0).to_vec(), counts)
     }
 
@@ -445,7 +449,6 @@ mod tests {
         sort_bins_by_depth(
             &mut bins,
             &projected,
-            |&slot| slot,
             &mut StageCounts::new(),
             &mut KeySortScratch::new(),
         );

@@ -7,38 +7,38 @@
 //! machinery that is identical between them; the one frame loop that
 //! composes it (`splat_render::Session`) is generic over that keying:
 //!
-//! * [`backend`] — the backend-agnostic rendering API: [`RenderRequest`] /
+//! * `backend` — the backend-agnostic rendering API: [`RenderRequest`] /
 //!   [`RenderOutput`] with panic-free validation, and the [`RenderBackend`]
 //!   trait sessions implement so callers (most importantly the
 //!   serving `Engine` in `splat-engine`) can swap pipelines behind a
 //!   `dyn RenderBackend`.
-//! * [`arena`] — [`FrameArena`], the recyclable per-frame scratch (and the
+//! * `arena` — [`FrameArena`], the recyclable per-frame scratch (and the
 //!   [`SessionFrame`] output type) the render sessions build on to reach an
 //!   allocation-free steady state over camera trajectories.
-//! * [`csr`] — the flat CSR-style assignment layout (counting prepass →
+//! * `csr` — the flat CSR-style assignment layout (counting prepass →
 //!   prefix-sum offsets → stable scatter) both identification stages build
 //!   their per-tile / per-group lists into.
-//! * [`keysort`] — [`sort_bins_by_depth`], the stable radix argsort of
+//! * `keysort` — [`sort_bins_by_depth`], the stable radix argsort of
 //!   every CSR bin on the 32-bit depth key; bins arrive in ascending scene
 //!   index, so it yields `(depth, scene index)` order. An entry type
 //!   implements [`SortEntry`] so the sort can park it in its two key
 //!   buffers instead of copying the bin. Plus
-//!   [`splat_key`], the 64-bit key the reference sorts by, and the modeled
+//!   `splat_key`, the 64-bit key the reference sorts by, and the modeled
 //!   comparison count that keeps the paper's redundancy accounting.
-//! * [`exec`] — the shared execution configuration: the worker thread
+//! * `exec` — the shared execution configuration: the worker thread
 //!   count, with the single `with_threads` knob every pipeline
 //!   configuration re-uses through [`HasExecution`].
-//! * [`schedule`] — [`TileScheduler`], the deterministic scoped-thread
+//! * `schedule` — `TileScheduler`, the deterministic scoped-thread
 //!   work-partition scheduler the rasterization fan-out runs on.
-//! * [`shade`] — [`shade_tiles`], the one tile-shading driver both
+//! * `shade` — [`shade_tiles`], the one tile-shading driver both
 //!   pipelines feed with `(rect, sorted slot list)` through [`TileLists`].
-//! * [`blend`] — the front-to-back α-blending tile kernel and the
+//! * `blend` — the front-to-back α-blending tile kernel and the
 //!   reference thresholds.
-//! * [`exp`] — [`exp_neg`], the owned exponential every α evaluation
+//! * `exp` — `exp_neg`, the owned exponential every α evaluation
 //!   calls.
 //! * [`reference`](mod@reference) — the brute-force, tile-free image both
 //!   pipelines are checked against; no render path calls it.
-//! * [`splat`], [`rect`], [`image`], [`stats`] — the data types the stages
+//! * `splat`, `rect`, `image`, `stats` — the data types the stages
 //!   exchange: projected splats, pixel rectangles, framebuffers and
 //!   operation counters.
 
@@ -49,35 +49,29 @@
 #![cfg_attr(not(test), deny(clippy::panic, clippy::todo, clippy::unimplemented))]
 #![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_types))]
 
-pub mod arena;
-pub mod backend;
-pub mod blend;
-pub mod csr;
-pub mod exec;
-pub mod exp;
-pub mod image;
-pub mod keysort;
-pub mod rect;
+mod arena;
+mod backend;
+mod blend;
+mod csr;
+mod exec;
+mod exp;
+mod image;
+mod keysort;
+mod rect;
 pub mod reference;
-pub mod schedule;
-pub mod shade;
-pub mod splat;
-pub mod stats;
+mod schedule;
+mod shade;
+mod splat;
+mod stats;
 
 pub use arena::{FrameArena, SessionFrame, SpanScratch};
 pub use backend::{request_cost_hint, RenderBackend, RenderOutput, RenderRequest};
-pub use blend::{
-    alpha_at, rasterize_tile_into_with, ALPHA_CULL_THRESHOLD, ALPHA_MAX, TRANSMITTANCE_EPSILON,
-};
+pub use blend::{ALPHA_CULL_THRESHOLD, TRANSMITTANCE_EPSILON};
 pub use csr::{CsrAssignments, CsrScratch};
 pub use exec::{ExecutionConfig, HasExecution, SimdMode, SpanMode};
-pub use exp::exp_neg;
 pub use image::Framebuffer;
-pub use keysort::{
-    is_sorted_by_depth, sort_bins_by_depth, splat_key, KeySortRun, KeySortScratch, SortEntry,
-};
+pub use keysort::{is_sorted_by_depth, sort_bins_by_depth, KeySortScratch, SortEntry};
 pub use rect::{TileRect, MAHALANOBIS_CUTOFF, SIGMA_EXTENT};
-pub use schedule::TileScheduler;
 pub use shade::{shade_tiles, TileLists};
 pub use splat::ProjectedGaussian;
 pub use stats::{RenderStats, StageCounts};

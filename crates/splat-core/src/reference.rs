@@ -2,19 +2,19 @@
 //!
 //! Both pipelines render by tiles: they test which splats may touch a tile
 //! (or a group), sort each list with the stable radix sort and blend every
-//! tile with the block kernel of [`crate::blend`]. Losslessness means that
+//! tile with the block kernel of `crate::blend`. Losslessness means that
 //! all of that machinery changes how much work is done, never the image.
 //! This module states the image without any of it: [`render_reference`]
 //! sorts every projected splat once, in the global `(depth, index)` order
-//! of [`splat_key`], and shades each pixel by walking that whole list with
-//! [`shade_pixel`]. It shares only [`alpha_at`], the thresholds and the
+//! of `splat_key`, and shades each pixel by walking that whole list with
+//! `shade_pixel`. It shares only `alpha_at`, the thresholds and the
 //! depth-to-`u32` mapping with the pipelines: no tile grid, boundary test,
 //! radix sort or tile kernel, and it breaks depth ties by the index in the
 //! key rather than by the order a bin was staged in. No render path calls
 //! it.
 //!
 //! A pipeline matches it bit for bit for two reasons: α is exactly zero
-//! outside a splat's 3σ ellipse ([`alpha_at`]), and every tile list is a
+//! outside a splat's 3σ ellipse (`alpha_at`), and every tile list is a
 //! subsequence of the global order that holds every splat with non-zero α
 //! on that tile. So pixels, `blend_operations` and `early_exits` are equal,
 //! and a pipeline's `alpha_computations` is at most the reference's.
@@ -27,7 +27,7 @@ use crate::stats::StageCounts;
 use splat_types::{Rgb, Vec2};
 
 /// Renders `projected` at `width` × `height` without tiles: one sort of
-/// every splat by [`splat_key`], then [`shade_pixel`] over the whole list
+/// every splat by `splat_key`, then `shade_pixel` over the whole list
 /// at every pixel centre. Returns the image and the raster counters
 /// (`pixels`, `alpha_computations`, `blend_operations`, `early_exits`).
 pub fn render_reference(
@@ -65,7 +65,7 @@ pub fn render_reference(
 /// # Panics
 ///
 /// Panics when a slot of `sorted` is out of bounds of `projected`.
-pub fn shade_pixel(
+pub(crate) fn shade_pixel(
     sorted: &[u32],
     projected: &[ProjectedGaussian],
     pixel_center: Vec2,

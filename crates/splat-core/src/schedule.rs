@@ -12,14 +12,14 @@ use crate::exec::ExecutionConfig;
 
 /// Schedules an indexed list of independent jobs across worker threads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TileScheduler {
+pub(crate) struct TileScheduler {
     threads: usize,
 }
 
 impl TileScheduler {
     /// Creates a scheduler over the given number of worker threads
     /// (clamped to at least one).
-    pub fn new(threads: usize) -> Self {
+    pub(crate) fn new(threads: usize) -> Self {
         Self {
             threads: threads.max(1),
         }
@@ -28,12 +28,6 @@ impl TileScheduler {
     /// Creates a scheduler from a shared execution configuration.
     pub(crate) fn from_exec(exec: &ExecutionConfig) -> Self {
         Self::new(exec.threads)
-    }
-
-    /// The worker thread count.
-    #[inline]
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// Runs `work` for every job index in `0..job_count` and returns the
@@ -53,7 +47,7 @@ impl TileScheduler {
         clippy::expect_used,
         reason = "re-raising a worker panic is the only sound option"
     )]
-    pub fn run<T, F>(&self, job_count: usize, work: F) -> Vec<T>
+    pub(crate) fn run<T, F>(&self, job_count: usize, work: F) -> Vec<T>
     where
         T: Send,
         F: Fn(usize) -> T + Sync,
@@ -89,13 +83,13 @@ mod tests {
 
     #[test]
     fn zero_threads_clamp_to_one() {
-        assert_eq!(TileScheduler::new(0).threads(), 1);
+        assert_eq!(TileScheduler::new(0).threads, 1);
     }
 
     #[test]
     fn from_exec_uses_the_shared_thread_knob() {
         let exec = ExecutionConfig::parallel(3);
-        assert_eq!(TileScheduler::from_exec(&exec).threads(), 3);
+        assert_eq!(TileScheduler::from_exec(&exec).threads, 3);
     }
 
     #[test]

@@ -45,10 +45,10 @@ pub trait TileLists: Sync {
 /// frame's dimensions and background) and returns the work performed.
 ///
 /// Every tile goes through the one in-place kernel,
-/// [`rasterize_tile_into_with`]. With one worker thread every tile is
+/// `rasterize_tile_into_with`. With one worker thread every tile is
 /// shaded directly into `image` through `tile_list` — no per-tile buffers,
 /// the allocation-free session path. With more threads the units fan out
-/// through the shared [`TileScheduler`]; each tile is shaded into a
+/// through the shared `TileScheduler`; each tile is shaded into a
 /// tile-sized [`Framebuffer`] at its origin and the tiles are placed in
 /// unit order. Both paths perform identical per-pixel operations, so pixels
 /// and [`StageCounts`] are bit-identical for any thread count.

@@ -74,16 +74,6 @@ impl StageCounts {
         Self::default()
     }
 
-    /// Average number of positive tile intersections per visible splat —
-    /// the quantity plotted in Fig. 5.
-    pub fn tiles_per_gaussian(&self) -> f64 {
-        if self.visible_gaussians == 0 {
-            0.0
-        } else {
-            self.tile_intersections as f64 / self.visible_gaussians as f64
-        }
-    }
-
     /// Average number of Gaussians processed per pixel (α-computations per
     /// pixel) — the quantity plotted in Fig. 7.
     pub fn gaussians_per_pixel(&self) -> f64 {
@@ -142,18 +132,7 @@ mod tests {
     #[test]
     fn derived_ratios_handle_zero_denominators() {
         let c = StageCounts::new();
-        assert_eq!(c.tiles_per_gaussian(), 0.0);
         assert_eq!(c.gaussians_per_pixel(), 0.0);
-    }
-
-    #[test]
-    fn tiles_per_gaussian_divides_correctly() {
-        let c = StageCounts {
-            visible_gaussians: 10,
-            tile_intersections: 73,
-            ..StageCounts::default()
-        };
-        assert!((c.tiles_per_gaussian() - 7.3).abs() < 1e-9);
     }
 
     #[test]

@@ -151,7 +151,7 @@ fn sort_as_one_bin(
     let mut bins = CsrAssignments::new();
     staging.build_into(1, &mut bins);
     let mut counts = StageCounts::new();
-    sort_bins_by_depth(&mut bins, &projected, |&slot| slot, &mut counts, scratch);
+    sort_bins_by_depth(&mut bins, &projected, &mut counts, scratch);
     let sorted = bins
         .bin(0)
         .iter()

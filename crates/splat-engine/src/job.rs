@@ -2,11 +2,9 @@
 //!
 //! [`Engine::submit`](crate::Engine::submit) turns a [`SubmitRequest`] into
 //! a queued job and hands back a [`JobHandle`] — the caller's only view of
-//! the job. The handle supports the three things a non-blocking client
-//! needs: [`JobHandle::wait`] (block for the result),
-//! [`JobHandle::try_poll`] (peek without blocking) and
-//! [`JobHandle::cancel`] (withdraw a job that has not started, freeing its
-//! queue slot).
+//! the job. The handle supports the two things a client needs:
+//! [`JobHandle::wait`] (block for the result) and [`JobHandle::cancel`]
+//! (withdraw a job that has not started, freeing its queue slot).
 //!
 //! A submission names its scene by the [`SceneId`] handle
 //! [`Engine::register_scene`](crate::Engine::register_scene) returned: the
@@ -24,8 +22,7 @@ use crate::queue::JobQueue;
 use crate::sync::LeafMutex;
 use crate::Engine;
 use splat_core::RenderOutput;
-use splat_scene::lod::{LodLadder, QualityTier};
-use splat_scene::{CameraTrajectory, Scene};
+use splat_scene::{CameraTrajectory, LodLadder, QualityTier, Scene};
 use splat_types::{Camera, Priority, RenderError, SceneId};
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar};
@@ -59,10 +56,10 @@ pub struct SubmitRequest {
     /// The scene to render, as registered with the engine the request is
     /// submitted to. A handle that does not resolve there is refused with
     /// [`RenderError::UnknownScene`] or [`RenderError::Evicted`].
-    pub scene: SceneId,
+    pub(crate) scene: SceneId,
     /// The posed camera; the framebuffer takes its dimensions from the
     /// camera intrinsics.
-    pub camera: Camera,
+    pub(crate) camera: Camera,
     /// Admission priority: higher classes dispatch first and shed last
     /// (default [`Priority::Normal`]).
     pub priority: Priority,
@@ -86,17 +83,6 @@ impl SubmitRequest {
     }
 }
 
-/// Where a submitted job currently is in its lifecycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JobStatus {
-    /// Admitted, waiting for a worker.
-    Queued,
-    /// A worker is rendering it.
-    Active,
-    /// The result (success or error) is available.
-    Finished,
-}
-
 /// The state cell shared between a [`JobHandle`] and the worker that
 /// eventually serves (or rejects) the job.
 #[derive(Debug)]
@@ -107,28 +93,19 @@ pub(crate) struct JobShared {
 
 #[derive(Debug)]
 enum JobPhase {
-    Queued,
-    Active,
-    /// `Some` until [`JobHandle::wait`] takes the result; `try_poll`
-    /// clones instead of taking, so polling never loses the result. Boxed
-    /// so the queued/active phases don't carry a framebuffer-sized slot.
+    /// Queued or rendering.
+    Pending,
+    /// `Some` until [`JobHandle::wait`] takes the result. Boxed so the
+    /// pending phase does not carry a framebuffer-sized slot.
     Finished(Box<Option<Result<RenderOutput, RenderError>>>),
 }
 
 impl JobShared {
     pub(crate) fn new() -> Arc<Self> {
         Arc::new(Self {
-            phase: LeafMutex::new("job phase", JobPhase::Queued),
+            phase: LeafMutex::new("job phase", JobPhase::Pending),
             ready: Condvar::new(),
         })
-    }
-
-    /// Marks the job as picked up by a worker.
-    pub(crate) fn set_active(&self) {
-        let mut phase = self.phase.lock();
-        if matches!(*phase, JobPhase::Queued) {
-            *phase = JobPhase::Active;
-        }
     }
 
     /// Stores the final result and wakes every waiter. Called exactly once
@@ -137,21 +114,6 @@ impl JobShared {
     pub(crate) fn finish(&self, result: Result<RenderOutput, RenderError>) {
         *self.phase.lock() = JobPhase::Finished(Box::new(Some(result)));
         self.ready.notify_all();
-    }
-
-    fn status(&self) -> JobStatus {
-        match *self.phase.lock() {
-            JobPhase::Queued => JobStatus::Queued,
-            JobPhase::Active => JobStatus::Active,
-            JobPhase::Finished(_) => JobStatus::Finished,
-        }
-    }
-
-    fn try_clone_result(&self) -> Option<Result<RenderOutput, RenderError>> {
-        match &*self.phase.lock() {
-            JobPhase::Finished(result) => (**result).clone(),
-            _ => None,
-        }
     }
 
     fn wait_take(&self) -> Result<RenderOutput, RenderError> {
@@ -199,11 +161,6 @@ impl JobHandle {
         }
     }
 
-    /// The engine-unique id of this job (monotonic in admission order).
-    pub fn id(&self) -> u64 {
-        self.id
-    }
-
     /// The admission priority the job was submitted with.
     pub fn priority(&self) -> Priority {
         self.priority
@@ -216,18 +173,6 @@ impl JobHandle {
     /// starts.
     pub fn tier(&self) -> QualityTier {
         self.tier
-    }
-
-    /// Where the job currently is: queued, rendering or finished.
-    pub fn status(&self) -> JobStatus {
-        self.shared.status()
-    }
-
-    /// Non-blocking poll: `None` while the job is queued or rendering,
-    /// `Some` clone of the result once it finished. The result stays with
-    /// the handle, so a later [`JobHandle::wait`] still succeeds.
-    pub fn try_poll(&self) -> Option<Result<RenderOutput, RenderError>> {
-        self.shared.try_clone_result()
     }
 
     /// Blocks until the job finishes and returns its result.
@@ -318,11 +263,6 @@ impl<'a> TrajectoryStream<'a> {
     /// `true` when the trajectory has no frames.
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// The configured in-flight window.
-    pub fn window(&self) -> usize {
-        self.window
     }
 
     /// Submits frames until the window is full or the path is exhausted.

@@ -6,8 +6,8 @@
 //! never touches the allocator), and renders **only through its queue**:
 //! [`Engine::submit`] enqueues one [`SubmitRequest`] on a bounded job queue
 //! drained by persistent worker threads (one per pooled session) and
-//! returns a [`JobHandle`] supporting [`wait`](JobHandle::wait),
-//! [`try_poll`](JobHandle::try_poll) and [`cancel`](JobHandle::cancel);
+//! returns a [`JobHandle`] supporting [`wait`](JobHandle::wait) and
+//! [`cancel`](JobHandle::cancel);
 //! [`Engine::stream_trajectory`] does the same for a whole camera path
 //! behind a bounded in-flight window. Every render is therefore admitted,
 //! tiered, counted and stoppable — there is no side door around admission
@@ -109,10 +109,10 @@
 #![cfg_attr(not(test), deny(clippy::panic, clippy::todo, clippy::unimplemented))]
 #![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_types))]
 
-pub mod job;
-pub mod policy;
-pub mod registry;
-pub mod stats;
+mod job;
+mod policy;
+mod registry;
+mod stats;
 
 mod builder;
 mod queue;
@@ -120,18 +120,17 @@ mod sync;
 mod worker;
 
 pub use builder::EngineBuilder;
-pub use job::{JobHandle, JobStatus, SubmitRequest, TrajectoryStream};
+pub use job::{JobHandle, SubmitRequest, TrajectoryStream};
 pub use policy::{AdmissionPolicy, QualityPolicy, ShutdownMode};
 pub use registry::{PreparedScene, ResidencyPolicy};
-pub use splat_scene::lod::{LodLadder, QualityTier};
-pub use splat_types::{Priority, SceneId};
+pub use splat_scene::QualityTier;
 pub use stats::EngineStats;
 
 use queue::JobQueue;
 use registry::SceneRegistry;
 use splat_core::{RenderBackend, RenderRequest};
-use splat_scene::{CameraTrajectory, Scene};
-use splat_types::{Camera, RenderError};
+use splat_scene::{CameraTrajectory, LodLadder, Scene};
+use splat_types::{Camera, Priority, RenderError, SceneId};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use sync::LeafMutex;
@@ -194,27 +193,6 @@ impl Engine {
     /// persistent worker threads draining the submission queue.
     pub fn worker_count(&self) -> usize {
         self.shared.pool.len()
-    }
-
-    /// The admission policy applied by [`Engine::submit`].
-    pub fn admission(&self) -> AdmissionPolicy {
-        self.admission
-    }
-
-    /// The quality policy applied by [`Engine::submit`] (see
-    /// [`EngineBuilder::quality`]).
-    pub fn quality(&self) -> QualityPolicy {
-        self.quality
-    }
-
-    /// The submission queue's capacity (maximum queued jobs).
-    pub fn queue_capacity(&self) -> usize {
-        self.shared.queue.capacity()
-    }
-
-    /// The scene registry's residency budget.
-    pub fn residency(&self) -> ResidencyPolicy {
-        self.shared.registry.policy()
     }
 
     /// Registers a scene with the engine's scene registry, returning the
@@ -521,9 +499,9 @@ mod tests {
         let engine = Engine::builder().build().expect("default engine");
         assert_eq!(engine.worker_count(), 1);
         assert_eq!(engine.shared.pool[0].lock().name(), "gstg-session");
-        assert_eq!(engine.admission(), AdmissionPolicy::Block);
-        assert_eq!(engine.quality(), QualityPolicy::FullOnly);
-        assert_eq!(engine.queue_capacity(), DEFAULT_QUEUE_CAPACITY);
+        assert_eq!(engine.admission, AdmissionPolicy::Block);
+        assert_eq!(engine.quality, QualityPolicy::FullOnly);
+        assert_eq!(engine.shared.queue.capacity(), DEFAULT_QUEUE_CAPACITY);
     }
 
     #[test]
@@ -737,27 +715,6 @@ mod tests {
         let stats = engine.stats();
         assert_eq!(stats.submitted, 0);
         assert_eq!(stats.scene_hits, 0);
-    }
-
-    #[test]
-    fn try_poll_transitions_none_to_some_and_keeps_the_result() {
-        let engine = paused(Engine::builder());
-        let scene = Arc::new(PaperScene::Playroom.build(SceneScale::Tiny, 0));
-        let camera = trajectory(1).camera(0);
-        let handle = engine
-            .submit(SubmitRequest::new(registered(&engine, &scene), camera))
-            .expect("valid submission");
-        assert_eq!(handle.status(), JobStatus::Queued);
-        assert!(handle.try_poll().is_none(), "paused engine: still queued");
-        engine.resume();
-        while handle.try_poll().is_none() {
-            std::thread::yield_now();
-        }
-        assert_eq!(handle.status(), JobStatus::Finished);
-        // Polling clones; the handle still owns the result for wait().
-        let polled = handle.try_poll().unwrap().expect("render succeeds");
-        let waited = handle.wait().expect("render succeeds");
-        assert_eq!(polled.image.max_abs_diff(&waited.image), 0.0);
     }
 
     #[test]
@@ -1148,7 +1105,6 @@ mod tests {
             .stream_trajectory(id, &path, Priority::Normal, 2)
             .unwrap();
         assert_eq!(stream.len(), 5);
-        assert_eq!(stream.window(), 2);
         for index in 0..path.len() {
             // The in-flight window bounds queue occupancy: never more than
             // `window` frames queued or rendering at once.

@@ -16,7 +16,7 @@
 //! is queued, never on worker timing, so an over-capacity burst deflates
 //! deterministically.
 
-use splat_scene::lod::QualityTier;
+use splat_scene::QualityTier;
 use splat_types::RenderError;
 
 /// What [`Engine::submit`](crate::Engine::submit) does when the job queue
@@ -63,7 +63,7 @@ impl AdmissionPolicy {
     /// would shed every submission, which is almost certainly a
     /// misconfiguration; earlier versions clamped it to 1 and silently
     /// served a different policy than the caller wrote.
-    pub fn validate(self) -> Result<(), RenderError> {
+    pub(crate) fn validate(self) -> Result<(), RenderError> {
         match self {
             AdmissionPolicy::ShedLowPriority { capacity: 0 } => {
                 Err(RenderError::InvalidConfiguration {
@@ -77,7 +77,7 @@ impl AdmissionPolicy {
     }
 
     /// Short stable label used in logs and JSON output.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             AdmissionPolicy::Block => "block",
             AdmissionPolicy::RejectWhenFull => "reject-when-full",
@@ -176,7 +176,7 @@ impl QualityPolicy {
     }
 
     /// Short stable label used in logs and JSON output.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             QualityPolicy::FullOnly => "full-only",
             QualityPolicy::Pinned(QualityTier::Full) => "pinned-full",

@@ -18,8 +18,7 @@ use crate::job::JobShared;
 use crate::policy::{AdmissionPolicy, QualityPolicy, ShutdownMode};
 use crate::stats::EngineStats;
 use crate::sync::LeafMutex;
-use splat_scene::lod::{LodLadder, QualityTier};
-use splat_scene::Scene;
+use splat_scene::{LodLadder, QualityTier, Scene};
 use splat_types::{Camera, Priority, RenderError};
 use std::cmp::Reverse;
 use std::sync::{Arc, Condvar};
@@ -27,20 +26,20 @@ use std::sync::{Arc, Condvar};
 /// One admitted job, owned by the queue until a worker pops it.
 #[derive(Debug)]
 pub(crate) struct Job {
-    pub id: u64,
-    pub priority: Priority,
-    pub cost: u64,
-    pub scene: Arc<Scene>,
-    pub camera: Camera,
+    pub(crate) id: u64,
+    pub(crate) priority: Priority,
+    pub(crate) cost: u64,
+    pub(crate) scene: Arc<Scene>,
+    pub(crate) camera: Camera,
     /// Quality tier assigned at admission by the [`QualityPolicy`] from
     /// the queue state observed under the lock. Workers serve the job at
     /// this tier; it never changes after admission.
-    pub tier: QualityTier,
+    pub(crate) tier: QualityTier,
     /// The scene's LOD ladder, prebuilt at registration whenever the
     /// engine's [`QualityPolicy`] can degrade — which is whenever `tier`
     /// can be a degraded one. Workers take the tier scene from here.
-    pub ladder: Option<Arc<LodLadder>>,
-    pub shared: Arc<JobShared>,
+    pub(crate) ladder: Option<Arc<LodLadder>>,
+    pub(crate) shared: Arc<JobShared>,
 }
 
 impl Job {
@@ -245,7 +244,6 @@ impl JobQueue {
         self.not_full.notify_one();
         // More jobs may remain dispatchable; keep sibling workers awake.
         self.not_empty.notify_one();
-        job.shared.set_active();
         Some(job)
     }
 

@@ -29,9 +29,8 @@
 
 use crate::stats::EngineStats;
 use crate::sync::{self, LeafMutex};
-use splat_scene::lod::LodLadder;
-use splat_scene::Scene;
-use splat_types::{RenderError, SceneId, Vec3};
+use splat_scene::{LodLadder, Scene};
+use splat_types::{RenderError, SceneId};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -71,7 +70,7 @@ const SCENE_ID_SEQ_BITS: u32 = 32;
 pub struct ResidencyPolicy {
     /// Maximum total [`Scene::footprint_bytes`] the registry keeps
     /// resident.
-    pub max_resident_bytes: usize,
+    pub(crate) max_resident_bytes: usize,
     /// Maximum number of scenes the registry keeps resident.
     pub max_resident_scenes: usize,
 }
@@ -137,10 +136,7 @@ pub struct PreparedScene {
     ladder: Option<Arc<LodLadder>>,
     id: SceneId,
     footprint_bytes: usize,
-    soa_footprint_bytes: usize,
     splat_count: usize,
-    bounds: (Vec3, Vec3),
-    centroid: Vec3,
 }
 
 impl PreparedScene {
@@ -158,20 +154,19 @@ impl PreparedScene {
         // An empty scene can never render (`RenderError::EmptyScene` at
         // every serve) and has no bounds; refuse it at registration so a
         // handle always points at servable work.
-        let bounds = scene.bounds().ok_or(RenderError::EmptyScene)?;
+        if scene.is_empty() {
+            return Err(RenderError::EmptyScene);
+        }
         // Force the SoA projection view here, off the registry lock, so
         // the first frame served against the handle never pays the O(n)
         // build (and the allocation lands outside any render session's
         // steady state).
-        let soa_footprint_bytes = scene.soa().footprint_bytes();
+        scene.soa();
         let ladder = build_ladder.then(|| Arc::new(LodLadder::build(&scene)));
         let ladder_bytes = ladder.as_ref().map_or(0, |ladder| ladder.footprint_bytes());
         Ok(Self {
             footprint_bytes: scene.footprint_bytes() + ladder_bytes,
-            soa_footprint_bytes,
             splat_count: scene.len(),
-            centroid: scene.centroid(),
-            bounds,
             scene,
             ladder,
             id: SceneId::from_raw(u64::MAX),
@@ -190,15 +185,8 @@ impl PreparedScene {
         &self.scene
     }
 
-    /// The prebuilt LOD ladder, present when the engine's `QualityPolicy`
-    /// can degrade. Tier scenes are shared: a degraded serve costs one
-    /// `Arc` clone, never a rebuild.
-    pub fn ladder(&self) -> Option<&Arc<LodLadder>> {
-        self.ladder.as_ref()
-    }
-
     /// The handle this engine issued for the scene.
-    pub fn id(&self) -> SceneId {
+    pub(crate) fn id(&self) -> SceneId {
         self.id
     }
 
@@ -210,29 +198,10 @@ impl PreparedScene {
         self.footprint_bytes
     }
 
-    /// Bytes of the prebuilt structure-of-arrays projection view
-    /// ([`splat_scene::SceneSoA::footprint_bytes`]). Reported for
-    /// observability; the residency budget charges the canonical storage
-    /// only, keeping historical budget semantics.
-    pub fn soa_footprint_bytes(&self) -> usize {
-        self.soa_footprint_bytes
-    }
-
     /// Number of splats (the scene-dependent half of every job's cost
     /// hint).
     pub fn splat_count(&self) -> usize {
         self.splat_count
-    }
-
-    /// Axis-aligned bounds of the splat centers (registration rejects
-    /// empty scenes, so bounds always exist).
-    pub fn bounds(&self) -> (Vec3, Vec3) {
-        self.bounds
-    }
-
-    /// Centroid of the splat centers.
-    pub fn centroid(&self) -> Vec3 {
-        self.centroid
     }
 
     /// The admission-control cost estimate of serving this scene at the
@@ -304,10 +273,6 @@ impl SceneRegistry {
             build_ladders,
             inner: LeafMutex::new("registry", RegistryInner::default()),
         }
-    }
-
-    pub(crate) fn policy(&self) -> ResidencyPolicy {
-        self.policy
     }
 
     /// Registers a scene, deflating the resident set to stay within the
@@ -549,9 +514,6 @@ mod tests {
         assert_eq!(prepared.id(), a);
         assert!(prepared.splat_count() > 0);
         assert!(prepared.footprint_bytes() > 0);
-        let (lo, hi) = prepared.bounds();
-        assert!(lo.x <= hi.x && lo.y <= hi.y && lo.z <= hi.z);
-        assert!(prepared.centroid().is_finite());
         assert_eq!(
             prepared.cost_hint(64, 48),
             prepared.splat_count() as u64 + 64 * 48
@@ -574,17 +536,13 @@ mod tests {
         let prepared = registry.prepared(id).expect("resident");
         // The SoA view was built at registration (shared Arc → same cache),
         // and its size is visible but not part of the residency charge.
-        assert_eq!(
-            prepared.soa_footprint_bytes(),
-            shared.soa().footprint_bytes()
-        );
-        assert!(prepared.soa_footprint_bytes() > 0);
+        let soa_footprint_bytes = shared.soa().footprint_bytes();
+        assert!(soa_footprint_bytes > 0);
         // Regression guard for the cached 3D covariances: the measured SoA
         // footprint must account for at least the 20 f32 component arrays
         // per splat (11 parameters + 9 covariance entries).
         assert!(
-            prepared.soa_footprint_bytes()
-                >= prepared.splat_count() * 20 * std::mem::size_of::<f32>(),
+            soa_footprint_bytes >= prepared.splat_count() * 20 * std::mem::size_of::<f32>(),
             "SoA footprint must include the cached covariance arrays"
         );
         assert_eq!(
@@ -743,13 +701,16 @@ mod tests {
         let plain = registry(ResidencyPolicy::unlimited());
         let plain_id = plain.register(Arc::clone(&shared)).unwrap();
         let prepared = plain.prepared(plain_id).expect("resident");
-        assert!(prepared.ladder().is_none(), "FullOnly engines skip ladders");
+        assert!(prepared.ladder.is_none(), "FullOnly engines skip ladders");
         assert_eq!(prepared.footprint_bytes(), shared.footprint_bytes());
 
         let laddered = SceneRegistry::new(ResidencyPolicy::unlimited(), true);
         let id = laddered.register(Arc::clone(&shared)).unwrap();
         let prepared = laddered.prepared(id).expect("resident");
-        let ladder = prepared.ladder().expect("degradable engines prebuild");
+        let ladder = prepared
+            .ladder
+            .clone()
+            .expect("degradable engines prebuild");
         assert_eq!(
             prepared.footprint_bytes(),
             shared.footprint_bytes() + ladder.footprint_bytes(),
@@ -764,7 +725,7 @@ mod tests {
         assert!(Arc::ptr_eq(&resolved, &shared));
         assert!(Arc::ptr_eq(
             resolved_ladder.as_ref().expect("ladder travels"),
-            ladder
+            &ladder
         ));
     }
 

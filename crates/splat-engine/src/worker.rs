@@ -174,10 +174,12 @@ mod tests {
             .expect("valid engine");
         let scene = Arc::new(PaperScene::Playroom.build(SceneScale::Tiny, 1));
         let id = engine.register_scene(scene).expect("valid");
-        let prepared = engine.prepared_scene(id).expect("resident");
-        let ladder = prepared
-            .ladder()
-            .expect("a degrading policy builds ladders");
+        let (_, ladder) = engine
+            .shared
+            .registry
+            .resolve_with_ladder(id)
+            .expect("resident");
+        let ladder = ladder.expect("a degrading policy builds ladders");
         let tier2 = ladder.scene(QualityTier::Tier2).expect("a degraded tier");
 
         let rendered = Arc::new(AtomicUsize::new(0));

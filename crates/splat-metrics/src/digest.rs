@@ -17,16 +17,13 @@
 //! values: a lane digest is never compared with a canonical one.
 //!
 //! ```
-//! use splat_metrics::{digest_f32s, fnv1a64, fnv1a64_lanes, Fnv1a64, Fnv1a64Lanes};
+//! use splat_metrics::digest::{fnv1a64_lanes, Fnv1a64, Fnv1a64Lanes};
 //!
-//! // The classic FNV-1a test vector.
-//! assert_eq!(fnv1a64(*b"foobar"), 0x85944171f73967e8);
-//!
-//! // Streaming and one-shot digests agree.
+//! // Floats are absorbed as their little-endian bit patterns.
 //! let mut hasher = Fnv1a64::new();
 //! hasher.write_f32(1.5);
 //! hasher.write_f32(-0.25);
-//! assert_eq!(hasher.finish(), digest_f32s([1.5, -0.25]));
+//! assert_eq!(hasher.finish(), 0xe594_cb32_b2a3_c302);
 //!
 //! // The lane digest of nothing is canonical FNV-1a over eight offset bases.
 //! assert_eq!(fnv1a64_lanes(&[]), 0xaf34_49a2_699d_5925);
@@ -66,7 +63,7 @@ impl Fnv1a64 {
     }
 
     /// Absorbs raw bytes.
-    pub fn write(&mut self, bytes: &[u8]) {
+    pub(crate) fn write(&mut self, bytes: &[u8]) {
         for &byte in bytes {
             self.state = (self.state ^ u64::from(byte)).wrapping_mul(FNV1A64_PRIME);
         }
@@ -95,21 +92,13 @@ impl Default for Fnv1a64 {
     }
 }
 
-/// One-shot FNV-1a 64-bit digest of a byte sequence.
-pub fn fnv1a64(bytes: impl IntoIterator<Item = u8>) -> u64 {
+/// One-shot FNV-1a 64-bit digest of a byte sequence: the oracle the
+/// published test vectors are checked against.
+#[cfg(test)]
+pub(crate) fn fnv1a64(bytes: impl IntoIterator<Item = u8>) -> u64 {
     let mut hasher = Fnv1a64::new();
     for byte in bytes {
         hasher.write(&[byte]);
-    }
-    hasher.finish()
-}
-
-/// One-shot digest of a sequence of `f32`s (little-endian bit patterns) —
-/// the helper golden-image tests use on framebuffer channel data.
-pub fn digest_f32s(values: impl IntoIterator<Item = f32>) -> u64 {
-    let mut hasher = Fnv1a64::new();
-    for value in values {
-        hasher.write_f32(value);
     }
     hasher.finish()
 }
@@ -259,6 +248,15 @@ pub fn fnv1a64_lanes(bytes: &[u8]) -> u64 {
 mod tests {
     use super::*;
 
+    /// Streaming digest of a sequence of `f32`s.
+    fn f32s_digest(values: impl IntoIterator<Item = f32>) -> u64 {
+        let mut hasher = Fnv1a64::new();
+        for value in values {
+            hasher.write_f32(value);
+        }
+        hasher.finish()
+    }
+
     #[test]
     fn matches_the_published_fnv1a_vectors() {
         // Reference vectors from the FNV specification draft.
@@ -278,10 +276,10 @@ mod tests {
     #[test]
     fn float_digest_is_bit_exact() {
         // Same values → same digest; any bit difference → different digest.
-        assert_eq!(digest_f32s([0.5, 1.5]), digest_f32s([0.5, 1.5]));
-        assert_ne!(digest_f32s([0.5, 1.5]), digest_f32s([1.5, 0.5]));
-        assert_ne!(digest_f32s([0.0]), digest_f32s([-0.0]));
-        assert_ne!(digest_f32s([]), digest_f32s([0.0]));
+        assert_eq!(f32s_digest([0.5, 1.5]), f32s_digest([0.5, 1.5]));
+        assert_ne!(f32s_digest([0.5, 1.5]), f32s_digest([1.5, 0.5]));
+        assert_ne!(f32s_digest([0.0]), f32s_digest([-0.0]));
+        assert_ne!(f32s_digest([]), f32s_digest([0.0]));
     }
 
     #[test]
@@ -290,14 +288,14 @@ mod tests {
         with_dims.write_u64(96);
         with_dims.write_u64(64);
         with_dims.write_f32(0.5);
-        assert_ne!(with_dims.finish(), digest_f32s([0.5]));
+        assert_ne!(with_dims.finish(), f32s_digest([0.5]));
     }
 
     #[test]
     fn pinned_digest_of_a_known_sequence_never_drifts() {
         // A golden value for the golden-value helper itself: if this
         // constant changes, every pinned framebuffer digest is invalid.
-        let digest = digest_f32s((0..16).map(|i| i as f32 * 0.125));
+        let digest = f32s_digest((0..16).map(|i| i as f32 * 0.125));
         assert_eq!(digest, 0x065b_0eb7_ae44_633b);
     }
 

@@ -13,9 +13,9 @@
 //!   rectangle (a box-constrained minimization of the Mahalanobis form).
 //!
 //! The rectangle type and the 3σ constants live in [`splat_core::rect`]
-//! (they are shared with the blending kernel) and are re-exported here.
+//! (they are shared with the blending kernel).
 
-pub use splat_core::{TileRect, MAHALANOBIS_CUTOFF, SIGMA_EXTENT};
+use splat_core::{TileRect, MAHALANOBIS_CUTOFF, SIGMA_EXTENT};
 
 use crate::config::BoundaryMethod;
 use splat_types::{Mat2, Vec2};
@@ -25,17 +25,17 @@ use splat_types::{Mat2, Vec2};
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GaussianFootprint {
     /// Projected center in pixels.
-    pub mean: Vec2,
+    pub(crate) mean: Vec2,
     /// Inverse of the 2D covariance (the conic used by α-computation).
-    pub inv_cov: Mat2,
+    pub(crate) inv_cov: Mat2,
     /// Unit vector of the major principal axis.
-    pub axis_major: Vec2,
+    pub(crate) axis_major: Vec2,
     /// Unit vector of the minor principal axis.
-    pub axis_minor: Vec2,
+    pub(crate) axis_minor: Vec2,
     /// 3σ extent along the major axis, in pixels.
-    pub radius_major: f32,
+    pub(crate) radius_major: f32,
     /// 3σ extent along the minor axis, in pixels.
-    pub radius_minor: f32,
+    pub(crate) radius_minor: f32,
 }
 
 impl GaussianFootprint {
@@ -100,7 +100,7 @@ impl GaussianFootprint {
     /// Squared Mahalanobis distance of a pixel-space point from the splat
     /// center: `(p-μ)ᵀ Σ⁻¹ (p-μ)`.
     #[inline]
-    pub fn mahalanobis_sq(&self, p: Vec2) -> f32 {
+    pub(crate) fn mahalanobis_sq(&self, p: Vec2) -> f32 {
         let d = p - self.mean;
         d.dot(self.inv_cov.mul_vec(d))
     }

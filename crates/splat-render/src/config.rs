@@ -1,7 +1,5 @@
 //! Rendering configuration: tile size, boundary method and thresholds.
 
-pub use splat_core::{ALPHA_CULL_THRESHOLD, ALPHA_MAX, TRANSMITTANCE_EPSILON};
-
 use splat_core::{ExecutionConfig, HasExecution};
 use splat_types::RenderError;
 
@@ -30,7 +28,7 @@ impl BoundaryMethod {
     ];
 
     /// Human-readable label used in experiment tables.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             BoundaryMethod::Aabb => "AABB",
             BoundaryMethod::Obb => "OBB",
@@ -141,7 +139,7 @@ impl RenderConfig {
     ///
     /// Returns [`RenderError::InvalidTileSize`] when the tile size is not a
     /// power of two of at least 4 pixels (zero included).
-    pub fn validate(&self) -> Result<(), RenderError> {
+    pub(crate) fn validate(&self) -> Result<(), RenderError> {
         if self.tile_size < 4 || !self.tile_size.is_power_of_two() {
             return Err(RenderError::InvalidTileSize {
                 tile_size: self.tile_size,
@@ -164,6 +162,7 @@ impl HasExecution for RenderConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use splat_core::{ALPHA_CULL_THRESHOLD, TRANSMITTANCE_EPSILON};
 
     #[test]
     fn default_matches_reference_settings() {

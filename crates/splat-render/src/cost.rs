@@ -10,7 +10,7 @@
 //! absolute scale is irrelevant — every figure normalizes to a baseline.
 
 use crate::config::BoundaryMethod;
-use crate::stats::StageCounts;
+use splat_core::StageCounts;
 
 /// Normalized per-stage times produced by the cost model.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -36,24 +36,6 @@ impl StageTimes {
             return 0.0;
         }
         baseline.total() / self.total()
-    }
-
-    /// Element-wise addition (used when aggregating multiple views).
-    pub fn add(&self, other: &StageTimes) -> StageTimes {
-        StageTimes {
-            preprocess: self.preprocess + other.preprocess,
-            sort: self.sort + other.sort,
-            raster: self.raster + other.raster,
-        }
-    }
-
-    /// Scales every stage by a constant (e.g. averaging over views).
-    pub fn scale(&self, factor: f64) -> StageTimes {
-        StageTimes {
-            preprocess: self.preprocess * factor,
-            sort: self.sort * factor,
-            raster: self.raster * factor,
-        }
     }
 }
 
@@ -81,25 +63,25 @@ pub enum ExecutionModel {
 pub struct CostModel {
     /// Cost of computing features (projection, EWA covariance, SH color)
     /// for one visible splat.
-    pub feature_per_visible: f64,
+    pub(crate) feature_per_visible: f64,
     /// Cost of culling one input splat (frustum + opacity test).
-    pub cull_per_input: f64,
+    pub(crate) cull_per_input: f64,
     /// Base cost of one tile/group boundary test; multiplied by the
     /// boundary method's relative test cost (AABB 1, OBB 2.5, ellipse 4).
-    pub tile_test_base: f64,
+    pub(crate) tile_test_base: f64,
     /// Cost of appending one (tile, splat) pair to an identification list.
-    pub intersection_append: f64,
+    pub(crate) intersection_append: f64,
     /// Cost of one depth-sort comparison.
-    pub sort_comparison: f64,
+    pub(crate) sort_comparison: f64,
     /// Cost of one bitmask AND/OR filter operation in the GS-TG
     /// rasterization front-end.
-    pub bitmask_filter_op: f64,
+    pub(crate) bitmask_filter_op: f64,
     /// Cost of one α-computation (Eq. 1).
-    pub alpha_computation: f64,
+    pub(crate) alpha_computation: f64,
     /// Cost of one α-blend accumulation (Eq. 2).
-    pub blend_operation: f64,
+    pub(crate) blend_operation: f64,
     /// Fixed per-pixel overhead of the rasterizer inner loop setup.
-    pub pixel_overhead: f64,
+    pub(crate) pixel_overhead: f64,
 }
 
 impl Default for CostModel {
@@ -293,16 +275,5 @@ mod tests {
         );
         let baseline_sort = model.baseline_times(&counts, BoundaryMethod::Aabb).sort;
         assert_eq!(overlapped.sort, baseline_sort);
-    }
-
-    #[test]
-    fn scale_and_add_compose() {
-        let t = StageTimes {
-            preprocess: 2.0,
-            sort: 4.0,
-            raster: 6.0,
-        };
-        let avg = t.add(&t).scale(0.5);
-        assert_eq!(avg, t);
     }
 }

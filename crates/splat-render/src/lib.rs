@@ -18,7 +18,7 @@
 //! recycled `splat_core::FrameArena`, generic over a [`Keying`] — the
 //! baseline's per-tile keying ([`Renderer`]) here, GS-TG's per-group keying
 //! in the `gstg` crate. The execution configuration, stage instrumentation
-//! ([`stats::StageCounts`]), tile scheduler, tile-shading driver and the
+//! (`splat_core::StageCounts`), tile scheduler, tile-shading driver and the
 //! blending kernels live in `splat-core`. An analytic [`cost::CostModel`]
 //! converts operation counts into normalized stage times for the
 //! figure-regeneration binaries.
@@ -51,33 +51,21 @@
 #![cfg_attr(not(test), deny(clippy::panic, clippy::todo, clippy::unimplemented))]
 #![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_types))]
 
-pub mod bounds;
-pub mod config;
-pub mod cost;
-pub mod pipeline;
-pub mod preprocess;
-pub mod session;
+mod bounds;
+mod config;
+mod cost;
+mod pipeline;
+mod preprocess;
+mod session;
 pub mod sort;
-pub mod tiling;
+mod tiling;
 
-// Shared machinery re-exported from `splat-core` under the paths this
-// crate's API exposed before the extraction.
-pub use splat_core::blend as raster;
-pub use splat_core::image;
-pub use splat_core::stats;
-
-pub use bounds::{GaussianFootprint, TileRect};
-pub use config::{
-    BoundaryMethod, PrepassMode, RenderConfig, ALPHA_CULL_THRESHOLD, TRANSMITTANCE_EPSILON,
-};
-pub use cost::{CostModel, StageTimes};
-pub use pipeline::{RenderOutput, Renderer};
-pub use preprocess::{preprocess_into, ProjectedGaussian};
-pub use session::{Keying, Session};
-pub use splat_core::{
-    ExecutionConfig, FrameArena, Framebuffer, HasExecution, RenderBackend, RenderRequest,
-    RenderStats, SessionFrame, StageCounts, TileScheduler,
-};
+pub use bounds::GaussianFootprint;
+pub use config::{BoundaryMethod, PrepassMode, RenderConfig};
+pub use cost::{CostModel, ExecutionModel, StageTimes};
+pub use pipeline::Renderer;
+pub use preprocess::preprocess_into;
+pub use session::{Keying, Session, BACKGROUND};
 pub use tiling::{identify_tiles_into, TileAssignments, TileGrid};
 
 /// The baseline session: the one frame loop keyed per tile.

@@ -8,47 +8,31 @@
 //! a session with a fresh arena.
 
 use crate::config::RenderConfig;
-use crate::preprocess::ProjectedGaussian;
-use crate::session::{Keying, Session};
+use crate::session::{Keying, Session, BACKGROUND};
 use crate::sort::sort_tiles_with;
 use crate::tiling::{identify_tiles_into, TileAssignments, TileGrid};
-use splat_core::{shade_tiles, CsrScratch, Framebuffer, KeySortScratch, SpanScratch, StageCounts};
+use splat_core::{
+    shade_tiles, CsrScratch, Framebuffer, KeySortScratch, ProjectedGaussian, RenderOutput,
+    SpanScratch, StageCounts,
+};
 use splat_scene::Scene;
-use splat_types::{Camera, RenderError, Rgb};
-
-pub use splat_core::RenderOutput;
+use splat_types::{Camera, RenderError};
 
 /// The baseline tile-based renderer.
 #[derive(Debug, Clone)]
 pub struct Renderer {
     config: RenderConfig,
-    background: Rgb,
 }
 
 impl Renderer {
-    /// Creates a renderer with the given configuration and a black
-    /// background.
+    /// Creates a renderer with the given configuration.
     pub fn new(config: RenderConfig) -> Self {
-        Self {
-            config,
-            background: Rgb::BLACK,
-        }
-    }
-
-    /// Returns a copy using the given background color.
-    pub fn with_background(mut self, background: Rgb) -> Self {
-        self.background = background;
-        self
+        Self { config }
     }
 
     /// The renderer's configuration.
     pub fn config(&self) -> &RenderConfig {
         &self.config
-    }
-
-    /// The background color pixels start from.
-    pub fn background(&self) -> Rgb {
-        self.background
     }
 
     /// Renders one view of the scene: a [`Session`] with a fresh arena
@@ -76,11 +60,11 @@ impl Renderer {
         image: &mut Framebuffer,
         _span: &mut SpanScratch,
     ) -> StageCounts {
-        image.reset(camera.width(), camera.height(), self.background);
+        image.reset(camera.width(), camera.height(), BACKGROUND);
         shade_tiles(
             assignments,
             projected,
-            self.background,
+            BACKGROUND,
             &self.config.exec,
             image,
             &mut Vec::new(),
@@ -106,10 +90,6 @@ impl Keying for Renderer {
 
     fn validate(&self) -> Result<(), RenderError> {
         self.config.validate()
-    }
-
-    fn background(&self) -> Rgb {
-        self.background
     }
 
     fn empty_assignments() -> TileAssignments {
@@ -271,11 +251,7 @@ mod tests {
         let counts = session.render(&scene, &camera).stats.counts;
         assert!(counts.tile_intersections > 0);
         for (_, list) in session.assignments().iter() {
-            assert!(splat_core::is_sorted_by_depth(
-                list,
-                session.projected(),
-                |&slot| slot
-            ));
+            assert!(splat_core::is_sorted_by_depth(list, session.projected()));
         }
     }
 

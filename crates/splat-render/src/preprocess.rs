@@ -19,12 +19,10 @@
 //! chunk's lane value, or [`Camera::to_view`] for the tail — and feeds it
 //! to both the cull and the projection.
 
-use crate::config::{RenderConfig, ALPHA_CULL_THRESHOLD};
-use crate::stats::StageCounts;
+use crate::config::RenderConfig;
+use splat_core::{ProjectedGaussian, StageCounts, ALPHA_CULL_THRESHOLD};
 use splat_scene::{Scene, SceneSoA};
 use splat_types::{eval_color, Camera, Frustum, Gaussian3d, Mat2, Mat3, Vec3};
-
-pub use splat_core::ProjectedGaussian;
 
 /// Runs preprocessing over a scene for a camera, accumulating the stage's
 /// counters into `counts`. `out` is cleared and refilled in scene order

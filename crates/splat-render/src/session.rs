@@ -25,16 +25,19 @@
 )]
 
 use crate::config::RenderConfig;
-use crate::preprocess::{preprocess_into, ProjectedGaussian};
+use crate::preprocess::preprocess_into;
 use crate::tiling::TileGrid;
 use splat_core::{
-    shade_tiles, CsrScratch, FrameArena, KeySortScratch, RenderBackend, RenderOutput,
-    RenderRequest, RenderStats, SessionFrame, SortEntry, StageCounts, TileLists,
+    shade_tiles, CsrScratch, FrameArena, KeySortScratch, ProjectedGaussian, RenderBackend,
+    RenderOutput, RenderRequest, RenderStats, SessionFrame, SortEntry, StageCounts, TileLists,
 };
 use splat_scene::Scene;
 use splat_types::{Camera, RenderError, Rgb};
 use std::fmt::Debug;
 use std::time::Instant;
+
+/// The color every frame starts from, in both pipelines.
+pub const BACKGROUND: Rgb = Rgb::BLACK;
 
 /// How a pipeline keys its work: which bins splats are identified into,
 /// how those bins are sorted, and (through [`TileLists`]) how a tile's
@@ -60,9 +63,6 @@ pub trait Keying: Clone + Debug + Send {
     ///
     /// Returns the typed error describing the first violated constraint.
     fn validate(&self) -> Result<(), RenderError>;
-
-    /// The background color pixels start from.
-    fn background(&self) -> Rgb;
 
     /// An empty assignment set, rebuilt in place by [`Keying::identify`].
     fn empty_assignments() -> Self::Assignments;
@@ -125,11 +125,6 @@ impl<K: Keying> Session<K> {
         Self::new(K::from(config))
     }
 
-    /// The wrapped renderer.
-    pub fn renderer(&self) -> &K {
-        &self.renderer
-    }
-
     /// The splats that survived culling in the last rendered frame, in
     /// scene order.
     pub fn projected(&self) -> &[ProjectedGaussian] {
@@ -190,14 +185,13 @@ impl<K: Keying> Session<K> {
         let sort_time = start.elapsed();
 
         let start = Instant::now();
-        let background = self.renderer.background();
         arena
             .framebuffer
-            .reset(camera.width(), camera.height(), background);
+            .reset(camera.width(), camera.height(), BACKGROUND);
         counts += shade_tiles(
             &self.assignments,
             &arena.projected,
-            background,
+            BACKGROUND,
             &config.exec,
             &mut arena.framebuffer,
             &mut self.tile_list,

@@ -12,10 +12,8 @@
 //! (`sort_keys`, `radix_passes`) and the modeled comparison count the
 //! paper's redundancy figures are expressed in.
 
-use crate::preprocess::ProjectedGaussian;
-use crate::stats::StageCounts;
 use crate::tiling::TileAssignments;
-use splat_core::{sort_bins_by_depth, KeySortScratch};
+use splat_core::{sort_bins_by_depth, KeySortScratch, ProjectedGaussian, StageCounts};
 
 /// Sorts every tile's splat list in place through a reusable key-sort
 /// scratch, accumulating the modeled comparison count and the measured
@@ -26,13 +24,7 @@ pub fn sort_tiles_with(
     counts: &mut StageCounts,
     scratch: &mut KeySortScratch<u32>,
 ) {
-    sort_bins_by_depth(
-        assignments.bins_mut(),
-        projected,
-        |&slot| slot,
-        counts,
-        scratch,
-    );
+    sort_bins_by_depth(assignments.bins_mut(), projected, counts, scratch);
 }
 
 #[cfg(test)]
@@ -57,7 +49,6 @@ mod tests {
         sort_bins_by_depth(
             &mut bins,
             projected,
-            |&slot| slot,
             &mut counts,
             &mut KeySortScratch::new(),
         );
@@ -74,7 +65,7 @@ mod tests {
     }
 
     fn is_sorted_by_depth(list: &[u32], projected: &[ProjectedGaussian]) -> bool {
-        splat_core::is_sorted_by_depth(list, projected, |&slot| slot)
+        splat_core::is_sorted_by_depth(list, projected)
     }
 
     fn projected_at(index: u32, depth: f32) -> ProjectedGaussian {

@@ -5,11 +5,9 @@
 //! machinery serves group identification in the GS-TG pipeline (a tile
 //! group is simply a grid with a larger tile size).
 
-use crate::bounds::{GaussianFootprint, TileRect};
+use crate::bounds::GaussianFootprint;
 use crate::config::{BoundaryMethod, PrepassMode};
-use crate::preprocess::ProjectedGaussian;
-use crate::stats::StageCounts;
-use splat_core::{CsrAssignments, CsrScratch, TileLists};
+use splat_core::{CsrAssignments, CsrScratch, ProjectedGaussian, StageCounts, TileLists, TileRect};
 use splat_types::{RenderError, Vec2};
 
 /// A regular grid of square tiles covering the output image.
@@ -50,7 +48,7 @@ impl TileGrid {
     ///
     /// Returns [`RenderError::InvalidTileSize`] when `tile_size` is zero
     /// and [`RenderError::InvalidResolution`] when the image is empty.
-    pub fn try_new(width: u32, height: u32, tile_size: u32) -> Result<Self, RenderError> {
+    pub(crate) fn try_new(width: u32, height: u32, tile_size: u32) -> Result<Self, RenderError> {
         if tile_size == 0 {
             return Err(RenderError::InvalidTileSize { tile_size });
         }
@@ -58,24 +56,6 @@ impl TileGrid {
             return Err(RenderError::InvalidResolution { width, height });
         }
         Ok(Self::new(width, height, tile_size))
-    }
-
-    /// Edge length of a tile in pixels.
-    #[inline]
-    pub fn tile_size(&self) -> u32 {
-        self.tile_size
-    }
-
-    /// Image width in pixels.
-    #[inline]
-    pub fn width(&self) -> u32 {
-        self.width
-    }
-
-    /// Image height in pixels.
-    #[inline]
-    pub fn height(&self) -> u32 {
-        self.height
     }
 
     /// Number of tile columns.
@@ -206,12 +186,6 @@ impl TileAssignments {
         }
     }
 
-    /// The grid the assignments refer to.
-    #[inline]
-    pub fn grid(&self) -> &TileGrid {
-        &self.grid
-    }
-
     /// Splat list of the tile with flattened index `tile`.
     #[inline]
     pub fn tile(&self, tile: usize) -> &[u32] {
@@ -236,7 +210,7 @@ impl TileAssignments {
     }
 
     /// Bytes currently reserved by the assignment buffers.
-    pub fn footprint_bytes(&self) -> usize {
+    pub(crate) fn footprint_bytes(&self) -> usize {
         self.per_tile.footprint_bytes()
             + self.tiles_per_gaussian.capacity() * std::mem::size_of::<u32>()
     }
@@ -439,7 +413,7 @@ pub(crate) mod tests {
     fn floor_then_clamp(grid: &TileGrid, center: Vec2, half_extent: Vec2) -> (u32, u32, u32, u32) {
         let clamp_x = |v: f32| v.clamp(0.0, grid.tiles_x() as f32) as u32;
         let clamp_y = |v: f32| v.clamp(0.0, grid.tiles_y() as f32) as u32;
-        let size = grid.tile_size() as f32;
+        let size = grid.tile_size as f32;
         (
             clamp_x(((center.x - half_extent.x) / size).floor()),
             clamp_x(((center.x + half_extent.x) / size).floor() + 1.0),

@@ -29,15 +29,14 @@
 #![cfg_attr(not(test), deny(clippy::panic, clippy::todo, clippy::unimplemented))]
 #![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_types))]
 
-pub mod datasets;
+mod datasets;
 pub mod io;
-pub mod lod;
-pub use splat_types::rng;
-pub mod scene;
-pub mod synth;
-pub mod trajectory;
+mod lod;
+mod scene;
+mod synth;
+mod trajectory;
 
-pub use datasets::{PaperScene, SceneScale, SceneType};
+pub use datasets::{PaperScene, SceneScale};
 pub use lod::{LodLadder, QualityTier};
 pub use scene::{Scene, SceneSoA};
 pub use synth::{SceneGenerator, SynthProfile};

@@ -14,7 +14,7 @@
 //! | Tier | Derivation | Saves |
 //! |---|---|---|
 //! | [`QualityTier::Full`] | the scene itself | — |
-//! | [`QualityTier::Tier1`] | SH degree capped at [`REDUCED_SH_DEGREE`] (0, the base color) | SH evaluation + bandwidth |
+//! | [`QualityTier::Tier1`] | SH degree capped at `REDUCED_SH_DEGREE` (0, the base color) | SH evaluation + bandwidth |
 //! | [`QualityTier::Tier2`] | + opacity-pruned splats | preprocessing + sorting |
 //! | [`QualityTier::Tier3`] | + 2:1 decimation, rendered at half resolution | everything, ~4× pixels |
 //!
@@ -24,8 +24,7 @@
 //! demand and is the oracle the ladder is tested against.
 
 use crate::scene::Scene;
-use splat_types::sh::coefficient_count;
-use splat_types::{Gaussian3d, Rgb, ShCoefficients};
+use splat_types::{coefficient_count, Gaussian3d, Rgb, ShCoefficients};
 use std::sync::Arc;
 
 /// Opacity below which a splat is dropped at [`QualityTier::Tier2`].
@@ -33,7 +32,7 @@ use std::sync::Arc;
 /// Nearly transparent splats contribute little to the blend but cost the
 /// full preprocessing/sorting path; pruning them first is the cheapest
 /// rung of the ladder after SH reduction.
-pub const OPACITY_PRUNE_THRESHOLD: f32 = 0.2;
+pub(crate) const OPACITY_PRUNE_THRESHOLD: f32 = 0.2;
 
 /// Decimation stride of [`QualityTier::Tier3`]: every `DECIMATION_STRIDE`-th
 /// splat (starting at index 0) is kept.
@@ -44,7 +43,7 @@ pub(crate) const DECIMATION_STRIDE: usize = 2;
 /// Zero keeps only the DC band: degraded serves drop view-dependent color
 /// entirely, which degrades every scene (the synthetic evaluation set
 /// carries degree-1 SH, so any higher cap would be a no-op rung there).
-pub const REDUCED_SH_DEGREE: usize = 0;
+pub(crate) const REDUCED_SH_DEGREE: usize = 0;
 
 /// One rung of the serving quality ladder.
 ///
@@ -56,11 +55,11 @@ pub enum QualityTier {
     /// Full quality: the scene exactly as registered.
     #[default]
     Full,
-    /// SH degree capped at [`REDUCED_SH_DEGREE`]: view-dependent color
+    /// SH degree capped at `REDUCED_SH_DEGREE`: view-dependent color
     /// keeps only the DC band.
     Tier1,
     /// [`QualityTier::Tier1`] plus opacity pruning below
-    /// [`OPACITY_PRUNE_THRESHOLD`] (stable index order; falls back to the
+    /// `OPACITY_PRUNE_THRESHOLD` (stable index order; falls back to the
     /// unpruned set rather than ever serving an empty scene).
     Tier2,
     /// [`QualityTier::Tier2`] plus 2:1 decimation, rendered at half
@@ -221,7 +220,7 @@ impl Scene {
     /// Returns a copy keeping every `stride`-th splat starting at index 0
     /// (a stride of 0 or 1 keeps everything). Index 0 is always kept, so a
     /// non-empty scene stays non-empty.
-    pub fn decimated(&self, stride: usize) -> Scene {
+    pub(crate) fn decimated(&self, stride: usize) -> Scene {
         if stride <= 1 {
             return self.clone();
         }

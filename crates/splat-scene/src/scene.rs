@@ -296,7 +296,8 @@ impl Scene {
 
     /// Axis-aligned bounds of all splat centers, or `None` for an empty
     /// scene.
-    pub fn bounds(&self) -> Option<(Vec3, Vec3)> {
+    #[cfg(test)]
+    pub(crate) fn bounds(&self) -> Option<(Vec3, Vec3)> {
         let mut iter = self.gaussians.iter();
         let first = iter.next()?.position();
         let mut lo = first;
@@ -309,7 +310,8 @@ impl Scene {
     }
 
     /// Centroid of all splat centers, or the origin for an empty scene.
-    pub fn centroid(&self) -> Vec3 {
+    #[cfg(test)]
+    pub(crate) fn centroid(&self) -> Vec3 {
         if self.gaussians.is_empty() {
             return Vec3::ZERO;
         }

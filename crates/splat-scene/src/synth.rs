@@ -13,8 +13,8 @@
     reason = "the deterministic scene synthesizer seeds its xoshiro RNG from the scene seed"
 )]
 
-use crate::rng::Rng;
 use crate::scene::Scene;
+use splat_types::rng::Rng;
 use splat_types::{Gaussian3d, Quat, Rgb, ShCoefficients, Vec3};
 
 /// Statistical profile of a synthetic splat population.
@@ -31,21 +31,21 @@ pub struct SynthProfile {
     pub cluster_count: usize,
     /// Standard deviation of splat placement around a cluster center,
     /// as a fraction of the lateral extent.
-    pub cluster_spread: f32,
+    pub(crate) cluster_spread: f32,
     /// Fraction of splats scattered uniformly instead of clustered
     /// (background / floater splats).
-    pub background_fraction: f32,
+    pub(crate) background_fraction: f32,
     /// Lateral half-extent of the populated volume at the far end of
     /// `depth_range` (the slab widens with depth like a frustum).
     pub lateral_extent: f32,
     /// Range of depths (distance from the canonical camera) populated.
     pub depth_range: (f32, f32),
     /// Mean of `ln(scale)` for the log-normal splat scale distribution.
-    pub scale_log_mean: f32,
+    pub(crate) scale_log_mean: f32,
     /// Standard deviation of `ln(scale)`.
-    pub scale_log_std: f32,
+    pub(crate) scale_log_std: f32,
     /// Maximum axis ratio between the largest and smallest scale axis.
-    pub anisotropy: f32,
+    pub(crate) anisotropy: f32,
     /// Fraction of splats that are nearly opaque (opacity ≥ 0.9);
     /// the remainder follow a decaying distribution toward zero.
     pub opaque_fraction: f32,
@@ -93,11 +93,6 @@ impl SceneGenerator {
     /// Creates a generator for the given profile and seed.
     pub fn new(profile: SynthProfile, seed: u64) -> Self {
         Self { profile, seed }
-    }
-
-    /// The profile used by this generator.
-    pub fn profile(&self) -> &SynthProfile {
-        &self.profile
     }
 
     /// Generates the scene with the given name and output resolution.
@@ -204,7 +199,7 @@ fn normal(rng: &mut Rng) -> f32 {
     reason = "the loop above pushes exactly coefficient_count(degree) entries"
 )]
 fn random_sh(rng: &mut Rng, degree: usize) -> ShCoefficients {
-    let count = splat_types::sh::coefficient_count(degree.min(splat_types::SH_DEGREE_MAX));
+    let count = splat_types::coefficient_count(degree.min(splat_types::SH_DEGREE_MAX));
     let mut coeffs = Vec::with_capacity(count);
     // DC term: random base color mapped through the inverse SH0 weighting.
     let base = Rgb::new(rng.gen_f32(), rng.gen_f32(), rng.gen_f32());

@@ -16,11 +16,11 @@ pub struct CameraTrajectory {
 
 /// A single camera pose (eye position plus look-at target).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Pose {
+pub(crate) struct Pose {
     /// Camera position.
-    pub eye: Vec3,
+    pub(crate) eye: Vec3,
     /// Point the camera looks at.
-    pub target: Vec3,
+    pub(crate) target: Vec3,
 }
 
 impl CameraTrajectory {

@@ -16,7 +16,7 @@ pub struct ClientResponse {
     /// HTTP status code.
     pub status: u16,
     /// `(lowercased-name, value)` header pairs in wire order.
-    pub headers: Vec<(String, String)>,
+    pub(crate) headers: Vec<(String, String)>,
     /// The response body (chunked bodies are reassembled).
     pub body: Vec<u8>,
 }

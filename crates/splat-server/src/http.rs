@@ -13,15 +13,15 @@
 use std::io::{self, BufRead, Write};
 
 /// Upper bound on the request line plus all header lines, in bytes.
-pub const MAX_HEAD_BYTES: usize = 8 * 1024;
+pub(crate) const MAX_HEAD_BYTES: usize = 8 * 1024;
 
 /// Upper bound on the number of request headers.
-pub const MAX_HEADERS: usize = 64;
+pub(crate) const MAX_HEADERS: usize = 64;
 
 /// A malformed or over-limit request. `Display` is wire-facing: it is
 /// returned verbatim as the 400/413 response body.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HttpError {
+pub(crate) enum HttpError {
     /// The request line was not `METHOD PATH HTTP/1.x`.
     BadRequestLine,
     /// A header line had no `:` separator.
@@ -79,21 +79,21 @@ pub(crate) fn status_for_http_error(error: &HttpError) -> u16 {
 
 /// One parsed request. Header names are lowercased at parse time.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Request {
+pub(crate) struct Request {
     /// Request method, uppercase as sent (`GET`, `POST`, ...).
-    pub method: String,
+    pub(crate) method: String,
     /// Request target path, e.g. `/render` (query strings are kept
     /// verbatim; the router matches the full target).
-    pub path: String,
+    pub(crate) path: String,
     /// `(lowercased-name, value)` pairs in wire order.
-    pub headers: Vec<(String, String)>,
+    pub(crate) headers: Vec<(String, String)>,
     /// The request body (empty when no `Content-Length` was sent).
-    pub body: Vec<u8>,
+    pub(crate) body: Vec<u8>,
 }
 
 impl Request {
     /// First value of the named header (name compared lowercase).
-    pub fn header(&self, name: &str) -> Option<&str> {
+    pub(crate) fn header(&self, name: &str) -> Option<&str> {
         self.headers
             .iter()
             .find(|(key, _)| key == name)

@@ -84,9 +84,9 @@ impl JsonValue {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct JsonError {
     /// Byte offset into the input where parsing stopped.
-    pub offset: usize,
+    pub(crate) offset: usize,
     /// What went wrong.
-    pub message: &'static str,
+    pub(crate) message: &'static str,
 }
 
 impl std::fmt::Display for JsonError {

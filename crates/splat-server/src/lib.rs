@@ -59,18 +59,15 @@
 #![cfg_attr(not(test), deny(clippy::panic, clippy::todo, clippy::unimplemented))]
 #![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_types))]
 
-pub mod client;
-pub mod http;
-pub mod json;
-pub mod server;
-pub mod stats;
+mod client;
+mod http;
+mod json;
+mod server;
+mod stats;
 pub mod wire;
 
-pub use client::{one_shot, ClientResponse, Connection};
-pub use http::{HttpError, Request};
+pub use client::{one_shot, Connection};
 pub use json::{parse_json, JsonValue};
 pub use server::{Server, ServerConfig};
 pub use stats::ServerStats;
-pub use wire::{
-    decode_frame, decode_frame_chunk, encode_frame, frame_digest, FrameChunk, WireError,
-};
+pub use wire::{decode_frame, decode_frame_chunk, encode_frame, frame_digest, FrameChunk};

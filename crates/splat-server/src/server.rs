@@ -42,7 +42,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use splat_engine::{Engine, EngineStats, ShutdownMode};
-use splat_metrics::fnv1a64_lanes;
+use splat_metrics::digest::fnv1a64_lanes;
 use splat_scene::io::decode_scene;
 use splat_types::RenderError;
 
@@ -70,7 +70,7 @@ pub struct ServerConfig {
     pub pending_connections: usize,
     /// Largest accepted request body, in bytes; larger declared
     /// `Content-Length`s are refused with `413` without reading.
-    pub max_body_bytes: usize,
+    pub(crate) max_body_bytes: usize,
     /// Per-connection in-flight window for trajectory streams
     /// (clamped to at least 1).
     pub stream_window: usize,

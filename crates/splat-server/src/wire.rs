@@ -15,7 +15,7 @@
 //!
 //! ## Frame digest (`X-Splat-Digest`)
 //!
-//! [`splat_metrics::fnv1a64_lanes`] of the frame body: the body is read
+//! [`splat_metrics::digest::fnv1a64_lanes`] of the frame body: the body is read
 //! as little-endian `u32` words, word `i` goes to FNV-1a lane `i mod 8`
 //! (`lane = (lane ^ word) * prime`, each lane starting at the offset
 //! basis), and the digest is canonical byte-wise FNV-1a over the eight
@@ -37,7 +37,7 @@
 
 use splat_core::Framebuffer;
 use splat_engine::{QualityTier, SubmitRequest};
-use splat_metrics::Fnv1a64Lanes;
+use splat_metrics::digest::Fnv1a64Lanes;
 use splat_scene::CameraTrajectory;
 use splat_types::{Camera, CameraIntrinsics, Priority, RenderError, Rgb, SceneId, Vec3};
 
@@ -47,7 +47,7 @@ use crate::json::JsonValue;
 /// `POST /render` and per frame of `POST /trajectories`): 2²⁵, which still
 /// admits the paper's largest view (Residence, 5472 × 3648). A larger frame
 /// is refused as an invalid `height` before anything is allocated.
-pub const MAX_FRAME_PIXELS: u64 = 1 << 25;
+pub(crate) const MAX_FRAME_PIXELS: u64 = 1 << 25;
 
 /// Most frames one `POST /trajectories` request may ask for.
 pub(crate) const MAX_TRAJECTORY_FRAMES: usize = 4096;
@@ -81,7 +81,7 @@ fn read_record(bytes: &[u8]) -> Rgb {
     )
 }
 
-/// The wire digest of a frame: [`splat_metrics::fnv1a64_lanes`] of its
+/// The wire digest of a frame: [`splat_metrics::digest::fnv1a64_lanes`] of its
 /// [`encode_frame`] body, computed from the pixels without allocating.
 ///
 /// This is the value `X-Splat-Digest` carries. It is not the canonical
@@ -301,11 +301,11 @@ impl std::error::Error for RequestError {}
 #[derive(Debug, Clone)]
 pub struct RenderWireRequest {
     /// The registered scene to render.
-    pub scene_id: SceneId,
+    pub(crate) scene_id: SceneId,
     /// The validated camera.
-    pub camera: Camera,
+    pub(crate) camera: Camera,
     /// Admission priority (defaults to [`Priority::Normal`]).
-    pub priority: Priority,
+    pub(crate) priority: Priority,
 }
 
 impl RenderWireRequest {
@@ -319,11 +319,11 @@ impl RenderWireRequest {
 #[derive(Debug, Clone)]
 pub(crate) struct TrajectoryWireRequest {
     /// The registered scene to render.
-    pub scene_id: SceneId,
+    pub(crate) scene_id: SceneId,
     /// The orbit trajectory described by the body.
-    pub trajectory: CameraTrajectory,
+    pub(crate) trajectory: CameraTrajectory,
     /// Admission priority (defaults to [`Priority::Normal`]).
-    pub priority: Priority,
+    pub(crate) priority: Priority,
 }
 
 fn parse_vec3(value: Option<&JsonValue>, field: &'static str) -> Result<Vec3, RequestError> {
@@ -419,7 +419,7 @@ fn parse_camera(body: &JsonValue) -> Result<Camera, RequestError> {
 /// ```
 ///
 /// `priority` and `camera.up` are optional (`"normal"` / `+Y`); a camera
-/// beyond [`MAX_FRAME_PIXELS`] is refused.
+/// beyond `MAX_FRAME_PIXELS` is refused.
 pub fn parse_render_request(body: &JsonValue) -> Result<RenderWireRequest, RequestError> {
     Ok(RenderWireRequest {
         scene_id: parse_scene_id(body)?,

@@ -44,7 +44,7 @@ impl CameraIntrinsics {
 
     /// Fallible variant of [`CameraIntrinsics::from_fov_y`] rejecting
     /// zero-dimension resolutions and non-positive fields of view instead
-    /// of producing intrinsics that fail [`CameraIntrinsics::validate`].
+    /// of producing intrinsics that fail `CameraIntrinsics::validate`.
     ///
     /// # Errors
     ///
@@ -77,11 +77,6 @@ impl CameraIntrinsics {
         2.0 * (0.5 * self.height as f32 / self.focal_y).atan()
     }
 
-    /// Total number of pixels.
-    pub fn pixel_count(&self) -> u64 {
-        u64::from(self.width) * u64::from(self.height)
-    }
-
     /// Validates that the intrinsics describe a usable camera.
     ///
     /// # Errors
@@ -89,7 +84,7 @@ impl CameraIntrinsics {
     /// Returns [`Error::InvalidParameter`] when the resolution is zero or a
     /// focal length is not strictly positive and finite (NaN and infinite
     /// focal lengths — e.g. from a NaN field of view — are rejected).
-    pub fn validate(&self) -> Result<()> {
+    pub(crate) fn validate(&self) -> Result<()> {
         if self.width == 0 || self.height == 0 {
             return Err(Error::InvalidParameter {
                 name: "resolution",
@@ -124,7 +119,7 @@ pub struct Frustum {
     /// Near clipping distance.
     pub near: f32,
     /// Far clipping distance.
-    pub far: f32,
+    pub(crate) far: f32,
     /// Largest kept `|x| / depth`: the 1.3× guard band × `tan(fov_x / 2)`.
     pub limit_x: f32,
     /// Largest kept `|y| / depth`: the 1.3× guard band × `tan(fov_y / 2)`.
@@ -264,13 +259,6 @@ impl Camera {
         Ok(())
     }
 
-    /// Overrides the near/far clipping range.
-    pub fn with_clip_range(mut self, near: f32, far: f32) -> Self {
-        self.near = near;
-        self.far = far;
-        self
-    }
-
     /// The same pose at half the output resolution.
     ///
     /// Focal lengths and the principal point are scaled by exactly 0.5 (a
@@ -319,12 +307,6 @@ impl Camera {
     #[inline]
     pub fn near(&self) -> f32 {
         self.near
-    }
-
-    /// Far clipping distance.
-    #[inline]
-    pub fn far(&self) -> f32 {
-        self.far
     }
 
     /// Image width in pixels.
@@ -416,11 +398,6 @@ impl Camera {
         ))
     }
 
-    /// Projects a world-space point to pixel coordinates (`2D_XY`).
-    pub fn project(&self, world: Vec3) -> Option<Vec2> {
-        self.view_to_pixel(self.to_view(world))
-    }
-
     /// The camera-constant culling quantities: the clip range and the
     /// guard-band tangent limits. They depend only on the camera, so a
     /// renderer computes them once per frame, not once per splat.
@@ -487,7 +464,9 @@ mod tests {
     #[test]
     fn center_point_projects_to_principal_point() {
         let cam = test_camera();
-        let px = cam.project(Vec3::new(0.0, 0.0, 5.0)).expect("in front");
+        let px = cam
+            .view_to_pixel(cam.to_view(Vec3::new(0.0, 0.0, 5.0)))
+            .expect("in front");
         assert!((px.x - 400.0).abs() < 1e-3);
         assert!((px.y - 300.0).abs() < 1e-3);
     }
@@ -502,7 +481,9 @@ mod tests {
     #[test]
     fn points_behind_camera_do_not_project() {
         let cam = test_camera();
-        assert!(cam.project(Vec3::new(0.0, 0.0, -1.0)).is_none());
+        assert!(cam
+            .view_to_pixel(cam.to_view(Vec3::new(0.0, 0.0, -1.0)))
+            .is_none());
     }
 
     #[test]
@@ -540,14 +521,15 @@ mod tests {
 
     #[test]
     fn frustum_decides_like_the_per_call_test() {
-        let off_axis = |intrinsics| {
-            Camera::look_at(
+        let off_axis = |intrinsics| Camera {
+            near: 0.5,
+            far: 40.0,
+            ..Camera::look_at(
                 Vec3::new(2.0, -1.5, 3.0),
                 Vec3::new(-0.5, 0.75, 9.0),
                 Vec3::Y,
                 intrinsics,
             )
-            .with_clip_range(0.5, 40.0)
         };
         let cameras = [
             test_camera(),
@@ -643,7 +625,7 @@ mod tests {
         assert_eq!(half.view_matrix(), cam.view_matrix());
         assert_eq!(half.position(), cam.position());
         assert_eq!(half.near(), cam.near());
-        assert_eq!(half.far(), cam.far());
+        assert_eq!(half.far, cam.far);
         assert!((half_i.fov_y() - full_i.fov_y()).abs() < 1e-5);
         assert!(half.validate().is_ok());
 
@@ -671,8 +653,12 @@ mod tests {
     #[test]
     fn lateral_offset_moves_projection() {
         let cam = test_camera();
-        let left = cam.project(Vec3::new(-1.0, 0.0, 5.0)).unwrap();
-        let right = cam.project(Vec3::new(1.0, 0.0, 5.0)).unwrap();
+        let left = cam
+            .view_to_pixel(cam.to_view(Vec3::new(-1.0, 0.0, 5.0)))
+            .unwrap();
+        let right = cam
+            .view_to_pixel(cam.to_view(Vec3::new(1.0, 0.0, 5.0)))
+            .unwrap();
         // Symmetric offsets land symmetrically around the principal point
         // and on opposite sides of it.
         assert!((left.x - 400.0).abs() > 1.0);
@@ -778,8 +764,11 @@ mod tests {
     #[test]
     fn validate_rejects_bad_clip_ranges() {
         let intr = CameraIntrinsics::from_fov_y(1.0, 320, 240);
-        let camera = Camera::look_at(Vec3::ZERO, Vec3::new(0.0, 0.0, 1.0), Vec3::Y, intr)
-            .with_clip_range(10.0, 1.0);
+        let camera = Camera {
+            near: 10.0,
+            far: 1.0,
+            ..Camera::look_at(Vec3::ZERO, Vec3::new(0.0, 0.0, 1.0), Vec3::Y, intr)
+        };
         assert!(matches!(
             camera.validate(),
             Err(RenderError::DegenerateCamera { .. })
@@ -801,11 +790,5 @@ mod tests {
             Err(RenderError::InvalidIntrinsics { .. })
         ));
         assert!(CameraIntrinsics::try_from_fov_y(1.0, 640, 480).is_ok());
-    }
-
-    #[test]
-    fn pixel_count_matches_resolution() {
-        let intr = CameraIntrinsics::from_fov_y(1.0, 1959, 1090);
-        assert_eq!(intr.pixel_count(), 1959 * 1090);
     }
 }

@@ -36,16 +36,6 @@ impl Rgb {
         Self::new(v, v, v)
     }
 
-    /// Clamps every channel to `[0, 1]`.
-    #[inline]
-    pub fn clamped(self) -> Self {
-        Self::new(
-            self.r.clamp(0.0, 1.0),
-            self.g.clamp(0.0, 1.0),
-            self.b.clamp(0.0, 1.0),
-        )
-    }
-
     /// Maximum absolute per-channel difference to another color.
     #[inline]
     pub fn max_abs_diff(self, other: Self) -> f32 {
@@ -59,12 +49,6 @@ impl Rgb {
     #[inline]
     pub fn mean(self) -> f32 {
         (self.r + self.g + self.b) / 3.0
-    }
-
-    /// Returns `true` when every channel is finite.
-    #[inline]
-    pub fn is_finite(self) -> bool {
-        self.r.is_finite() && self.g.is_finite() && self.b.is_finite()
     }
 }
 
@@ -117,12 +101,6 @@ impl Mul<f32> for Rgb {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn clamp_bounds_channels() {
-        let c = Rgb::new(-0.5, 0.5, 1.5).clamped();
-        assert_eq!(c, Rgb::new(0.0, 0.5, 1.0));
-    }
 
     #[test]
     fn max_abs_diff_picks_largest_channel() {

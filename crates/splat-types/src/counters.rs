@@ -8,6 +8,8 @@
 /// passed through), `FIELDS` (the names), `values()` (the same order, as
 /// `u64`), `From<[u64; N]>` (its inverse), `to_json()` (one flat object,
 /// keys in declaration order) and a `Display` of `<value> <name>` tokens.
+/// The fields, `FIELDS`, `values()` and `to_json()` take the visibility
+/// the struct is declared with.
 ///
 /// Two opt-in tails follow the struct: `impl Add;` generates field-wise
 /// `Add`/`AddAssign`, and `<attrs> <vis> atomic Name;` generates a mirror
@@ -41,24 +43,24 @@ macro_rules! counters {
     ) => {
         $(#[$meta])*
         $vis struct $name {
-            $($(#[$fmeta])* pub $field: $ty),*
+            $($(#[$fmeta])* $vis $field: $ty),*
         }
 
         impl $name {
             /// Every counter's name, in declaration order.
-            pub const FIELDS: [&'static str; [$(stringify!($field)),*].len()] =
+            $vis const FIELDS: [&'static str; [$(stringify!($field)),*].len()] =
                 [$(stringify!($field)),*];
 
             /// Every counter's value, in [`FIELDS`](Self::FIELDS) order.
             #[allow(clippy::unnecessary_cast)]
-            pub fn values(&self) -> [u64; Self::FIELDS.len()] {
+            $vis fn values(&self) -> [u64; Self::FIELDS.len()] {
                 [$(self.$field as u64),*]
             }
 
             /// One machine-readable JSON object covering every counter,
             /// keys in [`FIELDS`](Self::FIELDS) order.
             #[allow(clippy::wrong_self_convention)] // `&self` is the published signature
-            pub fn to_json(&self) -> String {
+            $vis fn to_json(&self) -> String {
                 let pairs = Self::FIELDS.iter().zip(self.values());
                 let body: Vec<String> = pairs.map(|(k, v)| format!("\"{k}\":{v}")).collect();
                 format!("{{{}}}", body.join(","))

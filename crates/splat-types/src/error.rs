@@ -4,7 +4,7 @@ use crate::id::SceneId;
 use std::fmt;
 
 /// Convenience alias for results produced by this crate.
-pub type Result<T> = std::result::Result<T, Error>;
+pub(crate) type Result<T> = std::result::Result<T, Error>;
 
 /// Errors raised while constructing or manipulating the Gaussian data model.
 #[derive(Debug, Clone, PartialEq)]

@@ -90,14 +90,10 @@ impl Gaussian3d {
         Gaussian3d { rotation, ..self }
     }
 
-    /// The 3×3 world-space covariance `Σ = R S Sᵀ Rᵀ` (`3D_Cov`).
-    pub fn covariance(&self) -> Mat3 {
-        Self::covariance_of(self.scale, self.rotation)
-    }
-
-    /// [`Gaussian3d::covariance`] from raw parameters, shared with the
-    /// structure-of-arrays scene storage (`SceneSoA`) so both layouts run
-    /// the exact same floating-point operations.
+    /// The 3×3 world-space covariance `Σ = R S Sᵀ Rᵀ` (`3D_Cov`) from raw
+    /// parameters, shared with the structure-of-arrays scene storage
+    /// (`SceneSoA`) so both layouts run the exact same floating-point
+    /// operations.
     pub fn covariance_of(scale: Vec3, rotation: Quat) -> Mat3 {
         let r = rotation.to_rotation_matrix();
         let s = Mat3::from_diagonal(Vec3::new(
@@ -301,7 +297,7 @@ mod tests {
     #[test]
     fn covariance_is_symmetric_positive_definite() {
         let g = sample();
-        let cov = g.covariance();
+        let cov = Gaussian3d::covariance_of(g.scale(), g.rotation());
         for r in 0..3 {
             for c in 0..3 {
                 assert!(approx(cov.at(r, c), cov.at(c, r)), "symmetry ({r},{c})");
@@ -318,7 +314,7 @@ mod tests {
             .scale(Vec3::new(0.2, 0.3, 0.4))
             .opacity(1.0)
             .build();
-        let cov = g.covariance();
+        let cov = Gaussian3d::covariance_of(g.scale(), g.rotation());
         assert!(approx(cov.at(0, 0), 0.04));
         assert!(approx(cov.at(1, 1), 0.09));
         assert!(approx(cov.at(2, 2), 0.16));
@@ -401,7 +397,7 @@ mod tests {
                     rng.range_f32(-3.0, 3.0),
                 ))
                 .build();
-            let det = g.covariance().determinant();
+            let det = Gaussian3d::covariance_of(g.scale(), g.rotation()).determinant();
             let expected = (sx * sy * sz).powi(2);
             assert!(
                 (det - expected).abs() < 1e-3 * (1.0 + expected),

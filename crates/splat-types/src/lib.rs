@@ -39,28 +39,27 @@
 #![cfg_attr(not(test), deny(clippy::panic, clippy::todo, clippy::unimplemented))]
 #![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_types))]
 
-pub mod camera;
-pub mod color;
+mod camera;
+mod color;
 mod counters;
-pub mod error;
-pub mod gaussian;
+mod error;
+mod gaussian;
 pub mod half;
-pub mod id;
-pub mod mat;
-pub mod priority;
-pub mod quat;
+mod id;
+mod mat;
+mod priority;
+mod quat;
 pub mod rng;
-pub mod sh;
-pub mod vec;
+mod sh;
+mod vec;
 
 pub use camera::{Camera, CameraIntrinsics, Frustum};
 pub use color::Rgb;
-pub use error::{Error, RenderError, Result};
+pub use error::{Error, RenderError};
 pub use gaussian::{Gaussian3d, Gaussian3dBuilder, Precision};
-pub use half::F16;
 pub use id::SceneId;
-pub use mat::{Mat2, Mat3, Mat4};
+pub use mat::{Mat2, Mat3};
 pub use priority::Priority;
 pub use quat::Quat;
-pub use sh::{eval_color, ShCoefficients, SH_DEGREE_MAX};
-pub use vec::{Vec2, Vec3, Vec4};
+pub use sh::{coefficient_count, eval_color, ShCoefficients, SH_DEGREE_MAX};
+pub use vec::{Vec2, Vec3};

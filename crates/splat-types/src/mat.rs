@@ -13,21 +13,21 @@ use std::ops::{Add, Mul, Sub};
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Mat2 {
     /// Columns of the matrix.
-    pub cols: [Vec2; 2],
+    pub(crate) cols: [Vec2; 2],
 }
 
 /// A 3×3 single-precision matrix (3D covariance, rotations, Jacobians).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Mat3 {
     /// Columns of the matrix.
-    pub cols: [Vec3; 3],
+    pub(crate) cols: [Vec3; 3],
 }
 
 /// A 4×4 single-precision matrix (view and projection transforms).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Mat4 {
     /// Columns of the matrix.
-    pub cols: [Vec4; 4],
+    pub(crate) cols: [Vec4; 4],
 }
 
 impl Default for Mat2 {
@@ -50,7 +50,7 @@ impl Default for Mat4 {
 
 impl Mat2 {
     /// The identity matrix.
-    pub const IDENTITY: Self = Self {
+    pub(crate) const IDENTITY: Self = Self {
         cols: [Vec2::new(1.0, 0.0), Vec2::new(0.0, 1.0)],
     };
 
@@ -67,7 +67,7 @@ impl Mat2 {
 
     /// Builds a matrix from row-major scalar entries.
     #[inline]
-    pub const fn from_rows(m00: f32, m01: f32, m10: f32, m11: f32) -> Self {
+    pub(crate) const fn from_rows(m00: f32, m01: f32, m10: f32, m11: f32) -> Self {
         Self::from_cols(Vec2::new(m00, m10), Vec2::new(m01, m11))
     }
 
@@ -90,12 +90,6 @@ impl Mat2 {
         self.at(0, 0) * self.at(1, 1) - self.at(0, 1) * self.at(1, 0)
     }
 
-    /// Trace (sum of the diagonal).
-    #[inline]
-    pub fn trace(&self) -> f32 {
-        self.at(0, 0) + self.at(1, 1)
-    }
-
     /// Matrix inverse.
     ///
     /// # Errors
@@ -115,12 +109,6 @@ impl Mat2 {
             -self.at(1, 0) * inv_det,
             self.at(0, 0) * inv_det,
         ))
-    }
-
-    /// Transpose.
-    #[inline]
-    pub fn transpose(&self) -> Self {
-        Self::from_rows(self.at(0, 0), self.at(1, 0), self.at(0, 1), self.at(1, 1))
     }
 
     /// Eigenvalues of a *symmetric* 2×2 matrix, returned as
@@ -197,17 +185,12 @@ impl Mul<f32> for Mat2 {
 
 impl Mat3 {
     /// The identity matrix.
-    pub const IDENTITY: Self = Self {
+    pub(crate) const IDENTITY: Self = Self {
         cols: [
             Vec3::new(1.0, 0.0, 0.0),
             Vec3::new(0.0, 1.0, 0.0),
             Vec3::new(0.0, 0.0, 1.0),
         ],
-    };
-
-    /// The zero matrix.
-    pub const ZERO: Self = Self {
-        cols: [Vec3::ZERO, Vec3::ZERO, Vec3::ZERO],
     };
 
     /// Builds a matrix from three columns.
@@ -265,7 +248,7 @@ impl Mat3 {
     }
 
     /// Determinant.
-    pub fn determinant(&self) -> f32 {
+    pub(crate) fn determinant(&self) -> f32 {
         let c = &self.cols;
         c[0].dot(c[1].cross(c[2]))
     }
@@ -275,7 +258,8 @@ impl Mat3 {
     /// # Errors
     ///
     /// Returns [`Error::SingularMatrix`] for (near-)singular input.
-    pub fn inverse(&self) -> Result<Self> {
+    #[cfg(test)]
+    pub(crate) fn inverse(&self) -> Result<Self> {
         let det = self.determinant();
         if det.abs() < 1e-12 {
             return Err(Error::SingularMatrix { determinant: det });
@@ -351,7 +335,7 @@ impl Mul<f32> for Mat3 {
 
 impl Mat4 {
     /// The identity matrix.
-    pub const IDENTITY: Self = Self {
+    pub(crate) const IDENTITY: Self = Self {
         cols: [
             Vec4::new(1.0, 0.0, 0.0, 0.0),
             Vec4::new(0.0, 1.0, 0.0, 0.0),
@@ -376,7 +360,7 @@ impl Mat4 {
 
     /// Multiplies the matrix by a column vector.
     #[inline]
-    pub fn mul_vec(&self, v: Vec4) -> Vec4 {
+    pub(crate) fn mul_vec(&self, v: Vec4) -> Vec4 {
         self.cols[0] * v.x + self.cols[1] * v.y + self.cols[2] * v.z + self.cols[3] * v.w
     }
 
@@ -384,16 +368,6 @@ impl Mat4 {
     #[inline]
     pub(crate) fn transform_point(&self, p: Vec3) -> Vec4 {
         self.mul_vec(p.extend(1.0))
-    }
-
-    /// Transpose.
-    pub fn transpose(&self) -> Self {
-        Self::from_cols(
-            Vec4::new(self.at(0, 0), self.at(0, 1), self.at(0, 2), self.at(0, 3)),
-            Vec4::new(self.at(1, 0), self.at(1, 1), self.at(1, 2), self.at(1, 3)),
-            Vec4::new(self.at(2, 0), self.at(2, 1), self.at(2, 2), self.at(2, 3)),
-            Vec4::new(self.at(3, 0), self.at(3, 1), self.at(3, 2), self.at(3, 3)),
-        )
     }
 
     /// Extracts the upper-left 3×3 rotation/scale block.
@@ -518,7 +492,7 @@ mod tests {
     fn mat4_look_at_places_eye_at_origin() {
         let eye = Vec3::new(1.0, 2.0, 3.0);
         let view = Mat4::look_at_rh(eye, Vec3::ZERO, Vec3::Y);
-        let p = view.transform_point(eye).project().expect("finite w");
+        let p = view.transform_point(eye).truncate();
         assert!(approx(p.x, 0.0) && approx(p.y, 0.0) && approx(p.z, 0.0));
     }
 
@@ -526,10 +500,7 @@ mod tests {
     fn mat4_look_at_target_is_in_front() {
         // Looking down -Z in view space: the target must have negative z.
         let view = Mat4::look_at_rh(Vec3::new(0.0, 0.0, -5.0), Vec3::ZERO, Vec3::Y);
-        let p = view
-            .transform_point(Vec3::ZERO)
-            .project()
-            .expect("finite w");
+        let p = view.transform_point(Vec3::ZERO).truncate();
         assert!(p.z < 0.0);
     }
 
@@ -555,7 +526,7 @@ mod tests {
             let (l1, l2) = m.symmetric_eigenvalues();
             assert!(l1 >= l2, "case {case}");
             // Trace and determinant are preserved by the eigendecomposition.
-            assert!(approx(l1 + l2, m.trace()), "case {case}");
+            assert!(approx(l1 + l2, m.at(0, 0) + m.at(1, 1)), "case {case}");
             assert!(
                 (l1 * l2 - m.determinant()).abs() <= 1e-2 * (1.0 + m.determinant().abs()),
                 "case {case}"

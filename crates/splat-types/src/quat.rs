@@ -14,7 +14,7 @@ use std::ops::Mul;
 ///
 /// Construction helpers always return normalized quaternions; deserialized
 /// or manually constructed values can be re-normalized with
-/// [`Quat::normalized`].
+/// `Quat::normalized`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Quat {
     /// Scalar (real) part.
@@ -44,7 +44,7 @@ impl Quat {
 
     /// Creates a quaternion from raw coefficients (`w`, `x`, `y`, `z`).
     ///
-    /// The result is *not* normalized; call [`Quat::normalized`] when the
+    /// The result is *not* normalized; call `Quat::normalized` when the
     /// coefficients do not already lie on the unit sphere.
     #[inline]
     pub const fn new(w: f32, x: f32, y: f32, z: f32) -> Self {
@@ -85,7 +85,7 @@ impl Quat {
 
     /// Returns a unit quaternion in the same direction, or the identity if
     /// the norm is (near) zero.
-    pub fn normalized(self) -> Self {
+    pub(crate) fn normalized(self) -> Self {
         let n = self.norm();
         if n <= f32::EPSILON {
             Self::IDENTITY

@@ -15,8 +15,8 @@ pub const SH_DEGREE_MAX: usize = 3;
 /// Number of SH basis functions for a given degree.
 ///
 /// ```
-/// assert_eq!(splat_types::sh::coefficient_count(0), 1);
-/// assert_eq!(splat_types::sh::coefficient_count(3), 16);
+/// assert_eq!(splat_types::coefficient_count(0), 1);
+/// assert_eq!(splat_types::coefficient_count(3), 16);
 /// ```
 #[inline]
 pub const fn coefficient_count(degree: usize) -> usize {
@@ -93,10 +93,11 @@ pub(crate) fn eval_basis_into(
 /// in direction `dir` (normalized camera→splat direction), clamped to
 /// non-negative values as in the 3D-GS reference renderer.
 ///
-/// This is the shared kernel behind [`ShCoefficients::eval`] and the
-/// structure-of-arrays scene storage (`SceneSoA`), which stores all
-/// coefficients in one flat slice: both paths run bit-identical floating
-/// point because they run *this* code.
+/// This is the one evaluator: a [`ShCoefficients`] is evaluated through
+/// its [`degree`](ShCoefficients::degree) and
+/// [`coefficients`](ShCoefficients::coefficients), and the
+/// structure-of-arrays scene storage (`SceneSoA`) passes its flat slice,
+/// so every path runs bit-identical floating point.
 ///
 /// `degree` must be at most [`SH_DEGREE_MAX`] and `coeffs` must hold
 /// `coefficient_count(degree)` entries; extra entries are ignored.
@@ -128,7 +129,7 @@ pub struct ShCoefficients {
 impl ShCoefficients {
     /// Creates degree-0 coefficients that reproduce `base_color` exactly
     /// for every viewing direction.
-    pub fn constant(base_color: Rgb) -> Self {
+    pub(crate) fn constant(base_color: Rgb) -> Self {
         Self {
             degree: 0,
             coeffs: vec![Rgb::new(
@@ -177,13 +178,6 @@ impl ShCoefficients {
         &self.coeffs
     }
 
-    /// Evaluates the view-dependent color in direction `dir` (normalized
-    /// camera→splat direction), clamped to non-negative values as in the
-    /// 3D-GS reference renderer.
-    pub fn eval(&self, dir: Vec3) -> Rgb {
-        eval_color(self.degree, &self.coeffs, dir)
-    }
-
     /// Number of floating-point values stored (3 per basis function), used
     /// by the DRAM traffic model.
     #[inline]
@@ -202,6 +196,11 @@ impl Default for ShCoefficients {
 mod tests {
     use super::*;
     use crate::rng::Rng;
+
+    /// `sh`'s colour toward `dir` through the published evaluator.
+    fn eval(sh: &ShCoefficients, dir: Vec3) -> Rgb {
+        eval_color(sh.degree(), sh.coefficients(), dir)
+    }
 
     #[test]
     fn coefficient_counts() {
@@ -237,7 +236,7 @@ mod tests {
             Vec3::Z,
             Vec3::new(-0.5, 0.3, 0.8).normalized(),
         ] {
-            let c = sh.eval(dir);
+            let c = eval(&sh, dir);
             assert!(c.max_abs_diff(base) < 1e-5, "direction {dir:?}");
         }
     }
@@ -252,7 +251,7 @@ mod tests {
     fn eval_clamps_to_non_negative() {
         // Strongly negative DC coefficient would drive the color negative.
         let sh = ShCoefficients::from_coefficients(vec![Rgb::splat(-10.0)]).unwrap();
-        let c = sh.eval(Vec3::Z);
+        let c = eval(&sh, Vec3::Z);
         assert_eq!(c, Rgb::BLACK);
     }
 
@@ -262,8 +261,8 @@ mod tests {
         coeffs[0] = Rgb::splat(0.3);
         coeffs[2] = Rgb::new(0.5, 0.0, 0.0); // z-linear band
         let sh = ShCoefficients::from_coefficients(coeffs).unwrap();
-        let from_front = sh.eval(Vec3::Z);
-        let from_back = sh.eval(-Vec3::Z);
+        let from_front = eval(&sh, Vec3::Z);
+        let from_back = eval(&sh, -Vec3::Z);
         assert!(from_front.r > from_back.r);
     }
 
@@ -281,7 +280,7 @@ mod tests {
                 rng.range_f32(0.1, 1.0),
             )
             .normalized();
-            let owned = sh.eval(dir);
+            let owned = eval(&sh, dir);
             let slice = eval_color(3, &coeffs, dir);
             assert_eq!(owned.r.to_bits(), slice.r.to_bits());
             assert_eq!(owned.g.to_bits(), slice.g.to_bits());
@@ -313,8 +312,8 @@ mod tests {
                 .map(|i| Rgb::splat(((i as f32) + seed) * 0.01 - 0.5))
                 .collect();
             let sh = ShCoefficients::from_coefficients(coeffs).unwrap();
-            let c = sh.eval(dir);
-            assert!(c.is_finite());
+            let c = eval(&sh, dir);
+            assert!(c.r.is_finite() && c.g.is_finite() && c.b.is_finite());
             assert!(c.r >= 0.0 && c.g >= 0.0 && c.b >= 0.0);
         }
     }

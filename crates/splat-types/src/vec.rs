@@ -32,28 +32,23 @@ pub struct Vec3 {
 
 /// A 4-component single-precision vector (homogeneous coordinates).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct Vec4 {
+pub(crate) struct Vec4 {
     /// X component.
-    pub x: f32,
+    pub(crate) x: f32,
     /// Y component.
-    pub y: f32,
+    pub(crate) y: f32,
     /// Z component.
-    pub z: f32,
+    pub(crate) z: f32,
     /// W component.
-    pub w: f32,
+    pub(crate) w: f32,
 }
 
-macro_rules! impl_common {
+/// Norms, products and component-wise helpers of `Vec2` and `Vec3`.
+macro_rules! impl_metric {
     ($ty:ident, $($comp:ident),+) => {
         impl $ty {
             /// The zero vector.
             pub const ZERO: Self = Self { $($comp: 0.0),+ };
-
-            /// Creates a vector from its components.
-            #[inline]
-            pub const fn new($($comp: f32),+) -> Self {
-                Self { $($comp),+ }
-            }
 
             /// Creates a vector with every component set to `v`.
             #[inline]
@@ -103,12 +98,6 @@ macro_rules! impl_common {
                 Self { $($comp: self.$comp.max(rhs.$comp)),+ }
             }
 
-            /// Component-wise absolute value.
-            #[inline]
-            pub fn abs(self) -> Self {
-                Self { $($comp: self.$comp.abs()),+ }
-            }
-
             /// Largest component value.
             #[inline]
             pub fn max_component(self) -> f32 {
@@ -121,6 +110,19 @@ macro_rules! impl_common {
             #[inline]
             pub fn is_finite(self) -> bool {
                 true $(&& self.$comp.is_finite())+
+            }
+        }
+    };
+}
+
+/// Construction and component-wise arithmetic of every vector type.
+macro_rules! impl_common {
+    ($vis:vis $ty:ident, $($comp:ident),+) => {
+        impl $ty {
+            /// Creates a vector from its components.
+            #[inline]
+            $vis const fn new($($comp: f32),+) -> Self {
+                Self { $($comp),+ }
             }
         }
 
@@ -202,9 +204,11 @@ macro_rules! impl_common {
     };
 }
 
-impl_common!(Vec2, x, y);
-impl_common!(Vec3, x, y, z);
-impl_common!(Vec4, x, y, z, w);
+impl_common!(pub Vec2, x, y);
+impl_common!(pub Vec3, x, y, z);
+impl_common!(pub(crate) Vec4, x, y, z, w);
+impl_metric!(Vec2, x, y);
+impl_metric!(Vec3, x, y, z);
 
 impl Vec2 {
     /// Converts to an array `[x, y]`.
@@ -212,18 +216,11 @@ impl Vec2 {
     pub(crate) fn to_array(self) -> [f32; 2] {
         [self.x, self.y]
     }
-
-    /// Rotates the vector by `angle` radians counter-clockwise.
-    #[inline]
-    pub fn rotated(self, angle: f32) -> Self {
-        let (s, c) = angle.sin_cos();
-        Self::new(c * self.x - s * self.y, s * self.x + c * self.y)
-    }
 }
 
 impl Vec3 {
     /// Unit vector along +X.
-    pub const X: Self = Self::new(1.0, 0.0, 0.0);
+    pub(crate) const X: Self = Self::new(1.0, 0.0, 0.0);
     /// Unit vector along +Y.
     pub const Y: Self = Self::new(0.0, 1.0, 0.0);
     /// Unit vector along +Z.
@@ -237,7 +234,7 @@ impl Vec3 {
 
     /// Cross product.
     #[inline]
-    pub fn cross(self, rhs: Self) -> Self {
+    pub(crate) fn cross(self, rhs: Self) -> Self {
         Self::new(
             self.y * rhs.z - self.z * rhs.y,
             self.z * rhs.x - self.x * rhs.z,
@@ -247,7 +244,7 @@ impl Vec3 {
 
     /// Extends to homogeneous coordinates with the given `w`.
     #[inline]
-    pub fn extend(self, w: f32) -> Vec4 {
+    pub(crate) fn extend(self, w: f32) -> Vec4 {
         Vec4::new(self.x, self.y, self.z, w)
     }
 }
@@ -263,19 +260,6 @@ impl Vec4 {
     #[inline]
     pub(crate) fn truncate(self) -> Vec3 {
         Vec3::new(self.x, self.y, self.z)
-    }
-
-    /// Perspective division: divides the XYZ components by `w`.
-    ///
-    /// Returns `None` when `w` is (near) zero, which corresponds to a point
-    /// on the camera plane that cannot be projected.
-    #[inline]
-    pub fn project(self) -> Option<Vec3> {
-        if self.w.abs() <= f32::EPSILON {
-            None
-        } else {
-            Some(Vec3::new(self.x / self.w, self.y / self.w, self.z / self.w))
-        }
     }
 }
 
@@ -398,25 +382,6 @@ mod tests {
     fn normalizing_zero_vector_is_zero() {
         assert_eq!(Vec3::ZERO.normalized(), Vec3::ZERO);
         assert_eq!(Vec2::ZERO.normalized(), Vec2::ZERO);
-    }
-
-    #[test]
-    fn vec4_project_divides_by_w() {
-        let v = Vec4::new(2.0, 4.0, 6.0, 2.0);
-        assert_eq!(v.project(), Some(Vec3::new(1.0, 2.0, 3.0)));
-    }
-
-    #[test]
-    fn vec4_project_rejects_zero_w() {
-        let v = Vec4::new(1.0, 1.0, 1.0, 0.0);
-        assert_eq!(v.project(), None);
-    }
-
-    #[test]
-    fn rotated_quarter_turn() {
-        let v = Vec2::new(1.0, 0.0).rotated(std::f32::consts::FRAC_PI_2);
-        assert!(approx(v.x, 0.0));
-        assert!(approx(v.y, 1.0));
     }
 
     #[test]

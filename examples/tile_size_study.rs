@@ -9,7 +9,7 @@
 //! ```
 
 use gs_tg::prelude::*;
-use gs_tg::render::cost::{CostModel, ExecutionModel};
+use gs_tg::render::{CostModel, ExecutionModel};
 
 fn main() -> Result<(), RenderError> {
     let scene = PaperScene::Truck.build(SceneScale::Tiny, 0);

@@ -87,13 +87,12 @@ pub mod prelude {
         SessionFrame, StageCounts,
     };
     pub use splat_engine::{
-        AdmissionPolicy, Engine, EngineBuilder, EngineStats, JobHandle, JobStatus, LodLadder,
-        PreparedScene, QualityPolicy, QualityTier, ResidencyPolicy, ShutdownMode, SubmitRequest,
-        TrajectoryStream,
+        AdmissionPolicy, Engine, EngineBuilder, EngineStats, JobHandle, PreparedScene,
+        QualityPolicy, QualityTier, ResidencyPolicy, ShutdownMode, SubmitRequest, TrajectoryStream,
     };
     pub use splat_metrics::{geometric_mean, Table};
     pub use splat_render::{BoundaryMethod, RenderConfig, RenderSession, Renderer};
-    pub use splat_scene::{CameraTrajectory, PaperScene, Scene, SceneScale};
+    pub use splat_scene::{CameraTrajectory, LodLadder, PaperScene, Scene, SceneScale};
     pub use splat_server::{Server, ServerConfig, ServerStats};
     pub use splat_types::{
         Camera, CameraIntrinsics, Gaussian3d, Priority, Quat, RenderError, Rgb, SceneId, Vec3,

@@ -5,8 +5,7 @@
 //! direction each curve moves must match.
 
 use gs_tg::prelude::*;
-use gs_tg::render::cost::{CostModel, ExecutionModel};
-use gs_tg::render::{RenderConfig, Renderer};
+use gs_tg::render::{CostModel, ExecutionModel, RenderConfig, Renderer};
 
 fn camera_for(scene: &Scene, height: u32) -> Camera {
     let aspect = scene.width() as f32 / scene.height() as f32;

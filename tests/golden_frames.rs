@@ -13,7 +13,7 @@
 
 use gs_tg::core::Framebuffer;
 use gs_tg::prelude::*;
-use splat_metrics::{fnv1a64_lanes, Fnv1a64};
+use splat_metrics::digest::{fnv1a64_lanes, Fnv1a64};
 use splat_server::encode_frame;
 
 /// FNV-1a digest of a framebuffer: dimensions, then every pixel's

@@ -4,7 +4,7 @@
 use gs_tg::core::reference::render_reference;
 use gs_tg::core::Framebuffer;
 use gs_tg::prelude::*;
-use gs_tg::render::preprocess_into;
+use gs_tg::render::{preprocess_into, BACKGROUND};
 use gs_tg::scene::io::{decode_scene, encode_scene};
 
 fn camera(width: u32, height: u32) -> Camera {
@@ -147,9 +147,8 @@ fn wide_kernel_matches_scalar_at_every_tile_size() {
             &mut counts,
             &mut projected,
         );
-        let background = Renderer::new(RenderConfig::default()).background();
         let (reference, reference_counts) =
-            render_reference(&projected, cam.width(), cam.height(), background);
+            render_reference(&projected, cam.width(), cam.height(), BACKGROUND);
         for (tile_size, group_size) in [(8, 64), (32, 64), (64, 128)] {
             let config = GstgConfig::new(
                 tile_size,

@@ -25,7 +25,7 @@
 use gs_tg::core::reference::render_reference;
 use gs_tg::core::{Framebuffer, ProjectedGaussian};
 use gs_tg::prelude::*;
-use gs_tg::render::preprocess_into;
+use gs_tg::render::{preprocess_into, BACKGROUND};
 use gs_tg::types::rng::Rng;
 use gs_tg::types::Precision;
 
@@ -168,8 +168,7 @@ fn sweep(seed: u64, precision: Precision) -> (usize, Vec<String>) {
         let mut counts = StageCounts::new();
         let config = RenderConfig::default();
         preprocess_into(&scene, &cam, &config, &mut counts, &mut projected);
-        let background = Renderer::new(config).background();
-        let (image, counts) = render_reference(&projected, width, height, background);
+        let (image, counts) = render_reference(&projected, width, height, BACKGROUND);
         let mut oracle = Oracle {
             image,
             counts,

@@ -25,8 +25,8 @@
 
 use gs_tg::core::Framebuffer;
 use gs_tg::prelude::*;
-use gs_tg::scene::rng::Rng;
-use splat_metrics::Fnv1a64;
+use gs_tg::types::rng::Rng;
+use splat_metrics::digest::Fnv1a64;
 use std::sync::Arc;
 
 const BYTE_BUDGET_SCENES: usize = 3;
