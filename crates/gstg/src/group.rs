@@ -245,7 +245,7 @@ fn identify_groups_with_shift(
 
     for (slot, splat) in projected.iter().enumerate() {
         let Some(footprint) =
-            GaussianFootprint::from_covariance(splat.mean, splat.cov, splat.inv_cov)
+            GaussianFootprint::from_covariance(splat.mean, splat.cov, splat.conic())
         else {
             continue;
         };
@@ -329,7 +329,7 @@ pub(crate) mod tests {
             depth,
             mean,
             cov,
-            inv_cov: cov.inverse().unwrap(),
+            inv_det: 1.0 / cov.determinant(),
             opacity: 0.9,
             color: Rgb::WHITE,
         }

@@ -55,7 +55,8 @@ impl TileLists for GroupAssignments {
             *cursor = total;
             total += count;
         }
-        tile_list.clear();
+        // The scatter below writes every position of `[0, total)` exactly
+        // once, so only growth past the previous tile's length is filled.
         tile_list.resize(total as usize, 0);
         for entry in entries {
             for bit in entry.bitmask.iter_set() {
@@ -170,7 +171,7 @@ mod tests {
             depth,
             mean,
             cov,
-            inv_cov: cov.inverse().unwrap(),
+            inv_det: 1.0 / cov.determinant(),
             opacity: 0.9,
             color,
         }

@@ -74,7 +74,7 @@ pub(crate) mod tests {
             depth,
             mean: Vec2::new(32.0, 32.0),
             cov,
-            inv_cov: cov.inverse().unwrap(),
+            inv_det: 1.0 / cov.determinant(),
             opacity: 0.9,
             color: Rgb::WHITE,
         }
@@ -180,7 +180,7 @@ pub(crate) mod tests {
                     depth: (40 - i) as f32,
                     mean: Vec2::new(96.0 + (i % 5) as f32 * 8.0, 96.0 + (i / 5) as f32 * 4.0),
                     cov,
-                    inv_cov: cov.inverse().unwrap(),
+                    inv_det: 1.0 / cov.determinant(),
                     opacity: 0.9,
                     color: Rgb::WHITE,
                 }

@@ -168,7 +168,7 @@ fn steady_state_frames_allocate_nothing() {
     // removed from a frame moves these; update them only with a reason.
     assert_eq!(
         (baseline, gstg),
-        (392_404, 367_996),
+        (378_004, 353_596),
         "(baseline, gstg) footprint_bytes()"
     );
 }

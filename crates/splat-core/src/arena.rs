@@ -29,7 +29,7 @@ use std::time::Duration;
 #[derive(Debug, Clone)]
 pub struct FrameArena<T> {
     /// Projected splats of the current frame (cleared and refilled by
-    /// preprocessing; capacity is retained).
+    /// preprocessing; capacity is retained), 52 bytes each.
     pub projected: Vec<ProjectedGaussian>,
     /// Staging buffers for the CSR assignment build.
     pub csr: CsrScratch<T>,

@@ -166,10 +166,11 @@ fn shade_block(
         }
         counts.alpha_computations += live_pixels;
         let splat = &projected[slot as usize];
-        let m00 = splat.inv_cov.at(0, 0);
-        let m01 = splat.inv_cov.at(0, 1);
-        let m10 = splat.inv_cov.at(1, 0);
-        let m11 = splat.inv_cov.at(1, 1);
+        let conic = splat.conic();
+        let m00 = conic.at(0, 0);
+        let m01 = conic.at(0, 1);
+        let m10 = conic.at(1, 0);
+        let m11 = conic.at(1, 1);
         let Vec2 {
             x: mean_x,
             y: mean_y,
@@ -256,7 +257,7 @@ fn shade_block(
 #[inline]
 pub(crate) fn alpha_at(splat: &ProjectedGaussian, pixel: Vec2) -> f32 {
     let d = pixel - splat.mean;
-    let mahalanobis_sq = d.dot(splat.inv_cov.mul_vec(d));
+    let mahalanobis_sq = d.dot(splat.conic().mul_vec(d));
     if !(0.0..=MAHALANOBIS_CUTOFF).contains(&mahalanobis_sq) {
         return 0.0;
     }
@@ -348,7 +349,7 @@ mod tests {
             depth,
             mean,
             cov,
-            inv_cov: cov.inverse().unwrap(),
+            inv_det: 1.0 / cov.determinant(),
             opacity,
             color,
         }
@@ -623,10 +624,14 @@ mod tests {
         // Indefinite conic: m = (dx² − dy²) / 8 is negative above and below
         // the mean and in range beside it.
         let mut saddle = splat(Vec2::new(9.0, 8.0), 2.0, 0.7, Rgb::WHITE, 14.0, 14);
-        saddle.inv_cov = Mat2::from_symmetric(0.125, 0.0, -0.125);
+        saddle.cov = Mat2::from_symmetric(8.0, 0.0, -8.0);
+        saddle.inv_det = 1.0 / saddle.cov.determinant();
+        assert_eq!(saddle.conic(), Mat2::from_symmetric(0.125, 0.0, -0.125));
         // NaN conic: m is NaN everywhere, so it never blends.
         let mut broken = splat(Vec2::new(8.0, 8.0), 2.0, 0.9, Rgb::WHITE, 15.0, 15);
-        broken.inv_cov = Mat2::from_symmetric(f32::NAN, 0.0, 1.0);
+        broken.cov = Mat2::from_symmetric(1.0, 0.0, f32::NAN);
+        broken.inv_det = 1.0;
+        assert!(broken.conic().at(0, 0).is_nan());
         assert_eq!(alpha_at(&saddle, Vec2::new(9.5, 12.5)), 0.0);
         assert!(alpha_at(&saddle, Vec2::new(12.5, 8.5)) > ALPHA_CULL_THRESHOLD);
         projected.extend([saddle, broken]);

@@ -145,7 +145,8 @@ impl<T: Copy> CsrScratch<T> {
         }
         out.offsets[bins] = running;
 
-        out.entries.clear();
+        // The scatter writes every position of `[0, running)` exactly once,
+        // so only growth past the previous frame's length is filled.
         out.entries.resize(running as usize, T::default());
         for &(bin, entry) in &self.staged {
             let cursor = &mut self.cursors[bin as usize];
@@ -227,6 +228,34 @@ mod tests {
         assert!(out.bin(2).is_empty());
         assert_eq!(scratch.footprint_bytes(), scratch_bytes);
         assert_eq!(out.footprint_bytes(), out_bytes);
+    }
+
+    /// A rebuild into a buffer that held a larger, then a smaller frame
+    /// overwrites every entry it keeps: each build equals a fresh one.
+    #[test]
+    fn rebuild_after_a_larger_frame_equals_a_fresh_build() {
+        let frame = |pairs: u32, bins: u32, seed: u32| -> Vec<(u32, u32)> {
+            (0..pairs)
+                .map(|i| ((i * 7 + seed) % bins, i.wrapping_mul(2_654_435_761) ^ seed))
+                .collect()
+        };
+        let frames = [
+            (64, frame(5_000, 64, 1)),
+            (16, frame(300, 16, 2)),
+            (64, frame(4_000, 64, 3)),
+            (3, frame(0, 3, 4)),
+            (64, frame(5_000, 64, 5)),
+        ];
+        let mut scratch = CsrScratch::new();
+        let mut out = CsrAssignments::new();
+        for (bins, pairs) in &frames {
+            scratch.clear();
+            for &(bin, entry) in pairs {
+                scratch.stage(bin, entry);
+            }
+            scratch.build_into(*bins as usize, &mut out);
+            assert_eq!(out, build(*bins as usize, pairs));
+        }
     }
 
     #[test]

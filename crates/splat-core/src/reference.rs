@@ -104,7 +104,7 @@ mod tests {
             depth,
             mean: Vec2::new(x, 2.0),
             cov,
-            inv_cov: cov.inverse().unwrap(),
+            inv_det: 1.0 / cov.determinant(),
             opacity: 0.9,
             color,
         }

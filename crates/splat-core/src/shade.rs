@@ -148,7 +148,7 @@ mod tests {
             depth: 1.0 + index as f32,
             mean: Vec2::new(x, 4.0),
             cov,
-            inv_cov: cov.inverse().unwrap(),
+            inv_det: 1.0 / cov.determinant(),
             opacity: 0.8,
             color,
         }

@@ -139,7 +139,7 @@ fn sort_as_one_bin(
             depth,
             mean: Vec2::new(0.0, 0.0),
             cov,
-            inv_cov: cov.inverse().expect("invertible"),
+            inv_det: 1.0 / cov.determinant(),
             opacity: 0.9,
             color: Rgb::WHITE,
         })

@@ -40,9 +40,9 @@ pub struct GaussianFootprint {
 
 impl GaussianFootprint {
     /// Builds a footprint from the projected mean, the 2D covariance and
-    /// its inverse (preprocessing stores both on every
-    /// [`ProjectedGaussian`](splat_core::ProjectedGaussian), so the inverse
-    /// is never recomputed here).
+    /// its inverse (identification passes
+    /// [`ProjectedGaussian::conic`](splat_core::ProjectedGaussian::conic),
+    /// rebuilt from what preprocessing stored, never a fresh `inverse()`).
     ///
     /// Returns `None` when the covariance is degenerate (not positive
     /// definite), which mirrors the reference implementation culling such

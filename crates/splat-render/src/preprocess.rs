@@ -195,14 +195,10 @@ fn project_visible_splat(
     // sub-pixel splats still contribute (as in the reference code).
     let cov = cov2d_full.upper_left_2x2() + Mat2::from_symmetric(0.3, 0.0, 0.3);
 
-    let Ok(inv_cov) = cov.inverse() else {
+    let Some(inv_det) = conic_scale(cov) else {
         counts.culled_gaussians += 1;
         return None;
     };
-    if cov.determinant() <= 0.0 {
-        counts.culled_gaussians += 1;
-        return None;
-    }
 
     let color = eval_color(
         sh_degree,
@@ -216,10 +212,23 @@ fn project_visible_splat(
         depth,
         mean,
         cov,
-        inv_cov,
+        inv_det,
         opacity,
         color,
     })
+}
+
+/// `1 / det(cov)`, the conic's scale ([`ProjectedGaussian::conic`]), or
+/// `None` when the determinant is below `1e-12`: a covariance that is not
+/// positive definite, or too degenerate to invert. A NaN determinant
+/// passes, as it always has; its conic is NaN and shades nothing.
+#[inline]
+fn conic_scale(cov: Mat2) -> Option<f32> {
+    let det = cov.determinant();
+    if det < 1e-12 {
+        return None;
+    }
+    Some(1.0 / det)
 }
 
 #[cfg(test)]
@@ -342,10 +351,32 @@ mod tests {
     fn inverse_covariance_matches_covariance() {
         let (projected, _) = run(vec![splat(Vec3::new(0.3, -0.2, 4.0), 0.8, 0.15)]);
         let p = &projected[0];
-        let product = p.cov * p.inv_cov;
+        let product = p.cov * p.conic();
         assert!((product.at(0, 0) - 1.0).abs() < 1e-3);
         assert!((product.at(1, 1) - 1.0).abs() < 1e-3);
         assert!(product.at(0, 1).abs() < 1e-3);
+    }
+
+    /// The single `det < 1e-12` cull keeps exactly the splats that
+    /// `Mat2::inverse` (erring on `|det| < 1e-12`) and a `det <= 0` test
+    /// together keep, NaN included, and stores `1 / det` for each.
+    #[test]
+    fn conic_scale_culls_as_the_inverse_and_sign_tests_do() {
+        let dets = [f32::NAN, -1.0, -1e-13, -0.0, 0.0, 5e-13, 1e-12, 1.0];
+        let mut kept = Vec::new();
+        for det in dets {
+            let cov = Mat2::from_symmetric(det, 0.0, 1.0);
+            assert_eq!(cov.determinant().to_bits(), det.to_bits());
+            let pair_culls = cov.inverse().is_err() || cov.determinant() <= 0.0;
+            let scale = conic_scale(cov);
+            assert_eq!(scale.is_none(), pair_culls, "det {det:e}");
+            if let Some(inv_det) = scale {
+                assert_eq!(inv_det.to_bits(), (1.0 / det).to_bits());
+                kept.push(det);
+            }
+        }
+        assert_eq!(kept.len(), 3);
+        assert!(kept[0].is_nan() && kept[1..] == [1e-12, 1.0]);
     }
 
     #[test]
@@ -523,7 +554,9 @@ mod tests {
         let t = camera.projection_jacobian(clamped_view) * camera.view_rotation();
         let cov = (t * soa.covariance(i) * t.transpose()).upper_left_2x2()
             + Mat2::from_symmetric(0.3, 0.0, 0.3);
-        let inv_cov = cov.inverse().ok()?;
+        // The cull as two tests: `inverse` rejects |det| < 1e-12, then a
+        // non-positive determinant goes.
+        cov.inverse().ok()?;
         if cov.determinant() <= 0.0 {
             return None;
         }
@@ -533,7 +566,7 @@ mod tests {
             depth,
             mean,
             cov,
-            inv_cov,
+            inv_det: 1.0 / cov.determinant(),
             opacity,
             color: eval_color(soa.sh_degree(i), soa.sh_coefficients(i), direction),
         })

@@ -75,7 +75,7 @@ mod tests {
             depth,
             mean: Vec2::new(32.0, 32.0),
             cov,
-            inv_cov: cov.inverse().unwrap(),
+            inv_det: 1.0 / cov.determinant(),
             opacity: 0.9,
             color: Rgb::WHITE,
         }

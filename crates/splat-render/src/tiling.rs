@@ -308,7 +308,7 @@ pub fn identify_tiles_into(
     let per_gaussian = out.tiles_per_gaussian.iter_mut();
     for ((slot, splat), tiles_of_splat) in projected.iter().enumerate().zip(per_gaussian) {
         let Some(footprint) =
-            GaussianFootprint::from_covariance(splat.mean, splat.cov, splat.inv_cov)
+            GaussianFootprint::from_covariance(splat.mean, splat.cov, splat.conic())
         else {
             continue;
         };
@@ -364,7 +364,7 @@ pub(crate) mod tests {
             depth: 1.0,
             mean,
             cov,
-            inv_cov: cov.inverse().unwrap(),
+            inv_det: 1.0 / cov.determinant(),
             opacity: 0.9,
             color: Rgb::WHITE,
         }
@@ -582,7 +582,7 @@ pub(crate) mod tests {
             depth: 1.0,
             mean: Vec2::new(128.0, 128.0),
             cov,
-            inv_cov: cov.inverse().unwrap(),
+            inv_det: 1.0 / cov.determinant(),
             opacity: 0.9,
             color: Rgb::WHITE,
         };

@@ -102,13 +102,21 @@ impl Mat2 {
         if det.abs() < 1e-12 {
             return Err(Error::SingularMatrix { determinant: det });
         }
-        let inv_det = 1.0 / det;
-        Ok(Self::from_rows(
+        Ok(self.scaled_adjugate(1.0 / det))
+    }
+
+    /// The adjugate `[m11, −m01; −m10, m00]` times `inv_det`: the inverse
+    /// when `inv_det` is `1 / determinant()`. [`Mat2::inverse`] computes
+    /// its result with exactly these operations, so a caller that stored
+    /// the matrix and `inv_det` gets the inverse back bit for bit.
+    #[inline]
+    pub fn scaled_adjugate(&self, inv_det: f32) -> Self {
+        Self::from_rows(
             self.at(1, 1) * inv_det,
             -self.at(0, 1) * inv_det,
             -self.at(1, 0) * inv_det,
             self.at(0, 0) * inv_det,
-        ))
+        )
     }
 
     /// Eigenvalues of a *symmetric* 2×2 matrix, returned as
