@@ -9,26 +9,24 @@
 /// Gaussians per cycle into sixteen rasterization units, all backed by
 /// double-buffered 42 KB SRAM per core and a 51.2 GB/s DRAM channel.
 ///
-/// The struct is `#[non_exhaustive]`: construct it through
-/// [`AccelConfig::default`] / [`AccelConfig::paper`] and adjust the public
-/// fields in place, so future hardware
-/// knobs can be added without breaking callers.
+/// The paper's configuration is the only one: the fields are crate-private,
+/// so no caller can hand the simulator a zero clock or core count, and
+/// [`AccelConfig::parameter_rows`] is how they are read outside the crate.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[non_exhaustive]
 pub struct AccelConfig {
     /// Clock frequency in Hz.
-    pub clock_hz: f64,
+    pub(crate) clock_hz: f64,
     /// Number of preprocessing modules working in parallel.
-    pub preprocessing_modules: u32,
+    pub(crate) preprocessing_modules: u32,
     /// Splats processed per cycle by one preprocessing module
     /// (feature computation and culling are fully pipelined).
     pub(crate) pm_gaussians_per_cycle: f64,
     /// Tile/group boundary tests per cycle per preprocessing module.
     pub(crate) pm_tile_tests_per_cycle: f64,
     /// Number of GS-TG cores (each with BGM + GSM + RM).
-    pub cores: u32,
+    pub(crate) cores: u32,
     /// Tile-check units per bitmask generation module.
-    pub bgm_tile_check_units: u32,
+    pub(crate) bgm_tile_check_units: u32,
     /// Sustained sort-key comparisons per cycle per group-sorting module.
     /// The quick-sort unit has 16 comparators, but quick sort's sequential
     /// partitioning steps keep the sustained utilization at roughly a
@@ -42,16 +40,16 @@ pub struct AccelConfig {
     pub(crate) rm_filter_ops_per_cycle: f64,
     /// Rasterization units (α-computation + α-blend lanes) per
     /// rasterization module.
-    pub rm_rasterization_units: u32,
+    pub(crate) rm_rasterization_units: u32,
     /// On-chip buffer capacity per core in bytes (single buffer of the
     /// double-buffered pair).
-    pub buffer_bytes_per_core: u64,
+    pub(crate) buffer_bytes_per_core: u64,
     /// DRAM bandwidth in bytes per second.
-    pub dram_bandwidth_bytes_per_s: f64,
+    pub(crate) dram_bandwidth_bytes_per_s: f64,
     /// DRAM access energy in picojoules per byte (derived from the DRAM
     /// energy model the paper cites \[16\]; absolute value only scales the
     /// energy axis, every experiment reports ratios).
-    pub dram_pj_per_byte: f64,
+    pub(crate) dram_pj_per_byte: f64,
 }
 
 impl AccelConfig {
@@ -72,6 +70,42 @@ impl AccelConfig {
             dram_bandwidth_bytes_per_s: 51.2e9,
             dram_pj_per_byte: 60.0,
         }
+    }
+
+    /// The hardware parameters of Table III as `(parameter, value)` rows,
+    /// values formatted for the table.
+    pub fn parameter_rows(&self) -> [(&'static str, String); 8] {
+        [
+            (
+                "Operating frequency",
+                format!("{:.1} GHz", self.clock_hz / 1e9),
+            ),
+            (
+                "Preprocessing modules",
+                self.preprocessing_modules.to_string(),
+            ),
+            ("GS-TG cores", self.cores.to_string()),
+            (
+                "Tile-check units per BGM",
+                self.bgm_tile_check_units.to_string(),
+            ),
+            (
+                "Rasterization units per RM",
+                self.rm_rasterization_units.to_string(),
+            ),
+            (
+                "Buffer per core",
+                format!("{} KB (double-buffered)", self.buffer_bytes_per_core / 1024),
+            ),
+            (
+                "DRAM bandwidth",
+                format!("{:.1} GB/s", self.dram_bandwidth_bytes_per_s / 1e9),
+            ),
+            (
+                "DRAM energy",
+                format!("{:.0} pJ/byte", self.dram_pj_per_byte),
+            ),
+        ]
     }
 
     /// Total boundary-test throughput of the preprocessing modules

@@ -51,40 +51,10 @@ fn main() {
     ]);
     println!("{}", table.to_markdown());
 
-    let config = AccelConfig::paper();
     let mut params = Table::new(["Parameter", "Value"]);
-    params.add_row([
-        "Operating frequency",
-        &format!("{:.1} GHz", config.clock_hz / 1e9),
-    ]);
-    params.add_row([
-        "Preprocessing modules",
-        &config.preprocessing_modules.to_string(),
-    ]);
-    params.add_row(["GS-TG cores", &config.cores.to_string()]);
-    params.add_row([
-        "Tile-check units per BGM",
-        &config.bgm_tile_check_units.to_string(),
-    ]);
-    params.add_row([
-        "Rasterization units per RM",
-        &config.rm_rasterization_units.to_string(),
-    ]);
-    params.add_row([
-        "Buffer per core",
-        &format!(
-            "{} KB (double-buffered)",
-            config.buffer_bytes_per_core / 1024
-        ),
-    ]);
-    params.add_row([
-        "DRAM bandwidth",
-        &format!("{:.1} GB/s", config.dram_bandwidth_bytes_per_s / 1e9),
-    ]);
-    params.add_row([
-        "DRAM energy",
-        &format!("{:.0} pJ/byte", config.dram_pj_per_byte),
-    ]);
+    for (parameter, value) in AccelConfig::paper().parameter_rows() {
+        params.add_row([parameter, &value]);
+    }
     println!("{}", params.to_markdown());
     println!("(paper totals: 3.984 mm^2, 1.063 W at 1 GHz)");
 }

@@ -24,14 +24,15 @@ splat_types::counters! {
         /// Positive tile/group intersections, i.e. entries appended to per-tile
         /// (or per-group) lists. Each of these implies one sorting key later.
         tile_intersections: u64,
-        /// Small-tile boundary tests performed by identification: equal to
-        /// [`tile_tests`](Self::tile_tests) in the baseline pipeline and to
-        /// [`bitmask_tests`](Self::bitmask_tests) in GS-TG.
+        /// Small-tile boundary tests performed by identification: always
+        /// equal to [`tile_tests`](Self::tile_tests) in the baseline pipeline
+        /// and to [`bitmask_tests`](Self::bitmask_tests) in GS-TG, so it
+        /// carries no count of its own (`benchmark/src/layers.rs` reads it).
         tiles_tested: u64,
-        /// Tiles (or groups) accepted by the prepass — the length of the flat
-        /// intersection list handed to the sorter. Equal to
+        /// Small tiles the boundary test accepted. Equal to
         /// [`tile_intersections`](Self::tile_intersections) in the baseline
-        /// pipeline; GS-TG counts the small tiles hit inside each hit group.
+        /// pipeline, where each hit is one list entry; GS-TG counts the small
+        /// tiles hit inside each hit group.
         tiles_hit: u64,
         /// Bitmask tile tests performed (GS-TG only: per-Gaussian small-tile
         /// tests inside its groups).

@@ -290,40 +290,29 @@ impl<'a> TrajectoryStream<'a> {
         }
     }
 
-    /// Blocks for the next frame **in path order**, returns it along with
-    /// the [`QualityTier`] admission assigned it (`None` for a frame that
-    /// was refused admission), and tops the in-flight window back up.
-    /// Returns `None` once every frame has been delivered.
-    pub fn next_frame_tiered(
-        &mut self,
-    ) -> Option<(Option<QualityTier>, Result<RenderOutput, RenderError>)> {
+    /// Blocks for the next frame **in path order**, returns it with the
+    /// [`QualityTier`] admission rendered it at, and tops the in-flight
+    /// window back up. A frame refused admission yields its error. Returns
+    /// `None` once every frame has been delivered.
+    pub fn next_frame(&mut self) -> Option<Result<(QualityTier, RenderOutput), RenderError>> {
         self.top_up();
         let frame = self.pending.pop_front()?;
         self.delivered += 1;
-        let delivered = match frame {
-            Ok(handle) => {
-                let tier = handle.tier();
-                (Some(tier), handle.wait())
-            }
-            Err(error) => (None, Err(error)),
-        };
+        let delivered = frame.and_then(|handle| {
+            let tier = handle.tier();
+            handle.wait().map(|output| (tier, output))
+        });
         // Re-fill before the caller consumes the frame so the window stays
         // ahead of a slow reader.
         self.top_up();
         Some(delivered)
     }
 
-    /// Blocks for the next frame **in path order** and returns it, or
-    /// `None` once every frame has been delivered.
-    pub fn next_frame(&mut self) -> Option<Result<RenderOutput, RenderError>> {
-        self.next_frame_tiered().map(|(_, result)| result)
-    }
-
     /// Waits for every remaining frame and returns them in path order.
     pub fn wait_all(mut self) -> Vec<Result<RenderOutput, RenderError>> {
         let mut outputs = Vec::with_capacity(self.len - self.delivered);
         while let Some(frame) = self.next_frame() {
-            outputs.push(frame);
+            outputs.push(frame.map(|(_, output)| output));
         }
         outputs
     }

@@ -1109,9 +1109,11 @@ mod tests {
             // The in-flight window bounds queue occupancy: never more than
             // `window` frames queued or rendering at once.
             assert!(engine.stats().in_flight() <= 2, "window exceeded");
-            let (tier, frame) = stream.next_frame_tiered().expect("frame available");
-            assert_eq!(tier, Some(QualityTier::Full));
-            let frame = frame.expect("valid render");
+            let (tier, frame) = stream
+                .next_frame()
+                .expect("frame available")
+                .expect("valid render");
+            assert_eq!(tier, QualityTier::Full);
             let fresh =
                 GstgRenderer::new(GstgConfig::paper_default()).render(&scene, &path.camera(index));
             assert_eq!(

@@ -417,6 +417,14 @@ mod tests {
         for (identity, left, right) in stats.identities() {
             assert_eq!(left, right, "{identity}");
         }
+
+        // A (priority, cost) tie among queued jobs sheds the youngest.
+        let queue = full_only(AdmissionPolicy::ShedLowPriority { capacity: 2 }, 64);
+        let older = push(&queue, Priority::Low, 10).unwrap();
+        let _younger = push(&queue, Priority::Low, 10).unwrap(); // shed below
+        let high = push(&queue, Priority::High, 5).unwrap();
+        let ids: Vec<u64> = (0..2).map(|_| queue.pop().unwrap().id).collect();
+        assert_eq!(ids, vec![high, older]);
     }
 
     #[test]

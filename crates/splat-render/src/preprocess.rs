@@ -304,6 +304,12 @@ mod tests {
         let (projected, counts) = run(vec![splat(Vec3::new(0.0, 0.0, 5.0), 0.001, 0.1)]);
         assert!(projected.is_empty());
         assert_eq!(counts.culled_gaussians, 1);
+        // At the threshold itself the splat's centre still passes the
+        // kernel's α cull, so it is kept.
+        let at_threshold = splat(Vec3::new(0.0, 0.0, 5.0), ALPHA_CULL_THRESHOLD, 0.1);
+        let (projected, counts) = run(vec![at_threshold]);
+        assert_eq!(projected.len(), 1);
+        assert_eq!(counts.culled_gaussians, 0);
     }
 
     #[test]

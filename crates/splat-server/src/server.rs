@@ -747,19 +747,13 @@ fn handle_trajectory(
         &headers,
         "application/octet-stream",
     )?);
-    while let Some((tier, result)) = frames.next_frame_tiered() {
-        let chunk = match (tier, result) {
-            (Some(tier), Ok(output)) => {
+    while let Some(frame) = frames.next_frame() {
+        let chunk = match frame {
+            Ok((tier, output)) => {
                 ServerCounters::bump(&shared.counters.frames_streamed);
                 encode_frame_chunk(tier, &output.image)
             }
-            (_, Ok(output)) => {
-                // A served frame always carries its admission tier; keep
-                // the stream well-formed even if that invariant slips.
-                ServerCounters::bump(&shared.counters.frames_streamed);
-                encode_frame_chunk(splat_engine::QualityTier::Full, &output.image)
-            }
-            (_, Err(error)) => encode_refusal_chunk(&error.to_string()),
+            Err(error) => encode_refusal_chunk(&error.to_string()),
         };
         sent(write_chunk(stream, &chunk)?);
         if shared.stopping() {

@@ -171,10 +171,10 @@ fn golden_digests_hold_for_both_pipelines_at_one_and_four_threads() {
 
 #[test]
 fn golden_digests_hold_across_simd_modes_and_exact_prepass() {
-    // The tile-intersection test is a pure work knob: the conservative box
-    // (AABB) and the exact test (`BoundaryMethod::Ellipse`) in the
-    // identification prepass, every thread count and both pipelines must
-    // land on the same pinned digest.
+    // The boundary method is a pure work knob: the conservative box (AABB)
+    // and the exact test (`BoundaryMethod::Ellipse`), every thread count
+    // and both pipelines must land on the same pinned digest. (The name
+    // dates from when this test also swept kernel modes and a prepass.)
     for (paper_scene, golden) in GOLDEN {
         let scene = paper_scene.build(SceneScale::Tiny, 0);
         let camera = camera();
@@ -219,9 +219,9 @@ fn render_tier(
 
 /// The pinned quality-ladder digests: for each canonical scene, the
 /// Tier1/Tier2/Tier3 frames. Like `GOLDEN`, these must hold for both
-/// pipelines, any thread count and
-/// conservative or exact intersection test in the prepass —
-/// the ladder degrades the *scene and resolution*, never the determinism.
+/// pipelines, any thread count and either boundary method (AABB or the
+/// exact ellipse) — the ladder degrades the *scene and resolution*, never
+/// the determinism.
 const GOLDEN_TIERS: [(PaperScene, [u64; 3]); 3] = [
     (
         PaperScene::Train,
@@ -286,12 +286,14 @@ fn golden_tier_digests_hold_for_both_pipelines_at_one_and_four_threads() {
     }
 }
 
+/// The tier digests under both boundary methods. (The name dates from when
+/// this test also swept kernel, span and prepass modes.)
 #[test]
 fn golden_tier_digests_hold_across_simd_span_and_prepass_modes() {
     for (paper_scene, goldens) in GOLDEN_TIERS {
         let scene = paper_scene.build(SceneScale::Tiny, 0);
         for (tier, golden) in TIERS.into_iter().zip(goldens) {
-            // Conservative box and exact test in the prepass.
+            // The conservative box and the exact ellipse test.
             for boundary in [BoundaryMethod::Aabb, BoundaryMethod::Ellipse] {
                 let render = |scene: &Scene, cam: &Camera| {
                     Renderer::new(RenderConfig::new(16, boundary).with_threads(4))

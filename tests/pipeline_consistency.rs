@@ -1,10 +1,7 @@
 //! Integration test: cross-crate consistency invariants between the
 //! rendering pipelines, the scene substrate and the accelerator simulator.
 
-use gs_tg::core::reference::render_reference;
-use gs_tg::core::Framebuffer;
 use gs_tg::prelude::*;
-use gs_tg::render::{preprocess_into, BACKGROUND};
 use gs_tg::scene::io::{decode_scene, encode_scene};
 
 fn camera(width: u32, height: u32) -> Camera {
@@ -116,75 +113,4 @@ fn renderer_is_deterministic_across_runs() {
     let d = gstg_renderer.render(&scene, &cam);
     assert_eq!(c.image.max_abs_diff(&d.image), 0.0);
     assert_eq!(c.stats.counts, d.stats.counts);
-}
-
-/// Pixel bits, so `-0.0` and `0.0` (or two NaNs) never compare equal by
-/// accident.
-fn pixel_bits(image: &Framebuffer) -> Vec<[u32; 3]> {
-    image
-        .pixels()
-        .iter()
-        .map(|p| [p.r.to_bits(), p.g.to_bits(), p.b.to_bits()])
-        .collect()
-}
-
-#[test]
-fn wide_kernel_matches_scalar_at_every_tile_size() {
-    // The golden digests render 16-px tiles only, one 16×16 block each.
-    // 8-px tiles shade 8-wide blocks; 32- and 64-px tiles split into 4
-    // and 16 blocks that each walk the tile's list, and 200×136 clips the
-    // border tiles of every size but 8. Both pipelines must match the
-    // untiled reference render of the same projected splats.
-    let cam = camera(200, 136);
-    for paper_scene in [PaperScene::Playroom, PaperScene::Truck] {
-        let scene = paper_scene.build(SceneScale::Tiny, 3);
-        let mut projected = Vec::new();
-        let mut counts = StageCounts::new();
-        preprocess_into(
-            &scene,
-            &cam,
-            &RenderConfig::default(),
-            &mut counts,
-            &mut projected,
-        );
-        let (reference, reference_counts) =
-            render_reference(&projected, cam.width(), cam.height(), BACKGROUND);
-        for (tile_size, group_size) in [(8, 64), (32, 64), (64, 128)] {
-            let config = GstgConfig::new(
-                tile_size,
-                group_size,
-                BoundaryMethod::Ellipse,
-                BoundaryMethod::Ellipse,
-            )
-            .expect("valid configuration");
-            for threads in [1usize, 4] {
-                let gstg = GstgRenderer::new(config.with_threads(threads));
-                let baseline = Renderer::new(config.equivalent_baseline().with_threads(threads));
-                let outputs = [gstg.render(&scene, &cam), baseline.render(&scene, &cam)];
-                for (out, pipeline) in outputs.iter().zip(["gstg", "baseline"]) {
-                    let at =
-                        format!("{paper_scene:?}/{pipeline}/tile {tile_size}/threads {threads}");
-                    let c = &out.stats.counts;
-                    assert!(c.alpha_computations > 0, "{at}: nothing shaded");
-                    assert!(
-                        c.alpha_computations <= reference_counts.alpha_computations,
-                        "{at}: more α work than the untiled walk"
-                    );
-                    assert_eq!(
-                        (c.blend_operations, c.early_exits, c.pixels),
-                        (
-                            reference_counts.blend_operations,
-                            reference_counts.early_exits,
-                            reference_counts.pixels
-                        ),
-                        "{at}: counters"
-                    );
-                    assert!(
-                        pixel_bits(&out.image) == pixel_bits(&reference),
-                        "{at}: pixels"
-                    );
-                }
-            }
-        }
-    }
 }

@@ -2,8 +2,8 @@
 //! the image of `splat_core::reference::render_reference`, which shares no
 //! tile grid, boundary test, radix sort or tile kernel with them.
 //!
-//! `lossless_integration.rs` compares GS-TG with the baseline, so a defect
-//! in a part both pipelines share passes it. This sweep compares both with
+//! A comparison of GS-TG with the baseline passes any defect in a part both
+//! pipelines share, such as the tile kernel. This sweep compares both with
 //! the untiled, brute-force walk instead. For every random scene and frame
 //! size the splats are projected once (`preprocess_into`; the projection
 //! has its own per-splat reference in `preprocess::tests`), the reference
