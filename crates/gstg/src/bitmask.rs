@@ -40,6 +40,22 @@ impl TileBitmask {
         self.0 |= 1 << index;
     }
 
+    /// Sets the `len` consecutive bits from `first` on: the contiguous
+    /// column range of one tile row of the group.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `len` is zero or the run reaches past bit 63.
+    #[inline]
+    pub(crate) fn set_run(&mut self, first: u32, len: u32) {
+        assert!(
+            len >= 1 && first + len <= 64,
+            "tiles {first}..{} exceed bitmask capacity",
+            first + len
+        );
+        self.0 |= (u64::MAX >> (64 - len)) << first;
+    }
+
     /// Returns `true` when the bit for tile `index` is set.
     ///
     /// # Panics
@@ -53,14 +69,12 @@ impl TileBitmask {
     }
 
     /// Number of tiles marked in the mask.
-    #[cfg(test)]
     #[inline]
     pub(crate) fn count(self) -> u32 {
         self.0.count_ones()
     }
 
     /// Returns `true` when no tile is marked.
-    #[cfg(test)]
     #[inline]
     pub(crate) fn is_empty(self) -> bool {
         self.0 == 0
@@ -172,6 +186,18 @@ impl GroupLayout {
             "tile ({tx_in_group},{ty_in_group}) outside group"
         );
         ty_in_group * self.tiles_per_side + tx_in_group
+    }
+
+    /// `⌊tile / tiles_per_side⌋`: the coordinate of the group holding tile
+    /// coordinate `tile` (negative or past the grid alike). A shift when the
+    /// side is a power of two, the common case, instead of a division.
+    #[inline]
+    pub(crate) fn group_of_tile(&self, tile: i64) -> i64 {
+        if self.tiles_per_side.is_power_of_two() {
+            tile >> self.tiles_per_side.trailing_zeros()
+        } else {
+            tile.div_euclid(i64::from(self.tiles_per_side))
+        }
     }
 
     /// Inverse of [`GroupLayout::bit_index`].

@@ -1,25 +1,24 @@
 //! Group identification and bitmask generation.
 //!
 //! Tiles are grouped into aligned squares; for every splat the groups it
-//! influences are identified (exactly like tile identification with a
-//! larger tile size), and for every (group, splat) pair a bitmask of the
-//! small tiles the splat touches inside that group is generated. Because
-//! the small tiles are fully contained in their group, a splat touching a
-//! small tile always touches the group, so the bitmasks losslessly encode
-//! the baseline's per-tile assignment.
+//! influences are identified, and for every (group, splat) pair a bitmask
+//! of the small tiles the splat touches inside that group is generated.
+//! Because the small tiles are fully contained in their group, a splat
+//! touching a small tile always touches the group, so the bitmasks
+//! losslessly encode the baseline's per-tile assignment.
 //!
-//! Identification costs one candidate range per splat: at the paper default
-//! (same boundary method for groups and bitmasks, power-of-two tile and
-//! group sizes) the group range is the small-tile range shifted down, so
-//! the half extent and the four floors are computed once and shared. Every
-//! bit set is also tallied per tile (`GroupAssignments::tile_hits`), which
-//! is what lets rasterization scatter a sorted group list into its tiles'
-//! lists in one walk ([`crate::raster`]).
+//! Under the ellipse (the paper's configuration) the bitmasks come first:
+//! the splat's row spans over its candidate tiles are ORed into the masks
+//! of the groups holding them, and a group with an empty in-image mask is
+//! not staged. Every bit set is also tallied per tile
+//! (`GroupAssignments::tile_hits`), which is what lets rasterization
+//! scatter a sorted group list into its tiles' lists in one walk
+//! ([`crate::raster`]).
 
 use crate::bitmask::{GroupLayout, TileBitmask};
 use crate::config::GstgConfig;
 use splat_core::{CsrAssignments, CsrScratch, ProjectedGaussian, SortEntry, StageCounts};
-use splat_render::{GaussianFootprint, TileGrid};
+use splat_render::{BoundaryMethod, EllipseFootprint, GaussianFootprint, TileGrid};
 
 /// One splat's membership in one group: which projected splat it is and
 /// which small tiles of the group it touches. Packed to 4-byte alignment:
@@ -166,25 +165,28 @@ impl GroupAssignments {
 
 /// Runs group identification and bitmask generation.
 ///
-/// `counts.tile_tests` / `counts.tile_intersections` are charged for the
-/// group-level tests (they play the role the tile tests play in the
-/// baseline), and `counts.bitmask_tests` for the per-small-tile tests that
-/// build the bitmasks. The reconciliation counters mirror the baseline's
-/// at small-tile granularity: `tiles_tested` counts every small-tile test
-/// (always equal to `bitmask_tests`) and `tiles_hit` the bits set. A group
-/// entry whose in-image bitmask is empty is kept: it still costs a sort key
-/// and contributes no pixel.
-///
 /// `out` is rebuilt through `scratch`, retaining both allocations across
-/// frames. Every group/bitmask test is performed (and charged) exactly
-/// once; the staged `(group, entry)` pairs are then counting-sorted into
-/// the CSR layout, preserving scene order within each group.
+/// frames; the staged `(group, entry)` pairs are counting-sorted into the
+/// CSR layout, preserving scene order within each group.
 ///
-/// The candidate ranges cost one half extent and one set of floors per
-/// splat whenever the two boundary methods agree and both sizes are powers
-/// of two: `⌊x / group_size⌋ = ⌊x / tile_size⌋ >> log₂(tiles per side)`
-/// exactly, because dividing by a power of two only rescales an `f32`.
-/// Other configurations compute the two ranges independently.
+/// When both boundary methods are [`BoundaryMethod::Ellipse`] (the paper's
+/// configuration) a splat's candidate tiles are the rectangle its
+/// covariance diagonal covers, its candidate groups are the groups holding
+/// those tiles (the tile floors divided, rounding down, by the tiles per
+/// group side) and each group's bitmask is the OR of the contiguous column
+/// ranges the ellipse covers in the group's tile rows
+/// ([`TileGrid::for_each_row_span`]). A group is staged iff its in-image
+/// bitmask is non-empty: no group-level test runs, and no entry that
+/// contributes no pixel costs a sort key. Other method pairs test each
+/// candidate group with the group method and each candidate in-image tile
+/// of a passing group with the bitmask method, and stage every passing
+/// group, empty bitmask or not.
+///
+/// Accounting, modeled on the paper's boundary units, not on the CPU's
+/// work: `tile_tests` counts the candidate groups, and
+/// `tile_intersections` the staged ones (one sort key each).
+/// `bitmask_tests` counts the candidate in-image tiles of the staged
+/// groups, `tiles_tested` equals it, and `tiles_hit` counts the bits set.
 pub fn identify_groups_into(
     projected: &[ProjectedGaussian],
     image_width: u32,
@@ -194,126 +196,169 @@ pub fn identify_groups_into(
     scratch: &mut CsrScratch<GroupEntry>,
     out: &mut GroupAssignments,
 ) {
-    identify_groups_with_shift(
-        projected,
-        image_width,
-        image_height,
-        config,
-        shared_range_shift(config),
-        counts,
-        scratch,
-        out,
-    );
-}
-
-/// `Some(log₂(tiles per group side))` when a splat's group range is its
-/// small-tile range shifted down, `None` when the two ranges have to be
-/// computed independently.
-fn shared_range_shift(config: &GstgConfig) -> Option<u32> {
-    (config.group_boundary == config.bitmask_boundary
-        && config.tile_size.is_power_of_two()
-        && config.group_size.is_power_of_two())
-    .then(|| config.tiles_per_group_side().trailing_zeros())
-}
-
-/// [`identify_groups_into`] with the range derivation chosen by the caller
-/// (`None` always computes two independent ranges), so the tests can hold
-/// the shared range against the fallback on one configuration.
-#[allow(clippy::too_many_arguments)]
-fn identify_groups_with_shift(
-    projected: &[ProjectedGaussian],
-    image_width: u32,
-    image_height: u32,
-    config: &GstgConfig,
-    shared_range_shift: Option<u32>,
-    counts: &mut StageCounts,
-    scratch: &mut CsrScratch<GroupEntry>,
-    out: &mut GroupAssignments,
-) {
-    let group_grid = TileGrid::new(image_width, image_height, config.group_size);
-    let tile_grid = TileGrid::new(image_width, image_height, config.tile_size);
-    let layout = GroupLayout::new(config.tile_size, config.tiles_per_group_side());
-
-    out.group_grid = group_grid;
-    out.tile_grid = tile_grid;
-    out.layout = layout;
-    let tiles_per_group = layout.tiles_per_group() as usize;
+    out.group_grid = TileGrid::new(image_width, image_height, config.group_size);
+    out.tile_grid = TileGrid::new(image_width, image_height, config.tile_size);
+    out.layout = GroupLayout::new(config.tile_size, config.tiles_per_group_side());
     out.tile_hits.clear();
-    out.tile_hits
-        .resize(group_grid.tile_count() * tiles_per_group, 0);
+    out.tile_hits.resize(
+        out.group_grid.tile_count() * out.layout.tiles_per_group() as usize,
+        0,
+    );
     scratch.clear();
 
-    for (slot, splat) in projected.iter().enumerate() {
-        let Some(footprint) =
-            GaussianFootprint::from_covariance(splat.mean, splat.cov, splat.conic())
-        else {
-            continue;
+    let by_rows = config.group_boundary == BoundaryMethod::Ellipse
+        && config.bitmask_boundary == BoundaryMethod::Ellipse;
+    for (slot, splat) in (0u32..).zip(projected) {
+        let (gx0, gx1, gy0, gy1) = if by_rows {
+            identify_splat_by_rows(out, slot, splat, counts, scratch)
+        } else {
+            identify_splat_by_tiles(out, config, slot, splat, counts, scratch)
         };
-        // Candidate range of small tiles under the bitmask boundary: tiles
-        // outside it can never be marked, so their tests are skipped (the
-        // same pre-filter the baseline's tile identification applies).
-        let tile_half_extent = footprint.candidate_half_extent(config.bitmask_boundary);
-        let tile_floors = tile_grid.tile_floors(splat.mean, tile_half_extent);
-        let (ctx0, ctx1, cty0, cty1) = tile_grid.clamp_floors(tile_floors);
-        let (gx0, gx1, gy0, gy1) = match shared_range_shift {
-            Some(shift) => group_grid.clamp_floors(tile_floors.map(|tile| tile >> shift)),
-            None => group_grid.tile_range(
-                splat.mean,
-                footprint.candidate_half_extent(config.group_boundary),
-            ),
-        };
-        for gy in gy0..gy1 {
-            for gx in gx0..gx1 {
-                counts.tile_tests += 1;
-                let group_rect = group_grid.tile_rect_unclipped(gx, gy);
-                if !footprint.intersects(&group_rect, config.group_boundary) {
-                    continue;
-                }
-                let group = group_grid.tile_index(gx, gy);
-                let hits_range = group * tiles_per_group..(group + 1) * tiles_per_group;
-                let Some(group_hits) = out.tile_hits.get_mut(hits_range) else {
-                    continue;
-                };
+        counts.tile_tests += u64::from(gx1 - gx0) * u64::from(gy1 - gy0);
+    }
 
-                // Bitmask generation: test the splat against the candidate
-                // small tiles of this group that lie inside the image.
-                let side = layout.tiles_per_side();
-                let tx_lo = (gx * side).max(ctx0);
-                let tx_hi = ((gx + 1) * side).min(ctx1).min(tile_grid.tiles_x());
-                let ty_lo = (gy * side).max(cty0);
-                let ty_hi = ((gy + 1) * side).min(cty1).min(tile_grid.tiles_y());
-                let mut bitmask = TileBitmask::EMPTY;
-                for ty in ty_lo..ty_hi {
-                    for tx in tx_lo..tx_hi {
-                        counts.bitmask_tests += 1;
-                        counts.tiles_tested += 1;
-                        let tile_rect = tile_grid.tile_rect_unclipped(tx, ty);
-                        if !footprint.intersects(&tile_rect, config.bitmask_boundary) {
-                            continue;
-                        }
-                        counts.tiles_hit += 1;
-                        let bit = layout.bit_index(tx - gx * side, ty - gy * side);
-                        bitmask.set(bit);
-                        if let Some(hits) = group_hits.get_mut(bit as usize) {
-                            *hits += 1;
-                        }
+    scratch.build_into(out.group_grid.tile_count(), &mut out.per_group);
+}
+
+/// One splat's groups under the ellipse, built from its row spans.
+/// Returns the candidate group range `(gx0, gx1, gy0, gy1)`.
+#[inline]
+fn identify_splat_by_rows(
+    out: &mut GroupAssignments,
+    slot: u32,
+    splat: &ProjectedGaussian,
+    counts: &mut StageCounts,
+    scratch: &mut CsrScratch<GroupEntry>,
+) -> (u32, u32, u32, u32) {
+    let Some(ellipse) = EllipseFootprint::new(splat.mean, splat.cov, splat.conic()) else {
+        return (0, 0, 0, 0);
+    };
+    let (tile_grid, side) = (out.tile_grid, out.layout.tiles_per_side());
+    let tile_floors = tile_grid.tile_floors(splat.mean, ellipse.half_extent());
+    let (ctx0, ctx1, cty0, cty1) = tile_grid.clamp_floors(tile_floors);
+    let groups = out
+        .group_grid
+        .clamp_floors(tile_floors.map(|tile| out.layout.group_of_tile(tile)));
+    let (gx0, gx1, gy0, gy1) = groups;
+    for gy in gy0..gy1 {
+        // The candidate tile rows of this group row (at most eight: a group
+        // holds at most 64 tiles) and the columns each one's span covers;
+        // a row the ellipse misses stays empty.
+        let (ty_lo, ty_hi) = ((gy * side).max(cty0), ((gy + 1) * side).min(cty1));
+        let mut rows = [(0u32, 0u32); 8];
+        tile_grid.for_each_row_span(&ellipse, (ctx0, ctx1, ty_lo, ty_hi), |ty, tx_lo, tx_hi| {
+            if let Some(row) = rows.get_mut((ty - ty_lo) as usize) {
+                *row = (tx_lo, tx_hi);
+            }
+        });
+        let band = rows.iter().take(ty_hi.saturating_sub(ty_lo) as usize);
+        for gx in gx0..gx1 {
+            let first = gx * side;
+            let mut bitmask = TileBitmask::EMPTY;
+            for (ty_in, &(tx_lo, tx_hi)) in (ty_lo - gy * side..).zip(band.clone()) {
+                let (lo, hi) = (tx_lo.max(first), tx_hi.min(first + side));
+                if lo < hi {
+                    bitmask.set_run(ty_in * side + lo - first, hi - lo);
+                }
+            }
+            if bitmask.is_empty() {
+                continue;
+            }
+            let group = out.group_grid.tile_index(gx, gy);
+            let candidates = (first.max(ctx0), (first + side).min(ctx1), ty_lo, ty_hi);
+            stage_entry(out, group, candidates, slot, bitmask, counts, scratch);
+        }
+    }
+    groups
+}
+
+/// One splat's groups under any other pair of boundary methods, one test
+/// per candidate group and per candidate in-image tile of a passing group.
+/// Returns the candidate group range `(gx0, gx1, gy0, gy1)`.
+fn identify_splat_by_tiles(
+    out: &mut GroupAssignments,
+    config: &GstgConfig,
+    slot: u32,
+    splat: &ProjectedGaussian,
+    counts: &mut StageCounts,
+    scratch: &mut CsrScratch<GroupEntry>,
+) -> (u32, u32, u32, u32) {
+    let Some(footprint) = GaussianFootprint::from_covariance(splat.mean, splat.cov, splat.conic())
+    else {
+        return (0, 0, 0, 0);
+    };
+    let (tile_grid, group_grid, layout) = (out.tile_grid, out.group_grid, out.layout);
+    let side = layout.tiles_per_side();
+    // Candidate range of small tiles under the bitmask boundary: tiles
+    // outside it can never be marked, so their tests are skipped (the same
+    // pre-filter the baseline's tile identification applies).
+    let (ctx0, ctx1, cty0, cty1) = tile_grid.tile_range(
+        splat.mean,
+        footprint.candidate_half_extent(config.bitmask_boundary),
+    );
+    let groups = group_grid.tile_range(
+        splat.mean,
+        footprint.candidate_half_extent(config.group_boundary),
+    );
+    let (gx0, gx1, gy0, gy1) = groups;
+    for gy in gy0..gy1 {
+        for gx in gx0..gx1 {
+            let group_rect = group_grid.tile_rect_unclipped(gx, gy);
+            if !footprint.intersects(&group_rect, config.group_boundary) {
+                continue;
+            }
+            // Bitmask generation: test the splat against the candidate
+            // small tiles of this group that lie inside the image.
+            let candidates = (
+                (gx * side).max(ctx0),
+                ((gx + 1) * side).min(ctx1),
+                (gy * side).max(cty0),
+                ((gy + 1) * side).min(cty1),
+            );
+            let (tx_lo, tx_hi, ty_lo, ty_hi) = candidates;
+            let mut bitmask = TileBitmask::EMPTY;
+            for ty in ty_lo..ty_hi {
+                for tx in tx_lo..tx_hi {
+                    let tile_rect = tile_grid.tile_rect_unclipped(tx, ty);
+                    if footprint.intersects(&tile_rect, config.bitmask_boundary) {
+                        bitmask.set(layout.bit_index(tx - gx * side, ty - gy * side));
                     }
                 }
+            }
+            let group = group_grid.tile_index(gx, gy);
+            stage_entry(out, group, candidates, slot, bitmask, counts, scratch);
+        }
+    }
+    groups
+}
 
-                counts.tile_intersections += 1;
-
-                scratch.stage(
-                    group as u32,
-                    GroupEntry {
-                        slot: slot as u32,
-                        bitmask,
-                    },
-                );
+/// Stages one (group, splat) entry, tallies its bits into the group's
+/// per-tile hits and charges its counters: one intersection, the area of
+/// the `candidates` tile range in bitmask tests, one hit per bit.
+fn stage_entry(
+    out: &mut GroupAssignments,
+    group: usize,
+    (tx_lo, tx_hi, ty_lo, ty_hi): (u32, u32, u32, u32),
+    slot: u32,
+    bitmask: TileBitmask,
+    counts: &mut StageCounts,
+    scratch: &mut CsrScratch<GroupEntry>,
+) {
+    let tiles_per_group = out.layout.tiles_per_group() as usize;
+    let hits_range = group * tiles_per_group..(group + 1) * tiles_per_group;
+    if let Some(group_hits) = out.tile_hits.get_mut(hits_range) {
+        for bit in bitmask.iter_set() {
+            if let Some(hits) = group_hits.get_mut(bit as usize) {
+                *hits += 1;
             }
         }
     }
-
-    scratch.build_into(group_grid.tile_count(), &mut out.per_group);
+    let tested = u64::from(tx_hi.saturating_sub(tx_lo)) * u64::from(ty_hi.saturating_sub(ty_lo));
+    counts.bitmask_tests += tested;
+    counts.tiles_tested += tested;
+    counts.tiles_hit += u64::from(bitmask.count());
+    counts.tile_intersections += 1;
+    scratch.stage(group as u32, GroupEntry { slot, bitmask });
 }
 
 #[cfg(test)]
@@ -458,8 +503,8 @@ pub(crate) mod tests {
     fn bitmask_union_matches_baseline_tile_assignment() {
         // The set of (global tile, splat) pairs recovered from the bitmasks
         // must equal the baseline identification at the same tile size and
-        // boundary method — with the group range shifted out of the tile
-        // range (16+64) and with two independent ranges (16+48).
+        // boundary method, with four tiles a group side (16+64) and three
+        // (16+48).
         let splats = vec![
             projected(Vec2::new(60.0, 60.0), 9.0, 0, 1.0),
             projected(Vec2::new(130.0, 70.0), 4.0, 1, 2.0),
@@ -481,9 +526,8 @@ pub(crate) mod tests {
         }
         from_baseline.sort_unstable();
 
-        for (group_size, shift) in [(64, Some(2)), (48, None)] {
+        for group_size in [64, 48] {
             let cfg = config(16, group_size);
-            assert_eq!(shared_range_shift(&cfg), shift, "16+{group_size}");
             let mut counts = StageCounts::new();
             let groups = identify_groups(&splats, 256, 256, &cfg, &mut counts);
 
@@ -503,74 +547,6 @@ pub(crate) mod tests {
             assert_eq!(from_groups, from_baseline, "16+{group_size}");
             assert_eq!(counts.tiles_hit, baseline_counts.tiles_hit);
         }
-    }
-
-    #[test]
-    fn shared_range_matches_the_two_range_fallback_on_the_golden_scenes() {
-        use splat_scene::{PaperScene, SceneScale};
-        use splat_types::{Camera, CameraIntrinsics, Vec3};
-
-        // Mixed boundary methods have two different half extents and never
-        // share a range.
-        let mixed = GstgConfig::new(16, 64, BoundaryMethod::Aabb, BoundaryMethod::Ellipse).unwrap();
-        assert_eq!(shared_range_shift(&mixed), None);
-
-        // The `golden_frames` view, and a wider one with interior groups.
-        let cameras = [(96, 64), (256, 192)].map(|(width, height)| {
-            Camera::look_at(
-                Vec3::ZERO,
-                Vec3::new(0.0, 0.0, 1.0),
-                Vec3::Y,
-                CameraIntrinsics::from_fov_y(1.0, width, height),
-            )
-        });
-        let mut compared = 0u64;
-        for paper_scene in [
-            PaperScene::Train,
-            PaperScene::Playroom,
-            PaperScene::Drjohnson,
-        ] {
-            let scene = paper_scene.build(SceneScale::Tiny, 0);
-            for camera in &cameras {
-                for (tile, group) in [(16, 64), (8, 64), (16, 32)] {
-                    for boundary in BoundaryMethod::ALL {
-                        let cfg = GstgConfig::new(tile, group, boundary, boundary).unwrap();
-                        let shift = shared_range_shift(&cfg);
-                        assert_eq!(shift, Some((group / tile).trailing_zeros()));
-
-                        let mut projected = Vec::new();
-                        splat_render::preprocess_into(
-                            &scene,
-                            camera,
-                            &cfg.equivalent_baseline(),
-                            &mut StageCounts::new(),
-                            &mut projected,
-                        );
-                        let identify = |shift| {
-                            let mut counts = StageCounts::new();
-                            let mut out = GroupAssignments::empty();
-                            identify_groups_with_shift(
-                                &projected,
-                                camera.width(),
-                                camera.height(),
-                                &cfg,
-                                shift,
-                                &mut counts,
-                                &mut CsrScratch::new(),
-                                &mut out,
-                            );
-                            (out, counts)
-                        };
-                        let (shared, shared_counts) = identify(shift);
-                        let (fallback, fallback_counts) = identify(None);
-                        assert_eq!(shared, fallback, "{paper_scene:?} {tile}+{group}");
-                        assert_eq!(shared_counts, fallback_counts);
-                        compared += shared.total_entries();
-                    }
-                }
-            }
-        }
-        assert!(compared > 0);
     }
 
     #[test]

@@ -37,7 +37,7 @@ fn simulated_cycles_and_counts_are_pinned() {
         (PaperScene::Truck, PipelineVariant::baseline_paper(), 104_440,
          [2100, 1, 2099, 38774, 31076, 38774, 31076, 0, 211854, 31076, 1454, 0, 4800374, 3344459, 48730, 133008]),
         (PaperScene::Truck, PipelineVariant::gstg_paper(), 83_152,
-         [2100, 1, 2099, 6085, 5632, 36724, 31076, 36724, 47363, 5632, 114, 86901, 4800374, 3344459, 48730, 133008]),
+         [2100, 1, 2099, 6085, 5631, 36723, 31076, 36723, 47358, 5631, 114, 86897, 4800374, 3344459, 48730, 133008]),
     ];
     let simulator = Simulator::new(AccelConfig::paper());
     for (scene_id, variant, cycles, counts) in golden {

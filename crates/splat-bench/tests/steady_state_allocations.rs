@@ -166,9 +166,11 @@ fn steady_state_frames_allocate_nothing() {
     );
     // What each warm session retains, in bytes. A buffer added to or
     // removed from a frame moves these; update them only with a reason.
+    // Projected splats are reserved for the most cull survivors of any
+    // frame: on this sweep one splat fewer (52 B) than the scene holds.
     assert_eq!(
         (baseline, gstg),
-        (378_004, 353_596),
+        (377_952, 353_544),
         "(baseline, gstg) footprint_bytes()"
     );
 }

@@ -18,13 +18,16 @@ splat_types::counters! {
         culled_gaussians: u64,
         /// Splats that survived culling (features computed for these).
         visible_gaussians: u64,
-        /// Tile- (or group-) boundary intersection tests performed during
-        /// identification.
+        /// Modeled tile- (or group-) boundary tests of identification: the
+        /// candidate tiles (baseline) or candidate groups (GS-TG) of every
+        /// splat, the tests a per-tile boundary unit performs. The CPU tests
+        /// tiles one by one only for AABB and OBB; the ellipse takes its
+        /// hits a tile row at a time.
         tile_tests: u64,
         /// Positive tile/group intersections, i.e. entries appended to per-tile
         /// (or per-group) lists. Each of these implies one sorting key later.
         tile_intersections: u64,
-        /// Small-tile boundary tests performed by identification: always
+        /// Modeled small-tile boundary tests of identification: always
         /// equal to [`tile_tests`](Self::tile_tests) in the baseline pipeline
         /// and to [`bitmask_tests`](Self::bitmask_tests) in GS-TG, so it
         /// carries no count of its own (`benchmark/src/layers.rs` reads it).
@@ -34,8 +37,8 @@ splat_types::counters! {
         /// pipeline, where each hit is one list entry; GS-TG counts the small
         /// tiles hit inside each hit group.
         tiles_hit: u64,
-        /// Bitmask tile tests performed (GS-TG only: per-Gaussian small-tile
-        /// tests inside its groups).
+        /// Modeled bitmask tile tests (GS-TG only): the candidate in-image
+        /// small tiles of every group entry staged.
         bitmask_tests: u64,
         /// Modeled pairwise comparison operations of the depth sort (the
         /// `n·⌈log₂ n⌉` merge-sort bound per sorted list). The actual sort is a

@@ -10,7 +10,10 @@
 //!   principal axes with half-extents `3·√λ_max` × `3·√λ_min`; tested
 //!   against a tile with a separating-axis test.
 //! * **Ellipse** — FlashGS tests the exact 3σ ellipse against the tile
-//!   rectangle (a box-constrained minimization of the Mahalanobis form).
+//!   rectangle. Here the ellipse is an [`EllipseFootprint`]: identification
+//!   solves its conic once per tile-row band for the x-interval it covers
+//!   there, so a row's hits are one contiguous column range and no tile is
+//!   tested on its own.
 //!
 //! The rectangle type and the 3σ constants live in [`splat_core::rect`]
 //! (they are shared with the blending kernel).
@@ -20,14 +23,117 @@ use splat_core::{TileRect, MAHALANOBIS_CUTOFF, SIGMA_EXTENT};
 use crate::config::BoundaryMethod;
 use splat_types::{Mat2, Vec2};
 
+/// The exact 3σ ellipse `dᵀ Σ⁻¹ d ≤ 9` of one projected splat, as the
+/// ellipse identification walks it: its axis-aligned half extent, read off
+/// the covariance diagonal (`3√σxx`, `3√σyy`, no eigendecomposition), and
+/// per horizontal band the x-interval it covers
+/// ([`TileGrid::for_each_row_span`](crate::TileGrid::for_each_row_span)).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct EllipseFootprint {
+    /// Projected center in pixels.
+    mean: Vec2,
+    /// The conic `a·dx² + 2b·dx·dy + c·dy²`, with `b` the mean of its two
+    /// off-diagonal entries (the quadratic form is the same).
+    a: f32,
+    b: f32,
+    c: f32,
+    /// `3√σxx`, `3√σyy`: the ellipse's tight axis-aligned half extent.
+    half_extent: Vec2,
+    /// `dy` of the ellipse's rightmost point; its leftmost is at `-lean`.
+    lean: f32,
+}
+
+/// Where one horizontal line `y = mean.y + dy` crosses an ellipse: the
+/// x-offsets of its chord, `None` when the line misses the ellipse.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct EllipseEdge {
+    dy: f32,
+    chord: Option<(f32, f32)>,
+}
+
+impl EllipseFootprint {
+    /// The ellipse of a splat with projected `mean`, 2D covariance `cov` and
+    /// its inverse `conic`
+    /// ([`ProjectedGaussian::conic`](splat_core::ProjectedGaussian::conic)).
+    /// `None` when the covariance is not positive definite (or is NaN):
+    /// such a splat touches no tile.
+    #[inline]
+    pub fn new(mean: Vec2, cov: Mat2, conic: Mat2) -> Option<Self> {
+        let (sxx, syy) = (cov.at(0, 0), cov.at(1, 1));
+        if !((sxx > 0.0) & (syy > 0.0) & (cov.determinant() > 0.0)) {
+            return None;
+        }
+        let sxy = 0.5 * (cov.at(0, 1) + cov.at(1, 0));
+        let root_sxx = sxx.sqrt();
+        Some(Self {
+            mean,
+            a: conic.at(0, 0),
+            b: 0.5 * (conic.at(0, 1) + conic.at(1, 0)),
+            c: conic.at(1, 1),
+            half_extent: Vec2::new(SIGMA_EXTENT * root_sxx, SIGMA_EXTENT * syy.sqrt()),
+            lean: SIGMA_EXTENT * sxy / root_sxx,
+        })
+    }
+
+    /// Tight axis-aligned half extent of the 3σ ellipse, which bounds its
+    /// candidate tile range.
+    #[inline]
+    pub fn half_extent(&self) -> Vec2 {
+        self.half_extent
+    }
+
+    /// The chord of the horizontal line at pixel row `y`: the roots of
+    /// `a·dx² + 2b·dy·dx + c·dy² = 9`.
+    #[inline]
+    pub(crate) fn edge(&self, y: f32) -> EllipseEdge {
+        let dy = y - self.mean.y;
+        let half_b = self.b * dy;
+        let disc = half_b * half_b - self.a * (self.c * dy * dy - MAHALANOBIS_CUTOFF);
+        let chord = (disc >= 0.0).then(|| {
+            let root = disc.sqrt();
+            ((-half_b - root) / self.a, (-half_b + root) / self.a)
+        });
+        EllipseEdge { dy, chord }
+    }
+
+    /// The pixel x-interval `[lo, hi]` the ellipse covers inside the band
+    /// between the lines `top` and `bottom` (`top.dy ≤ bottom.dy`), or
+    /// `None` when it misses the band. Over the band the ellipse's left
+    /// boundary is smallest at an edge or at the ellipse's own leftmost
+    /// point, if the band holds it; likewise the right boundary.
+    #[inline]
+    pub(crate) fn span(&self, top: &EllipseEdge, bottom: &EllipseEdge) -> Option<(f32, f32)> {
+        let (mut lo, mut hi) = (f32::INFINITY, f32::NEG_INFINITY);
+        for (left, right) in [top.chord, bottom.chord].into_iter().flatten() {
+            lo = lo.min(left);
+            hi = hi.max(right);
+        }
+        let within = |dy: f32| top.dy <= dy && dy <= bottom.dy;
+        if within(-self.lean) {
+            lo = -self.half_extent.x;
+        }
+        if within(self.lean) {
+            hi = self.half_extent.x;
+        }
+        (lo <= hi).then_some((self.mean.x + lo, self.mean.x + hi))
+    }
+
+    /// Does any point of `rect` lie within the 3σ boundary? The rectangle
+    /// is closed: touching counts.
+    pub(crate) fn meets(&self, rect: &TileRect) -> bool {
+        self.span(&self.edge(rect.y0), &self.edge(rect.y1))
+            .is_some_and(|(lo, hi)| lo <= rect.x1 && hi >= rect.x0)
+    }
+}
+
 /// The screen-space footprint of one projected splat: everything the
 /// boundary tests need, precomputed once per splat.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GaussianFootprint {
     /// Projected center in pixels.
     pub(crate) mean: Vec2,
-    /// Inverse of the 2D covariance (the conic used by α-computation).
-    pub(crate) inv_cov: Mat2,
+    /// The exact 3σ ellipse, which the ellipse test reads.
+    pub(crate) ellipse: EllipseFootprint,
     /// Unit vector of the major principal axis.
     pub(crate) axis_major: Vec2,
     /// Unit vector of the minor principal axis.
@@ -59,7 +165,7 @@ impl GaussianFootprint {
         let (axis_major, axis_minor) = cov.symmetric_eigenvectors();
         Some(Self {
             mean,
-            inv_cov,
+            ellipse: EllipseFootprint::new(mean, cov, inv_cov)?,
             axis_major,
             axis_minor,
             radius_major: SIGMA_EXTENT * l_max.sqrt(),
@@ -74,8 +180,8 @@ impl GaussianFootprint {
         self.radius_major
     }
 
-    /// Tight axis-aligned half extents of the 3σ ellipse, used to bound the
-    /// candidate tile range for the OBB and ellipse tests.
+    /// Tight axis-aligned half extents of the oriented 3σ box, used to bound
+    /// the candidate tile range of the OBB test.
     pub(crate) fn tight_half_extent(&self) -> Vec2 {
         // Extent of an ellipse along a coordinate axis e is
         // sqrt(Σ r_i² (a_i · e)²) over the principal axes a_i.
@@ -89,20 +195,14 @@ impl GaussianFootprint {
     }
 
     /// The half-extent used to collect candidate tiles for a given boundary
-    /// method (square for AABB, tight ellipse bounds otherwise).
+    /// method (square for AABB, tight bounds of the oriented box for OBB,
+    /// the covariance diagonal for the ellipse).
     pub fn candidate_half_extent(&self, method: BoundaryMethod) -> Vec2 {
         match method {
             BoundaryMethod::Aabb => Vec2::splat(self.aabb_half_extent()),
-            BoundaryMethod::Obb | BoundaryMethod::Ellipse => self.tight_half_extent(),
+            BoundaryMethod::Obb => self.tight_half_extent(),
+            BoundaryMethod::Ellipse => self.ellipse.half_extent(),
         }
-    }
-
-    /// Squared Mahalanobis distance of a pixel-space point from the splat
-    /// center: `(p-μ)ᵀ Σ⁻¹ (p-μ)`.
-    #[inline]
-    pub(crate) fn mahalanobis_sq(&self, p: Vec2) -> f32 {
-        let d = p - self.mean;
-        d.dot(self.inv_cov.mul_vec(d))
     }
 
     /// Tests whether the footprint intersects a rectangle under the given
@@ -111,7 +211,7 @@ impl GaussianFootprint {
         match method {
             BoundaryMethod::Aabb => self.intersects_aabb(rect),
             BoundaryMethod::Obb => self.intersects_obb(rect),
-            BoundaryMethod::Ellipse => self.intersects_ellipse(rect),
+            BoundaryMethod::Ellipse => self.ellipse.meets(rect),
         }
     }
 
@@ -156,62 +256,59 @@ impl GaussianFootprint {
         }
         true
     }
-
-    /// Exact ellipse test: does any point of the rectangle lie within the
-    /// 3σ Mahalanobis boundary?
-    ///
-    /// If the center is inside the rectangle the answer is trivially yes;
-    /// otherwise the constrained minimum of the (convex) Mahalanobis form
-    /// over the rectangle lies on its boundary, so the four edges are
-    /// minimized in closed form.
-    fn intersects_ellipse(&self, rect: &TileRect) -> bool {
-        if rect.contains(self.mean) {
-            return true;
-        }
-        let corners = [
-            Vec2::new(rect.x0, rect.y0),
-            Vec2::new(rect.x1, rect.y0),
-            Vec2::new(rect.x1, rect.y1),
-            Vec2::new(rect.x0, rect.y1),
-        ];
-        let edges = [
-            (corners[0], corners[1]),
-            (corners[1], corners[2]),
-            (corners[2], corners[3]),
-            (corners[3], corners[0]),
-        ];
-        let mut min_d2 = f32::INFINITY;
-        for (a, b) in edges {
-            min_d2 = min_d2.min(self.min_mahalanobis_on_segment(a, b));
-            if min_d2 <= MAHALANOBIS_CUTOFF {
-                return true;
-            }
-        }
-        min_d2 <= MAHALANOBIS_CUTOFF
-    }
-
-    /// Minimum of the squared Mahalanobis distance over the segment
-    /// `a + t (b - a)`, `t ∈ [0, 1]` (closed-form for a 1D quadratic).
-    fn min_mahalanobis_on_segment(&self, a: Vec2, b: Vec2) -> f32 {
-        let d = b - a;
-        let m = a - self.mean;
-        let ad = self.inv_cov.mul_vec(d);
-        let quad = d.dot(ad);
-        let lin = m.dot(ad);
-        let t = if quad.abs() < 1e-12 {
-            0.0
-        } else {
-            (-lin / quad).clamp(0.0, 1.0)
-        };
-        let p = a + d * t;
-        self.mahalanobis_sq(p)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use splat_types::rng::Rng;
+
+    impl GaussianFootprint {
+        /// Squared Mahalanobis distance of a pixel-space point from the
+        /// splat center: `(p-μ)ᵀ Σ⁻¹ (p-μ)`.
+        fn mahalanobis_sq(&self, p: Vec2) -> f32 {
+            let d = p - self.mean;
+            let e = &self.ellipse;
+            d.dot(Mat2::from_symmetric(e.a, e.b, e.c).mul_vec(d))
+        }
+
+        /// The per-tile ellipse test the row spans replaced, kept as an
+        /// independent oracle: a centre inside the rectangle hits, else
+        /// the convex Mahalanobis form is minimised in closed form on each
+        /// of the four edges.
+        fn intersects_by_segments(&self, rect: &TileRect) -> bool {
+            if rect.contains(self.mean) {
+                return true;
+            }
+            let corners = [
+                Vec2::new(rect.x0, rect.y0),
+                Vec2::new(rect.x1, rect.y0),
+                Vec2::new(rect.x1, rect.y1),
+                Vec2::new(rect.x0, rect.y1),
+            ];
+            (0..4).any(|i| {
+                let (a, b) = (corners[i], corners[(i + 1) % 4]);
+                self.min_mahalanobis_on_segment(a, b) <= MAHALANOBIS_CUTOFF
+            })
+        }
+
+        /// Minimum of the squared Mahalanobis distance over the segment
+        /// `a + t (b - a)`, `t ∈ [0, 1]` (closed-form for a 1D quadratic).
+        fn min_mahalanobis_on_segment(&self, a: Vec2, b: Vec2) -> f32 {
+            let e = &self.ellipse;
+            let conic = Mat2::from_symmetric(e.a, e.b, e.c);
+            let d = b - a;
+            let ad = conic.mul_vec(d);
+            let quad = d.dot(ad);
+            let lin = (a - self.mean).dot(ad);
+            let t = if quad.abs() < 1e-12 {
+                0.0
+            } else {
+                (-lin / quad).clamp(0.0, 1.0)
+            };
+            self.mahalanobis_sq(a + d * t)
+        }
+    }
 
     /// Footprint of `cov`, with its inverse computed as preprocessing does.
     fn footprint(mean: Vec2, cov: Mat2) -> Option<GaussianFootprint> {
@@ -447,5 +544,51 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The row-span test decides every sampled (splat, tile) pair as the
+    /// four-edge minimisation it replaced does, except within a hair of
+    /// tangency, where the two roundings may fall either way.
+    #[test]
+    fn span_test_matches_the_segment_minimisation() {
+        let mut rng = Rng::seed_from_u64(0x5EA7_0FE1);
+        let (mut hits, mut tangent) = (0, 0);
+        for case in 0..20_000 {
+            let s_major = rng.range_f32(0.3, 30.0);
+            let f = elongated(
+                Vec2::new(rng.range_f32(0.0, 128.0), rng.range_f32(0.0, 128.0)),
+                s_major,
+                (s_major * rng.range_f32(0.02, 1.0)).max(0.1),
+                rng.range_f32(0.0, std::f32::consts::PI),
+            );
+            let size = [8.0, 16.0, 64.0][case % 3];
+            let (tx, ty) = (
+                rng.range_f32(0.0, 8.0).floor(),
+                rng.range_f32(0.0, 8.0).floor(),
+            );
+            let tile = TileRect::new(tx * size, ty * size, (tx + 1.0) * size, (ty + 1.0) * size);
+            let by_span = f.intersects(&tile, BoundaryMethod::Ellipse);
+            if by_span == f.intersects_by_segments(&tile) {
+                hits += usize::from(by_span);
+                continue;
+            }
+            let edges = [
+                (Vec2::new(tile.x0, tile.y0), Vec2::new(tile.x1, tile.y0)),
+                (Vec2::new(tile.x1, tile.y0), Vec2::new(tile.x1, tile.y1)),
+                (Vec2::new(tile.x1, tile.y1), Vec2::new(tile.x0, tile.y1)),
+                (Vec2::new(tile.x0, tile.y1), Vec2::new(tile.x0, tile.y0)),
+            ];
+            let min = edges
+                .iter()
+                .map(|&(a, b)| f.min_mahalanobis_on_segment(a, b))
+                .fold(f32::INFINITY, f32::min);
+            assert!(
+                (min - MAHALANOBIS_CUTOFF).abs() < 1e-3,
+                "case {case}: span {by_span} at a minimum of {min}"
+            );
+            tangent += 1;
+        }
+        assert!(hits > 2_000, "{hits} hits");
+        assert!(tangent <= 2, "{tangent} tangent disagreements");
     }
 }

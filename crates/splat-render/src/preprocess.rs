@@ -27,8 +27,12 @@ use splat_types::{eval_color, Camera, Frustum, Gaussian3d, Mat2, Mat3, Vec3};
 /// Runs preprocessing over a scene for a camera, accumulating the stage's
 /// counters into `counts`. `out` is cleared and refilled in scene order
 /// (ascending `index`, which the sorting stages rely on for deterministic
-/// tie-breaking), retaining its allocation; the capacity is reserved for
-/// the full scene up front, so a reused buffer never grows again.
+/// tie-breaking), retaining its allocation. The allocation follows the
+/// view, not the scene: when a splat that passed the opacity and frustum
+/// culls finds `out` full, the splats from it on that pass them are counted
+/// and exactly that many more are reserved. A reused buffer so holds at
+/// most the cull survivors of its busiest frame, and a frame that fits
+/// counts nothing.
 ///
 /// The splats are read from the scene's [`SceneSoA`] component arrays
 /// (built once per scene, lazily); the view transform runs over 8-wide
@@ -47,13 +51,12 @@ pub fn preprocess_into(
     counts: &mut StageCounts,
     out: &mut Vec<ProjectedGaussian>,
 ) {
-    out.clear();
-    out.reserve(scene.len());
     let frame = FrameCamera {
         camera,
         frustum: camera.frustum(),
         view_rot: camera.view_rotation(),
     };
+    out.clear();
     preprocess_soa_chunked::<8>(scene.soa(), &frame, counts, out);
 }
 
@@ -99,6 +102,68 @@ fn preprocess_soa_chunked<const W: usize>(
     }
 }
 
+/// How many of the splats from `start` on pass [`is_culled`]: the same
+/// predicate over the same view-space positions as the projection pass
+/// (each lane of [`Camera::to_view_lanes`] is bit-identical to
+/// [`Camera::to_view`], whatever the chunking), `W` lanes at a time and
+/// without a branch, so the compiler vectorizes it.
+fn count_survivors<const W: usize>(soa: &SceneSoA, frame: &FrameCamera<'_>, start: usize) -> usize {
+    let survives = |opacity: f32, scale: Vec3, view: Vec3| {
+        usize::from(!is_culled(opacity, scale, view, &frame.frustum))
+    };
+    let lanes_from = |values| lanes::<W>(values, start);
+    let positions = lanes_from(soa.pos_x())
+        .zip(lanes_from(soa.pos_y()))
+        .zip(lanes_from(soa.pos_z()));
+    let scales = lanes_from(soa.scale_x())
+        .zip(lanes_from(soa.scale_y()))
+        .zip(lanes_from(soa.scale_z()));
+    let chunks = positions.zip(scales).zip(lanes_from(soa.opacity()));
+    let chunked: usize = chunks
+        .map(|((((xs, ys), zs), ((sx, sy), sz)), opacity)| {
+            let (vx, vy, vz) = frame.camera.to_view_lanes(&xs, &ys, &zs);
+            let views = vx.into_iter().zip(vy).zip(vz);
+            let scales = sx.into_iter().zip(sy).zip(sz);
+            views
+                .zip(scales)
+                .zip(opacity)
+                .map(|((((x, y), z), ((sx, sy), sz)), opacity)| {
+                    survives(opacity, Vec3::new(sx, sy, sz), Vec3::new(x, y, z))
+                })
+                .sum::<usize>()
+        })
+        .sum();
+    let tail = soa.len() - soa.len().saturating_sub(start) % W;
+    let tail_opacity = soa.opacity().get(tail..).unwrap_or_default();
+    let tailed: usize = (tail..)
+        .zip(tail_opacity)
+        .map(|(i, &opacity)| survives(opacity, soa.scale(i), frame.camera.to_view(soa.position(i))))
+        .sum();
+    chunked + tailed
+}
+
+/// `values[start..]` as `W`-lane chunks; the trailing `len % W` values are
+/// left out.
+fn lanes<const W: usize>(values: &[f32], start: usize) -> impl Iterator<Item = [f32; W]> + '_ {
+    let values = values.get(start..).unwrap_or_default();
+    values.chunks_exact(W).map(|chunk| {
+        let mut lanes = [0.0f32; W];
+        lanes.copy_from_slice(chunk);
+        lanes
+    })
+}
+
+/// The opacity and frustum culls of a splat at view-space position `view`:
+/// fully transparent splats can never contribute, and the frustum test
+/// uses the splat's 3σ bounding sphere. One predicate for the count and the
+/// projection, evaluated without branches (`|` here and `&` in
+/// [`Frustum::contains_view`]), so counting costs no mispredictions.
+#[inline]
+fn is_culled(opacity: f32, scale: Vec3, view: Vec3, frustum: &Frustum) -> bool {
+    let radius = Gaussian3d::bounding_radius_of(scale);
+    (opacity < ALPHA_CULL_THRESHOLD) | !frustum.contains_view(view, radius)
+}
+
 /// Culls and projects one splat read out of the SoA arrays. `view_hint`
 /// carries a chunk-precomputed view-space position (bit-identical to
 /// computing it here); either way it is computed once and serves both the
@@ -113,16 +178,9 @@ fn project_soa_splat(
     out: &mut Vec<ProjectedGaussian>,
 ) {
     let opacity = soa.opacity()[i];
-    // Opacity culling: fully transparent splats can never contribute.
-    if opacity < ALPHA_CULL_THRESHOLD {
-        counts.culled_gaussians += 1;
-        return;
-    }
     let position = soa.position(i);
     let view = view_hint.unwrap_or_else(|| frame.camera.to_view(position));
-    // Frustum culling with the splat's 3σ bounding sphere.
-    let radius = Gaussian3d::bounding_radius_of(soa.scale(i));
-    if !frame.frustum.contains_view(view, radius) {
+    if is_culled(opacity, soa.scale(i), view, &frame.frustum) {
         counts.culled_gaussians += 1;
         return;
     }
@@ -138,6 +196,13 @@ fn project_soa_splat(
         counts,
     );
     if let Some(splat) = splat {
+        if out.len() == out.capacity() {
+            out.reserve_exact(count_survivors::<8>(soa, frame, i));
+        }
+        debug_assert!(
+            out.len() < out.capacity(),
+            "splat {i} passed the cull but was not counted"
+        );
         out.push(splat);
     }
 }
@@ -445,9 +510,12 @@ mod tests {
 
     #[test]
     fn preprocess_into_reuses_the_buffer_and_matches_the_owned_path() {
+        // Two visible splats, one transparent and one behind the camera.
         let gaussians = vec![
             splat(Vec3::new(0.0, 0.0, 5.0), 0.9, 0.1),
+            splat(Vec3::new(0.0, 0.0, 5.0), 0.001, 0.1),
             splat(Vec3::new(0.5, 0.0, 6.0), 0.9, 0.1),
+            splat(Vec3::new(0.0, 0.0, -5.0), 0.9, 0.1),
         ];
         let scene = Scene::new("t", 640, 480, gaussians);
         let config = RenderConfig::new(16, BoundaryMethod::Aabb);
@@ -462,7 +530,9 @@ mod tests {
             assert_eq!(reused, owned);
             assert_eq!(c, counts);
         }
-        assert!(reused.capacity() >= scene.len());
+        // The buffer is sized by the cull's survivors, not by the scene.
+        assert_eq!(owned.len(), 2);
+        assert!((2..scene.len()).contains(&reused.capacity()));
     }
 
     /// Bit equality of projected splats: `==` on floats is not bit

@@ -5,7 +5,7 @@
 //! machinery serves group identification in the GS-TG pipeline (a tile
 //! group is simply a grid with a larger tile size).
 
-use crate::bounds::GaussianFootprint;
+use crate::bounds::{EllipseFootprint, GaussianFootprint};
 use crate::config::{BoundaryMethod, PrepassMode};
 use splat_core::{CsrAssignments, CsrScratch, ProjectedGaussian, StageCounts, TileLists, TileRect};
 use splat_types::{RenderError, Vec2};
@@ -118,20 +118,12 @@ impl TileGrid {
     /// Unclamped tile coordinates `[x_lo, x_hi, y_lo, y_hi]` of the tiles
     /// holding the corners of an axis-aligned box of `half_extent` around
     /// `center` (both in pixels): `⌊(center ∓ half_extent) / tile_size⌋` per
-    /// axis, `-1` for a NaN bound. Floors of a power-of-two grid shift down
-    /// to the floors of every coarser power-of-two grid, which is how GS-TG
-    /// derives a splat's group range from its tile range.
+    /// axis, `-1` for a NaN bound. A tile floor divided (rounding down) by
+    /// the tiles per group side is the floor of the group holding that
+    /// tile, which is how GS-TG derives a splat's group range from its tile
+    /// range.
     pub fn tile_floors(&self, center: Vec2, half_extent: Vec2) -> [i64; 4] {
         let size = self.tile_size as f32;
-        // Truncate-and-adjust floor: the default x86-64 target has no
-        // `roundss`, so `f32::floor` is a libm call. `as i32` truncates,
-        // saturates and maps NaN to 0; negative fractions then step down
-        // one, and so does NaN, to the -1 that clamps to the empty range
-        // `f32::clamp` + `as u32` gave it.
-        let floor = |v: f32| {
-            let truncated = v as i32;
-            i64::from(truncated) - i64::from(v.is_nan() || truncated as f32 > v)
-        };
         [
             floor((center.x - half_extent.x) / size),
             floor((center.x + half_extent.x) / size),
@@ -159,6 +151,45 @@ impl TileGrid {
     pub fn tile_range(&self, center: Vec2, half_extent: Vec2) -> (u32, u32, u32, u32) {
         self.clamp_floors(self.tile_floors(center, half_extent))
     }
+
+    /// Walks the tile rows `ty0..ty1` of a candidate range and calls
+    /// `row(ty, tx_lo, tx_hi)` for each row the ellipse meets, with the
+    /// contiguous columns `tx_lo..tx_hi` (inside `tx0..tx1`) that its
+    /// x-interval over the row's band `[ty·size, (ty+1)·size]` covers. A
+    /// tile is hit iff its unclipped, closed rectangle holds a point of the
+    /// 3σ ellipse, except a tile the interval touches only at its right
+    /// edge, which [`TileGrid::tile_range`] leaves out too. Neighbouring
+    /// rows share their edge's chord: one square root per band edge.
+    pub fn for_each_row_span(
+        &self,
+        ellipse: &EllipseFootprint,
+        (tx0, tx1, ty0, ty1): (u32, u32, u32, u32),
+        mut row: impl FnMut(u32, u32, u32),
+    ) {
+        let size = self.tile_size as f32;
+        let clamp = |tile: i64| tile.clamp(i64::from(tx0), i64::from(tx1)) as u32;
+        let mut top = ellipse.edge((ty0 * self.tile_size) as f32);
+        for ty in ty0..ty1 {
+            let bottom = ellipse.edge(((ty + 1) * self.tile_size) as f32);
+            if let Some((x_lo, x_hi)) = ellipse.span(&top, &bottom) {
+                let (tx_lo, tx_hi) = (clamp(floor(x_lo / size)), clamp(floor(x_hi / size) + 1));
+                if tx_lo < tx_hi {
+                    row(ty, tx_lo, tx_hi);
+                }
+            }
+            top = bottom;
+        }
+    }
+}
+
+/// `⌊v⌋` without libm: the default x86-64 target has no `roundss`, so
+/// `f32::floor` is a library call. `as i32` truncates, saturates and maps
+/// NaN to 0; negative fractions then step down one, and so does NaN, to
+/// the -1 that clamps to an empty range.
+#[inline]
+fn floor(v: f32) -> i64 {
+    let truncated = v as i32;
+    i64::from(truncated) - i64::from(v.is_nan() || truncated as f32 > v)
 }
 
 /// The result of tile identification: for every tile, the list of projected
@@ -277,16 +308,21 @@ impl TileLists for TileAssignments {
 }
 
 /// Runs tile identification for all projected splats against a grid using
-/// the given boundary method. `out` is rebuilt through
-/// `scratch`, retaining both allocations across frames. Every intersection
-/// test is performed (and charged to `counts`) exactly once;
-/// the staged `(tile, slot)` pairs are then counting-sorted into the CSR
-/// layout (counting prepass → prefix-sum offsets → stable scatter),
-/// preserving scene order within each tile.
+/// the given boundary method. `out` is rebuilt through `scratch`, retaining
+/// both allocations across frames: the staged `(tile, slot)` pairs are
+/// counting-sorted into the CSR layout (counting prepass → prefix-sum
+/// offsets → stable scatter), preserving scene order within each tile.
 ///
-/// Accounting: `tiles_tested` counts every boundary test and always equals
-/// `tile_tests`; `tiles_hit` counts accepted candidates and always equals
-/// `tile_intersections` (the flat intersection-list length).
+/// Each splat's candidate tiles are the rectangle its half extent covers.
+/// For [`BoundaryMethod::Ellipse`] that extent is the covariance diagonal
+/// and the hits come a row at a time ([`TileGrid::for_each_row_span`]):
+/// no eigendecomposition and no per-tile test. AABB and OBB, the paper's
+/// comparison methods, test each candidate tile.
+///
+/// Accounting: `tile_tests` and `tiles_tested` are modeled: the area of
+/// each splat's candidate rectangle, the tests a per-tile boundary unit
+/// performs, whatever the CPU does. `tiles_hit` counts accepted tiles and
+/// always equals `tile_intersections` (the flat intersection-list length).
 ///
 /// `_prepass` is ignored: it is still a parameter only because
 /// `benchmark/src/layers.rs` passes one, and goes with ROADMAP item 2a.
@@ -307,26 +343,44 @@ pub fn identify_tiles_into(
 
     let per_gaussian = out.tiles_per_gaussian.iter_mut();
     for ((slot, splat), tiles_of_splat) in projected.iter().enumerate().zip(per_gaussian) {
-        let Some(footprint) =
-            GaussianFootprint::from_covariance(splat.mean, splat.cov, splat.conic())
-        else {
-            continue;
+        let mut hits = 0u32;
+        let mut stage = |tx: u32, ty: u32| {
+            scratch.stage(grid.tile_index(tx, ty) as u32, slot as u32);
+            hits += 1;
         };
-        let half_extent = footprint.candidate_half_extent(boundary);
-        let (tx0, tx1, ty0, ty1) = grid.tile_range(splat.mean, half_extent);
-        for ty in ty0..ty1 {
-            for tx in tx0..tx1 {
-                counts.tile_tests += 1;
-                counts.tiles_tested += 1;
-                let rect = grid.tile_rect_unclipped(tx, ty);
-                if footprint.intersects(&rect, boundary) {
-                    counts.tile_intersections += 1;
-                    counts.tiles_hit += 1;
-                    scratch.stage(grid.tile_index(tx, ty) as u32, slot as u32);
-                    *tiles_of_splat += 1;
+        let candidates = if boundary == BoundaryMethod::Ellipse {
+            let Some(ellipse) = EllipseFootprint::new(splat.mean, splat.cov, splat.conic()) else {
+                continue;
+            };
+            let range = grid.tile_range(splat.mean, ellipse.half_extent());
+            grid.for_each_row_span(&ellipse, range, |ty, tx_lo, tx_hi| {
+                (tx_lo..tx_hi).for_each(|tx| stage(tx, ty));
+            });
+            range
+        } else {
+            let Some(footprint) =
+                GaussianFootprint::from_covariance(splat.mean, splat.cov, splat.conic())
+            else {
+                continue;
+            };
+            let range = grid.tile_range(splat.mean, footprint.candidate_half_extent(boundary));
+            let (tx0, tx1, ty0, ty1) = range;
+            for ty in ty0..ty1 {
+                for tx in tx0..tx1 {
+                    if footprint.intersects(&grid.tile_rect_unclipped(tx, ty), boundary) {
+                        stage(tx, ty);
+                    }
                 }
             }
-        }
+            range
+        };
+        let (tx0, tx1, ty0, ty1) = candidates;
+        let area = u64::from(tx1 - tx0) * u64::from(ty1 - ty0);
+        counts.tile_tests += area;
+        counts.tiles_tested += area;
+        counts.tile_intersections += u64::from(hits);
+        counts.tiles_hit += u64::from(hits);
+        *tiles_of_splat = hits;
     }
 
     scratch.build_into(grid.tile_count(), &mut out.per_tile);
@@ -568,6 +622,38 @@ pub(crate) mod tests {
             assignments.total_entries(),
             u64::from(assignments.tiles_per_gaussian()[0])
         );
+    }
+
+    /// The row walk hits exactly the candidate tiles whose rectangle the
+    /// ellipse meets, tested one band at a time: sharing a chord between
+    /// neighbouring rows and turning an interval into columns lose and add
+    /// nothing.
+    #[test]
+    fn row_spans_hit_the_tiles_the_ellipse_meets() {
+        let mut rng = splat_types::rng::Rng::seed_from_u64(0x5BA4_0011);
+        let mut hits = 0;
+        for case in 0..2_000 {
+            let grid = TileGrid::new(96, 64, [8, 16, 32][case % 3]);
+            let (sx, sy) = (rng.range_f32(0.3, 400.0), rng.range_f32(0.3, 400.0));
+            let sxy = rng.range_f32(-0.95, 0.95) * (sx * sy).sqrt();
+            let cov = Mat2::from_symmetric(sx, sxy, sy);
+            let mean = Vec2::new(rng.range_f32(-40.0, 136.0), rng.range_f32(-40.0, 104.0));
+            let Ok(conic) = cov.inverse() else { continue };
+            let ellipse = EllipseFootprint::new(mean, cov, conic).expect("positive definite");
+            let range = grid.tile_range(mean, ellipse.half_extent());
+            let mut walked = Vec::new();
+            grid.for_each_row_span(&ellipse, range, |ty, tx_lo, tx_hi| {
+                walked.extend((tx_lo..tx_hi).map(|tx| (tx, ty)));
+            });
+            let (tx0, tx1, ty0, ty1) = range;
+            let tested: Vec<(u32, u32)> = (ty0..ty1)
+                .flat_map(|ty| (tx0..tx1).map(move |tx| (tx, ty)))
+                .filter(|&(tx, ty)| ellipse.meets(&grid.tile_rect_unclipped(tx, ty)))
+                .collect();
+            assert_eq!(walked, tested, "case {case}: {mean:?} {cov:?}");
+            hits += walked.len();
+        }
+        assert!(hits > 5_000, "{hits} hits");
     }
 
     #[test]

@@ -121,6 +121,24 @@ impl SceneSoA {
         &self.pos_z
     }
 
+    /// Scale X components.
+    #[inline]
+    pub fn scale_x(&self) -> &[f32] {
+        &self.scale_x
+    }
+
+    /// Scale Y components.
+    #[inline]
+    pub fn scale_y(&self) -> &[f32] {
+        &self.scale_y
+    }
+
+    /// Scale Z components.
+    #[inline]
+    pub fn scale_z(&self) -> &[f32] {
+        &self.scale_z
+    }
+
     /// Reassembled position of splat `i`.
     #[inline]
     pub fn position(&self, i: usize) -> Vec3 {

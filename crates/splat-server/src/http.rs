@@ -408,6 +408,12 @@ mod tests {
 
     #[test]
     fn oversized_content_length_is_refused_without_reading_the_body() {
+        // A body of exactly the limit is read.
+        let mut exact = Vec::from(&b"POST /scenes HTTP/1.1\r\nContent-Length: 64\r\n\r\n"[..]);
+        exact.resize(exact.len() + 64, b'x');
+        assert!(
+            matches!(parse(&exact, 64), ReadOutcome::Request { request, .. } if request.body.len() == 64)
+        );
         let outcome = parse(b"POST /scenes HTTP/1.1\r\nContent-Length: 4096\r\n\r\n", 64);
         match outcome {
             ReadOutcome::Malformed(error) => {
@@ -455,6 +461,22 @@ mod tests {
 
     #[test]
     fn head_budget_bounds_hostile_header_streams() {
+        // `MAX_HEADERS` header lines are read, one more is refused.
+        let with_headers = |count: usize| {
+            let mut wire = String::from("GET / HTTP/1.1\r\n");
+            (0..count).for_each(|i| wire.push_str(&format!("X-{i}: v\r\n")));
+            wire.push_str("\r\n");
+            parse(wire.as_bytes(), 1024)
+        };
+        assert!(matches!(
+            with_headers(MAX_HEADERS),
+            ReadOutcome::Request { request, .. } if request.headers.len() == MAX_HEADERS
+        ));
+        assert!(matches!(
+            with_headers(MAX_HEADERS + 1),
+            ReadOutcome::Malformed(HttpError::TooManyHeaders)
+        ));
+
         let mut wire = Vec::from(&b"GET / HTTP/1.1\r\n"[..]);
         wire.resize(wire.len() + MAX_HEAD_BYTES, b'a');
         assert!(matches!(

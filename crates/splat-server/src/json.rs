@@ -415,12 +415,11 @@ mod tests {
 
     #[test]
     fn depth_limit_stops_hostile_nesting() {
-        let deep = format!(
-            "{}{}",
-            "[".repeat(MAX_JSON_DEPTH + 2),
-            "]".repeat(MAX_JSON_DEPTH + 2)
-        );
-        assert!(parse_json(&deep).is_err());
+        let nested = |arrays: usize| format!("{}{}", "[".repeat(arrays), "]".repeat(arrays));
+        // The top-level value is at depth 0, so `MAX_JSON_DEPTH + 1` arrays
+        // put the innermost at exactly the limit; one more is refused.
+        assert!(parse_json(&nested(MAX_JSON_DEPTH + 1)).is_ok());
+        assert!(parse_json(&nested(MAX_JSON_DEPTH + 2)).is_err());
         let shallow = "[[[[0]]]]";
         assert!(parse_json(shallow).is_ok());
     }

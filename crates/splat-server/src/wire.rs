@@ -529,6 +529,10 @@ mod tests {
         let mut lying = Vec::from(&4u32.to_le_bytes()[..]);
         lying.extend_from_slice(&wire[4..]);
         assert_eq!(decode_frame(&lying), Err(WireError::DimensionMismatch));
+        // One trailing byte after a valid frame is a lie too.
+        let mut trailing = wire.clone();
+        trailing.push(0);
+        assert_eq!(decode_frame(&trailing), Err(WireError::DimensionMismatch));
     }
 
     #[test]

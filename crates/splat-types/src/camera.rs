@@ -132,16 +132,17 @@ impl Frustum {
     ///
     /// Matches the culling performed in 3D-GS preprocessing: points behind
     /// the near plane, beyond the far plane or outside the lateral frustum
-    /// widened by the guard band are culled.
+    /// widened by the guard band are culled. The comparisons are combined
+    /// with `|` and `&`, not short-circuited, so the test compiles without
+    /// branches and preprocessing's survivor count vectorizes.
     #[inline]
     pub fn contains_view(&self, view: Vec3, radius: f32) -> bool {
         let depth = -view.z;
-        if depth + radius < self.near || depth - radius > self.far {
-            return false;
-        }
+        let outside_depth = (depth + radius < self.near) | (depth - radius > self.far);
         let safe_depth = depth.max(self.near);
-        view.x.abs() - radius <= self.limit_x * safe_depth
-            && view.y.abs() - radius <= self.limit_y * safe_depth
+        !outside_depth
+            & (view.x.abs() - radius <= self.limit_x * safe_depth)
+            & (view.y.abs() - radius <= self.limit_y * safe_depth)
     }
 }
 

@@ -24,6 +24,8 @@
 #   timeout   the build or the suite ran past 900 s
 # A test binary that dies without a result line is listed as
 # `binary::<crashed>`. One site takes about a minute on a 2-core host.
+# A run holds an exclusive lock on $MUTANTS_WORK/lock and refuses to start
+# while another run holds it.
 set -euo pipefail
 
 root=$(cd "$(dirname "$0")/.." && pwd)
@@ -88,6 +90,16 @@ if [[ ${1:-} == --check ]]; then
     exit 0
 fi
 check "$root"
+
+# Two runs sharing one work tree would re-copy it under each other's
+# builds: hold $work/lock for the whole run and refuse to start beside
+# another run of the same tree.
+mkdir -p "$work"
+exec 9>"$work/lock"
+if ! flock -n 9; then
+    echo "another mutation run holds $work/lock; wait for it or set MUTANTS_WORK" >&2
+    exit 1
+fi
 
 declare -A chosen=()
 for id in "$@"; do
