@@ -34,7 +34,7 @@ impl TileBitmask {
     /// # Panics
     ///
     /// Panics when `index >= 64`.
-    #[inline]
+    #[cfg(test)]
     pub(crate) fn set(&mut self, index: u32) {
         assert!(index < 64, "tile index {index} exceeds bitmask capacity");
         self.0 |= 1 << index;
@@ -179,7 +179,7 @@ impl GroupLayout {
     /// # Panics
     ///
     /// Panics when the coordinates exceed the group.
-    #[inline]
+    #[cfg(test)]
     pub(crate) fn bit_index(&self, tx_in_group: u32, ty_in_group: u32) -> u32 {
         assert!(
             tx_in_group < self.tiles_per_side && ty_in_group < self.tiles_per_side,

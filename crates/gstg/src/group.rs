@@ -7,10 +7,10 @@
 //! touching a small tile always touches the group, so the bitmasks
 //! losslessly encode the baseline's per-tile assignment.
 //!
-//! Under the ellipse (the paper's configuration) the bitmasks come first:
-//! the splat's row spans over its candidate tiles are ORed into the masks
-//! of the groups holding them, and a group with an empty in-image mask is
-//! not staged. Every bit set is also tallied per tile
+//! The bitmasks come first, under every boundary method: the splat's row
+//! spans over its candidate tiles are ORed into the masks of the groups
+//! holding them, and a group whose in-image mask under the group boundary
+//! is empty is not staged. Every bit set is also tallied per tile
 //! (`GroupAssignments::tile_hits`), which is what lets rasterization
 //! scatter a sorted group list into its tiles' lists in one walk
 //! ([`crate::raster`]).
@@ -18,7 +18,7 @@
 use crate::bitmask::{GroupLayout, TileBitmask};
 use crate::config::GstgConfig;
 use splat_core::{CsrAssignments, CsrScratch, ProjectedGaussian, SortEntry, StageCounts};
-use splat_render::{BoundaryMethod, EllipseFootprint, GaussianFootprint, TileGrid};
+use splat_render::{BoundaryMethod, Ellipse, Footprint, OrientedBox, Shape, Square, TileGrid};
 
 /// One splat's membership in one group: which projected splat it is and
 /// which small tiles of the group it touches. Packed to 4-byte alignment:
@@ -169,24 +169,26 @@ impl GroupAssignments {
 /// frames; the staged `(group, entry)` pairs are counting-sorted into the
 /// CSR layout, preserving scene order within each group.
 ///
-/// When both boundary methods are [`BoundaryMethod::Ellipse`] (the paper's
-/// configuration) a splat's candidate tiles are the rectangle its
-/// covariance diagonal covers, its candidate groups are the groups holding
-/// those tiles (the tile floors divided, rounding down, by the tiles per
-/// group side) and each group's bitmask is the OR of the contiguous column
-/// ranges the ellipse covers in the group's tile rows
-/// ([`TileGrid::for_each_row_span`]). A group is staged iff its in-image
-/// bitmask is non-empty: no group-level test runs, and no entry that
-/// contributes no pixel costs a sort key. Other method pairs test each
-/// candidate group with the group method and each candidate in-image tile
-/// of a passing group with the bitmask method, and stage every passing
-/// group, empty bitmask or not.
+/// Every pair of boundary methods takes the same walk, the baseline's
+/// ([`TileGrid::for_each_row_span`]); the pair picks the two footprint
+/// shapes once per call. A splat's candidate tiles under a method are the
+/// rectangle its footprint's half extent covers. Its candidate groups are
+/// the groups holding its candidate tiles under the group boundary (the
+/// tile floors divided, rounding down, by the tiles per group side). In
+/// each candidate group the contiguous column ranges a footprint covers in
+/// the group's tile rows, ORed together, are that method's in-image mask.
+/// A group is staged iff its mask under the group boundary is non-empty,
+/// and its entry stores the mask under the bitmask boundary, which may be
+/// empty when the two methods differ. When they agree (the paper's
+/// Ellipse/Ellipse) one walk gives both masks, and no entry that
+/// contributes no pixel costs a sort key.
 ///
 /// Accounting, modeled on the paper's boundary units, not on the CPU's
 /// work: `tile_tests` counts the candidate groups, and
 /// `tile_intersections` the staged ones (one sort key each).
-/// `bitmask_tests` counts the candidate in-image tiles of the staged
-/// groups, `tiles_tested` equals it, and `tiles_hit` counts the bits set.
+/// `bitmask_tests` counts the staged groups' in-image candidate tiles under
+/// the bitmask boundary, `tiles_tested` equals it, and `tiles_hit` counts
+/// the bits set.
 pub fn identify_groups_into(
     projected: &[ProjectedGaussian],
     image_width: u32,
@@ -206,130 +208,130 @@ pub fn identify_groups_into(
     );
     scratch.clear();
 
-    let by_rows = config.group_boundary == BoundaryMethod::Ellipse
-        && config.bitmask_boundary == BoundaryMethod::Ellipse;
-    for (slot, splat) in (0u32..).zip(projected) {
-        let (gx0, gx1, gy0, gy1) = if by_rows {
-            identify_splat_by_rows(out, slot, splat, counts, scratch)
-        } else {
-            identify_splat_by_tiles(out, config, slot, splat, counts, scratch)
-        };
-        counts.tile_tests += u64::from(gx1 - gx0) * u64::from(gy1 - gy0);
-    }
+    use BoundaryMethod::{Aabb as A, Ellipse as E, Obb as O};
+    let identify = match (config.group_boundary, config.bitmask_boundary) {
+        (A, A) => identify_groups_with::<Square, Square>,
+        (A, O) => identify_groups_with::<Square, OrientedBox>,
+        (A, E) => identify_groups_with::<Square, Ellipse>,
+        (O, A) => identify_groups_with::<OrientedBox, Square>,
+        (O, O) => identify_groups_with::<OrientedBox, OrientedBox>,
+        (O, E) => identify_groups_with::<OrientedBox, Ellipse>,
+        (E, A) => identify_groups_with::<Ellipse, Square>,
+        (E, O) => identify_groups_with::<Ellipse, OrientedBox>,
+        (E, E) => identify_groups_with::<Ellipse, Ellipse>,
+    };
+    identify(projected, counts, scratch, out);
 
     scratch.build_into(out.group_grid.tile_count(), &mut out.per_group);
 }
 
-/// One splat's groups under the ellipse, built from its row spans.
-/// Returns the candidate group range `(gx0, gx1, gy0, gy1)`.
-#[inline]
-fn identify_splat_by_rows(
-    out: &mut GroupAssignments,
-    slot: u32,
-    splat: &ProjectedGaussian,
+/// The per-splat loop of [`identify_groups_into`] under the group shape
+/// `G` and the bitmask shape `B`.
+fn identify_groups_with<G: Shape, B: Shape>(
+    projected: &[ProjectedGaussian],
     counts: &mut StageCounts,
     scratch: &mut CsrScratch<GroupEntry>,
-) -> (u32, u32, u32, u32) {
-    let Some(ellipse) = EllipseFootprint::new(splat.mean, splat.cov, splat.conic()) else {
-        return (0, 0, 0, 0);
-    };
+    out: &mut GroupAssignments,
+) {
     let (tile_grid, side) = (out.tile_grid, out.layout.tiles_per_side());
-    let tile_floors = tile_grid.tile_floors(splat.mean, ellipse.half_extent());
-    let (ctx0, ctx1, cty0, cty1) = tile_grid.clamp_floors(tile_floors);
-    let groups = out
-        .group_grid
-        .clamp_floors(tile_floors.map(|tile| out.layout.group_of_tile(tile)));
-    let (gx0, gx1, gy0, gy1) = groups;
-    for gy in gy0..gy1 {
-        // The candidate tile rows of this group row (at most eight: a group
-        // holds at most 64 tiles) and the columns each one's span covers;
-        // a row the ellipse misses stays empty.
+    let same = G::METHOD == B::METHOD;
+    for (slot, splat) in (0u32..).zip(projected) {
+        let Some(group_footprint) = Footprint::<G>::of(splat) else {
+            continue;
+        };
+        // One positive-definiteness rule serves every shape, so the mask
+        // footprint exists too; when the methods agree it is the group's.
+        let mask_footprint = (!same).then(|| B::footprint(splat));
+        let tile_floors = tile_grid.tile_floors(splat.mean, group_footprint.half_extent());
+        let group_tiles = tile_grid.clamp_floors(tile_floors);
+        let mask_tiles = mask_footprint.as_ref().map_or(group_tiles, |footprint| {
+            tile_grid.tile_range(splat.mean, footprint.half_extent())
+        });
+        let groups = out
+            .group_grid
+            .clamp_floors(tile_floors.map(|tile| out.layout.group_of_tile(tile)));
+        let (gx0, gx1, gy0, gy1) = groups;
+        for gy in gy0..gy1 {
+            let group_rows = GroupRows::walk(&tile_grid, &group_footprint, group_tiles, gy, side);
+            let mask_rows = mask_footprint
+                .as_ref()
+                .map(|footprint| GroupRows::walk(&tile_grid, footprint, mask_tiles, gy, side));
+            for gx in gx0..gx1 {
+                let first = gx * side;
+                let group_mask = group_rows.mask(first, gy * side, side);
+                if group_mask.is_empty() {
+                    continue;
+                }
+                let (bitmask, mask_rows) = match &mask_rows {
+                    Some(rows) => (rows.mask(first, gy * side, side), rows),
+                    None => (group_mask, &group_rows),
+                };
+                let group = out.group_grid.tile_index(gx, gy);
+                let (ctx0, ctx1, ..) = mask_tiles;
+                let candidates = (
+                    first.max(ctx0),
+                    (first + side).min(ctx1),
+                    mask_rows.ty_lo,
+                    mask_rows.ty_hi,
+                );
+                stage_entry(out, group, candidates, slot, bitmask, counts, scratch);
+            }
+        }
+        counts.tile_tests += u64::from(gx1 - gx0) * u64::from(gy1 - gy0);
+    }
+}
+
+/// One footprint's candidate tile rows `ty_lo..ty_hi` inside one group row
+/// (at most eight: a group holds at most 64 tiles) and the columns its span
+/// covers in each; a row the footprint misses stays empty.
+struct GroupRows {
+    ty_lo: u32,
+    ty_hi: u32,
+    spans: [(u32, u32); 8],
+}
+
+impl GroupRows {
+    /// Walks `footprint` over the rows of group row `gy` inside its
+    /// candidate tiles `(ctx0, ctx1, cty0, cty1)`.
+    #[inline]
+    fn walk<S: Shape>(
+        tile_grid: &TileGrid,
+        footprint: &Footprint<S>,
+        (ctx0, ctx1, cty0, cty1): (u32, u32, u32, u32),
+        gy: u32,
+        side: u32,
+    ) -> Self {
         let (ty_lo, ty_hi) = ((gy * side).max(cty0), ((gy + 1) * side).min(cty1));
-        let mut rows = [(0u32, 0u32); 8];
-        tile_grid.for_each_row_span(&ellipse, (ctx0, ctx1, ty_lo, ty_hi), |ty, tx_lo, tx_hi| {
-            if let Some(row) = rows.get_mut((ty - ty_lo) as usize) {
+        let mut spans = [(0u32, 0u32); 8];
+        tile_grid.for_each_row_span(footprint, (ctx0, ctx1, ty_lo, ty_hi), |ty, tx_lo, tx_hi| {
+            if let Some(row) = spans.get_mut((ty - ty_lo) as usize) {
                 *row = (tx_lo, tx_hi);
             }
         });
-        let band = rows.iter().take(ty_hi.saturating_sub(ty_lo) as usize);
-        for gx in gx0..gx1 {
-            let first = gx * side;
-            let mut bitmask = TileBitmask::EMPTY;
-            for (ty_in, &(tx_lo, tx_hi)) in (ty_lo - gy * side..).zip(band.clone()) {
-                let (lo, hi) = (tx_lo.max(first), tx_hi.min(first + side));
-                if lo < hi {
-                    bitmask.set_run(ty_in * side + lo - first, hi - lo);
-                }
-            }
-            if bitmask.is_empty() {
-                continue;
-            }
-            let group = out.group_grid.tile_index(gx, gy);
-            let candidates = (first.max(ctx0), (first + side).min(ctx1), ty_lo, ty_hi);
-            stage_entry(out, group, candidates, slot, bitmask, counts, scratch);
+        Self {
+            ty_lo,
+            ty_hi,
+            spans,
         }
     }
-    groups
-}
 
-/// One splat's groups under any other pair of boundary methods, one test
-/// per candidate group and per candidate in-image tile of a passing group.
-/// Returns the candidate group range `(gx0, gx1, gy0, gy1)`.
-fn identify_splat_by_tiles(
-    out: &mut GroupAssignments,
-    config: &GstgConfig,
-    slot: u32,
-    splat: &ProjectedGaussian,
-    counts: &mut StageCounts,
-    scratch: &mut CsrScratch<GroupEntry>,
-) -> (u32, u32, u32, u32) {
-    let Some(footprint) = GaussianFootprint::from_covariance(splat.mean, splat.cov, splat.conic())
-    else {
-        return (0, 0, 0, 0);
-    };
-    let (tile_grid, group_grid, layout) = (out.tile_grid, out.group_grid, out.layout);
-    let side = layout.tiles_per_side();
-    // Candidate range of small tiles under the bitmask boundary: tiles
-    // outside it can never be marked, so their tests are skipped (the same
-    // pre-filter the baseline's tile identification applies).
-    let (ctx0, ctx1, cty0, cty1) = tile_grid.tile_range(
-        splat.mean,
-        footprint.candidate_half_extent(config.bitmask_boundary),
-    );
-    let groups = group_grid.tile_range(
-        splat.mean,
-        footprint.candidate_half_extent(config.group_boundary),
-    );
-    let (gx0, gx1, gy0, gy1) = groups;
-    for gy in gy0..gy1 {
-        for gx in gx0..gx1 {
-            let group_rect = group_grid.tile_rect_unclipped(gx, gy);
-            if !footprint.intersects(&group_rect, config.group_boundary) {
-                continue;
+    /// The in-image mask of the group whose first tile column is `first`
+    /// and first tile row `top`: the OR of the rows' column ranges.
+    #[inline]
+    fn mask(&self, first: u32, top: u32, side: u32) -> TileBitmask {
+        let mut bitmask = TileBitmask::EMPTY;
+        let rows = self
+            .spans
+            .iter()
+            .take(self.ty_hi.saturating_sub(self.ty_lo) as usize);
+        for (ty_in, &(tx_lo, tx_hi)) in (self.ty_lo - top..).zip(rows) {
+            let (lo, hi) = (tx_lo.max(first), tx_hi.min(first + side));
+            if lo < hi {
+                bitmask.set_run(ty_in * side + lo - first, hi - lo);
             }
-            // Bitmask generation: test the splat against the candidate
-            // small tiles of this group that lie inside the image.
-            let candidates = (
-                (gx * side).max(ctx0),
-                ((gx + 1) * side).min(ctx1),
-                (gy * side).max(cty0),
-                ((gy + 1) * side).min(cty1),
-            );
-            let (tx_lo, tx_hi, ty_lo, ty_hi) = candidates;
-            let mut bitmask = TileBitmask::EMPTY;
-            for ty in ty_lo..ty_hi {
-                for tx in tx_lo..tx_hi {
-                    let tile_rect = tile_grid.tile_rect_unclipped(tx, ty);
-                    if footprint.intersects(&tile_rect, config.bitmask_boundary) {
-                        bitmask.set(layout.bit_index(tx - gx * side, ty - gy * side));
-                    }
-                }
-            }
-            let group = group_grid.tile_index(gx, gy);
-            stage_entry(out, group, candidates, slot, bitmask, counts, scratch);
         }
+        bitmask
     }
-    groups
 }
 
 /// Stages one (group, splat) entry, tallies its bits into the group's
@@ -503,50 +505,109 @@ pub(crate) mod tests {
     fn bitmask_union_matches_baseline_tile_assignment() {
         // The set of (global tile, splat) pairs recovered from the bitmasks
         // must equal the baseline identification at the same tile size and
-        // boundary method, with four tiles a group side (16+64) and three
-        // (16+48).
+        // boundary method, for each method on both sides (A+A, O+O, E+E),
+        // with four tiles a group side (16+64) and three (16+48).
+        // Turned by 45°: 3σ radii 30 × 3 px.
+        let diagonal = Mat2::from_symmetric(50.5, 49.5, 50.5);
         let splats = vec![
             projected(Vec2::new(60.0, 60.0), 9.0, 0, 1.0),
             projected(Vec2::new(130.0, 70.0), 4.0, 1, 2.0),
             projected(Vec2::new(10.0, 200.0), 15.0, 2, 3.0),
+            ProjectedGaussian {
+                cov: diagonal,
+                inv_det: 1.0 / diagonal.determinant(),
+                ..projected(Vec2::new(170.0, 150.0), 1.0, 3, 4.0)
+            },
         ];
-        let mut baseline_counts = StageCounts::new();
         let tile_grid = TileGrid::new(256, 256, 16);
-        let baseline = identify_tiles(
-            &splats,
-            tile_grid,
-            BoundaryMethod::Ellipse,
-            &mut baseline_counts,
-        );
-        let mut from_baseline: Vec<(usize, u32)> = Vec::new();
-        for (tile_idx, list) in baseline.iter() {
-            for &slot in list {
-                from_baseline.push((tile_idx, slot));
+        for method in BoundaryMethod::ALL {
+            let mut baseline_counts = StageCounts::new();
+            let baseline = identify_tiles(&splats, tile_grid, method, &mut baseline_counts);
+            let mut from_baseline: Vec<(usize, u32)> = Vec::new();
+            for (tile_idx, list) in baseline.iter() {
+                for &slot in list {
+                    from_baseline.push((tile_idx, slot));
+                }
             }
-        }
-        from_baseline.sort_unstable();
+            from_baseline.sort_unstable();
 
-        for group_size in [64, 48] {
-            let cfg = config(16, group_size);
-            let mut counts = StageCounts::new();
-            let groups = identify_groups(&splats, 256, 256, &cfg, &mut counts);
+            for group_size in [64, 48] {
+                let cfg = GstgConfig::new(16, group_size, method, method).unwrap();
+                let mut counts = StageCounts::new();
+                let groups = identify_groups(&splats, 256, 256, &cfg, &mut counts);
 
-            // Collect (tile, slot) pairs from the bitmasks.
-            let mut from_groups: Vec<(usize, u32)> = Vec::new();
-            for (group_idx, entries) in groups.iter() {
-                let (gx, gy) = groups.group_grid().tile_coords(group_idx);
-                for entry in entries {
-                    for bit in entry.bitmask.iter_set() {
-                        if let Some((tx, ty)) = groups.global_tile_of_bit(gx, gy, bit) {
-                            from_groups.push((tile_grid.tile_index(tx, ty), entry.slot));
+                // Collect (tile, slot) pairs from the bitmasks.
+                let mut from_groups: Vec<(usize, u32)> = Vec::new();
+                for (group_idx, entries) in groups.iter() {
+                    let (gx, gy) = groups.group_grid().tile_coords(group_idx);
+                    for entry in entries {
+                        for bit in entry.bitmask.iter_set() {
+                            if let Some((tx, ty)) = groups.global_tile_of_bit(gx, gy, bit) {
+                                from_groups.push((tile_grid.tile_index(tx, ty), entry.slot));
+                            }
                         }
                     }
                 }
+                from_groups.sort_unstable();
+                assert_eq!(from_groups, from_baseline, "{method} 16+{group_size}");
+                assert_eq!(counts.tiles_hit, baseline_counts.tiles_hit);
             }
-            from_groups.sort_unstable();
-            assert_eq!(from_groups, from_baseline, "16+{group_size}");
-            assert_eq!(counts.tiles_hit, baseline_counts.tiles_hit);
         }
+    }
+
+    /// A group is staged iff its in-image mask under the group boundary is
+    /// non-empty; the entry keeps the mask under the bitmask boundary.
+    #[test]
+    fn groups_are_staged_by_their_group_boundary_mask() {
+        let aabb = |bitmask| GstgConfig::new(16, 64, BoundaryMethod::Aabb, bitmask).unwrap();
+        let staged = |splat: ProjectedGaussian, width, cfg: &GstgConfig| {
+            let mut counts = StageCounts::new();
+            let groups = identify_groups(&[splat], width, width, cfg, &mut counts);
+            assert_eq!(counts.tile_intersections, groups.total_entries());
+            groups
+                .iter()
+                .flat_map(|(group, entries)| entries.iter().map(move |e| (group, e.bitmask)))
+                .collect::<Vec<_>>()
+        };
+
+        // 100x100 px: the 16-px tiles end at x = 112, the second 64-px
+        // group column at x = 128. The AABB of a splat right of the image
+        // (x 115..165) meets that group's rectangle only past the last
+        // tile, so A+A stages nothing there.
+        let outside = projected(Vec2::new(140.0, 30.0), 25.0 / 3.0, 0, 1.0);
+        assert_eq!(staged(outside, 100, &aabb(BoundaryMethod::Aabb)), vec![]);
+
+        // A splat turned by -45° near the corner of four groups, 3σ radii
+        // 30 × 3 px: its square (x, y in 28..88) reaches the lower-right
+        // group, the ellipse does not. A+E stages that group with an empty
+        // mask; E+E does not stage it.
+        let cov = Mat2::from_symmetric(50.5, -49.5, 50.5);
+        let diagonal = ProjectedGaussian {
+            cov,
+            inv_det: 1.0 / cov.determinant(),
+            ..projected(Vec2::new(58.0, 58.0), 1.0, 0, 1.0)
+        };
+        let lower_right = TileGrid::new(256, 256, 64).tile_index(1, 1);
+        let with_mask = |entries: &[(usize, TileBitmask)]| {
+            entries
+                .iter()
+                .find(|&&(group, _)| group == lower_right)
+                .map(|&(_, mask)| mask)
+        };
+        let a_e = staged(diagonal, 256, &aabb(BoundaryMethod::Ellipse));
+        assert_eq!(with_mask(&a_e), Some(TileBitmask::EMPTY));
+        let e_e = staged(diagonal, 256, &config(16, 64));
+        assert_eq!(with_mask(&e_e), None);
+        // Both stage the same ellipse hits everywhere else.
+        let hit = |entries: &[(usize, TileBitmask)]| {
+            entries
+                .iter()
+                .filter(|(_, mask)| !mask.is_empty())
+                .copied()
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(hit(&a_e), hit(&e_e));
+        assert!(!hit(&e_e).is_empty());
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //!
 //! Findings to reproduce: (1) Ellipse+Ellipse is the fastest overall,
 //! (2) GS-TG with boundary X+X beats the conventional baseline using X,
-//! (3) tile grouping composes with any boundary method.
+//! (3) tile grouping composes with any boundary method. The binary exits
+//! non-zero when finding 2 fails on any scene.
 
 use gstg::GstgConfig;
 use splat_bench::{run_baseline, run_gstg, HarnessOptions};
@@ -91,4 +92,8 @@ fn main() {
         "finding 2 check (GS-TG X+X >= baseline X): {} violations across scenes",
         finding2_violations
     );
+    if finding2_violations > 0 {
+        eprintln!("error: finding 2 fails on {finding2_violations} (scene, boundary) pairs");
+        std::process::exit(1);
+    }
 }

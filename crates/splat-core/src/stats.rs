@@ -19,10 +19,11 @@ splat_types::counters! {
         /// Splats that survived culling (features computed for these).
         visible_gaussians: u64,
         /// Modeled tile- (or group-) boundary tests of identification: the
-        /// candidate tiles (baseline) or candidate groups (GS-TG) of every
+        /// candidate tiles (baseline) or candidate groups (GS-TG, the groups
+        /// holding the candidate tiles under the group boundary) of every
         /// splat, the tests a per-tile boundary unit performs. The CPU tests
-        /// tiles one by one only for AABB and OBB; the ellipse takes its
-        /// hits a tile row at a time.
+        /// no tile on its own under any method: it takes the hits a tile row
+        /// at a time.
         tile_tests: u64,
         /// Positive tile/group intersections, i.e. entries appended to per-tile
         /// (or per-group) lists. Each of these implies one sorting key later.
@@ -37,8 +38,10 @@ splat_types::counters! {
         /// pipeline, where each hit is one list entry; GS-TG counts the small
         /// tiles hit inside each hit group.
         tiles_hit: u64,
-        /// Modeled bitmask tile tests (GS-TG only): the candidate in-image
-        /// small tiles of every group entry staged.
+        /// Modeled bitmask tile tests (GS-TG only): the in-image candidate
+        /// small tiles, under the bitmask boundary, of every group entry
+        /// staged. A group is staged iff the group boundary hits one of its
+        /// in-image tiles.
         bitmask_tests: u64,
         /// Modeled pairwise comparison operations of the depth sort (the
         /// `n·⌈log₂ n⌉` merge-sort bound per sorted list). The actual sort is a

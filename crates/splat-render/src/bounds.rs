@@ -1,108 +1,104 @@
-//! Screen-space splat footprints and tile intersection tests.
+//! Screen-space splat footprints, as tile identification walks them.
 //!
 //! Tile identification asks, for every projected splat, which tiles its
-//! 3σ extent touches. The paper compares three boundary methods (Fig. 2):
+//! 3σ extent touches. The paper compares three boundary methods (Fig. 2),
+//! each a convex [`Shape`] around the projected mean:
 //!
-//! * **AABB** — the original 3D-GS conservatively uses a square box whose
-//!   half-extent is `3·√λ_max` (the largest eigenvalue of the 2D
-//!   covariance). Cheapest test, most false positives.
-//! * **OBB** — GSCore uses the oriented rectangle spanned by the ellipse's
-//!   principal axes with half-extents `3·√λ_max` × `3·√λ_min`; tested
-//!   against a tile with a separating-axis test.
-//! * **Ellipse** — FlashGS tests the exact 3σ ellipse against the tile
-//!   rectangle. Here the ellipse is an [`EllipseFootprint`]: identification
-//!   solves its conic once per tile-row band for the x-interval it covers
-//!   there, so a row's hits are one contiguous column range and no tile is
-//!   tested on its own.
+//! * **AABB** ([`Square`]) — the original 3D-GS conservatively uses a square
+//!   whose half-extent is `3·√λ_max` (the largest eigenvalue of the 2D
+//!   covariance). Most false positives.
+//! * **OBB** ([`OrientedBox`]) — GSCore uses the rectangle spanned by the
+//!   ellipse's principal axes with half-extents `3·√λ_max` × `3·√λ_min`.
+//! * **Ellipse** ([`Ellipse`]) — FlashGS uses the exact 3σ ellipse.
+//!
+//! No method tests a tile on its own. Over a horizontal band a convex
+//! footprint covers one x-interval: the hull of its chords at the band's
+//! two edge lines, widened to its leftmost or rightmost point when the band
+//! holds that point. A [`Footprint`] holds what this takes for every method
+//! (the mean, the axis-aligned half extent that bounds the candidate tiles,
+//! where the extremes lie) and its [`Shape`] adds only the chord.
+//! [`TileGrid::for_each_row_span`](crate::TileGrid::for_each_row_span)
+//! turns the intervals into one column range per tile row.
 //!
 //! The rectangle type and the 3σ constants live in [`splat_core::rect`]
 //! (they are shared with the blending kernel).
 
-use splat_core::{TileRect, MAHALANOBIS_CUTOFF, SIGMA_EXTENT};
+use splat_core::{ProjectedGaussian, MAHALANOBIS_CUTOFF, SIGMA_EXTENT};
 
 use crate::config::BoundaryMethod;
-use splat_types::{Mat2, Vec2};
+use splat_types::Vec2;
 
-/// The exact 3σ ellipse `dᵀ Σ⁻¹ d ≤ 9` of one projected splat, as the
-/// ellipse identification walks it: its axis-aligned half extent, read off
-/// the covariance diagonal (`3√σxx`, `3√σyy`, no eigendecomposition), and
-/// per horizontal band the x-interval it covers
-/// ([`TileGrid::for_each_row_span`](crate::TileGrid::for_each_row_span)).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EllipseFootprint {
-    /// Projected center in pixels.
-    mean: Vec2,
-    /// The conic `a·dx² + 2b·dx·dy + c·dy²`, with `b` the mean of its two
-    /// off-diagonal entries (the quadratic form is the same).
-    a: f32,
-    b: f32,
-    c: f32,
-    /// `3√σxx`, `3√σyy`: the ellipse's tight axis-aligned half extent.
-    half_extent: Vec2,
-    /// `dy` of the ellipse's rightmost point; its leftmost is at `-lean`.
-    lean: f32,
+/// The shape of one boundary method: where a horizontal line crosses it.
+pub trait Shape: Copy {
+    /// The boundary method this shape implements.
+    const METHOD: BoundaryMethod;
+
+    /// The footprint of `splat`, whose covariance must be positive
+    /// definite; [`Footprint::of`] checks that first.
+    fn footprint(splat: &ProjectedGaussian) -> Footprint<Self>;
+
+    /// The x-offsets from the mean at which the line `dy` below the mean
+    /// enters and leaves the shape, `None` when it misses the shape.
+    fn chord(&self, dy: f32) -> Option<(f32, f32)>;
 }
 
-/// Where one horizontal line `y = mean.y + dy` crosses an ellipse: the
-/// x-offsets of its chord, `None` when the line misses the ellipse.
+/// A splat's 3σ footprint under one boundary method, as the row walk
+/// ([`TileGrid::for_each_row_span`](crate::TileGrid::for_each_row_span))
+/// reads it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Footprint<S> {
+    /// Projected center in pixels.
+    mean: Vec2,
+    /// Tight axis-aligned half extent: bounds the candidate tile range.
+    half_extent: Vec2,
+    /// `dy` of the rightmost point; every shape is symmetric about its
+    /// mean, so the leftmost is at `-lean`.
+    lean: f32,
+    shape: S,
+}
+
+/// Where one horizontal line `y = mean.y + dy` crosses a footprint: the
+/// x-offsets of its chord, `None` when the line misses the footprint.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct EllipseEdge {
+pub(crate) struct Edge {
     dy: f32,
     chord: Option<(f32, f32)>,
 }
 
-impl EllipseFootprint {
-    /// The ellipse of a splat with projected `mean`, 2D covariance `cov` and
-    /// its inverse `conic`
-    /// ([`ProjectedGaussian::conic`](splat_core::ProjectedGaussian::conic)).
-    /// `None` when the covariance is not positive definite (or is NaN):
-    /// such a splat touches no tile.
+impl<S: Shape> Footprint<S> {
+    /// The footprint of `splat`, `None` when its covariance is not positive
+    /// definite (or is NaN): such a splat touches no tile under any method.
     #[inline]
-    pub fn new(mean: Vec2, cov: Mat2, conic: Mat2) -> Option<Self> {
-        let (sxx, syy) = (cov.at(0, 0), cov.at(1, 1));
-        if !((sxx > 0.0) & (syy > 0.0) & (cov.determinant() > 0.0)) {
-            return None;
-        }
-        let sxy = 0.5 * (cov.at(0, 1) + cov.at(1, 0));
-        let root_sxx = sxx.sqrt();
-        Some(Self {
-            mean,
-            a: conic.at(0, 0),
-            b: 0.5 * (conic.at(0, 1) + conic.at(1, 0)),
-            c: conic.at(1, 1),
-            half_extent: Vec2::new(SIGMA_EXTENT * root_sxx, SIGMA_EXTENT * syy.sqrt()),
-            lean: SIGMA_EXTENT * sxy / root_sxx,
-        })
+    pub fn of(splat: &ProjectedGaussian) -> Option<Self> {
+        let cov = splat.cov;
+        ((cov.at(0, 0) > 0.0) & (cov.at(1, 1) > 0.0) & (cov.determinant() > 0.0))
+            .then(|| S::footprint(splat))
     }
 
-    /// Tight axis-aligned half extent of the 3σ ellipse, which bounds its
+    /// Tight axis-aligned half extent of the footprint, which bounds its
     /// candidate tile range.
     #[inline]
     pub fn half_extent(&self) -> Vec2 {
         self.half_extent
     }
 
-    /// The chord of the horizontal line at pixel row `y`: the roots of
-    /// `a·dx² + 2b·dy·dx + c·dy² = 9`.
+    /// The chord of the horizontal line at pixel row `y`.
     #[inline]
-    pub(crate) fn edge(&self, y: f32) -> EllipseEdge {
+    pub(crate) fn edge(&self, y: f32) -> Edge {
         let dy = y - self.mean.y;
-        let half_b = self.b * dy;
-        let disc = half_b * half_b - self.a * (self.c * dy * dy - MAHALANOBIS_CUTOFF);
-        let chord = (disc >= 0.0).then(|| {
-            let root = disc.sqrt();
-            ((-half_b - root) / self.a, (-half_b + root) / self.a)
-        });
-        EllipseEdge { dy, chord }
+        Edge {
+            dy,
+            chord: self.shape.chord(dy),
+        }
     }
 
-    /// The pixel x-interval `[lo, hi]` the ellipse covers inside the band
+    /// The pixel x-interval `[lo, hi]` the footprint covers inside the band
     /// between the lines `top` and `bottom` (`top.dy ≤ bottom.dy`), or
-    /// `None` when it misses the band. Over the band the ellipse's left
-    /// boundary is smallest at an edge or at the ellipse's own leftmost
+    /// `None` when it misses the band. Over the band the footprint's left
+    /// boundary is smallest at an edge or at the footprint's own leftmost
     /// point, if the band holds it; likewise the right boundary.
     #[inline]
-    pub(crate) fn span(&self, top: &EllipseEdge, bottom: &EllipseEdge) -> Option<(f32, f32)> {
+    pub(crate) fn span(&self, top: &Edge, bottom: &Edge) -> Option<(f32, f32)> {
         let (mut lo, mut hi) = (f32::INFINITY, f32::NEG_INFINITY);
         for (left, right) in [top.chord, bottom.chord].into_iter().flatten() {
             lo = lo.min(left);
@@ -117,159 +113,175 @@ impl EllipseFootprint {
         }
         (lo <= hi).then_some((self.mean.x + lo, self.mean.x + hi))
     }
-
-    /// Does any point of `rect` lie within the 3σ boundary? The rectangle
-    /// is closed: touching counts.
-    pub(crate) fn meets(&self, rect: &TileRect) -> bool {
-        self.span(&self.edge(rect.y0), &self.edge(rect.y1))
-            .is_some_and(|(lo, hi)| lo <= rect.x1 && hi >= rect.x0)
-    }
 }
 
-/// The screen-space footprint of one projected splat: everything the
-/// boundary tests need, precomputed once per splat.
+/// The square AABB of the original 3D-GS: half-extent `3·√λ_max` on both
+/// axes, so it holds the ellipse however the ellipse is turned.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GaussianFootprint {
-    /// Projected center in pixels.
-    pub(crate) mean: Vec2,
-    /// The exact 3σ ellipse, which the ellipse test reads.
-    pub(crate) ellipse: EllipseFootprint,
-    /// Unit vector of the major principal axis.
-    pub(crate) axis_major: Vec2,
-    /// Unit vector of the minor principal axis.
-    pub(crate) axis_minor: Vec2,
-    /// 3σ extent along the major axis, in pixels.
-    pub(crate) radius_major: f32,
-    /// 3σ extent along the minor axis, in pixels.
-    pub(crate) radius_minor: f32,
+pub struct Square {
+    half: f32,
 }
 
-impl GaussianFootprint {
-    /// Builds a footprint from the projected mean, the 2D covariance and
-    /// its inverse (identification passes
+impl Shape for Square {
+    const METHOD: BoundaryMethod = BoundaryMethod::Aabb;
+
+    #[inline]
+    fn footprint(splat: &ProjectedGaussian) -> Footprint<Self> {
+        let (l_max, _) = splat.cov.symmetric_eigenvalues();
+        let half = SIGMA_EXTENT * l_max.sqrt();
+        Footprint {
+            mean: splat.mean,
+            half_extent: Vec2::splat(half),
+            lean: 0.0,
+            shape: Self { half },
+        }
+    }
+
+    /// The square's full width while the line crosses it.
+    #[inline]
+    fn chord(&self, dy: f32) -> Option<(f32, f32)> {
+        (dy.abs() <= self.half).then_some((-self.half, self.half))
+    }
+}
+
+/// GSCore's OBB: the rectangle `|(p − μ)·aᵢ| ≤ rᵢ` over the ellipse's unit
+/// principal axes `aᵢ`, with the 3σ radii `3·√λ_max` and `3·√λ_min`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct OrientedBox {
+    /// The principal axes, each turned to point right (`x ≥ +0`).
+    axes: [Vec2; 2],
+    radii: [f32; 2],
+}
+
+impl Shape for OrientedBox {
+    const METHOD: BoundaryMethod = BoundaryMethod::Obb;
+
+    #[inline]
+    fn footprint(splat: &ProjectedGaussian) -> Footprint<Self> {
+        let (l_max, l_min) = splat.cov.symmetric_eigenvalues();
+        let (major, minor) = splat.cov.symmetric_eigenvectors();
+        let axes = [major, minor].map(|axis| {
+            if axis.x.is_sign_negative() {
+                -axis
+            } else {
+                axis
+            }
+        });
+        let radii = [l_max, l_min].map(|l| SIGMA_EXTENT * l.max(0.0).sqrt());
+        // With both axes pointing right, the rightmost corner is the sum of
+        // the scaled axes: the box's extent along x is Σ rᵢ|aᵢ·x|.
+        let corner = axes[0] * radii[0] + axes[1] * radii[1];
+        let height = radii[0] * axes[0].y.abs() + radii[1] * axes[1].y.abs();
+        Footprint {
+            mean: splat.mean,
+            half_extent: Vec2::new(corner.x, height),
+            lean: corner.y,
+            shape: Self { axes, radii },
+        }
+    }
+
+    /// The crossing of the two slabs' x-intervals on the line. An axis
+    /// with `x = +0` bounds no x: its slab holds all of the line or none of
+    /// it, and the division by `+0` gives the matching infinities.
+    #[inline]
+    fn chord(&self, dy: f32) -> Option<(f32, f32)> {
+        let (mut lo, mut hi) = (f32::NEG_INFINITY, f32::INFINITY);
+        for (axis, radius) in self.axes.iter().zip(self.radii) {
+            let offset = dy * axis.y;
+            lo = lo.max((-radius - offset) / axis.x);
+            hi = hi.min((radius - offset) / axis.x);
+        }
+        (lo <= hi).then_some((lo, hi))
+    }
+}
+
+/// The exact 3σ ellipse `dᵀ Σ⁻¹ d ≤ 9` of FlashGS, as the conic
+/// `a·dx² + 2b·dx·dy + c·dy²` with `b` the mean of its two off-diagonal
+/// entries (the quadratic form is the same). Its half extent is read off
+/// the covariance diagonal (`3√σxx`, `3√σyy`): no eigendecomposition.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Ellipse {
+    a: f32,
+    b: f32,
+    c: f32,
+}
+
+impl Shape for Ellipse {
+    const METHOD: BoundaryMethod = BoundaryMethod::Ellipse;
+
+    /// Reads the conic from
     /// [`ProjectedGaussian::conic`](splat_core::ProjectedGaussian::conic),
-    /// rebuilt from what preprocessing stored, never a fresh `inverse()`).
-    ///
-    /// Returns `None` when the covariance is degenerate (not positive
-    /// definite), which mirrors the reference implementation culling such
-    /// splats.
-    ///
-    /// `#[inline]` so GS-TG's group identification (another crate) inlines
-    /// it as the baseline's tile identification does.
+    /// rebuilt from what preprocessing stored, never a fresh `inverse()`.
     #[inline]
-    pub fn from_covariance(mean: Vec2, cov: Mat2, inv_cov: Mat2) -> Option<Self> {
-        let (l_max, l_min) = cov.symmetric_eigenvalues();
-        if l_max <= 0.0 || l_min <= 0.0 {
-            return None;
+    fn footprint(splat: &ProjectedGaussian) -> Footprint<Self> {
+        let (cov, conic) = (splat.cov, splat.conic());
+        let sxy = 0.5 * (cov.at(0, 1) + cov.at(1, 0));
+        let root_sxx = cov.at(0, 0).sqrt();
+        Footprint {
+            mean: splat.mean,
+            half_extent: Vec2::new(SIGMA_EXTENT * root_sxx, SIGMA_EXTENT * cov.at(1, 1).sqrt()),
+            lean: SIGMA_EXTENT * sxy / root_sxx,
+            shape: Self {
+                a: conic.at(0, 0),
+                b: 0.5 * (conic.at(0, 1) + conic.at(1, 0)),
+                c: conic.at(1, 1),
+            },
         }
-        let (axis_major, axis_minor) = cov.symmetric_eigenvectors();
-        Some(Self {
-            mean,
-            ellipse: EllipseFootprint::new(mean, cov, inv_cov)?,
-            axis_major,
-            axis_minor,
-            radius_major: SIGMA_EXTENT * l_max.sqrt(),
-            radius_minor: SIGMA_EXTENT * l_min.sqrt(),
+    }
+
+    /// The roots of `a·dx² + 2b·dy·dx + c·dy² = 9`.
+    #[inline]
+    fn chord(&self, dy: f32) -> Option<(f32, f32)> {
+        let half_b = self.b * dy;
+        let disc = half_b * half_b - self.a * (self.c * dy * dy - MAHALANOBIS_CUTOFF);
+        (disc >= 0.0).then(|| {
+            let root = disc.sqrt();
+            ((-half_b - root) / self.a, (-half_b + root) / self.a)
         })
-    }
-
-    /// Half-extent of the conservative square AABB used by the original
-    /// 3D-GS (3σ of the largest eigenvalue in both axes).
-    #[inline]
-    pub(crate) fn aabb_half_extent(&self) -> f32 {
-        self.radius_major
-    }
-
-    /// Tight axis-aligned half extents of the oriented 3σ box, used to bound
-    /// the candidate tile range of the OBB test.
-    pub(crate) fn tight_half_extent(&self) -> Vec2 {
-        // Extent of an ellipse along a coordinate axis e is
-        // sqrt(Σ r_i² (a_i · e)²) over the principal axes a_i.
-        let ex = ((self.radius_major * self.axis_major.x).powi(2)
-            + (self.radius_minor * self.axis_minor.x).powi(2))
-        .sqrt();
-        let ey = ((self.radius_major * self.axis_major.y).powi(2)
-            + (self.radius_minor * self.axis_minor.y).powi(2))
-        .sqrt();
-        Vec2::new(ex, ey)
-    }
-
-    /// The half-extent used to collect candidate tiles for a given boundary
-    /// method (square for AABB, tight bounds of the oriented box for OBB,
-    /// the covariance diagonal for the ellipse).
-    pub fn candidate_half_extent(&self, method: BoundaryMethod) -> Vec2 {
-        match method {
-            BoundaryMethod::Aabb => Vec2::splat(self.aabb_half_extent()),
-            BoundaryMethod::Obb => self.tight_half_extent(),
-            BoundaryMethod::Ellipse => self.ellipse.half_extent(),
-        }
-    }
-
-    /// Tests whether the footprint intersects a rectangle under the given
-    /// boundary method.
-    pub fn intersects(&self, rect: &TileRect, method: BoundaryMethod) -> bool {
-        match method {
-            BoundaryMethod::Aabb => self.intersects_aabb(rect),
-            BoundaryMethod::Obb => self.intersects_obb(rect),
-            BoundaryMethod::Ellipse => self.ellipse.meets(rect),
-        }
-    }
-
-    /// AABB test: overlap between the square box and the tile rectangle.
-    fn intersects_aabb(&self, rect: &TileRect) -> bool {
-        let half = self.aabb_half_extent();
-        self.mean.x + half >= rect.x0
-            && self.mean.x - half <= rect.x1
-            && self.mean.y + half >= rect.y0
-            && self.mean.y - half <= rect.y1
-    }
-
-    /// OBB test: separating-axis test between the oriented 3σ rectangle and
-    /// the axis-aligned tile rectangle.
-    fn intersects_obb(&self, rect: &TileRect) -> bool {
-        let rect_center = rect.center();
-        let rect_half = rect.half_extent();
-        let delta = self.mean - rect_center;
-
-        // Axes to test: tile axes (x, y) and OBB axes (major, minor).
-        let obb_axes = [self.axis_major, self.axis_minor];
-        let obb_radii = [self.radius_major, self.radius_minor];
-
-        // Tile axes.
-        for (axis, tile_half) in [
-            (Vec2::new(1.0, 0.0), rect_half.x),
-            (Vec2::new(0.0, 1.0), rect_half.y),
-        ] {
-            let obb_proj = obb_radii[0] * obb_axes[0].dot(axis).abs()
-                + obb_radii[1] * obb_axes[1].dot(axis).abs();
-            if delta.dot(axis).abs() > tile_half + obb_proj {
-                return false;
-            }
-        }
-        // OBB axes.
-        for i in 0..2 {
-            let axis = obb_axes[i];
-            let tile_proj = rect_half.x * axis.x.abs() + rect_half.y * axis.y.abs();
-            if delta.dot(axis).abs() > obb_radii[i] + tile_proj {
-                return false;
-            }
-        }
-        true
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use splat_core::TileRect;
     use splat_types::rng::Rng;
+    use splat_types::{Mat2, Rgb};
 
-    impl GaussianFootprint {
+    /// A projected splat at `mean` with covariance `cov` and the inverse
+    /// determinant preprocessing stores beside it.
+    pub(crate) fn splat(mean: Vec2, cov: Mat2) -> ProjectedGaussian {
+        ProjectedGaussian {
+            index: 0,
+            depth: 1.0,
+            mean,
+            cov,
+            inv_det: 1.0 / cov.determinant(),
+            opacity: 0.9,
+            color: Rgb::WHITE,
+        }
+    }
+
+    impl<S: Shape> Footprint<S> {
+        /// Does any point of `rect` lie within the footprint, decided by
+        /// the band span as identification decides it? The rectangle is
+        /// closed: touching counts.
+        pub(crate) fn meets(&self, rect: &TileRect) -> bool {
+            self.span(&self.edge(rect.y0), &self.edge(rect.y1))
+                .is_some_and(|(lo, hi)| lo <= rect.x1 && hi >= rect.x0)
+        }
+    }
+
+    impl Footprint<Ellipse> {
         /// Squared Mahalanobis distance of a pixel-space point from the
         /// splat center: `(p-μ)ᵀ Σ⁻¹ (p-μ)`.
         fn mahalanobis_sq(&self, p: Vec2) -> f32 {
             let d = p - self.mean;
-            let e = &self.ellipse;
-            d.dot(Mat2::from_symmetric(e.a, e.b, e.c).mul_vec(d))
+            d.dot(self.conic().mul_vec(d))
+        }
+
+        fn conic(&self) -> Mat2 {
+            Mat2::from_symmetric(self.shape.a, self.shape.b, self.shape.c)
         }
 
         /// The per-tile ellipse test the row spans replaced, kept as an
@@ -295,10 +307,8 @@ mod tests {
         /// Minimum of the squared Mahalanobis distance over the segment
         /// `a + t (b - a)`, `t ∈ [0, 1]` (closed-form for a 1D quadratic).
         fn min_mahalanobis_on_segment(&self, a: Vec2, b: Vec2) -> f32 {
-            let e = &self.ellipse;
-            let conic = Mat2::from_symmetric(e.a, e.b, e.c);
             let d = b - a;
-            let ad = conic.mul_vec(d);
+            let ad = self.conic().mul_vec(d);
             let quad = d.dot(ad);
             let lin = (a - self.mean).dot(ad);
             let t = if quad.abs() < 1e-12 {
@@ -310,22 +320,100 @@ mod tests {
         }
     }
 
-    /// Footprint of `cov`, with its inverse computed as preprocessing does.
-    fn footprint(mean: Vec2, cov: Mat2) -> Option<GaussianFootprint> {
-        GaussianFootprint::from_covariance(mean, cov, cov.inverse().ok()?)
+    /// The AABB overlap test the row walk replaced, kept as an oracle: the
+    /// square of half-extent `3·√λ_max` against the closed rectangle.
+    fn intersects_aabb(splat: &ProjectedGaussian, rect: &TileRect) -> bool {
+        let half = SIGMA_EXTENT * splat.cov.symmetric_eigenvalues().0.sqrt();
+        let mean = splat.mean;
+        mean.x + half >= rect.x0
+            && mean.x - half <= rect.x1
+            && mean.y + half >= rect.y0
+            && mean.y - half <= rect.y1
     }
 
-    /// Circular footprint of radius 3σ·σ = 3·σ pixels.
-    fn circular(mean: Vec2, sigma: f32) -> GaussianFootprint {
-        footprint(
+    /// The OBB test the row walk replaced, kept as an oracle: the
+    /// separating-axis test between the oriented 3σ rectangle and the
+    /// axis-aligned tile rectangle.
+    fn intersects_obb(splat: &ProjectedGaussian, rect: &TileRect) -> bool {
+        let (l_max, l_min) = splat.cov.symmetric_eigenvalues();
+        let (major, minor) = splat.cov.symmetric_eigenvectors();
+        let obb_axes = [major, minor];
+        let obb_radii = [SIGMA_EXTENT * l_max.sqrt(), SIGMA_EXTENT * l_min.sqrt()];
+        let rect_half = rect.half_extent();
+        let delta = splat.mean - rect.center();
+        // Tile axes.
+        for (axis, tile_half) in [
+            (Vec2::new(1.0, 0.0), rect_half.x),
+            (Vec2::new(0.0, 1.0), rect_half.y),
+        ] {
+            let obb_proj = obb_radii[0] * obb_axes[0].dot(axis).abs()
+                + obb_radii[1] * obb_axes[1].dot(axis).abs();
+            if delta.dot(axis).abs() > tile_half + obb_proj {
+                return false;
+            }
+        }
+        // OBB axes.
+        (0..2).all(|i| {
+            let axis = obb_axes[i];
+            let tile_proj = rect_half.x * axis.x.abs() + rect_half.y * axis.y.abs();
+            delta.dot(axis).abs() <= obb_radii[i] + tile_proj
+        })
+    }
+
+    /// Does the closed `rect` meet the splat's footprint under `method`,
+    /// decided tile by tile, without the band span?
+    pub(crate) fn oracle_meets(
+        splat: &ProjectedGaussian,
+        rect: &TileRect,
+        method: BoundaryMethod,
+    ) -> bool {
+        match method {
+            BoundaryMethod::Aabb => intersects_aabb(splat, rect),
+            BoundaryMethod::Obb => intersects_obb(splat, rect),
+            BoundaryMethod::Ellipse => {
+                Footprint::<Ellipse>::of(splat).is_some_and(|f| f.intersects_by_segments(rect))
+            }
+        }
+    }
+
+    /// The band-span test of `method`.
+    fn meets(splat: &ProjectedGaussian, rect: &TileRect, method: BoundaryMethod) -> bool {
+        match method {
+            BoundaryMethod::Aabb => Footprint::<Square>::of(splat).is_some_and(|f| f.meets(rect)),
+            BoundaryMethod::Obb => {
+                Footprint::<OrientedBox>::of(splat).is_some_and(|f| f.meets(rect))
+            }
+            BoundaryMethod::Ellipse => {
+                Footprint::<Ellipse>::of(splat).is_some_and(|f| f.meets(rect))
+            }
+        }
+    }
+
+    /// The half extent of `method`'s footprint.
+    fn half_extent(splat: &ProjectedGaussian, method: BoundaryMethod) -> Vec2 {
+        let extent = match method {
+            BoundaryMethod::Aabb => Footprint::<Square>::of(splat).map(|f| f.half_extent()),
+            BoundaryMethod::Obb => Footprint::<OrientedBox>::of(splat).map(|f| f.half_extent()),
+            BoundaryMethod::Ellipse => Footprint::<Ellipse>::of(splat).map(|f| f.half_extent()),
+        };
+        extent.expect("positive definite")
+    }
+
+    /// Circular splat of radius 3σ·σ = 3·σ pixels.
+    fn circular(mean: Vec2, sigma: f32) -> ProjectedGaussian {
+        splat(
             mean,
             Mat2::from_symmetric(sigma * sigma, 0.0, sigma * sigma),
         )
-        .expect("non-degenerate")
     }
 
-    /// Elongated footprint rotated by `angle`.
-    fn elongated(mean: Vec2, sigma_major: f32, sigma_minor: f32, angle: f32) -> GaussianFootprint {
+    /// Elongated splat rotated by `angle`.
+    pub(crate) fn elongated(
+        mean: Vec2,
+        sigma_major: f32,
+        sigma_minor: f32,
+        angle: f32,
+    ) -> ProjectedGaussian {
         let (s, c) = angle.sin_cos();
         // R diag(a², b²) Rᵀ
         let a2 = sigma_major * sigma_major;
@@ -335,33 +423,48 @@ mod tests {
             c * s * (a2 - b2),
             s * s * a2 + c * c * b2,
         );
-        footprint(mean, cov).expect("non-degenerate")
+        splat(mean, cov)
+    }
+
+    fn assert_near(v: Vec2, x: f32, y: f32, tolerance: f32) {
+        assert!(
+            (v.x - x).abs() < tolerance && (v.y - y).abs() < tolerance,
+            "{v:?} != ({x}, {y})"
+        );
     }
 
     #[test]
     fn degenerate_covariance_is_rejected() {
-        // The zero covariance has no inverse, and whatever inverse a caller
-        // hands in, its zero eigenvalues reject it.
-        assert!(footprint(Vec2::ZERO, Mat2::ZERO).is_none());
-        for inv_cov in [Mat2::ZERO, Mat2::from_symmetric(1.0, 0.0, 1.0)] {
-            assert!(GaussianFootprint::from_covariance(Vec2::ZERO, Mat2::ZERO, inv_cov).is_none());
+        // The zero covariance is rejected by every method, whatever inverse
+        // determinant was stored beside it.
+        for inv_det in [f32::INFINITY, 0.0, 1.0] {
+            let zero = ProjectedGaussian {
+                inv_det,
+                ..splat(Vec2::ZERO, Mat2::ZERO)
+            };
+            assert!(Footprint::<Square>::of(&zero).is_none());
+            assert!(Footprint::<OrientedBox>::of(&zero).is_none());
+            assert!(Footprint::<Ellipse>::of(&zero).is_none());
         }
     }
 
     #[test]
     fn isotropic_footprint_has_equal_radii() {
         let f = circular(Vec2::ZERO, 2.0);
-        assert!((f.radius_major - 6.0).abs() < 1e-4);
-        assert!((f.radius_minor - 6.0).abs() < 1e-4);
-        assert!((f.aabb_half_extent() - 6.0).abs() < 1e-4);
+        for method in BoundaryMethod::ALL {
+            assert_near(half_extent(&f, method), 6.0, 6.0, 1e-4);
+        }
+        let obb = Footprint::<OrientedBox>::of(&f).expect("positive definite");
+        assert!(obb.shape.radii.iter().all(|r| (r - 6.0).abs() < 1e-4));
     }
 
     #[test]
     fn tight_extent_of_axis_aligned_ellipse() {
         let f = elongated(Vec2::ZERO, 4.0, 1.0, 0.0);
-        let ext = f.tight_half_extent();
-        assert!((ext.x - 12.0).abs() < 1e-3);
-        assert!((ext.y - 3.0).abs() < 1e-3);
+        assert_near(half_extent(&f, BoundaryMethod::Ellipse), 12.0, 3.0, 1e-3);
+        // Axis-aligned, the oriented box is the ellipse's bounding box.
+        assert_near(half_extent(&f, BoundaryMethod::Obb), 12.0, 3.0, 1e-3);
+        assert_near(half_extent(&f, BoundaryMethod::Aabb), 12.0, 12.0, 1e-3);
     }
 
     #[test]
@@ -369,7 +472,7 @@ mod tests {
         let f = circular(Vec2::new(8.0, 8.0), 1.0);
         let tile = TileRect::new(0.0, 0.0, 16.0, 16.0);
         for m in BoundaryMethod::ALL {
-            assert!(f.intersects(&tile, m), "method {m}");
+            assert!(meets(&f, &tile, m), "method {m}");
         }
     }
 
@@ -378,7 +481,7 @@ mod tests {
         let f = circular(Vec2::new(8.0, 8.0), 1.0);
         let tile = TileRect::new(200.0, 200.0, 216.0, 216.0);
         for m in BoundaryMethod::ALL {
-            assert!(!f.intersects(&tile, m), "method {m}");
+            assert!(!meets(&f, &tile, m), "method {m}");
         }
     }
 
@@ -389,9 +492,26 @@ mod tests {
         let f = elongated(Vec2::new(40.0, 0.0), 10.0, 1.0, std::f32::consts::FRAC_PI_4);
         let tile = TileRect::new(0.0, 0.0, 16.0, 16.0);
         // AABB half-extent is 30 px in both axes → reaches x≤16.
-        assert!(f.intersects(&tile, BoundaryMethod::Aabb));
+        assert!(meets(&f, &tile, BoundaryMethod::Aabb));
         // The oriented box points away from the tile corner.
-        assert!(!f.intersects(&tile, BoundaryMethod::Ellipse));
+        assert!(!meets(&f, &tile, BoundaryMethod::Obb));
+        assert!(!meets(&f, &tile, BoundaryMethod::Ellipse));
+
+        // The same 45° splat, 3σ radii 30 × 3 px: the box's corner reaches
+        // 23.3 px right of the centre, past the ellipse's 21.3 px, so the
+        // box meets a tile 22 px out that the ellipse misses. A candidate
+        // range taken from the ellipse's extent would never reach it.
+        let f = elongated(Vec2::ZERO, 10.0, 1.0, std::f32::consts::FRAC_PI_4);
+        let tile = TileRect::new(22.0, 16.0, 38.0, 32.0);
+        assert!(half_extent(&f, BoundaryMethod::Obb).x > 23.0);
+        for (method, hit) in [
+            (BoundaryMethod::Aabb, true),
+            (BoundaryMethod::Obb, true),
+            (BoundaryMethod::Ellipse, false),
+        ] {
+            assert_eq!(meets(&f, &tile, method), hit, "{method}");
+            assert_eq!(oracle_meets(&f, &tile, method), hit, "{method} oracle");
+        }
     }
 
     #[test]
@@ -406,9 +526,9 @@ mod tests {
                     (tx + 1) as f32 * 16.0,
                     (ty + 1) as f32 * 16.0,
                 );
-                let aabb = f.intersects(&tile, BoundaryMethod::Aabb);
-                let obb = f.intersects(&tile, BoundaryMethod::Obb);
-                let ellipse = f.intersects(&tile, BoundaryMethod::Ellipse);
+                let aabb = meets(&f, &tile, BoundaryMethod::Aabb);
+                let obb = meets(&f, &tile, BoundaryMethod::Obb);
+                let ellipse = meets(&f, &tile, BoundaryMethod::Ellipse);
                 // Hierarchy: ellipse ⊆ obb ⊆ aabb.
                 assert!(
                     !ellipse || obb,
@@ -434,7 +554,7 @@ mod tests {
                         (tx + 1) as f32 * 16.0,
                         (ty + 1) as f32 * 16.0,
                     );
-                    if f.intersects(&tile, m) {
+                    if meets(&f, &tile, m) {
                         n += 1;
                     }
                 }
@@ -452,15 +572,19 @@ mod tests {
         );
     }
 
+    fn ellipse(splat: &ProjectedGaussian) -> Footprint<Ellipse> {
+        Footprint::of(splat).expect("positive definite")
+    }
+
     #[test]
     fn mahalanobis_is_zero_at_center() {
-        let f = elongated(Vec2::new(3.0, 4.0), 2.0, 1.0, 0.3);
+        let f = ellipse(&elongated(Vec2::new(3.0, 4.0), 2.0, 1.0, 0.3));
         assert!(f.mahalanobis_sq(Vec2::new(3.0, 4.0)) < 1e-6);
     }
 
     #[test]
     fn mahalanobis_matches_sigma_along_axes() {
-        let f = elongated(Vec2::ZERO, 2.0, 1.0, 0.0);
+        let f = ellipse(&elongated(Vec2::ZERO, 2.0, 1.0, 0.0));
         // One sigma along the major axis (x): distance² = 1.
         assert!((f.mahalanobis_sq(Vec2::new(2.0, 0.0)) - 1.0).abs() < 1e-3);
         // Three sigma along the minor axis (y): distance² = 9.
@@ -472,10 +596,10 @@ mod tests {
         let f = circular(Vec2::new(100.0, 100.0), 2.0); // 3σ radius = 6 px
                                                         // Tile whose nearest corner is 5 px away → intersects.
         let near = TileRect::new(103.5, 103.5, 119.5, 119.5);
-        assert!(f.intersects(&near, BoundaryMethod::Ellipse));
+        assert!(meets(&f, &near, BoundaryMethod::Ellipse));
         // Tile whose nearest corner is ~8.5 px away → no intersection.
         let far = TileRect::new(106.0, 106.0, 122.0, 122.0);
-        assert!(!f.intersects(&far, BoundaryMethod::Ellipse));
+        assert!(!meets(&f, &far, BoundaryMethod::Ellipse));
     }
 
     /// The tightness hierarchy ellipse ⊆ OBB ⊆ AABB must hold for any
@@ -500,9 +624,9 @@ mod tests {
                 angle,
             );
             let tile = TileRect::new(tx * 16.0, ty * 16.0, (tx + 1.0) * 16.0, (ty + 1.0) * 16.0);
-            let aabb = f.intersects(&tile, BoundaryMethod::Aabb);
-            let obb = f.intersects(&tile, BoundaryMethod::Obb);
-            let ellipse = f.intersects(&tile, BoundaryMethod::Ellipse);
+            let aabb = meets(&f, &tile, BoundaryMethod::Aabb);
+            let obb = meets(&f, &tile, BoundaryMethod::Obb);
+            let ellipse = meets(&f, &tile, BoundaryMethod::Ellipse);
             // The 3σ ellipse is inscribed in both the oriented box and the
             // square AABB, so an ellipse hit implies a hit for the other
             // two methods. (OBB and AABB are not ordered against each
@@ -537,9 +661,9 @@ mod tests {
                 tile.x0 + px_frac * (tile.x1 - tile.x0),
                 tile.y0 + py_frac * (tile.y1 - tile.y0),
             );
-            if f.mahalanobis_sq(p) <= MAHALANOBIS_CUTOFF {
+            if ellipse(&f).mahalanobis_sq(p) <= MAHALANOBIS_CUTOFF {
                 assert!(
-                    f.intersects(&tile, BoundaryMethod::Ellipse),
+                    meets(&f, &tile, BoundaryMethod::Ellipse),
                     "case {case}: in-boundary pixel not reported"
                 );
             }
@@ -555,19 +679,19 @@ mod tests {
         let (mut hits, mut tangent) = (0, 0);
         for case in 0..20_000 {
             let s_major = rng.range_f32(0.3, 30.0);
-            let f = elongated(
+            let f = ellipse(&elongated(
                 Vec2::new(rng.range_f32(0.0, 128.0), rng.range_f32(0.0, 128.0)),
                 s_major,
                 (s_major * rng.range_f32(0.02, 1.0)).max(0.1),
                 rng.range_f32(0.0, std::f32::consts::PI),
-            );
+            ));
             let size = [8.0, 16.0, 64.0][case % 3];
             let (tx, ty) = (
                 rng.range_f32(0.0, 8.0).floor(),
                 rng.range_f32(0.0, 8.0).floor(),
             );
             let tile = TileRect::new(tx * size, ty * size, (tx + 1.0) * size, (ty + 1.0) * size);
-            let by_span = f.intersects(&tile, BoundaryMethod::Ellipse);
+            let by_span = f.meets(&tile);
             if by_span == f.intersects_by_segments(&tile) {
                 hits += usize::from(by_span);
                 continue;

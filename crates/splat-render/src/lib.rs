@@ -60,7 +60,7 @@ mod session;
 pub mod sort;
 mod tiling;
 
-pub use bounds::{EllipseFootprint, GaussianFootprint};
+pub use bounds::{Ellipse, Footprint, OrientedBox, Shape, Square};
 pub use config::{BoundaryMethod, PrepassMode, RenderConfig};
 pub use cost::{CostModel, ExecutionModel, StageTimes};
 pub use pipeline::Renderer;

@@ -5,7 +5,7 @@
 //! machinery serves group identification in the GS-TG pipeline (a tile
 //! group is simply a grid with a larger tile size).
 
-use crate::bounds::{EllipseFootprint, GaussianFootprint};
+use crate::bounds::{Ellipse, Footprint, OrientedBox, Shape, Square};
 use crate::config::{BoundaryMethod, PrepassMode};
 use splat_core::{CsrAssignments, CsrScratch, ProjectedGaussian, StageCounts, TileLists, TileRect};
 use splat_types::{RenderError, Vec2};
@@ -100,21 +100,6 @@ impl TileGrid {
         TileRect::new(x0, y0, x1, y1)
     }
 
-    /// Pixel-space rectangle of tile `(tx, ty)` *without* clipping to the
-    /// image border. Identification uses the unclipped rectangle so that a
-    /// splat overlapping the padding region of a border tile is still
-    /// assigned to it (matching the reference implementation's grid math).
-    pub fn tile_rect_unclipped(&self, tx: u32, ty: u32) -> TileRect {
-        let x0 = (tx * self.tile_size) as f32;
-        let y0 = (ty * self.tile_size) as f32;
-        TileRect::new(
-            x0,
-            y0,
-            x0 + self.tile_size as f32,
-            y0 + self.tile_size as f32,
-        )
-    }
-
     /// Unclamped tile coordinates `[x_lo, x_hi, y_lo, y_hi]` of the tiles
     /// holding the corners of an axis-aligned box of `half_extent` around
     /// `center` (both in pixels): `⌊(center ∓ half_extent) / tile_size⌋` per
@@ -153,25 +138,25 @@ impl TileGrid {
     }
 
     /// Walks the tile rows `ty0..ty1` of a candidate range and calls
-    /// `row(ty, tx_lo, tx_hi)` for each row the ellipse meets, with the
+    /// `row(ty, tx_lo, tx_hi)` for each row the footprint meets, with the
     /// contiguous columns `tx_lo..tx_hi` (inside `tx0..tx1`) that its
     /// x-interval over the row's band `[ty·size, (ty+1)·size]` covers. A
     /// tile is hit iff its unclipped, closed rectangle holds a point of the
-    /// 3σ ellipse, except a tile the interval touches only at its right
+    /// footprint, except a tile the interval touches only at its right
     /// edge, which [`TileGrid::tile_range`] leaves out too. Neighbouring
-    /// rows share their edge's chord: one square root per band edge.
-    pub fn for_each_row_span(
+    /// rows share their edge's chord: one chord per band edge.
+    pub fn for_each_row_span<S: Shape>(
         &self,
-        ellipse: &EllipseFootprint,
+        footprint: &Footprint<S>,
         (tx0, tx1, ty0, ty1): (u32, u32, u32, u32),
         mut row: impl FnMut(u32, u32, u32),
     ) {
         let size = self.tile_size as f32;
         let clamp = |tile: i64| tile.clamp(i64::from(tx0), i64::from(tx1)) as u32;
-        let mut top = ellipse.edge((ty0 * self.tile_size) as f32);
+        let mut top = footprint.edge((ty0 * self.tile_size) as f32);
         for ty in ty0..ty1 {
-            let bottom = ellipse.edge(((ty + 1) * self.tile_size) as f32);
-            if let Some((x_lo, x_hi)) = ellipse.span(&top, &bottom) {
+            let bottom = footprint.edge(((ty + 1) * self.tile_size) as f32);
+            if let Some((x_lo, x_hi)) = footprint.span(&top, &bottom) {
                 let (tx_lo, tx_hi) = (clamp(floor(x_lo / size)), clamp(floor(x_hi / size) + 1));
                 if tx_lo < tx_hi {
                     row(ty, tx_lo, tx_hi);
@@ -313,11 +298,10 @@ impl TileLists for TileAssignments {
 /// counting-sorted into the CSR layout (counting prepass → prefix-sum
 /// offsets → stable scatter), preserving scene order within each tile.
 ///
-/// Each splat's candidate tiles are the rectangle its half extent covers.
-/// For [`BoundaryMethod::Ellipse`] that extent is the covariance diagonal
-/// and the hits come a row at a time ([`TileGrid::for_each_row_span`]):
-/// no eigendecomposition and no per-tile test. AABB and OBB, the paper's
-/// comparison methods, test each candidate tile.
+/// Every method takes the same walk. A splat's candidate tiles are the
+/// rectangle its footprint's half extent covers, and its hits come a tile
+/// row at a time ([`TileGrid::for_each_row_span`]): no tile is tested on
+/// its own. The method picks the footprint's [`Shape`] once per call.
 ///
 /// Accounting: `tile_tests` and `tiles_tested` are modeled: the area of
 /// each splat's candidate rectangle, the tests a per-tile boundary unit
@@ -340,40 +324,42 @@ pub fn identify_tiles_into(
     out.tiles_per_gaussian.clear();
     out.tiles_per_gaussian.resize(projected.len(), 0);
     scratch.clear();
+    let identify = match boundary {
+        BoundaryMethod::Aabb => identify_tiles_with::<Square>,
+        BoundaryMethod::Obb => identify_tiles_with::<OrientedBox>,
+        BoundaryMethod::Ellipse => identify_tiles_with::<Ellipse>,
+    };
+    identify(
+        projected,
+        grid,
+        counts,
+        scratch,
+        &mut out.tiles_per_gaussian,
+    );
+    scratch.build_into(grid.tile_count(), &mut out.per_tile);
+}
 
-    let per_gaussian = out.tiles_per_gaussian.iter_mut();
-    for ((slot, splat), tiles_of_splat) in projected.iter().enumerate().zip(per_gaussian) {
+/// The per-splat loop of [`identify_tiles_into`] under one shape: stages
+/// each splat's row spans and counts its hits into `tiles_per_gaussian`.
+fn identify_tiles_with<S: Shape>(
+    projected: &[ProjectedGaussian],
+    grid: TileGrid,
+    counts: &mut StageCounts,
+    scratch: &mut CsrScratch<u32>,
+    tiles_per_gaussian: &mut [u32],
+) {
+    for ((slot, splat), tiles_of_splat) in (0u32..).zip(projected).zip(tiles_per_gaussian) {
+        let Some(footprint) = Footprint::<S>::of(splat) else {
+            continue;
+        };
+        let candidates = grid.tile_range(splat.mean, footprint.half_extent());
         let mut hits = 0u32;
-        let mut stage = |tx: u32, ty: u32| {
-            scratch.stage(grid.tile_index(tx, ty) as u32, slot as u32);
-            hits += 1;
-        };
-        let candidates = if boundary == BoundaryMethod::Ellipse {
-            let Some(ellipse) = EllipseFootprint::new(splat.mean, splat.cov, splat.conic()) else {
-                continue;
-            };
-            let range = grid.tile_range(splat.mean, ellipse.half_extent());
-            grid.for_each_row_span(&ellipse, range, |ty, tx_lo, tx_hi| {
-                (tx_lo..tx_hi).for_each(|tx| stage(tx, ty));
-            });
-            range
-        } else {
-            let Some(footprint) =
-                GaussianFootprint::from_covariance(splat.mean, splat.cov, splat.conic())
-            else {
-                continue;
-            };
-            let range = grid.tile_range(splat.mean, footprint.candidate_half_extent(boundary));
-            let (tx0, tx1, ty0, ty1) = range;
-            for ty in ty0..ty1 {
-                for tx in tx0..tx1 {
-                    if footprint.intersects(&grid.tile_rect_unclipped(tx, ty), boundary) {
-                        stage(tx, ty);
-                    }
-                }
+        grid.for_each_row_span(&footprint, candidates, |ty, tx_lo, tx_hi| {
+            for tx in tx_lo..tx_hi {
+                scratch.stage(grid.tile_index(tx, ty) as u32, slot);
             }
-            range
-        };
+            hits += tx_hi - tx_lo;
+        });
         let (tx0, tx1, ty0, ty1) = candidates;
         let area = u64::from(tx1 - tx0) * u64::from(ty1 - ty0);
         counts.tile_tests += area;
@@ -382,14 +368,29 @@ pub fn identify_tiles_into(
         counts.tiles_hit += u64::from(hits);
         *tiles_of_splat = hits;
     }
-
-    scratch.build_into(grid.tile_count(), &mut out.per_tile);
 }
 
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
     use splat_types::{Mat2, Rgb};
+
+    impl TileGrid {
+        /// Pixel-space rectangle of tile `(tx, ty)` *without* clipping to the
+        /// image border: the rectangle on which the row walk decides a hit,
+        /// so a splat overlapping the padding of a border tile is assigned
+        /// to it (the reference implementation's grid math).
+        pub(crate) fn tile_rect_unclipped(&self, tx: u32, ty: u32) -> TileRect {
+            let x0 = (tx * self.tile_size) as f32;
+            let y0 = (ty * self.tile_size) as f32;
+            TileRect::new(
+                x0,
+                y0,
+                x0 + self.tile_size as f32,
+                y0 + self.tile_size as f32,
+            )
+        }
+    }
 
     /// Allocating form of [`identify_tiles_into`].
     pub(crate) fn identify_tiles(
@@ -624,36 +625,76 @@ pub(crate) mod tests {
         );
     }
 
-    /// The row walk hits exactly the candidate tiles whose rectangle the
-    /// ellipse meets, tested one band at a time: sharing a chord between
-    /// neighbouring rows and turning an interval into columns lose and add
-    /// nothing.
+    /// Tile coordinates `(tx, ty)` in row-major order.
+    type Tiles = Vec<(u32, u32)>;
+
+    /// The tiles the row walk of `S` hits, and the candidate tiles whose
+    /// rectangle the footprint meets, tested one band at a time.
+    fn walked_and_met<S: Shape>(grid: &TileGrid, splat: &ProjectedGaussian) -> (Tiles, Tiles) {
+        let footprint = Footprint::<S>::of(splat).expect("positive definite");
+        let range = grid.tile_range(splat.mean, footprint.half_extent());
+        let mut walked = Vec::new();
+        grid.for_each_row_span(&footprint, range, |ty, tx_lo, tx_hi| {
+            walked.extend((tx_lo..tx_hi).map(|tx| (tx, ty)));
+        });
+        let (tx0, tx1, ty0, ty1) = range;
+        let met = (ty0..ty1)
+            .flat_map(|ty| (tx0..tx1).map(move |tx| (tx, ty)))
+            .filter(|&(tx, ty)| footprint.meets(&grid.tile_rect_unclipped(tx, ty)))
+            .collect();
+        (walked, met)
+    }
+
+    /// Under every method the row walk hits exactly the candidate tiles
+    /// whose rectangle the footprint meets, tested one band at a time:
+    /// sharing a chord between neighbouring rows and turning an interval
+    /// into columns lose and add nothing. Over the whole grid it also
+    /// matches the per-tile tests it replaced (the AABB overlap, the
+    /// separating-axis test, the segment minimisation), so every candidate
+    /// range holds every hit; only tangency may split the two. Every fourth
+    /// splat is axis-aligned and every fourth turned by 45°.
     #[test]
     fn row_spans_hit_the_tiles_the_ellipse_meets() {
         let mut rng = splat_types::rng::Rng::seed_from_u64(0x5BA4_0011);
-        let mut hits = 0;
+        let (mut hits, mut tangent) = ([0usize; 3], 0);
         for case in 0..2_000 {
             let grid = TileGrid::new(96, 64, [8, 16, 32][case % 3]);
-            let (sx, sy) = (rng.range_f32(0.3, 400.0), rng.range_f32(0.3, 400.0));
-            let sxy = rng.range_f32(-0.95, 0.95) * (sx * sy).sqrt();
-            let cov = Mat2::from_symmetric(sx, sxy, sy);
+            let sx = rng.range_f32(0.3, 400.0);
+            let sy = if case % 4 == 1 {
+                sx
+            } else {
+                rng.range_f32(0.3, 400.0)
+            };
+            let correlation = if case % 4 == 0 {
+                0.0
+            } else {
+                rng.range_f32(-0.95, 0.95)
+            };
+            let cov = Mat2::from_symmetric(sx, correlation * (sx * sy).sqrt(), sy);
             let mean = Vec2::new(rng.range_f32(-40.0, 136.0), rng.range_f32(-40.0, 104.0));
-            let Ok(conic) = cov.inverse() else { continue };
-            let ellipse = EllipseFootprint::new(mean, cov, conic).expect("positive definite");
-            let range = grid.tile_range(mean, ellipse.half_extent());
-            let mut walked = Vec::new();
-            grid.for_each_row_span(&ellipse, range, |ty, tx_lo, tx_hi| {
-                walked.extend((tx_lo..tx_hi).map(|tx| (tx, ty)));
-            });
-            let (tx0, tx1, ty0, ty1) = range;
-            let tested: Vec<(u32, u32)> = (ty0..ty1)
-                .flat_map(|ty| (tx0..tx1).map(move |tx| (tx, ty)))
-                .filter(|&(tx, ty)| ellipse.meets(&grid.tile_rect_unclipped(tx, ty)))
-                .collect();
-            assert_eq!(walked, tested, "case {case}: {mean:?} {cov:?}");
-            hits += walked.len();
+            let splat = crate::bounds::tests::splat(mean, cov);
+            for (method, hits) in BoundaryMethod::ALL.into_iter().zip(&mut hits) {
+                let (walked, met) = match method {
+                    BoundaryMethod::Aabb => walked_and_met::<Square>(&grid, &splat),
+                    BoundaryMethod::Obb => walked_and_met::<OrientedBox>(&grid, &splat),
+                    BoundaryMethod::Ellipse => walked_and_met::<Ellipse>(&grid, &splat),
+                };
+                assert_eq!(walked, met, "case {case} {method}: {mean:?} {cov:?}");
+                let all =
+                    (0..grid.tiles_y()).flat_map(|ty| (0..grid.tiles_x()).map(move |tx| (tx, ty)));
+                for (tx, ty) in all {
+                    let rect = grid.tile_rect_unclipped(tx, ty);
+                    let oracle = crate::bounds::tests::oracle_meets(&splat, &rect, method);
+                    if oracle != walked.contains(&(tx, ty)) {
+                        eprintln!("case {case} {method}: tile ({tx}, {ty}) oracle {oracle}");
+                        tangent += 1;
+                    }
+                }
+                *hits += walked.len();
+            }
         }
-        assert!(hits > 5_000, "{hits} hits");
+        assert!(hits.iter().all(|&n| n > 5_000), "{hits:?} hits");
+        assert!(tangent <= 2, "{tangent} tangent disagreements");
     }
 
     #[test]

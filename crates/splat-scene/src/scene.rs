@@ -312,34 +312,6 @@ impl Scene {
         )
     }
 
-    /// Axis-aligned bounds of all splat centers, or `None` for an empty
-    /// scene.
-    #[cfg(test)]
-    pub(crate) fn bounds(&self) -> Option<(Vec3, Vec3)> {
-        let mut iter = self.gaussians.iter();
-        let first = iter.next()?.position();
-        let mut lo = first;
-        let mut hi = first;
-        for g in iter {
-            lo = lo.min(g.position());
-            hi = hi.max(g.position());
-        }
-        Some((lo, hi))
-    }
-
-    /// Centroid of all splat centers, or the origin for an empty scene.
-    #[cfg(test)]
-    pub(crate) fn centroid(&self) -> Vec3 {
-        if self.gaussians.is_empty() {
-            return Vec3::ZERO;
-        }
-        let sum = self
-            .gaussians
-            .iter()
-            .fold(Vec3::ZERO, |acc, g| acc + g.position());
-        sum / self.gaussians.len() as f32
-    }
-
     /// Resident-memory estimate of the scene in bytes: every stored
     /// parameter scalar ([`Gaussian3d::parameter_count`]) at 4 bytes, plus
     /// the name. This is the figure the serving engine's residency policy
@@ -391,42 +363,9 @@ mod tests {
     }
 
     #[test]
-    fn bounds_cover_all_centers() {
-        let scene = Scene::new(
-            "test",
-            64,
-            64,
-            vec![
-                splat_at(Vec3::new(-1.0, 0.0, 2.0)),
-                splat_at(Vec3::new(3.0, -2.0, 5.0)),
-                splat_at(Vec3::new(0.0, 4.0, 1.0)),
-            ],
-        );
-        let (lo, hi) = scene.bounds().unwrap();
-        assert_eq!(lo, Vec3::new(-1.0, -2.0, 1.0));
-        assert_eq!(hi, Vec3::new(3.0, 4.0, 5.0));
-    }
-
-    #[test]
     fn empty_scene_has_no_bounds() {
         let scene = Scene::new("empty", 8, 8, vec![]);
-        assert!(scene.bounds().is_none());
         assert!(scene.is_empty());
-        assert_eq!(scene.centroid(), Vec3::ZERO);
-    }
-
-    #[test]
-    fn centroid_is_mean_of_centers() {
-        let scene = Scene::new(
-            "test",
-            64,
-            64,
-            vec![
-                splat_at(Vec3::new(0.0, 0.0, 0.0)),
-                splat_at(Vec3::new(2.0, 4.0, 6.0)),
-            ],
-        );
-        assert_eq!(scene.centroid(), Vec3::new(1.0, 2.0, 3.0));
     }
 
     #[test]

@@ -261,28 +261,6 @@ impl Mat3 {
         c[0].dot(c[1].cross(c[2]))
     }
 
-    /// Matrix inverse.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::SingularMatrix`] for (near-)singular input.
-    #[cfg(test)]
-    pub(crate) fn inverse(&self) -> Result<Self> {
-        let det = self.determinant();
-        if det.abs() < 1e-12 {
-            return Err(Error::SingularMatrix { determinant: det });
-        }
-        let c = &self.cols;
-        let inv_det = 1.0 / det;
-        let r0 = c[1].cross(c[2]) * inv_det;
-        let r1 = c[2].cross(c[0]) * inv_det;
-        let r2 = c[0].cross(c[1]) * inv_det;
-        // Rows of the inverse are the scaled cross products; build from rows.
-        Ok(Self::from_rows(
-            r0.x, r0.y, r0.z, r1.x, r1.y, r1.z, r2.x, r2.y, r2.z,
-        ))
-    }
-
     /// Multiplies the matrix by a column vector.
     #[inline]
     pub fn mul_vec(&self, v: Vec3) -> Vec3 {
@@ -429,10 +407,6 @@ mod tests {
         (0..2).all(|r| (0..2).all(|c| approx(a.at(r, c), b.at(r, c))))
     }
 
-    fn mat3_approx(a: &Mat3, b: &Mat3) -> bool {
-        (0..3).all(|r| (0..3).all(|c| approx(a.at(r, c), b.at(r, c))))
-    }
-
     #[test]
     fn mat2_inverse_round_trip() {
         let m = Mat2::from_rows(2.0, 1.0, 1.0, 3.0);
@@ -475,19 +449,6 @@ mod tests {
                 assert!(approx(recon(r, c), m.at(r, c)), "entry ({r},{c})");
             }
         }
-    }
-
-    #[test]
-    fn mat3_inverse_round_trip() {
-        let m = Mat3::from_rows(2.0, 0.5, 0.0, -1.0, 3.0, 0.2, 0.0, 0.1, 1.5);
-        let inv = m.inverse().expect("invertible");
-        assert!(mat3_approx(&(m * inv), &Mat3::IDENTITY));
-    }
-
-    #[test]
-    fn mat3_singular_inverse_fails() {
-        let m = Mat3::from_rows(1.0, 2.0, 3.0, 2.0, 4.0, 6.0, 0.0, 1.0, 1.0);
-        assert!(m.inverse().is_err());
     }
 
     #[test]
@@ -549,24 +510,6 @@ mod tests {
             let v: Vec<f32> = (0..9).map(|_| rng.range_f32(-10.0, 10.0)).collect();
             let m = Mat3::from_rows(v[0], v[1], v[2], v[3], v[4], v[5], v[6], v[7], v[8]);
             assert_eq!(m.transpose().transpose(), m);
-        }
-    }
-
-    #[test]
-    fn mat3_inverse_when_it_exists_round_trips() {
-        let mut rng = Rng::seed_from_u64(0x1111_2222_3333_4444);
-        let mut tested = 0;
-        while tested < 200 {
-            let v: Vec<f32> = (0..9).map(|_| rng.range_f32(-5.0, 5.0)).collect();
-            let m = Mat3::from_rows(v[0], v[1], v[2], v[3], v[4], v[5], v[6], v[7], v[8]);
-            // Only well-conditioned matrices: skip nearly singular draws.
-            if m.determinant().abs() <= 0.5 {
-                continue;
-            }
-            tested += 1;
-            let inv = m.inverse().unwrap();
-            let id = m * inv;
-            assert!(mat3_approx(&id, &Mat3::IDENTITY));
         }
     }
 }
