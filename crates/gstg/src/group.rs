@@ -10,9 +10,8 @@
 //! The bitmasks come first, under every boundary method: the splat's row
 //! spans over its candidate tiles are ORed into the masks of the groups
 //! holding them, and a group whose in-image mask under the group boundary
-//! is empty is not staged. Every bit set is also tallied per tile
-//! (`GroupAssignments::tile_hits`), which is what lets rasterization
-//! scatter a sorted group list into its tiles' lists in one walk
+//! is empty is not staged. Rasterization reads each sorted group list as it
+//! stands, once per tile, keeping the entries with the tile's bit set
 //! ([`crate::raster`]).
 
 use crate::bitmask::{GroupLayout, TileBitmask};
@@ -36,11 +35,17 @@ pub struct GroupEntry {
 const _: () = assert!(std::mem::size_of::<GroupEntry>() == 12);
 
 /// The depth sort parks the slot in the first word and the mask in the
-/// second.
+/// second; the tile kernel keeps an entry in a tile's list by the RM's
+/// AND filter on the tile's bit.
 impl SortEntry for GroupEntry {
     #[inline]
     fn slot(&self) -> u32 {
         self.slot
+    }
+
+    #[inline]
+    fn in_tile(&self, bit: u32) -> bool {
+        (self.bitmask.to_bits() >> bit) & 1 != 0
     }
 
     #[inline]
@@ -68,9 +73,6 @@ pub struct GroupAssignments {
     tile_grid: TileGrid,
     layout: GroupLayout,
     per_group: CsrAssignments<GroupEntry>,
-    /// Bits set per small tile, group-major: `tiles_per_group` counters per
-    /// group in bit order (out-of-image positions of border groups stay 0).
-    tile_hits: Vec<u32>,
 }
 
 impl GroupAssignments {
@@ -83,7 +85,6 @@ impl GroupAssignments {
             tile_grid: grid,
             layout: GroupLayout::new(1, 1),
             per_group: CsrAssignments::with_bins(grid.tile_count()),
-            tile_hits: vec![0; grid.tile_count()],
         }
     }
 
@@ -105,16 +106,10 @@ impl GroupAssignments {
         self.per_group.bin(group)
     }
 
-    /// Length of every small tile's splat list in the group with flattened
-    /// index `group`, in bit order: how many of the group's entries have
-    /// that tile's bit set (`tiles_hit` per tile). Sorting permutes entries
-    /// within a group, so the tallies identification took stay valid.
+    /// Number of small tiles in a group: the bit positions of its masks.
     #[inline]
-    pub(crate) fn tile_hits(&self, group: usize) -> &[u32] {
-        let tiles = self.layout.tiles_per_group() as usize;
-        self.tile_hits
-            .get(group * tiles..(group + 1) * tiles)
-            .unwrap_or_default()
+    pub(crate) fn tiles_per_group(&self) -> u32 {
+        self.layout.tiles_per_group()
     }
 
     /// Mutable access to the CSR bins, used by the group-wise sorting
@@ -145,7 +140,7 @@ impl GroupAssignments {
 
     /// Bytes currently reserved by the assignment buffers.
     pub(crate) fn footprint_bytes(&self) -> usize {
-        self.per_group.footprint_bytes() + self.tile_hits.capacity() * std::mem::size_of::<u32>()
+        self.per_group.footprint_bytes()
     }
 
     /// Global small-tile coordinates of bit `bit` in group `(gx, gy)`, or
@@ -201,11 +196,6 @@ pub fn identify_groups_into(
     out.group_grid = TileGrid::new(image_width, image_height, config.group_size);
     out.tile_grid = TileGrid::new(image_width, image_height, config.tile_size);
     out.layout = GroupLayout::new(config.tile_size, config.tiles_per_group_side());
-    out.tile_hits.clear();
-    out.tile_hits.resize(
-        out.group_grid.tile_count() * out.layout.tiles_per_group() as usize,
-        0,
-    );
     scratch.clear();
 
     use BoundaryMethod::{Aabb as A, Ellipse as E, Obb as O};
@@ -274,7 +264,7 @@ fn identify_groups_with<G: Shape, B: Shape>(
                     mask_rows.ty_lo,
                     mask_rows.ty_hi,
                 );
-                stage_entry(out, group, candidates, slot, bitmask, counts, scratch);
+                stage_entry(group, candidates, slot, bitmask, counts, scratch);
             }
         }
         counts.tile_tests += u64::from(gx1 - gx0) * u64::from(gy1 - gy0);
@@ -334,11 +324,10 @@ impl GroupRows {
     }
 }
 
-/// Stages one (group, splat) entry, tallies its bits into the group's
-/// per-tile hits and charges its counters: one intersection, the area of
-/// the `candidates` tile range in bitmask tests, one hit per bit.
+/// Stages one (group, splat) entry and charges its counters: one
+/// intersection, the area of the `candidates` tile range in bitmask tests,
+/// one hit per bit.
 fn stage_entry(
-    out: &mut GroupAssignments,
     group: usize,
     (tx_lo, tx_hi, ty_lo, ty_hi): (u32, u32, u32, u32),
     slot: u32,
@@ -346,15 +335,6 @@ fn stage_entry(
     counts: &mut StageCounts,
     scratch: &mut CsrScratch<GroupEntry>,
 ) {
-    let tiles_per_group = out.layout.tiles_per_group() as usize;
-    let hits_range = group * tiles_per_group..(group + 1) * tiles_per_group;
-    if let Some(group_hits) = out.tile_hits.get_mut(hits_range) {
-        for bit in bitmask.iter_set() {
-            if let Some(hits) = group_hits.get_mut(bit as usize) {
-                *hits += 1;
-            }
-        }
-    }
     let tested = u64::from(tx_hi.saturating_sub(tx_lo)) * u64::from(ty_hi.saturating_sub(ty_lo));
     counts.bitmask_tests += tested;
     counts.tiles_tested += tested;
@@ -414,8 +394,7 @@ pub(crate) mod tests {
     }
 
     /// Group assignments over hand-made per-group lists (one list per group
-    /// of the grid, row-major), with the per-tile hits tallied from the
-    /// masks the way identification tallies them.
+    /// of the grid, row-major).
     pub(crate) fn assignments_from_lists(
         image_width: u32,
         image_height: u32,
@@ -426,13 +405,9 @@ pub(crate) mod tests {
         let group_grid = TileGrid::new(image_width, image_height, config.group_size);
         assert_eq!(lists.len(), group_grid.tile_count());
         let mut scratch = CsrScratch::new();
-        let mut tile_hits = vec![0; lists.len() * layout.tiles_per_group() as usize];
         for (group, list) in lists.iter().enumerate() {
             for &entry in list {
                 scratch.stage(group as u32, entry);
-                for bit in entry.bitmask.iter_set() {
-                    tile_hits[group * layout.tiles_per_group() as usize + bit as usize] += 1;
-                }
             }
         }
         let mut per_group = CsrAssignments::new();
@@ -442,7 +417,6 @@ pub(crate) mod tests {
             tile_grid: TileGrid::new(image_width, image_height, config.tile_size),
             layout,
             per_group,
-            tile_hits,
         }
     }
 
@@ -541,7 +515,7 @@ pub(crate) mod tests {
                 for (group_idx, entries) in groups.iter() {
                     let (gx, gy) = groups.group_grid().tile_coords(group_idx);
                     for entry in entries {
-                        for bit in entry.bitmask.iter_set() {
+                        for bit in (0..64).filter(|&bit| entry.bitmask.contains(bit)) {
                             if let Some((tx, ty)) = groups.global_tile_of_bit(gx, gy, bit) {
                                 from_groups.push((tile_grid.tile_index(tx, ty), entry.slot));
                             }
@@ -608,38 +582,6 @@ pub(crate) mod tests {
         };
         assert_eq!(hit(&a_e), hit(&e_e));
         assert!(!hit(&e_e).is_empty());
-    }
-
-    #[test]
-    fn tile_hits_count_the_set_bits_of_every_tile() {
-        let splats: Vec<ProjectedGaussian> = (0..24)
-            .map(|i| {
-                projected(
-                    Vec2::new(7.0 + 9.5 * i as f32, 11.0 + 6.5 * i as f32),
-                    2.0 + (i % 5) as f32 * 3.0,
-                    i,
-                    1.0 + i as f32,
-                )
-            })
-            .collect();
-        let aabb = GstgConfig::new(16, 64, BoundaryMethod::Aabb, BoundaryMethod::Aabb).unwrap();
-        for cfg in [config(16, 64), config(16, 48), aabb] {
-            let mut counts = StageCounts::new();
-            // 200x150: the last group column and row are partly outside.
-            let groups = identify_groups(&splats, 200, 150, &cfg, &mut counts);
-            let mut total = 0u64;
-            for (group, entries) in groups.iter() {
-                let hits = groups.tile_hits(group);
-                assert_eq!(hits.len(), cfg.tiles_per_group() as usize);
-                for (bit, &hit) in (0u32..).zip(hits) {
-                    let set = entries.iter().filter(|e| e.bitmask.contains(bit)).count();
-                    assert_eq!(hit as usize, set, "group {group} bit {bit}");
-                    total += u64::from(hit);
-                }
-            }
-            assert_eq!(total, counts.tiles_hit);
-            assert!(total > 0);
-        }
     }
 
     #[test]

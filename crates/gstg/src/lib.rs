@@ -17,9 +17,9 @@
 //!   *once*, as if a large tile size were in use.
 //! * **Tile-wise rasterization** — each small tile rasterizes only the
 //!   splats of the group-sorted list whose bitmask has its bit set,
-//!   preserving the efficiency of the small tile size. (The accelerator
-//!   filters the list per tile; the software path scatters it once per
-//!   group, which yields the same lists.)
+//!   preserving the efficiency of the small tile size. As in the
+//!   accelerator, every tile walks the group list and filters it with its
+//!   bit; no per-tile list is built.
 //!
 //! Because the small tiles are perfectly aligned inside the groups, every
 //! splat that touches a tile also touches its group, so the tile's list
@@ -43,7 +43,7 @@
 //!
 //! Those four bullets are the whole delta: [`GstgRenderer`] implements
 //! `splat_render::Keying` (group identification, group-wise sort, the
-//! bitmask scatter as per-tile list provider) and everything else — the
+//! group lists read per tile with the tile's bit) and everything else — the
 //! frame loop, preprocessing, timing, the frame arena, the tile-shading
 //! driver — is the baseline's, shared through `splat_render::Session`. The
 //! allocation-free [`GstgSession`] (`Session<GstgRenderer>`) implements the

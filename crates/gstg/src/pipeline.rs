@@ -2,9 +2,9 @@
 //!
 //! [`GstgRenderer`] is the paper's [`Keying`]: splats are identified into
 //! per-*group* lists with a per-splat tile bitmask, each group's list is
-//! depth-sorted once, and rasterization recovers every small tile's sorted
-//! list by scattering its group's list through the bitmasks
-//! ([`crate::raster`]). The frame loop that runs those stages — and
+//! depth-sorted once, and rasterization shades every small tile from its
+//! group's sorted list, skipping the entries whose bit for the tile is
+//! clear ([`crate::raster`]). The frame loop that runs those stages — and
 //! preprocessing, timing, the arena and the tile-shading driver, which GS-TG
 //! does not change — is the shared [`Session`]; a one-shot
 //! [`GstgRenderer::render`] is a session with a fresh arena.

@@ -2,98 +2,62 @@
 //!
 //! Rasterization runs at the small tile size: every tile of a group shades
 //! the splats of the group-sorted list whose bitmask has the tile's bit set
-//! — already in depth order — through the same shared driver the baseline
-//! uses ([`splat_core::shade_tiles`]). The hardware rasterization module
-//! recovers a tile's list by running the AND/OR "valid" filter over the
-//! whole group list once per tile, eight entries a cycle beside the blend
-//! units. A CPU has nothing beside its blend loop, so GS-TG's [`TileLists`]
-//! implementation walks the sorted group list **once** and scatters each
-//! slot to the lists of the tiles its bitmask names (count → prefix sum →
-//! fill, the counts being the per-tile hits identification tallied): the
-//! software cost is one write per set bit instead of one test per entry per
-//! tile, and the lists are the same. Groups are the scheduling units, so
-//! the parallel fan-out merges in group order and is bit-exact with the
-//! sequential walk.
+//! — already in depth order — through the same shared driver and kernel the
+//! baseline uses ([`splat_core::shade_tiles`]). As in the hardware
+//! rasterization module, a tile's list is not built anywhere: each tile
+//! reads the whole group list and the kernel keeps an entry only when the
+//! AND/OR filter of its mask with the tile's bit passes
+//! ([`SortEntry::in_tile`](splat_core::SortEntry::in_tile)), once per
+//! entry per pixel block until the block saturates. Groups are the
+//! scheduling units, so the parallel fan-out merges in group order and is
+//! bit-exact with the sequential walk.
 
-use crate::group::GroupAssignments;
+use crate::group::{GroupAssignments, GroupEntry};
 use splat_core::{
     shade_tiles, ExecutionConfig, Framebuffer, ProjectedGaussian, SimdMode, SpanMode, SpanScratch,
     StageCounts, TileLists, TileRect,
 };
 use splat_types::Rgb;
 
-/// GS-TG's per-tile list provider: every group is one unit whose sorted
-/// list is scattered into one sub-list per tile, laid out back to back in
-/// bit order.
+/// GS-TG's per-tile list provider: every group is one unit, and each of
+/// its in-image tiles reads the group's sorted list with its own bit.
 ///
-/// `bitmask_filter_ops` is the *hardware model's* filter count — every
+/// `bitmask_filter_ops` is the hardware model's filter count — every
 /// in-image tile filters the whole group list, which is what the RM does
-/// and what `splat-accel` turns into cycles — not the software work, which
-/// is one write per set bit.
+/// and what `splat-accel` turns into cycles. The kernel runs the same test
+/// per entry, and stops early once a pixel block has saturated.
 impl TileLists for GroupAssignments {
+    type Entry = GroupEntry;
+
     fn unit_count(&self) -> usize {
         self.group_count()
     }
 
-    fn for_each_tile<F>(
-        &self,
-        unit: usize,
-        counts: &mut StageCounts,
-        tile_list: &mut Vec<u32>,
-        mut shade: F,
-    ) where
-        F: FnMut(&TileRect, &[u32], &mut StageCounts),
+    fn for_each_tile<F>(&self, unit: usize, counts: &mut StageCounts, mut shade: F)
+    where
+        F: FnMut(&TileRect, &[GroupEntry], u32, &mut StageCounts),
     {
         let entries = self.group(unit);
-        let hits = self.tile_hits(unit);
-
-        // Prefix sum: every bit's write cursor starts where its sub-list
-        // does. Bits past the group's tile count are never set.
-        let mut cursors = [0u32; 64];
-        let mut total = 0u32;
-        for (cursor, &count) in cursors.iter_mut().zip(hits) {
-            *cursor = total;
-            total += count;
-        }
-        // The scatter below writes every position of `[0, total)` exactly
-        // once, so only growth past the previous tile's length is filled.
-        tile_list.resize(total as usize, 0);
-        for entry in entries {
-            for bit in entry.bitmask.iter_set() {
-                let Some(cursor) = cursors.get_mut(bit as usize) else {
-                    continue;
-                };
-                if let Some(dst) = tile_list.get_mut(*cursor as usize) {
-                    *dst = entry.slot;
-                }
-                *cursor += 1;
-            }
-        }
-
         let (gx, gy) = self.group_grid().tile_coords(unit);
-        let mut sub_lists = tile_list.as_slice();
-        for (bit, &count) in (0u32..).zip(hits) {
-            let (sorted, rest) = sub_lists.split_at(count as usize);
-            sub_lists = rest;
+        for bit in 0..self.tiles_per_group() {
             let Some((tx, ty)) = self.global_tile_of_bit(gx, gy, bit) else {
                 continue;
             };
             counts.bitmask_filter_ops += entries.len() as u64;
-            shade(&self.tile_grid().tile_rect(tx, ty), sorted, counts);
+            shade(&self.tile_grid().tile_rect(tx, ty), entries, bit, counts);
         }
     }
 }
 
 /// Rasterizes every tile of every group into a recycled framebuffer, which
 /// is reset to the image dimensions first — the raster stage of the frame
-/// loop as a standalone call ([`shade_tiles`] over the bitmask-filtered
-/// lists). `tile_list` is the reused per-tile filter output. Every thread
-/// count produces bit-identical pixels.
+/// loop as a standalone call ([`shade_tiles`] over the group lists). Every
+/// thread count produces bit-identical pixels.
 ///
-/// `_simd`, `_span` and `_scratch` are ignored: there is one tile kernel.
-/// They are still parameters only because `benchmark/src/layers.rs` passes
-/// them, and go with the [`SimdMode`] and [`SpanMode`] shells in ROADMAP
-/// item 2a.
+/// `_simd`, `_span`, `_tile_list` and `_scratch` are ignored: there is one
+/// tile kernel, and it reads the group lists in place. They are still
+/// parameters only because `benchmark/src/layers.rs` passes them, and go
+/// with the [`SimdMode`] and [`SpanMode`] shells in ROADMAP item 2a.
 #[allow(clippy::too_many_arguments)]
 pub fn rasterize_groups_into_with(
     projected: &[ProjectedGaussian],
@@ -105,12 +69,12 @@ pub fn rasterize_groups_into_with(
     _simd: SimdMode,
     _span: SpanMode,
     image: &mut Framebuffer,
-    tile_list: &mut Vec<u32>,
+    _tile_list: &mut Vec<u32>,
     _scratch: &mut SpanScratch,
 ) -> StageCounts {
     image.reset(image_width, image_height, background);
     let exec = ExecutionConfig::parallel(threads);
-    shade_tiles(assignments, projected, background, &exec, image, tile_list)
+    shade_tiles(assignments, projected, background, &exec, image)
 }
 
 #[cfg(test)]
@@ -124,7 +88,7 @@ mod tests {
     use splat_render::BoundaryMethod;
     use splat_types::{Mat2, Vec2};
 
-    /// The hardware filter, kept as the oracle the scatter is tested
+    /// The hardware filter, kept as the oracle the masked walk is tested
     /// against: the slots of a group-sorted entry list whose bitmask passes
     /// the AND/OR filter for the tile at position `bit`, order preserved.
     /// Each entry costs one bitmask filter operation.
@@ -195,21 +159,63 @@ mod tests {
         assert_eq!(counts.bitmask_filter_ops, 6);
     }
 
+    /// The oracle's lists as a provider: every tile is its own unit and
+    /// shades its filtered slot list as it stands.
+    struct FilteredLists(Vec<(TileRect, Vec<u32>)>);
+
+    impl TileLists for FilteredLists {
+        type Entry = u32;
+
+        fn unit_count(&self) -> usize {
+            self.0.len()
+        }
+
+        fn for_each_tile<F>(&self, unit: usize, counts: &mut StageCounts, mut shade: F)
+        where
+            F: FnMut(&TileRect, &[u32], u32, &mut StageCounts),
+        {
+            if let Some((rect, list)) = self.0.get(unit) {
+                shade(rect, list, 0, counts);
+            }
+        }
+    }
+
     #[test]
-    fn scattered_tile_lists_equal_the_per_bit_filter() {
+    fn masked_walk_equals_shading_the_per_bit_filter() {
         // Random sorted group lists over 2×2, 4×4 and 8×8 groups, on images
-        // whose last group column and row hang over the border: the
-        // sub-list scattered to every in-image tile must be the hardware
-        // filter of the same list with that tile's bit, in the same order,
-        // tiles must come in bit order, and the filter ops charged must be
-        // what filtering every in-image tile costs.
+        // whose last group column and row hang over the border, over splats
+        // opaque enough to saturate pixels: shading every group list in
+        // place with each tile's bit must give the pixels and every counter
+        // of shading the hardware filter's list for that bit, tiles must
+        // come in bit order, and the filter ops charged must be what
+        // filtering every in-image tile costs.
         let mut rng = splat_types::rng::Rng::seed_from_u64(0x5CA7_7E12);
+        let background = Rgb::new(0.1, 0.2, 0.3);
         for (tile, group) in [(16u32, 32u32), (16, 64), (8, 64)] {
             let cfg =
                 GstgConfig::new(tile, group, BoundaryMethod::Aabb, BoundaryMethod::Aabb).unwrap();
             let tiles_per_group = cfg.tiles_per_group();
             let full = u64::MAX >> (64 - tiles_per_group);
             for (width, height) in [(2 * group, group), (2 * group - tile - 3, group + 5)] {
+                // The first eight splats are wide and nearly opaque, so
+                // pixels that several of them reach exit early.
+                let splats: Vec<ProjectedGaussian> = (0..40)
+                    .map(|i| {
+                        let mean = Vec2::new(
+                            rng.range_f32(0.0, width as f32),
+                            rng.range_f32(0.0, height as f32),
+                        );
+                        let color = Rgb::new(rng.gen_f32(), rng.gen_f32(), rng.gen_f32());
+                        let (sigma, opacity) = if i < 8 {
+                            (40.0, 0.99)
+                        } else {
+                            (rng.range_f32(1.0, 12.0), rng.range_f32(0.3, 1.0))
+                        };
+                        let mut splat = projected(mean, sigma, i, i as f32, color);
+                        splat.opacity = opacity;
+                        splat
+                    })
+                    .collect();
                 let group_count = (width.div_ceil(group) * height.div_ceil(group)) as usize;
                 let lists: Vec<Vec<GroupEntry>> = (0..group_count)
                     .map(|_| {
@@ -229,34 +235,45 @@ mod tests {
                     .collect();
                 let groups = assignments_from_lists(width, height, &cfg, &lists);
 
-                let mut tile_list = Vec::new();
-                let mut tiles_seen = 0usize;
+                let mut expected_counts = StageCounts::new();
+                let mut filtered = Vec::new();
                 for (unit, entries) in lists.iter().enumerate() {
                     let (gx, gy) = groups.group_grid().tile_coords(unit);
-                    let mut expected_counts = StageCounts::new();
-                    let expected: Vec<(TileRect, Vec<u32>)> = (0..tiles_per_group)
-                        .filter_map(|bit| {
-                            let (tx, ty) = groups.global_tile_of_bit(gx, gy, bit)?;
-                            Some((
-                                groups.tile_grid().tile_rect(tx, ty),
-                                filter_tile_list(entries, bit, &mut expected_counts),
-                            ))
-                        })
-                        .collect();
-
-                    let mut counts = StageCounts::new();
-                    let mut scattered = Vec::new();
-                    groups.for_each_tile(unit, &mut counts, &mut tile_list, |rect, sorted, _| {
-                        scattered.push((*rect, sorted.to_vec()));
-                    });
-                    assert_eq!(
-                        scattered, expected,
-                        "{tile}+{group} {width}x{height} #{unit}"
-                    );
-                    assert_eq!(counts, expected_counts);
-                    tiles_seen += scattered.len();
+                    for bit in 0..tiles_per_group {
+                        if let Some((tx, ty)) = groups.global_tile_of_bit(gx, gy, bit) {
+                            let list = filter_tile_list(entries, bit, &mut expected_counts);
+                            filtered.push((groups.tile_grid().tile_rect(tx, ty), list));
+                        }
+                    }
                 }
-                assert_eq!(tiles_seen, groups.tile_grid().tile_count());
+                assert_eq!(filtered.len(), groups.tile_grid().tile_count());
+                let mut rects = Vec::new();
+                for unit in 0..groups.unit_count() {
+                    groups.for_each_tile(unit, &mut StageCounts::new(), |rect, _, _, _| {
+                        rects.push(*rect);
+                    });
+                }
+                let expected_rects: Vec<TileRect> = filtered.iter().map(|(r, _)| *r).collect();
+                assert_eq!(rects, expected_rects, "{tile}+{group} {width}x{height}");
+
+                let mut expected = Framebuffer::new(width, height, background);
+                let exec = ExecutionConfig::parallel(1);
+                expected_counts += shade_tiles(
+                    &FilteredLists(filtered),
+                    &splats,
+                    background,
+                    &exec,
+                    &mut expected,
+                );
+                assert!(expected_counts.early_exits > 0);
+                for threads in [1, 4] {
+                    let mut image = Framebuffer::new(width, height, background);
+                    let exec = ExecutionConfig::parallel(threads);
+                    let counts = shade_tiles(&groups, &splats, background, &exec, &mut image);
+                    let label = format!("{tile}+{group} {width}x{height} x{threads}");
+                    assert_eq!(image, expected, "{label}");
+                    assert_eq!(counts, expected_counts, "{label}");
+                }
             }
         }
     }

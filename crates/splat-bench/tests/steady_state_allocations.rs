@@ -170,7 +170,7 @@ fn steady_state_frames_allocate_nothing() {
     // frame: on this sweep one splat fewer (52 B) than the scene holds.
     assert_eq!(
         (baseline, gstg),
-        (377_952, 353_544),
+        (377_952, 344_144),
         "(baseline, gstg) footprint_bytes()"
     );
 }

@@ -7,13 +7,15 @@
 //! once per block of up to 16×16 pixels, all of the block's live pixels
 //! stepping through it together (the reference 3D-GS rasterizer's
 //! one-block-per-tile shape). Both pipelines rasterize through it (driven
-//! by [`crate::shade_tiles`]) — GS-TG merely filters the splat list with
-//! its bitmasks first. The per-pixel definition it is checked against is
-//! [`crate::reference`].
+//! by [`crate::shade_tiles`]) over a sorted entry list: the baseline's
+//! per-tile bin, or GS-TG's per-group bin, whose entries the walk skips
+//! when the tile's bitmask bit is clear ([`SortEntry::in_tile`]). The
+//! per-pixel definition it is checked against is [`crate::reference`].
 
 use std::ops::Range;
 
 use crate::exp::exp_neg;
+use crate::keysort::SortEntry;
 use crate::rect::{TileRect, MAHALANOBIS_CUTOFF};
 use crate::splat::ProjectedGaussian;
 use crate::stats::StageCounts;
@@ -39,8 +41,9 @@ const BLOCK: usize = 16;
 
 /// Rasterizes one tile into `image`, charging all work to `counts`.
 ///
-/// * `sorted` — splat slots (indices into `projected`) already sorted
-///   front-to-back.
+/// * `entries` — the tile's bin, already sorted front-to-back; the tile's
+///   list is its entries whose [`SortEntry::in_tile`] holds for `bit`, each
+///   naming a splat by its slot (index into `projected`).
 /// * `rect` — the clipped pixel rectangle of the tile (integer bounds, in
 ///   image space).
 /// * `background` — color of pixels with full remaining transmittance.
@@ -48,7 +51,7 @@ const BLOCK: usize = 16;
 ///   `(0, 0)` when `image` is the frame, `(rect.x0, rect.y0)` when it is a
 ///   tile-sized buffer (the parallel fan-out's form).
 ///
-/// The rect is split into blocks of at most 16×16 pixels and `sorted` is
+/// The rect is split into blocks of at most 16×16 pixels and `entries` is
 /// walked once per block: every row with a live pixel evaluates the
 /// 16-lane Mahalanobis form, a row with a live lane inside the 3σ cutoff
 /// evaluates the 16-lane α, and only those lanes go on to the α-cull and
@@ -62,8 +65,10 @@ const BLOCK: usize = 16;
 /// # Panics
 ///
 /// Panics when `rect`, shifted by `origin`, exceeds the framebuffer bounds.
-pub(crate) fn rasterize_tile_into_with(
-    sorted: &[u32],
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn rasterize_tile_into_with<E: SortEntry>(
+    entries: &[E],
+    bit: u32,
     projected: &[ProjectedGaussian],
     rect: &TileRect,
     background: Rgb,
@@ -86,7 +91,8 @@ pub(crate) fn rasterize_tile_into_with(
     for by in (y0..y1).step_by(BLOCK) {
         for bx in (x0..x1).step_by(BLOCK) {
             shade_block(
-                sorted,
+                entries,
+                bit,
                 projected,
                 bx..(bx + step).min(x1),
                 by..(by + step).min(y1),
@@ -128,10 +134,13 @@ struct BlockRow {
 /// order (no fused multiply-add), so pixels are bit-identical. Each splat
 /// charges one α-computation per live pixel of the block, and a lane stops
 /// being charged once its transmittance early-exit fires, just as the
-/// per-pixel walk breaks; the walk ends when no pixel is live.
+/// per-pixel walk breaks; the walk ends when no pixel is live. An entry
+/// whose bit is clear is skipped before it costs anything, so the walk
+/// over a group's bin shades exactly the tile's filtered list.
 #[allow(clippy::too_many_arguments)]
-fn shade_block(
-    sorted: &[u32],
+fn shade_block<E: SortEntry>(
+    entries: &[E],
+    bit: u32,
     projected: &[ProjectedGaussian],
     columns: Range<u32>,
     rows: Range<u32>,
@@ -160,12 +169,15 @@ fn shade_block(
     let mut blends = 0u64;
     let mut exits = 0u64;
 
-    for &slot in sorted {
+    for entry in entries {
         if live_pixels == 0 {
             break;
         }
+        if !entry.in_tile(bit) {
+            continue;
+        }
         counts.alpha_computations += live_pixels;
-        let splat = &projected[slot as usize];
+        let splat = &projected[entry.slot() as usize];
         let conic = splat.conic();
         let m00 = conic.at(0, 0);
         let m01 = conic.at(0, 1);
@@ -287,6 +299,7 @@ mod tests {
         let mut counts = StageCounts::new();
         rasterize_tile_into_with(
             sorted,
+            0,
             projected,
             rect,
             background,
@@ -529,6 +542,7 @@ mod tests {
             let mut counts = StageCounts::new();
             rasterize_tile_into_with(
                 &order,
+                0,
                 &projected,
                 &rect,
                 background,
@@ -687,6 +701,7 @@ mod tests {
         let mut counts = StageCounts::new();
         rasterize_tile_into_with(
             &order,
+            0,
             &projected,
             &rect,
             background,
@@ -728,6 +743,7 @@ mod tests {
             let mut counts = StageCounts::new();
             rasterize_tile_into_with(
                 &order,
+                0,
                 &projected,
                 &rect,
                 Rgb::WHITE,

@@ -96,10 +96,17 @@ impl KeySortRun {
 }
 
 /// An assignment entry the depth sort orders by its splat's depth and can
-/// park in two `u64` words while it writes a bin back in sorted order.
+/// park in two `u64` words while it writes a bin back in sorted order. The
+/// tile kernel reads a sorted bin through it too: an entry is shaded in the
+/// tile at bit `bit` of its bin only when [`SortEntry::in_tile`] holds.
 pub trait SortEntry: Copy {
     /// The entry's position in the projected-splat list.
     fn slot(&self) -> u32;
+
+    /// Whether the entry belongs to the list of the tile at position `bit`
+    /// of its bin: always for a per-tile bin, the tile's bitmask bit for a
+    /// per-group one.
+    fn in_tile(&self, bit: u32) -> bool;
 
     /// Writes the entry into `first` and, when one word cannot hold it,
     /// `second`.
@@ -109,11 +116,17 @@ pub trait SortEntry: Copy {
     fn unpark(first: u64, second: u64) -> Self;
 }
 
-/// A baseline tile-list entry, a projected-splat slot: one word.
+/// A baseline tile-list entry, a projected-splat slot: one word. Its bin
+/// is one tile, so every entry is in it.
 impl SortEntry for u32 {
     #[inline]
     fn slot(&self) -> u32 {
         *self
+    }
+
+    #[inline]
+    fn in_tile(&self, _bit: u32) -> bool {
+        true
     }
 
     #[inline]

@@ -31,7 +31,9 @@
 //! * `schedule` — `TileScheduler`, the deterministic scoped-thread
 //!   work-partition scheduler the rasterization fan-out runs on.
 //! * `shade` — [`shade_tiles`], the one tile-shading driver both
-//!   pipelines feed with `(rect, sorted slot list)` through [`TileLists`].
+//!   pipelines feed with `(rect, sorted bin, tile bit)` through
+//!   [`TileLists`]; the kernel shades the bin's entries that are in the
+//!   tile ([`SortEntry::in_tile`]).
 //! * `blend` — the front-to-back α-blending tile kernel and the
 //!   reference thresholds.
 //! * `exp` — `exp_neg`, the owned exponential every α evaluation

@@ -58,8 +58,9 @@ splat_types::counters! {
         /// Per-(tile,Gaussian) bitmask filter operations of the *hardware
         /// model* (GS-TG rasterization front-end: AND/OR of the 16-bit
         /// masks, every in-image tile filtering its whole group list) — the
-        /// count `splat-accel` turns into cycles. The software path scatters
-        /// each sorted group list once, `tiles_hit` writes, instead.
+        /// count `splat-accel` turns into cycles. The software kernel runs
+        /// the same test on each entry of the group list as every tile
+        /// walks it, and stops a pixel block's walk once it saturates.
         bitmask_filter_ops: u64,
         /// α-computations performed (Eq. 1 evaluations).
         alpha_computations: u64,

@@ -61,14 +61,7 @@ impl Renderer {
         _span: &mut SpanScratch,
     ) -> StageCounts {
         image.reset(camera.width(), camera.height(), BACKGROUND);
-        shade_tiles(
-            assignments,
-            projected,
-            BACKGROUND,
-            &self.config.exec,
-            image,
-            &mut Vec::new(),
-        )
+        shade_tiles(assignments, projected, BACKGROUND, &self.config.exec, image)
     }
 }
 

@@ -47,8 +47,9 @@ pub trait Keying: Clone + Debug + Send {
     /// lists, slot plus tile bitmask for per-group lists. The depth sort
     /// parks it in one or two `u64` words ([`SortEntry`]).
     type Entry: SortEntry + Debug + Send;
-    /// The per-bin lists identification builds and sorting orders.
-    type Assignments: TileLists + Clone + Debug + Send;
+    /// The per-bin lists identification builds, sorting orders and the
+    /// tile kernel reads.
+    type Assignments: TileLists<Entry = Self::Entry> + Clone + Debug + Send;
 
     /// Backend label of a session over this keying (e.g. `"gstg-session"`).
     const NAME: &'static str;
@@ -99,10 +100,6 @@ pub struct Session<K: Keying> {
     renderer: K,
     arena: FrameArena<K::Entry>,
     assignments: K::Assignments,
-    /// Reused list buffer for keyings that build tile lists at raster time
-    /// (GS-TG scatters a group's sorted list into it); stays empty
-    /// otherwise.
-    tile_list: Vec<u32>,
 }
 
 impl<K: Keying> Session<K> {
@@ -113,7 +110,6 @@ impl<K: Keying> Session<K> {
             renderer,
             arena: FrameArena::new(),
             assignments: K::empty_assignments(),
-            tile_list: Vec::new(),
         }
     }
 
@@ -139,9 +135,7 @@ impl<K: Keying> Session<K> {
     /// Bytes currently reserved by the session's recycled buffers. After a
     /// warm-up frame this is stable across steady-state frames.
     pub fn footprint_bytes(&self) -> usize {
-        self.arena.footprint_bytes()
-            + K::assignments_footprint(&self.assignments)
-            + self.tile_list.capacity() * std::mem::size_of::<u32>()
+        self.arena.footprint_bytes() + K::assignments_footprint(&self.assignments)
     }
 
     /// Renders one view into the session's recycled framebuffer.
@@ -194,7 +188,6 @@ impl<K: Keying> Session<K> {
             BACKGROUND,
             &config.exec,
             &mut arena.framebuffer,
-            &mut self.tile_list,
         );
         let raster_time = start.elapsed();
 

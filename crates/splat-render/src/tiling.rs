@@ -271,24 +271,21 @@ fn mean_of_nonzero(per_gaussian: &[u32]) -> f64 {
     }
 }
 
-/// The baseline's per-tile list provider: every tile is its own unit and
-/// its sorted list is read straight out of the CSR bin.
+/// The baseline's per-tile list provider: every tile is its own unit, the
+/// only tile of its CSR bin (bit 0), and shades the whole bin.
 impl TileLists for TileAssignments {
+    type Entry = u32;
+
     fn unit_count(&self) -> usize {
         self.grid.tile_count()
     }
 
-    fn for_each_tile<F>(
-        &self,
-        unit: usize,
-        counts: &mut StageCounts,
-        _tile_list: &mut Vec<u32>,
-        mut shade: F,
-    ) where
-        F: FnMut(&TileRect, &[u32], &mut StageCounts),
+    fn for_each_tile<F>(&self, unit: usize, counts: &mut StageCounts, mut shade: F)
+    where
+        F: FnMut(&TileRect, &[u32], u32, &mut StageCounts),
     {
         let (tx, ty) = self.grid.tile_coords(unit);
-        shade(&self.grid.tile_rect(tx, ty), self.tile(unit), counts);
+        shade(&self.grid.tile_rect(tx, ty), self.tile(unit), 0, counts);
     }
 }
 
